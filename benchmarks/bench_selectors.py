@@ -9,13 +9,10 @@ each solver and the share of the optimal profit greedy/2-opt capture.
 import numpy as np
 from conftest import RESULTS_DIR
 
+from repro.api import create_selector
 from repro.geometry.point import Point
 from repro.io.tables import render_table
-from repro.selection import (
-    CandidateTask,
-    TaskSelectionProblem,
-    make_selector,
-)
+from repro.selection import CandidateTask, TaskSelectionProblem
 
 
 def random_problem(rng, n_candidates, budget=1800.0):
@@ -39,7 +36,7 @@ def _problems(count=20, n_candidates=20, seed=0):
 
 def test_dp_selector_speed(benchmark):
     problems = _problems()
-    dp = make_selector("dp")
+    dp = create_selector("dp")
 
     def solve_all():
         return [dp.select(p) for p in problems]
@@ -51,28 +48,28 @@ def test_dp_selector_speed(benchmark):
 def test_reference_dp_selector_speed(benchmark):
     """The scalar DP the vectorized one replaced — the speedup baseline."""
     problems = _problems()
-    reference = make_selector("reference-dp")
+    reference = create_selector("reference-dp")
     selections = benchmark(lambda: [reference.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
 def test_branch_and_bound_selector_speed(benchmark):
     problems = _problems()
-    bnb = make_selector("branch-and-bound")
+    bnb = create_selector("branch-and-bound")
     selections = benchmark(lambda: [bnb.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
 def test_greedy_selector_speed(benchmark):
     problems = _problems()
-    greedy = make_selector("greedy")
+    greedy = create_selector("greedy")
     selections = benchmark(lambda: [greedy.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
 def test_two_opt_selector_speed(benchmark):
     problems = _problems()
-    two_opt = make_selector("greedy-2opt")
+    two_opt = create_selector("greedy-2opt")
     selections = benchmark(lambda: [two_opt.select(p) for p in problems])
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
@@ -80,9 +77,9 @@ def test_two_opt_selector_speed(benchmark):
 def test_profit_gap_report(benchmark):
     """Greedy and 2-opt profit as a fraction of the DP optimum."""
     problems = _problems(count=40)
-    dp = make_selector("dp")
-    greedy = make_selector("greedy")
-    two_opt = make_selector("greedy-2opt")
+    dp = create_selector("dp")
+    greedy = create_selector("greedy")
+    two_opt = create_selector("greedy-2opt")
 
     def gaps():
         rows = []

@@ -1,0 +1,143 @@
+"""Regenerate the golden history corpus: ``tests/golden/fingerprints.json``.
+
+Each case is a scenario plus config overrides.  Its entry records the
+run's :func:`~repro.simulation.events.result_fingerprint` and one chained
+digest over every round's :func:`~repro.simulation.events.round_fingerprint`
+(observed live, so streamed presets are pinned round by round too).
+``tests/integration/test_golden_history.py`` replays every case and
+compares, which pins the engine's history to itself rather than to a
+second implementation that could share a bug.
+
+Regenerate only when a change is *meant* to alter simulation histories,
+and say so in the change log:
+
+    PYTHONPATH=src python scripts/golden_fingerprints.py
+
+``--check`` compares against the committed file instead of writing it
+(exit 1 on any mismatch).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+from repro import api
+
+CORPUS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "fingerprints.json"
+
+#: Every preset up to city-2k, three seeds each.
+PRESET_SCENARIOS = (
+    "paper-2018",
+    "poisson-stream",
+    "poisson-churn",
+    "task-stream-2k",
+    "rush-hour",
+    "city-2k",
+)
+SEEDS = (0, 1, 2)
+
+#: The open-world mechanisms on the open-world benchmark preset.
+MECHANISM_CASES = (
+    {"mechanism": "policy",
+     "mechanism_kwargs": {"policy": {"name": "step-decay", "decay": 0.8}}},
+    {"mechanism": "omg-online"},
+    {"mechanism": "incentme"},
+)
+
+#: Churn combined with a mobility that draws randomness, partial
+#: participation and stationary users: every mover/sit-out distinction
+#: the round makes shows in the mobility stream.
+WANDERING_CHURN = {
+    "participation_rate": 0.7,
+    "population": [
+        {"name": "wanderers", "fraction": 0.4, "mobility": "random-waypoint"},
+        {"name": "commuters", "fraction": 0.3, "mobility": "stationary"},
+    ],
+}
+
+
+def cases() -> List[Dict]:
+    """The corpus cases: ``{"id", "scenario", "overrides"}`` dicts."""
+    out = []
+    for scenario in PRESET_SCENARIOS:
+        for seed in SEEDS:
+            out.append({"scenario": scenario, "overrides": {"seed": seed}})
+    for overrides in MECHANISM_CASES:
+        out.append({"scenario": "task-stream-2k",
+                    "overrides": dict(overrides, seed=0)})
+    for seed in SEEDS:
+        out.append({"scenario": "poisson-churn",
+                    "overrides": dict(WANDERING_CHURN, seed=seed)})
+    out.append({"scenario": "poisson-churn",
+                "overrides": dict(WANDERING_CHURN, seed=0, engine="scalar",
+                                  distance_dtype="float64")})
+    for case in out:
+        case["id"] = case_id(case["scenario"], case["overrides"])
+    return out
+
+
+def case_id(scenario: str, overrides: Dict) -> str:
+    """A readable, unique test id for one case."""
+    parts = [scenario]
+    for key in sorted(overrides):
+        value = overrides[key]
+        if key == "population":
+            value = "+".join(str(group["mobility"]) for group in value)
+        elif isinstance(value, dict):
+            value = hashlib.sha256(
+                json.dumps(value, sort_keys=True).encode()
+            ).hexdigest()[:8]
+        parts.append(f"{key}={value}")
+    return ",".join(parts)
+
+
+def fingerprints(scenario: str, overrides: Dict) -> Dict[str, str]:
+    """Run one case; return its result and chained round digests."""
+    config = api.build_config(scenario, **overrides)
+    rounds: List[str] = []
+    engine = api.make_engine(
+        config, observers=[lambda record: rounds.append(api.round_fingerprint(record))]
+    )
+    result = engine.run()
+    chained = hashlib.sha256("".join(rounds).encode("ascii")).hexdigest()
+    return {"result": api.result_fingerprint(result), "rounds": chained}
+
+
+def build_corpus() -> Dict:
+    return {
+        "cases": [
+            dict(case, **fingerprints(case["scenario"], case["overrides"]))
+            for case in cases()
+        ]
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the committed corpus instead of writing")
+    args = parser.parse_args(argv)
+    corpus = build_corpus()
+    if args.check:
+        committed = json.loads(CORPUS.read_text())
+        if committed != corpus:
+            old = {case["id"]: case for case in committed["cases"]}
+            for case in corpus["cases"]:
+                if old.get(case["id"]) != case:
+                    print(f"MISMATCH {case['id']}")
+            return 1
+        print(f"{len(corpus['cases'])} cases match {CORPUS}")
+        return 0
+    CORPUS.parent.mkdir(parents=True, exist_ok=True)
+    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
+    print(f"wrote {len(corpus['cases'])} cases to {CORPUS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

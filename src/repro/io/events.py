@@ -40,13 +40,14 @@ def _round_payload(record: RoundRecord) -> Dict:
         "published_rewards": {str(k): v for k, v in record.published_rewards.items()},
         "user_records": [
             {
-                "user_id": r.user_id,
-                "selected_task_ids": list(r.selected_task_ids),
-                "distance": r.distance,
-                "reward": r.reward,
-                "cost": r.cost,
+                "user_id": user_id,
+                "selected_task_ids": list(task_ids),
+                "distance": distance,
+                "reward": reward,
+                "cost": cost,
             }
-            for r in record.user_records
+            for _, user_id, task_ids, distance, reward, cost
+            in record.user_records.rows()
         ],
         "measurements": [
             [e.round_no, e.task_id, e.user_id, e.reward] for e in record.measurements

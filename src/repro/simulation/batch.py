@@ -1,4 +1,4 @@
-"""The batched engine path: vectorised rounds for large worlds.
+"""The batched engine path: vectorised, sparse rounds for large worlds.
 
 The scalar engine's per-round cost at scale is dominated by problem
 construction: :meth:`RoundProblems.problem_for` runs an O(tasks) python
@@ -15,10 +15,35 @@ replaces that with chunked numpy:
   ``Point.distance_to`` (``math.hypot``) exactly as the scalar pruning
   rule does — the sqrt pipeline and hypot can disagree only in the last
   ulp, far inside the tolerance band,
-- per-user problems assembled only for users with candidates; users with
-  none get :meth:`Selection.empty` without a selector call (selectors
-  return the empty selection for empty problems — pinned by the solver
-  contract tests).
+- problems only for users with a candidate, assembled per chunk in
+  groups of equal candidate count k: one fancy-index gather fills each
+  group's ``(n_k, k+1, k+1)`` block and every problem holds a view of
+  it.
+
+**The sparse round.**  At city scale most users do nothing in a given
+round, so per-user Python work is spent only on the users who act:
+
+- *problem* — only participants with at least one eligible, reachable
+  task get one (:meth:`BatchedRoundProblems.iter_problems` yields
+  ``(row, problem)`` for them alone).  Everyone else keeps the shared
+  :meth:`Selection.empty` without a selector call, which is what every
+  selector answers for an empty problem (pinned by the solver contract
+  tests).
+- *upload* — the engine's upload loop skips empty selections; the users
+  who walk still upload one by one in arrival order, so which uploads a
+  full task rejects is unchanged.
+- *mobility* — ``mobility.next_position`` runs for users who walked and
+  for idle users whose policy's
+  :meth:`~repro.world.mobility.MobilityPolicy.stays_put_when_idle` is
+  false, in arrival order.  A policy answers true only when the idle
+  call would return ``user.location`` itself and draw nothing, so the
+  skipped calls are exactly the no-ops.
+- *records* — the round's user records are a columnar
+  :class:`~repro.simulation.events.UserRoundRecords` (ids, selection
+  references, rewards), materialised per record only on access.
+
+The upload and move path lives in :class:`SimulationEngine` and is
+shared by both engines; this module only adds the array upkeep.
 
 **Precision.** The chunk pipeline runs in a configurable dtype
 (``SimulationConfig.distance_dtype``).  float64 (the default) is
@@ -28,6 +53,8 @@ reachability recheck band to :func:`float32_boundary_tol` so every
 decision the reduced precision could flip is re-decided in float64:
 candidate sets are identical to the float64 pipeline's (pinned by
 tests), only the low-order bits of the matrix entries differ.
+:meth:`SimulationEngine.build_problems` hands out the very instances
+the round solves, in this dtype.
 
 **Scale.** At 50k+ users three further costs dominate, each handled
 here (see docs/architecture.md "Scaling"):
@@ -47,9 +74,10 @@ bit-identical at every worker count.
 
 Memory stays bounded: distance chunks are sized by
 :attr:`BatchedSimulationEngine.chunk_bytes` (~16 MB per chunk in either
-dtype — the element count adapts to the dtype's width) and dropped as
-soon as a chunk's problems are built, so a city-scale round never
-materialises the full user-by-task matrix.
+dtype — the element count adapts to the dtype's width), and a chunk's
+distance matrix and assembly blocks are dropped once its problems are
+solved, so a city-scale round never materialises the full user-by-task
+matrix.
 """
 
 from __future__ import annotations
@@ -101,11 +129,10 @@ class BatchedRoundProblems(RoundProblems):
     """Round-problem construction over user chunks instead of users.
 
     Extends :class:`RoundProblems` with :meth:`iter_problems`: the same
-    per-user :class:`TaskSelectionProblem` objects ``problem_for`` would
-    build, produced from chunked ``(users, tasks)`` distance matrices.
-    ``problem_for`` itself still works (it is inherited, with the row
-    mapping applied), so paired experiments that freeze a round keep
-    functioning on this class.
+    per-user :class:`TaskSelectionProblem` values ``problem_for`` would
+    build, produced from chunked ``(users, tasks)`` distance matrices
+    for the users with a candidate.  With ``task_rows`` the instances
+    come from :meth:`iter_problems` only.
 
     Args:
         tasks: the round's published tasks, in engine order.
@@ -184,54 +211,26 @@ class BatchedRoundProblems(RoundProblems):
         np.add(dx, dy, out=dx)
         return np.sqrt(dx, out=dx)
 
-    def _matrix_rows(self, idx: np.ndarray) -> np.ndarray:
-        return idx if self._task_rows is None else self._task_rows[idx]
-
     def problem_for(self, user: MobileUser) -> TaskSelectionProblem:
-        if self._task_rows is None:
-            return super().problem_for(user)
-        # Re-run the scalar path with the row mapping applied to the
-        # shared matrix slice (same values, superset-matrix layout).
-        origin = user.location
-        max_distance = float(user.max_travel_distance)
-        keep: List[int] = []
-        for index, task in enumerate(self.tasks):
-            if user.user_id in task.contributors:
-                continue
-            if origin.distance_to(task.location) <= max_distance:
-                keep.append(index)
-        if keep:
-            idx = np.asarray(keep, dtype=int)
-            diff = self.locations[idx] - (origin.x, origin.y)
-            origin_row = np.sqrt((diff**2).sum(axis=1))
-            k = len(keep)
-            matrix = np.empty((k + 1, k + 1), dtype=float)
-            matrix[0, 0] = 0.0
-            matrix[0, 1:] = origin_row
-            matrix[1:, 0] = origin_row
-            rows = self._matrix_rows(idx)
-            matrix[1:, 1:] = self.task_matrix[np.ix_(rows, rows)]
-            candidates = tuple(self.candidates[i] for i in keep)
-        else:
-            matrix = np.zeros((1, 1), dtype=float)
-            candidates = ()
-        if self._stats is not None:
-            self._stats.problem_cache_hits += 1
-        return TaskSelectionProblem(
-            origin=origin,
-            candidates=candidates,
-            max_distance=max_distance,
-            cost_per_meter=float(user.cost_per_meter),
-            distance_matrix=matrix,
-        )
+        if self._task_rows is not None:
+            raise TypeError(
+                "row-mapped round problems are built by iter_problems only"
+            )
+        return super().problem_for(user)
 
     def iter_problems(
         self,
         users: Sequence[MobileUser],
         origins: Optional[np.ndarray] = None,
         budgets: Optional[np.ndarray] = None,
-    ) -> Iterator[Tuple[MobileUser, TaskSelectionProblem]]:
-        """Yield ``(user, problem)`` for each user, in the given order.
+    ) -> Iterator[Tuple[int, TaskSelectionProblem]]:
+        """Yield ``(index, problem)`` for each user with a candidate.
+
+        ``index`` is the user's position in ``users``; indices ascend.
+        Users with no eligible, reachable task get no problem at all —
+        their Eq. 1 answer is the empty selection, which every selector
+        returns for an empty problem (pinned by the solver contract
+        tests), so callers skip them.
 
         Args:
             users: the users to build problems for.
@@ -243,8 +242,6 @@ class BatchedRoundProblems(RoundProblems):
         """
         n_tasks = len(self.tasks)
         if n_tasks == 0:
-            for user in users:
-                yield user, self._assemble(user, [], None)
             return
         n_users = len(users)
         if origins is None:
@@ -291,7 +288,6 @@ class BatchedRoundProblems(RoundProblems):
         tasks = self.tasks
         for start in range(0, n_users, chunk_size):
             stop = min(start + chunk_size, n_users)
-            chunk = users[start:stop]
             chunk_origins = origins_w[start:stop]
             chunk_budgets = budgets_w[start:stop]
             # Same arithmetic as RoundProblems.problem_for — diff,
@@ -323,57 +319,69 @@ class BatchedRoundProblems(RoundProblems):
             if len(nrows):
                 for row, col in zip(nrows.tolist(), ncols.tolist()):
                     reach[row, col] = (
-                        chunk[row].location.distance_to(tasks[col].location)
+                        users[start + row].location.distance_to(tasks[col].location)
                         <= budgets[start + row]
                     )
             if pair_rows is not None:
                 in_chunk = (pair_rows >= start) & (pair_rows < stop)
                 if in_chunk.any():
                     reach[pair_rows[in_chunk] - start, pair_cols[in_chunk]] = False
-            # One nonzero over the whole chunk instead of one per user;
-            # rows come out ascending, columns ascending within a row —
-            # the same candidate order problem_for produces.
-            rows, cols = np.nonzero(reach)
-            bounds = np.searchsorted(rows, np.arange(len(chunk) + 1))
-            for row, user in enumerate(chunk):
-                keep = cols[bounds[row]:bounds[row + 1]]
-                yield user, self._assemble(user, keep, distances[row])
+            problems = self._assemble_chunk(users, start, reach, distances)
+            for row in sorted(problems):
+                yield start + row, problems[row]
 
-    def _assemble(
+    def _assemble_chunk(
         self,
-        user: MobileUser,
-        keep: Sequence[int],
-        distance_row,
-    ) -> TaskSelectionProblem:
-        """Build one user's problem from precomputed distances.
+        users: Sequence[MobileUser],
+        start: int,
+        reach: np.ndarray,
+        distances: np.ndarray,
+    ) -> Dict[int, TaskSelectionProblem]:
+        """One chunk's problems, keyed by row within the chunk.
 
-        Mirrors the tail of :meth:`RoundProblems.problem_for` exactly;
-        the origin row is sliced from the chunk matrix instead of being
-        recomputed (same pipeline; bit-identical values in float64).
+        Users are grouped by candidate count k, and each group's
+        ``(n_k, k+1, k+1)`` distance block is filled by one fancy-index
+        gather; each problem holds a view of its block.  The values are
+        those :meth:`RoundProblems.problem_for` computes: the origin row
+        is the chunk's distance row (same pipeline; bit-identical in
+        float64), the task block is sliced from the shared matrix, and
+        candidates keep ascending task order.
         """
-        k = len(keep)
-        if k:
-            idx = np.asarray(keep, dtype=int)
-            origin_row = distance_row[idx]
-            matrix = np.empty((k + 1, k + 1), dtype=self.dtype)
-            matrix[0, 0] = 0.0
-            matrix[0, 1:] = origin_row
-            matrix[1:, 0] = origin_row
-            rows = self._matrix_rows(idx)
-            matrix[1:, 1:] = self.task_matrix[rows[:, None], rows]
-            candidates = tuple(self.candidates[i] for i in keep)
-        else:
-            matrix = np.zeros((1, 1), dtype=self.dtype)
-            candidates = ()
+        # One nonzero over the whole chunk; rows come out ascending,
+        # columns ascending within a row.
+        rows, cols = np.nonzero(reach)
+        counts = np.bincount(rows, minlength=len(reach))
+        offsets = np.zeros(len(reach) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        task_rows = self._task_rows
+        candidates = self.candidates
+        problems: Dict[int, TaskSelectionProblem] = {}
         if self._stats is not None:
-            self._stats.problem_cache_hits += 1
-        return TaskSelectionProblem(
-            origin=user.location,
-            candidates=candidates,
-            max_distance=float(user.max_travel_distance),
-            cost_per_meter=float(user.cost_per_meter),
-            distance_matrix=matrix,
-        )
+            # One hit per user served, with or without a candidate, as
+            # on the scalar engine.
+            self._stats.problem_cache_hits += len(reach)
+        for k in np.unique(counts[counts > 0]).tolist():
+            group = np.flatnonzero(counts == k)
+            picked = cols[offsets[group][:, None] + np.arange(k)]
+            matrix_rows = picked if task_rows is None else task_rows[picked]
+            origin_rows = distances[group[:, None], picked]
+            block = np.empty((len(group), k + 1, k + 1), dtype=self.dtype)
+            block[:, 0, 0] = 0.0
+            block[:, 0, 1:] = origin_rows
+            block[:, 1:, 0] = origin_rows
+            block[:, 1:, 1:] = self.task_matrix[
+                matrix_rows[:, :, None], matrix_rows[:, None, :]
+            ]
+            for j, (row, keep) in enumerate(zip(group.tolist(), picked.tolist())):
+                user = users[start + row]
+                problems[row] = TaskSelectionProblem(
+                    origin=user.location,
+                    candidates=tuple([candidates[i] for i in keep]),
+                    max_distance=float(user.max_travel_distance),
+                    cost_per_meter=float(user.cost_per_meter),
+                    distance_matrix=block[j],
+                )
+        return problems
 
 
 class BatchedSimulationEngine(SimulationEngine):
@@ -416,7 +424,6 @@ class BatchedSimulationEngine(SimulationEngine):
             np.float32 if self.config.distance_dtype == "float32" else np.float64
         )
         users = self.world.users
-        self._user_rows = {u.user_id: i for i, u in enumerate(users)}
         self._positions = np.asarray(
             [(u.location.x, u.location.y) for u in users], dtype=float
         ).reshape(len(users), 2)
@@ -517,7 +524,6 @@ class BatchedSimulationEngine(SimulationEngine):
         rebuilt_counter = False
         if changes.population_changed:
             users = self.world.users
-            self._user_rows = {u.user_id: i for i, u in enumerate(users)}
             self._positions = np.asarray(
                 [(u.location.x, u.location.y) for u in users], dtype=float
             ).reshape(len(users), 2)
@@ -538,7 +544,7 @@ class BatchedSimulationEngine(SimulationEngine):
         if self._shards is not None:
             self._shards.refresh()
 
-    def _apply_moves(self, arrival, selections, tasks_by_id) -> None:
+    def _apply_moves(self, movers, selections, tasks_by_id) -> None:
         """The scalar move pass, plus position-array and counter upkeep.
 
         Mobility policies return the *same object* when a user does not
@@ -548,28 +554,27 @@ class BatchedSimulationEngine(SimulationEngine):
         object with equal coordinates is treated as a move — harmless:
         its counter delta is exactly zero.
         """
-        counter = self._neighbour_counter
-        positions = self._positions
-        user_rows = self._user_rows
+        users = self.world.users
+        refresh = self._rows().refresh
         moved_rows: List[int] = []
         moved_old: List = []
         moved_new: List = []
-        for idx in arrival:
-            user, selection = selections[idx]
+        for row in movers:
+            user = users[row]
             old = user.location
-            self._move_user(user, selection, tasks_by_id)
+            self._move_user(user, selections[row], tasks_by_id)
             new = user.location
             if new is old:
                 continue
-            row = user_rows[user.user_id]
-            positions[row, 0] = new.x
-            positions[row, 1] = new.y
-            if counter is not None:
-                moved_rows.append(row)
-                moved_old.append(old)
-                moved_new.append(new)
-        if counter is not None and moved_rows:
-            counter.apply_moves(moved_rows, moved_old, moved_new)
+            refresh(row, user)
+            moved_rows.append(row)
+            moved_old.append(old)
+            moved_new.append(new)
+        if not moved_rows:
+            return
+        self._positions[moved_rows] = [(p.x, p.y) for p in moved_new]
+        if self._neighbour_counter is not None:
+            self._neighbour_counter.apply_moves(moved_rows, moved_old, moved_new)
 
     # -- problem construction -------------------------------------------
 
@@ -592,14 +597,11 @@ class BatchedSimulationEngine(SimulationEngine):
             self._full_task_matrix = shim._build_task_matrix()
         return self._full_task_matrix
 
-    def _round_problems(self, active, prices) -> BatchedRoundProblems:
-        cached = self._problems_cache
-        if cached is not None and cached[0] == self._next_round:
-            return cached[1]
+    def _make_round_problems(self, active, prices) -> BatchedRoundProblems:
         task_rows = np.asarray(
             [self._task_row_of[t.task_id] for t in active], dtype=np.int64
         )
-        problems = BatchedRoundProblems(
+        return BatchedRoundProblems(
             active,
             prices,
             stats=self._perf,
@@ -609,39 +611,53 @@ class BatchedSimulationEngine(SimulationEngine):
             task_matrix=self._task_geometry(),
             task_rows=task_rows,
         )
-        self._problems_cache = (self._next_round, problems)
-        return problems
 
     # -- the select phase -----------------------------------------------
+
+    def _user_problems(self, problems):
+        """The round's instances exactly as the round builds them.
+
+        Goes through :meth:`BatchedRoundProblems.iter_problems`, so the
+        instances carry the engine's distance dtype bit for bit; users
+        with no candidate get a size-0 problem (the round skips them).
+        """
+        users = self.world.users
+        built = dict(problems.iter_problems(
+            users, origins=self._positions, budgets=self._budgets
+        ))
+        return [
+            (user, built.get(row) or TaskSelectionProblem(
+                origin=user.location,
+                candidates=(),
+                max_distance=float(user.max_travel_distance),
+                cost_per_meter=float(user.cost_per_meter),
+                distance_matrix=np.zeros((1, 1), dtype=self._dtype),
+            ))
+            for row, user in enumerate(users)
+        ]
 
     def _collect_selections(
         self,
         active: List[SensingTask],
         prices: Dict[int, float],
-        available: set,
-    ) -> List[Tuple[MobileUser, Selection]]:
+        participating: np.ndarray,
+    ) -> List[Selection]:
         if self._shards is not None:
-            return self._shards.collect(active, prices, available)
+            return self._shards.collect(active, prices, participating)
         tracer = self.tracer
         problems = self._round_problems(active, prices)
         latency = self._metrics.histogram("selector_seconds")
         users = self.world.users
-        if len(available) == len(users):
-            participants = users
-            rows = None
+        selections = [Selection.empty()] * len(users)
+        if participating.all():
+            participants, world_rows = users, range(len(users))
+            origins, budgets = self._positions, self._budgets
         else:
-            rows = np.asarray(
-                [i for i, u in enumerate(users) if u.user_id in available],
-                dtype=np.int64,
-            )
-            participants = [users[i] for i in rows.tolist()]
-        origins = self._positions if rows is None else self._positions[rows]
-        budgets = self._budgets if rows is None else self._budgets[rows]
-        full = len(participants) == len(users)
-        selections: List[Tuple[MobileUser, Selection]] = []
-        by_id: Dict[int, Selection] = {}
-        empty = Selection.empty()
-        for count, (user, problem) in enumerate(
+            rows = np.flatnonzero(participating)
+            world_rows = rows.tolist()
+            participants = [users[row] for row in world_rows]
+            origins, budgets = self._positions[rows], self._budgets[rows]
+        for count, (index, problem) in enumerate(
             problems.iter_problems(participants, origins=origins, budgets=budgets)
         ):
             # Same cancellation contract as the scalar loop: poll at a
@@ -649,35 +665,20 @@ class BatchedSimulationEngine(SimulationEngine):
             # period instead of at the round boundary only.
             if count % self.CANCEL_CHECK_EVERY == 0:
                 self.cancel.raise_if_cancelled()
-            if problem.size == 0:
-                # Selectors answer empty problems with the empty
-                # selection (solver contract); skip the call.
-                selection = empty
-            elif tracer.enabled:
+            if tracer.enabled:
                 with tracer.span(
                     "select-user", cat="selector",
-                    user=user.user_id, tasks=problem.size,
+                    user=participants[index].user_id, tasks=problem.size,
                 ):
                     started = perf_counter()
                     selection = self.selector.select(problem)
                     elapsed = perf_counter() - started
-                self._perf.selector_wall_time += elapsed
-                self._perf.selector_calls += 1
-                latency.observe(elapsed)
             else:
                 started = perf_counter()
                 selection = self.selector.select(problem)
                 elapsed = perf_counter() - started
-                self._perf.selector_wall_time += elapsed
-                self._perf.selector_calls += 1
-                latency.observe(elapsed)
-            if full:
-                selections.append((user, selection))
-            else:
-                by_id[user.user_id] = selection
-        if full:
-            return selections
-        return [
-            (user, by_id.get(user.user_id, empty))
-            for user in users
-        ]
+            self._perf.selector_wall_time += elapsed
+            self._perf.selector_calls += 1
+            latency.observe(elapsed)
+            selections[world_rows[index]] = selection
+        return selections

@@ -13,11 +13,13 @@ Per round k:
    most :math:`\\varphi_i` measurements and at most one per user; users
    arriving after a task fills are rejected unpaid (the WST redundancy
    drawback — their travel cost is sunk).  Arrival order within a round
-   is a uniformly random permutation per round.
+   is a uniformly random permutation per round.  Users with an empty
+   selection upload nothing and are skipped.
 4. **Demand calculate** — implicit: the next round's step 1 reads the
    updated task state.
 
-Between rounds the mobility policy moves users, tasks past their
+Between rounds the mobility policy moves users — those who walked, and
+idle users whose policy does not keep them put — tasks past their
 deadline expire, and the loop ends at the configured horizon or as soon
 as no task is active.
 
@@ -35,6 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 import math
 from time import perf_counter
+
+import numpy as np
 
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
@@ -58,7 +62,7 @@ from repro.simulation.events import (
     RejectedContribution,
     RoundRecord,
     SimulationResult,
-    UserRoundRecord,
+    UserRoundRecords,
 )
 from repro.simulation.rng import spawn_streams
 from repro.world.generator import World
@@ -68,6 +72,54 @@ from repro.world.user import MobileUser
 
 #: Observer callback invoked with each finished RoundRecord.
 RoundObserver = Callable[[RoundRecord], None]
+
+
+class _RowState:
+    """Per-row user state the sparse round reads.
+
+    Built from the world's user list (rows = positions in it) and kept
+    until the population changes: the user ids, the permutation that
+    puts rows in ``user_id`` order for the round's records (``None``
+    when world order already is), and the mask of users the mobility
+    policy moves even when they stay home.  The mask entry of a user
+    who moved is refreshed, since a policy's answer may depend on the
+    user's position (see :meth:`MobilityPolicy.stays_put_when_idle`).
+    """
+
+    def __init__(self, users: Sequence[MobileUser], mobility: MobilityPolicy):
+        n = len(users)
+        self.mobility = mobility
+        self.user_ids = np.fromiter(
+            (user.user_id for user in users), dtype=np.int64, count=n
+        )
+        self.user_ids.flags.writeable = False
+        stays = mobility.stays_put_when_idle
+        self.idle_movers = np.fromiter(
+            (not stays(user) for user in users), dtype=bool, count=n
+        )
+        ids = self.user_ids
+        self.order = (
+            None if (ids[1:] > ids[:-1]).all()
+            else np.argsort(ids, kind="stable")
+        )
+
+    def refresh(self, row: int, user: MobileUser) -> None:
+        """Re-resolve a moved user's idle-mover entry."""
+        self.idle_movers[row] = not self.mobility.stays_put_when_idle(user)
+
+    def records(
+        self, round_no: int, selections: List[Selection], rewards: np.ndarray
+    ) -> UserRoundRecords:
+        """The round's user records, in ``user_id`` order."""
+        order = self.order
+        if order is None:
+            return UserRoundRecords(round_no, self.user_ids, selections, rewards)
+        return UserRoundRecords(
+            round_no,
+            self.user_ids[order],
+            [selections[row] for row in order.tolist()],
+            rewards[order],
+        )
 
 
 class SimulationEngine:
@@ -157,6 +209,7 @@ class SimulationEngine:
         self._perf = PerfStats()
         self._metrics = MetricsRegistry()
         self._cumulative_paid = 0.0
+        self._row_state: Optional[_RowState] = None
 
     # -- setup -----------------------------------------------------------
 
@@ -281,12 +334,22 @@ class SimulationEngine:
         else:
             # Caller-supplied prices (e.g. an ablation probing a what-if
             # price map) must not poison the per-round cache.
-            problems = RoundProblems(
-                self.published_tasks(), prices, stats=self._perf
-            )
+            problems = self._make_round_problems(self.published_tasks(), prices)
+        return self._user_problems(problems)
+
+    def _user_problems(
+        self, problems: RoundProblems
+    ) -> List[Tuple[MobileUser, TaskSelectionProblem]]:
+        """Every user's instance from one round's shared problem state."""
         return [
             (user, problems.problem_for(user)) for user in self.world.users
         ]
+
+    def _make_round_problems(
+        self, active: List[SensingTask], prices: Dict[int, float]
+    ) -> RoundProblems:
+        """A fresh per-round problem state (the batched engine's differs)."""
+        return RoundProblems(active, prices, stats=self._perf)
 
     def _round_problems(
         self, active: List[SensingTask], prices: Dict[int, float]
@@ -302,7 +365,7 @@ class SimulationEngine:
         cached = self._problems_cache
         if cached is not None and cached[0] == self._next_round:
             return cached[1]
-        problems = RoundProblems(active, prices, stats=self._perf)
+        problems = self._make_round_problems(active, prices)
         self._problems_cache = (self._next_round, problems)
         return problems
 
@@ -389,56 +452,65 @@ class SimulationEngine:
         with tracer.span("price-publish", cat="phase", round=round_no):
             prices = self.published_rewards()
             self._validate_prices(prices, active, round_no)
-        available = self._available_user_ids()
+        participating = self._participation_mask()
 
         # Step 2: either WST (each user solves Eq. 1 independently) or
         # SAT (the coordinator assigns selections centrally).  Users who
         # sit this round out (participation_rate < 1) select nothing.
         with tracer.span("select", cat="phase", round=round_no):
+            users = self.world.users
             if self.coordinator is not None:
-                present = [u for u in self.world.users if u.user_id in available]
+                present = [
+                    users[row] for row in np.flatnonzero(participating).tolist()
+                ]
                 assigned = self.coordinator.assign(
                     round_no, active, present, prices
                 )
+                empty = Selection.empty()
                 selections = [
-                    (user, assigned.get(user.user_id, Selection.empty()))
-                    for user in self.world.users
+                    assigned.get(user.user_id, empty) for user in users
                 ]
             else:
-                selections = self._collect_selections(active, prices, available)
+                selections = self._collect_selections(
+                    active, prices, participating
+                )
 
-        # Step 3: uploads processed in a random arrival order.
+        # Step 3: uploads processed in a random arrival order.  Only the
+        # users who walk a path upload anything; everyone else earns 0.
         with tracer.span("upload", cat="phase", round=round_no):
             arrival = self._streams["arrival"].permutation(len(selections))
             measurements: List[MeasurementEvent] = []
             rejections: List[RejectedContribution] = []
-            user_records: List[UserRoundRecord] = []
             completed: List[int] = []
             tasks_by_id = {t.task_id: t for t in active}
-
-            for idx in arrival:
-                user, selection = selections[idx]
+            walkers: List[int] = []
+            earned: List[float] = []
+            for row in arrival.tolist():
+                selection = selections[row]
+                if not selection.task_ids:
+                    continue
+                user = users[row]
                 reward = self._perform(
                     user, selection, tasks_by_id, prices, round_no,
                     measurements, rejections, completed,
                 )
-                if not selection.is_empty:
-                    user.record_round(round_no, reward, selection.cost)
-                user_records.append(
-                    UserRoundRecord(
-                        round_no=round_no,
-                        user_id=user.user_id,
-                        selected_task_ids=selection.task_ids,
-                        distance=selection.distance,
-                        reward=reward,
-                        cost=selection.cost,
-                    )
-                )
+                user.record_round(round_no, reward, selection.cost)
+                walkers.append(row)
+                earned.append(reward)
+            rewards = np.zeros(len(selections))
+            rewards[walkers] = earned
+            moves = self._rows().idle_movers.copy()
+            moves[walkers] = True
             # Mobility is a single post-upload pass in the same arrival
             # order: nothing in the upload loop reads another user's
             # position, and the mobility stream is consumed in the same
             # sequence, so this is bit-identical to interleaved moves.
-            self._apply_moves(arrival, selections, tasks_by_id)
+            # Users who stayed home and whose policy keeps idle users in
+            # place are skipped (their call would return their own
+            # location and draw nothing).
+            movers = arrival[moves[arrival]]
+            self._apply_moves(movers.tolist(), selections, tasks_by_id)
+            user_records = self._rows().records(round_no, selections, rewards)
 
         # Step 4 prep: expire tasks whose deadline has passed.  The open
         # world first offers each overdue task its pre-drawn renewal
@@ -459,7 +531,7 @@ class SimulationEngine:
         return RoundRecord(
             round_no=round_no,
             published_rewards=dict(prices),
-            user_records=tuple(sorted(user_records, key=lambda r: r.user_id)),
+            user_records=user_records,
             measurements=tuple(measurements),
             rejections=tuple(rejections),
             completed_task_ids=tuple(completed),
@@ -525,6 +597,10 @@ class SimulationEngine:
             self.world.users.extend(changes.arrivals)
         if changes.tasks:
             self.world.tasks.extend(changes.tasks)
+        if changes.departures or changes.arrivals:
+            # Rows shift or change owner even when the head count stays
+            # the same, so the per-row state is rebuilt from scratch.
+            self._row_state = None
         self._price_cache = None
         self._problems_cache = None
 
@@ -532,54 +608,61 @@ class SimulationEngine:
         self,
         active: List[SensingTask],
         prices: Dict[int, float],
-        available: set,
-    ) -> List[Tuple[MobileUser, Selection]]:
+        participating: np.ndarray,
+    ) -> List[Selection]:
         """Step 2 (WST): every user's Eq. 1 answer for this round.
 
-        One entry per user in world order.  Users sitting the round out
-        (participation) select nothing.  Subclasses (the batched engine)
-        override this with a vectorised construction path; the selections
-        themselves must stay bit-identical.
+        One selection per user in world order, pre-filled with the
+        shared :meth:`Selection.empty` for users sitting the round out
+        (``participating`` is the per-row participation mask).
+        Subclasses (the batched engine) override this with a vectorised
+        construction path; the selections themselves must stay
+        bit-identical.
         """
         tracer = self.tracer
         problems = self._round_problems(active, prices)
         latency = self._metrics.histogram("selector_seconds")
-        selections: List[Tuple[MobileUser, Selection]] = []
-        for count, user in enumerate(self.world.users):
+        users = self.world.users
+        selections = [Selection.empty()] * len(users)
+        for count, row in enumerate(np.flatnonzero(participating).tolist()):
             if count % self.CANCEL_CHECK_EVERY == 0:
                 self.cancel.raise_if_cancelled()
-            if user.user_id in available:
-                problem = problems.problem_for(user)
-                if tracer.enabled:
-                    with tracer.span(
-                        "select-user", cat="selector",
-                        user=user.user_id, tasks=problem.size,
-                    ):
-                        started = perf_counter()
-                        selection = self.selector.select(problem)
-                        elapsed = perf_counter() - started
-                else:
+            user = users[row]
+            problem = problems.problem_for(user)
+            if tracer.enabled:
+                with tracer.span(
+                    "select-user", cat="selector",
+                    user=user.user_id, tasks=problem.size,
+                ):
                     started = perf_counter()
                     selection = self.selector.select(problem)
                     elapsed = perf_counter() - started
-                self._perf.selector_wall_time += elapsed
-                self._perf.selector_calls += 1
-                latency.observe(elapsed)
             else:
-                selection = Selection.empty()
-            selections.append((user, selection))
+                started = perf_counter()
+                selection = self.selector.select(problem)
+                elapsed = perf_counter() - started
+            self._perf.selector_wall_time += elapsed
+            self._perf.selector_calls += 1
+            latency.observe(elapsed)
+            selections[row] = selection
         return selections
 
     def _apply_moves(
         self,
-        arrival: Sequence[int],
-        selections: List[Tuple[MobileUser, Selection]],
+        movers: Sequence[int],
+        selections: List[Selection],
         tasks_by_id: Dict[int, SensingTask],
     ) -> None:
-        """Advance every user to its next-round position (arrival order)."""
-        for idx in arrival:
-            user, selection = selections[idx]
-            self._move_user(user, selection, tasks_by_id)
+        """Advance each mover (world rows, arrival order) to its
+        next-round position."""
+        users = self.world.users
+        refresh = self._rows().refresh
+        for row in movers:
+            user = users[row]
+            old = user.location
+            self._move_user(user, selections[row], tasks_by_id)
+            if user.location is not old:
+                refresh(row, user)
 
     def _validate_prices(
         self,
@@ -680,21 +763,25 @@ class SimulationEngine:
                 return consume()
         return 0
 
-    def _available_user_ids(self) -> set:
-        """Users willing to work this round (all, at the paper's rate 1.0).
+    def _participation_mask(self) -> np.ndarray:
+        """Per-row mask of the users willing to work this round (all, at
+        the paper's rate 1.0).
 
         Draws one Bernoulli per user from the dedicated participation
         stream; at rate 1.0 no randomness is consumed, so legacy seeds
         replay bit-exactly.
         """
+        n = len(self.world.users)
         if self.config.participation_rate >= 1.0:
-            return {user.user_id for user in self.world.users}
-        draws = self._streams["participation"].random(len(self.world.users))
-        return {
-            user.user_id
-            for user, draw in zip(self.world.users, draws)
-            if draw < self.config.participation_rate
-        }
+            return np.ones(n, dtype=bool)
+        draws = self._streams["participation"].random(n)
+        return draws < self.config.participation_rate
+
+    def _rows(self) -> _RowState:
+        """The per-row user state, rebuilt after any population change."""
+        if self._row_state is None:
+            self._row_state = _RowState(self.world.users, self.mobility)
+        return self._row_state
 
     def _perform(
         self,

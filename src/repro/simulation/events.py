@@ -12,10 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from repro.dynamics.processes import WorldEvent
 from repro.obs.metrics import MetricsRegistry
+from repro.selection.base import Selection
 from repro.simulation.perf import PerfStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,6 +72,101 @@ class UserRoundRecord:
         return bool(self.selected_task_ids)
 
 
+#: A user record as a plain tuple:
+#: ``(round_no, user_id, task_ids, distance, reward, cost)``.
+UserRow = Tuple[int, int, Tuple[int, ...], float, float, float]
+
+
+class UserRoundRecords(Sequence):
+    """One round's user records, stored as columns.
+
+    A round at city scale has tens of thousands of users, most of whom
+    sat out or found nothing worth a trip.  Instead of one frozen
+    :class:`UserRoundRecord` per user, a round holds three aligned
+    columns — user ids, the users' :class:`Selection` objects (shared;
+    the engine's sit-outs all point at :meth:`Selection.empty`) and the
+    rewards actually earned — in ``user_id`` order, sit-outs included.
+    Records are materialised only when indexed or iterated; the
+    fingerprint and events-JSONL writers read :meth:`rows`.
+
+    Behaves as a read-only sequence of :class:`UserRoundRecord` and
+    compares equal to any sequence of equal records.
+
+    Args:
+        round_no: the round every record belongs to.
+        user_ids: ``(n,)`` int64 user ids, ascending.
+        selections: the ``n`` users' selections, aligned with ``user_ids``.
+        rewards: ``(n,)`` float64 rewards earned, aligned likewise.
+    """
+
+    def __init__(self, round_no: int, user_ids, selections, rewards):
+        self.round_no = round_no
+        self.user_ids = np.asarray(user_ids, dtype=np.int64)
+        self.selections = list(selections)
+        self.rewards = np.asarray(rewards, dtype=float)
+
+    @classmethod
+    def from_records(
+        cls, round_no: int, records: Sequence[UserRoundRecord]
+    ) -> "UserRoundRecords":
+        """Columns holding ``records`` (a replayed log, a hand-built
+        round).  The rebuilt selections carry the earned reward."""
+        if any(r.round_no != round_no for r in records):
+            raise ValueError(f"user records from another round than {round_no}")
+        return cls(
+            round_no,
+            [r.user_id for r in records],
+            [
+                Selection(r.selected_task_ids, r.distance, r.reward, r.cost)
+                for r in records
+            ],
+            [r.reward for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.selections)
+
+    def _record(self, index: int) -> UserRoundRecord:
+        selection = self.selections[index]
+        return UserRoundRecord(
+            round_no=self.round_no,
+            user_id=int(self.user_ids[index]),
+            selected_task_ids=selection.task_ids,
+            distance=selection.distance,
+            reward=float(self.rewards[index]),
+            cost=selection.cost,
+        )
+
+    def __getitem__(self, index: int) -> UserRoundRecord:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("user record index out of range")
+        return self._record(index)
+
+    def __iter__(self) -> Iterator[UserRoundRecord]:
+        return map(self._record, range(len(self)))
+
+    def rows(self) -> Iterator[UserRow]:
+        """One :data:`UserRow` per user, read from the columns without
+        building records."""
+        round_no = self.round_no
+        for user_id, selection, reward in zip(
+            self.user_ids.tolist(), self.selections, self.rewards.tolist()
+        ):
+            yield (round_no, user_id, selection.task_ids, selection.distance,
+                   reward, selection.cost)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, UserRoundRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything that happened in one sensing round.
@@ -76,7 +174,9 @@ class RoundRecord:
     Args:
         round_no: 1-based round number.
         published_rewards: the mechanism's price per active task id.
-        user_records: one record per user (including sit-outs).
+        user_records: one record per user (including sit-outs), in
+            ``user_id`` order; any sequence of :class:`UserRoundRecord`
+            is stored as :class:`UserRoundRecords`.
         measurements: accepted measurements, in acceptance order.
         rejections: contributions that arrived too late.
         completed_task_ids: tasks that reached :math:`\\varphi` this round.
@@ -104,7 +204,7 @@ class RoundRecord:
 
     round_no: int
     published_rewards: Dict[int, float]
-    user_records: Tuple[UserRoundRecord, ...]
+    user_records: UserRoundRecords
     measurements: Tuple[MeasurementEvent, ...]
     rejections: Tuple[RejectedContribution, ...]
     completed_task_ids: Tuple[int, ...]
@@ -113,6 +213,14 @@ class RoundRecord:
     perf: Optional[PerfStats] = None
     metrics: Optional[MetricsRegistry] = None
     dynamics: Tuple[WorldEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.user_records, UserRoundRecords):
+            object.__setattr__(
+                self,
+                "user_records",
+                UserRoundRecords.from_records(self.round_no, self.user_records),
+            )
 
     @property
     def measurement_count(self) -> int:
@@ -125,7 +233,7 @@ class RoundRecord:
 
     @property
     def participating_users(self) -> int:
-        return sum(1 for record in self.user_records if record.participated)
+        return sum(1 for _, _, task_ids, *_ in self.user_records.rows() if task_ids)
 
 
 @dataclass
@@ -268,18 +376,21 @@ class SimulationResult:
                 Per-round profits require retained rounds (non-streaming).
         """
         if round_no is not None:
-            return [r.profit for r in self.round(round_no).user_records]
+            return [
+                reward - cost
+                for *_, reward, cost in self.round(round_no).user_records.rows()
+            ]
         if self.totals is not None:
             # Users accumulate rewards/costs in place; for streamed runs
             # the final world state is the whole-run ledger.
             return [u.total_profit for u in self.world.users]
         totals: Dict[int, float] = {u.user_id: 0.0 for u in self.world.users}
         for record in self.rounds:
-            for user_record in record.user_records:
+            for _, user_id, _, _, reward, cost in record.user_records.rows():
                 # Users who departed mid-run (open world) appear in
                 # early records but not the final roster; skip them.
-                if user_record.user_id in totals:
-                    totals[user_record.user_id] += user_record.profit
+                if user_id in totals:
+                    totals[user_id] += reward - cost
         return [totals[u.user_id] for u in self.world.users]
 
 
@@ -297,9 +408,9 @@ def _canonical_round(record: RoundRecord) -> Dict:
             for task_id in sorted(record.published_rewards)
         ],
         "user_records": [
-            [r.round_no, r.user_id, list(r.selected_task_ids),
-             r.distance, r.reward, r.cost]
-            for r in record.user_records
+            [round_no, user_id, list(task_ids), distance, reward, cost]
+            for round_no, user_id, task_ids, distance, reward, cost
+            in record.user_records.rows()
         ],
         "measurements": [
             [m.round_no, m.task_id, m.user_id, m.reward]

@@ -20,7 +20,8 @@ Data movement is kept off the per-round path:
   updates are visible to workers with zero copying,
 - only the round-varying scraps travel by pickle: active-task row
   indices, the price vector, contributor pairs, and each shard's
-  participant rows.
+  participant rows — and, back, the ``(row, selection)`` pairs of the
+  users who had a candidate.
 
 Workers rebuild lightweight task/user proxies over the shared arrays and
 run the exact :class:`~repro.simulation.batch.BatchedRoundProblems`
@@ -150,8 +151,9 @@ def _worker_init(payload: dict) -> None:
     }
 
 
-def _worker_select(job: dict) -> Tuple[List[Selection], dict]:
-    """Solve one shard: selections for ``job['rows']``, plus partials."""
+def _worker_select(job: dict) -> Tuple[List[Tuple[int, Selection]], dict]:
+    """Solve one shard: ``(world row, selection)`` for each user in
+    ``job['rows']`` with a candidate, plus partials."""
     state = _STATE
     if job["generation"] != state["generation"]:
         # The parent re-published the world (open-world churn): drop the
@@ -214,25 +216,22 @@ def _worker_select(job: dict) -> Tuple[List[Selection], dict]:
     selector = state["selector"]
     tracer = state.get("tracer", NULL_TRACER)
     latency = Histogram()
-    selections: List[Selection] = []
+    selections: List[Tuple[int, Selection]] = []
     calls = 0
     wall = 0.0
     with tracer.span(
         "shard-select", cat="shard", users=len(users), tasks=len(tasks)
     ):
-        for user, problem in problems.iter_problems(
+        for index, problem in problems.iter_problems(
             users, origins=positions[rows], budgets=budgets[rows]
         ):
-            if problem.size == 0:
-                selections.append(Selection.empty())
-                continue
             started = perf_counter()
             selection = selector.select(problem)
             elapsed = perf_counter() - started
             calls += 1
             wall += elapsed
             latency.observe(elapsed)
-            selections.append(selection)
+            selections.append((int(rows[index]), selection))
     consume = getattr(selector, "consume_round_fallbacks", None)
     fallbacks = consume() if consume is not None else 0
     states = 0
@@ -387,25 +386,16 @@ class ShardedSelectionPool:
         self,
         active: Sequence,
         prices: Dict[int, float],
-        available: set,
-    ) -> List[Tuple[object, Selection]]:
+        participating: np.ndarray,
+    ) -> List[Selection]:
         """The sharded equivalent of ``_collect_selections``.
 
-        Returns one ``(user, selection)`` per user in world order —
-        exactly what the in-process path returns, merged from the
-        shards' world-ordered partitions.
+        Returns one selection per user in world order — exactly what
+        the in-process path returns, merged from the shards' partitions
+        (users without a candidate keep the shared empty selection).
         """
         engine = self.engine
-        users = engine.world.users
-        if len(available) == len(users):
-            rows = np.arange(len(users), dtype=np.int64)
-            full = True
-        else:
-            rows = np.asarray(
-                [i for i, u in enumerate(users) if u.user_id in available],
-                dtype=np.int64,
-            )
-            full = False
+        rows = np.flatnonzero(participating)
         active_rows = np.asarray(
             [engine._task_row_of[t.task_id] for t in active], dtype=np.int64
         )
@@ -430,7 +420,7 @@ class ShardedSelectionPool:
             self._executor.submit(_worker_select, {**base, "rows": shard})
             for shard in np.array_split(rows, self.workers)
         ]
-        merged: List[Selection] = []
+        merged = [Selection.empty()] * len(participating)
         for future in futures:
             # Futures resolve in shard order (not completion order) so
             # the merge is deterministic; the wait loop keeps honouring
@@ -442,20 +432,15 @@ class ShardedSelectionPool:
                     engine.cancel.raise_if_cancelled()
                     continue
                 break
-            merged.extend(selections)
+            for row, selection in selections:
+                merged[row] = selection
             self._fold_partials(partials)
         # Single-process cache accounting: one shared construction per
-        # round, one assembled problem per participant — independent of
-        # the worker count.
+        # round, one hit per participant — independent of the worker
+        # count.
         engine._perf.problem_cache_misses += 1
         engine._perf.problem_cache_hits += len(rows)
-        if full:
-            return list(zip(users, merged))
-        by_row = dict(zip(rows.tolist(), merged))
-        empty = Selection.empty()
-        return [
-            (user, by_row.get(i, empty)) for i, user in enumerate(users)
-        ]
+        return merged
 
     def _fold_partials(self, partials: dict) -> None:
         """Fold one shard's perf/latency partials into the round's."""

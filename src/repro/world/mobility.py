@@ -14,6 +14,10 @@ delegates to a pluggable policy:
   waypoint for the travel distance it did not spend on tasks, a standard
   mobility model for crowdsensing simulations.
 
+Policies also declare which idle users they leave exactly in place
+(:meth:`MobilityPolicy.stays_put_when_idle`), so the engine can skip
+those calls at city scale without changing a single draw.
+
 The ablation bench (``benchmarks/bench_ablations.py``) shows the headline
 comparisons are insensitive to this choice.
 """
@@ -54,6 +58,17 @@ class MobilityPolicy(abc.ABC):
             rng: the engine's mobility random stream.
         """
 
+    def stays_put_when_idle(self, user: MobileUser) -> bool:
+        """Whether an idle ``user`` (empty path) would stay exactly put.
+
+        The engine calls :meth:`next_position` only for users who walked
+        a path or for whom this is false.  Returning true is a promise:
+        ``next_position(user, [], region, rng)`` would return
+        ``user.location`` itself (the same object) and draw nothing from
+        ``rng``.  The default is false, which is always safe.
+        """
+        return False
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
@@ -72,6 +87,9 @@ class StationaryMobility(MobilityPolicy):
     ) -> Point:
         return user.home
 
+    def stays_put_when_idle(self, user: MobileUser) -> bool:
+        return user.location is user.home
+
 
 class FollowPathMobility(MobilityPolicy):
     """The user stays wherever its task path ended (paper-default here)."""
@@ -88,6 +106,9 @@ class FollowPathMobility(MobilityPolicy):
         if path:
             return path[-1]
         return user.location
+
+    def stays_put_when_idle(self, user: MobileUser) -> bool:
+        return True
 
 
 class RandomWaypointMobility(MobilityPolicy):
@@ -153,6 +174,9 @@ class MixedMobility(MobilityPolicy):
         rng: np.random.Generator,
     ) -> Point:
         return self.policy_for(user).next_position(user, path, region, rng)
+
+    def stays_put_when_idle(self, user: MobileUser) -> bool:
+        return self.policy_for(user).stays_put_when_idle(user)
 
 
 MOBILITY: Registry[MobilityPolicy] = Registry("mobility policy")

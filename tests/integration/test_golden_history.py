@@ -1,0 +1,41 @@
+"""Simulation histories pinned against the committed golden corpus.
+
+``tests/golden/fingerprints.json`` holds result and per-round digests for
+every preset up to city-2k (three seeds), the open-world mechanisms and a
+churning world with random-waypoint wanderers.  Unlike the scalar-vs-
+batched agreement tests, this catches a change to a path both engines
+share.  Regenerate with ``scripts/golden_fingerprints.py`` only when a
+history change is intended.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+CORPUS = json.loads((ROOT / "tests" / "golden" / "fingerprints.json").read_text())
+
+
+_SPEC = importlib.util.spec_from_file_location(
+    "golden_fingerprints", ROOT / "scripts" / "golden_fingerprints.py"
+)
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
+
+
+def test_corpus_covers_every_case():
+    assert [case["id"] for case in CORPUS["cases"]] == [
+        case["id"] for case in golden.cases()
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", CORPUS["cases"], ids=[case["id"] for case in CORPUS["cases"]]
+)
+def test_history_matches_golden(case):
+    got = golden.fingerprints(case["scenario"], case["overrides"])
+    assert got == {"result": case["result"], "rounds": case["rounds"]}

@@ -7,6 +7,7 @@ import pytest
 from repro.io.events import read_events_jsonl, write_events_jsonl
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
+from repro.simulation.events import SimulationResult, UserRoundRecords
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,21 @@ class TestRoundTrip:
             assert loaded.published_rewards == original.published_rewards
             assert loaded.measurements == original.measurements
             assert loaded.rejections == original.rejections
+
+    def test_user_records_survive_byte_for_byte(self, result, tmp_path):
+        """The engine's and the replay's columnar records compare equal
+        and serialise to the same bytes."""
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        replay = read_events_jsonl(path)
+        for original, loaded in zip(result.rounds, replay.rounds):
+            assert isinstance(loaded.user_records, UserRoundRecords)
+            assert original.user_records == loaded.user_records
+            assert loaded.user_records == original.user_records
+        again = SimulationResult(
+            config=result.config, world=result.world, rounds=replay.rounds
+        )
+        rewritten = write_events_jsonl(again, tmp_path / "again.jsonl")
+        assert rewritten.read_bytes() == path.read_bytes()
 
     def test_per_task_counts_survive(self, result, tmp_path):
         path = write_events_jsonl(result, tmp_path / "run.jsonl")

@@ -118,18 +118,30 @@ class TestProblemParity:
         tasks = engine.active_tasks()
         prices = {t.task_id: 1.0 for t in tasks}
         scalar = RoundProblems(tasks, prices)
-        batched = BatchedRoundProblems(tasks, prices)
         users = list(engine.world.users)
-        for user, problem in batched.iter_problems(users):
-            expected = scalar.problem_for(user)
-            assert [c.task_id for c in problem.candidates] == [
-                c.task_id for c in expected.candidates
-            ]
-            np.testing.assert_array_equal(
-                problem.distance_matrix, expected.distance_matrix
-            )
-            assert problem.max_distance == expected.max_distance
-            assert problem.cost_per_meter == expected.cost_per_meter
+        expected = [scalar.problem_for(user) for user in users]
+        # Both layouts: the round's own task matrix, and the engine's
+        # all-tasks matrix reached through the task-row mapping.
+        for batched in (
+            BatchedRoundProblems(tasks, prices),
+            engine._make_round_problems(tasks, prices),
+        ):
+            built = dict(batched.iter_problems(users))
+            assert built, "no user had a candidate"
+            for index, want in enumerate(expected):
+                if index not in built:
+                    assert want.size == 0
+                    continue
+                problem = built[index]
+                assert [c.task_id for c in problem.candidates] == [
+                    c.task_id for c in want.candidates
+                ]
+                np.testing.assert_array_equal(
+                    problem.distance_matrix, want.distance_matrix
+                )
+                assert problem.distance_matrix.dtype == np.float64
+                assert problem.max_distance == want.max_distance
+                assert problem.cost_per_meter == want.cost_per_meter
 
     def test_empty_problem_skips_selector(self):
         # Shrink travel budgets to zero reach: every problem is empty, so
@@ -156,6 +168,16 @@ class TestProblemParity:
             for record in round_record.user_records
         )
 
+    def test_problem_hits_count_participants_on_both_engines(self):
+        # One problem-cache hit per participant, whether or not the
+        # batched engine built a problem for them.
+        (_, scalar), (_, batched) = run_both(
+            n_users=60, rounds=3, seed=2, user_time_budget=300
+        )
+        for mine, theirs in zip(scalar.rounds, batched.rounds):
+            assert mine.perf.problem_cache_hits == theirs.perf.problem_cache_hits
+            assert theirs.perf.problem_cache_hits > theirs.perf.selector_calls
+
 
 class TestEngineFactory:
     def test_dispatches_on_config_engine(self):
@@ -169,3 +191,12 @@ class TestEngineFactory:
         assert getattr(engine.mechanism, "batched", False) is True
         scalar = make_engine(SimulationConfig(n_users=5))
         assert getattr(scalar.mechanism, "batched", True) is False
+
+
+def test_row_mapped_problems_refuse_problem_for():
+    engine = make_engine(SimulationConfig(n_users=10, seed=1, engine="batched"))
+    problems = engine._round_problems(
+        engine.published_tasks(), engine.published_rewards()
+    )
+    with pytest.raises(TypeError, match="iter_problems"):
+        problems.problem_for(engine.world.users[0])

@@ -10,6 +10,7 @@ deterministic selector, selections — match the float64 pipeline exactly.
 import numpy as np
 import pytest
 
+from repro.api import build_config, make_engine
 from repro.resilience.errors import ConfigError
 from repro.simulation import SimulationConfig
 from repro.simulation.batch import (
@@ -58,8 +59,31 @@ class TestFloat32SelectionParity:
             engine.published_tasks(), engine.published_rewards()
         )
         assert problems.dtype == np.float32
-        for _user, problem in problems.iter_problems(engine.world.users[:20]):
+        for _index, problem in problems.iter_problems(engine.world.users[:20]):
             assert problem.distance_matrix.dtype == np.float32
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_build_problems_are_the_played_instances(self, seed):
+        """The paired-experiment hook hands out the float32 instances the
+        round solves, so their selections match the played ones bit for
+        bit (a float64 rebuild differs in distance/cost bits)."""
+        engine = make_engine(build_config("city-2k", seed=seed))
+        for _ in range(2):
+            engine.step()
+        problems = engine.build_problems()
+        assert len(problems) == len(engine.world.users)
+        assert all(p.distance_matrix.dtype == np.float32 for _, p in problems)
+        built = {
+            user.user_id: engine.selector.select(problem)
+            for user, problem in problems
+        }
+        played = [r for r in engine.step().user_records if r.selected_task_ids]
+        assert len(played) > 100
+        for record in played:
+            selection = built[record.user_id]
+            assert selection.task_ids == record.selected_task_ids
+            assert selection.distance.hex() == record.distance.hex()
+            assert selection.cost.hex() == record.cost.hex()
 
     def test_boundary_tol_scales_with_magnitude(self):
         small = float32_boundary_tol(1000.0, 1000.0)

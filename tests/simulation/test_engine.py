@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import SimulationEngine, simulate
+from repro.simulation.engine import SimulationEngine, make_engine, simulate
 from repro.world.task import TaskStatus
 
 
@@ -211,3 +211,43 @@ class TestLayouts:
             budget=150.0, selector=selector, seed=2,
         )
         assert simulate(config).rounds_played >= 1
+
+
+class TestSparseRound:
+    """Only users who walk, or whose policy moves them while idle, get a
+    mobility call — in arrival order, on either engine."""
+
+    @pytest.mark.parametrize("engine_name", ["scalar", "batched"])
+    def test_mobility_called_for_movers_only(self, engine_name):
+        config = SimulationConfig(
+            n_users=60, n_tasks=8, rounds=4, seed=5, budget=400.0,
+            participation_rate=0.7, engine=engine_name,
+            population=[
+                {"name": "wanderers", "fraction": 0.3,
+                 "mobility": "random-waypoint"},
+                {"name": "commuters", "fraction": 0.3,
+                 "mobility": "stationary"},
+            ],
+        )
+        engine = make_engine(config)
+        called = []
+        original = engine.mobility.next_position
+
+        def counting(user, path, region, rng):
+            called.append((user.user_id, bool(path)))
+            return original(user, path, region, rng)
+
+        engine.mobility.next_position = counting
+        while not engine.finished:
+            called.clear()
+            groups = {u.user_id: u.group for u in engine.world.users}
+            record = engine.step()
+            walkers = {r.user_id for r in record.user_records if r.participated}
+            wanderers = {
+                user_id for user_id, group in groups.items()
+                if group == "wanderers"
+            }
+            assert wanderers and walkers
+            assert {user_id for user_id, _ in called} == walkers | wanderers
+            assert len(called) == len(walkers | wanderers)
+            assert all(walked == (user_id in walkers) for user_id, walked in called)

@@ -1,5 +1,8 @@
 """Unit tests for repro.simulation.events."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.simulation.config import SimulationConfig
@@ -7,7 +10,9 @@ from repro.simulation.engine import simulate
 from repro.simulation.events import (
     RoundRecord,
     UserRoundRecord,
+    UserRoundRecords,
     merge_user_records,
+    round_fingerprint,
 )
 
 
@@ -103,3 +108,60 @@ class TestMergeUserRecords:
 
     def test_empty(self):
         assert merge_user_records([]) == {}
+
+
+class TestUserRoundRecords:
+    """The engine's columnar user records behave like the record tuple."""
+
+    def _as_tuple(self, records):
+        return tuple(
+            UserRoundRecord(
+                round_no=r.round_no, user_id=r.user_id,
+                selected_task_ids=r.selected_task_ids, distance=r.distance,
+                reward=r.reward, cost=r.cost,
+            )
+            for r in records
+        )
+
+    def test_engine_emits_columns_in_user_id_order(self, result):
+        records = result.round(1).user_records
+        assert isinstance(records, UserRoundRecords)
+        ids = [r.user_id for r in records]
+        assert ids == sorted(ids) == [u.user_id for u in result.world.users]
+
+    def test_sequence_protocol_and_equality(self, result):
+        records = result.round(2).user_records
+        plain = self._as_tuple(records)
+        assert len(records) == len(plain)
+        assert records == plain and plain == records
+        assert records[0] == plain[0] and records[-1] == plain[-1]
+        assert list(records) == list(plain)
+        with pytest.raises(IndexError):
+            records[len(records)]
+        assert records != plain[:-1]
+        assert result.round(1).user_records != records
+
+    def test_pickle_round_trip(self, result):
+        record = result.round(result.rounds_played)
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone.user_records == record.user_records
+        assert round_fingerprint(clone) == round_fingerprint(record)
+
+    def test_record_tuples_are_stored_as_columns(self, result):
+        for record in result.rounds:
+            plain = dataclasses.replace(
+                record, user_records=self._as_tuple(record.user_records)
+            )
+            assert isinstance(plain.user_records, UserRoundRecords)
+            assert plain.user_records == record.user_records
+            assert round_fingerprint(plain) == round_fingerprint(record)
+            assert plain.participating_users == record.participating_users
+
+    def test_records_from_another_round_rejected(self, result):
+        record = result.round(1)
+        with pytest.raises(ValueError, match="another round"):
+            dataclasses.replace(
+                record,
+                round_no=2,
+                user_records=self._as_tuple(record.user_records),
+            )

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.world.mobility import (
+    MOBILITY,
     FollowPathMobility,
+    MixedMobility,
     RandomWaypointMobility,
     StationaryMobility,
     make_mobility,
@@ -87,3 +91,52 @@ class TestFactory:
     def test_unknown_name_lists_valid(self):
         with pytest.raises(ValueError, match="follow-path"):
             make_mobility("teleport")
+
+
+# -- the idle-user contract the sparse round relies on ----------------------
+
+_GROUPS = (None, "stationary", "follow-path", "random-waypoint", "unknown")
+_MIXED = MixedMobility(
+    {name: make_mobility(name) for name in _GROUPS[1:4]},
+    default=FollowPathMobility(),
+)
+_POLICIES = [make_mobility(name) for name in MOBILITY.available()] + [_MIXED]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    policy=st.sampled_from(_POLICIES),
+    home=st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
+    away=st.one_of(
+        st.none(), st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0))
+    ),
+    group=st.sampled_from(_GROUPS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_idle_users_that_stay_put_are_untouched(policy, home, away, group, seed):
+    """stays_put_when_idle(user) is a promise: the idle call would return
+    the user's own location object and draw nothing from the stream."""
+    user = make_user(x=home[0], y=home[1])
+    user.group = group
+    if away is not None:
+        user.location = Point(*away)
+    region = RectRegion.square(1000.0)
+    rng = np.random.default_rng(seed)
+    before = rng.bit_generator.state
+    if not policy.stays_put_when_idle(user):
+        return
+    assert policy.next_position(user, [], region, rng) is user.location
+    assert rng.bit_generator.state == before
+
+
+def test_stays_put_answers():
+    user = make_user()
+    assert StationaryMobility().stays_put_when_idle(user)
+    assert FollowPathMobility().stays_put_when_idle(user)
+    assert not RandomWaypointMobility().stays_put_when_idle(user)
+    user.location = Point(5.0, 5.0)
+    assert not StationaryMobility().stays_put_when_idle(user)
+    user.group = "random-waypoint"
+    assert not _MIXED.stays_put_when_idle(user)
+    user.group = "unknown"
+    assert _MIXED.stays_put_when_idle(user)

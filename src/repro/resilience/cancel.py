@@ -9,7 +9,8 @@ raise_if_cancelled` turns the answer into a structured
 :class:`~repro.resilience.errors.OperationCancelled` at the caller's own
 check point.  Cancellation is *cooperative* by design: the operation
 stops at a clean boundary (the engine checks between rounds and every
-few hundred selector calls), so completed work — journal lines, streamed
+few hundred selector calls, or every problem block on the batched
+engine), so completed work — journal lines, streamed
 round events — is never torn.
 
 Flavours:

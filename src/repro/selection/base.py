@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Tuple, TYPE_CHECKING
+from typing import List, Tuple, TYPE_CHECKING
 
 from repro.geometry.point import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.selection.problem import TaskSelectionProblem
+    from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,16 @@ class Selector(abc.ABC):
           - the reported distance/reward/cost match the returned order,
           - a rational user: ``profit > 0`` or the selection is empty.
         """
+
+    def select_block(self, block: "ProblemBlock") -> List[Selection]:
+        """One selection per row of ``block``, in row order.
+
+        Must equal ``[self.select(block.problem(j)) for j in ...]`` —
+        which is this default.  Solvers with a vectorised form (the
+        greedy) override it; the rest, and wrappers such as the
+        watchdog, answer row by row.
+        """
+        return [self.select(block.problem(j)) for j in range(len(block))]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -9,14 +9,20 @@ until no satisfied task can be found."
 
 Complexity is :math:`O(m^2)` (Theorem 3): at most m steps, each scanning
 at most m candidates.
+
+Users choose independently against the same published prices, so
+:meth:`GreedySelector.select_block` runs the same steps for a whole
+block of equal-size instances at once, one masked ``argmax`` per step.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.selection.base import Selection, Selector
-from repro.selection.problem import TaskSelectionProblem
+from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 
 
 class GreedySelector(Selector):
@@ -70,3 +76,68 @@ class GreedySelector(Selector):
         if not order:
             return Selection.empty()
         return problem.evaluate(order)
+
+    def select_block(self, block: ProblemBlock) -> List[Selection]:
+        """Every row of ``block`` at once, bit-identical to :meth:`select`.
+
+        Each step takes one masked ``argmax`` over the rows still moving
+        and keeps :meth:`select`'s arithmetic element for element: legs
+        are cast to float64, a leg fits unless ``traveled + leg >
+        max_distance + 1e-9``, a step must gain more than
+        ``min_step_profit``, the first of equal gains wins, and distance
+        and reward are running sums in visit order.
+        """
+        n, k = len(block), block.size
+        if k == 0:
+            return [Selection.empty()] * n
+        distances = block.distances
+        rewards = block.rewards
+        cost = block.cost_per_meter
+        budget = block.max_distance + 1e-9
+        chosen = np.zeros((n, k), dtype=bool)
+        order = np.zeros((n, k), dtype=np.intp)
+        steps = np.zeros(n, dtype=np.intp)
+        traveled = np.zeros(n)
+        reward = np.zeros(n)
+        current = np.zeros(n, dtype=np.intp)
+        rows = np.arange(n)
+        for step in range(k):
+            legs = distances[rows, current[rows], 1:].astype(np.float64)
+            gains = rewards[rows] - cost[rows, None] * legs
+            fits = gains > self.min_step_profit
+            fits &= ~chosen[rows]
+            fits &= ~(traveled[rows, None] + legs > budget[rows, None])
+            moving = fits.any(axis=1)
+            if not moving.all():
+                rows = rows[moving]
+                if not len(rows):
+                    break
+                legs, gains, fits = legs[moving], gains[moving], fits[moving]
+            best = np.where(fits, gains, -np.inf).argmax(axis=1)
+            order[rows, step] = best
+            chosen[rows, best] = True
+            traveled[rows] += legs[np.arange(len(rows)), best]
+            reward[rows] += rewards[rows, best]
+            current[rows] = best + 1
+            steps[rows] = step + 1
+
+        selections = [Selection.empty()] * n
+        done = np.flatnonzero(steps)
+        if not len(done):
+            return selections
+        ids = np.take_along_axis(block.task_ids[done], order[done], axis=1)
+        for j, length, task_ids, distance, total, spent in zip(
+            done.tolist(),
+            steps[done].tolist(),
+            ids.tolist(),
+            traveled[done].tolist(),
+            reward[done].tolist(),
+            (traveled[done] * cost[done]).tolist(),
+        ):
+            selections[j] = Selection(
+                task_ids=tuple(task_ids[:length]),
+                distance=distance,
+                reward=total,
+                cost=spent,
+            )
+        return selections

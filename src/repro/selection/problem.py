@@ -7,6 +7,11 @@ The constructor prunes tasks that can never be on a feasible path
 (direct distance beyond the travel budget), which is lossless, and
 precomputes the full distance matrix once so solvers do no per-pair
 geometry.
+
+:class:`ProblemBlock` stacks n instances of equal candidate count k —
+one ``(n, k+1, k+1)`` distance array plus per-row rewards, ids, budgets
+and cost rates — so a selector can solve them all in one call
+(:meth:`~repro.selection.base.Selector.select_block`).
 """
 
 from __future__ import annotations
@@ -159,3 +164,58 @@ class TaskSelectionProblem:
             return [by_id[task_id] for task_id in task_ids]
         except KeyError as exc:
             raise ValueError(f"task id {exc.args[0]} is not a candidate") from None
+
+
+@dataclass(frozen=True)
+class ProblemBlock:
+    """n Eq. 1 instances with the same candidate count k, stacked.
+
+    Row ``j`` is the instance :meth:`problem` returns: node 0 of
+    ``distances[j]`` is that user's origin, node ``i + 1`` its candidate
+    ``columns[j, i]`` of the shared ``candidates`` pool.  Candidates keep
+    ascending pool order within a row.
+
+    Args:
+        distances: ``(n, k+1, k+1)`` travel distances, in the building
+            engine's dtype (float32 or float64).
+        rewards: ``(n, k)`` float64 candidate rewards.
+        task_ids: ``(n, k)`` candidate task ids.
+        max_distance: ``(n,)`` float64 travel budgets.
+        cost_per_meter: ``(n,)`` float64 movement cost rates.
+        origins: the n origin points.
+        columns: ``(n, k)`` positions of each row's candidates in
+            ``candidates``.
+        candidates: the round's candidate pool.
+
+    Like :class:`TaskSelectionProblem`, the constructor trusts its
+    inputs: blocks are built by the batched engine's assembly.
+    """
+
+    distances: np.ndarray
+    rewards: np.ndarray
+    task_ids: np.ndarray
+    max_distance: np.ndarray
+    cost_per_meter: np.ndarray
+    origins: Sequence[Point]
+    columns: np.ndarray
+    candidates: Sequence[CandidateTask]
+
+    def __len__(self) -> int:
+        """Number of instances n."""
+        return len(self.rewards)
+
+    @property
+    def size(self) -> int:
+        """Candidate count k of every instance."""
+        return self.rewards.shape[1]
+
+    def problem(self, j: int) -> TaskSelectionProblem:
+        """Row ``j`` as a standalone instance (its matrix is a view)."""
+        candidates = self.candidates
+        return TaskSelectionProblem(
+            origin=self.origins[j],
+            candidates=tuple([candidates[i] for i in self.columns[j].tolist()]),
+            max_distance=float(self.max_distance[j]),
+            cost_per_meter=float(self.cost_per_meter[j]),
+            distance_matrix=self.distances[j],
+        )

@@ -16,16 +16,18 @@ replaces that with chunked numpy:
   rule does — the sqrt pipeline and hypot can disagree only in the last
   ulp, far inside the tolerance band,
 - problems only for users with a candidate, assembled per chunk in
-  groups of equal candidate count k: one fancy-index gather fills each
-  group's ``(n_k, k+1, k+1)`` block and every problem holds a view of
-  it.
+  blocks of equal candidate count k: one fancy-index gather fills each
+  :class:`~repro.selection.problem.ProblemBlock`'s ``(n_k, k+1, k+1)``
+  distances, and the selector solves the block in one
+  ``select_block`` call (:func:`solve_blocks`) — the greedy as array
+  steps over all its rows, other selectors row by row.
 
 **The sparse round.**  At city scale most users do nothing in a given
 round, so per-user Python work is spent only on the users who act:
 
 - *problem* — only participants with at least one eligible, reachable
-  task get one (:meth:`BatchedRoundProblems.iter_problems` yields
-  ``(row, problem)`` for them alone).  Everyone else keeps the shared
+  task are in a block (:meth:`BatchedRoundProblems.iter_blocks` covers
+  them alone).  Everyone else keeps the shared
   :meth:`Selection.empty` without a selector call, which is what every
   selector answers for an empty problem (pinned by the solver contract
   tests).
@@ -82,15 +84,20 @@ matrix.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.grid_index import IncrementalNeighbourCounter
-from repro.selection import Selection
-from repro.selection.problem import TaskSelectionProblem
+from repro.obs.trace import NULL_TRACER
+from repro.resilience.cancel import NEVER_CANCELLED, CancellationToken
+from repro.selection import Selection, Selector
+from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.perf import PerfStats
 from repro.simulation.round_cache import RoundProblems
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
@@ -128,11 +135,12 @@ def float32_boundary_tol(coordinate_scale: float, budget_scale: float) -> float:
 class BatchedRoundProblems(RoundProblems):
     """Round-problem construction over user chunks instead of users.
 
-    Extends :class:`RoundProblems` with :meth:`iter_problems`: the same
-    per-user :class:`TaskSelectionProblem` values ``problem_for`` would
-    build, produced from chunked ``(users, tasks)`` distance matrices
-    for the users with a candidate.  With ``task_rows`` the instances
-    come from :meth:`iter_problems` only.
+    Extends :class:`RoundProblems` with :meth:`iter_blocks`: the same
+    per-user instances ``problem_for`` would build, stacked into
+    equal-size :class:`ProblemBlock` s from chunked ``(users, tasks)``
+    distance matrices for the users with a candidate
+    (:meth:`iter_problems` hands them out one by one).  With
+    ``task_rows`` the instances come from these two only.
 
     Args:
         tasks: the round's published tasks, in engine order.
@@ -189,6 +197,9 @@ class BatchedRoundProblems(RoundProblems):
                 f"rows for {len(tasks)} tasks"
             )
         super().__init__(tasks, prices, stats=stats, task_matrix=task_matrix)
+        self._task_ids = np.asarray(
+            [t.task_id for t in self.tasks], dtype=np.int64
+        )
         # Task locations in the working dtype (float32 mode casts once;
         # float64 mode reuses the base array).
         self._work_locations = (
@@ -218,19 +229,21 @@ class BatchedRoundProblems(RoundProblems):
             )
         return super().problem_for(user)
 
-    def iter_problems(
+    def iter_blocks(
         self,
         users: Sequence[MobileUser],
         origins: Optional[np.ndarray] = None,
         budgets: Optional[np.ndarray] = None,
-    ) -> Iterator[Tuple[int, TaskSelectionProblem]]:
-        """Yield ``(index, problem)`` for each user with a candidate.
+        costs: Optional[np.ndarray] = None,
+    ) -> Iterator[Tuple[np.ndarray, ProblemBlock]]:
+        """Yield ``(indices, block)`` covering each user with a candidate.
 
-        ``index`` is the user's position in ``users``; indices ascend.
-        Users with no eligible, reachable task get no problem at all —
-        their Eq. 1 answer is the empty selection, which every selector
-        returns for an empty problem (pinned by the solver contract
-        tests), so callers skip them.
+        ``indices`` are the block rows' positions in ``users``.  Blocks
+        come chunk by chunk, by ascending candidate count within a chunk;
+        each user is in exactly one block.  Users with no eligible,
+        reachable task are in none — their Eq. 1 answer is the empty
+        selection, which every selector returns for an empty problem
+        (pinned by the solver contract tests), so callers skip them.
 
         Args:
             users: the users to build problems for.
@@ -239,7 +252,40 @@ class BatchedRoundProblems(RoundProblems):
                 array); gathered from the user objects when omitted.
             budgets: optional ``(len(users),)`` float64 travel budgets,
                 same convention.
+            costs: optional ``(len(users),)`` float64 cost rates, same
+                convention.
         """
+        for blocks in self._chunk_blocks(users, origins, budgets, costs):
+            yield from blocks
+
+    def iter_problems(
+        self,
+        users: Sequence[MobileUser],
+        origins: Optional[np.ndarray] = None,
+        budgets: Optional[np.ndarray] = None,
+    ) -> Iterator[Tuple[int, TaskSelectionProblem]]:
+        """Yield ``(index, problem)`` for each user with a candidate.
+
+        The rows of :meth:`iter_blocks` one by one, with ``index`` the
+        user's position in ``users``; indices ascend.
+        """
+        for blocks in self._chunk_blocks(users, origins, budgets, None):
+            problems = [
+                (index, block.problem(j))
+                for indices, block in blocks
+                for j, index in enumerate(indices.tolist())
+            ]
+            problems.sort(key=itemgetter(0))
+            yield from problems
+
+    def _chunk_blocks(
+        self,
+        users: Sequence[MobileUser],
+        origins: Optional[np.ndarray],
+        budgets: Optional[np.ndarray],
+        costs: Optional[np.ndarray],
+    ) -> Iterator[List[Tuple[np.ndarray, ProblemBlock]]]:
+        """One list of ``(indices, block)`` per user chunk."""
         n_tasks = len(self.tasks)
         if n_tasks == 0:
             return
@@ -252,6 +298,8 @@ class BatchedRoundProblems(RoundProblems):
             budgets = np.asarray(
                 [u.max_travel_distance for u in users], dtype=float
             )
+        if costs is None:
+            costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
         float32 = self.dtype == np.float32
         if float32:
             origins_w = origins.astype(np.float32)
@@ -326,26 +374,27 @@ class BatchedRoundProblems(RoundProblems):
                 in_chunk = (pair_rows >= start) & (pair_rows < stop)
                 if in_chunk.any():
                     reach[pair_rows[in_chunk] - start, pair_cols[in_chunk]] = False
-            problems = self._assemble_chunk(users, start, reach, distances)
-            for row in sorted(problems):
-                yield start + row, problems[row]
+            yield self._gather_blocks(
+                users, start, reach, distances, budgets, costs
+            )
 
-    def _assemble_chunk(
+    def _gather_blocks(
         self,
         users: Sequence[MobileUser],
         start: int,
         reach: np.ndarray,
         distances: np.ndarray,
-    ) -> Dict[int, TaskSelectionProblem]:
-        """One chunk's problems, keyed by row within the chunk.
+        budgets: np.ndarray,
+        costs: np.ndarray,
+    ) -> List[Tuple[np.ndarray, ProblemBlock]]:
+        """One chunk's problem blocks, one per candidate count k.
 
-        Users are grouped by candidate count k, and each group's
-        ``(n_k, k+1, k+1)`` distance block is filled by one fancy-index
-        gather; each problem holds a view of its block.  The values are
-        those :meth:`RoundProblems.problem_for` computes: the origin row
-        is the chunk's distance row (same pipeline; bit-identical in
-        float64), the task block is sliced from the shared matrix, and
-        candidates keep ascending task order.
+        Each block's ``(n_k, k+1, k+1)`` distance array is filled by one
+        fancy-index gather.  The values are those
+        :meth:`RoundProblems.problem_for` computes: the origin row is the
+        chunk's distance row (same pipeline; bit-identical in float64),
+        the task block is sliced from the shared matrix, and candidates
+        keep ascending task order.
         """
         # One nonzero over the whole chunk; rows come out ascending,
         # columns ascending within a row.
@@ -354,12 +403,11 @@ class BatchedRoundProblems(RoundProblems):
         offsets = np.zeros(len(reach) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         task_rows = self._task_rows
-        candidates = self.candidates
-        problems: Dict[int, TaskSelectionProblem] = {}
         if self._stats is not None:
             # One hit per user served, with or without a candidate, as
             # on the scalar engine.
             self._stats.problem_cache_hits += len(reach)
+        blocks: List[Tuple[np.ndarray, ProblemBlock]] = []
         for k in np.unique(counts[counts > 0]).tolist():
             group = np.flatnonzero(counts == k)
             picked = cols[offsets[group][:, None] + np.arange(k)]
@@ -372,16 +420,60 @@ class BatchedRoundProblems(RoundProblems):
             block[:, 1:, 1:] = self.task_matrix[
                 matrix_rows[:, :, None], matrix_rows[:, None, :]
             ]
-            for j, (row, keep) in enumerate(zip(group.tolist(), picked.tolist())):
-                user = users[start + row]
-                problems[row] = TaskSelectionProblem(
-                    origin=user.location,
-                    candidates=tuple([candidates[i] for i in keep]),
-                    max_distance=float(user.max_travel_distance),
-                    cost_per_meter=float(user.cost_per_meter),
-                    distance_matrix=block[j],
-                )
-        return problems
+            indices = group + start
+            blocks.append((indices, ProblemBlock(
+                distances=block,
+                rewards=self.rewards[picked],
+                task_ids=self._task_ids[picked],
+                max_distance=budgets[indices],
+                cost_per_meter=costs[indices],
+                origins=[users[i].location for i in indices.tolist()],
+                columns=picked,
+                candidates=self.candidates,
+            )))
+        return blocks
+
+
+def solve_blocks(
+    selector,
+    blocks: Iterable[Tuple[np.ndarray, ProblemBlock]],
+    perf: PerfStats,
+    latency,
+    tracer=NULL_TRACER,
+    cancel: CancellationToken = NEVER_CANCELLED,
+) -> Iterator[Tuple[np.ndarray, List[Selection]]]:
+    """Solve ``blocks`` in order; yield ``(indices, selections)`` each.
+
+    The one select loop of the batched engine and its shard workers.
+    ``cancel`` is polled before every block.  Each ``select_block`` call
+    adds its wall time to ``perf.selector_wall_time`` and one
+    ``latency`` observation; ``perf.selector_calls`` counts the block's
+    rows, i.e. the instances solved.  With ``tracer.enabled`` each call
+    gets one ``select-block`` span (args ``users``, ``tasks``).
+    Selectors without ``select_block`` (duck-typed ones) answer row by
+    row through :meth:`Selector.select_block`.
+    """
+    solve = getattr(selector, "select_block", None) or partial(
+        Selector.select_block, selector
+    )
+    for indices, block in blocks:
+        cancel.raise_if_cancelled()
+        if tracer.enabled:
+            with tracer.span(
+                "select-block", cat="selector",
+                users=len(block), tasks=block.size,
+            ):
+                started = perf_counter()
+                selections = solve(block)
+                elapsed = perf_counter() - started
+        else:
+            started = perf_counter()
+            selections = solve(block)
+            elapsed = perf_counter() - started
+        perf.selector_wall_time += elapsed
+        perf.selector_calls += len(block)
+        latency.observe(elapsed)
+        yield indices, selections
 
 
 class BatchedSimulationEngine(SimulationEngine):
@@ -391,8 +483,9 @@ class BatchedSimulationEngine(SimulationEngine):
     the produced history:
 
     - problems come from :class:`BatchedRoundProblems` chunks, sliced
-      from a cross-round all-tasks distance matrix,
-    - users with zero candidates skip the selector call entirely,
+      from a cross-round all-tasks distance matrix, as equal-size
+      blocks each solved by one ``select_block`` call,
+    - users with zero candidates skip the selector entirely,
     - mechanisms exposing a ``batched`` flag price rounds through their
       vectorised Eq. 2–7 path, fed by an incremental neighbour counter
       (mechanisms exposing a ``neighbour_counter`` hook) instead of a
@@ -423,13 +516,7 @@ class BatchedSimulationEngine(SimulationEngine):
         self._dtype = np.dtype(
             np.float32 if self.config.distance_dtype == "float32" else np.float64
         )
-        users = self.world.users
-        self._positions = np.asarray(
-            [(u.location.x, u.location.y) for u in users], dtype=float
-        ).reshape(len(users), 2)
-        self._budgets = np.asarray(
-            [u.max_travel_distance for u in users], dtype=float
-        )
+        self._build_user_arrays()
         self._full_task_matrix: Optional[np.ndarray] = None
         self._task_row_of: Dict[int, int] = {
             t.task_id: i for i, t in enumerate(self.world.tasks)
@@ -479,6 +566,17 @@ class BatchedSimulationEngine(SimulationEngine):
         self._shard_fallbacks = 0
         return count
 
+    def _build_user_arrays(self) -> None:
+        """The persistent per-row position, budget and cost arrays."""
+        users = self.world.users
+        self._positions = np.asarray(
+            [(u.location.x, u.location.y) for u in users], dtype=float
+        ).reshape(len(users), 2)
+        self._budgets = np.asarray(
+            [u.max_travel_distance for u in users], dtype=float
+        )
+        self._costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
+
     # -- incremental neighbour counts -----------------------------------
 
     def _build_neighbour_counter(self) -> Optional[IncrementalNeighbourCounter]:
@@ -512,7 +610,7 @@ class BatchedSimulationEngine(SimulationEngine):
         """The scalar world mutation, plus array/counter/shard upkeep.
 
         Population changes invalidate every user-aligned array (rows
-        shift when users leave), so positions/budgets/row maps are
+        shift when users leave), so positions/budgets/costs/row maps are
         rebuilt and the incremental neighbour counter gets a forced
         full rebuild over the new population (which also re-primes
         every task, including any published this round).  A task-only
@@ -523,13 +621,7 @@ class BatchedSimulationEngine(SimulationEngine):
         super()._apply_dynamics(changes)
         rebuilt_counter = False
         if changes.population_changed:
-            users = self.world.users
-            self._positions = np.asarray(
-                [(u.location.x, u.location.y) for u in users], dtype=float
-            ).reshape(len(users), 2)
-            self._budgets = np.asarray(
-                [u.max_travel_distance for u in users], dtype=float
-            )
+            self._build_user_arrays()
             self._neighbour_counter = self._build_neighbour_counter()
             rebuilt_counter = True
         if changes.tasks:
@@ -644,41 +736,26 @@ class BatchedSimulationEngine(SimulationEngine):
     ) -> List[Selection]:
         if self._shards is not None:
             return self._shards.collect(active, prices, participating)
-        tracer = self.tracer
         problems = self._round_problems(active, prices)
-        latency = self._metrics.histogram("selector_seconds")
         users = self.world.users
         selections = [Selection.empty()] * len(users)
         if participating.all():
-            participants, world_rows = users, range(len(users))
-            origins, budgets = self._positions, self._budgets
+            participants, rows = users, None
+            origins, budgets, costs = self._positions, self._budgets, self._costs
         else:
             rows = np.flatnonzero(participating)
-            world_rows = rows.tolist()
-            participants = [users[row] for row in world_rows]
-            origins, budgets = self._positions[rows], self._budgets[rows]
-        for count, (index, problem) in enumerate(
-            problems.iter_problems(participants, origins=origins, budgets=budgets)
+            participants = [users[row] for row in rows.tolist()]
+            origins = self._positions[rows]
+            budgets, costs = self._budgets[rows], self._costs[rows]
+        blocks = problems.iter_blocks(
+            participants, origins=origins, budgets=budgets, costs=costs
+        )
+        for indices, solved in solve_blocks(
+            self.selector, blocks, self._perf,
+            self._metrics.histogram("selector_seconds"),
+            tracer=self.tracer, cancel=self.cancel,
         ):
-            # Same cancellation contract as the scalar loop: poll at a
-            # bounded stride so a 50k-user round stops within a grace
-            # period instead of at the round boundary only.
-            if count % self.CANCEL_CHECK_EVERY == 0:
-                self.cancel.raise_if_cancelled()
-            if tracer.enabled:
-                with tracer.span(
-                    "select-user", cat="selector",
-                    user=participants[index].user_id, tasks=problem.size,
-                ):
-                    started = perf_counter()
-                    selection = self.selector.select(problem)
-                    elapsed = perf_counter() - started
-            else:
-                started = perf_counter()
-                selection = self.selector.select(problem)
-                elapsed = perf_counter() - started
-            self._perf.selector_wall_time += elapsed
-            self._perf.selector_calls += 1
-            latency.observe(elapsed)
-            selections[world_rows[index]] = selection
+            world_rows = indices if rows is None else rows[indices]
+            for row, selection in zip(world_rows.tolist(), solved):
+                selections[row] = selection
         return selections

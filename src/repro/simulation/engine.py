@@ -148,8 +148,9 @@ class SimulationEngine:
             bit-identical to untraced ones.
         cancel: optional :class:`~repro.resilience.cancel.
             CancellationToken`.  The engine polls it at safe boundaries
-            — before every round, and every few hundred selector calls
-            inside a round — and raises
+            — before every round, and inside a round every few hundred
+            selector calls (before every problem block on the batched
+            engine) — and raises
             :class:`~repro.resilience.errors.OperationCancelled` when it
             trips.  Rounds already recorded stay valid (observers saw
             them, streamed events are on disk), which is what makes a
@@ -159,7 +160,8 @@ class SimulationEngine:
     """
 
     #: How many selector calls between cancellation polls inside a round
-    #: (a trade between responsiveness and per-user overhead).
+    #: (a trade between responsiveness and per-user overhead).  The
+    #: batched engine polls before every problem block instead.
     CANCEL_CHECK_EVERY = 512
 
     def __init__(

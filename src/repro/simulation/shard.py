@@ -25,13 +25,14 @@ Data movement is kept off the per-round path:
 
 Workers rebuild lightweight task/user proxies over the shared arrays and
 run the exact :class:`~repro.simulation.batch.BatchedRoundProblems`
-pipeline the parent would, with the same configured selector (shipped
-once, pickled, at pool start).  Perf partials (selector calls/wall time,
-latency histogram, watchdog fallbacks, DP states) come back with each
-shard and are folded into the parent's round accounting, with the
-problem-cache counters normalised to single-process semantics (one miss
-per round, one hit per participant) so perf records do not vary with the
-worker count.
+pipeline and block-solve loop (:func:`~repro.simulation.batch.
+solve_blocks`) the parent would, with the same configured selector
+(shipped once, pickled, at pool start).  Perf partials (selector
+calls/wall time, latency histogram, watchdog fallbacks, DP states) come
+back with each shard and are folded into the parent's round
+accounting, with the problem-cache counters normalised to
+single-process semantics (one miss per round, one hit per participant)
+so perf records do not vary with the worker count.
 
 The pool prefers the ``fork`` start method (cheap on Linux; the workers
 inherit the interpreter state) and falls back to ``spawn`` where fork is
@@ -48,7 +49,6 @@ import os
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -58,6 +58,7 @@ from repro.obs.metrics import Histogram
 from repro.obs.trace import NULL_TRACER, TraceContext, TraceShardWriter
 from repro.resilience.errors import ConfigError
 from repro.selection import Selection
+from repro.simulation.perf import PerfStats
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ def _worker_init(payload: dict) -> None:
     supervised under the live-operations layer), every pool worker
     opens its own per-process trace shard — ``shard-<pid>.trace.jsonl``
     in the job's trace directory — and records one span per shard
-    solve, streamed to disk as it finishes.
+    solve, with one ``select-block`` span per problem block inside it,
+    streamed to disk as each finishes.
     """
     global _STATE
     blocks, arrays = _attach_blocks(payload["blocks"])
@@ -188,7 +190,7 @@ def _worker_select(job: dict) -> Tuple[List[Tuple[int, Selection]], dict]:
     # Imported here (not at module top) so spawn-mode workers pay the
     # import once in the initializer-adjacent first call, and to avoid
     # an import cycle with batch.py.
-    from repro.simulation.batch import BatchedRoundProblems
+    from repro.simulation.batch import BatchedRoundProblems, solve_blocks
 
     problems = BatchedRoundProblems(
         tasks,
@@ -216,22 +218,19 @@ def _worker_select(job: dict) -> Tuple[List[Tuple[int, Selection]], dict]:
     selector = state["selector"]
     tracer = state.get("tracer", NULL_TRACER)
     latency = Histogram()
+    perf = PerfStats()
     selections: List[Tuple[int, Selection]] = []
-    calls = 0
-    wall = 0.0
     with tracer.span(
         "shard-select", cat="shard", users=len(users), tasks=len(tasks)
     ):
-        for index, problem in problems.iter_problems(
-            users, origins=positions[rows], budgets=budgets[rows]
+        blocks = problems.iter_blocks(
+            users, origins=positions[rows], budgets=budgets[rows],
+            costs=costs[rows],
+        )
+        for indices, solved in solve_blocks(
+            selector, blocks, perf, latency, tracer=tracer
         ):
-            started = perf_counter()
-            selection = selector.select(problem)
-            elapsed = perf_counter() - started
-            calls += 1
-            wall += elapsed
-            latency.observe(elapsed)
-            selections.append((int(rows[index]), selection))
+            selections.extend(zip(rows[indices].tolist(), solved))
     consume = getattr(selector, "consume_round_fallbacks", None)
     fallbacks = consume() if consume is not None else 0
     states = 0
@@ -241,8 +240,8 @@ def _worker_select(job: dict) -> Tuple[List[Tuple[int, Selection]], dict]:
             states = consume()
             break
     return selections, {
-        "selector_calls": calls,
-        "selector_wall_time": wall,
+        "selector_calls": perf.selector_calls,
+        "selector_wall_time": perf.selector_wall_time,
         "fallbacks": fallbacks,
         "dp_states": states,
         "hist_bucket_counts": latency.bucket_counts,
@@ -326,10 +325,7 @@ class ShardedSelectionPool:
         self._block_specs: Dict[str, Tuple[str, tuple, str]] = {}
         positions = self._share("positions", engine._positions)
         budgets = self._share("budgets", engine._budgets)
-        self._share(
-            "costs",
-            np.asarray([u.cost_per_meter for u in users], dtype=float),
-        )
+        self._share("costs", engine._costs)
         self._share(
             "user_ids", np.asarray([u.user_id for u in users], dtype=np.int64)
         )

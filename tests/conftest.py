@@ -12,6 +12,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
@@ -19,6 +20,12 @@ from repro.simulation.config import SimulationConfig
 from repro.world.generator import World
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
+
+#: A deeper property run for CI steps that ask for it with
+#: ``--hypothesis-profile=ci-deep``.  It only raises the example count of
+#: tests that leave ``max_examples`` to the profile; the default profile
+#: (and so the plain ``pytest`` run) is unchanged.
+settings.register_profile("ci-deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

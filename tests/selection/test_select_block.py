@@ -1,0 +1,205 @@
+"""Block selection: ``select_block`` answers exactly what ``select`` does.
+
+``GreedySelector.select_block`` solves a whole block of equal-size
+instances with array steps; it must return, row for row, the very
+selection the per-instance ``select`` loop returns — same task order and
+bit-identical distance, reward and cost.  Every other selector answers a
+block through the default row-by-row ``select_block``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.geometry.point import Point
+from repro.selection import (
+    SELECTORS,
+    CandidateTask,
+    GreedySelector,
+    ProblemBlock,
+    TimeBoundedSelector,
+)
+
+#: Budget offsets that put a path's length within 1e-9 of the budget,
+#: on either side of the greedy's ``max_distance + 1e-9`` test.
+BOUNDARY_OFFSETS = (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9)
+
+
+def make_block(distances, rewards, max_distance, cost_per_meter, task_ids=None):
+    """A block whose rows each own their candidates in the pool."""
+    distances = np.asarray(distances)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    n, k = rewards.shape
+    if task_ids is None:
+        task_ids = np.tile(np.arange(k, dtype=np.int64) * 7 + 3, (n, 1))
+    columns = np.arange(n * k, dtype=np.int64).reshape(n, k)
+    pool = [
+        CandidateTask(
+            task_id=int(task_ids[j, i]),
+            location=Point(float(j), float(i)),
+            reward=float(rewards[j, i]),
+        )
+        for j in range(n)
+        for i in range(k)
+    ]
+    return ProblemBlock(
+        distances=distances,
+        rewards=rewards,
+        task_ids=np.asarray(task_ids, dtype=np.int64),
+        max_distance=np.asarray(max_distance, dtype=np.float64),
+        cost_per_meter=np.asarray(cost_per_meter, dtype=np.float64),
+        origins=[Point(float(j), -1.0) for j in range(n)],
+        columns=columns,
+        candidates=pool,
+    )
+
+
+def exact(selection):
+    """A selection's content with every float compared bit for bit."""
+    return (
+        selection.task_ids,
+        tuple(type(task_id) for task_id in selection.task_ids),
+        selection.distance.hex(),
+        selection.reward.hex(),
+        selection.cost.hex(),
+    )
+
+
+def per_row(selector, block):
+    return [selector.select(block.problem(j)) for j in range(len(block))]
+
+
+@st.composite
+def blocks(draw):
+    """Random blocks: tie-heavy integer grids and continuous geometry."""
+    n = draw(st.integers(1, 50))
+    k = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # Small integers: equal gains are common and every path length
+        # is exact, so budgets can sit exactly at the 1e-9 boundary.
+        half = rng.integers(0, 6, size=(n, k + 1, k + 1)).astype(np.float64)
+        legs = np.triu(half, 1) + np.triu(half, 1).transpose(0, 2, 1)
+        rewards = rng.integers(0, 4, size=(n, k)).astype(np.float64)
+        cost = rng.choice([0.0, 0.5, 1.0], size=n)
+        max_distance = rng.integers(0, 12, size=n).astype(np.float64)
+    else:
+        points = rng.uniform(0.0, 800.0, size=(n, k + 1, 2))
+        diff = points[:, :, None, :] - points[:, None, :, :]
+        legs = np.sqrt((diff**2).sum(axis=-1))
+        rewards = rng.uniform(0.0, 6.0, size=(n, k))
+        cost = rng.uniform(0.0, 0.02, size=n)
+        # A random path's running length, in the float64 the greedy
+        # sums the (cast) legs in.
+        cast = legs.astype(dtype).astype(np.float64)
+        stops = rng.integers(1, k + 1, size=n)
+        max_distance = np.empty(n)
+        for j in range(n):
+            path = np.concatenate(([0], rng.permutation(k)[: stops[j]] + 1))
+            walked = 0.0
+            for a, b in zip(path[:-1], path[1:]):
+                walked += float(cast[j, a, b])
+            max_distance[j] = walked
+    max_distance = np.maximum(
+        max_distance + rng.choice(BOUNDARY_OFFSETS, size=n), 0.0
+    )
+    if draw(st.booleans()):
+        rewards[rng.random(size=(n, k)) < 0.5] = 0.0
+    task_ids = np.stack([rng.permutation(k) + 1000 for _ in range(n)])
+    return make_block(legs.astype(dtype), rewards, max_distance, cost, task_ids)
+
+
+class TestGreedyBlockEquivalence:
+    @given(block=blocks(), min_step_profit=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    @settings(deadline=None)
+    def test_block_equals_per_row_select(self, block, min_step_profit):
+        selector = GreedySelector(min_step_profit=min_step_profit)
+        got = selector.select_block(block)
+        want = per_row(selector, block)
+        assert [exact(s) for s in got] == [exact(s) for s in want]
+
+    def test_first_of_equal_gains_wins(self):
+        # Candidates 1 and 2 tie on gain; the scalar loop keeps the first.
+        distances = np.array([[[0, 2, 2], [2, 0, 9], [2, 9, 0]]], dtype=float)
+        block = make_block(distances, [[3.0, 3.0]], [5.0], [0.5])
+        (selection,) = GreedySelector().select_block(block)
+        assert selection.task_ids == (3,)
+        assert [exact(selection)] == [exact(s) for s in per_row(GreedySelector(), block)]
+
+    def test_rows_stop_independently(self):
+        # Row 0 walks both tasks, row 1 one of them, row 2 none.
+        distances = np.tile(
+            np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.float32),
+            (3, 1, 1),
+        )
+        block = make_block(
+            distances, [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]],
+            [5.0, 1.0, 5.0], [0.1, 0.1, 0.1],
+        )
+        got = GreedySelector().select_block(block)
+        assert [len(s) for s in got] == [2, 1, 0]
+        assert got[2].is_empty
+        assert [exact(s) for s in got] == [
+            exact(s) for s in per_row(GreedySelector(), block)
+        ]
+
+
+def geometric_block(n=6, k=5, seed=3):
+    """Rows built from real points, small enough for the exact solvers."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 600.0, size=(n, k + 1, 2))
+    diff = points[:, :, None, :] - points[:, None, :, :]
+    distances = np.sqrt((diff**2).sum(axis=-1))
+    rewards = rng.uniform(1.0, 8.0, size=(n, k))
+    return make_block(
+        distances, rewards, rng.uniform(300.0, 1500.0, size=n),
+        np.full(n, 0.004),
+    )
+
+
+class TestDefaultSelectBlock:
+    @pytest.mark.parametrize("name", SELECTORS.available())
+    def test_every_selector_matches_its_select(self, name):
+        selector = SELECTORS.create(name)
+        block = geometric_block()
+        got = selector.select_block(block)
+        assert len(got) == len(block)
+        assert [exact(s) for s in got] == [
+            exact(s) for s in per_row(SELECTORS.create(name), block)
+        ]
+
+    def test_watchdog_counts_each_fallback(self):
+        class FailsOnOddIds:
+            """Crashes on every row whose first candidate id is odd."""
+
+            name = "fails-on-odd-ids"
+
+            def select(self, problem):
+                if problem.candidates[0].task_id % 2:
+                    raise RuntimeError("injected")
+                return GreedySelector().select(problem)
+
+        block = geometric_block()
+        block = make_block(
+            block.distances, block.rewards, block.max_distance,
+            block.cost_per_meter,
+            # k = 5: row j's first id is 5j, odd on every other row.
+            task_ids=np.arange(len(block) * block.size).reshape(
+                len(block), block.size
+            ),
+        )
+        failing = sum(
+            block.problem(j).candidates[0].task_id % 2 for j in range(len(block))
+        )
+        assert 0 < failing < len(block)
+        guarded = TimeBoundedSelector(FailsOnOddIds(), timeout=30.0)
+        got = guarded.select_block(block)
+        assert guarded.total_fallbacks == failing
+        assert guarded.consume_round_fallbacks() == failing
+        assert [exact(s) for s in got] == [
+            exact(s) for s in per_row(GreedySelector(), block)
+        ]

@@ -1,0 +1,135 @@
+"""The batched engine's block select phase: counters, cancellation, blocks.
+
+The batched engine hands each equal-k problem block to the selector in
+one ``select_block`` call.  Its counters keep their per-instance
+meaning (one selector call per user with a candidate, one problem-cache
+hit per participant) on the in-process path and in shard workers alike,
+and cancellation is polled before every block.
+"""
+
+import numpy as np
+import pytest
+
+from repro.resilience.cancel import FlagToken
+from repro.resilience.errors import OperationCancelled
+from repro.scenarios import PRESETS
+from repro.selection import GreedySelector
+from repro.simulation.batch import BatchedRoundProblems, BatchedSimulationEngine
+from repro.simulation.round_cache import RoundProblems
+
+
+def small_city(**overrides):
+    config = dict(
+        rounds=3, n_users=400, n_tasks=60, area_side=6000.0,
+        stream_rounds=False, seed=11,
+    )
+    config.update(overrides)
+    return PRESETS["city-2k"].to_config(**config)
+
+
+class TestCounters:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_calls_count_users_with_a_candidate(self, workers):
+        engine = BatchedSimulationEngine(small_city(), workers=workers)
+        masks = []
+        draw = engine._participation_mask
+
+        def capture():
+            masks.append(draw())
+            return masks[-1]
+
+        engine._participation_mask = capture
+        try:
+            while not engine.finished:
+                # Candidates counted independently, on the scalar path.
+                scalar = RoundProblems(
+                    engine.published_tasks(), engine.published_rewards()
+                )
+                has_candidate = np.array(
+                    [scalar.problem_for(u).size > 0 for u in engine.world.users]
+                )
+                record = engine.step()
+                participants = masks[-1]
+                assert participants.sum() < len(participants)
+                assert record.perf.problem_cache_hits == participants.sum()
+                assert record.perf.selector_calls == (
+                    has_candidate & participants
+                ).sum()
+                # The latency histogram holds one value per block.
+                blocks = record.metrics.histogram("selector_seconds").count
+                assert 0 < blocks < record.perf.selector_calls
+        finally:
+            engine.close()
+
+
+class TestCancellation:
+    def test_cancel_from_the_selector_stops_before_the_next_block(self):
+        token = FlagToken()
+        blocks = []
+
+        class CancelsOnFirstBlock(GreedySelector):
+            def select_block(self, block):
+                blocks.append(len(block))
+                token.cancel("stop mid-round")
+                return super().select_block(block)
+
+        config = PRESETS["city-2k"].to_config(seed=4, rounds=2)
+        engine = BatchedSimulationEngine(
+            config, selector=CancelsOnFirstBlock(), cancel=token
+        )
+        with pytest.raises(OperationCancelled) as excinfo:
+            engine.step()
+        assert excinfo.value.reason == "stop mid-round"
+        assert len(blocks) == 1
+        assert not engine.result.rounds
+        engine.close()
+        assert engine.closed
+
+
+class TestBlocks:
+    def test_block_rows_carry_their_problems_fields(self):
+        config = small_city(distance_dtype="float64")
+        engine = BatchedSimulationEngine(config)
+        problems = BatchedRoundProblems(
+            engine.published_tasks(), engine.published_rewards()
+        )
+        users = engine.world.users
+        seen = []
+        for indices, block in problems.iter_blocks(users):
+            assert block.distances.shape == (len(block), block.size + 1,
+                                             block.size + 1)
+            for j, index in enumerate(indices.tolist()):
+                problem = block.problem(j)
+                want = problems.problem_for(users[index])
+                assert problem.origin == want.origin
+                assert problem.candidates == want.candidates
+                assert problem.max_distance == want.max_distance
+                assert problem.cost_per_meter == want.cost_per_meter
+                np.testing.assert_array_equal(
+                    problem.distance_matrix, want.distance_matrix
+                )
+                assert block.rewards[j].tolist() == problem.rewards.tolist()
+                assert block.task_ids[j].tolist() == [
+                    c.task_id for c in problem.candidates
+                ]
+                assert block.max_distance[j] == problem.max_distance
+                assert block.cost_per_meter[j] == problem.cost_per_meter
+                seen.append(index)
+        assert sorted(seen) == [
+            index for index, _ in problems.iter_problems(users)
+        ]
+        assert len(set(seen)) == len(seen)
+
+    def test_duck_typed_selector_answers_row_by_row(self):
+        class SelectOnly:
+            """A selector with ``select`` and nothing else."""
+
+            def select(self, problem):
+                return GreedySelector().select(problem)
+
+        config = small_city()
+        duck = BatchedSimulationEngine(config, selector=SelectOnly()).run()
+        greedy = BatchedSimulationEngine(config, selector=GreedySelector()).run()
+        assert [r.user_records for r in duck.rounds] == [
+            r.user_records for r in greedy.rounds
+        ]

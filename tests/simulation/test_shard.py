@@ -161,9 +161,12 @@ class TestShardTracePropagation:
             loaded = read_trace_shard(shard)
             assert loaded["meta"]["trace_id"] == "feedcafe00000001"
             assert loaded["meta"]["parent_span_id"] == "select"
-            assert all(
-                span["name"] == "shard-select" for span in loaded["spans"]
-            )
+            # One shard-select span per shard solve, with one
+            # select-block span per solved block nested inside it.
+            names = {
+                (span["name"], span["depth"]) for span in loaded["spans"]
+            }
+            assert names == {("shard-select", 0), ("select-block", 1)}
         payload = merge_traces(shards)
         assert payload["otherData"]["trace_id"] == "feedcafe00000001"
 

@@ -99,3 +99,38 @@ class TestPerRoundMetrics:
         )
         # One demand level per active task per round.
         assert level_total > 0
+
+
+class TestBatchedSpans:
+    """The batched engine traces one ``select-block`` span per block."""
+
+    @pytest.fixture
+    def batched_config(self, fast_config):
+        return dataclasses.replace(fast_config, engine="batched")
+
+    def test_traced_run_matches_untraced(self, batched_config):
+        plain = simulate(batched_config)
+        traced = simulate(batched_config, tracer=SpanTracer())
+        assert _comparable(traced) == _comparable(plain)
+
+    def test_select_block_spans_sit_under_select(self, batched_config):
+        tracer = SpanTracer()
+        result = simulate(batched_config, tracer=tracer)
+        blocks = [r for r in tracer.spans if r.name == "select-block"]
+        selects = [r for r in tracer.spans if r.name == "select"]
+        assert blocks
+        assert not any(r.name == "select-user" for r in tracer.spans)
+        for block in blocks:
+            assert block.depth == 3
+            assert block.cat == "selector"
+            assert block.args["tasks"] >= 1
+            assert any(
+                select.depth == 2
+                and select.start <= block.start
+                and block.start + block.duration
+                <= select.start + select.duration
+                for select in selects
+            )
+        # Every instance solved is a row of exactly one traced block.
+        solved = sum(block.args["users"] for block in blocks)
+        assert solved == result.perf_totals().selector_calls

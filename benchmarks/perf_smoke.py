@@ -128,14 +128,11 @@ def _peak_rss_mb(profiler) -> float:
     return round(summary.get("rss_peak_bytes", 0) / (1024 * 1024), 1)
 
 
-def run_engine(n_users, n_tasks, rounds, area_side, budget, seed, workers=None):
+def run_engine(n_users, n_tasks, rounds, area_side, budget, seed):
     """Round throughput of the scalar vs batched engine on one shared world.
 
-    With ``workers`` (>= 2) the batched run is repeated with the sharded
-    select phase and timed as ``sharded_rounds_per_second`` — the
-    histories must stay identical at every worker count.  Peak RSS over
-    the whole bench is sampled on a background thread and recorded
-    alongside the throughput numbers.
+    Peak RSS over the whole bench is sampled on a background thread and
+    recorded alongside the throughput numbers.
     """
     from repro.obs.profiler import ResourceProfiler
     from repro.simulation import SimulationConfig, make_engine
@@ -156,20 +153,11 @@ def run_engine(n_users, n_tasks, rounds, area_side, budget, seed, workers=None):
     profiler = ResourceProfiler(interval=0.05).start()
     try:
         timings, results = {}, {}
-        variants = [("scalar", "scalar", None), ("batched", "batched", None)]
-        if workers and workers > 1:
-            variants.append(("sharded", "batched", workers))
-        for label, engine_name, engine_workers in variants:
-            kwargs = {} if engine_workers is None else {"workers": engine_workers}
-            engine = make_engine(
-                base.with_overrides(engine=engine_name), **kwargs
-            )
+        for label in ("scalar", "batched"):
+            engine = make_engine(base.with_overrides(engine=label))
             started = time.perf_counter()
             results[label] = engine.run()
             timings[label] = time.perf_counter() - started
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
     finally:
         profiler.stop()
     scalar, batched = results["scalar"], results["batched"]
@@ -198,19 +186,16 @@ def run_engine(n_users, n_tasks, rounds, area_side, budget, seed, workers=None):
         "peak_rss_mb": _peak_rss_mb(profiler),
         "total_measurements": scalar.total_measurements,
     }
-    if "sharded" in timings:
-        entry["sharded_rounds_per_second"] = rounds / timings["sharded"]
-        entry["shard_workers"] = workers
     return entry
 
 
-def run_scenario(scenario, seed=None, workers=None):
+def run_scenario(scenario, seed=None):
     """One preset end to end: wall time, throughput, and peak RSS.
 
     The scenario bench is the city-scale anchor recorder: it runs a
     named preset (``city-2k`` in CI, ``city-50k`` / ``city-1m`` for the
-    pinned anchors) through the public facade, optionally sharded, and
-    reports the numbers the obs regression gate tracks.
+    pinned anchors) through the public facade and reports the numbers
+    the obs regression gate tracks.
     """
     from repro.obs.profiler import ResourceProfiler
     from repro.scenarios import get_preset
@@ -220,14 +205,10 @@ def run_scenario(scenario, seed=None, workers=None):
     config = get_preset(scenario).to_config(**overrides)
     profiler = ResourceProfiler(interval=0.05).start()
     try:
-        kwargs = {} if not workers or workers <= 1 else {"workers": workers}
-        engine = make_engine(config, **kwargs)
+        engine = make_engine(config)
         started = time.perf_counter()
         result = engine.run()
         wall = time.perf_counter() - started
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     finally:
         profiler.stop()
     entry = {
@@ -249,12 +230,10 @@ def run_scenario(scenario, seed=None, workers=None):
         "peak_rss_mb": _peak_rss_mb(profiler),
         "total_measurements": result.total_measurements,
     }
-    if workers and workers > 1:
-        entry["shard_workers"] = workers
     return entry
 
 
-def run_dynamics(scenario="task-stream-2k", seed=None, scale="full", workers=None):
+def run_dynamics(scenario="task-stream-2k", seed=None, scale="full"):
     """Churn-on vs churn-off throughput of one open-world preset.
 
     Runs the named preset twice through the batched engine — once as
@@ -266,7 +245,7 @@ def run_dynamics(scenario="task-stream-2k", seed=None, scale="full", workers=Non
     once its seed tasks settle; the churn run keeps going while the
     stream owes tasks), so raw wall times are not comparable — the
     per-round ratio is.  Gating on it catches the open-world
-    bookkeeping (array rebuilds, counter re-priming, shard refresh)
+    bookkeeping (array rebuilds, counter re-priming)
     getting slower without conflating it with general engine drift.
     """
     from repro.obs.profiler import ResourceProfiler
@@ -289,14 +268,10 @@ def run_dynamics(scenario="task-stream-2k", seed=None, scale="full", workers=Non
             ("churn", config),
             ("baseline", config.with_overrides(dynamics={})),
         ):
-            kwargs = {} if not workers or workers <= 1 else {"workers": workers}
-            engine = make_engine(cfg, **kwargs)
+            engine = make_engine(cfg)
             started = time.perf_counter()
             results[label] = engine.run()
             timings[label] = time.perf_counter() - started
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
     finally:
         profiler.stop()
     entry = {
@@ -322,19 +297,7 @@ def run_dynamics(scenario="task-stream-2k", seed=None, scale="full", workers=Non
         "peak_rss_mb": _peak_rss_mb(profiler),
         "total_measurements": results["churn"].total_measurements,
     }
-    if workers and workers > 1:
-        entry["shard_workers"] = workers
     return entry
-
-
-def _warmup(engine) -> None:
-    """Run ``engine`` to completion untimed, then release it."""
-    try:
-        engine.run()
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
 
 
 def run_obs(scale="tiny", seed=0):
@@ -375,7 +338,7 @@ def run_obs(scale="tiny", seed=0):
     # One untimed run of the same config first, so both timed runs are
     # warm (imports, caches, allocator) and the ratio compares like
     # with like.
-    _warmup(make_engine(config))
+    make_engine(config).run()
     profiler = ResourceProfiler(interval=0.05).start()
     try:
         timings, results = {}, {}
@@ -395,9 +358,6 @@ def run_obs(scale="tiny", seed=0):
                 started = time.perf_counter()
                 results[label] = engine.run()
                 timings[label] = time.perf_counter() - started
-                close = getattr(engine, "close", None)
-                if close is not None:
-                    close()
     finally:
         profiler.stop()
     plain, live = results["plain"], results["live"]
@@ -529,9 +489,6 @@ def main(argv=None):
                         help="tiny = a seconds-long CI smoke run")
     parser.add_argument("--scenario", default="city-2k", metavar="NAME",
                         help="preset for --bench scenario (default city-2k)")
-    parser.add_argument("--engine-workers", type=int, default=None, metavar="N",
-                        help="also time the sharded select phase with N "
-                             "worker processes (engine/scenario benches)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_selectors.json"),
                         help="trajectory file to append to")
     parser.add_argument("--min-speedup", type=float, default=None,
@@ -543,22 +500,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.bench == "engine":
-        entry = run_engine(
-            seed=args.seed, workers=args.engine_workers,
-            **ENGINE_SCALES[args.scale],
-        )
+        entry = run_engine(seed=args.seed, **ENGINE_SCALES[args.scale])
     elif args.bench == "scenario":
-        entry = run_scenario(
-            args.scenario, seed=args.seed, workers=args.engine_workers
-        )
+        entry = run_scenario(args.scenario, seed=args.seed)
     elif args.bench == "dynamics":
         scenario = (
             args.scenario if args.scenario != "city-2k" else "task-stream-2k"
         )
-        entry = run_dynamics(
-            scenario, seed=args.seed, scale=args.scale,
-            workers=args.engine_workers,
-        )
+        entry = run_dynamics(scenario, seed=args.seed, scale=args.scale)
     elif args.bench == "obs":
         entry = run_obs(scale=args.scale, seed=args.seed)
     elif args.bench == "env":
@@ -606,29 +555,18 @@ def main(argv=None):
 
     if args.bench == "engine":
         speedup = entry["engine_speedup"]
-        sharded = (
-            f", sharded({entry['shard_workers']}w) "
-            f"{entry['sharded_rounds_per_second']:.2f} rounds/s"
-            if "sharded_rounds_per_second" in entry
-            else ""
-        )
         print(
             f"{entry['n_users']} users x {entry['n_tasks']} tasks x "
             f"{entry['rounds']} rounds: "
             f"scalar {entry['scalar_rounds_per_second']:.2f} rounds/s, "
             f"batched {entry['batched_rounds_per_second']:.2f} rounds/s"
-            f"{sharded} -> {speedup:.1f}x "
+            f" -> {speedup:.1f}x "
             f"(peak RSS {entry['peak_rss_mb']:.0f} MiB)"
         )
     elif args.bench == "scenario":
         speedup = None
-        workers_note = (
-            f" ({entry['shard_workers']} workers)"
-            if "shard_workers" in entry
-            else ""
-        )
         print(
-            f"{entry['scenario']}{workers_note}: {entry['n_users']} users x "
+            f"{entry['scenario']}: {entry['n_users']} users x "
             f"{entry['n_tasks']} tasks x {entry['rounds']} rounds "
             f"[{entry['distance_dtype']}] in {entry['wall_seconds']:.1f}s "
             f"({entry['rounds_per_second']:.2f} rounds/s, "
@@ -637,13 +575,8 @@ def main(argv=None):
         )
     elif args.bench == "dynamics":
         speedup = None
-        workers_note = (
-            f" ({entry['shard_workers']} workers)"
-            if "shard_workers" in entry
-            else ""
-        )
         print(
-            f"{entry['scenario']}{workers_note}: "
+            f"{entry['scenario']}: "
             f"churn {entry['churn_rounds_per_second']:.2f} rounds/s vs "
             f"closed {entry['baseline_rounds_per_second']:.2f} rounds/s "
             f"-> per-round overhead {entry['dynamics_overhead']:.2f}x "

@@ -75,7 +75,6 @@ from repro.core import (
     FixedMechanism,
     SteeredMechanism,
     ProportionalDemandMechanism,
-    make_mechanism,
 )
 from repro.selection import (
     DynamicProgrammingSelector,
@@ -83,7 +82,6 @@ from repro.selection import (
     GreedyTwoOptSelector,
     BruteForceSelector,
     TimeBoundedSelector,
-    make_selector,
 )
 from repro.simulation import SimulationEngine
 from repro.resilience import (
@@ -152,13 +150,11 @@ __all__ = [
     "FixedMechanism",
     "SteeredMechanism",
     "ProportionalDemandMechanism",
-    "make_mechanism",
     "DynamicProgrammingSelector",
     "GreedySelector",
     "GreedyTwoOptSelector",
     "BruteForceSelector",
     "TimeBoundedSelector",
-    "make_selector",
     # errors
     "ReproError",
     "ConfigError",

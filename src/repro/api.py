@@ -127,7 +127,6 @@ def simulate(
     config: Optional[SimulationConfig] = None,
     *,
     scenario: Optional[ScenarioLike] = None,
-    workers: Optional[int] = None,
     **overrides: Any,
 ) -> SimulationResult:
     """Run one seeded simulation (the facade's one-call entry point).
@@ -135,12 +134,6 @@ def simulate(
     Exactly one of ``config`` / ``scenario`` may be given (neither means
     the defaults); ``overrides`` are config fields applied on top either
     way.  The engine honours ``config.engine`` (``scalar``/``batched``).
-
-    Args:
-        workers: select-phase worker processes for the batched engine
-            (``None``/``1`` = in-process).  An execution knob, not a
-            config field: results are bit-identical at every worker
-            count, so it never enters run fingerprints.
 
     >>> simulate(scenario="paper-2018", n_users=30, rounds=3).rounds_played
     3
@@ -151,22 +144,13 @@ def simulate(
         config = build_config(scenario, **overrides)
     elif overrides:
         config = config.with_overrides(**overrides)
-    if workers is None:
-        return _simulate(config)
-    engine = make_engine(config, workers=workers)
-    try:
-        return engine.run()
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+    return _simulate(config)
 
 
 def open_session(
     config: Optional[SimulationConfig] = None,
     *,
     scenario: Optional[ScenarioLike] = None,
-    workers: Optional[int] = None,
     observers=(),
     **overrides: Any,
 ) -> SimulationSession:
@@ -178,10 +162,10 @@ def open_session(
     the caller drives: ``observe()`` for a read-only snapshot,
     ``step(action=None)`` to play one round (optionally retuning the
     mechanism first), ``result()`` for the history so far, ``close()``
-    (or a ``with`` block) to release engine resources.
+    (or a ``with`` block) to end it.
 
     Stepped with no actions, a session replays ``simulate()``
-    bit-identically on every engine (scalar, batched, sharded).
+    bit-identically on both engines (scalar and batched).
 
     >>> with open_session(scenario="paper-2018", rounds=3) as session:
     ...     records = [session.step() for _ in range(3)]
@@ -194,7 +178,7 @@ def open_session(
         config = build_config(scenario, **overrides)
     elif overrides:
         config = config.with_overrides(**overrides)
-    return SimulationSession(config, workers=workers, observers=observers)
+    return SimulationSession(config, observers=observers)
 
 
 def make_env(
@@ -204,7 +188,6 @@ def make_env(
     obs: Any = "demand-levels",
     actions: Any = "incentive",
     reward: Any = "completeness-delta",
-    workers: Optional[int] = None,
     **overrides: Any,
 ) -> IncentiveEnv:
     """Build an :class:`IncentiveEnv` with the facade's scenario surface.
@@ -219,9 +202,7 @@ def make_env(
         config = build_config(scenario, **overrides)
     elif overrides:
         config = config.with_overrides(**overrides)
-    return IncentiveEnv(
-        config, obs=obs, actions=actions, reward=reward, workers=workers
-    )
+    return IncentiveEnv(config, obs=obs, actions=actions, reward=reward)
 
 
 def connect(target: Union[str, Path], timeout: float = 10.0) -> ServerClient:

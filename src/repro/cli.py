@@ -135,11 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="round-loop implementation; 'batched' vectorises "
                           "problem construction and pricing (bit-identical "
                           "histories, built for 10k+ users)")
-    sim.add_argument("--engine-workers", type=int, default=None, metavar="N",
-                     help="shard the batched engine's select phase across N "
-                          "worker processes over shared memory (requires "
-                          "--engine batched; results are bit-identical at "
-                          "every worker count)")
     sim.add_argument("--stream", action="store_true",
                      help="aggregate rounds on the fly instead of keeping "
                           "them in memory (bounded-memory large runs; "
@@ -584,15 +579,12 @@ def _command_simulate(args: argparse.Namespace, command: Optional[str] = None) -
             interval=args.profile_interval, tracer=tracer
         ).start()
     stream_writer = None
-    engine = None
     try:
         from repro.simulation import make_engine
 
         engine_kwargs = {}
         if tracer is not None:
             engine_kwargs["tracer"] = tracer
-        if args.engine_workers is not None:
-            engine_kwargs["workers"] = args.engine_workers
         engine = make_engine(config, **engine_kwargs)
         if args.events:
             from repro.io.events import RoundStreamWriter
@@ -605,9 +597,6 @@ def _command_simulate(args: argparse.Namespace, command: Optional[str] = None) -
             stream_writer.close()
         if profiler is not None:
             profiler.stop()
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
     summary = MetricsSummary.from_result(result)
     rows = [[name, value] for name, value in summary.as_dict().items()]
     print(render_table(["metric", "value"], rows, precision=4))

@@ -35,7 +35,6 @@ from repro.core.mechanisms import (
     FixedMechanism,
     SteeredMechanism,
     ProportionalDemandMechanism,
-    make_mechanism,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "SteeredMechanism",
     "ProportionalDemandMechanism",
     "MECHANISMS",
-    "make_mechanism",
 ]

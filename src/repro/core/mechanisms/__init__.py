@@ -35,7 +35,6 @@ from repro.core.mechanisms.policy import (
     resolve_policy,
 )
 from repro.core.mechanisms.registry import MECHANISMS, MECHANISM_NAMES
-from repro.core.mechanisms.factory import make_mechanism
 
 __all__ = [
     "IncentiveMechanism",
@@ -51,7 +50,6 @@ __all__ = [
     "apply_incentive_action",
     "resolve_policy",
     "POLICIES",
-    "make_mechanism",
     "MECHANISMS",
     "MECHANISM_NAMES",
 ]

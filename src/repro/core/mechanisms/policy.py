@@ -344,7 +344,7 @@ class PolicyMechanism(IncentiveMechanism):
     All engine integration hooks (the ``batched`` vectorised-pricing
     flag, the incremental ``neighbour_counter``, ``last_demands`` /
     ``levels`` observability) delegate to the wrapped mechanism, so the
-    scalar, batched, and sharded engines treat a policy-steered run
+    scalar and batched engines treat a policy-steered run
     exactly like an on-demand one.
 
     Args:

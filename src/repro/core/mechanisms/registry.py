@@ -3,9 +3,7 @@
 The :data:`MECHANISMS` registry is the blessed construction surface —
 ``MECHANISMS.create(name, **kwargs)`` / ``MECHANISMS.available()`` —
 used by the config layer (:meth:`SimulationConfig.mechanism_arguments`),
-the CLI, the experiment harness, and the job service.  The legacy
-:mod:`repro.core.mechanisms.factory` module is a deprecated shim that
-re-exports these names.
+the CLI, the experiment harness, and the job service.
 """
 
 from __future__ import annotations

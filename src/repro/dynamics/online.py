@@ -25,8 +25,8 @@ pricing against:
   the budget exactly as the on-demand mechanism's does.
 
 Both run on either engine: prices are computed with per-task python
-float arithmetic from exact neighbour counts, so scalar, batched, and
-sharded runs stay bit-identical.
+float arithmetic from exact neighbour counts, so scalar and batched
+runs stay bit-identical.
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@
 live engine: before round ``r`` plays, the round's departures, arrivals,
 and task publications are folded into the engine's world through its
 ``_apply_dynamics`` hook (the scalar engine mutates its user/task lists;
-the batched engine additionally rebuilds its persistent arrays, forces
-an :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`
-rebuild, and refreshes the sharded pool's shared-memory blocks).
+the batched engine additionally rebuilds its persistent arrays and
+forces an :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`
+rebuild).
 
 The timeline consumes **no randomness at runtime** — every draw already
 happened in :func:`~repro.dynamics.processes.generate_stream` — so the
-same config and seed replays identically on either engine, at any
-worker count, and across resume boundaries.
+same config and seed replays identically on either engine and across
+resume boundaries.
 
 It also keeps the per-user presence ledger the IncentMe mechanism reads
 (when did each user join; who is still here), giving "historical visit
@@ -141,7 +141,7 @@ class WorldTimeline:
         """Apply round ``round_no``'s events; return them for the record.
 
         The engine's ``_apply_dynamics`` hook does the world (and, on
-        the batched path, array/shard) mutation; the timeline itself
+        the batched path, array) mutation; the timeline itself
         only maintains the presence ledger.
         """
         events = list(self._events_by_round.get(round_no, ()))

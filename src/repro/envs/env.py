@@ -71,8 +71,6 @@ class IncentiveEnv(_EnvBase):
             :data:`~repro.envs.actions.ACTION_ADAPTERS`.
         reward: reward function, same spellings over
             :data:`~repro.envs.rewards.REWARD_FUNCTIONS`.
-        workers: select-phase worker count, forwarded to the session
-            (requires ``config.engine == "batched"``).
 
     The declared ``observation_space`` / ``action_space`` are real
     Gymnasium ``Box`` spaces when Gymnasium imports, shim boxes
@@ -90,13 +88,11 @@ class IncentiveEnv(_EnvBase):
         obs: Union[str, Mapping, ObsBuilder] = "demand-levels",
         actions: Union[str, Mapping, ActionAdapter] = "incentive",
         reward: Union[str, Mapping, RewardFunction] = "completeness-delta",
-        workers: Optional[int] = None,
     ):
         self.config = config if config is not None else SimulationConfig()
         self.obs_builder = _resolve(OBS_BUILDERS, obs, ObsBuilder)
         self.action_adapter = _resolve(ACTION_ADAPTERS, actions, ActionAdapter)
         self.reward_function = _resolve(REWARD_FUNCTIONS, reward, RewardFunction)
-        self.workers = workers
         self.observation_space = self.obs_builder.space(self.config)
         self.action_space = self.action_adapter.space(self.config)
         self._session: Optional[SimulationSession] = None
@@ -121,7 +117,7 @@ class IncentiveEnv(_EnvBase):
             self.config = self.config.with_overrides(seed=int(seed))
         if self._session is not None:
             self._session.close()
-        self._session = SimulationSession(self.config, workers=self.workers)
+        self._session = SimulationSession(self.config)
         snapshot = self._session.observe()
         self._last_snapshot = snapshot
         observation = self.obs_builder.build(snapshot, self.config)

@@ -103,7 +103,6 @@ from repro.obs.trace import (
     SpanRecord,
     SpanTracer,
     TraceContext,
-    TraceShardWriter,
     load_trace,
     merge_traces,
     read_trace_shard,
@@ -171,7 +170,6 @@ __all__ = [
     "SpanRecord",
     "SpanTracer",
     "TraceContext",
-    "TraceShardWriter",
     "load_trace",
     "merge_traces",
     "read_trace_shard",

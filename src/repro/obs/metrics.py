@@ -321,9 +321,9 @@ class MetricsRegistry:
 
         ``selector_seconds`` holds one value per selector call: one per
         instance on the scalar engine, one per ``select_block`` call
-        (a block of equal-size instances) on the batched engine and its
-        shard workers.  ``selector_calls`` counts instances solved on
-        both, so it is not the histogram's count on the batched engine.
+        (a block of equal-size instances) on the batched engine.
+        ``selector_calls`` counts instances solved on both, so it is not
+        the histogram's count on the batched engine.
         """
         self.counter("problem_cache_hits").inc(perf.problem_cache_hits)
         self.counter("problem_cache_misses").inc(perf.problem_cache_misses)

@@ -252,9 +252,6 @@ BENCH_SPECS: Dict[str, MetricSpec] = {
         "batched_rounds_per_second", "lower-is-worse"
     ),
     "engine_speedup": MetricSpec("engine_speedup", "lower-is-worse"),
-    "sharded_rounds_per_second": MetricSpec(
-        "sharded_rounds_per_second", "lower-is-worse"
-    ),
     "rounds_per_second": MetricSpec("rounds_per_second", "lower-is-worse"),
     "wall_seconds": MetricSpec("wall_seconds", "higher-is-worse"),
     "peak_rss_mb": MetricSpec("peak_rss_mb", "higher-is-worse"),

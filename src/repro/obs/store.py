@@ -474,7 +474,6 @@ BENCH_VALUE_FIELDS = (
     "mean_profit",
     "scalar_rounds_per_second",
     "batched_rounds_per_second",
-    "sharded_rounds_per_second",
     "engine_speedup",
     "rounds_per_second",
     "wall_seconds",

@@ -29,14 +29,12 @@ timing rows — the engine behind ``repro trace summarize``.
 **Cross-process stitching** (the job service's live-operations layer):
 a :class:`TraceContext` — trace id, parent span id, shard directory —
 travels through environment variables from the server's supervisor into
-the worker subprocess and on into the sharded selection pool's worker
-processes.  Each process writes its own JSONL *shard*
-(:class:`TraceShardWriter` appends spans as they finish, so even a
-SIGKILLed process leaves its completed spans behind), and
-:func:`merge_traces` rebases every shard onto the shared wall clock
-(``epoch_unix``) and emits one Chrome trace in which worker and shard
-spans sit inside the server's ``supervise`` span — one trace id, one
-timeline (``repro trace merge``).
+the worker subprocess.  Each process writes its own JSONL *shard*
+(:meth:`SpanTracer.write_jsonl` under :meth:`TraceContext.shard_path`),
+and :func:`merge_traces` rebases every shard onto the shared wall clock
+(``epoch_unix``) and emits one Chrome trace in which the worker's spans
+sit inside the server's ``supervise`` span — one trace id, one timeline
+(``repro trace merge``).
 """
 
 from __future__ import annotations
@@ -358,8 +356,7 @@ class TraceContext:
     """The trace lineage one process hands to the processes it spawns.
 
     Travels by environment variables (:meth:`to_env` /
-    :meth:`from_env`): server → supervisor-launched worker → fork-pool
-    shard workers (fork children inherit the worker's environ).  The
+    :meth:`from_env`): server → supervisor-launched worker.  The
     context carries *identity only* — each process still records its
     own spans into its own shard file under ``trace_dir``.
     """
@@ -425,82 +422,6 @@ class TraceContext:
         }
 
 
-class TraceShardWriter:
-    """A tracer that streams each finished span straight to a JSONL shard.
-
-    Same ``span()`` interface as :class:`SpanTracer`, different
-    durability contract: pooled or supervised processes can be killed at
-    any moment, so spans hit the file (meta line first, then one line
-    per finished span, flushed) instead of accumulating in memory.  The
-    file format matches :meth:`SpanTracer.write_jsonl`, so
-    :func:`load_trace`, :func:`summarize`, and :func:`merge_traces` read
-    shards and in-memory exports interchangeably.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        metadata: Optional[Mapping[str, Any]] = None,
-    ):
-        self.path = Path(path)
-        self.epoch = perf_counter()
-        self.epoch_unix = time.time()
-        self.metadata: Dict[str, Any] = dict(metadata or {})
-        self._stack: List[str] = []
-        self._handle = None
-
-    def span(self, name: str, cat: str = "", **args: Any) -> _Span:
-        return _Span(self, name, cat, args)
-
-    @property
-    def current_span_name(self) -> str:
-        try:
-            return self._stack[-1]
-        except IndexError:
-            return ""
-
-    def _enter(self, name: str) -> int:
-        depth = len(self._stack)
-        self._stack.append(name)
-        return depth
-
-    def _exit(self, record: SpanRecord) -> None:
-        self._stack.pop()
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._handle = self.path.open("a")
-            if fresh:
-                self._handle.write(json.dumps(
-                    {
-                        "kind": "meta",
-                        "format": "repro-trace",
-                        "epoch_unix": self.epoch_unix,
-                        **self.metadata,
-                    }
-                ) + "\n")
-        self._handle.write(json.dumps({
-            "kind": "span",
-            "name": record.name,
-            "cat": record.cat,
-            "start": record.start,
-            "duration": record.duration,
-            "depth": record.depth,
-            "args": record.args,
-        }) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TraceShardWriter({str(self.path)!r})"
-
-
 def read_trace_shard(path: Union[str, Path]) -> Dict[str, Any]:
     """One JSONL shard as ``{"meta": {...}, "spans": [span-dicts]}``.
 
@@ -531,13 +452,13 @@ def merge_traces(paths: Iterable[Union[str, Path]]) -> Dict[str, Any]:
     """Stitch per-process JSONL shards into one Chrome trace payload.
 
     Every shard's spans are rebased from its own ``perf_counter`` epoch
-    onto the shared wall clock (``epoch_unix``, written by every shard
-    writer), so spans from different processes line up on one timeline:
-    the server's ``supervise`` span visibly contains the worker's
-    ``run``/``round`` spans, which contain the pool's ``shard-select``
-    spans.  Each source process becomes its own named thread of a
-    single merged process (``ph: "M"`` metadata events carry the
-    names), and the shared trace id lands in ``otherData``.
+    onto the shared wall clock (``epoch_unix``, written on every shard's
+    meta line), so spans from different processes line up on one
+    timeline: the server's ``supervise`` span visibly contains the
+    worker's ``run``/``round`` spans.  Each source process becomes its
+    own named thread of a single merged process (``ph: "M"`` metadata
+    events carry the names), and the shared trace id lands in
+    ``otherData``.
 
     Raises:
         ValueError: for no shards, a shard without a trace id, or

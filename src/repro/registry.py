@@ -12,10 +12,6 @@ replaces them with a single :class:`Registry`:
 
 Unknown names always raise a :class:`ValueError` that lists the valid
 names, so a typo in a config file or CLI flag is a one-glance fix.
-
-The legacy ``make_mechanism`` / ``make_selector`` functions survive as
-thin shims that emit a :class:`DeprecationWarning` and forward here;
-they will be removed one release after the ``repro.api`` facade landed.
 """
 
 from __future__ import annotations

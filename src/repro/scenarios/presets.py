@@ -67,7 +67,7 @@ POISSON_CHURN = ScenarioSpec(
         "Open-world churn at bench scale: users arrive as a Poisson "
         "stream and depart with a per-round hazard while tasks renew "
         "expiring deadlines — the reference scenario for the dynamics "
-        "bit-identity contract (scalar = batched = sharded = resumed)."
+        "bit-identity contract (scalar = batched = resumed)."
     ),
     config=dict(
         n_users=60,
@@ -214,8 +214,7 @@ CITY_1M = ScenarioSpec(
         "Million-user stress: 1M users / 5k tasks on a 100 km side, "
         "mostly-stationary commuters plus roaming couriers, Poisson "
         "arrivals, batched engine with the float32 distance pipeline "
-        "and streamed rounds (peak RSS stays flat in the round count; "
-        "add --engine-workers to shard the select phase)."
+        "and streamed rounds (peak RSS stays flat in the round count)."
     ),
     config=dict(
         n_users=1_000_000,

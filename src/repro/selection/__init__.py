@@ -37,7 +37,6 @@ from repro.selection.branch_and_bound import BranchAndBoundSelector
 from repro.selection.two_opt import GreedyTwoOptSelector, improve_order
 from repro.selection.watchdog import TimeBoundedSelector
 from repro.selection.registry import SELECTORS, SELECTOR_NAMES
-from repro.selection.factory import make_selector
 
 __all__ = [
     "CandidateTask",
@@ -53,7 +52,6 @@ __all__ = [
     "GreedyTwoOptSelector",
     "TimeBoundedSelector",
     "improve_order",
-    "make_selector",
     "SELECTORS",
     "SELECTOR_NAMES",
 ]

@@ -3,9 +3,7 @@
 Mirrors :mod:`repro.core.mechanisms.registry`; the CLI and experiment
 configs refer to selectors by these names.  The :data:`SELECTORS`
 registry is the blessed construction surface
-(``SELECTORS.create(name, **kwargs)`` / ``SELECTORS.available()``); the
-legacy :mod:`repro.selection.factory` module is a deprecated shim that
-re-exports these names.
+(``SELECTORS.create(name, **kwargs)`` / ``SELECTORS.available()``).
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ class TimeBoundedSelector(Selector):
 
     Args:
         inner: the guarded selector — an instance, or a registry name
-            resolved via :func:`~repro.selection.factory.make_selector`.
+            resolved via :data:`~repro.selection.registry.SELECTORS`.
         timeout: wall-clock deadline per ``select`` call, in seconds.
         fallback: the degradation solver (default: the paper's greedy);
             ``None`` disables degradation and turns breaches into errors.

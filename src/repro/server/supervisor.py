@@ -141,8 +141,8 @@ class WorkerSupervisor:
         The whole drive — every attempt, every backoff — runs inside
         one ``supervise`` span; the trace context (deterministic trace
         id, shard directory) rides the worker environment so the worker
-        and its selection-pool processes write shards into the same
-        trace (``repro trace merge`` stitches them).
+        writes its shard into the same trace (``repro trace merge``
+        stitches them).
         """
         deadline_at: Optional[float] = (
             self.clock() + job.timeout if job.timeout is not None else None

@@ -17,6 +17,7 @@ never disagree about what was admitted.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -131,9 +132,10 @@ def parse_submission(body: Any) -> ParsedSubmission:
             raise InvalidSubmission(
                 "timeout", f"timeout must be a number of seconds, got {timeout!r}"
             )
-        if timeout <= 0:
+        if not 0 < timeout < math.inf:  # also false for NaN
             raise InvalidSubmission(
-                "timeout", f"timeout must be positive seconds, got {timeout}"
+                "timeout",
+                f"timeout must be positive, finite seconds, got {timeout}",
             )
         timeout = float(timeout)
 

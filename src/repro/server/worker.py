@@ -266,8 +266,7 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
 
     # The supervisor hands down a trace context (trace id + shard dir)
     # via the environment; inside it the worker records its engine spans
-    # and leaves a shard next to the server's supervise span.  The
-    # sharded selection pool's fork children inherit the same variables.
+    # and leaves a shard next to the server's supervise span.
     trace_ctx = TraceContext.from_env(os.environ)
     tracer = None
     engine_kwargs = {"cancel": cancel}

@@ -70,10 +70,6 @@ here (see docs/architecture.md "Scaling"):
 - the per-chunk position/budget gathering — answered from persistent
   per-world arrays maintained in place as users move.
 
-With ``workers > 1`` the select phase fans out across a process pool
-over shared-memory arrays (:mod:`repro.simulation.shard`); results are
-bit-identical at every worker count.
-
 Memory stays bounded: distance chunks are sized by
 :attr:`BatchedSimulationEngine.chunk_bytes` (~16 MB per chunk in either
 dtype — the element count adapts to the dtype's width), and a chunk's
@@ -444,7 +440,7 @@ def solve_blocks(
 ) -> Iterator[Tuple[np.ndarray, List[Selection]]]:
     """Solve ``blocks`` in order; yield ``(indices, selections)`` each.
 
-    The one select loop of the batched engine and its shard workers.
+    The one select loop of the batched engine.
     ``cancel`` is polled before every block.  Each ``select_block`` call
     adds its wall time to ``perf.selector_wall_time`` and one
     ``latency`` observation; ``perf.selector_calls`` counts the block's
@@ -489,17 +485,7 @@ class BatchedSimulationEngine(SimulationEngine):
     - mechanisms exposing a ``batched`` flag price rounds through their
       vectorised Eq. 2–7 path, fed by an incremental neighbour counter
       (mechanisms exposing a ``neighbour_counter`` hook) instead of a
-      per-round grid rebuild,
-    - with ``workers > 1``, the select phase fans out across a process
-      pool over shared-memory arrays (see :mod:`repro.simulation.shard`);
-      per-user selections are merged back in world order, so the history
-      is identical at every worker count.
-
-    Args:
-        workers: select-phase worker processes (``None``/``0``/``1`` =
-            in-process).  Workers are an execution knob, not a config
-            field: they never change results, so they stay out of run
-            fingerprints.
+      per-round grid rebuild.
     """
 
     #: Per-chunk byte budget for the distance pipeline (the element
@@ -509,7 +495,7 @@ class BatchedSimulationEngine(SimulationEngine):
     #: Explicit element override; ``None`` derives from ``chunk_bytes``.
     chunk_elements: Optional[int] = None
 
-    def __init__(self, *args, workers: Optional[int] = None, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if hasattr(self.mechanism, "batched"):
             self.mechanism.batched = True
@@ -522,49 +508,6 @@ class BatchedSimulationEngine(SimulationEngine):
             t.task_id: i for i, t in enumerate(self.world.tasks)
         }
         self._neighbour_counter = self._build_neighbour_counter()
-        self._workers = int(workers) if workers else 1
-        self._shard_fallbacks = 0
-        self._shards = None
-        if self._workers > 1:
-            from repro.simulation.shard import ShardedSelectionPool
-
-            self._shards = ShardedSelectionPool(self, self._workers)
-
-    @property
-    def workers(self) -> int:
-        """Configured select-phase worker count (1 = in-process)."""
-        return self._workers
-
-    @property
-    def closed(self) -> bool:
-        """Whether the worker pool has been released (mid-run or after).
-
-        Single-process engines (``workers<=1``) hold no pool and always
-        read as closed; sessions use this to assert teardown."""
-        return self._shards is None
-
-    def close(self) -> None:
-        """Release the worker pool and its shared memory (if any).
-
-        Idempotent and safe mid-run: a :class:`~repro.simulation.
-        session.SimulationSession` closed before the horizon lands here,
-        and the shared-memory blocks must unlink exactly once."""
-        if self._shards is not None:
-            self._shards.close()
-            self._shards = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _drain_selector_fallbacks(self) -> int:
-        # Watchdog degradations that happened inside shard workers are
-        # reported back with each shard and accumulated here.
-        count = super()._drain_selector_fallbacks() + self._shard_fallbacks
-        self._shard_fallbacks = 0
-        return count
 
     def _build_user_arrays(self) -> None:
         """The persistent per-row position, budget and cost arrays."""
@@ -607,16 +550,14 @@ class BatchedSimulationEngine(SimulationEngine):
     # -- open-world churn ------------------------------------------------
 
     def _apply_dynamics(self, changes) -> None:
-        """The scalar world mutation, plus array/counter/shard upkeep.
+        """The scalar world mutation, plus array and counter upkeep.
 
         Population changes invalidate every user-aligned array (rows
         shift when users leave), so positions/budgets/costs/row maps are
         rebuilt and the incremental neighbour counter gets a forced
         full rebuild over the new population (which also re-primes
         every task, including any published this round).  A task-only
-        change keeps the counter and just primes the new centers.  With
-        a sharded pool, the shared-memory blocks are re-published under
-        a new generation so workers re-attach on their next job.
+        change keeps the counter and just primes the new centers.
         """
         super()._apply_dynamics(changes)
         rebuilt_counter = False
@@ -633,8 +574,6 @@ class BatchedSimulationEngine(SimulationEngine):
                 self._neighbour_counter.prime(
                     [t.location for t in changes.tasks]
                 )
-        if self._shards is not None:
-            self._shards.refresh()
 
     def _apply_moves(self, movers, selections, tasks_by_id) -> None:
         """The scalar move pass, plus position-array and counter upkeep.
@@ -734,8 +673,6 @@ class BatchedSimulationEngine(SimulationEngine):
         prices: Dict[int, float],
         participating: np.ndarray,
     ) -> List[Selection]:
-        if self._shards is not None:
-            return self._shards.collect(active, prices, participating)
         problems = self._round_problems(active, prices)
         users = self.world.users
         selections = [Selection.empty()] * len(users)

@@ -588,7 +588,7 @@ class SimulationEngine:
 
         Called by the :class:`~repro.dynamics.stream.WorldTimeline`
         before the round plays.  The batched engine extends this to
-        rebuild its persistent arrays, neighbour counter, and shards.
+        rebuild its persistent arrays and neighbour counter.
         """
         if changes.departures:
             departed = set(changes.departures)
@@ -850,14 +850,6 @@ def make_engine(config: SimulationConfig, **engine_kwargs) -> SimulationEngine:
         from repro.simulation.batch import BatchedSimulationEngine
 
         return BatchedSimulationEngine(config, **engine_kwargs)
-    if engine_kwargs.get("workers", None) not in (None, 0, 1):
-        from repro.resilience.errors import ConfigError
-
-        raise ConfigError(
-            f"workers={engine_kwargs['workers']} requires engine='batched' "
-            f"(the scalar reference engine has no sharded select phase)"
-        )
-    engine_kwargs.pop("workers", None)
     return SimulationEngine(config, **engine_kwargs)
 
 

@@ -12,8 +12,8 @@ the round loop to the caller::
 
 Stepping with no actions replays :meth:`SimulationEngine.run_rounds`
 verbatim — the histories are bit-identical to ``simulate()`` (the
-session tests pin this at :class:`RoundRecord` level across the scalar,
-batched, and sharded engines).  Passing an *incentive action* to
+session tests pin this at :class:`RoundRecord` level on both the scalar
+and the batched engine).  Passing an *incentive action* to
 :meth:`SimulationSession.step` mutates the mechanism's knobs (AHP
 weights, the Eq. 7 ladder step :math:`\\lambda`, the level partition)
 before the round is priced, which is the substrate the
@@ -21,8 +21,8 @@ before the round is priced, which is the substrate the
 
 The session is a thin orchestration shell: all simulation state lives in
 the engine; the session adds the action boundary, read-only
-observations, and lifecycle (``close()`` releases sharded engines'
-shared memory and is safe to call mid-run).
+observations, and lifecycle (``close()`` is idempotent and safe to call
+mid-run; stepping a closed session raises).
 """
 
 from __future__ import annotations
@@ -84,31 +84,26 @@ class SimulationSession:
 
     Args:
         config: the full parameterisation (engine choice included).
-        workers: shard count for the batched engine (forwarded to
-            :func:`~repro.simulation.engine.make_engine`).
         observers: round observers, exactly as :class:`SimulationEngine`
             takes them (e.g. the events-JSONL
             :class:`~repro.io.events.RoundStreamWriter`).
         tracer: optional span tracer, forwarded to the engine.
         cancel: optional cancellation token, forwarded to the engine.
 
-    The session owns its engine: :meth:`close` tears it down (releasing
-    shared-memory shards for ``workers>=2`` engines) and is idempotent;
-    the class is also a context manager.
+    The session owns its engine: :meth:`close` ends it (stepping
+    afterwards raises) and is idempotent; the class is also a context
+    manager.
     """
 
     def __init__(
         self,
         config: SimulationConfig,
         *,
-        workers: Optional[int] = None,
         observers: Sequence[RoundObserver] = (),
         tracer=None,
         cancel=None,
     ):
         kwargs = {"observers": observers}
-        if workers is not None:
-            kwargs["workers"] = workers
         if tracer is not None:
             kwargs["tracer"] = tracer
         if cancel is not None:
@@ -137,17 +132,9 @@ class SimulationSession:
         return self.engine.current_round
 
     def close(self) -> None:
-        """Release engine resources (idempotent, safe mid-run).
-
-        For sharded engines this unlinks the shared-memory blocks and
-        joins the worker processes; stepping afterwards raises.
-        """
-        if self._closed:
-            return
+        """End the session (idempotent, safe mid-run); stepping
+        afterwards raises."""
         self._closed = True
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
 
     def __enter__(self) -> "SimulationSession":
         return self
@@ -263,7 +250,6 @@ class SimulationSession:
 def open_session(
     config: SimulationConfig,
     *,
-    workers: Optional[int] = None,
     observers: Sequence[RoundObserver] = (),
     tracer=None,
     cancel=None,
@@ -277,7 +263,6 @@ def open_session(
     """
     return SimulationSession(
         config,
-        workers=workers,
         observers=observers,
         tracer=tracer,
         cancel=cancel,

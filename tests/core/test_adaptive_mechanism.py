@@ -107,6 +107,6 @@ class TestEndToEnd:
         assert np.mean(paid_adaptive) >= np.mean(paid_static) - 1e-9
 
     def test_registered_in_factory(self):
-        from repro.core.mechanisms import make_mechanism
+        from repro.core.mechanisms import MECHANISMS
 
-        assert make_mechanism("adaptive").name == "adaptive"
+        assert MECHANISMS.create("adaptive").name == "adaptive"

@@ -10,9 +10,8 @@ from repro.core.mechanisms import (
     ProportionalDemandMechanism,
     RoundView,
     SteeredMechanism,
-    make_mechanism,
 )
-from repro.core.mechanisms.factory import MECHANISM_NAMES
+from repro.core.mechanisms.registry import MECHANISM_NAMES, MECHANISMS
 from repro.world.generator import World
 from tests.conftest import make_task, make_user
 
@@ -217,15 +216,15 @@ class TestProportional:
 class TestFactory:
     def test_all_registered_names_build(self):
         for name in MECHANISM_NAMES:
-            assert make_mechanism(name).name == name
+            assert MECHANISMS.create(name).name == name
 
     def test_kwargs_forwarded(self):
-        mechanism = make_mechanism("steered", decay=0.4)
+        mechanism = MECHANISMS.create("steered", decay=0.4)
         assert mechanism.decay == 0.4
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="on-demand"):
-            make_mechanism("generous")
+            MECHANISMS.create("generous")
 
 
 class TestContractValidation:

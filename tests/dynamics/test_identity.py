@@ -5,11 +5,10 @@ Two invariants from docs/architecture.md are pinned here:
 1. An *empty* dynamics block is inert: a run configured with all-zero
    churn rates is bit-identical (canonical round payloads — everything
    but wall-clock timings) to the same run with no dynamics block at
-   all, on the scalar engine, the batched engine, and the 2-worker
-   sharded path.
+   all, on both the scalar and the batched engine.
 2. A *churning* run is an execution-independent function of (config,
-   seed): scalar vs batched, 1 vs 2 workers, and interrupted-then-
-   resumed vs uninterrupted all replay the same history.
+   seed): scalar vs batched and interrupted-then-resumed vs
+   uninterrupted both replay the same history.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.io.events import _round_payload
 from repro.scenarios import get_preset
 from repro.server.worker import ResumingRoundWriter, canonical_round
 from repro.simulation import SimulationConfig, make_engine
-from repro.simulation.batch import BatchedSimulationEngine
 
 ZERO_DYNAMICS = {
     "user_arrival_rate": 0.0,
@@ -79,14 +77,6 @@ def semantic_rounds(result):
     ]
 
 
-def run_sharded(config, workers):
-    engine = BatchedSimulationEngine(config, workers=workers)
-    try:
-        return engine.run()
-    finally:
-        engine.close()
-
-
 class TestEmptyDynamicsIsInert:
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_zero_rates_match_no_block(self, engine):
@@ -94,15 +84,6 @@ class TestEmptyDynamicsIsInert:
         zeroed = make_engine(
             closed_config(engine=engine, dynamics=dict(ZERO_DYNAMICS))
         ).run()
-        assert canonical_rounds(zeroed) == canonical_rounds(closed)
-
-    def test_zero_rates_match_no_block_sharded(self):
-        config = closed_config(engine="batched")
-        closed = run_sharded(config, workers=2)
-        zeroed = run_sharded(
-            closed_config(engine="batched", dynamics=dict(ZERO_DYNAMICS)),
-            workers=2,
-        )
         assert canonical_rounds(zeroed) == canonical_rounds(closed)
 
     def test_closed_world_payloads_have_no_dynamics_key(self):
@@ -119,13 +100,6 @@ class TestChurnIsExecutionIndependent:
         semantic = semantic_rounds(scalar)
         assert any(r[-1] for r in semantic), "churn must produce events"
         assert semantic_rounds(batched) == semantic
-
-    @pytest.mark.parametrize("workers", [2])
-    def test_worker_count_does_not_change_history(self, workers):
-        config = churn_config()
-        baseline = BatchedSimulationEngine(config).run()
-        sharded = run_sharded(config, workers=workers)
-        assert canonical_rounds(sharded) == canonical_rounds(baseline)
 
     def test_different_seeds_differ(self):
         a = make_engine(churn_config(seed=1)).run()

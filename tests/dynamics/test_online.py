@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.levels import DemandLevels
-from repro.core.mechanisms.factory import MECHANISM_NAMES, MECHANISMS
+from repro.core.mechanisms import MECHANISM_NAMES, MECHANISMS
 from repro.dynamics.online import (
     IncentMeMechanism,
     OMGOnlineMechanism,

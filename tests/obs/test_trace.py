@@ -12,7 +12,6 @@ from repro.obs.trace import (
     TRACE_PARENT_ENV,
     TRACE_PROCESS_ENV,
     TraceContext,
-    TraceShardWriter,
     load_trace,
     merge_traces,
     read_trace_shard,
@@ -141,57 +140,7 @@ class TestTraceContext:
         assert ctx.shard_path("custom").name == "custom.trace.jsonl"
 
 
-class TestTraceShardWriter:
-    def _shard(self, tmp_path, process="server", trace_id="t1"):
-        ctx = TraceContext(trace_id, str(tmp_path), process=process)
-        writer = TraceShardWriter(ctx.shard_path(), metadata=ctx.metadata())
-        return ctx, writer
-
-    def test_spans_stream_to_disk_immediately(self, tmp_path):
-        _, writer = self._shard(tmp_path)
-        with writer.span("supervise", cat="server", job="j1"):
-            pass
-        # Before close(): the span must already be durable (SIGKILL-safe).
-        loaded = read_trace_shard(writer.path)
-        assert loaded["meta"]["trace_id"] == "t1"
-        assert [s["name"] for s in loaded["spans"]] == ["supervise"]
-        writer.close()
-
-    def test_shards_are_load_trace_compatible(self, tmp_path):
-        _, writer = self._shard(tmp_path)
-        with writer.span("run"):
-            with writer.span("round", round=1):
-                pass
-        writer.close()
-        loaded = load_trace(writer.path)
-        assert sorted(name for name, _ in loaded["spans"]) == ["round", "run"]
-        rows = {row.name: row for row in summarize(writer.path)}
-        assert rows["round"].count == 1
-
-    def test_tracks_nesting_like_the_span_tracer(self, tmp_path):
-        _, writer = self._shard(tmp_path)
-        assert writer.current_span_name == ""
-        with writer.span("outer"):
-            assert writer.current_span_name == "outer"
-            with writer.span("inner"):
-                assert writer.current_span_name == "inner"
-        writer.close()
-        spans = read_trace_shard(writer.path)["spans"]
-        depths = {s["name"]: s["depth"] for s in spans}
-        assert depths == {"outer": 0, "inner": 1}
-
-    def test_reopening_appends_instead_of_rewriting_meta(self, tmp_path):
-        ctx, writer = self._shard(tmp_path)
-        with writer.span("first"):
-            pass
-        writer.close()
-        again = TraceShardWriter(ctx.shard_path(), metadata=ctx.metadata())
-        with again.span("second"):
-            pass
-        again.close()
-        loaded = read_trace_shard(ctx.shard_path())
-        assert [s["name"] for s in loaded["spans"]] == ["first", "second"]
-
+class TestReadTraceShard:
     def test_empty_shard_rejected_by_reader(self, tmp_path):
         path = tmp_path / "x.trace.jsonl"
         path.write_text("")

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.core.mechanisms import make_mechanism
+from repro.core.mechanisms import MECHANISMS
 from repro.io.results import load_result, save_result
 from repro.resilience.errors import MechanismPriceError, TransientIOError
 from repro.resilience.faults import (
@@ -72,7 +72,7 @@ class TestFaultyMechanism:
         return fast_config.with_overrides(mechanism="fixed")
 
     def _engine(self, config, plan):
-        inner = make_mechanism("fixed", **config.mechanism_arguments())
+        inner = MECHANISMS.create("fixed", **config.mechanism_arguments())
         return SimulationEngine(
             config, mechanism=FaultyMechanism(inner, plan)
         )

@@ -8,12 +8,12 @@ import pytest
 from repro.geometry.point import Point
 from repro.resilience.errors import ConfigError, SelectorTimeout
 from repro.selection import (
+    SELECTORS,
     CandidateTask,
     DynamicProgrammingSelector,
     GreedySelector,
     TaskSelectionProblem,
     TimeBoundedSelector,
-    make_selector,
 )
 
 
@@ -149,6 +149,6 @@ class TestConstruction:
             TimeBoundedSelector(GreedySelector(), timeout=-1.0)
 
     def test_factory_builds_it(self, problem):
-        guarded = make_selector("time-bounded", inner="greedy", timeout=2.0)
+        guarded = SELECTORS.create("time-bounded", inner="greedy", timeout=2.0)
         assert isinstance(guarded, TimeBoundedSelector)
         assert guarded.select(problem) == GreedySelector().select(problem)

@@ -38,6 +38,8 @@ class TestShapeValidation:
         assert reject({"timeout": "soon"}).field == "timeout"
         assert reject({"timeout": -3}).field == "timeout"
         assert reject({"timeout": 0}).field == "timeout"
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            assert reject({"timeout": bad}).field == "timeout"
 
     def test_overrides_must_be_mapping(self):
         assert reject({"overrides": ["seed", 7]}).field == "overrides"

@@ -3,8 +3,7 @@
 The batched engine hands each equal-k problem block to the selector in
 one ``select_block`` call.  Its counters keep their per-instance
 meaning (one selector call per user with a candidate, one problem-cache
-hit per participant) on the in-process path and in shard workers alike,
-and cancellation is polled before every block.
+hit per participant), and cancellation is polled before every block.
 """
 
 import numpy as np
@@ -28,9 +27,8 @@ def small_city(**overrides):
 
 
 class TestCounters:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_calls_count_users_with_a_candidate(self, workers):
-        engine = BatchedSimulationEngine(small_city(), workers=workers)
+    def test_calls_count_users_with_a_candidate(self):
+        engine = BatchedSimulationEngine(small_city())
         masks = []
         draw = engine._participation_mask
 
@@ -39,27 +37,24 @@ class TestCounters:
             return masks[-1]
 
         engine._participation_mask = capture
-        try:
-            while not engine.finished:
-                # Candidates counted independently, on the scalar path.
-                scalar = RoundProblems(
-                    engine.published_tasks(), engine.published_rewards()
-                )
-                has_candidate = np.array(
-                    [scalar.problem_for(u).size > 0 for u in engine.world.users]
-                )
-                record = engine.step()
-                participants = masks[-1]
-                assert participants.sum() < len(participants)
-                assert record.perf.problem_cache_hits == participants.sum()
-                assert record.perf.selector_calls == (
-                    has_candidate & participants
-                ).sum()
-                # The latency histogram holds one value per block.
-                blocks = record.metrics.histogram("selector_seconds").count
-                assert 0 < blocks < record.perf.selector_calls
-        finally:
-            engine.close()
+        while not engine.finished:
+            # Candidates counted independently, on the scalar path.
+            scalar = RoundProblems(
+                engine.published_tasks(), engine.published_rewards()
+            )
+            has_candidate = np.array(
+                [scalar.problem_for(u).size > 0 for u in engine.world.users]
+            )
+            record = engine.step()
+            participants = masks[-1]
+            assert participants.sum() < len(participants)
+            assert record.perf.problem_cache_hits == participants.sum()
+            assert record.perf.selector_calls == (
+                has_candidate & participants
+            ).sum()
+            # The latency histogram holds one value per block.
+            blocks = record.metrics.histogram("selector_seconds").count
+            assert 0 < blocks < record.perf.selector_calls
 
 
 class TestCancellation:
@@ -82,8 +77,6 @@ class TestCancellation:
         assert excinfo.value.reason == "stop mid-round"
         assert len(blocks) == 1
         assert not engine.result.rounds
-        engine.close()
-        assert engine.closed
 
 
 class TestBlocks:

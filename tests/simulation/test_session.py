@@ -2,10 +2,9 @@
 
 The tentpole guarantee: a session stepped with no actions replays
 ``simulate()`` bit-identically — RoundRecord by RoundRecord — on every
-preset through ``city-2k`` and on every engine (scalar, batched,
-sharded).  Plus the session-only semantics: observe is pure, actions
-invalidate the price cache, close is idempotent and releases shared
-memory mid-run.
+preset through ``city-2k`` and on both engines (scalar, batched).  Plus
+the session-only semantics: observe is pure, actions invalidate the
+price cache, close is idempotent and blocks further stepping.
 """
 
 import pytest
@@ -20,7 +19,7 @@ from repro.simulation import (
 )
 from repro.simulation.session import SessionObservation
 
-#: Downsized overrides per preset: small enough that 3 engine modes x
+#: Downsized overrides per preset: small enough that 2 engine modes x
 #: (reference + session) stay test-suite fast, unchanged in structure
 #: (dynamics blocks, populations, arrival policies all intact).
 PRESET_OVERRIDES = {
@@ -32,7 +31,7 @@ PRESET_OVERRIDES = {
     "city-2k": dict(n_users=80, n_tasks=12, rounds=4),
 }
 
-ENGINE_MODES = ("scalar", "batched", "sharded")
+ENGINE_MODES = ("scalar", "batched")
 
 
 def _config(preset: str, mode: str) -> SimulationConfig:
@@ -45,24 +44,11 @@ def _config(preset: str, mode: str) -> SimulationConfig:
     return api.build_config(scenario=preset, **overrides)
 
 
-def _workers(mode):
-    return 2 if mode == "sharded" else None
-
-
-def _reference_records(config, workers):
+def _reference_records(config):
     """The engine's own history, captured via the observer hook (works
     for streaming presets, whose results drop per-round records)."""
     captured = []
-    engine = make_engine(
-        config, observers=[captured.append],
-        **({} if workers is None else {"workers": workers}),
-    )
-    try:
-        result = engine.run()
-    finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+    result = make_engine(config, observers=[captured.append]).run()
     return captured, result
 
 
@@ -71,10 +57,9 @@ class TestBitIdentity:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_session_replays_simulate(self, preset, mode):
         config = _config(preset, mode)
-        workers = _workers(mode)
-        reference, ref_result = _reference_records(config, workers)
+        reference, ref_result = _reference_records(config)
         stepped = []
-        with open_session(config, workers=workers) as session:
+        with open_session(config) as session:
             while not session.finished:
                 session.observe()  # must never perturb the replay
                 stepped.append(session.step())
@@ -86,7 +71,7 @@ class TestBitIdentity:
 
     def test_run_without_actions_equals_engine_run(self):
         config = _config("paper-2018", "scalar")
-        _, ref_result = _reference_records(config, None)
+        _, ref_result = _reference_records(config)
         with open_session(config) as session:
             result = session.run()
         assert result_fingerprint(result) == result_fingerprint(ref_result)
@@ -143,7 +128,7 @@ class TestActions:
 
     def test_noop_action_keeps_identity(self):
         config = _config("paper-2018", "scalar")
-        _, ref_result = _reference_records(config, None)
+        _, ref_result = _reference_records(config)
         with open_session(config) as session:
             while not session.finished:
                 session.step({})  # empty mapping: nothing applied
@@ -215,8 +200,9 @@ class TestActions:
 
 
 class TestLifecycle:
-    def test_close_is_idempotent_and_blocks_stepping(self):
-        config = _config("paper-2018", "scalar")
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_close_is_idempotent_and_blocks_stepping(self, mode):
+        config = _config("paper-2018", mode)
         session = open_session(config)
         session.step()
         session.close()
@@ -226,19 +212,6 @@ class TestLifecycle:
             session.step()
         with pytest.raises(RuntimeError, match="closed"):
             session.observe()
-
-    def test_mid_session_close_releases_shared_memory(self):
-        config = _config("city-2k", "sharded")
-        session = open_session(config, workers=2)
-        try:
-            assert session.engine.workers == 2
-            assert not session.engine.closed  # the pool is live
-            session.step()  # genuinely mid-run
-            assert not session.finished
-        finally:
-            session.close()
-        assert session.engine.closed
-        assert session.engine._shards is None
 
     def test_step_after_finish_raises(self):
         config = _config("paper-2018", "scalar")

@@ -216,14 +216,13 @@ class TestTrace:
 
 class TestTraceMerge:
     def _shard(self, directory, process, trace_id="cafe0123deadbeef"):
-        from repro.obs.trace import TraceContext, TraceShardWriter
+        from repro.obs.trace import SpanTracer, TraceContext
 
         ctx = TraceContext(trace_id, str(directory), process=process)
-        writer = TraceShardWriter(ctx.shard_path(), metadata=ctx.metadata())
-        with writer.span("work", cat="test"):
+        tracer = SpanTracer(metadata=ctx.metadata())
+        with tracer.span("work", cat="test"):
             pass
-        writer.close()
-        return ctx.shard_path()
+        return tracer.write_jsonl(ctx.shard_path())
 
     def test_merges_a_directory_of_shards(self, capsys, tmp_path):
         self._shard(tmp_path, "server")

@@ -15,12 +15,12 @@ EXPECTED_EXPORTS = {
     "MetricsSummary",
     # core
     "OnDemandMechanism", "FixedMechanism", "SteeredMechanism",
-    "ProportionalDemandMechanism", "make_mechanism",
+    "ProportionalDemandMechanism", "create_mechanism",
     "PairwiseComparisonMatrix", "DemandWeights", "DemandCalculator",
     "DemandLevels", "RewardSchedule",
     # selection
     "DynamicProgrammingSelector", "GreedySelector", "GreedyTwoOptSelector",
-    "BruteForceSelector", "make_selector",
+    "BruteForceSelector", "create_selector",
     # world / geometry
     "World", "WorldGenerator", "SensingTask", "MobileUser",
     "Point", "RectRegion",

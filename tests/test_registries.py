@@ -1,23 +1,23 @@
-"""The unified factory registries and their deprecated shims.
+"""The unified component registries.
 
 Mechanisms and selectors construct through one :class:`repro.registry.
-Registry` surface; the old ``make_mechanism``/``make_selector`` helpers
-must keep working — same objects, same error messages — but warn.
+Registry` surface: by name, with kwargs forwarded, and an unknown name
+raises an error listing the valid ones.
 """
 
 import pytest
 
-from repro.core.mechanisms import MECHANISMS, make_mechanism
+from repro.core.mechanisms import MECHANISMS
 from repro.core.mechanisms.base import IncentiveMechanism
 from repro.registry import Registry
-from repro.selection import SELECTORS, make_selector
+from repro.selection import SELECTORS
 from repro.selection.base import Selector
 
 
 class TestRegistrySurface:
     def test_selector_names_available(self):
         names = SELECTORS.available()
-        for name in ("dp", "greedy", "brute-force"):
+        for name in ("dp", "branch-and-bound", "greedy", "brute-force"):
             assert name in names
 
     def test_mechanism_names_available(self):
@@ -83,34 +83,3 @@ class TestFacadeRoundTrip:
             assert isinstance(selector, Selector), name
             assert selector.name == name
             assert SELECTORS.get(name) is type(selector)
-
-    def test_factory_modules_are_shims_over_the_registries(self):
-        """The deprecated factory modules re-export the same objects."""
-        from repro.core.mechanisms import factory as mechanism_factory
-        from repro.selection import factory as selector_factory
-
-        assert mechanism_factory.MECHANISMS is MECHANISMS
-        assert selector_factory.SELECTORS is SELECTORS
-        assert mechanism_factory.__all__ == [
-            "MECHANISMS", "MECHANISM_NAMES", "make_mechanism"
-        ]
-        assert selector_factory.__all__ == [
-            "SELECTORS", "SELECTOR_NAMES", "make_selector"
-        ]
-
-
-class TestDeprecatedShims:
-    def test_make_selector_warns_but_works(self):
-        with pytest.deprecated_call(match="SELECTORS.create"):
-            selector = make_selector("greedy")
-        assert isinstance(selector, Selector)
-
-    def test_make_mechanism_warns_but_works(self):
-        with pytest.deprecated_call(match="MECHANISMS.create"):
-            mechanism = make_mechanism("fixed")
-        assert isinstance(mechanism, IncentiveMechanism)
-
-    def test_shim_and_registry_agree_on_errors(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError, match="greedy"):
-                make_selector("oracle")

@@ -1,21 +1,19 @@
-"""Performance smoke benches: selector DP and the batched engine path.
+"""Performance smoke benches: selector DP and the engine's round loop.
 
-Two benches, both appending to the ``BENCH_selectors.json`` perf
-trajectory at the repo root so regressions are visible in review diffs:
+Each bench appends to the ``BENCH_selectors.json`` perf trajectory at
+the repo root so regressions are visible in review diffs, among them:
 
 - ``--bench selector`` (default): the vectorized DP vs the scalar
   reference DP on instances drawn from the paper's Section VI setup.
-- ``--bench engine``: round throughput of the batched engine vs the
-  scalar engine on a large sparse world (10k users at full scale),
-  sanity-checking that both histories agree before timing means
-  anything.
+- ``--bench engine``: the engine's round throughput on a large sparse
+  world (10k users at full scale).
 
 Usage::
 
     python benchmarks/perf_smoke.py                 # full scale, repo-root json
     python benchmarks/perf_smoke.py --scale tiny    # CI smoke: seconds, no gate
     python benchmarks/perf_smoke.py --min-speedup 3 # fail below 3x
-    python benchmarks/perf_smoke.py --bench engine --min-speedup 5
+    python benchmarks/perf_smoke.py --bench engine --scale tiny
     python benchmarks/perf_smoke.py --obs-store .repro-obs  # + run store
 
 A provenance manifest is written next to the trajectory file, and
@@ -129,15 +127,15 @@ def _peak_rss_mb(profiler) -> float:
 
 
 def run_engine(n_users, n_tasks, rounds, area_side, budget, seed):
-    """Round throughput of the scalar vs batched engine on one shared world.
+    """The engine's round throughput on one sparse city-scale world.
 
-    Peak RSS over the whole bench is sampled on a background thread and
-    recorded alongside the throughput numbers.
+    Peak RSS over the run is sampled on a background thread and
+    recorded alongside the throughput.
     """
     from repro.obs.profiler import ResourceProfiler
     from repro.simulation import SimulationConfig, make_engine
 
-    base = SimulationConfig(
+    config = SimulationConfig(
         n_users=n_users,
         n_tasks=n_tasks,
         rounds=rounds,
@@ -152,26 +150,13 @@ def run_engine(n_users, n_tasks, rounds, area_side, budget, seed):
     )
     profiler = ResourceProfiler(interval=0.05).start()
     try:
-        timings, results = {}, {}
-        for label in ("scalar", "batched"):
-            engine = make_engine(base.with_overrides(engine=label))
-            started = time.perf_counter()
-            results[label] = engine.run()
-            timings[label] = time.perf_counter() - started
+        engine = make_engine(config)
+        started = time.perf_counter()
+        result = engine.run()
+        wall = time.perf_counter() - started
     finally:
         profiler.stop()
-    scalar, batched = results["scalar"], results["batched"]
-    # Throughput only counts if both engines played the same campaign.
-    for label, result in results.items():
-        assert scalar.total_measurements == result.total_measurements, (
-            f"engines disagree on measurements: scalar "
-            f"{scalar.total_measurements} vs {label} {result.total_measurements}"
-        )
-        assert abs(scalar.total_paid - result.total_paid) < 1e-9, (
-            f"engines disagree on payout: scalar {scalar.total_paid} "
-            f"vs {label} {result.total_paid}"
-        )
-    entry = {
+    return {
         "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -180,13 +165,10 @@ def run_engine(n_users, n_tasks, rounds, area_side, budget, seed):
         "n_tasks": n_tasks,
         "rounds": rounds,
         "seed": seed,
-        "scalar_rounds_per_second": rounds / timings["scalar"],
-        "batched_rounds_per_second": rounds / timings["batched"],
-        "engine_speedup": timings["scalar"] / timings["batched"],
+        "rounds_per_second": result.rounds_played / wall,
         "peak_rss_mb": _peak_rss_mb(profiler),
-        "total_measurements": scalar.total_measurements,
+        "total_measurements": result.total_measurements,
     }
-    return entry
 
 
 def run_scenario(scenario, seed=None):
@@ -236,7 +218,7 @@ def run_scenario(scenario, seed=None):
 def run_dynamics(scenario="task-stream-2k", seed=None, scale="full"):
     """Churn-on vs churn-off throughput of one open-world preset.
 
-    Runs the named preset twice through the batched engine — once as
+    Runs the named preset twice — once as
     configured (dynamics on) and once with an emptied dynamics block
     (the closed-world control) — and reports both throughputs plus
     ``dynamics_overhead``, the *per-round* wall-time ratio
@@ -332,7 +314,6 @@ def run_obs(scale="tiny", seed=0):
         selector="greedy",
         mechanism="on-demand",
         stream_rounds=True,
-        engine="batched",
         seed=seed,
     )
     # One untimed run of the same config first, so both timed runs are
@@ -421,7 +402,6 @@ def run_env(scale="tiny", seed=0):
         selector="greedy",
         mechanism="on-demand",
         stream_rounds=True,
-        engine="batched",
         seed=seed,
     )
     # Warm up on the same config: timing the first simulate() cold used
@@ -480,7 +460,8 @@ def main(argv=None):
                                  "obs", "env"),
                         default="selector",
                         help="selector = DP microbench (default); "
-                             "engine = scalar vs batched round throughput; "
+                             "engine = round throughput on a sparse "
+                             "city-scale world; "
                              "scenario = one named preset end to end "
                              "(wall/rounds-per-second/peak-RSS); "
                              "dynamics = churn-on vs churn-off throughput "
@@ -554,14 +535,13 @@ def main(argv=None):
         )
 
     if args.bench == "engine":
-        speedup = entry["engine_speedup"]
+        speedup = None
         print(
             f"{entry['n_users']} users x {entry['n_tasks']} tasks x "
             f"{entry['rounds']} rounds: "
-            f"scalar {entry['scalar_rounds_per_second']:.2f} rounds/s, "
-            f"batched {entry['batched_rounds_per_second']:.2f} rounds/s"
-            f" -> {speedup:.1f}x "
-            f"(peak RSS {entry['peak_rss_mb']:.0f} MiB)"
+            f"{entry['rounds_per_second']:.2f} rounds/s "
+            f"(peak RSS {entry['peak_rss_mb']:.0f} MiB, "
+            f"{entry['total_measurements']} measurements)"
         )
     elif args.bench == "scenario":
         speedup = None
@@ -616,8 +596,8 @@ def main(argv=None):
     print(f"recorded in {out}")
     if args.min_speedup is not None and speedup is None:
         print(
-            "NOTE: --min-speedup has no meaning for --bench scenario "
-            "(no reference engine is timed); ignoring",
+            f"NOTE: --min-speedup has no meaning for --bench {args.bench} "
+            "(no reference is timed); ignoring",
             file=sys.stderr,
         )
         return 0

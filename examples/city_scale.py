@@ -1,7 +1,7 @@
-"""City-scale sensing with scenarios: the batched engine at work.
+"""City-scale sensing with scenarios: the array-backed engine at work.
 
 Loads the ``city-2k`` preset (2 000 users, 200 Poisson-arriving tasks,
-batched engine, streamed rounds), runs it while streaming the full round
+float32 distance pipeline, streamed rounds), runs it while streaming the full round
 history to an events JSONL — memory stays bounded no matter the run
 length — and prints the final metrics plus a replay check.  Swap the
 scenario name for ``city-50k`` for the full-size stress run, or point it
@@ -29,7 +29,7 @@ def main(scenario_name: str = "city-2k") -> None:
     config = spec.to_config(seed=7)
     print(f"{spec.name}: {spec.description}\n")
     print(f"{config.n_users} users, {config.n_tasks} tasks, "
-          f"{config.rounds} rounds, engine={config.engine}, "
+          f"{config.rounds} rounds, distances={config.distance_dtype}, "
           f"streaming={config.stream_rounds}\n")
 
     events_path = Path(tempfile.mkdtemp()) / f"{spec.name}-events.jsonl"

@@ -4,6 +4,13 @@ Each case is a scenario plus config overrides.  Its entry records the
 run's :func:`~repro.simulation.events.result_fingerprint` and one chained
 digest over every round's :func:`~repro.simulation.events.round_fingerprint`
 (observed live, so streamed presets are pinned round by round too).
+Two kinds of case pin paths a plain run does not take:
+
+- ``"coordinator": "greedy-server"`` runs the Server-Assigned-Tasks mode
+  under :class:`~repro.allocation.greedy_server.GreedyServerCoordinator`;
+- ``"snapshot": "fig5"`` plays round 1, then records one ``profits``
+  digest of the DP and greedy profit of every user's round-2 instance
+  from ``engine.build_problems()`` (the Fig. 5 paired comparison).
 ``tests/integration/test_golden_history.py`` replays every case and
 compares, which pins the engine's history to itself rather than to a
 second implementation that could share a bug.
@@ -27,6 +34,8 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro import api
+from repro.allocation.greedy_server import GreedyServerCoordinator
+from repro.selection import SELECTORS
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "fingerprints.json"
 
@@ -76,9 +85,25 @@ def cases() -> List[Dict]:
     out.append({"scenario": "poisson-churn",
                 "overrides": dict(WANDERING_CHURN, seed=0, engine="scalar",
                                   distance_dtype="float64")})
+    for seed in SEEDS:
+        out.append({"scenario": "paper-2018", "overrides": {"seed": seed},
+                    "coordinator": "greedy-server"})
+    for seed in SEEDS:
+        out.append({"scenario": "paper-2018", "overrides": {"seed": seed},
+                    "snapshot": "fig5"})
     for case in out:
         case["id"] = case_id(case["scenario"], case["overrides"])
+        for kind in CASE_KINDS:
+            if kind in case:
+                case["id"] += f",{kind}={case[kind]}"
     return out
+
+
+#: Optional case keys that select a non-default way of running a case.
+CASE_KINDS = ("coordinator", "snapshot")
+
+#: The round the Fig. 5 snapshot freezes (the paper's "sensing round 2").
+SNAPSHOT_ROUND = 2
 
 
 def case_id(scenario: str, overrides: Dict) -> str:
@@ -96,25 +121,50 @@ def case_id(scenario: str, overrides: Dict) -> str:
     return ",".join(parts)
 
 
-def fingerprints(scenario: str, overrides: Dict) -> Dict[str, str]:
-    """Run one case; return its result and chained round digests."""
-    config = api.build_config(scenario, **overrides)
+def fingerprints(case: Dict) -> Dict[str, str]:
+    """Run one case; return its digests (the entry's recorded fields)."""
+    config = api.build_config(case["scenario"], **case["overrides"])
+    if case.get("snapshot") == "fig5":
+        return {"profits": fig5_profits(config)}
+    coordinator = (
+        GreedyServerCoordinator()
+        if case.get("coordinator") == "greedy-server" else None
+    )
     rounds: List[str] = []
     engine = api.make_engine(
-        config, observers=[lambda record: rounds.append(api.round_fingerprint(record))]
+        config,
+        observers=[lambda record: rounds.append(api.round_fingerprint(record))],
+        coordinator=coordinator,
     )
     result = engine.run()
     chained = hashlib.sha256("".join(rounds).encode("ascii")).hexdigest()
     return {"result": api.result_fingerprint(result), "rounds": chained}
 
 
-def build_corpus() -> Dict:
+def fig5_profits(config) -> str:
+    """Digest of ``[user_id, dp profit, greedy profit]`` per user at the
+    snapshot round, over the instances ``build_problems`` hands out."""
+    engine = api.make_engine(config)
+    for _ in range(SNAPSHOT_ROUND - 1):
+        engine.step()
+    dp, greedy = SELECTORS.create("dp"), SELECTORS.create("greedy")
+    rows = [
+        [user.user_id, dp.select(problem).profit, greedy.select(problem).profit]
+        for user, problem in engine.build_problems()
+    ]
+    return hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
+
+
+def recorded(case: Dict) -> Dict[str, str]:
+    """The digest fields of a committed entry."""
     return {
-        "cases": [
-            dict(case, **fingerprints(case["scenario"], case["overrides"]))
-            for case in cases()
-        ]
+        key: value for key, value in case.items()
+        if key not in ("id", "scenario", "overrides") + CASE_KINDS
     }
+
+
+def build_corpus() -> Dict:
+    return {"cases": [dict(case, **fingerprints(case)) for case in cases()]}
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ Systems* (ICDCS 2018): the demand-based dynamic incentive mechanism
 (AHP-weighted demand indicator, Eq. 2–9), the NP-hard distributed task
 selection problem with an exact bitmask DP and the O(m²) greedy
 (Section V), the fixed and steered baselines, the full round-based
-simulation with declarative scenarios (up to a batched 50k-user city),
+simulation with declarative scenarios (up to a 1M-user city),
 and an experiment harness regenerating every table and figure of the
 paper's evaluation.
 

@@ -133,7 +133,7 @@ def simulate(
 
     Exactly one of ``config`` / ``scenario`` may be given (neither means
     the defaults); ``overrides`` are config fields applied on top either
-    way.  The engine honours ``config.engine`` (``scalar``/``batched``).
+    way.
 
     >>> simulate(scenario="paper-2018", n_users=30, rounds=3).rounds_played
     3
@@ -165,7 +165,7 @@ def open_session(
     (or a ``with`` block) to end it.
 
     Stepped with no actions, a session replays ``simulate()``
-    bit-identically on both engines (scalar and batched).
+    bit-identically.
 
     >>> with open_session(scenario="paper-2018", rounds=3) as session:
     ...     records = [session.step() for _ in range(3)]

@@ -131,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mobility policy (default follow-path)")
     sim.add_argument("--layout", default=None, choices=("uniform", "clustered"))
     sim.add_argument("--seed", type=int, default=None, help="seed (default 0)")
-    sim.add_argument("--engine", default=None, choices=("scalar", "batched"),
-                     help="round-loop implementation; 'batched' vectorises "
-                          "problem construction and pricing (bit-identical "
-                          "histories, built for 10k+ users)")
     sim.add_argument("--stream", action="store_true",
                      help="aggregate rounds on the fly instead of keeping "
                           "them in memory (bounded-memory large runs; "
@@ -544,7 +540,6 @@ def _simulate_config(args: argparse.Namespace) -> SimulationConfig:
             ("layout", args.layout),
             ("seed", args.seed),
             ("selector_timeout", args.selector_timeout),
-            ("engine", args.engine),
         )
         if value is not None
     }
@@ -673,7 +668,6 @@ def _command_simulate(args: argparse.Namespace, command: Optional[str] = None) -
             "selector": config.selector,
             "mobility": config.mobility,
             "layout": config.layout,
-            "engine": config.engine,
             "seed": str(config.seed),
         }
         if args.scenario is not None:
@@ -799,12 +793,12 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         config = spec.to_config()
         rows.append([
             spec.name, config.n_users, config.n_tasks, config.rounds,
-            config.engine, config.arrival,
+            config.arrival,
             "open" if config.dynamics else "closed",
             spec.description,
         ])
     print(render_table(
-        ["scenario", "users", "tasks", "rounds", "engine", "arrival",
+        ["scenario", "users", "tasks", "rounds", "arrival",
          "world", "description"],
         rows,
     ))

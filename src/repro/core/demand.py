@@ -279,7 +279,7 @@ class DemandCalculator:
         remaining deadlines, progress fractions, and neighbour ratios
         take few distinct values per round — then broadcast back.  That
         sidesteps the last-ulp differences between ``np.log`` and libm's
-        ``log`` that would otherwise let the two engine paths drift.
+        ``log`` that would otherwise let it drift from :meth:`demands`.
 
         Raises:
             ValueError: if any task is already expired (same contract as

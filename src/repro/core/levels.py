@@ -62,8 +62,8 @@ class DemandLevels:
         """Vectorised :meth:`level_of`, bit-identical per element.
 
         Replicates the scalar arithmetic exactly (same clamp, same
-        boundary nudge), so the batched pricing path buckets every
-        demand into the same level as the scalar path.
+        boundary nudge), so the vectorised pricing path buckets every
+        demand into the same level as :meth:`level_of`.
 
         Raises:
             ValueError: if any demand lies outside [0, 1] beyond slack.

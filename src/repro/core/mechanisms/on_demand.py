@@ -9,19 +9,24 @@ Per round (Section IV):
 4. price via :math:`r = r_0 + \\lambda(DL - 1)` (Eq. 7) with the
    budget-derived :math:`r_0` (Eq. 9).
 
-Neighbour counts use the :class:`~repro.geometry.grid_index.GridIndex`
-over the users' *current* positions, rebuilt each round — the demands are
-"real-time" in the paper's sense.
+Neighbour counts are exact counts over the users' *current* positions —
+the demands are "real-time" in the paper's sense.  They come from an
+:class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` when the
+engine injects one, else from a :class:`~repro.geometry.grid_index.
+GridIndex` rebuilt over the round view's user locations.  Steps 1–4 run
+as numpy arithmetic, each step bit-identical per element to its scalar
+counterpart (:meth:`GridIndex.counts_for`, :meth:`DemandCalculator.
+demands`, :meth:`RewardSchedule.reward_for_demand`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.ahp import PairwiseComparisonMatrix
-from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
+from repro.core.demand import DemandCalculator, DemandWeights
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
@@ -94,13 +99,10 @@ class OnDemandMechanism(IncentiveMechanism):
         #: normalised demands of the last priced round, keyed by task id —
         #: exposed for observability (experiments and tests read it).
         self.last_demands: Dict[int, float] = {}
-        #: when True, :meth:`rewards` runs the vectorised Eq. 2–7 path
-        #: (bit-identical prices; set by the batched engine).
-        self.batched = False
         #: optional :class:`~repro.geometry.grid_index.
         #: IncrementalNeighbourCounter` answering Eq. 5 queries without a
-        #: per-round grid rebuild (injected by the batched engine, which
-        #: keeps it current from its own move loop; exact counts).
+        #: per-round grid rebuild (injected by the engine, which keeps it
+        #: current from its own move loop; exact counts).
         self.neighbour_counter = None
 
     def initialize(self, world: World, rng: np.random.Generator) -> None:
@@ -113,42 +115,20 @@ class OnDemandMechanism(IncentiveMechanism):
             )
 
     def rewards(self, view: RoundView) -> Dict[int, float]:
+        """Eq. 2–7 for every published task, as numpy arithmetic.
+
+        Neighbour counts come from the injected counter or from
+        :meth:`GridIndex.counts_array` (exact counts, boundary-
+        rechecked), demands from :meth:`DemandCalculator.demands_array`
+        (distinct-value scalar logs), prices from
+        :meth:`RewardSchedule.rewards_array`.
+        """
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
         tasks = list(view.active_tasks)
         if not tasks:
             self.last_demands = {}
             return {}
-        if self.batched:
-            return self._rewards_batched(view, tasks)
-        neighbours = self._neighbour_counts(view)
-        inputs: List[TaskDemandInputs] = [
-            TaskDemandInputs(
-                round_no=view.round_no,
-                deadline=task.deadline,
-                received=task.received,
-                required=task.required_measurements,
-                neighbours=neighbours[i],
-            )
-            for i, task in enumerate(tasks)
-        ]
-        demands = self.calculator.demands(inputs)
-        self.last_demands = {t.task_id: d for t, d in zip(tasks, demands)}
-        prices = {
-            task.task_id: self.schedule.reward_for_demand(demand)
-            for task, demand in zip(tasks, demands)
-        }
-        return self._require_all_tasks(prices, tasks)
-
-    def _rewards_batched(self, view: RoundView, tasks: List) -> Dict[int, float]:
-        """Vectorised Eq. 2–7: same prices, numpy arithmetic.
-
-        Neighbour counts come from :meth:`GridIndex.counts_array` (exact
-        counts, boundary-rechecked), demands from
-        :meth:`DemandCalculator.demands_array` (distinct-value scalar
-        logs), prices from :meth:`RewardSchedule.rewards_array` — each
-        pinned bit-identical to its scalar counterpart by tests.
-        """
         if self.neighbour_counter is not None:
             neighbours = self.neighbour_counter.counts_array(
                 [t.location for t in tasks]
@@ -175,12 +155,3 @@ class OnDemandMechanism(IncentiveMechanism):
             task.task_id: float(reward) for task, reward in zip(tasks, rewards)
         }
         return self._require_all_tasks(prices, tasks)
-
-    def _neighbour_counts(self, view: RoundView) -> List[int]:
-        """Per-task neighbouring-user counts from a per-round grid index."""
-        if not view.user_locations:
-            return [0] * len(view.active_tasks)
-        index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-        return index.counts_for(
-            [t.location for t in view.active_tasks], self.neighbour_radius
-        )

@@ -341,11 +341,10 @@ class PolicyMechanism(IncentiveMechanism):
     clamped, see :func:`apply_incentive_action`).  With the default
     ``static`` policy the prices are bit-identical to ``on-demand``.
 
-    All engine integration hooks (the ``batched`` vectorised-pricing
-    flag, the incremental ``neighbour_counter``, ``last_demands`` /
-    ``levels`` observability) delegate to the wrapped mechanism, so the
-    scalar and batched engines treat a policy-steered run
-    exactly like an on-demand one.
+    All engine integration hooks (the incremental ``neighbour_counter``,
+    ``last_demands`` / ``levels`` observability) delegate to the wrapped
+    mechanism, so the engine treats a policy-steered run exactly like an
+    on-demand one.
 
     Args:
         policy: a registered policy name, a JSON-style ``{"name": ...}``
@@ -392,14 +391,6 @@ class PolicyMechanism(IncentiveMechanism):
         """Where :func:`apply_incentive_action` lands (the wrapped
         mechanism owns the calculator and the schedule)."""
         return self.inner
-
-    @property
-    def batched(self) -> bool:
-        return self.inner.batched
-
-    @batched.setter
-    def batched(self, value: bool) -> None:
-        self.inner.batched = value
 
     @property
     def neighbour_counter(self):

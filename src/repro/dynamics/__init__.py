@@ -7,8 +7,8 @@ front.  This package opens the world:
   processes, pre-generated into an immutable event stream so dynamic
   runs stay exactly as reproducible (and resumable) as closed ones,
 - :mod:`repro.dynamics.stream` — the :class:`WorldTimeline` that applies
-  those events between rounds on either engine, including the batched
-  engine's array and neighbour-counter upkeep,
+  those events between rounds, including the engine's array and
+  neighbour-counter upkeep,
 - :mod:`repro.dynamics.online` — online incentive baselines for the open
   world: OMG-style multi-stage budget-feasible threshold pricing and
   IncentMe-style mobility-uncertainty-weighted rewards.

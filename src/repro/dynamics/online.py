@@ -24,9 +24,9 @@ pricing against:
   :class:`~repro.core.rewards.RewardSchedule`, so total payout respects
   the budget exactly as the on-demand mechanism's does.
 
-Both run on either engine: prices are computed with per-task python
-float arithmetic from exact neighbour counts, so scalar and batched
-runs stay bit-identical.
+Both price with per-task python float arithmetic from exact neighbour
+counts, whether those come from the engine's incremental counter or a
+per-round grid index.
 """
 
 from __future__ import annotations
@@ -230,9 +230,8 @@ class IncentMeMechanism(IncentiveMechanism):
         #: per-task neighbour-count EMA and volatility (EMA of |delta|).
         self._ema: Dict[int, float] = {}
         self._volatility: Dict[int, float] = {}
-        #: hooks the engines probe/inject.
+        #: hooks the engine probes/injects.
         self.last_demands: Dict[int, float] = {}
-        self.batched = False
         self.neighbour_counter = None
         #: injected by the engine when the run has an open world.
         self.timeline = None

@@ -4,14 +4,13 @@
 :class:`~repro.dynamics.processes.EventStream` and replays it against a
 live engine: before round ``r`` plays, the round's departures, arrivals,
 and task publications are folded into the engine's world through its
-``_apply_dynamics`` hook (the scalar engine mutates its user/task lists;
-the batched engine additionally rebuilds its persistent arrays and
-forces an :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`
-rebuild).
+``_apply_dynamics`` hook (which mutates the user/task lists, rebuilds
+the engine's persistent arrays and, on a population change, its
+:class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`).
 
 The timeline consumes **no randomness at runtime** — every draw already
 happened in :func:`~repro.dynamics.processes.generate_stream` — so the
-same config and seed replays identically on either engine and across
+same config and seed replays identically, stepped or run, and across
 resume boundaries.
 
 It also keeps the per-user presence ledger the IncentMe mechanism reads
@@ -140,9 +139,9 @@ class WorldTimeline:
     def advance(self, round_no: int, engine) -> List[WorldEvent]:
         """Apply round ``round_no``'s events; return them for the record.
 
-        The engine's ``_apply_dynamics`` hook does the world (and, on
-        the batched path, array) mutation; the timeline itself
-        only maintains the presence ledger.
+        The engine's ``_apply_dynamics`` hook does the world and array
+        mutation; the timeline itself only maintains the presence
+        ledger.
         """
         events = list(self._events_by_round.get(round_no, ()))
         changes = self.changes_for(round_no)

@@ -319,11 +319,10 @@ class MetricsRegistry:
         latency *distribution* comes from the engine observing
         ``selector_seconds`` directly — PerfStats only carries the sum.
 
-        ``selector_seconds`` holds one value per selector call: one per
-        instance on the scalar engine, one per ``select_block`` call
-        (a block of equal-size instances) on the batched engine.
-        ``selector_calls`` counts instances solved on both, so it is not
-        the histogram's count on the batched engine.
+        ``selector_seconds`` holds one value per ``select_block`` call
+        (a block of equal-size instances), while ``selector_calls``
+        counts the instances solved, so it is not the histogram's
+        count.
         """
         self.counter("problem_cache_hits").inc(perf.problem_cache_hits)
         self.counter("problem_cache_misses").inc(perf.problem_cache_misses)

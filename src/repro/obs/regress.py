@@ -245,13 +245,9 @@ BENCH_SPECS: Dict[str, MetricSpec] = {
     "vectorized_ms_per_call": MetricSpec("vectorized_ms_per_call", "higher-is-worse"),
     "speedup": MetricSpec("speedup", "lower-is-worse"),
     "mean_profit": MetricSpec("mean_profit", "two-sided"),
-    "scalar_rounds_per_second": MetricSpec(
-        "scalar_rounds_per_second", "lower-is-worse"
-    ),
     "batched_rounds_per_second": MetricSpec(
         "batched_rounds_per_second", "lower-is-worse"
     ),
-    "engine_speedup": MetricSpec("engine_speedup", "lower-is-worse"),
     "rounds_per_second": MetricSpec("rounds_per_second", "lower-is-worse"),
     "wall_seconds": MetricSpec("wall_seconds", "higher-is-worse"),
     "peak_rss_mb": MetricSpec("peak_rss_mb", "higher-is-worse"),

@@ -472,9 +472,7 @@ BENCH_VALUE_FIELDS = (
     "vectorized_ms_per_call",
     "speedup",
     "mean_profit",
-    "scalar_rounds_per_second",
     "batched_rounds_per_second",
-    "engine_speedup",
     "rounds_per_second",
     "wall_seconds",
     "peak_rss_mb",

@@ -8,9 +8,8 @@ to stop, ``reason`` says why, and :meth:`~CancellationToken.
 raise_if_cancelled` turns the answer into a structured
 :class:`~repro.resilience.errors.OperationCancelled` at the caller's own
 check point.  Cancellation is *cooperative* by design: the operation
-stops at a clean boundary (the engine checks between rounds and every
-few hundred selector calls, or every problem block on the batched
-engine), so completed work — journal lines, streamed
+stops at a clean boundary (the engine checks between rounds and before
+every problem block), so completed work — journal lines, streamed
 round events — is never torn.
 
 Flavours:

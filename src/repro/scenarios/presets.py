@@ -67,7 +67,7 @@ POISSON_CHURN = ScenarioSpec(
         "Open-world churn at bench scale: users arrive as a Poisson "
         "stream and depart with a per-round hazard while tasks renew "
         "expiring deadlines — the reference scenario for the dynamics "
-        "bit-identity contract (scalar = batched = resumed)."
+        "bit-identity contract (run = stepped session = resumed)."
     ),
     config=dict(
         n_users=60,
@@ -76,7 +76,6 @@ POISSON_CHURN = ScenarioSpec(
         budget=800.0,
         required_measurements=10,
         selector="greedy",
-        engine="batched",
         dynamics={
             "user_arrival_rate": 3.0,
             "user_departure_rate": 0.05,
@@ -103,7 +102,6 @@ TASK_STREAM_2K = ScenarioSpec(
         budget=15000.0,
         deadline_range=[3, 6],
         selector="greedy",
-        engine="batched",
         distance_dtype="float32",
         stream_rounds=True,
         dynamics={
@@ -151,8 +149,8 @@ CITY_2K = ScenarioSpec(
     name="city-2k",
     description=(
         "Downsized large-scale smoke: 2k users / 200 tasks on a 12 km "
-        "side, batched engine, streamed rounds — the CI-sized stand-in "
-        "for city-50k."
+        "side, float32 distance pipeline, streamed rounds — the CI-sized "
+        "stand-in for city-50k."
     ),
     config=dict(
         n_users=2000,
@@ -164,7 +162,6 @@ CITY_2K = ScenarioSpec(
         arrival="poisson",
         participation_rate=0.8,
         selector="greedy",
-        engine="batched",
         distance_dtype="float32",
         stream_rounds=True,
     ),
@@ -175,7 +172,7 @@ CITY_50K = ScenarioSpec(
     description=(
         "City-scale stress: 50k users / 2k tasks on a 30 km side with a "
         "heterogeneous population (stationary commuters, fast couriers), "
-        "Poisson task arrivals, batched engine, streamed rounds."
+        "Poisson task arrivals, float32 distance pipeline, streamed rounds."
     ),
     config=dict(
         n_users=50_000,
@@ -202,7 +199,6 @@ CITY_50K = ScenarioSpec(
             },
         ],
         selector="greedy",
-        engine="batched",
         distance_dtype="float32",
         stream_rounds=True,
     ),
@@ -213,7 +209,7 @@ CITY_1M = ScenarioSpec(
     description=(
         "Million-user stress: 1M users / 5k tasks on a 100 km side, "
         "mostly-stationary commuters plus roaming couriers, Poisson "
-        "arrivals, batched engine with the float32 distance pipeline "
+        "arrivals, the float32 distance pipeline "
         "and streamed rounds (peak RSS stays flat in the round count)."
     ),
     config=dict(
@@ -241,7 +237,6 @@ CITY_1M = ScenarioSpec(
             },
         ],
         selector="greedy",
-        engine="batched",
         distance_dtype="float32",
         stream_rounds=True,
     ),

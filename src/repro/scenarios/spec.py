@@ -2,8 +2,8 @@
 
 A :class:`ScenarioSpec` is a (name, description, config-overrides)
 triple.  The overrides are :class:`~repro.simulation.config.
-SimulationConfig` fields — arrival streams, population groups, engine
-selection and all — so a scenario file can describe anything the
+SimulationConfig` fields — arrival streams, population groups, the
+distance dtype and all — so a scenario file can describe anything the
 simulator can run, and the spec validates eagerly by building the
 config once at construction time.
 

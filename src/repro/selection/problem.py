@@ -188,7 +188,8 @@ class ProblemBlock:
         candidates: the round's candidate pool.
 
     Like :class:`TaskSelectionProblem`, the constructor trusts its
-    inputs: blocks are built by the batched engine's assembly.
+    inputs: blocks are built by the engine's assembly
+    (:class:`~repro.simulation.round_cache.RoundProblems`).
     """
 
     distances: np.ndarray

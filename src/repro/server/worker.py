@@ -361,7 +361,6 @@ def _ingest_obs(obs_store, job_id: str, parsed, summary, result) -> None:
             "fingerprint": parsed.fingerprint,
             "mechanism": config.mechanism,
             "selector": config.selector,
-            "engine": config.engine,
             "seed": str(config.seed),
             **(
                 {"scenario": parsed.payload["scenario"]}

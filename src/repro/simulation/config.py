@@ -15,6 +15,10 @@ from repro.geometry.region import RectRegion
 from repro.resilience.errors import ConfigError
 from repro.world.generator import WorldGenerator
 
+#: The values the retired ``engine`` key may still carry in saved specs
+#: (see :meth:`SimulationConfig.with_overrides`).
+RETIRED_ENGINE_VALUES = ("scalar", "batched")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -51,15 +55,13 @@ class SimulationConfig:
         selector_kwargs: extra constructor arguments for the selector.
         mobility: mobility policy registry name.
         layout: world layout, "uniform" (paper) or "clustered".
-        engine: simulation engine variant — "scalar" (the reference
-            per-user loop) or "batched" (vectorized demand/pricing and
-            batched mobility for large worlds; bit-identical results).
-        distance_dtype: precision of the batched engine's chunked
-            distance pipeline — "float64" (default, bit-identical to the
-            scalar engine) or "float32" (half the memory traffic at
-            city scale; reachability decisions within the float32 error
-            band are re-decided in float64 so candidate sets never flip
-            on precision).  "float32" requires ``engine="batched"``.
+        distance_dtype: precision of the engine's chunked distance
+            pipeline — "float64" (default, bit-identical to
+            :meth:`~repro.selection.problem.TaskSelectionProblem.build`)
+            or "float32" (half the memory traffic at city scale;
+            reachability decisions within the float32 error band are
+            re-decided in float64 so candidate sets never flip on
+            precision).
         arrival: task arrival stream — "static" (all releases drawn from
             ``release_range``, the paper's setup), "poisson" (release
             rounds from a truncated Poisson process across the horizon)
@@ -126,7 +128,6 @@ class SimulationConfig:
     selector_kwargs: Dict[str, Any] = field(default_factory=dict)
     mobility: str = "follow-path"
     layout: str = "uniform"
-    engine: str = "scalar"
     distance_dtype: str = "float64"
     arrival: str = "static"
     arrival_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -199,20 +200,10 @@ class SimulationConfig:
             raise ConfigError(
                 f"layout must be 'uniform' or 'clustered', got {self.layout!r}"
             )
-        if self.engine not in ("scalar", "batched"):
-            raise ConfigError(
-                f"engine must be 'scalar' or 'batched', got {self.engine!r}"
-            )
         if self.distance_dtype not in ("float64", "float32"):
             raise ConfigError(
                 f"distance_dtype must be 'float64' or 'float32', "
                 f"got {self.distance_dtype!r}"
-            )
-        if self.distance_dtype == "float32" and self.engine != "batched":
-            raise ConfigError(
-                "distance_dtype='float32' requires engine='batched' (the "
-                "scalar reference engine always computes in float64; a "
-                "silently ignored dtype would make runs incomparable)"
             )
         if self.arrival not in ("static", "poisson", "burst"):
             raise ConfigError(
@@ -286,11 +277,27 @@ class SimulationConfig:
     def with_overrides(self, **changes: Any) -> "SimulationConfig":
         """A copy of this config with fields replaced (sweep helper).
 
+        Every override path — the API, scenario files, job specs and
+        the CLI — comes through here.  The retired ``engine`` key is
+        accepted with its two legacy values (``"scalar"``,
+        ``"batched"``) and ignored, since there is one engine now, so
+        saved scenario and job specs keep loading.
+
         Raises:
+            ConfigError: for any other value of the retired ``engine``
+                key.
             ValueError: when a key does not name a config field — a typo
                 in a sweep would otherwise be silently absorbed into a
                 confusing ``dataclasses.replace`` traceback.
         """
+        if "engine" in changes:
+            engine = changes.pop("engine")
+            if engine not in RETIRED_ENGINE_VALUES:
+                raise ConfigError(
+                    f"the 'engine' key is retired (there is one engine); "
+                    f"only its legacy values 'scalar' and 'batched' are "
+                    f"still accepted, and ignored: got {engine!r}"
+                )
         valid = {f.name for f in fields(self)}
         unknown = sorted(set(changes) - valid)
         if unknown:

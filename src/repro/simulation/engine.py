@@ -26,6 +26,39 @@ as no task is active.
 The engine is steppable: :meth:`SimulationEngine.step` plays exactly one
 round, which lets experiments freeze the world mid-run and hand the *same*
 selection problems to several solvers (the Fig. 5 paired comparison).
+
+**The sparse, array-backed round.**  At city scale most users do nothing
+in a given round, so per-user Python work is spent only on the users who
+act:
+
+- *problem* — :class:`~repro.simulation.round_cache.RoundProblems`
+  assembles, chunk by chunk, one equal-size problem block per candidate
+  count, covering only the participants with at least one eligible,
+  reachable task; the selector solves each block in one
+  ``select_block`` call (the greedy as array steps over all its rows,
+  other selectors row by row).  Everyone else keeps the shared
+  :meth:`Selection.empty` without a selector call.
+- *pricing* — mechanisms exposing a ``neighbour_counter`` hook get an
+  :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` fed
+  from the engine's own move loop, instead of a per-round grid rebuild
+  for the Eq. 5 neighbour counts.
+- *upload* — empty selections are skipped; the users who walk still
+  upload one by one in arrival order, so which uploads a full task
+  rejects is unchanged.
+- *mobility* — ``mobility.next_position`` runs for users who walked and
+  for idle users whose policy's
+  :meth:`~repro.world.mobility.MobilityPolicy.stays_put_when_idle` is
+  false, in arrival order.  A policy answers true only when the idle
+  call would return ``user.location`` itself and draw nothing, so the
+  skipped calls are exactly the no-ops.
+- *state* — user positions, travel budgets and cost rates live in
+  persistent per-row arrays kept in place as users move, and the
+  task-to-task distance matrix is computed once over *all* world tasks
+  (task locations never change) and read per round through a row
+  mapping.
+- *records* — the round's user records are a columnar
+  :class:`~repro.simulation.events.UserRoundRecords` (ids, selection
+  references, rewards), materialised per record only on access.
 """
 
 from __future__ import annotations
@@ -36,12 +69,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.allocation.base import Coordinator
 
 import math
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
+from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.obs.log import bind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -56,7 +91,12 @@ from repro.selection import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.perf import PerfStats
-from repro.simulation.round_cache import RoundProblems
+from repro.simulation.round_cache import (
+    DEFAULT_CHUNK_BYTES,
+    RoundProblems,
+    task_distance_matrix,
+    task_locations,
+)
 from repro.simulation.events import (
     MeasurementEvent,
     RejectedContribution,
@@ -78,12 +118,14 @@ class _RowState:
     """Per-row user state the sparse round reads.
 
     Built from the world's user list (rows = positions in it) and kept
-    until the population changes: the user ids, the permutation that
-    puts rows in ``user_id`` order for the round's records (``None``
-    when world order already is), and the mask of users the mobility
-    policy moves even when they stay home.  The mask entry of a user
-    who moved is refreshed, since a policy's answer may depend on the
-    user's position (see :meth:`MobilityPolicy.stays_put_when_idle`).
+    until the population changes: the user ids, the positions, travel
+    budgets and cost rates the problem assembly reads, the permutation
+    that puts rows in ``user_id`` order for the round's records
+    (``None`` when world order already is), and the mask of users the
+    mobility policy moves even when they stay home.  The position and
+    mask entries of a user who moved are refreshed, since a policy's
+    answer may depend on the user's position (see
+    :meth:`MobilityPolicy.stays_put_when_idle`).
     """
 
     def __init__(self, users: Sequence[MobileUser], mobility: MobilityPolicy):
@@ -93,6 +135,13 @@ class _RowState:
             (user.user_id for user in users), dtype=np.int64, count=n
         )
         self.user_ids.flags.writeable = False
+        self.positions = np.asarray(
+            [(u.location.x, u.location.y) for u in users], dtype=float
+        ).reshape(n, 2)
+        self.budgets = np.asarray(
+            [u.max_travel_distance for u in users], dtype=float
+        )
+        self.costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
         stays = mobility.stays_put_when_idle
         self.idle_movers = np.fromiter(
             (not stays(user) for user in users), dtype=bool, count=n
@@ -143,14 +192,13 @@ class SimulationEngine:
             :data:`~repro.obs.trace.NULL_TRACER`).  When a real
             :class:`~repro.obs.trace.SpanTracer` is passed, the engine
             emits run → round → phase spans (price-publish / select /
-            upload, plus per-user selector spans).  Tracing reads clocks
-            only — never the random streams — so traced runs are
-            bit-identical to untraced ones.
+            upload, plus one ``select-block`` span per problem block).
+            Tracing reads clocks only — never the random streams — so
+            traced runs are bit-identical to untraced ones.
         cancel: optional :class:`~repro.resilience.cancel.
             CancellationToken`.  The engine polls it at safe boundaries
-            — before every round, and inside a round every few hundred
-            selector calls (before every problem block on the batched
-            engine) — and raises
+            — before every round, and inside a round before every
+            problem block — and raises
             :class:`~repro.resilience.errors.OperationCancelled` when it
             trips.  Rounds already recorded stay valid (observers saw
             them, streamed events are on disk), which is what makes a
@@ -159,10 +207,12 @@ class SimulationEngine:
             never cancels and costs one attribute read per check.
     """
 
-    #: How many selector calls between cancellation polls inside a round
-    #: (a trade between responsiveness and per-user overhead).  The
-    #: batched engine polls before every problem block instead.
-    CANCEL_CHECK_EVERY = 512
+    #: Per-chunk byte budget for the distance pipeline (the element
+    #: count adapts to the configured dtype).
+    chunk_bytes = DEFAULT_CHUNK_BYTES
+
+    #: Explicit element override; ``None`` derives from ``chunk_bytes``.
+    chunk_elements: Optional[int] = None
 
     def __init__(
         self,
@@ -212,6 +262,12 @@ class SimulationEngine:
         self._metrics = MetricsRegistry()
         self._cumulative_paid = 0.0
         self._row_state: Optional[_RowState] = None
+        self._dtype = np.dtype(self.config.distance_dtype)
+        self._full_task_matrix: Optional[np.ndarray] = None
+        self._task_row_of: Dict[int, int] = {
+            t.task_id: i for i, t in enumerate(self.world.tasks)
+        }
+        self._neighbour_counter = self._build_neighbour_counter()
 
     # -- setup -----------------------------------------------------------
 
@@ -248,6 +304,23 @@ class SimulationEngine:
         if not self._mechanism_ready:
             self.mechanism.initialize(self.world, self._streams["mechanism"])
             self._mechanism_ready = True
+
+    def _build_neighbour_counter(self) -> Optional[IncrementalNeighbourCounter]:
+        """An Eq. 5 counter primed with every task the world will publish.
+
+        Only mechanisms exposing a ``neighbour_counter`` hook get one;
+        priming everything up front means later task releases (Poisson /
+        burst arrivals) never trigger a full population rescan.
+        """
+        radius = getattr(self.mechanism, "neighbour_radius", None)
+        if not radius or not hasattr(self.mechanism, "neighbour_counter"):
+            return None
+        counter = IncrementalNeighbourCounter(
+            [u.location for u in self.world.users], radius=float(radius)
+        )
+        counter.prime([t.location for t in self.world.tasks])
+        self.mechanism.neighbour_counter = counter
+        return counter
 
     # -- round state -----------------------------------------------------------
 
@@ -302,20 +375,16 @@ class SimulationEngine:
         view = RoundView(
             round_no=self._next_round,
             active_tasks=self.published_tasks(),
-            user_locations=self._round_user_locations(),
+            # With an incremental counter injected, the mechanism never
+            # reads per-round user locations: skip the O(users) list.
+            user_locations=(
+                () if self._neighbour_counter is not None
+                else [u.location for u in self.world.users]
+            ),
         )
         prices = self.mechanism.rewards(view)
         self._price_cache = (self._next_round, dict(prices))
         return prices
-
-    def _round_user_locations(self) -> Sequence:
-        """User locations for the mechanism's round view.
-
-        A hook so the batched engine can skip building the O(users)
-        list when an incremental neighbour counter already answers the
-        mechanism's Eq. 5 queries.
-        """
-        return [u.location for u in self.world.users]
 
     def build_problems(
         self, prices: Optional[Dict[int, float]] = None
@@ -323,52 +392,85 @@ class SimulationEngine:
         """The Eq. 1 instance every user faces in the upcoming round.
 
         Used by the paired Fig. 5 experiment: freeze the round, hand the
-        identical problems to both solvers, compare profits.
+        identical problems to both solvers, compare profits.  The
+        instances are the ones the round solves, in the engine's
+        distance dtype bit for bit; users with no candidate get a
+        size-0 problem (the round skips them).
 
         Args:
             prices: published rewards to use; defaults to
-                :meth:`published_rewards`.
+                :meth:`published_rewards`.  A caller map must price
+                every published task with a finite, non-negative reward.
+
+        Raises:
+            ValueError: for a caller map that omits published task ids
+                or holds non-finite or negative prices.
         """
+        tasks = self.published_tasks()
         if prices is None:
-            problems = self._round_problems(
-                self.published_tasks(), self.published_rewards()
-            )
+            problems = self._round_problems(tasks, self.published_rewards())
         else:
+            missing, bad = _price_faults(prices, tasks)
+            if missing or bad:
+                raise ValueError(
+                    f"prices must give every published task a finite, "
+                    f"non-negative reward: missing task ids {missing}, "
+                    f"bad prices {bad}"
+                )
             # Caller-supplied prices (e.g. an ablation probing a what-if
             # price map) must not poison the per-round cache.
-            problems = self._make_round_problems(self.published_tasks(), prices)
-        return self._user_problems(problems)
-
-    def _user_problems(
-        self, problems: RoundProblems
-    ) -> List[Tuple[MobileUser, TaskSelectionProblem]]:
-        """Every user's instance from one round's shared problem state."""
+            problems = self._round_problems(tasks, prices, cached=False)
+        users, state = self.world.users, self._rows()
+        built = dict(problems.iter_problems(
+            users, origins=state.positions, budgets=state.budgets,
+            costs=state.costs,
+        ))
         return [
-            (user, problems.problem_for(user)) for user in self.world.users
+            (user, built.get(row) or TaskSelectionProblem(
+                origin=user.location,
+                candidates=(),
+                max_distance=float(user.max_travel_distance),
+                cost_per_meter=float(user.cost_per_meter),
+                distance_matrix=np.zeros((1, 1), dtype=self._dtype),
+            ))
+            for row, user in enumerate(users)
         ]
 
-    def _make_round_problems(
-        self, active: List[SensingTask], prices: Dict[int, float]
-    ) -> RoundProblems:
-        """A fresh per-round problem state (the batched engine's differs)."""
-        return RoundProblems(active, prices, stats=self._perf)
-
     def _round_problems(
-        self, active: List[SensingTask], prices: Dict[int, float]
+        self,
+        active: List[SensingTask],
+        prices: Dict[int, float],
+        cached: bool = True,
     ) -> RoundProblems:
         """The shared per-round problem state, built once per round.
 
         The cache key is the upcoming round number: task state and user
         positions only change when :meth:`step` completes (which also
         advances the round number), so within a round every caller —
-        :meth:`build_problems` and the round loop itself — slices the
-        same reward vector and task-to-task distance block.
+        :meth:`build_problems` and the round loop itself — reads the
+        same reward vector and task-to-task distance rows.  The rows
+        come from the all-tasks matrix, built once per run (and again
+        only when the open world publishes new tasks).
         """
-        cached = self._problems_cache
-        if cached is not None and cached[0] == self._next_round:
-            return cached[1]
-        problems = self._make_round_problems(active, prices)
-        self._problems_cache = (self._next_round, problems)
+        hit = self._problems_cache
+        if cached and hit is not None and hit[0] == self._next_round:
+            return hit[1]
+        if self._full_task_matrix is None:
+            self._full_task_matrix = task_distance_matrix(
+                task_locations(self.world.tasks), self._dtype
+            )
+        problems = RoundProblems(
+            active,
+            prices,
+            stats=self._perf,
+            chunk_elements=self.chunk_elements,
+            dtype=self._dtype,
+            chunk_bytes=self.chunk_bytes,
+            task_matrix=self._full_task_matrix,
+            task_rows=[self._task_row_of[t.task_id] for t in active],
+        )
+        if cached:
+            self._problems_cache = (self._next_round, problems)
         return problems
 
     # -- main loop -------------------------------------------------------------
@@ -587,8 +689,12 @@ class SimulationEngine:
         """Fold one round's open-world changes into the live world.
 
         Called by the :class:`~repro.dynamics.stream.WorldTimeline`
-        before the round plays.  The batched engine extends this to
-        rebuild its persistent arrays and neighbour counter.
+        before the round plays.  Population changes invalidate the
+        per-row state (rows shift when users leave) and give the
+        incremental neighbour counter a full rebuild over the new
+        population (which also primes every task, including any
+        published this round).  A task-only change keeps the counter
+        and just primes the new centers.
         """
         if changes.departures:
             departed = set(changes.departures)
@@ -599,12 +705,19 @@ class SimulationEngine:
             self.world.users.extend(changes.arrivals)
         if changes.tasks:
             self.world.tasks.extend(changes.tasks)
-        if changes.departures or changes.arrivals:
+            self._task_row_of = {
+                t.task_id: i for i, t in enumerate(self.world.tasks)
+            }
+            self._full_task_matrix = None
+        self._price_cache = None
+        self._problems_cache = None
+        if changes.population_changed:
             # Rows shift or change owner even when the head count stays
             # the same, so the per-row state is rebuilt from scratch.
             self._row_state = None
-        self._price_cache = None
-        self._problems_cache = None
+            self._neighbour_counter = self._build_neighbour_counter()
+        elif changes.tasks and self._neighbour_counter is not None:
+            self._neighbour_counter.prime([t.location for t in changes.tasks])
 
     def _collect_selections(
         self,
@@ -616,37 +729,54 @@ class SimulationEngine:
 
         One selection per user in world order, pre-filled with the
         shared :meth:`Selection.empty` for users sitting the round out
-        (``participating`` is the per-row participation mask).
-        Subclasses (the batched engine) override this with a vectorised
-        construction path; the selections themselves must stay
-        bit-identical.
+        (``participating`` is the per-row participation mask) or with
+        no candidate.  The rest come block by block: the cancellation
+        token is polled before every block, each ``select_block`` call
+        adds its wall time to ``selector_wall_time`` and one
+        ``selector_seconds`` observation, and ``selector_calls`` counts
+        the block's rows, i.e. the instances solved.  With a real
+        tracer each call gets one ``select-block`` span (args ``users``,
+        ``tasks``).  Selectors without ``select_block`` (duck-typed
+        ones) answer row by row through :meth:`Selector.select_block`.
         """
-        tracer = self.tracer
         problems = self._round_problems(active, prices)
-        latency = self._metrics.histogram("selector_seconds")
-        users = self.world.users
+        users, state = self.world.users, self._rows()
         selections = [Selection.empty()] * len(users)
-        for count, row in enumerate(np.flatnonzero(participating).tolist()):
-            if count % self.CANCEL_CHECK_EVERY == 0:
-                self.cancel.raise_if_cancelled()
-            user = users[row]
-            problem = problems.problem_for(user)
+        if participating.all():
+            participants, rows = users, None
+            origins, budgets, costs = state.positions, state.budgets, state.costs
+        else:
+            rows = np.flatnonzero(participating)
+            participants = [users[row] for row in rows.tolist()]
+            origins = state.positions[rows]
+            budgets, costs = state.budgets[rows], state.costs[rows]
+        solve = getattr(self.selector, "select_block", None) or partial(
+            Selector.select_block, self.selector
+        )
+        tracer, perf = self.tracer, self._perf
+        latency = self._metrics.histogram("selector_seconds")
+        for indices, block in problems.iter_blocks(
+            participants, origins=origins, budgets=budgets, costs=costs
+        ):
+            self.cancel.raise_if_cancelled()
             if tracer.enabled:
                 with tracer.span(
-                    "select-user", cat="selector",
-                    user=user.user_id, tasks=problem.size,
+                    "select-block", cat="selector",
+                    users=len(block), tasks=block.size,
                 ):
                     started = perf_counter()
-                    selection = self.selector.select(problem)
+                    solved = solve(block)
                     elapsed = perf_counter() - started
             else:
                 started = perf_counter()
-                selection = self.selector.select(problem)
+                solved = solve(block)
                 elapsed = perf_counter() - started
-            self._perf.selector_wall_time += elapsed
-            self._perf.selector_calls += 1
+            perf.selector_wall_time += elapsed
+            perf.selector_calls += len(block)
             latency.observe(elapsed)
-            selections[row] = selection
+            world_rows = indices if rows is None else rows[indices]
+            for row, selection in zip(world_rows.tolist(), solved):
+                selections[row] = selection
         return selections
 
     def _apply_moves(
@@ -656,15 +786,39 @@ class SimulationEngine:
         tasks_by_id: Dict[int, SensingTask],
     ) -> None:
         """Advance each mover (world rows, arrival order) to its
-        next-round position."""
-        users = self.world.users
-        refresh = self._rows().refresh
+        next-round position, keeping the per-row state and the
+        neighbour counter current.
+
+        Mobility policies return the *same object* when a user does not
+        move (stationary users sit on their home point; path followers
+        with no path keep their location), so an identity check finds
+        the movers without a coordinate comparison.  A returned new
+        object with equal coordinates is treated as a move — harmless:
+        its counter delta is exactly zero.
+        """
+        users, state = self.world.users, self._rows()
+        region, rng = self.world.region, self._streams["mobility"]
+        moved_rows: List[int] = []
+        moved_old: List = []
+        moved_new: List = []
         for row in movers:
             user = users[row]
             old = user.location
-            self._move_user(user, selections[row], tasks_by_id)
-            if user.location is not old:
-                refresh(row, user)
+            path = [tasks_by_id[t].location for t in selections[row].task_ids]
+            new = user.location = self.mobility.next_position(
+                user, path, region, rng
+            )
+            if new is old:
+                continue
+            state.refresh(row, user)
+            moved_rows.append(row)
+            moved_old.append(old)
+            moved_new.append(new)
+        if not moved_rows:
+            return
+        state.positions[moved_rows] = [(p.x, p.y) for p in moved_new]
+        if self._neighbour_counter is not None:
+            self._neighbour_counter.apply_moves(moved_rows, moved_old, moved_new)
 
     def _validate_prices(
         self,
@@ -683,18 +837,13 @@ class SimulationEngine:
                 negative rewards.
         """
         mechanism = f"mechanism {type(self.mechanism).__name__!r}"
-        missing = [t.task_id for t in active if t.task_id not in prices]
+        missing, bad = _price_faults(prices, active)
         if missing:
             raise MechanismPriceError(
                 f"{mechanism} omitted task ids {missing} from its round-"
                 f"{round_no} price map (priced {sorted(prices)}); every "
                 f"published task must be priced"
             )
-        bad = {
-            task_id: price
-            for task_id, price in prices.items()
-            if not math.isfinite(price) or price < 0
-        }
         if bad:
             raise MechanismPriceError(
                 f"{mechanism} returned non-finite or negative rewards in "
@@ -826,37 +975,32 @@ class SimulationEngine:
                 )
         return earned
 
-    def _move_user(
-        self,
-        user: MobileUser,
-        selection: Selection,
-        tasks_by_id: Dict[int, SensingTask],
-    ) -> None:
-        path = [tasks_by_id[task_id].location for task_id in selection.task_ids]
-        user.location = self.mobility.next_position(
-            user, path, self.world.region, self._streams["mobility"]
-        )
+
+def _price_faults(
+    prices: Dict[int, float], tasks: Sequence[SensingTask]
+) -> Tuple[List[int], Dict[int, float]]:
+    """A price map's faults against ``tasks``: the task ids it omits,
+    and its non-finite or negative prices."""
+    missing = [t.task_id for t in tasks if t.task_id not in prices]
+    bad = {
+        task_id: price
+        for task_id, price in prices.items()
+        if not math.isfinite(price) or price < 0
+    }
+    return missing, bad
 
 
 def make_engine(config: SimulationConfig, **engine_kwargs) -> SimulationEngine:
-    """Build the engine ``config.engine`` names (``scalar`` or ``batched``).
+    """Build the :class:`SimulationEngine` for ``config``.
 
-    Both engines produce bit-identical histories for the same config and
-    seed; ``batched`` replaces the per-user python geometry with chunked
-    numpy and is the right choice from ~10k users up.
+    ``engine_kwargs`` are the engine's keyword arguments (mechanism,
+    selector, world, observers, coordinator, tracer, cancel).
     """
-    if config.engine == "batched":
-        # Imported here: batch.py subclasses SimulationEngine.
-        from repro.simulation.batch import BatchedSimulationEngine
-
-        return BatchedSimulationEngine(config, **engine_kwargs)
     return SimulationEngine(config, **engine_kwargs)
 
 
 def simulate(config: SimulationConfig, **engine_kwargs) -> SimulationResult:
     """Build an engine for ``config`` and run it (the one-call entry point).
-
-    Respects ``config.engine`` (see :func:`make_engine`).
 
     >>> result = simulate(SimulationConfig(n_users=40, seed=7))
     >>> result.rounds_played >= 1

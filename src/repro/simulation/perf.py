@@ -31,8 +31,8 @@ class PerfStats:
         dp_states_expanded: ``(mask, last)`` DP states scored by the
             exact selector this round (0 for non-DP selectors).
         selector_calls: Eq. 1 instances solved this round — one per
-            user with a candidate (the batched engine counts a block's
-            rows, not its ``select_block`` calls).
+            user with a candidate (a block's rows, not its
+            ``select_block`` calls).
         selector_wall_time: wall-clock seconds spent inside the
             selector (``select`` / ``select_block``) this round.
     """

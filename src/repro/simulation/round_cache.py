@@ -1,80 +1,203 @@
 """Shared per-round construction of the users' Eq. 1 instances.
 
-Before this cache existed the engine called
-:meth:`~repro.selection.problem.TaskSelectionProblem.build` once per
-user per round, and every call recomputed the same task-to-task distance
-block and re-read the same price map — O(users x tasks^2) geometry per
-round for values that depend only on the round, not the user.
-
-:class:`RoundProblems` computes the round-invariant parts once:
+Every user's instance in a round shares the same round-invariant parts:
 
 - the active-task reward vector and :class:`CandidateTask` records,
-- the ``(n_tasks, n_tasks)`` task-to-task distance matrix,
-- the task locations as one ``(n_tasks, 2)`` array,
+- the ``(n_tasks, n_tasks)`` task-to-task distance matrix (the engine
+  computes it once over *all* world tasks — task locations never change
+  — and each round reads its rows through a row mapping),
+- the task locations as one ``(n_tasks, 2)`` array.
 
-and assembles each user's problem by *slicing*: pick the user's eligible
-candidates, compute only the origin-to-task row, and paste the shared
-distance block.  The result is **bit-identical** to what ``build`` would
-return — the same float expressions evaluate in the same order, the
-pruning rule still uses ``Point.distance_to`` (``math.hypot``, which is
-not bitwise ``np.sqrt(dx^2+dy^2)``), and the matrix entries come from
-the same elementwise pipeline as
-:func:`~repro.geometry.distances.pairwise_distances` — so seeded runs
-replay exactly as before.
+:class:`RoundProblems` holds them and assembles the per-user parts over
+user chunks with numpy:
+
+- one ``(chunk, tasks)`` origin-to-task distance matrix per user chunk
+  (diff, square, one add, sqrt — add/multiply/sqrt are correctly
+  rounded, so the float64 entries are bit-identical to
+  :meth:`~repro.selection.problem.TaskSelectionProblem.build`'s
+  :func:`~repro.geometry.distances.pairwise_distances` rows),
+- a boolean reachability mask against each user's travel budget, with
+  any distance within the boundary tolerance of the budget re-decided by
+  ``Point.distance_to`` (``math.hypot``) exactly as ``build``'s pruning
+  rule does — the sqrt pipeline and hypot can disagree only in the last
+  ulp, far inside the tolerance band,
+- problems only for users with a candidate, in blocks of equal candidate
+  count k: one fancy-index gather fills each
+  :class:`~repro.selection.problem.ProblemBlock`'s ``(n_k, k+1, k+1)``
+  distances.
+
+Users with no eligible, reachable task are in no block: their Eq. 1
+answer is the empty selection, which every selector returns for an empty
+problem (pinned by the solver contract tests).
+
+**Precision.** The chunk pipeline runs in a configurable dtype
+(``SimulationConfig.distance_dtype``).  float64 (the default) is
+bit-identical to ``TaskSelectionProblem.build``.  float32 halves the
+distance-matrix memory traffic — the right trade at city scale — and
+widens the reachability recheck band to :func:`float32_boundary_tol` so
+every decision the reduced precision could flip is re-decided in
+float64: candidate sets are identical to the float64 pipeline's (pinned
+by tests), only the low-order bits of the matrix entries differ.
+
+**Memory.** Distance chunks are sized by a byte budget (~16 MB per chunk
+in either dtype — the element count adapts to the dtype's width), and a
+chunk's distance matrix is dropped once its blocks are built, so a
+city-scale round never materialises the full user-by-task matrix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.selection.base import CandidateTask
-from repro.selection.problem import TaskSelectionProblem
+from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.simulation.perf import PerfStats
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
 
+#: Distances this close to a user's travel budget are re-decided with
+#: ``Point.distance_to`` so the sqrt-pipeline/``math.hypot`` last-ulp
+#: disagreement can never flip a reachability decision.
+BOUNDARY_TOL = 1e-6
+
+#: Per-chunk byte budget of the distance pipeline.  The chunk *element*
+#: count is derived from this per dtype, so float32 chunks hold twice
+#: the rows in the same footprint instead of silently halving it.
+DEFAULT_CHUNK_BYTES = 16 << 20
+
+#: Safety factor (in float32 ulps of the dominant magnitude) bounding
+#: how far a float32 distance can sit from its float64 value: coordinate
+#: rounding contributes ~2 ulps of the coordinate magnitude, the
+#: diff/square/sum pipeline a few more, and sqrt halves relative error.
+#: 32 ulps covers the worst case with an order of magnitude to spare.
+_F32_GUARD = 32.0 * float(np.finfo(np.float32).eps)
+
+
+def float32_boundary_tol(coordinate_scale: float, budget_scale: float) -> float:
+    """The reachability recheck band for the float32 pipeline (meters).
+
+    Any |d32 - budget| inside this band is re-decided in float64; the
+    band bounds |d32 - d64| + |budget32 - budget64|, so a float32
+    reach decision outside it always agrees with the float64 one.
+    """
+    return BOUNDARY_TOL + _F32_GUARD * (
+        abs(coordinate_scale) + abs(budget_scale)
+    )
+
+
+def task_locations(tasks: Sequence[SensingTask]) -> np.ndarray:
+    """The tasks' ``(n, 2)`` float64 coordinates."""
+    return np.asarray(
+        [(t.location.x, t.location.y) for t in tasks], dtype=float
+    ).reshape(len(tasks), 2)
+
+
+def task_distance_matrix(locations: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The ``(n, n)`` task-to-task distance matrix in ``dtype``.
+
+    Same arithmetic as ``geometry.distances.pairwise_distances`` — diff,
+    square, one add, sqrt — written per coordinate and in place so no
+    ``(n, n, 2)`` temporary is materialised.  The sum over the 2-wide
+    axis is a single correctly-rounded add either way, so the float64
+    entries are bit-identical to the stacked pipeline.  Each entry
+    depends only on its two endpoints, so a row/column slice of an
+    all-tasks matrix equals a fresh build over the slice.
+    """
+    locations = locations.astype(dtype, copy=False)
+    dx = locations[:, 0, None] - locations[None, :, 0]
+    dy = locations[:, 1, None] - locations[None, :, 1]
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    np.add(dx, dy, out=dx)
+    return np.sqrt(dx, out=dx)
+
 
 class RoundProblems:
-    """One round's shared selection-problem state, sliced per user.
+    """One round's shared selection-problem state, assembled per chunk.
+
+    :meth:`iter_blocks` stacks the users' instances into equal-size
+    :class:`ProblemBlock` s; :meth:`iter_problems` hands the same
+    instances out one by one.
 
     Args:
         tasks: the round's published tasks, in engine order.
         prices: the mechanism's price per task id (every task priced —
-            the engine validates before constructing this cache).
+            the engine validates before constructing this state).
         stats: optional :class:`PerfStats` receiving one cache miss for
-            the shared construction and one hit per user problem built.
+            the shared construction and one hit per user served.
+        chunk_elements: elements per distance chunk; ``None`` (default)
+            derives the count from ``chunk_bytes`` and ``dtype``.
+        dtype: the distance pipeline precision — ``np.float64``
+            (bit-identical to ``TaskSelectionProblem.build``) or
+            ``np.float32`` (reachability boundary re-decided in float64).
+        chunk_bytes: per-chunk byte budget when ``chunk_elements`` is
+            not given (default ~16 MB regardless of dtype).
+        task_matrix: optional precomputed distance matrix in ``dtype``.
+            May cover a superset of ``tasks`` (e.g. the engine's
+            all-tasks matrix), in which case ``task_rows`` maps each
+            task's position in ``tasks`` to its row in the matrix.
+        task_rows: the row mapping for ``task_matrix`` (identity when
+            omitted).
     """
 
     def __init__(
         self,
         tasks: Sequence[SensingTask],
         prices: Dict[int, float],
-        stats: "PerfStats" = None,
-        task_matrix: np.ndarray = None,
+        stats: Optional[PerfStats] = None,
+        chunk_elements: Optional[int] = None,
+        dtype=np.float64,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+        task_matrix: Optional[np.ndarray] = None,
+        task_rows: Optional[np.ndarray] = None,
     ):
+        dtype = np.dtype(dtype)
+        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+            raise ValueError(
+                f"dtype must be float32 or float64, got {dtype}"
+            )
+        self.dtype = dtype
+        if chunk_elements is None:
+            if chunk_bytes < dtype.itemsize:
+                raise ValueError(
+                    f"chunk_bytes must hold at least one {dtype} element, "
+                    f"got {chunk_bytes}"
+                )
+            chunk_elements = chunk_bytes // dtype.itemsize
+        if chunk_elements < 1:
+            raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
+        self.chunk_elements = int(chunk_elements)
         self.tasks: List[SensingTask] = list(tasks)
-        self._stats = stats
         n = len(self.tasks)
-        self.locations = np.asarray(
-            [(t.location.x, t.location.y) for t in self.tasks], dtype=float
-        ).reshape(n, 2)
+        self._task_rows = (
+            None if task_rows is None else np.asarray(task_rows, dtype=np.int64)
+        )
+        if self._task_rows is not None and len(self._task_rows) != n:
+            raise ValueError(
+                f"task_rows must map every task: got {len(self._task_rows)} "
+                f"rows for {n} tasks"
+            )
+        self._stats = stats
+        locations = task_locations(self.tasks)
+        # Task locations in the working dtype (float32 mode casts once).
+        self._locations = locations.astype(dtype, copy=False)
         self.rewards = np.asarray(
             [prices[t.task_id] for t in self.tasks], dtype=float
         )
         if task_matrix is not None:
-            # A caller-precomputed matrix (the batched engine caches the
-            # all-tasks matrix across rounds; every entry depends only
-            # on its two endpoints, so slices of it are bit-identical to
-            # a fresh active-set build).
             if task_matrix.ndim != 2 or task_matrix.shape[0] != task_matrix.shape[1]:
                 raise ValueError(
                     f"task_matrix must be square, got shape {task_matrix.shape}"
                 )
             self.task_matrix = task_matrix
         else:
-            self.task_matrix = self._build_task_matrix()
+            self.task_matrix = task_distance_matrix(locations, dtype)
+        self._task_ids = np.asarray(
+            [t.task_id for t in self.tasks], dtype=np.int64
+        )
         self.candidates = tuple(
             CandidateTask(
                 task_id=task.task_id,
@@ -86,63 +209,202 @@ class RoundProblems:
         if stats is not None:
             stats.problem_cache_misses += 1
 
-    def _build_task_matrix(self) -> np.ndarray:
-        """The ``(n, n)`` task-to-task distance matrix.
+    def iter_blocks(
+        self,
+        users: Sequence[MobileUser],
+        origins: Optional[np.ndarray] = None,
+        budgets: Optional[np.ndarray] = None,
+        costs: Optional[np.ndarray] = None,
+    ) -> Iterator[Tuple[np.ndarray, ProblemBlock]]:
+        """Yield ``(indices, block)`` covering each user with a candidate.
 
-        Same arithmetic as ``geometry.distances.pairwise_distances`` —
-        diff, square, one add, sqrt — written per coordinate and in
-        place so no ``(n, n, 2)`` temporary is materialised.  The sum
-        over the 2-wide axis is a single correctly-rounded add either
-        way, so the entries are bit-identical to the stacked pipeline.
+        ``indices`` are the block rows' positions in ``users``.  Blocks
+        come chunk by chunk, by ascending candidate count within a chunk;
+        each user is in exactly one block.  Users with no eligible,
+        reachable task are in none — their Eq. 1 answer is the empty
+        selection, which every selector returns for an empty problem
+        (pinned by the solver contract tests), so callers skip them.
+
+        Args:
+            users: the users to build problems for.
+            origins: optional ``(len(users), 2)`` float64 positions
+                aligned with ``users`` (the engine's persistent position
+                array); gathered from the user objects when omitted.
+            budgets: optional ``(len(users),)`` float64 travel budgets,
+                same convention.
+            costs: optional ``(len(users),)`` float64 cost rates, same
+                convention.
         """
-        n = len(self.tasks)
-        if not n:
-            return np.empty((0, 0), dtype=float)
-        dx = self.locations[:, 0, None] - self.locations[None, :, 0]
-        dy = self.locations[:, 1, None] - self.locations[None, :, 1]
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        return np.sqrt(dx, out=dx)
+        for blocks in self._chunk_blocks(users, origins, budgets, costs):
+            yield from blocks
 
-    def problem_for(self, user: MobileUser) -> TaskSelectionProblem:
-        """The user's Eq. 1 instance, assembled from the shared state.
+    def iter_problems(
+        self,
+        users: Sequence[MobileUser],
+        origins: Optional[np.ndarray] = None,
+        budgets: Optional[np.ndarray] = None,
+        costs: Optional[np.ndarray] = None,
+    ) -> Iterator[Tuple[int, TaskSelectionProblem]]:
+        """Yield ``(index, problem)`` for each user with a candidate.
 
-        Candidate eligibility (user has not already contributed) and
-        reachability pruning (direct distance within the travel budget,
-        decided with ``Point.distance_to`` exactly as ``build`` does)
-        stay per-user; everything else is sliced.
+        The rows of :meth:`iter_blocks` one by one, with ``index`` the
+        user's position in ``users``; indices ascend.
         """
-        origin = user.location
-        max_distance = float(user.max_travel_distance)
-        keep: List[int] = []
-        for index, task in enumerate(self.tasks):
-            if user.user_id in task.contributors:
-                continue
-            if origin.distance_to(task.location) <= max_distance:
-                keep.append(index)
+        for blocks in self._chunk_blocks(users, origins, budgets, costs):
+            problems = [
+                (index, block.problem(j))
+                for indices, block in blocks
+                for j, index in enumerate(indices.tolist())
+            ]
+            problems.sort(key=itemgetter(0))
+            yield from problems
 
-        if keep:
-            idx = np.asarray(keep, dtype=int)
-            diff = self.locations[idx] - (origin.x, origin.y)
-            origin_row = np.sqrt((diff**2).sum(axis=1))
-            k = len(keep)
-            matrix = np.empty((k + 1, k + 1), dtype=float)
-            matrix[0, 0] = 0.0
-            matrix[0, 1:] = origin_row
-            matrix[1:, 0] = origin_row
-            matrix[1:, 1:] = self.task_matrix[np.ix_(idx, idx)]
-            candidates = tuple(self.candidates[i] for i in keep)
+    def _chunk_blocks(
+        self,
+        users: Sequence[MobileUser],
+        origins: Optional[np.ndarray],
+        budgets: Optional[np.ndarray],
+        costs: Optional[np.ndarray],
+    ) -> Iterator[List[Tuple[np.ndarray, ProblemBlock]]]:
+        """One list of ``(indices, block)`` per user chunk."""
+        n_tasks = len(self.tasks)
+        if n_tasks == 0:
+            return
+        n_users = len(users)
+        if origins is None:
+            origins = np.asarray(
+                [(u.location.x, u.location.y) for u in users], dtype=float
+            ).reshape(n_users, 2)
+        if budgets is None:
+            budgets = np.asarray(
+                [u.max_travel_distance for u in users], dtype=float
+            )
+        if costs is None:
+            costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
+        if self.dtype == np.float32:
+            origins_w = origins.astype(np.float32)
+            budgets_w = budgets.astype(np.float32)
+            # The recheck band must cover the float32 representation
+            # error of every quantity feeding a reach decision.
+            coordinate_scale = max(
+                float(np.abs(self._locations).max(initial=0.0)),
+                float(np.abs(origins_w).max(initial=0.0)),
+            )
+            budget_scale = float(np.abs(budgets_w).max(initial=0.0))
+            tol = float32_boundary_tol(coordinate_scale, budget_scale)
         else:
-            matrix = np.zeros((1, 1), dtype=float)
-            candidates = ()
+            origins_w, budgets_w, tol = origins, budgets, BOUNDARY_TOL
+        chunk_size = max(1, self.chunk_elements // n_tasks)
+        contributors = [task.contributors for task in self.tasks]
+        # Contributor exclusion, vectorised: resolve every (contributor,
+        # task) pair to a (user position, column) pair once per round,
+        # then clear those reach bits chunk by chunk — instead of a
+        # set-membership filter per (user, candidate) pair.
+        pair_rows = pair_cols = None
+        if any(contributors):
+            position_of = {u.user_id: i for i, u in enumerate(users)}
+            pairs = [
+                (position, col)
+                for col, contributed in enumerate(contributors)
+                for user_id in contributed
+                if (position := position_of.get(user_id)) is not None
+            ]
+            if pairs:
+                pair_rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
+                pair_cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        locations = self._locations
+        tasks = self.tasks
+        for start in range(0, n_users, chunk_size):
+            stop = min(start + chunk_size, n_users)
+            chunk_origins = origins_w[start:stop]
+            chunk_budgets = budgets_w[start:stop]
+            # diff, square, one add, sqrt — written per coordinate so no
+            # (chunk, tasks, 2) temporary is materialised.  dx*dx+dy*dy
+            # is pairwise_distances' sum over the 2-wide axis (a single
+            # correctly-rounded add either way), and (a-b)^2 is exact
+            # under negation, so float64 origin-minus-task equals the
+            # reference task-minus-origin rows bitwise.
+            dx = chunk_origins[:, 0, None] - locations[None, :, 0]
+            dy = chunk_origins[:, 1, None] - locations[None, :, 1]
+            np.multiply(dx, dx, out=dx)
+            np.multiply(dy, dy, out=dy)
+            np.add(dx, dy, out=dx)
+            distances = np.sqrt(dx, out=dx)
+            del dy
+            reach = distances <= chunk_budgets[:, None]
+            # Boundary band = within tol above the budget, or reachable
+            # but not clearly below it.  Two threshold comparisons beat
+            # an abs-difference here: bool temporaries instead of a
+            # full-size float one.
+            near = distances <= (chunk_budgets + tol)[:, None]
+            near &= ~(distances <= (chunk_budgets - tol)[:, None])
+            # Boundary-band decisions re-run the reference float64
+            # predicate, one pair at a time (rare at any realistic
+            # geometry — the band is micrometers wide in float64 and
+            # sub-meter in float32).
+            nrows, ncols = np.nonzero(near)
+            if len(nrows):
+                for row, col in zip(nrows.tolist(), ncols.tolist()):
+                    reach[row, col] = (
+                        users[start + row].location.distance_to(tasks[col].location)
+                        <= budgets[start + row]
+                    )
+            if pair_rows is not None:
+                in_chunk = (pair_rows >= start) & (pair_rows < stop)
+                if in_chunk.any():
+                    reach[pair_rows[in_chunk] - start, pair_cols[in_chunk]] = False
+            yield self._gather_blocks(
+                users, start, reach, distances, budgets, costs
+            )
 
+    def _gather_blocks(
+        self,
+        users: Sequence[MobileUser],
+        start: int,
+        reach: np.ndarray,
+        distances: np.ndarray,
+        budgets: np.ndarray,
+        costs: np.ndarray,
+    ) -> List[Tuple[np.ndarray, ProblemBlock]]:
+        """One chunk's problem blocks, one per candidate count k.
+
+        Each block's ``(n_k, k+1, k+1)`` distance array is filled by one
+        fancy-index gather: the origin row is the chunk's distance row,
+        the task block is sliced from the shared matrix, and candidates
+        keep ascending task order.
+        """
+        # One nonzero over the whole chunk; rows come out ascending,
+        # columns ascending within a row.
+        rows, cols = np.nonzero(reach)
+        counts = np.bincount(rows, minlength=len(reach))
+        offsets = np.zeros(len(reach) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        task_rows = self._task_rows
         if self._stats is not None:
-            self._stats.problem_cache_hits += 1
-        return TaskSelectionProblem(
-            origin=origin,
-            candidates=candidates,
-            max_distance=max_distance,
-            cost_per_meter=float(user.cost_per_meter),
-            distance_matrix=matrix,
-        )
+            # One hit per user served, with or without a candidate.
+            self._stats.problem_cache_hits += len(reach)
+        blocks: List[Tuple[np.ndarray, ProblemBlock]] = []
+        for k in np.unique(counts[counts > 0]).tolist():
+            group = np.flatnonzero(counts == k)
+            picked = cols[offsets[group][:, None] + np.arange(k)]
+            matrix_rows = picked if task_rows is None else task_rows[picked]
+            origin_rows = distances[group[:, None], picked]
+            block = np.empty((len(group), k + 1, k + 1), dtype=self.dtype)
+            block[:, 0, 0] = 0.0
+            block[:, 0, 1:] = origin_rows
+            block[:, 1:, 0] = origin_rows
+            block[:, 1:, 1:] = self.task_matrix[
+                matrix_rows[:, :, None], matrix_rows[:, None, :]
+            ]
+            indices = group + start
+            blocks.append((indices, ProblemBlock(
+                distances=block,
+                rewards=self.rewards[picked],
+                task_ids=self._task_ids[picked],
+                max_distance=budgets[indices],
+                cost_per_meter=costs[indices],
+                origins=[users[i].location for i in indices.tolist()],
+                columns=picked,
+                candidates=self.candidates,
+            )))
+        return blocks

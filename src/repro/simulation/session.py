@@ -12,8 +12,8 @@ the round loop to the caller::
 
 Stepping with no actions replays :meth:`SimulationEngine.run_rounds`
 verbatim — the histories are bit-identical to ``simulate()`` (the
-session tests pin this at :class:`RoundRecord` level on both the scalar
-and the batched engine).  Passing an *incentive action* to
+session tests pin this at :class:`RoundRecord` level on every preset
+through ``city-2k``).  Passing an *incentive action* to
 :meth:`SimulationSession.step` mutates the mechanism's knobs (AHP
 weights, the Eq. 7 ladder step :math:`\\lambda`, the level partition)
 before the round is priced, which is the substrate the
@@ -80,10 +80,10 @@ class SessionObservation:
 
 
 class SimulationSession:
-    """An open, steppable simulation over any of the repro engines.
+    """An open, steppable simulation over the repro engine.
 
     Args:
-        config: the full parameterisation (engine choice included).
+        config: the full parameterisation.
         observers: round observers, exactly as :class:`SimulationEngine`
             takes them (e.g. the events-JSONL
             :class:`~repro.io.events.RoundStreamWriter`).
@@ -257,8 +257,8 @@ def open_session(
     """Open a stepwise session over ``config``'s engine.
 
     The session-level counterpart of
-    :func:`~repro.simulation.engine.simulate`: same engine dispatch,
-    same observers, but the caller drives the round loop.  See
+    :func:`~repro.simulation.engine.simulate`: same engine, same
+    observers, but the caller drives the round loop.  See
     :class:`SimulationSession`.
     """
     return SimulationSession(

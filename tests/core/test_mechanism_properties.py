@@ -3,12 +3,16 @@
 Random task states and user clouds; for every mechanism the returned
 price map must cover exactly the active tasks, stay positive/finite, and
 (for ladder-based mechanisms) land on the Eq. 7 ladder within range.
+The on-demand mechanism's vectorised pricing must also equal the scalar
+Eq. 2–7 composition exactly, with or without an injected incremental
+neighbour counter.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.demand import TaskDemandInputs
 from repro.core.mechanisms import (
     FixedMechanism,
     OnDemandMechanism,
@@ -16,6 +20,7 @@ from repro.core.mechanisms import (
     RoundView,
     SteeredMechanism,
 )
+from repro.geometry.grid_index import GridIndex, IncrementalNeighbourCounter
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.world.generator import World
@@ -130,3 +135,60 @@ def test_proportional_prices_within_ladder_range(raw_tasks, raw_users, round_no)
     schedule = mechanism.schedule
     for price in prices.values():
         assert schedule.base_reward - 1e-9 <= price <= schedule.max_reward + 1e-9
+
+
+def scalar_prices(mechanism, round_no, tasks, user_locations):
+    """Eq. 2–7 composed from the scalar pieces: per-task grid counts,
+    per-task demands, per-demand ladder prices."""
+    radius = mechanism.neighbour_radius
+    neighbours = GridIndex(user_locations, cell_size=radius).counts_for(
+        [t.location for t in tasks], radius
+    )
+    demands = mechanism.calculator.demands([
+        TaskDemandInputs(
+            round_no=round_no, deadline=t.deadline, received=t.received,
+            required=t.required_measurements, neighbours=n,
+        )
+        for t, n in zip(tasks, neighbours)
+    ])
+    prices = {
+        t.task_id: mechanism.schedule.reward_for_demand(d)
+        for t, d in zip(tasks, demands)
+    }
+    return prices, {t.task_id: d for t, d in zip(tasks, demands)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_states, user_clouds, rounds, st.booleans())
+def test_on_demand_rewards_equal_the_scalar_composition(
+    raw_tasks, raw_users, round_no, with_counter
+):
+    world = build_world(raw_tasks, raw_users)
+    mechanism = OnDemandMechanism(
+        budget=10.0 * sum(t.required_measurements for t in world.tasks)
+    )
+    mechanism.initialize(world, np.random.Generator(np.random.PCG64(3)))
+    if with_counter:
+        # Inject a counter as the engine does, then move every other
+        # user (mirrored across the region) so the counts it answers
+        # with come from movement deltas, not only its initial build.
+        counter = IncrementalNeighbourCounter(
+            [u.location for u in world.users], radius=mechanism.neighbour_radius
+        )
+        mechanism.neighbour_counter = counter
+        rows = list(range(0, len(world.users), 2))
+        old = [world.users[row].location for row in rows]
+        new = [Point(1000.0 - p.x, p.y) for p in old]
+        for row, point in zip(rows, new):
+            world.users[row].location = point
+        counter.apply_moves(rows, old, new)
+    view, active = view_for(world, round_no)
+    expected, demands = scalar_prices(
+        mechanism, round_no, active, view.user_locations
+    )
+    if with_counter:
+        # The counter answers Eq. 5; the engine then sends no locations.
+        view = RoundView(round_no=round_no, active_tasks=active,
+                         user_locations=())
+    assert mechanism.rewards(view) == expected
+    assert mechanism.last_demands == demands

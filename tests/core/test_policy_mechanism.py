@@ -220,12 +220,6 @@ class TestPolicyMechanismRuns:
         policy = simulate(SimulationConfig(mechanism="policy", **SMALL))
         assert result_fingerprint(policy) == result_fingerprint(baseline)
 
-    def test_static_identity_holds_on_batched_engine(self):
-        config = dict(SMALL, engine="batched")
-        baseline = simulate(SimulationConfig(**config))
-        policy = simulate(SimulationConfig(mechanism="policy", **config))
-        assert result_fingerprint(policy) == result_fingerprint(baseline)
-
     def test_json_kwargs_policy_via_config(self):
         """The job-submission path: policy spec as plain JSON kwargs."""
         result = simulate(SimulationConfig(
@@ -237,17 +231,6 @@ class TestPolicyMechanismRuns:
         ))
         assert result.rounds_played >= 1
         assert result.total_paid > 0
-
-    def test_step_decay_scalar_equals_batched(self):
-        """Engine parity must survive a round-varying policy."""
-        kwargs = dict(
-            mechanism="policy",
-            mechanism_kwargs={"policy": {"name": "step-decay"}},
-            **SMALL,
-        )
-        scalar = simulate(SimulationConfig(engine="scalar", **kwargs))
-        batched = simulate(SimulationConfig(engine="batched", **kwargs))
-        assert result_fingerprint(scalar) == result_fingerprint(batched)
 
     def test_fixed_weights_policy_changes_pricing(self):
         baseline = simulate(SimulationConfig(**SMALL))

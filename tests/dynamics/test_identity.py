@@ -1,14 +1,14 @@
-"""The open-world reproducibility contract, engine by engine.
+"""The open-world reproducibility contract.
 
 Two invariants from docs/architecture.md are pinned here:
 
 1. An *empty* dynamics block is inert: a run configured with all-zero
    churn rates is bit-identical (canonical round payloads — everything
    but wall-clock timings) to the same run with no dynamics block at
-   all, on both the scalar and the batched engine.
+   all, in either distance precision.
 2. A *churning* run is an execution-independent function of (config,
-   seed): scalar vs batched and interrupted-then-resumed vs
-   uninterrupted both replay the same history.
+   seed): interrupted-then-resumed vs uninterrupted replay the same
+   history (and the golden corpus pins the poisson-churn histories).
 """
 
 import pytest
@@ -38,7 +38,7 @@ def closed_config(**overrides):
         seed=17,
     )
     base.update(overrides)
-    return SimulationConfig(**base)
+    return SimulationConfig().with_overrides(**base)
 
 
 def churn_config(**overrides):
@@ -56,8 +56,8 @@ def canonical_rounds(result):
 
 
 def semantic_rounds(result):
-    """Engine-comparable behavioural fields (perf counters legitimately
-    differ between the scalar and batched paths)."""
+    """Behavioural round fields (perf counters carry wall-clock
+    timings)."""
     return [
         (
             r.round_no,
@@ -80,10 +80,13 @@ def semantic_rounds(result):
 class TestEmptyDynamicsIsInert:
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_zero_rates_match_no_block(self, engine):
-        closed = make_engine(closed_config(engine=engine)).run()
-        zeroed = make_engine(
-            closed_config(engine=engine, dynamics=dict(ZERO_DYNAMICS))
-        ).run()
+        # Loaded through a legacy value of the retired engine key: a
+        # "scalar" spec ran float64, a "batched" one may run float32.
+        dtype = "float64" if engine == "scalar" else "float32"
+        closed = make_engine(closed_config(distance_dtype=dtype)).run()
+        zeroed = make_engine(closed_config(
+            engine=engine, distance_dtype=dtype, dynamics=dict(ZERO_DYNAMICS)
+        )).run()
         assert canonical_rounds(zeroed) == canonical_rounds(closed)
 
     def test_closed_world_payloads_have_no_dynamics_key(self):
@@ -93,14 +96,6 @@ class TestEmptyDynamicsIsInert:
 
 
 class TestChurnIsExecutionIndependent:
-    def test_scalar_matches_batched(self):
-        config = churn_config()
-        scalar = make_engine(config.with_overrides(engine="scalar")).run()
-        batched = make_engine(config).run()
-        semantic = semantic_rounds(scalar)
-        assert any(r[-1] for r in semantic), "churn must produce events"
-        assert semantic_rounds(batched) == semantic
-
     def test_different_seeds_differ(self):
         a = make_engine(churn_config(seed=1)).run()
         b = make_engine(churn_config(seed=2)).run()

@@ -70,7 +70,7 @@ def test_event_sensing(capsys):
 
 def test_city_scale(capsys):
     out = run_example("city_scale", capsys)
-    assert "engine=batched" in out
+    assert "distances=float32" in out
     assert "replay agrees: True" in out
 
 

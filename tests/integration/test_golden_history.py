@@ -1,10 +1,10 @@
 """Simulation histories pinned against the committed golden corpus.
 
 ``tests/golden/fingerprints.json`` holds result and per-round digests for
-every preset up to city-2k (three seeds), the open-world mechanisms and a
-churning world with random-waypoint wanderers.  Unlike the scalar-vs-
-batched agreement tests, this catches a change to a path both engines
-share.  Regenerate with ``scripts/golden_fingerprints.py`` only when a
+every preset up to city-2k (three seeds), the open-world mechanisms, a
+churning world with random-waypoint wanderers, the SAT coordinator mode
+and the Fig. 5 round-2 snapshot.  It pins the engine's history to itself
+rather than to a second implementation that could share a bug.  Regenerate with ``scripts/golden_fingerprints.py`` only when a
 history change is intended.
 """
 
@@ -37,5 +37,4 @@ def test_corpus_covers_every_case():
     "case", CORPUS["cases"], ids=[case["id"] for case in CORPUS["cases"]]
 )
 def test_history_matches_golden(case):
-    got = golden.fingerprints(case["scenario"], case["overrides"])
-    assert got == {"result": case["result"], "rounds": case["rounds"]}
+    assert golden.fingerprints(case) == golden.recorded(case)

@@ -49,7 +49,7 @@ class TestSpecsAndThresholds:
         assert set(BENCH_SPECS) == set(BENCH_VALUE_FIELDS)
 
     def test_throughput_drop_is_a_regression(self):
-        assert BENCH_SPECS["batched_rounds_per_second"].direction == (
+        assert BENCH_SPECS["rounds_per_second"].direction == (
             "lower-is-worse"
         )
         assert default_spec("rounds_per_second").direction == "lower-is-worse"

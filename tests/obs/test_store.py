@@ -223,19 +223,18 @@ class TestBenchShim:
             "timestamp": "2026-01-02T00:00:00Z",
             "bench": "engine",
             "scale": "full",
-            "scalar_rounds_per_second": 0.2,
-            "batched_rounds_per_second": 1.5,
-            "engine_speedup": 7.5,
+            "rounds_per_second": 1.5,
+            "peak_rss_mb": 120.0,
         }
         trajectory.write_text(json.dumps([bench_entry(5.0), engine_entry]))
         store = RunStore(tmp_path / "store")
         created = ingest_bench_trajectory(store, trajectory)
         assert sorted(r.kind for r in created) == ["bench", "bench:engine"]
         engine_run = next(r for r in created if r.kind == "bench:engine")
-        assert engine_run.values["engine_speedup"] == 7.5
+        assert engine_run.values["rounds_per_second"] == 1.5
         assert engine_run.labels["bench"] == "engine"
-        history = store.series("engine_speedup", kind="bench:engine")
-        assert [value for _run, value in history] == [7.5]
+        history = store.series("rounds_per_second", kind="bench:engine")
+        assert [value for _run, value in history] == [1.5]
 
     def test_rejects_non_trajectory_files(self, tmp_path):
         bogus = tmp_path / "x.json"

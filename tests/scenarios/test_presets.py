@@ -2,7 +2,7 @@
 
 The big presets (city-50k) are validated through their *config* and a
 downsized world build — constructing 50k users in a unit test is the
-batched engine's job, not this suite's.
+engine's job, not this suite's.
 """
 
 import pytest
@@ -90,13 +90,11 @@ class TestCityPresets:
         config = PRESETS["city-50k"].to_config()
         assert config.n_users == 50_000
         assert config.n_tasks == 2_000
-        assert config.engine == "batched"
         assert config.stream_rounds is True
 
     def test_city_2k_is_the_ci_downsize(self):
         config = PRESETS["city-2k"].to_config()
         assert config.n_users == 2_000
-        assert config.engine == "batched"
 
     def test_city_presets_use_float32_distances(self):
         for name in ("city-2k", "city-50k", "city-1m"):
@@ -108,7 +106,6 @@ class TestCityPresets:
         config = PRESETS["city-1m"].to_config()
         assert config.n_users == 1_000_000
         assert config.n_tasks == 5_000
-        assert config.engine == "batched"
         assert config.stream_rounds is True
         assert config.distance_dtype == "float32"
         # Eq. 9 feasibility at full scale: r0 > 0.

@@ -105,3 +105,20 @@ class TestAcceptedSubmissions:
 
     def test_timeout_normalised_to_float(self):
         assert parse_submission({"timeout": 30}).timeout == 30.0
+
+
+class TestRetiredEngineKey:
+    """Job specs saved before the engine fold still submit."""
+
+    def test_legacy_values_load_as_the_same_job(self):
+        plain = parse_submission({"overrides": {"n_users": 10}})
+        for legacy in ("scalar", "batched"):
+            parsed = parse_submission(
+                {"overrides": {"n_users": 10, "engine": legacy}}
+            )
+            assert parsed.config == plain.config
+            assert parsed.fingerprint == plain.fingerprint
+
+    def test_other_values_are_a_400_naming_the_retirement(self):
+        err = reject({"overrides": {"engine": "vectorised"}})
+        assert "retired" in err.reason

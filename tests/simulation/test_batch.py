@@ -1,16 +1,18 @@
-"""The batched engine path: bit-identity with the scalar engine.
+"""The engine's chunked problem assembly against the per-user reference.
 
-The batched engine's whole contract is "same histories, faster" — so
-these tests compare full behavioral round histories (published rewards,
-per-user records, measurements, rejections, lifecycle events) and final
-world state field by field, never wall-clock or perf counters.
+:meth:`TaskSelectionProblem.build` is the reference Eq. 1 instance: it
+prunes by ``Point.distance_to`` and fills the distance matrix with
+:func:`~repro.geometry.distances.pairwise_distances`.  The engine's
+block assembly must hand the selector exactly those instances, so these
+tests compare problems bit for bit, and every played selection against
+the reference instance solved by a fresh selector.
 """
 
 import numpy as np
 import pytest
 
-from repro.simulation import SimulationConfig, SimulationEngine, make_engine
-from repro.simulation.batch import BatchedRoundProblems, BatchedSimulationEngine
+from repro.selection import SELECTORS, CandidateTask, TaskSelectionProblem
+from repro.simulation import SimulationConfig, make_engine
 from repro.simulation.round_cache import RoundProblems
 
 
@@ -36,37 +38,67 @@ def behavioral_history(result):
     ]
 
 
-def final_world_state(engine):
-    return (
-        tuple(
-            (u.user_id, u.location.x, u.location.y, u.total_reward,
-             u.total_cost)
-            for u in engine.world.users
-        ),
-        tuple(
-            (t.task_id, t.received, t.status.value,
-             tuple(sorted(t.contributors)))
-            for t in engine.world.tasks
-        ),
+def reference_problem(user, tasks, prices):
+    """The user's Eq. 1 instance from the per-user reference builder."""
+    candidates = [
+        CandidateTask(task_id=t.task_id, location=t.location,
+                      reward=prices[t.task_id])
+        for t in tasks
+        if user.user_id not in t.contributors
+    ]
+    return TaskSelectionProblem.build(
+        origin=user.location,
+        candidates=candidates,
+        max_distance=user.max_travel_distance,
+        cost_per_meter=user.cost_per_meter,
     )
 
 
-def run_both(**overrides):
-    base = SimulationConfig(**overrides)
-    scalar = make_engine(base.with_overrides(engine="scalar"))
-    batched = make_engine(base.with_overrides(engine="batched"))
-    return (scalar, scalar.run()), (batched, batched.run())
+def assert_rounds_match_reference(config):
+    """Play ``config``; each round, every participant's played selection
+    must be the reference instance's answer, bit for bit, and everyone
+    else must sit the round out."""
+    assert not config.dynamics  # the published set is fixed before step()
+    engine = make_engine(config)
+    selector = SELECTORS.create(config.selector, **config.selector_kwargs)
+    masks = []
+    draw = engine._participation_mask
+
+    def capture():
+        masks.append(draw())
+        return masks[-1]
+
+    engine._participation_mask = capture
+    walked = 0
+    while not engine.finished:
+        tasks, prices = engine.published_tasks(), engine.published_rewards()
+        expected = {
+            user.user_id: selector.select(reference_problem(user, tasks, prices))
+            for user in engine.world.users
+        }
+        record = engine.step()
+        present = {
+            user.user_id
+            for user, here in zip(engine.world.users, masks[-1]) if here
+        }
+        for row in record.user_records:
+            if row.user_id not in present:
+                assert row.selected_task_ids == ()
+                continue
+            want = expected[row.user_id]
+            assert row.selected_task_ids == want.task_ids
+            assert row.distance.hex() == want.distance.hex()
+            assert row.cost.hex() == want.cost.hex()
+            walked += bool(want.task_ids)
+    assert walked, "nobody walked: the comparison proved nothing"
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_paper_world(self, seed):
-        (s_eng, s_res), (b_eng, b_res) = run_both(
-            n_users=60, n_tasks=20, rounds=10, seed=seed
+        assert_rounds_match_reference(
+            SimulationConfig(n_users=60, n_tasks=20, rounds=10, seed=seed)
         )
-        assert behavioral_history(s_res) == behavioral_history(b_res)
-        assert final_world_state(s_eng) == final_world_state(b_eng)
-        assert s_res.total_paid == b_res.total_paid
 
     @pytest.mark.parametrize(
         "overrides",
@@ -80,25 +112,22 @@ class TestBitIdentity:
         ids=["waypoint", "fixed-partial", "clustered-hetero", "poisson"],
     )
     def test_extension_knobs(self, overrides):
-        (s_eng, s_res), (b_eng, b_res) = run_both(
-            n_users=50, n_tasks=15, rounds=8, seed=11, **overrides
+        assert_rounds_match_reference(
+            SimulationConfig(n_users=50, n_tasks=15, rounds=8, seed=11,
+                             **overrides)
         )
-        assert behavioral_history(s_res) == behavioral_history(b_res)
-        assert final_world_state(s_eng) == final_world_state(b_eng)
 
     def test_streamed_rounds(self):
-        (_, s_res), (_, b_res) = run_both(
-            n_users=40, rounds=6, seed=3, stream_rounds=True
+        assert_rounds_match_reference(
+            SimulationConfig(n_users=40, rounds=6, seed=3, stream_rounds=True)
         )
-        assert s_res.total_measurements == b_res.total_measurements
-        assert s_res.total_paid == b_res.total_paid
 
 
 class TestChunking:
     def test_pathologically_small_chunks_change_nothing(self):
         base = SimulationConfig(n_users=40, rounds=5, seed=3)
         reference = make_engine(base).run()
-        tiny_chunks = make_engine(base.with_overrides(engine="batched"))
+        tiny_chunks = make_engine(base)
         tiny_chunks.chunk_elements = 7  # ~1 user per chunk
         assert behavioral_history(tiny_chunks.run()) == behavioral_history(
             reference
@@ -106,36 +135,33 @@ class TestChunking:
 
     def test_chunk_elements_validated(self):
         with pytest.raises(ValueError, match="chunk_elements"):
-            BatchedRoundProblems([], {}, chunk_elements=0)
+            RoundProblems([], {}, chunk_elements=0)
 
 
 class TestProblemParity:
-    def test_iter_problems_matches_problem_for(self):
-        engine = make_engine(
-            SimulationConfig(n_users=25, seed=5, engine="batched")
-        )
+    def test_iter_problems_matches_build(self):
+        engine = make_engine(SimulationConfig(n_users=25, seed=5))
         engine.step()  # advance one round so some tasks have contributors
         tasks = engine.active_tasks()
+        assert any(t.contributors for t in tasks)
         prices = {t.task_id: 1.0 for t in tasks}
-        scalar = RoundProblems(tasks, prices)
         users = list(engine.world.users)
-        expected = [scalar.problem_for(user) for user in users]
+        expected = [reference_problem(user, tasks, prices) for user in users]
         # Both layouts: the round's own task matrix, and the engine's
         # all-tasks matrix reached through the task-row mapping.
-        for batched in (
-            BatchedRoundProblems(tasks, prices),
-            engine._make_round_problems(tasks, prices),
+        for problems in (
+            RoundProblems(tasks, prices),
+            engine._round_problems(tasks, prices, cached=False),
         ):
-            built = dict(batched.iter_problems(users))
+            built = dict(problems.iter_problems(users))
             assert built, "no user had a candidate"
             for index, want in enumerate(expected):
                 if index not in built:
                     assert want.size == 0
                     continue
                 problem = built[index]
-                assert [c.task_id for c in problem.candidates] == [
-                    c.task_id for c in want.candidates
-                ]
+                assert problem.origin == want.origin
+                assert problem.candidates == want.candidates
                 np.testing.assert_array_equal(
                     problem.distance_matrix, want.distance_matrix
                 )
@@ -145,11 +171,10 @@ class TestProblemParity:
 
     def test_empty_problem_skips_selector(self):
         # Shrink travel budgets to zero reach: every problem is empty, so
-        # the batched engine must answer without a single selector call.
+        # the engine must answer without a single selector call.
         engine = make_engine(
             SimulationConfig(
-                n_users=10, rounds=2, seed=0, engine="batched",
-                user_time_budget=0.001,
+                n_users=10, rounds=2, seed=0, user_time_budget=0.001,
             )
         )
         calls = []
@@ -167,36 +192,3 @@ class TestProblemParity:
             for round_record in result.rounds
             for record in round_record.user_records
         )
-
-    def test_problem_hits_count_participants_on_both_engines(self):
-        # One problem-cache hit per participant, whether or not the
-        # batched engine built a problem for them.
-        (_, scalar), (_, batched) = run_both(
-            n_users=60, rounds=3, seed=2, user_time_budget=300
-        )
-        for mine, theirs in zip(scalar.rounds, batched.rounds):
-            assert mine.perf.problem_cache_hits == theirs.perf.problem_cache_hits
-            assert theirs.perf.problem_cache_hits > theirs.perf.selector_calls
-
-
-class TestEngineFactory:
-    def test_dispatches_on_config_engine(self):
-        scalar = make_engine(SimulationConfig(n_users=5))
-        batched = make_engine(SimulationConfig(n_users=5, engine="batched"))
-        assert type(scalar) is SimulationEngine
-        assert isinstance(batched, BatchedSimulationEngine)
-
-    def test_batched_flips_mechanism_flag(self):
-        engine = make_engine(SimulationConfig(n_users=5, engine="batched"))
-        assert getattr(engine.mechanism, "batched", False) is True
-        scalar = make_engine(SimulationConfig(n_users=5))
-        assert getattr(scalar.mechanism, "batched", True) is False
-
-
-def test_row_mapped_problems_refuse_problem_for():
-    engine = make_engine(SimulationConfig(n_users=10, seed=1, engine="batched"))
-    problems = engine._round_problems(
-        engine.published_tasks(), engine.published_rewards()
-    )
-    with pytest.raises(TypeError, match="iter_problems"):
-        problems.problem_for(engine.world.users[0])

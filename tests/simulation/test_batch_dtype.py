@@ -12,11 +12,10 @@ import pytest
 
 from repro.api import build_config, make_engine
 from repro.resilience.errors import ConfigError
-from repro.simulation import SimulationConfig
-from repro.simulation.batch import (
-    BatchedRoundProblems,
-    BatchedSimulationEngine,
+from repro.simulation import SimulationConfig, SimulationEngine
+from repro.simulation.round_cache import (
     DEFAULT_CHUNK_BYTES,
+    RoundProblems,
     float32_boundary_tol,
 )
 
@@ -38,15 +37,14 @@ BASE = dict(
     participation_rate=0.8,
     arrival="poisson",
     selector="greedy",
-    engine="batched",
     seed=5,
 )
 
 
 class TestFloat32SelectionParity:
     def test_selections_match_float64_pipeline(self):
-        r64 = BatchedSimulationEngine(SimulationConfig(**BASE)).run()
-        r32 = BatchedSimulationEngine(
+        r64 = SimulationEngine(SimulationConfig(**BASE)).run()
+        r32 = SimulationEngine(
             SimulationConfig(distance_dtype="float32", **BASE)
         ).run()
         assert selections_by_round(r32) == selections_by_round(r64)
@@ -54,7 +52,7 @@ class TestFloat32SelectionParity:
 
     def test_float32_matrices_reach_the_selector(self):
         config = SimulationConfig(distance_dtype="float32", **BASE)
-        engine = BatchedSimulationEngine(config)
+        engine = SimulationEngine(config)
         problems = engine._round_problems(
             engine.published_tasks(), engine.published_rewards()
         )
@@ -99,31 +97,27 @@ class TestDtypeKnob:
         with pytest.raises(ConfigError, match="distance_dtype"):
             SimulationConfig(distance_dtype="float16")
 
-    def test_config_rejects_float32_on_scalar_engine(self):
-        with pytest.raises(ConfigError, match="batched"):
-            SimulationConfig(distance_dtype="float32", engine="scalar")
-
     def test_problems_reject_unknown_dtype(self):
         with pytest.raises(ValueError, match="float32 or float64"):
-            BatchedRoundProblems([], {}, dtype=np.int32)
+            RoundProblems([], {}, dtype=np.int32)
 
 
 class TestChunkByteBudget:
     def test_chunk_elements_derived_from_byte_budget(self):
-        p64 = BatchedRoundProblems([], {}, dtype=np.float64)
-        p32 = BatchedRoundProblems([], {}, dtype=np.float32)
+        p64 = RoundProblems([], {}, dtype=np.float64)
+        p32 = RoundProblems([], {}, dtype=np.float32)
         assert p64.chunk_elements == DEFAULT_CHUNK_BYTES // 8
         # Same byte footprint, twice the elements in float32.
         assert p32.chunk_elements == 2 * p64.chunk_elements
 
     def test_explicit_chunk_elements_still_wins(self):
-        problems = BatchedRoundProblems([], {}, chunk_elements=7)
+        problems = RoundProblems([], {}, chunk_elements=7)
         assert problems.chunk_elements == 7
 
     def test_zero_chunk_elements_still_rejected(self):
         with pytest.raises(ValueError, match="chunk_elements"):
-            BatchedRoundProblems([], {}, chunk_elements=0)
+            RoundProblems([], {}, chunk_elements=0)
 
     def test_chunk_bytes_must_hold_an_element(self):
         with pytest.raises(ValueError, match="chunk_bytes"):
-            BatchedRoundProblems([], {}, chunk_bytes=4, dtype=np.float64)
+            RoundProblems([], {}, chunk_bytes=4, dtype=np.float64)

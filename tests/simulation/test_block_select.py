@@ -1,7 +1,7 @@
-"""The batched engine's block select phase: counters, cancellation, blocks.
+"""The engine's block select phase: counters, cancellation, blocks.
 
-The batched engine hands each equal-k problem block to the selector in
-one ``select_block`` call.  Its counters keep their per-instance
+The engine hands each equal-k problem block to the selector in one
+``select_block`` call.  Its counters keep their per-instance
 meaning (one selector call per user with a candidate, one problem-cache
 hit per participant), and cancellation is polled before every block.
 """
@@ -13,8 +13,9 @@ from repro.resilience.cancel import FlagToken
 from repro.resilience.errors import OperationCancelled
 from repro.scenarios import PRESETS
 from repro.selection import GreedySelector
-from repro.simulation.batch import BatchedRoundProblems, BatchedSimulationEngine
+from repro.simulation import SimulationEngine
 from repro.simulation.round_cache import RoundProblems
+from tests.simulation.test_batch import reference_problem
 
 
 def small_city(**overrides):
@@ -28,7 +29,7 @@ def small_city(**overrides):
 
 class TestCounters:
     def test_calls_count_users_with_a_candidate(self):
-        engine = BatchedSimulationEngine(small_city())
+        engine = SimulationEngine(small_city())
         masks = []
         draw = engine._participation_mask
 
@@ -38,13 +39,12 @@ class TestCounters:
 
         engine._participation_mask = capture
         while not engine.finished:
-            # Candidates counted independently, on the scalar path.
-            scalar = RoundProblems(
-                engine.published_tasks(), engine.published_rewards()
-            )
-            has_candidate = np.array(
-                [scalar.problem_for(u).size > 0 for u in engine.world.users]
-            )
+            # Candidates counted independently, by the reference builder.
+            tasks, prices = engine.published_tasks(), engine.published_rewards()
+            has_candidate = np.array([
+                reference_problem(u, tasks, prices).size > 0
+                for u in engine.world.users
+            ])
             record = engine.step()
             participants = masks[-1]
             assert participants.sum() < len(participants)
@@ -69,7 +69,7 @@ class TestCancellation:
                 return super().select_block(block)
 
         config = PRESETS["city-2k"].to_config(seed=4, rounds=2)
-        engine = BatchedSimulationEngine(
+        engine = SimulationEngine(
             config, selector=CancelsOnFirstBlock(), cancel=token
         )
         with pytest.raises(OperationCancelled) as excinfo:
@@ -82,10 +82,9 @@ class TestCancellation:
 class TestBlocks:
     def test_block_rows_carry_their_problems_fields(self):
         config = small_city(distance_dtype="float64")
-        engine = BatchedSimulationEngine(config)
-        problems = BatchedRoundProblems(
-            engine.published_tasks(), engine.published_rewards()
-        )
+        engine = SimulationEngine(config)
+        tasks, prices = engine.published_tasks(), engine.published_rewards()
+        problems = RoundProblems(tasks, prices)
         users = engine.world.users
         seen = []
         for indices, block in problems.iter_blocks(users):
@@ -93,7 +92,7 @@ class TestBlocks:
                                              block.size + 1)
             for j, index in enumerate(indices.tolist()):
                 problem = block.problem(j)
-                want = problems.problem_for(users[index])
+                want = reference_problem(users[index], tasks, prices)
                 assert problem.origin == want.origin
                 assert problem.candidates == want.candidates
                 assert problem.max_distance == want.max_distance
@@ -121,8 +120,8 @@ class TestBlocks:
                 return GreedySelector().select(problem)
 
         config = small_city()
-        duck = BatchedSimulationEngine(config, selector=SelectOnly()).run()
-        greedy = BatchedSimulationEngine(config, selector=GreedySelector()).run()
+        duck = SimulationEngine(config, selector=SelectOnly()).run()
+        greedy = SimulationEngine(config, selector=GreedySelector()).run()
         assert [r.user_records for r in duck.rounds] == [
             r.user_records for r in greedy.rounds
         ]

@@ -1,8 +1,13 @@
 """Unit tests for repro.simulation.config."""
 
+import dataclasses
+
 import pytest
 
+from repro import api
 from repro.core.levels import DemandLevels
+from repro.resilience.errors import ConfigError
+from repro.scenarios import ScenarioSpec
 from repro.simulation.config import SimulationConfig
 
 
@@ -71,6 +76,41 @@ class TestOverrides:
     def test_unknown_key_error_lists_valid_fields(self):
         with pytest.raises(ValueError, match="n_users"):
             SimulationConfig().with_overrides(n_userz=5)
+
+
+class TestRetiredEngineKey:
+    """``engine`` is no field any more; saved specs that still carry one
+    of its two legacy values load, and the value changes nothing."""
+
+    SMALL = dict(n_users=20, n_tasks=5, rounds=4, seed=3)
+
+    def test_no_engine_field(self):
+        names = {f.name for f in dataclasses.fields(SimulationConfig)}
+        assert "engine" not in names
+
+    def test_legacy_values_accepted_and_ignored(self):
+        plain = SimulationConfig().with_overrides(**self.SMALL)
+        for legacy in ("scalar", "batched"):
+            config = SimulationConfig().with_overrides(engine=legacy, **self.SMALL)
+            assert config == plain
+        fingerprints = {
+            legacy: api.result_fingerprint(api.simulate(engine=legacy, **self.SMALL))
+            for legacy in ("scalar", "batched")
+        }
+        assert fingerprints["scalar"] == fingerprints["batched"] == (
+            api.result_fingerprint(api.simulate(**self.SMALL))
+        )
+
+    def test_legacy_value_in_a_scenario_spec(self):
+        spec = ScenarioSpec("old", config=dict(self.SMALL, engine="batched"))
+        assert spec.to_config() == SimulationConfig().with_overrides(**self.SMALL)
+
+    @pytest.mark.parametrize("value", ["vectorised", "", None, "Scalar"])
+    def test_other_values_name_the_retirement(self, value):
+        with pytest.raises(ConfigError, match="retired"):
+            SimulationConfig().with_overrides(engine=value)
+        with pytest.raises(ConfigError, match="retired"):
+            ScenarioSpec("old", config={"engine": value})
 
 
 class TestMechanismArguments:

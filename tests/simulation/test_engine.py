@@ -215,19 +215,26 @@ class TestLayouts:
 
 class TestSparseRound:
     """Only users who walk, or whose policy moves them while idle, get a
-    mobility call — in arrival order, on either engine."""
+    mobility call — in arrival order, in either distance precision.
+
+    Cases load through a legacy value of the retired ``engine`` key: a
+    "scalar" spec ran float64, a "batched" one may run float32.
+    """
 
     @pytest.mark.parametrize("engine_name", ["scalar", "batched"])
     def test_mobility_called_for_movers_only(self, engine_name):
         config = SimulationConfig(
             n_users=60, n_tasks=8, rounds=4, seed=5, budget=400.0,
-            participation_rate=0.7, engine=engine_name,
+            participation_rate=0.7,
             population=[
                 {"name": "wanderers", "fraction": 0.3,
                  "mobility": "random-waypoint"},
                 {"name": "commuters", "fraction": 0.3,
                  "mobility": "stationary"},
             ],
+        ).with_overrides(
+            engine=engine_name,
+            distance_dtype="float64" if engine_name == "scalar" else "float32",
         )
         engine = make_engine(config)
         called = []

@@ -109,6 +109,45 @@ class TestPriceBoundary:
             engine.step()
 
 
+class TestBuildProblemsPrices:
+    """A caller price map is checked before any problem is built."""
+
+    def test_missing_task_ids_are_named(self, fast_config):
+        engine = SimulationEngine(fast_config)
+        tasks = engine.published_tasks()
+        prices = {t.task_id: 1.0 for t in tasks[1:]}
+        missing = rf"missing task ids \[{tasks[0].task_id}\]"
+        with pytest.raises(ValueError, match=missing):
+            engine.build_problems(prices=prices)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_prices_are_named(self, fast_config, bad):
+        engine = SimulationEngine(fast_config)
+        prices = {t.task_id: 1.0 for t in engine.published_tasks()}
+        first = next(iter(prices))
+        prices[first] = bad
+        with pytest.raises(ValueError, match="bad prices") as excinfo:
+            engine.build_problems(prices=prices)
+        assert f"{first}: {bad}" in str(excinfo.value)
+
+    def test_valid_map_leaves_the_round_cache_alone(self, fast_config):
+        engine = SimulationEngine(fast_config)
+        published = engine.build_problems()
+        doubled = {
+            task_id: 2.0 * price
+            for task_id, price in engine.published_rewards().items()
+        }
+        probed = engine.build_problems(prices=doubled)
+        assert [p.candidates for _, p in engine.build_problems()] == [
+            p.candidates for _, p in published
+        ]
+        assert any(
+            c.reward == 2.0 * want.reward
+            for (_, p), (_, q) in zip(probed, published)
+            for c, want in zip(p.candidates, q.candidates)
+        )
+
+
 class TestEarlyStop:
     def test_step_after_early_completion_raises(self, tiny_world, tiny_config):
         # Users 0 and 1 each sweep all four tasks in round 1; every task

@@ -2,7 +2,8 @@
 
 The tentpole guarantee: a session stepped with no actions replays
 ``simulate()`` bit-identically — RoundRecord by RoundRecord — on every
-preset through ``city-2k`` and on both engines (scalar, batched).  Plus
+preset through ``city-2k``, loaded through either legacy value of the
+retired ``engine`` key (a ``scalar`` spec also pins float64).  Plus
 the session-only semantics: observe is pure, actions invalidate the
 price cache, close is idempotent and blocks further stepping.
 """
@@ -19,7 +20,7 @@ from repro.simulation import (
 )
 from repro.simulation.session import SessionObservation
 
-#: Downsized overrides per preset: small enough that 2 engine modes x
+#: Downsized overrides per preset: small enough that 2 spec modes x
 #: (reference + session) stay test-suite fast, unchanged in structure
 #: (dynamics blocks, populations, arrival policies all intact).
 PRESET_OVERRIDES = {
@@ -31,16 +32,17 @@ PRESET_OVERRIDES = {
     "city-2k": dict(n_users=80, n_tasks=12, rounds=4),
 }
 
+#: The retired ``engine`` key's legacy values, which saved specs still
+#: carry.  A "scalar" spec could only run the float64 distance pipeline,
+#: so that mode also pins float64 (city-2k and task-stream-2k otherwise
+#: run float32): the two modes cover both precisions.
 ENGINE_MODES = ("scalar", "batched")
 
 
 def _config(preset: str, mode: str) -> SimulationConfig:
-    overrides = dict(PRESET_OVERRIDES[preset])
+    overrides = dict(PRESET_OVERRIDES[preset], engine=mode)
     if mode == "scalar":
-        # The scalar reference engine has no float32 distance pipeline.
-        overrides.update(engine="scalar", distance_dtype="float64")
-    else:
-        overrides.update(engine="batched")
+        overrides.update(distance_dtype="float64")
     return api.build_config(scenario=preset, **overrides)
 
 
@@ -176,8 +178,6 @@ class TestActions:
         on whether observe() was called."""
         overrides = dict(
             PRESET_OVERRIDES["paper-2018"],
-            engine="scalar",
-            distance_dtype="float64",
             mechanism="policy",
             mechanism_kwargs={
                 "policy": {"name": "step-decay", "decay": 0.7},

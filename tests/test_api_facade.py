@@ -80,7 +80,7 @@ class TestBuildConfig:
     def test_scenario_plus_overrides(self):
         config = api.build_config(scenario="city-2k", n_users=50, seed=3)
         assert config.n_users == 50
-        assert config.engine == "batched"  # from the preset
+        assert config.distance_dtype == "float32"  # from the preset
 
     def test_defaults_when_no_scenario(self):
         assert api.build_config().n_users == 100

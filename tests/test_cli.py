@@ -113,15 +113,27 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path), "--seed", "1"]) == 0
 
     def test_scenario_with_engine_and_events(self, capsys, tmp_path):
+        from repro.scenarios import ScenarioSpec, save_spec
+
+        # A saved spec may still carry the retired engine key.
+        path = save_spec(
+            ScenarioSpec("legacy", config={"n_users": 12, "n_tasks": 4,
+                                           "rounds": 2, "engine": "batched"}),
+            tmp_path / "legacy.toml",
+        )
         events = tmp_path / "events.jsonl"
         code = main([
-            "simulate", "--scenario", "paper-2018", "--users", "12",
-            "--tasks", "4", "--rounds", "2", "--seed", "0",
-            "--engine", "batched", "--events", str(events),
+            "simulate", "--scenario", str(path), "--seed", "0",
+            "--events", str(events),
         ])
         assert code == 0
         assert "streamed events" in capsys.readouterr().out
         assert events.exists()
+
+    def test_engine_option_is_retired(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--engine", "batched"])
+        assert "--engine" in capsys.readouterr().err
 
     def test_unknown_scenario_is_a_named_error(self, capsys):
         with pytest.raises(ValueError, match="atlantis"):

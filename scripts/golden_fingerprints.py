@@ -10,7 +10,10 @@ Two kinds of case pin paths a plain run does not take:
   under :class:`~repro.allocation.greedy_server.GreedyServerCoordinator`;
 - ``"snapshot": "fig5"`` plays round 1, then records one ``profits``
   digest of the DP and greedy profit of every user's round-2 instance
-  from ``engine.build_problems()`` (the Fig. 5 paired comparison).
+  from ``engine.build_problems()`` (the Fig. 5 paired comparison);
+- ``"snapshot": "user-profits"`` runs the case keeping its rounds and
+  records one ``profits`` digest of ``repr()`` of every whole-run
+  ``user_profits()`` entry (departed users are not in the roster).
 ``tests/integration/test_golden_history.py`` replays every case and
 compares, which pins the engine's history to itself rather than to a
 second implementation that could share a bug.
@@ -91,6 +94,16 @@ def cases() -> List[Dict]:
     for seed in SEEDS:
         out.append({"scenario": "paper-2018", "overrides": {"seed": seed},
                     "snapshot": "fig5"})
+    for seed in SEEDS:
+        out.append({"scenario": "paper-2018", "overrides": {"seed": seed},
+                    "snapshot": "user-profits"})
+    out.append({"scenario": "poisson-churn",
+                "overrides": dict(WANDERING_CHURN, seed=0),
+                "snapshot": "user-profits"})
+    out.append({"scenario": "task-stream-2k",
+                "overrides": {"mechanism": "incentme", "seed": 0,
+                              "stream_rounds": False},
+                "snapshot": "user-profits"})
     for case in out:
         case["id"] = case_id(case["scenario"], case["overrides"])
         for kind in CASE_KINDS:
@@ -126,6 +139,8 @@ def fingerprints(case: Dict) -> Dict[str, str]:
     config = api.build_config(case["scenario"], **case["overrides"])
     if case.get("snapshot") == "fig5":
         return {"profits": fig5_profits(config)}
+    if case.get("snapshot") == "user-profits":
+        return {"profits": user_profits_digest(config)}
     coordinator = (
         GreedyServerCoordinator()
         if case.get("coordinator") == "greedy-server" else None
@@ -153,6 +168,16 @@ def fig5_profits(config) -> str:
         for user, problem in engine.build_problems()
     ]
     return hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
+
+
+def user_profits_digest(config) -> str:
+    """Digest of ``repr()`` of every whole-run per-user profit of a run
+    that keeps its rounds (``repr`` pins each float to the last bit)."""
+    result = api.make_engine(config).run()
+    if result.streamed:
+        raise ValueError("user-profits snapshots need a run that keeps its rounds")
+    profits = [repr(profit) for profit in result.user_profits()]
+    return hashlib.sha256(json.dumps(profits).encode("ascii")).hexdigest()
 
 
 def recorded(case: Dict) -> Dict[str, str]:

@@ -6,10 +6,12 @@ one ``meta`` line, one line per round — so external tooling (pandas,
 jq, spreadsheets) can consume runs without importing the library, and so
 runs can be archived next to the experiment results they produced.
 
-The loader rebuilds a *replay*: the structured history and the task
-outcomes, sufficient for every metric in :mod:`repro.metrics` that reads
-rounds (coverage, measurements, rewards, profits).  It does not rebuild
-live ``World`` objects — replays are for analysis, not resumption.
+The loader rebuilds a *replay*: the structured history, the task
+outcomes and the same :class:`~repro.simulation.events.RunTotals`
+ledger a live run keeps, sufficient for every metric in
+:mod:`repro.metrics` that reads rounds (coverage, measurements,
+rewards, profits).  It does not rebuild live ``World`` objects —
+replays are for analysis, not resumption.
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.dynamics.processes import WorldEvent
 from repro.simulation.events import (
     MeasurementEvent,
     RejectedContribution,
     RoundRecord,
+    RunAggregates,
     SimulationResult,
     UserRoundRecord,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience.errors import ResultCorruption
 from repro.simulation.perf import PerfStats
 
 FORMAT_VERSION = 1
@@ -143,8 +147,10 @@ class RoundStreamWriter:
 
 
 @dataclass
-class SimulationReplay:
-    """A loaded history: rounds + the task parameters metrics need."""
+class SimulationReplay(RunAggregates):
+    """A loaded history: rounds + the task parameters metrics need,
+    with the same run ledger (``totals``) as the result it was written
+    from."""
 
     rounds: List[RoundRecord]
     n_tasks: int
@@ -152,47 +158,54 @@ class SimulationReplay:
     task_deadlines: Dict[int, int]
     task_required: Dict[int, int]
 
-    @property
-    def total_measurements(self) -> int:
-        return sum(r.measurement_count for r in self.rounds)
+    def _task_ids(self) -> Iterable[int]:
+        return self.task_deadlines
 
-    @property
-    def total_paid(self) -> float:
-        return sum(r.total_paid for r in self.rounds)
 
-    def metrics_totals(self) -> MetricsRegistry:
-        """All rounds' metric snapshots merged, in round order (empty
-        for logs written before the registry existed)."""
-        return MetricsRegistry.merged(r.metrics for r in self.rounds)
-
-    def measurements_by_task(self) -> Dict[int, int]:
-        counts = {task_id: 0 for task_id in self.task_deadlines}
-        for record in self.rounds:
-            for event in record.measurements:
-                # .get tolerates tasks the meta line predates (open-world
-                # logs publish tasks mid-run; the loader folds them in,
-                # but older tooling may hand-build partial replays).
-                counts[event.task_id] = counts.get(event.task_id, 0) + 1
-        return counts
+def _payloads(path: Union[str, Path]) -> List[Dict]:
+    """The JSON objects of an events file's non-blank lines; a line
+    that does not parse raises :class:`ResultCorruption` naming the path,
+    the 1-based line and whether it is a torn last line or damage
+    mid-file."""
+    numbered = [
+        (number, line)
+        for number, line in enumerate(Path(path).read_text().splitlines(), 1)
+        if line.strip()
+    ]
+    payloads = []
+    for index, (number, line) in enumerate(numbered):
+        try:
+            payloads.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            damage = (
+                "torn last line (the writer stopped mid-line)"
+                if index == len(numbered) - 1
+                else "damaged mid-file"
+            )
+            raise ResultCorruption(
+                f"{path}: line {number} is not valid JSON, {damage}: {exc}"
+            ) from exc
+    return payloads
 
 
 def read_events_jsonl(path: Union[str, Path]) -> SimulationReplay:
-    """Load a history written by :func:`write_events_jsonl`.
+    """Load a history written by :func:`write_events_jsonl` (blank
+    lines are skipped).
 
     Raises:
+        ResultCorruption: for a line that is not valid JSON.
         ValueError: for a missing meta line or foreign format version.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    payloads = _payloads(path)
+    if not payloads:
         raise ValueError(f"{path}: empty event log")
-    meta = json.loads(lines[0])
+    meta = payloads[0]
     if meta.get("kind") != "meta" or meta.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: not a version-{FORMAT_VERSION} event log (got {meta.get('kind')!r})"
         )
     rounds: List[RoundRecord] = []
-    for line in lines[1:]:
-        payload = json.loads(line)
+    for payload in payloads[1:]:
         if payload.get("kind") != "round":
             raise ValueError(f"{path}: unexpected line kind {payload.get('kind')!r}")
         rounds.append(RoundRecord(

@@ -24,24 +24,16 @@ def covered_task_ids(
     Args:
         up_to_round: 1-based cutoff; None means the whole run.
     """
-    if result.streamed:
-        # Streamed runs drop round records; the tasks' own measurement
-        # ledgers (round -> count) carry the same information.
-        return {
-            task.task_id
-            for task in result.world.tasks
-            if any(
-                count > 0 and (up_to_round is None or round_no <= up_to_round)
-                for round_no, count in task.measurements_by_round.items()
-            )
-        }
-    covered: Set[int] = set()
-    for record in result.rounds:
-        if up_to_round is not None and record.round_no > up_to_round:
-            break
-        for event in record.measurements:
-            covered.add(event.task_id)
-    return covered
+    # The tasks' own measurement ledgers (round -> count) hold the same
+    # information as the round records, and survive streamed runs.
+    return {
+        task.task_id
+        for task in result.world.tasks
+        if any(
+            count > 0 and (up_to_round is None or round_no <= up_to_round)
+            for round_no, count in task.measurements_by_round.items()
+        )
+    }
 
 
 def coverage(result: SimulationResult, up_to_round: Optional[int] = None) -> float:

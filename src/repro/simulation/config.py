@@ -94,8 +94,9 @@ class SimulationConfig:
         stream_rounds: when True the engine does not retain per-round
             records in :class:`SimulationResult` (observers still see
             every record as it finishes, so a JSONL stream writer keeps
-            the full history on disk); totals and summary metrics stay
-            available.  Bounds memory on 50k-user runs.
+            the full history on disk); totals and summary metrics come
+            from the same run ledger either way, bit for bit.  Bounds
+            memory on 50k-user runs.
         seed: root seed for all random streams.
         selector_timeout: optional wall-clock deadline (seconds) on every
             ``Selector.select`` call.  When set, the engine wraps the

@@ -157,17 +157,19 @@ class _RowState:
         self.idle_movers[row] = not self.mobility.stays_put_when_idle(user)
 
     def records(
-        self, round_no: int, selections: List[Selection], rewards: np.ndarray
+        self, round_no: int, selections: List[Selection], rewards: np.ndarray,
+        costs: np.ndarray,
     ) -> UserRoundRecords:
         """The round's user records, in ``user_id`` order."""
         order = self.order
         if order is None:
-            return UserRoundRecords(round_no, self.user_ids, selections, rewards)
+            return UserRoundRecords(round_no, self.user_ids, selections, rewards, costs)
         return UserRoundRecords(
             round_no,
             self.user_ids[order],
             [selections[row] for row in order.tolist()],
             rewards[order],
+            costs[order],
         )
 
 
@@ -260,7 +262,6 @@ class SimulationEngine:
         self._problems_cache: Optional[Tuple[int, RoundProblems]] = None
         self._perf = PerfStats()
         self._metrics = MetricsRegistry()
-        self._cumulative_paid = 0.0
         self._row_state: Optional[_RowState] = None
         self._dtype = np.dtype(self.config.distance_dtype)
         self._full_task_matrix: Optional[np.ndarray] = None
@@ -540,10 +541,7 @@ class SimulationEngine:
             round=self._next_round,
         ), self.tracer.span("round", cat="round", round=self._next_round):
             record = self._play_round(self._next_round, self.published_tasks())
-        if self.config.stream_rounds:
-            self.result.absorb(record)
-        else:
-            self.result.rounds.append(record)
+        self.result.absorb(record)
         self._next_round += 1
         for observer in self.observers:
             observer(record)
@@ -589,20 +587,22 @@ class SimulationEngine:
             tasks_by_id = {t.task_id: t for t in active}
             walkers: List[int] = []
             earned: List[float] = []
+            spent: List[float] = []
             for row in arrival.tolist():
                 selection = selections[row]
                 if not selection.task_ids:
                     continue
-                user = users[row]
                 reward = self._perform(
-                    user, selection, tasks_by_id, prices, round_no,
+                    users[row], selection, tasks_by_id, prices, round_no,
                     measurements, rejections, completed,
                 )
-                user.record_round(round_no, reward, selection.cost)
                 walkers.append(row)
                 earned.append(reward)
+                spent.append(selection.cost)
             rewards = np.zeros(len(selections))
             rewards[walkers] = earned
+            costs = np.zeros(len(selections))
+            costs[walkers] = spent
             moves = self._rows().idle_movers.copy()
             moves[walkers] = True
             # Mobility is a single post-upload pass in the same arrival
@@ -614,7 +614,9 @@ class SimulationEngine:
             # location and draw nothing).
             movers = arrival[moves[arrival]]
             self._apply_moves(movers.tolist(), selections, tasks_by_id)
-            user_records = self._rows().records(round_no, selections, rewards)
+            user_records = self._rows().records(
+                round_no, selections, rewards, costs
+            )
 
         # Step 4 prep: expire tasks whose deadline has passed.  The open
         # world first offers each overdue task its pre-drawn renewal
@@ -630,9 +632,8 @@ class SimulationEngine:
         else:
             expired, lifecycle = self._expire_or_renew(active, round_no)
             dynamics += tuple(lifecycle)
-        fallbacks = self._drain_selector_fallbacks()
-        perf = self._drain_perf()
-        return RoundRecord(
+        metrics, self._metrics = self._metrics, MetricsRegistry()
+        record = RoundRecord(
             round_no=round_no,
             published_rewards=dict(prices),
             user_records=user_records,
@@ -641,12 +642,12 @@ class SimulationEngine:
             completed_task_ids=tuple(completed),
             expired_task_ids=tuple(expired),
             dynamics=dynamics,
-            selector_fallbacks=fallbacks,
-            perf=perf,
-            metrics=self._drain_round_metrics(
-                measurements, rejections, fallbacks, perf
-            ),
+            selector_fallbacks=self._drain_selector_fallbacks(),
+            perf=self._drain_perf(),
+            metrics=metrics,
         )
+        self._record_round_metrics(record)
+        return record
 
     def _expire_or_renew(
         self, active: List[SensingTask], round_no: int
@@ -861,14 +862,8 @@ class SimulationEngine:
         stats, self._perf = self._perf, PerfStats()
         return stats
 
-    def _drain_round_metrics(
-        self,
-        measurements: List[MeasurementEvent],
-        rejections: List[RejectedContribution],
-        fallbacks: int,
-        perf: PerfStats,
-    ) -> MetricsRegistry:
-        """This round's metrics snapshot (the accumulator is reset).
+    def _record_round_metrics(self, record: RoundRecord) -> None:
+        """Complete the round's metrics snapshot, ``record.metrics``.
 
         Registry series per round: measurement acceptance/rejection
         counters (rejections labelled by reason — the WST redundancy
@@ -880,30 +875,28 @@ class SimulationEngine:
         loop).  Metrics are observability only — nothing reads them
         back into the simulation.
         """
-        metrics = self._metrics
+        metrics = record.metrics
         metrics.counter("measurements_total", outcome="accepted").inc(
-            len(measurements)
+            record.measurement_count
         )
-        for rejection in rejections:
+        for rejection in record.rejections:
             metrics.counter(
                 "measurements_total", outcome="rejected", reason=rejection.reason
             ).inc()
-        paid = sum(event.reward for event in measurements)
+        paid = record.total_paid
         metrics.counter("payout_total").inc(paid)
-        self._cumulative_paid += paid
+        # The run ledger has not absorbed this round yet.
         metrics.gauge("budget_remaining").set(
-            self.config.budget - self._cumulative_paid
+            self.config.budget - (self.result.total_paid + paid)
         )
         demands = getattr(self.mechanism, "last_demands", None)
         levels = getattr(self.mechanism, "levels", None)
         if demands and levels is not None:
             for level in levels.levels_of(list(demands.values())):
                 metrics.counter("demand_level_total", level=level).inc()
-        if fallbacks:
-            metrics.counter("selector_fallbacks_total").inc(fallbacks)
-        metrics.record_perf(perf)
-        snapshot, self._metrics = self._metrics, MetricsRegistry()
-        return snapshot
+        if record.selector_fallbacks:
+            metrics.counter("selector_fallbacks_total").inc(record.selector_fallbacks)
+        metrics.record_perf(record.perf)
 
     def _drain_selector_states(self) -> int:
         """DP states expanded since the last drain (0 for non-DP

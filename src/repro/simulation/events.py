@@ -1,10 +1,14 @@
 """Structured simulation history: what happened, round by round.
 
 The engine emits one :class:`RoundRecord` per simulated round; a full
-run is a :class:`SimulationResult`.  The metrics suite
-(:mod:`repro.metrics`) is a pure function of these records plus the
-final world state — nothing in the engine computes a metric, which keeps
-the measurement definitions in one reviewable place.
+run is a :class:`SimulationResult`.  Every round is folded once into
+the run ledger, :class:`RunTotals`, which answers every whole-run
+aggregate (payout, per-task measurements, per-user profit, merged perf
+and metrics) whether the rounds were kept, streamed or replayed from
+an events log.  The metrics suite (:mod:`repro.metrics`) is a pure
+function of these records, the ledger and the final world state —
+nothing in the engine computes a metric, which keeps the measurement
+definitions in one reviewable place.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -82,10 +86,11 @@ class UserRoundRecords(Sequence):
 
     A round at city scale has tens of thousands of users, most of whom
     sat out or found nothing worth a trip.  Instead of one frozen
-    :class:`UserRoundRecord` per user, a round holds three aligned
+    :class:`UserRoundRecord` per user, a round holds four aligned
     columns — user ids, the users' :class:`Selection` objects (shared;
-    the engine's sit-outs all point at :meth:`Selection.empty`) and the
-    rewards actually earned — in ``user_id`` order, sit-outs included.
+    the engine's sit-outs all point at :meth:`Selection.empty`), the
+    rewards actually earned and the movement costs incurred — in
+    ``user_id`` order, sit-outs included.
     Records are materialised only when indexed or iterated; the
     fingerprint and events-JSONL writers read :meth:`rows`.
 
@@ -97,13 +102,18 @@ class UserRoundRecords(Sequence):
         user_ids: ``(n,)`` int64 user ids, ascending.
         selections: the ``n`` users' selections, aligned with ``user_ids``.
         rewards: ``(n,)`` float64 rewards earned, aligned likewise.
+        costs: ``(n,)`` float64 movement costs incurred (each walker's
+            selection cost, 0.0 for a sit-out), aligned likewise — what
+            the run ledger folds profits from without touching a
+            :class:`Selection`.
     """
 
-    def __init__(self, round_no: int, user_ids, selections, rewards):
+    def __init__(self, round_no: int, user_ids, selections, rewards, costs):
         self.round_no = round_no
         self.user_ids = np.asarray(user_ids, dtype=np.int64)
         self.selections = list(selections)
         self.rewards = np.asarray(rewards, dtype=float)
+        self.costs = np.asarray(costs, dtype=float)
 
     @classmethod
     def from_records(
@@ -121,6 +131,7 @@ class UserRoundRecords(Sequence):
                 for r in records
             ],
             [r.reward for r in records],
+            [r.cost for r in records],
         )
 
     def __len__(self) -> int:
@@ -228,8 +239,15 @@ class RoundRecord:
 
     @property
     def total_paid(self) -> float:
-        """Rewards the platform paid out this round."""
-        return sum(event.reward for event in self.measurements)
+        """Rewards the platform paid out this round, added left to right.
+
+        An explicit loop rather than ``sum()``, whose floats CPython
+        3.12 made compensated: totals must not move with the interpreter.
+        """
+        total = 0.0
+        for event in self.measurements:
+            total += event.reward
+        return total
 
     @property
     def participating_users(self) -> int:
@@ -238,105 +256,136 @@ class RoundRecord:
 
 @dataclass
 class RunTotals:
-    """Streaming accumulator: everything the metrics suite needs from a
-    run whose per-round records were not retained in memory.
+    """The run ledger: every run aggregate, folded one round at a time.
 
-    The engine :meth:`absorb`\\ s each finished :class:`RoundRecord` into
-    this and then drops it (observers — e.g. a JSONL stream writer —
-    still saw the full record), so a 50k-user run holds O(tasks + users)
-    state instead of O(rounds x users)."""
+    Each finished :class:`RoundRecord` is :meth:`absorb`\\ ed once —
+    by the engine whether or not it keeps the record, or on building a
+    result or replay from rounds — so a run that drops its records
+    (``stream_rounds``) reports the same figures, bit for bit, as one
+    that keeps them.  State is O(tasks + users): ``user_profits[user_id]``
+    is the user's sum of per-round ``reward - cost`` in round order,
+    folded as one array add per round over the record's columns (user
+    ids are dense; a sit-out adds exactly 0.0, and a user past the
+    array's end has profit 0.0).
+    """
 
     rounds_played: int = 0
     total_measurements: int = 0
     total_paid: float = 0.0
     total_selector_fallbacks: int = 0
     measurements_by_task: Dict[int, int] = field(default_factory=dict)
+    user_profits: np.ndarray = field(default_factory=lambda: np.zeros(0))
     perf: PerfStats = field(default_factory=PerfStats)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def absorb(self, record: RoundRecord) -> None:
+        """Fold one finished round into the ledger."""
         self.rounds_played += 1
         self.total_measurements += record.measurement_count
         self.total_paid += record.total_paid
         self.total_selector_fallbacks += record.selector_fallbacks
+        counts = self.measurements_by_task
         for event in record.measurements:
-            self.measurements_by_task[event.task_id] = (
-                self.measurements_by_task.get(event.task_id, 0) + 1
-            )
+            counts[event.task_id] = counts.get(event.task_id, 0) + 1
+        users = record.user_records
+        if len(users):
+            grow = int(users.user_ids.max()) + 1 - len(self.user_profits)
+            if grow > 0:
+                self.user_profits = np.concatenate([self.user_profits, np.zeros(grow)])
+            # Ids are unique within a round: one exact add per user.
+            self.user_profits[users.user_ids] += users.rewards - users.costs
         if record.perf is not None:
-            self.perf = PerfStats.merged((self.perf, record.perf))
-        if record.metrics is not None:
-            self.metrics = MetricsRegistry.merged((self.metrics, record.metrics))
+            self.perf.add(record.perf)
+        self.metrics.merge(record.metrics)
 
 
 @dataclass
-class SimulationResult:
-    """A finished run: the config, the final world, and the history.
+class RunAggregates:
+    """Whole-run aggregates of a history, all read from its ledger.
 
-    The history is either the full per-round record list (``rounds``,
-    the default) or — for memory-bounded streaming runs — the
-    :class:`RunTotals` accumulator (``totals``), in which case
-    ``rounds`` stays empty and per-round accessors raise."""
+    The base of :class:`SimulationResult` and the events-JSONL replay:
+    a subclass has a ``rounds`` list, folded into ``totals`` on
+    construction, and names the tasks :meth:`measurements_by_task`
+    reports (:meth:`_task_ids`).
+    """
 
-    config: "SimulationConfig"
-    world: "World"
-    rounds: List[RoundRecord] = field(default_factory=list)
-    totals: Optional[RunTotals] = None
+    totals: RunTotals = field(init=False, repr=False, compare=False)
 
-    def absorb(self, record: RoundRecord) -> None:
-        """Fold a finished round into :attr:`totals` without keeping it."""
-        if self.totals is None:
-            self.totals = RunTotals(
-                measurements_by_task={t.task_id: 0 for t in self.world.tasks}
-            )
-        self.totals.absorb(record)
+    def __post_init__(self) -> None:
+        self.totals = RunTotals()
+        for record in self.rounds:
+            self.totals.absorb(record)
 
-    @property
-    def streamed(self) -> bool:
-        """Whether per-round records were dropped after aggregation."""
-        return self.totals is not None
+    def _task_ids(self) -> Iterable[int]:
+        raise NotImplementedError
 
     @property
     def rounds_played(self) -> int:
-        if self.totals is not None:
-            return self.totals.rounds_played
-        return len(self.rounds)
+        return self.totals.rounds_played
 
     @property
     def total_measurements(self) -> int:
-        if self.totals is not None:
-            return self.totals.total_measurements
-        return sum(record.measurement_count for record in self.rounds)
+        return self.totals.total_measurements
 
     @property
     def total_paid(self) -> float:
         """Total platform payout over the whole run (must respect Eq. 8)."""
-        if self.totals is not None:
-            return self.totals.total_paid
-        return sum(record.total_paid for record in self.rounds)
+        return self.totals.total_paid
 
     @property
     def total_selector_fallbacks(self) -> int:
         """Watchdog degradations over the whole run (0 = fully exact)."""
-        if self.totals is not None:
-            return self.totals.total_selector_fallbacks
-        return sum(record.selector_fallbacks for record in self.rounds)
+        return self.totals.total_selector_fallbacks
 
     def perf_totals(self) -> PerfStats:
         """All rounds' perf counters merged into one :class:`PerfStats`."""
-        if self.totals is not None:
-            return self.totals.perf
-        return PerfStats.merged(record.perf for record in self.rounds)
+        return self.totals.perf
 
     def metrics_totals(self) -> MetricsRegistry:
         """All rounds' metric snapshots merged, in round order.
 
         Counters and histograms sum; gauges keep the last round's value
-        (so ``budget_remaining`` ends at the run's final figure).
+        (so ``budget_remaining`` ends at the run's final figure).  Empty
+        for replays of logs written before the registry existed.
         """
-        if self.totals is not None:
-            return self.totals.metrics
-        return MetricsRegistry.merged(record.metrics for record in self.rounds)
+        return self.totals.metrics
+
+    def measurements_by_task(self) -> Dict[int, int]:
+        """Accepted measurement counts per task over the whole run (0
+        for known tasks that received none)."""
+        counts = dict.fromkeys(self._task_ids(), 0)
+        counts.update(self.totals.measurements_by_task)
+        return counts
+
+
+@dataclass
+class SimulationResult(RunAggregates):
+    """A finished run: the config, the final world, and the history.
+
+    Every round is folded into the :class:`RunTotals` ledger
+    (``totals``), which answers every whole-run aggregate.  The records
+    are kept in ``rounds`` too unless the config streams them
+    (``stream_rounds``); then per-round accessors raise.
+    """
+
+    config: "SimulationConfig"
+    world: "World"
+    rounds: List[RoundRecord] = field(default_factory=list)
+
+    def absorb(self, record: RoundRecord) -> None:
+        """Fold a finished round into the ledger; keep it unless the
+        config streams rounds."""
+        self.totals.absorb(record)
+        if not self.config.stream_rounds:
+            self.rounds.append(record)
+
+    def _task_ids(self) -> Iterable[int]:
+        return (task.task_id for task in self.world.tasks)
+
+    @property
+    def streamed(self) -> bool:
+        """Whether per-round records were dropped after aggregation."""
+        return len(self.rounds) < self.totals.rounds_played
 
     def round(self, round_no: int) -> RoundRecord:
         """The record for a 1-based round number.
@@ -345,7 +394,7 @@ class SimulationResult:
             IndexError: if that round was not played (e.g. early stop),
                 or if the run streamed its rounds instead of keeping them.
         """
-        if self.totals is not None:
+        if self.streamed:
             raise IndexError(
                 f"round {round_no} not retained: this run streamed its "
                 f"records (config.stream_rounds) — read them back from "
@@ -357,19 +406,10 @@ class SimulationResult:
             )
         return self.rounds[round_no - 1]
 
-    def measurements_by_task(self) -> Dict[int, int]:
-        """Accepted measurement counts per task over the whole run."""
-        counts: Dict[int, int] = {task.task_id: 0 for task in self.world.tasks}
-        if self.totals is not None:
-            counts.update(self.totals.measurements_by_task)
-            return counts
-        for record in self.rounds:
-            for event in record.measurements:
-                counts[event.task_id] += 1
-        return counts
-
     def user_profits(self, round_no: int = None) -> List[float]:
-        """Per-user profit, either for one round or the whole run.
+        """Per-user profit, either for one round or the whole run, in
+        the final roster's order (users who departed mid-run are not in
+        it).
 
         Args:
             round_no: restrict to one 1-based round; None sums all rounds.
@@ -380,18 +420,11 @@ class SimulationResult:
                 reward - cost
                 for *_, reward, cost in self.round(round_no).user_records.rows()
             ]
-        if self.totals is not None:
-            # Users accumulate rewards/costs in place; for streamed runs
-            # the final world state is the whole-run ledger.
-            return [u.total_profit for u in self.world.users]
-        totals: Dict[int, float] = {u.user_id: 0.0 for u in self.world.users}
-        for record in self.rounds:
-            for _, user_id, _, _, reward, cost in record.user_records.rows():
-                # Users who departed mid-run (open world) appear in
-                # early records but not the final roster; skip them.
-                if user_id in totals:
-                    totals[user_id] += reward - cost
-        return [totals[u.user_id] for u in self.world.users]
+        profits = self.totals.user_profits
+        return [
+            float(profits[user.user_id]) if user.user_id < len(profits) else 0.0
+            for user in self.world.users
+        ]
 
 
 def _canonical_round(record: RoundRecord) -> Dict:
@@ -476,13 +509,3 @@ def result_fingerprint(result: SimulationResult) -> str:
     digest.update(totals.encode("utf-8"))
     return digest.hexdigest()
 
-
-def merge_user_records(
-    records: Sequence[UserRoundRecord],
-) -> Dict[int, Tuple[float, float]]:
-    """Aggregate (reward, cost) per user over a batch of records."""
-    merged: Dict[int, Tuple[float, float]] = {}
-    for record in records:
-        reward, cost = merged.get(record.user_id, (0.0, 0.0))
-        merged[record.user_id] = (reward + record.reward, cost + record.cost)
-    return merged

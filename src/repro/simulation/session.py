@@ -178,7 +178,7 @@ class SimulationSession:
             n_active_tasks=len(engine.active_tasks()),
             n_published_tasks=len(engine.published_tasks()),
             budget=engine.config.budget,
-            total_paid=engine._cumulative_paid,
+            total_paid=engine.result.total_paid,
             completeness=completeness,
             published_rewards=prices,
             demands=demands,

@@ -2,14 +2,15 @@
 
 A user owns its movement parameters (walking speed, movement cost per
 meter) and a per-round time budget — the constraint side of the task
-selection problem (Eq. 1).  Profit accounting lives here too so the
-Fig. 5 experiment can read per-user profits directly.
+selection problem (Eq. 1).  What a user earned is not kept here: the
+run ledger (:class:`~repro.simulation.events.RunTotals`) folds every
+user's per-round profit, and ``SimulationResult.user_profits`` reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.geometry.point import Point
 
@@ -34,12 +35,7 @@ class MobileUser:
     cost_per_meter: float
     time_budget: float
     group: Optional[str] = None
-    # --- mutable accounting state --------------------------------------
     home: Point = None  # type: ignore[assignment]  # set in __post_init__
-    total_reward: float = 0.0
-    total_cost: float = 0.0
-    profit_by_round: Dict[int, float] = field(default_factory=dict)
-    tasks_performed: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.user_id < 0:
@@ -70,33 +66,3 @@ class MobileUser:
         """Dollar cost of walking ``distance`` meters."""
         return distance * self.cost_per_meter
 
-    # -- accounting --------------------------------------------------------
-
-    @property
-    def total_profit(self) -> float:
-        """Lifetime profit: rewards earned minus movement cost."""
-        return self.total_reward - self.total_cost
-
-    def record_round(self, round_no: int, reward: float, cost: float) -> None:
-        """Record the outcome of one round for this user.
-
-        Args:
-            round_no: 1-based round number.
-            reward: total rewards received this round.
-            cost: total movement cost incurred this round.
-        """
-        if round_no < 1:
-            raise ValueError(f"round_no must be >= 1, got {round_no}")
-        if reward < 0 or cost < 0:
-            raise ValueError(
-                f"reward and cost must be non-negative, got {reward}, {cost}"
-            )
-        self.total_reward += reward
-        self.total_cost += cost
-        self.profit_by_round[round_no] = (
-            self.profit_by_round.get(round_no, 0.0) + reward - cost
-        )
-
-    def profit_in_round(self, round_no: int) -> float:
-        """Profit earned in round ``round_no`` (0.0 if the user sat out)."""
-        return self.profit_by_round.get(round_no, 0.0)

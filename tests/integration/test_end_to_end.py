@@ -43,20 +43,29 @@ class TestPaperScaleRun:
 class TestCrossComponentConsistency:
     def test_user_reward_totals_match_platform_payout(self):
         result = simulate(SimulationConfig(n_users=40, seed=9))
-        paid_to_users = sum(u.total_reward for u in result.world.users)
-        # Every dollar the platform paid landed with some user.
+        paid_to_users = sum(
+            r.reward for record in result.rounds for r in record.user_records
+        )
+        # Every dollar the platform paid landed with some user: each
+        # user's earned reward is the sum of its accepted measurements.
         assert paid_to_users == pytest.approx(result.total_paid)
+        for record in result.rounds:
+            for r in record.user_records:
+                assert r.reward == pytest.approx(sum(
+                    m.reward for m in record.measurements
+                    if m.user_id == r.user_id
+                ))
 
     def test_round_records_sum_to_user_accounting(self):
         result = simulate(SimulationConfig(n_users=40, seed=10))
-        for user in result.world.users:
+        for user, profit in zip(result.world.users, result.user_profits()):
             from_records = sum(
                 r.profit
                 for record in result.rounds
                 for r in record.user_records
                 if r.user_id == user.user_id
             )
-            assert from_records == pytest.approx(user.total_profit)
+            assert from_records == pytest.approx(profit)
 
     def test_all_mechanism_selector_combinations(self):
         config = SimulationConfig(

@@ -2,8 +2,9 @@
 
 ``tests/golden/fingerprints.json`` holds result and per-round digests for
 every preset up to city-2k (three seeds), the open-world mechanisms, a
-churning world with random-waypoint wanderers, the SAT coordinator mode
-and the Fig. 5 round-2 snapshot.  It pins the engine's history to itself
+churning world with random-waypoint wanderers, the SAT coordinator mode,
+the Fig. 5 round-2 snapshot and whole-run per-user profits of retained
+runs.  It pins the engine's history to itself
 rather than to a second implementation that could share a bug.  Regenerate with ``scripts/golden_fingerprints.py`` only when a
 history change is intended.
 """

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.io.events import read_events_jsonl, write_events_jsonl
+from repro.resilience.errors import ResultCorruption
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
 from repro.simulation.events import SimulationResult, UserRoundRecords
@@ -23,7 +24,9 @@ class TestRoundTrip:
         path = write_events_jsonl(result, tmp_path / "run.jsonl")
         replay = read_events_jsonl(path)
         assert replay.total_measurements == result.total_measurements
-        assert replay.total_paid == pytest.approx(result.total_paid)
+        assert replay.total_paid == result.total_paid
+        assert replay.total_selector_fallbacks == result.total_selector_fallbacks
+        assert replay.totals.user_profits.tolist() == result.totals.user_profits.tolist()
         assert replay.n_tasks == 5
         assert replay.n_users == 12
 
@@ -124,4 +127,41 @@ class TestValidation:
         content = path.read_text() + json.dumps({"kind": "banana"}) + "\n"
         path.write_text(content)
         with pytest.raises(ValueError, match="unexpected line kind"):
+            read_events_jsonl(path)
+
+    def test_blank_lines_are_skipped(self, result, tmp_path):
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n\n")
+        replay = read_events_jsonl(path)
+        assert replay.rounds_played == result.rounds_played
+
+
+class TestTornFiles:
+    """A damaged events file names itself, the line and the damage."""
+
+    def test_torn_last_line(self, result, tmp_path):
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        text = path.read_text()
+        path.write_text(text[: len(text) - 40])  # killed mid-append
+        n_lines = len(text.splitlines())
+        with pytest.raises(ResultCorruption) as caught:
+            read_events_jsonl(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert f"line {n_lines}" in message
+        assert "torn last line" in message
+
+    def test_damage_mid_file(self, result, tmp_path):
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:50]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ResultCorruption, match="line 2 .*damaged mid-file"):
+            read_events_jsonl(path)
+
+    def test_corruption_is_a_value_error(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text('{"kind": "me')
+        with pytest.raises(ValueError, match=r"torn\.jsonl: line 1 is not valid JSON"):
             read_events_jsonl(path)

@@ -6,12 +6,14 @@ import pickle
 import pytest
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import simulate
+from repro.simulation.engine import SimulationEngine, make_engine, simulate
 from repro.simulation.events import (
+    MeasurementEvent,
     RoundRecord,
+    RunTotals,
+    SimulationResult,
     UserRoundRecord,
     UserRoundRecords,
-    merge_user_records,
     round_fingerprint,
 )
 
@@ -85,29 +87,101 @@ class TestSimulationResult:
     def test_user_profits_whole_run(self, result):
         profits = result.user_profits()
         assert len(profits) == len(result.world.users)
-        # Cross-check against the users' own accounting.
+        # Cross-check against the round records: each user's profit is
+        # the sum of its per-round reward - cost, in round order.
         for user, profit in zip(result.world.users, profits):
-            assert profit == pytest.approx(user.total_profit)
+            from_records = 0.0
+            for record in result.rounds:
+                for r in record.user_records:
+                    if r.user_id == user.user_id:
+                        from_records += r.profit
+            assert profit == from_records
 
     def test_user_profits_single_round(self, result):
         profits = result.user_profits(round_no=1)
         record = result.round(1)
         assert profits == [r.profit for r in record.user_records]
 
+    def test_rounds_given_at_construction_are_folded(self, result):
+        again = SimulationResult(
+            config=result.config, world=result.world, rounds=list(result.rounds)
+        )
+        assert not again.streamed
+        for name in ("rounds_played", "total_measurements", "total_paid",
+                     "total_selector_fallbacks", "measurements_by_task", "perf"):
+            assert getattr(again.totals, name) == getattr(result.totals, name)
+        assert again.totals.user_profits.tolist() == result.totals.user_profits.tolist()
+        assert (
+            again.metrics_totals().as_dict() == result.metrics_totals().as_dict()
+        )
 
-class TestMergeUserRecords:
-    def test_merges_by_user(self):
-        records = [
-            UserRoundRecord(1, 0, (1,), 10.0, 2.0, 0.5),
-            UserRoundRecord(2, 0, (2,), 10.0, 1.0, 0.5),
-            UserRoundRecord(1, 1, (3,), 10.0, 4.0, 1.0),
-        ]
-        merged = merge_user_records(records)
-        assert merged[0] == (3.0, 1.0)
-        assert merged[1] == (4.0, 1.0)
 
-    def test_empty(self):
-        assert merge_user_records([]) == {}
+def _round(round_no, users, measurements=()):
+    """A hand-built round: ``users`` are ``(user_id, task_ids, reward,
+    cost)`` tuples."""
+    return RoundRecord(
+        round_no=round_no,
+        published_rewards={},
+        user_records=[
+            UserRoundRecord(round_no, user_id, task_ids, 1.0, reward, cost)
+            for user_id, task_ids, reward, cost in users
+        ],
+        measurements=tuple(measurements),
+        rejections=(),
+        completed_task_ids=(),
+        expired_task_ids=(),
+    )
+
+
+class TestRunTotals:
+    """The run ledger every aggregate is read from."""
+
+    def test_folds_profit_per_user_in_round_order(self):
+        totals = RunTotals()
+        totals.absorb(_round(1, [(0, (1,), 5.0, 2.0), (2, (), 0.0, 0.0)]))
+        totals.absorb(_round(2, [(0, (2,), 1.0, 3.0), (2, (3,), 4.0, 1.0)]))
+        assert totals.user_profits.tolist() == [(5.0 - 2.0) + (1.0 - 3.0), 0.0, 3.0]
+
+    def test_user_who_never_walked_has_zero_profit(self):
+        totals = RunTotals()
+        totals.absorb(_round(1, [(0, (), 0.0, 0.0), (1, (), 0.0, 0.0)]))
+        assert totals.user_profits.tolist() == [0.0, 0.0]
+        assert totals.rounds_played == 1
+        empty = RunTotals()
+        empty.absorb(_round(1, []))
+        assert empty.user_profits.tolist() == []
+
+    def test_costs_column_holds_each_users_cost(self):
+        record = _round(1, [(0, (), 0.0, 0.0), (1, (4,), 2.0, 0.5),
+                            (3, (5, 6), 3.0, 1.0)])
+        assert record.user_records.costs.tolist() == [0.0, 0.5, 1.0]
+
+    def test_engine_folds_profits_when_users_are_not_in_id_order(self, result):
+        """The engine reorders its rows into id order; a world whose
+        users are not in id order still folds each user's profit under
+        its own id, and the cost column matches the selections."""
+        world = make_engine(result.config).world
+        world.users.reverse()
+        run = SimulationEngine(result.config, world=world).run()
+        expected = {}
+        for record in run.rounds:
+            users = record.user_records
+            assert users.costs.tolist() == [s.cost for s in users.selections]
+            for r in users:
+                expected[r.user_id] = expected.get(r.user_id, 0.0) + r.profit
+        assert run.user_profits() == [expected[u.user_id] for u in run.world.users]
+
+    def test_payout_is_added_left_to_right(self):
+        """Ten 0.1 rewards pay 0.9999999999999999 (plain left-to-right
+        float adds) on every interpreter; CPython 3.12's compensated
+        ``sum()`` would give 1.0."""
+        events = [MeasurementEvent(1, task_id, 0, 0.1) for task_id in range(10)]
+        record = _round(1, [], events)
+        assert record.total_paid == 0.9999999999999999
+        totals = RunTotals()
+        totals.absorb(record)
+        assert totals.total_paid == 0.9999999999999999
+        assert totals.measurements_by_task == {t: 1 for t in range(10)}
 
 
 class TestUserRoundRecords:

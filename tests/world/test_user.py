@@ -40,37 +40,3 @@ class TestBudgetGeometry:
         user.location = Point(0.0, 0.0)
         assert user.home == Point(7.0, 9.0)
 
-
-class TestAccounting:
-    def test_fresh_user_has_zero_profit(self):
-        user = make_user()
-        assert user.total_profit == 0.0
-        assert user.profit_in_round(3) == 0.0
-
-    def test_record_round_accumulates(self):
-        user = make_user()
-        user.record_round(1, reward=5.0, cost=2.0)
-        user.record_round(2, reward=1.0, cost=3.0)
-        assert user.total_reward == 6.0
-        assert user.total_cost == 5.0
-        assert user.total_profit == 1.0
-        assert user.profit_in_round(1) == 3.0
-        assert user.profit_in_round(2) == -2.0
-
-    def test_same_round_recorded_twice_merges(self):
-        user = make_user()
-        user.record_round(1, reward=1.0, cost=0.5)
-        user.record_round(1, reward=2.0, cost=0.0)
-        assert user.profit_in_round(1) == 2.5
-
-    def test_invalid_round_rejected(self):
-        user = make_user()
-        with pytest.raises(ValueError, match="round_no"):
-            user.record_round(0, reward=1.0, cost=0.0)
-
-    def test_negative_amounts_rejected(self):
-        user = make_user()
-        with pytest.raises(ValueError, match="non-negative"):
-            user.record_round(1, reward=-1.0, cost=0.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            user.record_round(1, reward=0.0, cost=-1.0)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.dynamics.processes import WorldEvent
 from repro.simulation.events import (
-    MeasurementEvent,
-    RejectedContribution,
+    MeasurementRecords,
+    RejectionRecords,
     RoundRecord,
     RunAggregates,
     SimulationResult,
@@ -53,12 +54,8 @@ def _round_payload(record: RoundRecord) -> Dict:
             for _, user_id, task_ids, distance, reward, cost
             in record.user_records.rows()
         ],
-        "measurements": [
-            [e.round_no, e.task_id, e.user_id, e.reward] for e in record.measurements
-        ],
-        "rejections": [
-            [e.round_no, e.task_id, e.user_id, e.reason] for e in record.rejections
-        ],
+        "measurements": list(record.measurements.rows()),
+        "rejections": list(record.rejections.rows()),
         "completed_task_ids": list(record.completed_task_ids),
         "expired_task_ids": list(record.expired_task_ids),
         "selector_fallbacks": record.selector_fallbacks,
@@ -162,11 +159,11 @@ class SimulationReplay(RunAggregates):
         return self.task_deadlines
 
 
-def _payloads(path: Union[str, Path]) -> List[Dict]:
-    """The JSON objects of an events file's non-blank lines; a line
-    that does not parse raises :class:`ResultCorruption` naming the path,
-    the 1-based line and whether it is a torn last line or damage
-    mid-file."""
+def _payloads(path: Union[str, Path]) -> List[Tuple[int, Dict]]:
+    """The JSON objects of an events file's non-blank lines, each with
+    its 1-based line number; a line that does not parse raises
+    :class:`ResultCorruption` naming the path, the line and whether it
+    is a torn last line or damage mid-file."""
     numbered = [
         (number, line)
         for number, line in enumerate(Path(path).read_text().splitlines(), 1)
@@ -175,7 +172,7 @@ def _payloads(path: Union[str, Path]) -> List[Dict]:
     payloads = []
     for index, (number, line) in enumerate(numbered):
         try:
-            payloads.append(json.loads(line))
+            payloads.append((number, json.loads(line)))
         except json.JSONDecodeError as exc:
             damage = (
                 "torn last line (the writer stopped mid-line)"
@@ -188,70 +185,98 @@ def _payloads(path: Union[str, Path]) -> List[Dict]:
     return payloads
 
 
-def read_events_jsonl(path: Union[str, Path]) -> SimulationReplay:
-    """Load a history written by :func:`write_events_jsonl` (blank
-    lines are skipped).
+def _field(payload: Dict, name: str, where: str, build: Callable = lambda v: v):
+    """``build(payload[name])``; a missing or malformed field raises
+    :class:`ResultCorruption` naming ``where`` (path and line) and the
+    field."""
+    if name not in payload:
+        raise ResultCorruption(f"{where}: round line has no {name!r} field")
+    try:
+        return build(payload[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ResultCorruption(
+            f"{where}: field {name!r} is malformed: {exc}"
+        ) from exc
 
-    Raises:
-        ResultCorruption: for a line that is not valid JSON.
-        ValueError: for a missing meta line or foreign format version.
-    """
-    payloads = _payloads(path)
-    if not payloads:
-        raise ValueError(f"{path}: empty event log")
-    meta = payloads[0]
-    if meta.get("kind") != "meta" or meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: not a version-{FORMAT_VERSION} event log (got {meta.get('kind')!r})"
-        )
-    rounds: List[RoundRecord] = []
-    for payload in payloads[1:]:
-        if payload.get("kind") != "round":
-            raise ValueError(f"{path}: unexpected line kind {payload.get('kind')!r}")
-        rounds.append(RoundRecord(
-            round_no=payload["round_no"],
-            published_rewards={
-                int(k): v for k, v in payload["published_rewards"].items()
-            },
-            user_records=tuple(
+
+def _round_record(payload: Dict, where: str) -> RoundRecord:
+    """One round line's record (``where`` names its path and line)."""
+    round_no = _field(payload, "round_no", where)
+    return RoundRecord(
+        round_no=round_no,
+        published_rewards=_field(
+            payload, "published_rewards", where,
+            lambda rewards: {int(k): v for k, v in rewards.items()},
+        ),
+        user_records=_field(
+            payload, "user_records", where,
+            lambda records: tuple(
                 UserRoundRecord(
-                    round_no=payload["round_no"],
+                    round_no=round_no,
                     user_id=r["user_id"],
                     selected_task_ids=tuple(r["selected_task_ids"]),
                     distance=r["distance"],
                     reward=r["reward"],
                     cost=r["cost"],
                 )
-                for r in payload["user_records"]
+                for r in records
             ),
-            measurements=tuple(
-                MeasurementEvent(*entry) for entry in payload["measurements"]
-            ),
-            rejections=tuple(
-                RejectedContribution(*entry) for entry in payload["rejections"]
-            ),
-            completed_task_ids=tuple(payload["completed_task_ids"]),
-            expired_task_ids=tuple(payload["expired_task_ids"]),
-            # absent in logs written before the watchdog existed
-            selector_fallbacks=payload.get("selector_fallbacks", 0),
-            # absent in logs written before the perf counters existed
-            perf=(
-                PerfStats.from_dict(payload["perf"])
-                if "perf" in payload
-                else None
-            ),
-            # absent in logs written before the metrics registry existed
-            metrics=(
-                MetricsRegistry.from_dict(payload["metrics"])
-                if "metrics" in payload
-                else None
-            ),
-            # absent in closed-world logs (and all pre-dynamics ones)
-            dynamics=tuple(
-                WorldEvent.from_dict(entry)
-                for entry in payload.get("dynamics", ())
-            ),
-        ))
+        ),
+        measurements=_field(
+            payload, "measurements", where,
+            partial(MeasurementRecords.from_rows, round_no),
+        ),
+        rejections=_field(
+            payload, "rejections", where,
+            partial(RejectionRecords.from_rows, round_no),
+        ),
+        completed_task_ids=_field(payload, "completed_task_ids", where, tuple),
+        expired_task_ids=_field(payload, "expired_task_ids", where, tuple),
+        # absent in logs written before the watchdog existed
+        selector_fallbacks=payload.get("selector_fallbacks", 0),
+        # absent in logs written before the perf counters existed
+        perf=(
+            PerfStats.from_dict(payload["perf"])
+            if "perf" in payload
+            else None
+        ),
+        # absent in logs written before the metrics registry existed
+        metrics=(
+            MetricsRegistry.from_dict(payload["metrics"])
+            if "metrics" in payload
+            else None
+        ),
+        # absent in closed-world logs (and all pre-dynamics ones)
+        dynamics=tuple(
+            WorldEvent.from_dict(entry)
+            for entry in payload.get("dynamics", ())
+        ),
+    )
+
+
+def read_events_jsonl(path: Union[str, Path]) -> SimulationReplay:
+    """Load a history written by :func:`write_events_jsonl` (blank
+    lines are skipped).
+
+    Raises:
+        ResultCorruption: for a line that is not valid JSON, or a round
+            line with a missing or malformed field (named with the path
+            and the 1-based line).
+        ValueError: for a missing meta line or foreign format version.
+    """
+    payloads = _payloads(path)
+    if not payloads:
+        raise ValueError(f"{path}: empty event log")
+    _, meta = payloads[0]
+    if meta.get("kind") != "meta" or meta.get("format_version") != FORMAT_VERSION:
+        raise ValueError(
+            f"{path}: not a version-{FORMAT_VERSION} event log (got {meta.get('kind')!r})"
+        )
+    rounds: List[RoundRecord] = []
+    for number, payload in payloads[1:]:
+        if payload.get("kind") != "round":
+            raise ValueError(f"{path}: unexpected line kind {payload.get('kind')!r}")
+        rounds.append(_round_record(payload, f"{path}: line {number}"))
     task_deadlines = {int(k): v for k, v in meta["task_deadlines"].items()}
     task_required = {int(k): v for k, v in meta["task_required"].items()}
     # Open-world logs publish tasks mid-run (and may renew deadlines);

@@ -63,7 +63,8 @@ def coverage_by_round(result: SimulationResult, horizon: int) -> List[float]:
     series: List[float] = []
     for round_no in range(1, horizon + 1):
         if round_no <= result.rounds_played:
-            for event in result.rounds[round_no - 1].measurements:
-                covered.add(event.task_id)
+            covered.update(
+                result.rounds[round_no - 1].measurements.task_ids.tolist()
+            )
         series.append(len(covered) / total)
     return series

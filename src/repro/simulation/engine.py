@@ -42,9 +42,13 @@ act:
   :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` fed
   from the engine's own move loop, instead of a per-round grid rebuild
   for the Eq. 5 neighbour counts.
-- *upload* — empty selections are skipped; the users who walk still
-  upload one by one in arrival order, so which uploads a full task
-  rejects is unchanged.
+- *upload* — one array pass over the walkers' (walker, task) pairs in
+  arrival order: a pair is accepted iff its user had not contributed
+  to the task before and fewer than ``remaining`` earlier first
+  contributions reached the task this round (a grouped prefix count,
+  the same answer as walking the uploads one by one; see
+  :meth:`SimulationEngine._upload`).  Each touched task's state is
+  written once.
 - *mobility* — ``mobility.next_position`` runs for users who walked and
   for idle users whose policy's
   :meth:`~repro.world.mobility.MobilityPolicy.stays_put_when_idle` is
@@ -56,9 +60,11 @@ act:
   task-to-task distance matrix is computed once over *all* world tasks
   (task locations never change) and read per round through a row
   mapping.
-- *records* — the round's user records are a columnar
-  :class:`~repro.simulation.events.UserRoundRecords` (ids, selection
-  references, rewards), materialised per record only on access.
+- *records* — the round's user records, measurements and rejections
+  are columnar (:class:`~repro.simulation.events.UserRoundRecords`,
+  :class:`~repro.simulation.events.MeasurementRecords`,
+  :class:`~repro.simulation.events.RejectionRecords`), materialised per
+  record only on access.
 """
 
 from __future__ import annotations
@@ -70,6 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 import math
 from functools import partial
+from itertools import chain
+from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
@@ -98,8 +106,9 @@ from repro.simulation.round_cache import (
     task_locations,
 )
 from repro.simulation.events import (
-    MeasurementEvent,
-    RejectedContribution,
+    REJECTION_REASONS,
+    MeasurementRecords,
+    RejectionRecords,
     RoundRecord,
     SimulationResult,
     UserRoundRecords,
@@ -581,28 +590,16 @@ class SimulationEngine:
         # users who walk a path upload anything; everyone else earns 0.
         with tracer.span("upload", cat="phase", round=round_no):
             arrival = self._streams["arrival"].permutation(len(selections))
-            measurements: List[MeasurementEvent] = []
-            rejections: List[RejectedContribution] = []
-            completed: List[int] = []
-            tasks_by_id = {t.task_id: t for t in active}
-            walkers: List[int] = []
-            earned: List[float] = []
-            spent: List[float] = []
-            for row in arrival.tolist():
-                selection = selections[row]
-                if not selection.task_ids:
-                    continue
-                reward = self._perform(
-                    users[row], selection, tasks_by_id, prices, round_no,
-                    measurements, rejections, completed,
-                )
-                walkers.append(row)
-                earned.append(reward)
-                spent.append(selection.cost)
+            measurements, rejections, completed, walkers, earned = self._upload(
+                round_no, arrival, selections, active, prices
+            )
             rewards = np.zeros(len(selections))
             rewards[walkers] = earned
             costs = np.zeros(len(selections))
-            costs[walkers] = spent
+            costs[walkers] = np.fromiter(
+                map(attrgetter("cost"), selections), dtype=float,
+                count=len(selections),
+            )[walkers]
             moves = self._rows().idle_movers.copy()
             moves[walkers] = True
             # Mobility is a single post-upload pass in the same arrival
@@ -613,7 +610,7 @@ class SimulationEngine:
             # place are skipped (their call would return their own
             # location and draw nothing).
             movers = arrival[moves[arrival]]
-            self._apply_moves(movers.tolist(), selections, tasks_by_id)
+            self._apply_moves(movers.tolist(), selections, active)
             user_records = self._rows().records(
                 round_no, selections, rewards, costs
             )
@@ -637,9 +634,9 @@ class SimulationEngine:
             round_no=round_no,
             published_rewards=dict(prices),
             user_records=user_records,
-            measurements=tuple(measurements),
-            rejections=tuple(rejections),
-            completed_task_ids=tuple(completed),
+            measurements=measurements,
+            rejections=rejections,
+            completed_task_ids=completed,
             expired_task_ids=tuple(expired),
             dynamics=dynamics,
             selector_fallbacks=self._drain_selector_fallbacks(),
@@ -784,7 +781,7 @@ class SimulationEngine:
         self,
         movers: Sequence[int],
         selections: List[Selection],
-        tasks_by_id: Dict[int, SensingTask],
+        active: Sequence[SensingTask],
     ) -> None:
         """Advance each mover (world rows, arrival order) to its
         next-round position, keeping the per-row state and the
@@ -799,6 +796,7 @@ class SimulationEngine:
         """
         users, state = self.world.users, self._rows()
         region, rng = self.world.region, self._streams["mobility"]
+        tasks_by_id = {t.task_id: t for t in active}
         moved_rows: List[int] = []
         moved_old: List = []
         moved_new: List = []
@@ -879,10 +877,15 @@ class SimulationEngine:
         metrics.counter("measurements_total", outcome="accepted").inc(
             record.measurement_count
         )
-        for rejection in record.rejections:
+        reasons = record.rejections.reasons
+        codes, first, counts = np.unique(
+            reasons, return_index=True, return_counts=True
+        )
+        for at in np.argsort(first, kind="stable").tolist():
             metrics.counter(
-                "measurements_total", outcome="rejected", reason=rejection.reason
-            ).inc()
+                "measurements_total", outcome="rejected",
+                reason=REJECTION_REASONS[int(codes[at])],
+            ).inc(int(counts[at]))
         paid = record.total_paid
         metrics.counter("payout_total").inc(paid)
         # The run ledger has not absorbed this round yet.
@@ -927,46 +930,140 @@ class SimulationEngine:
             self._row_state = _RowState(self.world.users, self.mobility)
         return self._row_state
 
-    def _perform(
+    def _upload(
         self,
-        user: MobileUser,
-        selection: Selection,
-        tasks_by_id: Dict[int, SensingTask],
-        prices: Dict[int, float],
         round_no: int,
-        measurements: List[MeasurementEvent],
-        rejections: List[RejectedContribution],
-        completed: List[int],
-    ) -> float:
-        """Walk the selected path; return the rewards actually earned."""
-        earned = 0.0
-        for task_id in selection.task_ids:
-            task = tasks_by_id[task_id]
-            if task.can_accept(user.user_id):
-                task.record_measurement(user.user_id, round_no)
-                price = prices[task_id]
-                earned += price
-                measurements.append(
-                    MeasurementEvent(
-                        round_no=round_no,
-                        task_id=task_id,
-                        user_id=user.user_id,
-                        reward=price,
-                    )
-                )
-                if not task.is_active:
-                    completed.append(task_id)
-            else:
-                reason = "full" if task.remaining == 0 else "duplicate"
-                rejections.append(
-                    RejectedContribution(
-                        round_no=round_no,
-                        task_id=task_id,
-                        user_id=user.user_id,
-                        reason=reason,
-                    )
-                )
-        return earned
+        arrival: np.ndarray,
+        selections: List[Selection],
+        active: Sequence[SensingTask],
+        prices: Dict[int, float],
+    ) -> Tuple[
+        MeasurementRecords, RejectionRecords, Tuple[int, ...], np.ndarray,
+        np.ndarray,
+    ]:
+        """Step 3: every walker's uploads, accepted or rejected in one
+        array pass over the round's (walker, task) pairs.
+
+        The walkers are the world rows with a non-empty selection, in
+        ``arrival`` order; each walks its path in visit order, so the
+        pairs flattened walker by walker are in upload order.  A pair is
+        a duplicate if its user already contributed to the task before
+        the round (``Selection`` forbids repeated task ids, so a pair
+        cannot duplicate another of the same round).  With ``before``
+        the number of earlier non-duplicate pairs of the same task — a
+        running count within each task's group after a stable sort by
+        task — a pair is accepted iff it is not a duplicate and
+        ``before < remaining``, exactly as a one-by-one walk would
+        decide: arrival order alone decides who comes first at a task,
+        and only non-duplicates take a slot.  A rejection is ``"full"``
+        iff ``before >= remaining`` (a full task reports "full" even to
+        a duplicate) and ``"duplicate"`` otherwise.  Accepted pairs are
+        folded into each touched task once, through
+        :meth:`SensingTask.record_measurements`.
+
+        Returns the round's measurements and rejections, the ids of the
+        tasks completed (in upload order), the walkers' rows in arrival
+        order, and each walker's earned reward, added left to right
+        along its path.
+
+        Raises:
+            ValueError: naming the coordinator (or selector), round,
+                user and task ids when a selection names a task the
+                round did not publish.
+        """
+        # Paths are read in world order (one sequential pass) and the
+        # pairs reordered to arrival order as arrays.
+        paths = list(map(attrgetter("task_ids"), selections))
+        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+        walkers = arrival[lengths[arrival] > 0]
+        flat = np.fromiter(
+            chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum())
+        )
+        walked = lengths[walkers]
+        owner = np.repeat(np.arange(len(walkers)), walked)
+        step = np.arange(len(owner)) - np.repeat(np.cumsum(walked) - walked, walked)
+        task_ids = flat[(np.cumsum(lengths) - lengths)[walkers][owner] + step]
+        user_ids = self._rows().user_ids[walkers][owner]
+        position = _task_positions(task_ids, active)
+        unknown = position < 0
+        if unknown.any():
+            first = int(np.argmax(unknown))
+            role, source = (
+                ("coordinator", self.coordinator) if self.coordinator is not None
+                else ("selector", self.selector)
+            )
+            raise ValueError(
+                f"{role} {type(source).__name__!r} sent user "
+                f"{int(user_ids[first])} to task ids "
+                f"{task_ids[unknown & (owner == owner[first])].tolist()} in "
+                f"round {round_no}, which the round did not publish"
+            )
+        touched, group = np.unique(position, return_inverse=True)
+        tasks = [active[i] for i in touched.tolist()]
+        remaining = np.array([t.remaining for t in tasks], dtype=np.int64)[group]
+        price = np.array([prices[t.task_id] for t in tasks], dtype=float)[group]
+        contributors = [t.contributors for t in tasks]
+        fresh = np.fromiter(
+            (
+                user not in contributors[g]
+                for g, user in zip(group.tolist(), user_ids.tolist())
+            ),
+            dtype=bool, count=len(group),
+        )
+        # `before`: the running count of fresh pairs within each task's
+        # group, in pair order (the sort is stable).
+        order = np.argsort(group, kind="stable")
+        taken = fresh[order].astype(np.int64)
+        running = np.cumsum(taken) - taken
+        sizes = np.bincount(group, minlength=len(tasks))
+        starts = np.cumsum(sizes) - sizes
+        before = np.empty_like(running)
+        before[order] = running - running[starts][group[order]]
+        accepted = fresh & (before < remaining)
+        rejected = ~accepted
+
+        # Fold the accepted pairs into each touched task, in pair order.
+        in_task = order[accepted[order]]
+        accepted_users = user_ids[in_task].tolist()
+        end = 0
+        for task, count in zip(tasks, np.bincount(
+            group[in_task], minlength=len(tasks)
+        ).tolist()):
+            if count:
+                task.record_measurements(accepted_users[end:end + count], round_no)
+                end += count
+
+        completed = task_ids[accepted & (before == remaining - 1)]
+        # bincount adds each bin's weights in order, from 0.0: the same
+        # left-to-right sum as walking the path (and int zeros, if
+        # nothing was accepted).
+        earned = np.bincount(
+            owner[accepted], weights=price[accepted], minlength=len(walkers)
+        ).astype(float, copy=False)
+        measurements = MeasurementRecords(
+            round_no, task_ids[accepted], user_ids[accepted], price[accepted]
+        )
+        # Reason codes index REJECTION_REASONS: 0 "full", 1 "duplicate".
+        rejections = RejectionRecords(
+            round_no, task_ids[rejected], user_ids[rejected],
+            np.where(before[rejected] >= remaining[rejected], 0, 1),
+        )
+        return (
+            measurements, rejections, tuple(completed.tolist()), walkers, earned
+        )
+
+
+def _task_positions(
+    task_ids: np.ndarray, active: Sequence[SensingTask]
+) -> np.ndarray:
+    """Each task id's position in ``active`` (-1 where unpublished)."""
+    published = np.fromiter(
+        (t.task_id for t in active), dtype=np.int64, count=len(active)
+    )
+    lookup = np.full(int(published.max(initial=0)) + 1, -1, dtype=np.int64)
+    lookup[published] = np.arange(len(published))
+    inside = (task_ids >= 0) & (task_ids < len(lookup))
+    return np.where(inside, lookup[np.where(inside, task_ids, 0)], -1)
 
 
 def _price_faults(

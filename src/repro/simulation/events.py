@@ -1,7 +1,10 @@
 """Structured simulation history: what happened, round by round.
 
-The engine emits one :class:`RoundRecord` per simulated round; a full
-run is a :class:`SimulationResult`.  Every round is folded once into
+The engine emits one :class:`RoundRecord` per simulated round, whose
+user records, measurements and rejections are stored as columns
+(:class:`UserRoundRecords`, :class:`MeasurementRecords`,
+:class:`RejectionRecords`) and built into per-event objects only on
+access; a full run is a :class:`SimulationResult`.  Every round is folded once into
 the run ledger, :class:`RunTotals`, which answers every whole-run
 aggregate (payout, per-task measurements, per-user profit, merged perf
 and metrics) whether the rounds were kept, streamed or replayed from
@@ -45,7 +48,8 @@ class RejectedContribution:
     """A user reached a task but the measurement was not accepted.
 
     This is the WST redundancy drawback from Section II: the task filled
-    up (or expired) after the user committed to its path.  The user's
+    up after the user committed to its path (reason ``"full"``), or the
+    user had already contributed to it (``"duplicate"``).  The user's
     travel cost is already sunk; no reward is paid.
     """
 
@@ -53,6 +57,160 @@ class RejectedContribution:
     task_id: int
     user_id: int
     reason: str
+
+
+#: The rejection reasons, indexed by the code a :class:`RejectionRecords`
+#: column stores.
+REJECTION_REASONS: Tuple[str, ...] = ("full", "duplicate")
+
+
+class _ContributionRecords(Sequence):
+    """One round's contributions of one kind, stored as three columns.
+
+    The shared base of :class:`MeasurementRecords` and
+    :class:`RejectionRecords`: task ids, user ids and a value column
+    (``values``), aligned and in upload order.  Events are built only
+    when indexed or iterated; :meth:`rows` yields plain tuples for the
+    fingerprint and events-JSONL writers.  Compares equal to any
+    sequence of equal events.
+    """
+
+    #: The event class a row materialises as, and its value field.
+    event: type
+    value_field: str
+
+    def __init__(self, round_no: int, task_ids, user_ids, values):
+        self.round_no = round_no
+        self.task_ids = np.asarray(task_ids, dtype=np.int64)
+        self.user_ids = np.asarray(user_ids, dtype=np.int64)
+        self.values = np.asarray(values, dtype=self._dtype)
+
+    @classmethod
+    def from_rows(cls, round_no: int, rows: Iterable) -> "_ContributionRecords":
+        """Columns holding ``(round_no, task_id, user_id, value)`` rows
+        (a replayed log).
+
+        Raises:
+            ValueError: naming the first row that is not four items,
+                belongs to another round or holds a value the column
+                cannot represent.
+        """
+        task_ids, user_ids, values = [], [], []
+        for index, row in enumerate(rows):
+            try:
+                row_round, task_id, user_id, value = row
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"entry {index} is {row!r}, not a [round_no, task_id, "
+                    f"user_id, {cls.value_field}] row"
+                ) from None
+            if row_round != round_no:
+                raise ValueError(
+                    f"entry {index} belongs to round {row_round!r}, not "
+                    f"{round_no}"
+                )
+            task_ids.append(task_id)
+            user_ids.append(user_id)
+            values.append(cls._code(value, index))
+        return cls(round_no, task_ids, user_ids, values)
+
+    @classmethod
+    def from_events(cls, round_no: int, events: Iterable) -> "_ContributionRecords":
+        """Columns holding ``events`` (a hand-built round)."""
+        field = cls.value_field
+        return cls.from_rows(round_no, (
+            (e.round_no, e.task_id, e.user_id, getattr(e, field)) for e in events
+        ))
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def _event(self, index: int):
+        return self.event(
+            self.round_no,
+            int(self.task_ids[index]),
+            int(self.user_ids[index]),
+            self._decode(self.values[index].item()),
+        )
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(f"{self.event.__name__} index out of range")
+        return self._event(index)
+
+    def __iter__(self) -> Iterator:
+        return map(self._event, range(len(self)))
+
+    def rows(self) -> Iterator[Tuple[int, int, int, object]]:
+        """One ``(round_no, task_id, user_id, value)`` tuple per event,
+        read from the columns without building events."""
+        round_no, decode = self.round_no, self._decode
+        for task_id, user_id, value in zip(
+            self.task_ids.tolist(), self.user_ids.tolist(), self.values.tolist()
+        ):
+            yield round_no, task_id, user_id, decode(value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, _ContributionRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
+class MeasurementRecords(_ContributionRecords):
+    """A round's accepted measurements as columns: task ids, user ids
+    and the rewards paid (``rewards``), in acceptance order."""
+
+    event = MeasurementEvent
+    value_field = "reward"
+    _dtype = float
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self.values
+
+    @staticmethod
+    def _code(reward: float, index: int) -> float:
+        return reward
+
+    @staticmethod
+    def _decode(value: float) -> float:
+        return value
+
+
+class RejectionRecords(_ContributionRecords):
+    """A round's rejected contributions as columns: task ids, user ids
+    and reason codes (``reasons``, indices into
+    :data:`REJECTION_REASONS`), in upload order."""
+
+    event = RejectedContribution
+    value_field = "reason"
+    _dtype = np.int8
+
+    @property
+    def reasons(self) -> np.ndarray:
+        return self.values
+
+    @staticmethod
+    def _code(reason: str, index: int) -> int:
+        if reason not in REJECTION_REASONS:
+            raise ValueError(
+                f"entry {index} has unknown rejection reason {reason!r} "
+                f"(expected one of {', '.join(REJECTION_REASONS)})"
+            )
+        return REJECTION_REASONS.index(reason)
+
+    @staticmethod
+    def _decode(code: int) -> str:
+        return REJECTION_REASONS[code]
 
 
 @dataclass(frozen=True)
@@ -188,8 +346,11 @@ class RoundRecord:
         user_records: one record per user (including sit-outs), in
             ``user_id`` order; any sequence of :class:`UserRoundRecord`
             is stored as :class:`UserRoundRecords`.
-        measurements: accepted measurements, in acceptance order.
-        rejections: contributions that arrived too late.
+        measurements: accepted measurements, in acceptance order, as a
+            columnar :class:`MeasurementRecords`; any sequence of
+            :class:`MeasurementEvent` is converted on construction.
+        rejections: contributions the tasks refused, in upload order,
+            as a columnar :class:`RejectionRecords` (converted likewise).
         completed_task_ids: tasks that reached :math:`\\varphi` this round.
         expired_task_ids: tasks whose deadline passed at the end of this round.
         selector_fallbacks: how many Eq. 1 instances this round were
@@ -216,8 +377,8 @@ class RoundRecord:
     round_no: int
     published_rewards: Dict[int, float]
     user_records: UserRoundRecords
-    measurements: Tuple[MeasurementEvent, ...]
-    rejections: Tuple[RejectedContribution, ...]
+    measurements: MeasurementRecords
+    rejections: RejectionRecords
     completed_task_ids: Tuple[int, ...]
     expired_task_ids: Tuple[int, ...]
     selector_fallbacks: int = 0
@@ -232,6 +393,15 @@ class RoundRecord:
                 "user_records",
                 UserRoundRecords.from_records(self.round_no, self.user_records),
             )
+        for name, columns in (
+            ("measurements", MeasurementRecords),
+            ("rejections", RejectionRecords),
+        ):
+            if not isinstance(getattr(self, name), columns):
+                object.__setattr__(
+                    self, name,
+                    columns.from_events(self.round_no, getattr(self, name)),
+                )
 
     @property
     def measurement_count(self) -> int:
@@ -241,12 +411,13 @@ class RoundRecord:
     def total_paid(self) -> float:
         """Rewards the platform paid out this round, added left to right.
 
-        An explicit loop rather than ``sum()``, whose floats CPython
-        3.12 made compensated: totals must not move with the interpreter.
+        An explicit loop rather than ``sum()`` or ``np.sum``, whose
+        floats are compensated (CPython 3.12) or pairwise: totals must
+        not move with the interpreter.
         """
         total = 0.0
-        for event in self.measurements:
-            total += event.reward
+        for reward in self.measurements.rewards.tolist():
+            total += reward
         return total
 
     @property
@@ -285,8 +456,8 @@ class RunTotals:
         self.total_paid += record.total_paid
         self.total_selector_fallbacks += record.selector_fallbacks
         counts = self.measurements_by_task
-        for event in record.measurements:
-            counts[event.task_id] = counts.get(event.task_id, 0) + 1
+        for task_id in record.measurements.task_ids.tolist():
+            counts[task_id] = counts.get(task_id, 0) + 1
         users = record.user_records
         if len(users):
             grow = int(users.user_ids.max()) + 1 - len(self.user_profits)
@@ -445,14 +616,8 @@ def _canonical_round(record: RoundRecord) -> Dict:
             for round_no, user_id, task_ids, distance, reward, cost
             in record.user_records.rows()
         ],
-        "measurements": [
-            [m.round_no, m.task_id, m.user_id, m.reward]
-            for m in record.measurements
-        ],
-        "rejections": [
-            [r.round_no, r.task_id, r.user_id, r.reason]
-            for r in record.rejections
-        ],
+        "measurements": list(record.measurements.rows()),
+        "rejections": list(record.rejections.rows()),
         "completed_task_ids": list(record.completed_task_ids),
         "expired_task_ids": list(record.expired_task_ids),
         "selector_fallbacks": record.selector_fallbacks,

@@ -97,6 +97,5 @@ class CoverageTracker:
         return len(self._covered) / self.n_tasks
 
     def __call__(self, record: RoundRecord) -> None:
-        for event in record.measurements:
-            self._covered.add(event.task_id)
+        self._covered.update(record.measurements.task_ids.tolist())
         self.by_round.append(self.coverage)

@@ -4,14 +4,15 @@ A task carries both its static description (location, deadline, required
 measurements — Section III-C of the paper) and its mutable sensing state
 (how many measurements it has received, from whom, and when).  The
 incentive mechanisms read the state to compute demand; the engine writes
-it as users upload data.
+it once per round for each task that accepted uploads, through the one
+writer, :meth:`SensingTask.record_measurements`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, Sequence, Set
 
 from repro.geometry.point import Point
 
@@ -71,10 +72,10 @@ class SensingTask:
                 f"release_round must be in [1, deadline={self.deadline}], "
                 f"got {self.release_round}"
             )
-        # Cached measurement total: `received` sits on the engine's
-        # per-upload hot path (can_accept/remaining), where re-summing
-        # the per-round dict is O(rounds) per read.  The count only
-        # changes through record_measurement, which maintains it.
+        # Cached measurement total: `received` is read per task per
+        # round (remaining, demand), where re-summing the per-round dict
+        # is O(rounds) per read.  The count only changes through
+        # record_measurements, which maintains it.
         self._received = sum(self.measurements_by_round.values())
 
     # -- derived quantities -------------------------------------------
@@ -131,26 +132,65 @@ class SensingTask:
         )
 
     def record_measurement(self, user_id: int, round_no: int) -> None:
-        """Accept one measurement from ``user_id`` at round ``round_no``.
+        """Accept one measurement from ``user_id`` at round ``round_no``
+        (:meth:`record_measurements` with one user).
 
         Raises:
             ValueError: if :meth:`can_accept` is false — the engine must
                 check before paying a reward, so a violation here is a bug.
         """
-        if not self.can_accept(user_id):
-            raise ValueError(
-                f"task {self.task_id} cannot accept a measurement from user "
-                f"{user_id} (status={self.status.value}, received={self.received}"
-                f"/{self.required_measurements})"
-            )
-        self.contributors.add(user_id)
+        self.record_measurements((user_id,), round_no)
+
+    def record_measurements(self, user_ids: Sequence[int], round_no: int) -> None:
+        """Accept one measurement from each of ``user_ids``, in order, at
+        round ``round_no`` — the one writer of the sensing state.
+
+        The engine folds a round's accepted uploads into each task with
+        one call.  The batch is all or nothing: it is checked as if the
+        users uploaded one by one, and nothing is recorded unless every
+        upload would be accepted.
+
+        Raises:
+            ValueError: naming the first user :meth:`can_accept` would
+                refuse at its turn — the task is inactive, already full,
+                or the user contributed before (earlier in the batch
+                included).
+        """
+        fresh = set(user_ids)
+        count = len(user_ids)
+        if not (
+            self.is_active
+            and count <= self.remaining
+            and len(fresh) == count
+            and fresh.isdisjoint(self.contributors)
+        ):
+            self._refuse(user_ids)
+        self.contributors |= fresh
         self.measurements_by_round[round_no] = (
-            self.measurements_by_round.get(round_no, 0) + 1
+            self.measurements_by_round.get(round_no, 0) + count
         )
-        self._received += 1
+        self._received += count
         if self.remaining == 0:
             self.status = TaskStatus.COMPLETED
             self.completed_round = round_no
+
+    def _refuse(self, user_ids: Sequence[int]) -> None:
+        """Raise for the first of ``user_ids`` a one-by-one upload would
+        have refused."""
+        seen = set(self.contributors)
+        for turn, user_id in enumerate(user_ids):
+            received = self.received + turn
+            if (
+                not self.is_active
+                or received >= self.required_measurements
+                or user_id in seen
+            ):
+                raise ValueError(
+                    f"task {self.task_id} cannot accept a measurement from "
+                    f"user {user_id} (status={self.status.value}, "
+                    f"received={received}/{self.required_measurements})"
+                )
+            seen.add(user_id)
 
     def expire_if_due(self, next_round: int) -> bool:
         """Mark the task expired if ``next_round`` is past its deadline.

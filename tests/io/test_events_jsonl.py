@@ -165,3 +165,47 @@ class TestTornFiles:
         path.write_text('{"kind": "me')
         with pytest.raises(ValueError, match=r"torn\.jsonl: line 1 is not valid JSON"):
             read_events_jsonl(path)
+
+
+class TestDamagedRoundLines:
+    """A round line that parses but does not hold a round names the
+    path, its 1-based line and the field."""
+
+    @staticmethod
+    def _damage(result, tmp_path, edit):
+        """Write ``result``, apply ``edit`` to round 2 (line 3, after a
+        blank line 2) and return the path."""
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[2])
+        edit(payload)
+        lines[2] = json.dumps(payload)
+        path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+        return path
+
+    def _assert_names(self, path, field):
+        with pytest.raises(ResultCorruption) as caught:
+            read_events_jsonl(path)
+        message = str(caught.value)
+        assert str(path) in message
+        assert "line 4" in message
+        assert repr(field) in message
+        return message
+
+    def test_short_measurement_row(self, result, tmp_path):
+        assert result.rounds[1].measurements, "round 2 must have measurements"
+        path = self._damage(
+            result, tmp_path, lambda p: p["measurements"][0].pop()
+        )
+        self._assert_names(path, "measurements")
+
+    def test_missing_measurements(self, result, tmp_path):
+        path = self._damage(result, tmp_path, lambda p: p.pop("measurements"))
+        self._assert_names(path, "measurements")
+
+    def test_unknown_rejection_reason(self, result, tmp_path):
+        path = self._damage(
+            result, tmp_path,
+            lambda p: p["rejections"].append([2, 0, 0, "bogus"]),
+        )
+        assert "bogus" in self._assert_names(path, "rejections")

@@ -75,6 +75,46 @@ class TestAcceptance:
             task.record_measurement(2, round_no=1)
 
 
+class TestBatchRecording:
+    """record_measurements: the one writer, checked as one-by-one uploads."""
+
+    def test_batch_equals_one_by_one(self):
+        batch, single = make_task(required=3), make_task(required=3)
+        batch.record_measurement(9, round_no=1)
+        single.record_measurement(9, round_no=1)
+        batch.record_measurements([4, 5], round_no=2)
+        single.record_measurement(4, round_no=2)
+        single.record_measurement(5, round_no=2)
+        for name in ("contributors", "measurements_by_round", "status",
+                     "completed_round", "received"):
+            assert getattr(batch, name) == getattr(single, name)
+        assert batch.status is TaskStatus.COMPLETED
+
+    @pytest.mark.parametrize("user_ids, refused, received", [
+        ([1, 7], 7, 2),        # contributed before
+        ([1, 2, 3], 3, 3),     # over capacity
+        ([1, 1], 1, 2),        # twice in one batch
+    ])
+    def test_refusal_names_the_first_refused_user(self, user_ids, refused, received):
+        task = make_task(required=3)
+        task.record_measurement(7, round_no=1)
+        with pytest.raises(
+            ValueError,
+            match=rf"cannot accept a measurement from user {refused} "
+                  rf"\(status=active, received={received}/3\)",
+        ):
+            task.record_measurements(user_ids, round_no=2)
+        # all or nothing
+        assert task.contributors == {7}
+        assert task.measurements_by_round == {1: 1}
+
+    def test_inactive_task_refuses(self):
+        task = make_task(deadline=1)
+        task.expire_if_due(next_round=2)
+        with pytest.raises(ValueError, match="user 4 .*status=expired"):
+            task.record_measurements([4], round_no=2)
+
+
 class TestDeadline:
     def test_expires_after_deadline(self):
         task = make_task(deadline=3)

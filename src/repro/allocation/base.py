@@ -20,6 +20,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, Sequence
 
+import numpy as np
+
 from repro.selection.base import Selection
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
@@ -37,6 +39,7 @@ class Coordinator(abc.ABC):
         round_no: int,
         active_tasks: Sequence[SensingTask],
         users: Sequence[MobileUser],
+        positions: np.ndarray,
         prices: Dict[int, float],
     ) -> Dict[int, Selection]:
         """Return a selection per user id (users may be omitted = sit out).
@@ -44,7 +47,9 @@ class Coordinator(abc.ABC):
         Args:
             round_no: the 1-based round being planned.
             active_tasks: tasks still published, with live progress state.
-            users: all users, positioned at their round-start locations.
+            users: the users taking part this round.
+            positions: ``(len(users), 2)`` float64 round-start positions,
+                aligned with ``users``.
             prices: the incentive mechanism's published per-task rewards —
                 SAT still pays users per measurement, so assignments
                 should keep every user's profit non-negative.

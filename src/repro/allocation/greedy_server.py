@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.allocation.base import Coordinator
 from repro.geometry.point import Point
 from repro.selection.base import Selection
@@ -37,9 +39,9 @@ class _UserPlan:
 
     __slots__ = ("user", "position", "distance", "reward", "task_ids")
 
-    def __init__(self, user: MobileUser):
+    def __init__(self, user: MobileUser, position: Point):
         self.user = user
-        self.position: Point = user.location
+        self.position = position
         self.distance = 0.0
         self.reward = 0.0
         self.task_ids: List[int] = []
@@ -93,9 +95,13 @@ class GreedyServerCoordinator(Coordinator):
         round_no: int,
         active_tasks: Sequence[SensingTask],
         users: Sequence[MobileUser],
+        positions: np.ndarray,
         prices: Dict[int, float],
     ) -> Dict[int, Selection]:
-        plans = {user.user_id: _UserPlan(user) for user in users}
+        plans = {
+            user.user_id: _UserPlan(user, Point(x, y))
+            for user, (x, y) in zip(users, positions.tolist())
+        }
         by_urgency = sorted(
             active_tasks,
             key=lambda t: (t.deadline - round_no, -t.remaining),

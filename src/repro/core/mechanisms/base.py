@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.geometry.point import Point
 from repro.world.generator import World
 from repro.world.task import SensingTask
 
@@ -28,12 +27,14 @@ class RoundView:
     Args:
         round_no: the 1-based round about to start.
         active_tasks: tasks still published (not completed, not expired).
-        user_locations: every user's position at the start of the round.
+        user_locations: every user's position at the start of the round,
+            as a float64 ``(n, 2)`` array (the engine passes
+            :attr:`World.positions`; read it, never write it).
     """
 
     round_no: int
     active_tasks: Sequence[SensingTask]
-    user_locations: Sequence[Point]
+    user_locations: np.ndarray
 
     def __post_init__(self) -> None:
         if self.round_no < 1:

@@ -12,9 +12,9 @@ Per round (Section IV):
 Neighbour counts are exact counts over the users' *current* positions —
 the demands are "real-time" in the paper's sense.  They come from an
 :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` when the
-engine injects one, else from a :class:`~repro.geometry.grid_index.
-GridIndex` rebuilt over the round view's user locations.  Steps 1–4 run
-as numpy arithmetic, each step bit-identical per element to its scalar
+engine injects one, else from :func:`~repro.geometry.grid_index.
+bulk_counts` over the round view's user positions.  Steps 1–4 run as
+numpy arithmetic, each step bit-identical per element to its scalar
 counterpart (:meth:`GridIndex.counts_for`, :meth:`DemandCalculator.
 demands`, :meth:`RewardSchedule.reward_for_demand`).
 """
@@ -30,7 +30,8 @@ from repro.core.demand import DemandCalculator, DemandWeights
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.distances import as_coordinates
+from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 
 
@@ -118,10 +119,9 @@ class OnDemandMechanism(IncentiveMechanism):
         """Eq. 2–7 for every published task, as numpy arithmetic.
 
         Neighbour counts come from the injected counter or from
-        :meth:`GridIndex.counts_array` (exact counts, boundary-
-        rechecked), demands from :meth:`DemandCalculator.demands_array`
-        (distinct-value scalar logs), prices from
-        :meth:`RewardSchedule.rewards_array`.
+        :func:`bulk_counts` (exact counts, boundary-rechecked), demands
+        from :meth:`DemandCalculator.demands_array` (distinct-value
+        scalar logs), prices from :meth:`RewardSchedule.rewards_array`.
         """
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
@@ -133,10 +133,10 @@ class OnDemandMechanism(IncentiveMechanism):
             neighbours = self.neighbour_counter.counts_array(
                 [t.location for t in tasks]
             )
-        elif view.user_locations:
-            index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-            neighbours = index.counts_array(
-                [t.location for t in tasks], self.neighbour_radius
+        elif len(view.user_locations):
+            neighbours = bulk_counts(
+                view.user_locations, as_coordinates(t.location for t in tasks),
+                self.neighbour_radius,
             )
         else:
             neighbours = np.zeros(len(tasks), dtype=int)

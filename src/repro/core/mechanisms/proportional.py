@@ -21,7 +21,8 @@ from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.distances import as_coordinates
+from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 
 
@@ -69,11 +70,11 @@ class ProportionalDemandMechanism(IncentiveMechanism):
         tasks = list(view.active_tasks)
         if not tasks:
             return {}
-        if view.user_locations:
-            index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-            neighbours = index.counts_for(
-                [t.location for t in tasks], self.neighbour_radius
-            )
+        if len(view.user_locations):
+            neighbours = bulk_counts(
+                view.user_locations, as_coordinates(t.location for t in tasks),
+                self.neighbour_radius,
+            ).tolist()
         else:
             neighbours = [0] * len(tasks)
         inputs = [

@@ -39,7 +39,8 @@ import numpy as np
 from repro.core.levels import DemandLevels
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
 from repro.core.rewards import RewardSchedule
-from repro.geometry.grid_index import GridIndex
+from repro.geometry.distances import as_coordinates
+from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 
 
@@ -251,9 +252,11 @@ class IncentMeMechanism(IncentiveMechanism):
         locations = [t.location for t in tasks]
         if self.neighbour_counter is not None:
             return [int(c) for c in self.neighbour_counter.counts_array(locations)]
-        if view.user_locations:
-            index = GridIndex(view.user_locations, cell_size=self.neighbour_radius)
-            return index.counts_for(locations, self.neighbour_radius)
+        if len(view.user_locations):
+            return bulk_counts(
+                view.user_locations, as_coordinates(locations),
+                self.neighbour_radius,
+            ).tolist()
         return [0] * len(tasks)
 
     def rewards(self, view: RoundView) -> Dict[int, float]:

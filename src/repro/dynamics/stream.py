@@ -118,7 +118,7 @@ class WorldTimeline:
                 changes.arrivals.append(
                     MobileUser(
                         user_id=event.subject_id,
-                        location=Point(event.get("x"), event.get("y")),
+                        home=Point(event.get("x"), event.get("y")),
                         speed=event.get("speed"),
                         cost_per_meter=event.get("cost_per_meter"),
                         time_budget=event.get("time_budget"),

@@ -16,7 +16,7 @@ import numpy as np
 from repro.geometry.point import Point
 
 
-def _as_array(points: Iterable[Point]) -> np.ndarray:
+def as_coordinates(points: Iterable[Point]) -> np.ndarray:
     """Convert an iterable of points to an ``(n, 2)`` float array."""
     pts = list(points)
     if not pts:
@@ -30,7 +30,7 @@ def pairwise_distances(points: Sequence[Point]) -> np.ndarray:
     ``result[i, j]`` is the travel distance in meters between
     ``points[i]`` and ``points[j]``; the diagonal is zero.
     """
-    arr = _as_array(points)
+    arr = as_coordinates(points)
     if arr.shape[0] == 0:
         return np.empty((0, 0), dtype=float)
     diff = arr[:, None, :] - arr[None, :, :]
@@ -39,8 +39,8 @@ def pairwise_distances(points: Sequence[Point]) -> np.ndarray:
 
 def cross_distances(sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
     """Return the ``(len(sources), len(targets))`` distance matrix."""
-    a = _as_array(sources)
-    b = _as_array(targets)
+    a = as_coordinates(sources)
+    b = as_coordinates(targets)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.empty((a.shape[0], b.shape[0]), dtype=float)
     diff = a[:, None, :] - b[None, :, :]
@@ -49,7 +49,7 @@ def cross_distances(sources: Sequence[Point], targets: Sequence[Point]) -> np.nd
 
 def distances_from(origin: Point, targets: Sequence[Point]) -> np.ndarray:
     """Return the 1-D array of distances from ``origin`` to each target."""
-    b = _as_array(targets)
+    b = as_coordinates(targets)
     if b.shape[0] == 0:
         return np.empty((0,), dtype=float)
     diff = b - np.asarray(origin.as_tuple(), dtype=float)
@@ -65,7 +65,7 @@ def path_length(points: Sequence[Point]) -> float:
     """
     if len(points) < 2:
         return 0.0
-    arr = _as_array(points)
+    arr = as_coordinates(points)
     seg = np.diff(arr, axis=0)
     return float(np.sqrt((seg ** 2).sum(axis=1)).sum())
 

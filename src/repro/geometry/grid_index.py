@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,9 @@ class GridIndex:
         cell_size: side of each square cell in meters; queries with
             ``radius <= cell_size`` touch at most 9 cells.
 
-    The index is immutable once built; the engine rebuilds it each round
-    from the users' current positions, which is cheap (one dict fill).
+    The index is immutable once built.  It is the scalar reference for
+    :func:`bulk_counts`, which the engine and the mechanisms use (tests
+    pin the two to the same counts).
     """
 
     def __init__(self, points: Sequence[Point], cell_size: float):
@@ -41,7 +42,6 @@ class GridIndex:
         self._cells: Dict[Tuple[int, int], List[int]] = defaultdict(list)
         for idx, point in enumerate(self._points):
             self._cells[self._cell_of(point)].append(idx)
-        self._array: Optional[np.ndarray] = None  # built lazily for batching
 
     @property
     def cell_size(self) -> float:
@@ -92,56 +92,13 @@ class GridIndex:
         """
         return [self.count_within(center, radius) for center in centers]
 
-    # -- batched queries ---------------------------------------------------
-
-    #: distances this close to the radius are re-decided with the scalar
-    #: predicate; np.hypot and math.hypot can disagree only in the last
-    #: ulp, far inside this window for any realistic geometry.
-    _BOUNDARY_TOL = 1e-6
-
-    def _points_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.asarray(
-                [(p.x, p.y) for p in self._points], dtype=float
-            ).reshape(len(self._points), 2)
-        return self._array
-
-    def counts_array(self, centers: Sequence[Point], radius: float) -> np.ndarray:
-        """Batched :meth:`counts_for`, identical counts, vectorised math.
-
-        Each center still gathers candidates from its 3x3 cell block, but
-        the distance test runs as one numpy expression per center instead
-        of a Python loop over candidate points.  Candidates whose
-        distance falls within :data:`_BOUNDARY_TOL` of the radius are
-        re-decided with ``Point.distance_to`` (``math.hypot``), which is
-        the scalar path's predicate — so an on-the-boundary user is
-        counted by both paths or by neither.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        points = self._points_array()
-        counts = np.zeros(len(centers), dtype=int)
-        for i, center in enumerate(centers):
-            candidates: List[int] = []
-            for cell in self._candidate_cells(center, radius):
-                candidates.extend(self._cells.get(cell, ()))
-            if not candidates:
-                continue
-            idx = np.asarray(candidates, dtype=int)
-            diff = points[idx] - (center.x, center.y)
-            distances = np.hypot(diff[:, 0], diff[:, 1])
-            inside = distances <= radius
-            near = np.abs(distances - radius) <= self._BOUNDARY_TOL
-            if np.any(near):
-                for j in np.nonzero(near)[0]:
-                    inside[j] = (
-                        self._points[int(idx[j])].distance_to(center) <= radius
-                    )
-            counts[i] = int(np.count_nonzero(inside))
-        return counts
-
 
 # -- bulk counting and incremental maintenance ---------------------------
+
+#: Distances this close to the radius are re-decided with the scalar
+#: predicate; np.hypot and math.hypot can disagree only in the last ulp,
+#: far inside this window for any realistic geometry.
+_BOUNDARY_TOL = 1e-6
 
 #: The 3x3 block of cell offsets a radius-sized cell query inspects.
 _NINE_CELLS = np.asarray(
@@ -166,16 +123,18 @@ def _encode_cells(cells: np.ndarray) -> np.ndarray:
 
 
 def bulk_counts(
-    points: Sequence[Point], centers: Sequence[Point], radius: float
+    points: np.ndarray, centers: np.ndarray, radius: float
 ) -> np.ndarray:
     """Fixed-radius neighbour counts, fully vectorised across centers.
 
-    Returns exactly what ``GridIndex(points, cell_size=radius)
-    .counts_for(centers, radius)`` returns (pinned by tests), without
-    the per-center Python loop: cell membership, the 3x3 block gather,
-    and the distance predicate all run as whole-array expressions, with
-    the same :data:`GridIndex._BOUNDARY_TOL` band re-decided by
-    ``Point.distance_to``.
+    ``points`` and ``centers`` are ``(n, 2)`` and ``(m, 2)`` float64
+    coordinate arrays.  Returns exactly what ``GridIndex(points,
+    cell_size=radius).counts_for(centers, radius)`` returns for the same
+    coordinates as :class:`Point` s (pinned by tests), without the
+    per-center Python loop: cell membership, the 3x3 block gather, and
+    the distance predicate all run as whole-array expressions, with the
+    same :data:`_BOUNDARY_TOL` band re-decided by
+    ``math.hypot`` (``Point.distance_to``'s predicate).
 
     Raises:
         ValueError: for a non-positive radius (a zero radius has no
@@ -185,18 +144,13 @@ def bulk_counts(
         raise ValueError(f"radius must be positive, got {radius}")
     m = len(centers)
     counts = np.zeros(m, dtype=int)
-    n = len(points)
-    if n == 0 or m == 0:
+    if len(points) == 0 or m == 0:
         return counts
-    coords = np.asarray(
-        [(p.x, p.y) for p in points], dtype=float
-    ).reshape(n, 2)
+    coords = np.asarray(points, dtype=float)
+    carr = np.asarray(centers, dtype=float)
     keys = _encode_cells(np.floor(coords / radius).astype(np.int64))
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    carr = np.asarray(
-        [(c.x, c.y) for c in centers], dtype=float
-    ).reshape(m, 2)
     ccells = np.floor(carr / radius).astype(np.int64)
     nkeys = _encode_cells(
         (ccells[:, None, :] + _NINE_CELLS[None, :, :]).reshape(-1, 2)
@@ -218,29 +172,27 @@ def bulk_counts(
     dy = coords[cand, 1] - carr[center_of, 1]
     distances = np.hypot(dx, dy)
     inside = distances <= radius
-    near = np.abs(distances - radius) <= GridIndex._BOUNDARY_TOL
+    near = np.abs(distances - radius) <= _BOUNDARY_TOL
     if np.any(near):
         for j in np.nonzero(near)[0].tolist():
-            inside[j] = (
-                points[int(cand[j])].distance_to(centers[int(center_of[j])])
-                <= radius
-            )
+            (px, py), (cx, cy) = coords[cand[j]].tolist(), carr[center_of[j]].tolist()
+            inside[j] = math.hypot(px - cx, py - cy) <= radius
     return np.bincount(center_of[inside], minlength=m).astype(int)
 
 
 class IncrementalNeighbourCounter:
     """Eq. 5 neighbour counts maintained by movement deltas, not rebuilds.
 
-    The per-round grid rebuild (:class:`GridIndex` + ``counts_array``)
-    touches every user every round; at city scale most users do not move
-    between rounds (stationary commuters, users with no reachable
-    tasks), so the counter instead keeps one running count per *primed*
-    center and updates it from the movers alone: a user moving from p to
-    p' subtracts its old-position indicator and adds its new-position
-    indicator for every center.  Indicators are computed by
-    :func:`bulk_counts` with the exact :class:`GridIndex` predicate, and
-    counts are integers, so any sequence of updates leaves every count
-    bitwise equal to a from-scratch rebuild (pinned by tests).
+    A per-round recount touches every user every round; at city scale
+    most users do not move between rounds (stationary commuters, users
+    with no reachable tasks), so the counter instead keeps one running
+    count per *primed* center and updates it from the movers alone: a
+    user moving from p to p' subtracts its old-position indicator and
+    adds its new-position indicator for every center.  Indicators are
+    computed by :func:`bulk_counts` with the exact :class:`GridIndex`
+    predicate, and counts are integers, so any sequence of updates
+    leaves every count bitwise equal to a from-scratch rebuild (pinned
+    by tests).
 
     When a round moves at least :data:`FULL_REBUILD_FRACTION` of the
     population, two delta passes would cost more than one rebuild, so
@@ -248,19 +200,21 @@ class IncrementalNeighbourCounter:
     flops.
 
     Args:
-        points: the tracked population's starting positions, in a fixed
-            index order (``apply_moves`` refers to these indices).
+        positions: the tracked population's ``(n, 2)`` float64 position
+            array.  The counter keeps a reference, not a copy: its owner
+            moves rows in place and then reports them through
+            :meth:`apply_moves`.
         radius: the neighbourhood radius R (also the grid cell size).
     """
 
     FULL_REBUILD_FRACTION = 0.5
 
-    def __init__(self, points: Sequence[Point], radius: float):
+    def __init__(self, positions: np.ndarray, radius: float):
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         self._radius = float(radius)
-        self._points: List[Point] = list(points)
-        self._centers: List[Point] = []
+        self._positions = positions
+        self._centers = np.zeros((0, 2))
         self._slots: Dict[Tuple[float, float], int] = {}
         self._counts = np.zeros(0, dtype=int)
 
@@ -269,7 +223,7 @@ class IncrementalNeighbourCounter:
         return self._radius
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._positions)
 
     def prime(self, centers: Sequence[Point]) -> None:
         """Start tracking counts for ``centers`` (idempotent per location).
@@ -279,58 +233,43 @@ class IncrementalNeighbourCounter:
         (the engine primes all task locations before round 1) — queries
         and moves after that never rescan the full population.
         """
-        fresh: List[Point] = []
-        for center in centers:
-            key = (center.x, center.y)
-            if key not in self._slots and not any(
-                key == (c.x, c.y) for c in fresh
-            ):
-                fresh.append(center)
+        fresh = list(dict.fromkeys(
+            (c.x, c.y) for c in centers if (c.x, c.y) not in self._slots
+        ))
         if not fresh:
             return
-        fresh_counts = bulk_counts(self._points, fresh, self._radius)
-        for center, count in zip(fresh, fresh_counts):
-            self._slots[(center.x, center.y)] = len(self._centers)
-            self._centers.append(center)
-        self._counts = np.concatenate([self._counts, fresh_counts])
-
-    def counts_for(self, centers: Sequence[Point]) -> List[int]:
-        """Current neighbour count per center (priming any new ones)."""
-        if any((c.x, c.y) not in self._slots for c in centers):
-            self.prime(centers)
-        counts = self._counts
-        return [int(counts[self._slots[(c.x, c.y)]]) for c in centers]
+        fresh_xy = np.asarray(fresh, dtype=float)
+        for key in fresh:
+            self._slots[key] = len(self._slots)
+        self._centers = np.concatenate([self._centers, fresh_xy])
+        self._counts = np.concatenate([
+            self._counts, bulk_counts(self._positions, fresh_xy, self._radius)
+        ])
 
     def counts_array(self, centers: Sequence[Point]) -> np.ndarray:
-        """:meth:`counts_for` as an array (the batched pricing shape)."""
-        return np.asarray(self.counts_for(centers), dtype=int)
+        """Current neighbour count per center (priming any new ones)."""
+        self.prime(centers)
+        slots = self._slots
+        return self._counts[[slots[(c.x, c.y)] for c in centers]]
 
-    def apply_moves(
-        self,
-        rows: Sequence[int],
-        old_points: Sequence[Point],
-        new_points: Sequence[Point],
-    ) -> None:
+    def apply_moves(self, rows: np.ndarray, old: np.ndarray) -> None:
         """Fold one round of movement into every tracked count.
 
         Args:
-            rows: indices (into the constructor's ``points`` order) of
-                the users that moved.
-            old_points: their positions before the move — must be the
-                positions previously reported, or counts would drift.
-            new_points: their positions after the move.
+            rows: the rows of the tracked array that moved; the array
+                already holds their new positions.
+            old: ``(len(rows), 2)`` positions they moved from — must be
+                the positions previously counted, or counts would drift.
         """
-        for row, point in zip(rows, new_points):
-            self._points[row] = point
-        if not self._centers or not rows:
+        if not len(self._centers) or not len(rows):
             return
-        if len(rows) >= self.FULL_REBUILD_FRACTION * len(self._points):
+        if len(rows) >= self.FULL_REBUILD_FRACTION * len(self._positions):
             self._counts = bulk_counts(
-                self._points, self._centers, self._radius
+                self._positions, self._centers, self._radius
             )
             return
         self._counts = (
             self._counts
-            - bulk_counts(old_points, self._centers, self._radius)
-            + bulk_counts(new_points, self._centers, self._radius)
+            - bulk_counts(old, self._centers, self._radius)
+            + bulk_counts(self._positions[rows], self._centers, self._radius)
         )

@@ -57,8 +57,8 @@ def render_world(world: World, width: int = 60, height: int = 24) -> str:
         if current == EMPTY or _PRECEDENCE[marker] > _PRECEDENCE.get(current, -1):
             grid[row][column] = marker
 
-    for user in world.users:
-        place(user.location.x, user.location.y, USER)
+    for x, y in world.positions.tolist():
+        place(x, y, USER)
     for task in world.tasks:
         place(task.location.x, task.location.y, _task_marker(task))
 

@@ -182,7 +182,7 @@ class ProblemBlock:
         task_ids: ``(n, k)`` candidate task ids.
         max_distance: ``(n,)`` float64 travel budgets.
         cost_per_meter: ``(n,)`` float64 movement cost rates.
-        origins: the n origin points.
+        origins: ``(n, 2)`` float64 origin coordinates.
         columns: ``(n, k)`` positions of each row's candidates in
             ``candidates``.
         candidates: the round's candidate pool.
@@ -197,7 +197,7 @@ class ProblemBlock:
     task_ids: np.ndarray
     max_distance: np.ndarray
     cost_per_meter: np.ndarray
-    origins: Sequence[Point]
+    origins: np.ndarray
     columns: np.ndarray
     candidates: Sequence[CandidateTask]
 
@@ -214,7 +214,7 @@ class ProblemBlock:
         """Row ``j`` as a standalone instance (its matrix is a view)."""
         candidates = self.candidates
         return TaskSelectionProblem(
-            origin=self.origins[j],
+            origin=Point(*self.origins[j].tolist()),
             candidates=tuple([candidates[i] for i in self.columns[j].tolist()]),
             max_distance=float(self.max_distance[j]),
             cost_per_meter=float(self.cost_per_meter[j]),

@@ -18,10 +18,9 @@ Per round k:
 4. **Demand calculate** — implicit: the next round's step 1 reads the
    updated task state.
 
-Between rounds the mobility policy moves users — those who walked, and
-idle users whose policy does not keep them put — tasks past their
-deadline expire, and the loop ends at the configured horizon or as soon
-as no task is active.
+Between rounds the mobility policy moves every user in one array call,
+tasks past their deadline expire, and the loop ends at the configured
+horizon or as soon as no task is active.
 
 The engine is steppable: :meth:`SimulationEngine.step` plays exactly one
 round, which lets experiments freeze the world mid-run and hand the *same*
@@ -40,8 +39,8 @@ act:
   :meth:`Selection.empty` without a selector call.
 - *pricing* — mechanisms exposing a ``neighbour_counter`` hook get an
   :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` fed
-  from the engine's own move loop, instead of a per-round grid rebuild
-  for the Eq. 5 neighbour counts.
+  from the engine's own move pass, instead of a per-round recount for
+  the Eq. 5 neighbour counts.
 - *upload* — one array pass over the walkers' (walker, task) pairs in
   arrival order: a pair is accepted iff its user had not contributed
   to the task before and fewer than ``remaining`` earlier first
@@ -49,17 +48,16 @@ act:
   the same answer as walking the uploads one by one; see
   :meth:`SimulationEngine._upload`).  Each touched task's state is
   written once.
-- *mobility* — ``mobility.next_position`` runs for users who walked and
-  for idle users whose policy's
-  :meth:`~repro.world.mobility.MobilityPolicy.stays_put_when_idle` is
-  false, in arrival order.  A policy answers true only when the idle
-  call would return ``user.location`` itself and draw nothing, so the
-  skipped calls are exactly the no-ops.
-- *state* — user positions, travel budgets and cost rates live in
-  persistent per-row arrays kept in place as users move, and the
-  task-to-task distance matrix is computed once over *all* world tasks
-  (task locations never change) and read per round through a row
-  mapping.
+- *mobility* — one :meth:`~repro.world.mobility.MobilityPolicy.move`
+  call over every row in arrival order, starting walkers from their last
+  task and everyone else from where they stand; only the rows whose
+  position changed reach the neighbour counter.
+- *state* — :attr:`World.positions <repro.world.generator.World.positions>`
+  is the one record of where users stand, moved in place; homes, travel
+  budgets and cost rates live in per-row arrays rebuilt only when the
+  population changes, and the task-to-task distance matrix is computed
+  once over *all* world tasks (task locations never change) and read per
+  round through a row mapping.
 - *records* — the round's user records, measurements and rejections
   are columnar (:class:`~repro.simulation.events.UserRoundRecords`,
   :class:`~repro.simulation.events.MeasurementRecords`,
@@ -85,6 +83,7 @@ import numpy as np
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
 from repro.geometry.grid_index import IncrementalNeighbourCounter
+from repro.geometry.point import Point
 from repro.obs.log import bind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
@@ -114,7 +113,7 @@ from repro.simulation.events import (
     UserRoundRecords,
 )
 from repro.simulation.rng import spawn_streams
-from repro.world.generator import World
+from repro.world.generator import World, home_positions
 from repro.world.mobility import MixedMobility, MobilityPolicy, make_mobility
 from repro.world.task import SensingTask, TaskStatus
 from repro.world.user import MobileUser
@@ -127,43 +126,30 @@ class _RowState:
     """Per-row user state the sparse round reads.
 
     Built from the world's user list (rows = positions in it) and kept
-    until the population changes: the user ids, the positions, travel
-    budgets and cost rates the problem assembly reads, the permutation
-    that puts rows in ``user_id`` order for the round's records
-    (``None`` when world order already is), and the mask of users the
-    mobility policy moves even when they stay home.  The position and
-    mask entries of a user who moved are refreshed, since a policy's
-    answer may depend on the user's position (see
-    :meth:`MobilityPolicy.stays_put_when_idle`).
+    until the population changes: the user ids, homes, travel budgets
+    and cost rates, and the permutation that puts rows in ``user_id``
+    order for the round's records (``None`` when world order already
+    is).  Building it binds the mobility policy to the rows.  Where
+    users stand is not here: that is :attr:`World.positions`.
     """
 
     def __init__(self, users: Sequence[MobileUser], mobility: MobilityPolicy):
         n = len(users)
-        self.mobility = mobility
         self.user_ids = np.fromiter(
             (user.user_id for user in users), dtype=np.int64, count=n
         )
         self.user_ids.flags.writeable = False
-        self.positions = np.asarray(
-            [(u.location.x, u.location.y) for u in users], dtype=float
-        ).reshape(n, 2)
+        self.homes = home_positions(users)
         self.budgets = np.asarray(
             [u.max_travel_distance for u in users], dtype=float
         )
         self.costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
-        stays = mobility.stays_put_when_idle
-        self.idle_movers = np.fromiter(
-            (not stays(user) for user in users), dtype=bool, count=n
-        )
+        mobility.bind(users)
         ids = self.user_ids
         self.order = (
             None if (ids[1:] > ids[:-1]).all()
             else np.argsort(ids, kind="stable")
         )
-
-    def refresh(self, row: int, user: MobileUser) -> None:
-        """Re-resolve a moved user's idle-mover entry."""
-        self.idle_movers[row] = not self.mobility.stays_put_when_idle(user)
 
     def records(
         self, round_no: int, selections: List[Selection], rewards: np.ndarray,
@@ -221,9 +207,6 @@ class SimulationEngine:
     #: Per-chunk byte budget for the distance pipeline (the element
     #: count adapts to the configured dtype).
     chunk_bytes = DEFAULT_CHUNK_BYTES
-
-    #: Explicit element override; ``None`` derives from ``chunk_bytes``.
-    chunk_elements: Optional[int] = None
 
     def __init__(
         self,
@@ -292,10 +275,22 @@ class SimulationEngine:
         return selector
 
     def _build_mobility(self) -> MobilityPolicy:
-        """The config's policy, routed per group for mixed populations."""
-        default = make_mobility(self.config.mobility)
+        """The config's policy, routed per group for mixed populations.
+
+        One instance per mobility name: every group of a policy that
+        draws shares it, so the waypoint draws stay in global arrival
+        order (see :class:`MixedMobility`).
+        """
+        built: Dict[str, MobilityPolicy] = {}
+
+        def policy(name: str) -> MobilityPolicy:
+            if name not in built:
+                built[name] = make_mobility(name)
+            return built[name]
+
+        default = policy(self.config.mobility)
         per_group = {
-            str(group["name"]): make_mobility(group["mobility"])
+            str(group["name"]): policy(group["mobility"])
             for group in self.config.population
             if group.get("mobility")
         }
@@ -326,7 +321,7 @@ class SimulationEngine:
         if not radius or not hasattr(self.mechanism, "neighbour_counter"):
             return None
         counter = IncrementalNeighbourCounter(
-            [u.location for u in self.world.users], radius=float(radius)
+            self.world.positions, radius=float(radius)
         )
         counter.prime([t.location for t in self.world.tasks])
         self.mechanism.neighbour_counter = counter
@@ -385,12 +380,7 @@ class SimulationEngine:
         view = RoundView(
             round_no=self._next_round,
             active_tasks=self.published_tasks(),
-            # With an incremental counter injected, the mechanism never
-            # reads per-round user locations: skip the O(users) list.
-            user_locations=(
-                () if self._neighbour_counter is not None
-                else [u.location for u in self.world.users]
-            ),
+            user_locations=self.world.positions,
         )
         prices = self.mechanism.rewards(view)
         self._price_cache = (self._next_round, dict(prices))
@@ -430,14 +420,13 @@ class SimulationEngine:
             # Caller-supplied prices (e.g. an ablation probing a what-if
             # price map) must not poison the per-round cache.
             problems = self._round_problems(tasks, prices, cached=False)
-        users, state = self.world.users, self._rows()
+        users, state, positions = self.world.users, self._rows(), self.world.positions
         built = dict(problems.iter_problems(
-            users, origins=state.positions, budgets=state.budgets,
-            costs=state.costs,
+            users, origins=positions, budgets=state.budgets, costs=state.costs,
         ))
         return [
             (user, built.get(row) or TaskSelectionProblem(
-                origin=user.location,
+                origin=Point(*positions[row].tolist()),
                 candidates=(),
                 max_distance=float(user.max_travel_distance),
                 cost_per_meter=float(user.cost_per_meter),
@@ -473,7 +462,6 @@ class SimulationEngine:
             active,
             prices,
             stats=self._perf,
-            chunk_elements=self.chunk_elements,
             dtype=self._dtype,
             chunk_bytes=self.chunk_bytes,
             task_matrix=self._full_task_matrix,
@@ -571,11 +559,11 @@ class SimulationEngine:
         with tracer.span("select", cat="phase", round=round_no):
             users = self.world.users
             if self.coordinator is not None:
-                present = [
-                    users[row] for row in np.flatnonzero(participating).tolist()
-                ]
+                rows = np.flatnonzero(participating)
+                present = [users[row] for row in rows.tolist()]
                 assigned = self.coordinator.assign(
-                    round_no, active, present, prices
+                    round_no, active, present, self.world.positions[rows],
+                    prices,
                 )
                 empty = Selection.empty()
                 selections = [
@@ -590,9 +578,9 @@ class SimulationEngine:
         # users who walk a path upload anything; everyone else earns 0.
         with tracer.span("upload", cat="phase", round=round_no):
             arrival = self._streams["arrival"].permutation(len(selections))
-            measurements, rejections, completed, walkers, earned = self._upload(
-                round_no, arrival, selections, active, prices
-            )
+            (
+                measurements, rejections, completed, walkers, earned, ends,
+            ) = self._upload(round_no, arrival, selections, active, prices)
             rewards = np.zeros(len(selections))
             rewards[walkers] = earned
             costs = np.zeros(len(selections))
@@ -600,17 +588,11 @@ class SimulationEngine:
                 map(attrgetter("cost"), selections), dtype=float,
                 count=len(selections),
             )[walkers]
-            moves = self._rows().idle_movers.copy()
-            moves[walkers] = True
             # Mobility is a single post-upload pass in the same arrival
-            # order: nothing in the upload loop reads another user's
+            # order: nothing in the upload reads another user's
             # position, and the mobility stream is consumed in the same
             # sequence, so this is bit-identical to interleaved moves.
-            # Users who stayed home and whose policy keeps idle users in
-            # place are skipped (their call would return their own
-            # location and draw nothing).
-            movers = arrival[moves[arrival]]
-            self._apply_moves(movers.tolist(), selections, active)
+            self._apply_moves(arrival, walkers, task_locations(active)[ends])
             user_records = self._rows().records(
                 round_no, selections, rewards, costs
             )
@@ -687,20 +669,29 @@ class SimulationEngine:
         """Fold one round's open-world changes into the live world.
 
         Called by the :class:`~repro.dynamics.stream.WorldTimeline`
-        before the round plays.  Population changes invalidate the
-        per-row state (rows shift when users leave) and give the
-        incremental neighbour counter a full rebuild over the new
-        population (which also primes every task, including any
+        before the round plays.  ``World.positions`` is filtered and
+        extended in the same step as ``World.users``, so its rows stay
+        aligned (arrivals stand at their homes).  Population changes
+        invalidate the per-row state (rows shift when users leave) and
+        give the incremental neighbour counter a full rebuild over the
+        new population (which also primes every task, including any
         published this round).  A task-only change keeps the counter
         and just primes the new centers.
         """
+        world = self.world
         if changes.departures:
             departed = set(changes.departures)
-            self.world.users[:] = [
-                u for u in self.world.users if u.user_id not in departed
-            ]
+            stay = np.fromiter(
+                (u.user_id not in departed for u in world.users),
+                dtype=bool, count=len(world.users),
+            )
+            world.users[:] = [u for u, kept in zip(world.users, stay) if kept]
+            world.positions = world.positions[stay]
         if changes.arrivals:
-            self.world.users.extend(changes.arrivals)
+            world.users.extend(changes.arrivals)
+            world.positions = np.concatenate(
+                [world.positions, home_positions(changes.arrivals)]
+            )
         if changes.tasks:
             self.world.tasks.extend(changes.tasks)
             self._task_row_of = {
@@ -742,11 +733,11 @@ class SimulationEngine:
         selections = [Selection.empty()] * len(users)
         if participating.all():
             participants, rows = users, None
-            origins, budgets, costs = state.positions, state.budgets, state.costs
+            origins, budgets, costs = self.world.positions, state.budgets, state.costs
         else:
             rows = np.flatnonzero(participating)
             participants = [users[row] for row in rows.tolist()]
-            origins = state.positions[rows]
+            origins = self.world.positions[rows]
             budgets, costs = state.budgets[rows], state.costs[rows]
         solve = getattr(self.selector, "select_block", None) or partial(
             Selector.select_block, self.selector
@@ -778,46 +769,28 @@ class SimulationEngine:
         return selections
 
     def _apply_moves(
-        self,
-        movers: Sequence[int],
-        selections: List[Selection],
-        active: Sequence[SensingTask],
+        self, arrival: np.ndarray, walkers: np.ndarray, ends: np.ndarray
     ) -> None:
-        """Advance each mover (world rows, arrival order) to its
-        next-round position, keeping the per-row state and the
-        neighbour counter current.
+        """Move every user (world rows, ``arrival`` order) to its
+        next-round position in one mobility call.
 
-        Mobility policies return the *same object* when a user does not
-        move (stationary users sit on their home point; path followers
-        with no path keep their location), so an identity check finds
-        the movers without a coordinate comparison.  A returned new
-        object with equal coordinates is treated as a move — harmless:
-        its counter delta is exactly zero.
+        ``walkers`` are the rows that walked a path and ``ends`` the
+        ``(len(walkers), 2)`` coordinates of each one's last task; every
+        other user starts from where it stands.  The rows whose position
+        changed are reported to the neighbour counter.
         """
-        users, state = self.world.users, self._rows()
-        region, rng = self.world.region, self._streams["mobility"]
-        tasks_by_id = {t.task_id: t for t in active}
-        moved_rows: List[int] = []
-        moved_old: List = []
-        moved_new: List = []
-        for row in movers:
-            user = users[row]
-            old = user.location
-            path = [tasks_by_id[t].location for t in selections[row].task_ids]
-            new = user.location = self.mobility.next_position(
-                user, path, region, rng
-            )
-            if new is old:
-                continue
-            state.refresh(row, user)
-            moved_rows.append(row)
-            moved_old.append(old)
-            moved_new.append(new)
-        if not moved_rows:
-            return
-        state.positions[moved_rows] = [(p.x, p.y) for p in moved_new]
+        positions, state = self.world.positions, self._rows()
+        old = positions[arrival]
+        # Walkers stand at their last task when the policy moves them.
+        positions[walkers] = ends
+        new = self.mobility.move(
+            arrival, positions[arrival], state.homes, state.budgets,
+            self.world.region, self._streams["mobility"],
+        )
+        positions[arrival] = new
         if self._neighbour_counter is not None:
-            self._neighbour_counter.apply_moves(moved_rows, moved_old, moved_new)
+            moved = (new != old).any(axis=1)
+            self._neighbour_counter.apply_moves(arrival[moved], old[moved])
 
     def _validate_prices(
         self,
@@ -939,7 +912,7 @@ class SimulationEngine:
         prices: Dict[int, float],
     ) -> Tuple[
         MeasurementRecords, RejectionRecords, Tuple[int, ...], np.ndarray,
-        np.ndarray,
+        np.ndarray, np.ndarray,
     ]:
         """Step 3: every walker's uploads, accepted or rejected in one
         array pass over the round's (walker, task) pairs.
@@ -963,8 +936,9 @@ class SimulationEngine:
 
         Returns the round's measurements and rejections, the ids of the
         tasks completed (in upload order), the walkers' rows in arrival
-        order, and each walker's earned reward, added left to right
-        along its path.
+        order, each walker's earned reward, added left to right along
+        its path, and the position in ``active`` of each walker's last
+        task.
 
         Raises:
             ValueError: naming the coordinator (or selector), round,
@@ -1048,8 +1022,10 @@ class SimulationEngine:
             round_no, task_ids[rejected], user_ids[rejected],
             np.where(before[rejected] >= remaining[rejected], 0, 1),
         )
+        ends = position[np.cumsum(walked) - 1]
         return (
-            measurements, rejections, tuple(completed.tolist()), walkers, earned
+            measurements, rejections, tuple(completed.tolist()), walkers,
+            earned, ends,
         )
 
 

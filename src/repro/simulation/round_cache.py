@@ -18,9 +18,9 @@ user chunks with numpy:
   :func:`~repro.geometry.distances.pairwise_distances` rows),
 - a boolean reachability mask against each user's travel budget, with
   any distance within the boundary tolerance of the budget re-decided by
-  ``Point.distance_to`` (``math.hypot``) exactly as ``build``'s pruning
-  rule does — the sqrt pipeline and hypot can disagree only in the last
-  ulp, far inside the tolerance band,
+  ``math.hypot`` on the float64 coordinates, exactly as ``build``'s
+  pruning rule (``Point.distance_to``) does — the sqrt pipeline and hypot
+  can disagree only in the last ulp, far inside the tolerance band,
 - problems only for users with a candidate, in blocks of equal candidate
   count k: one fancy-index gather fills each
   :class:`~repro.selection.problem.ProblemBlock`'s ``(n_k, k+1, k+1)``
@@ -47,6 +47,7 @@ city-scale round never materialises the full user-by-task matrix.
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,8 +60,9 @@ from repro.world.task import SensingTask
 from repro.world.user import MobileUser
 
 #: Distances this close to a user's travel budget are re-decided with
-#: ``Point.distance_to`` so the sqrt-pipeline/``math.hypot`` last-ulp
-#: disagreement can never flip a reachability decision.
+#: ``math.hypot`` (``Point.distance_to``'s arithmetic) so the
+#: sqrt-pipeline/``math.hypot`` last-ulp disagreement can never flip a
+#: reachability decision.
 BOUNDARY_TOL = 1e-6
 
 #: Per-chunk byte budget of the distance pipeline.  The chunk *element*
@@ -128,13 +130,12 @@ class RoundProblems:
             the engine validates before constructing this state).
         stats: optional :class:`PerfStats` receiving one cache miss for
             the shared construction and one hit per user served.
-        chunk_elements: elements per distance chunk; ``None`` (default)
-            derives the count from ``chunk_bytes`` and ``dtype``.
         dtype: the distance pipeline precision — ``np.float64``
             (bit-identical to ``TaskSelectionProblem.build``) or
             ``np.float32`` (reachability boundary re-decided in float64).
-        chunk_bytes: per-chunk byte budget when ``chunk_elements`` is
-            not given (default ~16 MB regardless of dtype).
+        chunk_bytes: per-chunk byte budget of the distance pipeline
+            (default ~16 MB regardless of dtype); the per-chunk element
+            count, :attr:`chunk_elements`, derives from it and the dtype.
         task_matrix: optional precomputed distance matrix in ``dtype``.
             May cover a superset of ``tasks`` (e.g. the engine's
             all-tasks matrix), in which case ``task_rows`` maps each
@@ -148,7 +149,6 @@ class RoundProblems:
         tasks: Sequence[SensingTask],
         prices: Dict[int, float],
         stats: Optional[PerfStats] = None,
-        chunk_elements: Optional[int] = None,
         dtype=np.float64,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         task_matrix: Optional[np.ndarray] = None,
@@ -160,16 +160,12 @@ class RoundProblems:
                 f"dtype must be float32 or float64, got {dtype}"
             )
         self.dtype = dtype
-        if chunk_elements is None:
-            if chunk_bytes < dtype.itemsize:
-                raise ValueError(
-                    f"chunk_bytes must hold at least one {dtype} element, "
-                    f"got {chunk_bytes}"
-                )
-            chunk_elements = chunk_bytes // dtype.itemsize
-        if chunk_elements < 1:
-            raise ValueError(f"chunk_elements must be >= 1, got {chunk_elements}")
-        self.chunk_elements = int(chunk_elements)
+        if chunk_bytes < dtype.itemsize:
+            raise ValueError(
+                f"chunk_bytes must hold at least one {dtype} element, "
+                f"got {chunk_bytes}"
+            )
+        self.chunk_elements = int(chunk_bytes // dtype.itemsize)
         self.tasks: List[SensingTask] = list(tasks)
         n = len(self.tasks)
         self._task_rows = (
@@ -212,9 +208,9 @@ class RoundProblems:
     def iter_blocks(
         self,
         users: Sequence[MobileUser],
-        origins: Optional[np.ndarray] = None,
-        budgets: Optional[np.ndarray] = None,
-        costs: Optional[np.ndarray] = None,
+        origins: np.ndarray,
+        budgets: np.ndarray,
+        costs: np.ndarray,
     ) -> Iterator[Tuple[np.ndarray, ProblemBlock]]:
         """Yield ``(indices, block)`` covering each user with a candidate.
 
@@ -226,14 +222,12 @@ class RoundProblems:
         (pinned by the solver contract tests), so callers skip them.
 
         Args:
-            users: the users to build problems for.
-            origins: optional ``(len(users), 2)`` float64 positions
-                aligned with ``users`` (the engine's persistent position
-                array); gathered from the user objects when omitted.
-            budgets: optional ``(len(users),)`` float64 travel budgets,
-                same convention.
-            costs: optional ``(len(users),)`` float64 cost rates, same
-                convention.
+            users: the users to build problems for (their ids decide
+                contributor exclusion).
+            origins: ``(len(users), 2)`` float64 positions aligned with
+                ``users`` (rows of :attr:`World.positions`).
+            budgets: ``(len(users),)`` float64 travel budgets.
+            costs: ``(len(users),)`` float64 cost rates.
         """
         for blocks in self._chunk_blocks(users, origins, budgets, costs):
             yield from blocks
@@ -241,9 +235,9 @@ class RoundProblems:
     def iter_problems(
         self,
         users: Sequence[MobileUser],
-        origins: Optional[np.ndarray] = None,
-        budgets: Optional[np.ndarray] = None,
-        costs: Optional[np.ndarray] = None,
+        origins: np.ndarray,
+        budgets: np.ndarray,
+        costs: np.ndarray,
     ) -> Iterator[Tuple[int, TaskSelectionProblem]]:
         """Yield ``(index, problem)`` for each user with a candidate.
 
@@ -262,25 +256,15 @@ class RoundProblems:
     def _chunk_blocks(
         self,
         users: Sequence[MobileUser],
-        origins: Optional[np.ndarray],
-        budgets: Optional[np.ndarray],
-        costs: Optional[np.ndarray],
+        origins: np.ndarray,
+        budgets: np.ndarray,
+        costs: np.ndarray,
     ) -> Iterator[List[Tuple[np.ndarray, ProblemBlock]]]:
         """One list of ``(indices, block)`` per user chunk."""
         n_tasks = len(self.tasks)
         if n_tasks == 0:
             return
         n_users = len(users)
-        if origins is None:
-            origins = np.asarray(
-                [(u.location.x, u.location.y) for u in users], dtype=float
-            ).reshape(n_users, 2)
-        if budgets is None:
-            budgets = np.asarray(
-                [u.max_travel_distance for u in users], dtype=float
-            )
-        if costs is None:
-            costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
         if self.dtype == np.float32:
             origins_w = origins.astype(np.float32)
             budgets_w = budgets.astype(np.float32)
@@ -345,8 +329,10 @@ class RoundProblems:
             nrows, ncols = np.nonzero(near)
             if len(nrows):
                 for row, col in zip(nrows.tolist(), ncols.tolist()):
+                    ox, oy = origins[start + row].tolist()
+                    task = tasks[col].location
                     reach[row, col] = (
-                        users[start + row].location.distance_to(tasks[col].location)
+                        math.hypot(ox - task.x, oy - task.y)
                         <= budgets[start + row]
                     )
             if pair_rows is not None:
@@ -354,12 +340,12 @@ class RoundProblems:
                 if in_chunk.any():
                     reach[pair_rows[in_chunk] - start, pair_cols[in_chunk]] = False
             yield self._gather_blocks(
-                users, start, reach, distances, budgets, costs
+                origins, start, reach, distances, budgets, costs
             )
 
     def _gather_blocks(
         self,
-        users: Sequence[MobileUser],
+        origins: np.ndarray,
         start: int,
         reach: np.ndarray,
         distances: np.ndarray,
@@ -403,7 +389,7 @@ class RoundProblems:
                 task_ids=self._task_ids[picked],
                 max_distance=budgets[indices],
                 cost_per_meter=costs[indices],
-                origins=[users[i].location for i in indices.tolist()],
+                origins=origins[indices],
                 columns=picked,
                 candidates=self.candidates,
             )))

@@ -7,13 +7,16 @@ Section III of the paper:
   :math:`t_i` with location :math:`L_{t_i}`, deadline :math:`\\tau_i`
   (in rounds), and a required number of measurements :math:`\\varphi_i`.
 - :class:`~repro.world.user.MobileUser` — a user :math:`u_i` with a
-  current position, walking speed, movement cost, and per-round time
-  budget :math:`B^k_{u_i}`.
+  home, walking speed, movement cost, and per-round time budget
+  :math:`B^k_{u_i}`.
+- :class:`~repro.world.generator.World` — the region, tasks and users,
+  plus ``World.positions``, the one record of where users stand.
 - :class:`~repro.world.generator.WorldGenerator` — seeded generators for
   the uniform layout the paper evaluates and a clustered layout that
   exaggerates the "remote task" inequality the paper motivates.
-- :mod:`~repro.world.mobility` — policies controlling where a user starts
-  the next round (the paper leaves this unspecified; see DESIGN.md §3).
+- :mod:`~repro.world.mobility` — policies moving users' positions to
+  where they start the next round (the paper leaves this unspecified;
+  see DESIGN.md §3).
 """
 
 from repro.world.task import SensingTask, TaskStatus

@@ -11,6 +11,7 @@ to stress the popularity-inequality problem the paper motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,11 +26,18 @@ from repro.world.user import MobileUser
 
 @dataclass
 class World:
-    """The generated initial state: a region, its tasks, and its users."""
+    """A region, its tasks, its users, and where those users stand.
+
+    ``positions`` is the one mutable record of where users are: a
+    float64 ``(n, 2)`` array aligned with ``users``, built from each
+    user's home.  The engine's mobility pass moves it in place and its
+    open-world dynamics filter and extend it together with ``users``.
+    """
 
     region: RectRegion
     tasks: List[SensingTask]
     users: List[MobileUser]
+    positions: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         for task in self.tasks:
@@ -38,10 +46,11 @@ class World:
                     f"task {task.task_id} at {task.location} lies outside {self.region}"
                 )
         for user in self.users:
-            if not self.region.contains(user.location):
+            if not self.region.contains(user.home):
                 raise ValueError(
-                    f"user {user.user_id} at {user.location} lies outside {self.region}"
+                    f"user {user.user_id} at {user.home} lies outside {self.region}"
                 )
+        self.positions = home_positions(self.users)
 
     @property
     def total_required_measurements(self) -> int:
@@ -51,8 +60,14 @@ class World:
     def task_locations(self) -> List[Point]:
         return [t.location for t in self.tasks]
 
-    def user_locations(self) -> List[Point]:
-        return [u.location for u in self.users]
+
+def home_positions(users: Sequence[MobileUser]) -> np.ndarray:
+    """The users' homes as a float64 ``(n, 2)`` array (filled straight
+    from the users, with no per-user tuple list in between)."""
+    return np.fromiter(
+        chain.from_iterable((u.home.x, u.home.y) for u in users),
+        dtype=float, count=2 * len(users),
+    ).reshape(len(users), 2)
 
 
 @dataclass(frozen=True)
@@ -178,7 +193,7 @@ class WorldGenerator:
         users = [
             MobileUser(
                 user_id=i,
-                location=loc,
+                home=loc,
                 speed=self.user_speed * float(speed_factor[i]),
                 cost_per_meter=self.user_cost_per_meter * float(cost_factor[i]),
                 time_budget=self.user_time_budget * float(budget_factor[i]),

@@ -1,4 +1,4 @@
-"""Mobility policies: where a user starts the next sensing round.
+"""Mobility policies: where users start the next sensing round.
 
 The paper never states how users move *between* rounds (Section VI fixes
 walking speed and cost but not the inter-round dynamics), so the engine
@@ -14,9 +14,11 @@ delegates to a pluggable policy:
   waypoint for the travel distance it did not spend on tasks, a standard
   mobility model for crowdsensing simulations.
 
-Policies also declare which idle users they leave exactly in place
-(:meth:`MobilityPolicy.stays_put_when_idle`), so the engine can skip
-those calls at city scale without changing a single draw.
+A policy moves the whole population in one array call,
+:meth:`MobilityPolicy.move`, over every row in arrival order.  Each
+built-in policy also keeps a per-user :meth:`~MobilityPolicy.next_position`
+as the reference ``move`` must equal row by row, bit for bit and draw
+for draw (pinned by a property test); the engine never calls it.
 
 The ablation bench (``benchmarks/bench_ablations.py``) shows the headline
 comparisons are insensitive to this choice.
@@ -25,7 +27,8 @@ comparisons are insensitive to this choice.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,38 +39,49 @@ from repro.world.user import MobileUser
 
 
 class MobilityPolicy(abc.ABC):
-    """Decides a user's position at the start of the next round."""
+    """Decides where users stand at the start of the next round."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
+    def move(
+        self,
+        rows: np.ndarray,
+        starts: np.ndarray,
+        homes: np.ndarray,
+        budgets: np.ndarray,
+        region: RectRegion,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """The ``(k, 2)`` positions ``k`` users start the next round at.
+
+        Args:
+            rows: ``(k,)`` population rows of the users, in arrival order.
+            starts: ``(k, 2)`` where each user's round ended: its last
+                task if it walked a path, else where it stood.
+            homes: ``(n, 2)`` every population row's home.
+            budgets: ``(n,)`` every row's ``speed * time_budget``.
+            region: the deployment area (positions must stay inside).
+            rng: the mobility random stream, drawn in row order.
+        """
+
     def next_position(
         self,
         user: MobileUser,
+        location: Point,
         path: Sequence[Point],
         region: RectRegion,
         rng: np.random.Generator,
     ) -> Point:
-        """Return where ``user`` stands when the next round begins.
+        """One user's :meth:`move` from ``location`` along ``path`` (the
+        points visited this round, empty if it sat out): the optional
+        per-user reference the built-in policies keep for the tests."""
+        raise NotImplementedError(f"{type(self).__name__} has no per-user reference")
 
-        Args:
-            user: the user, positioned where this round started.
-            path: the points the user visited this round, in order,
-                *excluding* the starting position; empty if it sat out.
-            region: the deployment area (positions must stay inside).
-            rng: the engine's mobility random stream.
-        """
-
-    def stays_put_when_idle(self, user: MobileUser) -> bool:
-        """Whether an idle ``user`` (empty path) would stay exactly put.
-
-        The engine calls :meth:`next_position` only for users who walked
-        a path or for whom this is false.  Returning true is a promise:
-        ``next_position(user, [], region, rng)`` would return
-        ``user.location`` itself (the same object) and draw nothing from
-        ``rng``.  The default is false, which is always safe.
-        """
-        return False
+    def bind(self, users: Sequence[MobileUser]) -> None:
+        """Resolve any per-row routing for a new population, whose rows
+        are positions in ``users``.  The engine calls it whenever its
+        rows change; the default needs nothing."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -78,17 +92,11 @@ class StationaryMobility(MobilityPolicy):
 
     name = "stationary"
 
-    def next_position(
-        self,
-        user: MobileUser,
-        path: Sequence[Point],
-        region: RectRegion,
-        rng: np.random.Generator,
-    ) -> Point:
-        return user.home
+    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
+        return homes[rows]
 
-    def stays_put_when_idle(self, user: MobileUser) -> bool:
-        return user.location is user.home
+    def next_position(self, user, location, path, region, rng) -> Point:
+        return user.home
 
 
 class FollowPathMobility(MobilityPolicy):
@@ -96,19 +104,11 @@ class FollowPathMobility(MobilityPolicy):
 
     name = "follow-path"
 
-    def next_position(
-        self,
-        user: MobileUser,
-        path: Sequence[Point],
-        region: RectRegion,
-        rng: np.random.Generator,
-    ) -> Point:
-        if path:
-            return path[-1]
-        return user.location
+    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
+        return starts
 
-    def stays_put_when_idle(self, user: MobileUser) -> bool:
-        return True
+    def next_position(self, user, location, path, region, rng) -> Point:
+        return path[-1] if path else location
 
 
 class RandomWaypointMobility(MobilityPolicy):
@@ -128,17 +128,42 @@ class RandomWaypointMobility(MobilityPolicy):
             )
         self.wander_fraction = wander_fraction
 
-    def next_position(
-        self,
-        user: MobileUser,
-        path: Sequence[Point],
-        region: RectRegion,
-        rng: np.random.Generator,
-    ) -> Point:
-        start = path[-1] if path else user.location
+    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
+        # One (k, 2) draw is the per-user x-then-y waypoint stream.
+        waypoints = rng.uniform(
+            (region.x_min, region.y_min), (region.x_max, region.y_max),
+            size=(len(rows), 2),
+        )
+        strides = budgets[rows] * self.wander_fraction
+        return _clamp(_towards(starts, waypoints, strides), region)
+
+    def next_position(self, user, location, path, region, rng) -> Point:
+        start = path[-1] if path else location
         waypoint = region.sample(rng, 1)[0]
         stride = user.max_travel_distance * self.wander_fraction
         return region.clamp(start.towards(waypoint, stride))
+
+
+def _towards(
+    starts: np.ndarray, targets: np.ndarray, distances: np.ndarray
+) -> np.ndarray:
+    """:meth:`Point.towards` row by row, bit for bit: the separation is
+    ``math.hypot`` per row (``np.hypot`` can differ in the last ulp)."""
+    away = (starts - targets).T.tolist()
+    total = np.fromiter(map(math.hypot, *away), dtype=float, count=len(starts))
+    arrive = (total <= distances) | (total == 0.0)
+    frac = distances / np.where(arrive, 1.0, total)
+    moved = starts + (targets - starts) * frac[:, None]
+    return np.where(arrive[:, None], targets, moved)
+
+
+def _clamp(points: np.ndarray, region: RectRegion) -> np.ndarray:
+    """:meth:`RectRegion.clamp` row by row: Python's ``min(max(v, lo),
+    hi)``, which keeps ``v`` itself unless a bound is strictly past it."""
+    lows = np.array([region.x_min, region.y_min])
+    highs = np.array([region.x_max, region.y_max])
+    floored = np.where(lows > points, lows, points)
+    return np.where(highs < floored, highs, floored)
 
 
 class MixedMobility(MobilityPolicy):
@@ -148,6 +173,13 @@ class MixedMobility(MobilityPolicy):
     population: ``policies`` maps a group label to the policy its members
     follow, resolved through :attr:`MobileUser.group` (users with no
     group, or a group not in the map, fall back to ``default``).
+
+    :meth:`bind` resolves every row's policy once per population, and
+    :meth:`move` makes one call per distinct policy over its rows.  Each
+    policy draws for its rows in arrival order, so the draws equal the
+    per-user order only while at most one policy instance draws: give
+    every group of the same drawing policy the same instance (the
+    engine shares one instance per mobility name).
     """
 
     name = "mixed"
@@ -159,6 +191,12 @@ class MixedMobility(MobilityPolicy):
     ):
         self.policies: Dict[str, MobilityPolicy] = dict(policies or {})
         self.default: MobilityPolicy = default or FollowPathMobility()
+        #: Each distinct policy instance once, the default first.
+        self._members: List[MobilityPolicy] = list({
+            id(policy): policy
+            for policy in (self.default, *self.policies.values())
+        }.values())
+        self._route = np.zeros(0, dtype=np.intp)
 
     def policy_for(self, user: MobileUser) -> MobilityPolicy:
         group = getattr(user, "group", None)
@@ -166,17 +204,28 @@ class MixedMobility(MobilityPolicy):
             return self.policies[group]
         return self.default
 
-    def next_position(
-        self,
-        user: MobileUser,
-        path: Sequence[Point],
-        region: RectRegion,
-        rng: np.random.Generator,
-    ) -> Point:
-        return self.policy_for(user).next_position(user, path, region, rng)
+    def bind(self, users: Sequence[MobileUser]) -> None:
+        index = {id(member): i for i, member in enumerate(self._members)}
+        self._route = np.fromiter(
+            (index[id(self.policy_for(user))] for user in users),
+            dtype=np.intp, count=len(users),
+        )
 
-    def stays_put_when_idle(self, user: MobileUser) -> bool:
-        return self.policy_for(user).stays_put_when_idle(user)
+    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
+        route = self._route[rows]
+        moved = np.empty((len(rows), 2))
+        for i, member in enumerate(self._members):
+            mine = route == i
+            if mine.any():
+                moved[mine] = member.move(
+                    rows[mine], starts[mine], homes, budgets, region, rng
+                )
+        return moved
+
+    def next_position(self, user, location, path, region, rng) -> Point:
+        return self.policy_for(user).next_position(
+            user, location, path, region, rng
+        )
 
 
 MOBILITY: Registry[MobilityPolicy] = Registry("mobility policy")

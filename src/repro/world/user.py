@@ -1,10 +1,14 @@
 """The mobile user (worker) of the crowdsensing system.
 
 A user owns its movement parameters (walking speed, movement cost per
-meter) and a per-round time budget — the constraint side of the task
-selection problem (Eq. 1).  What a user earned is not kept here: the
-run ledger (:class:`~repro.simulation.events.RunTotals`) folds every
-user's per-round profit, and ``SimulationResult.user_profits`` reads it.
+meter), a per-round time budget — the constraint side of the task
+selection problem (Eq. 1) — and its immutable home.  Where the user
+stands now is not kept here: :attr:`World.positions
+<repro.world.generator.World.positions>` is the one record of live
+positions, and the mobility policy moves it.  What a user earned is not
+kept here either: the run ledger
+(:class:`~repro.simulation.events.RunTotals`) folds every user's
+per-round profit, and ``SimulationResult.user_profits`` reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ class MobileUser:
 
     Args:
         user_id: unique non-negative integer id.
-        location: current position; updated by the mobility policy.
+        home: where the user starts the run (and where stationary
+            users return every round).
         speed: walking speed in m/s (paper default 2 m/s).
         cost_per_meter: movement cost in $/m (paper default 0.002 $/m).
         time_budget: per-round time budget :math:`B^k_{u_i}` in seconds.
@@ -30,12 +35,11 @@ class MobileUser:
     """
 
     user_id: int
-    location: Point
+    home: Point
     speed: float
     cost_per_meter: float
     time_budget: float
     group: Optional[str] = None
-    home: Point = None  # type: ignore[assignment]  # set in __post_init__
 
     def __post_init__(self) -> None:
         if self.user_id < 0:
@@ -48,8 +52,6 @@ class MobileUser:
             )
         if self.time_budget < 0:
             raise ValueError(f"time_budget must be non-negative, got {self.time_budget}")
-        if self.home is None:
-            self.home = self.location
 
     # -- budget geometry -------------------------------------------------
 

@@ -87,7 +87,7 @@ def make_user(
     """A hand-built user with the paper's movement constants."""
     return MobileUser(
         user_id=user_id,
-        location=Point(x, y),
+        home=Point(x, y),
         speed=speed,
         cost_per_meter=cost_per_meter,
         time_budget=time_budget,

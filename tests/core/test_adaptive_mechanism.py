@@ -32,7 +32,7 @@ def view_of(world, round_no):
     return RoundView(
         round_no=round_no,
         active_tasks=[t for t in world.tasks if t.is_active],
-        user_locations=[u.location for u in world.users],
+        user_locations=world.positions,
     )
 
 

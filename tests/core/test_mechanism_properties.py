@@ -61,12 +61,12 @@ def build_world(raw_tasks, raw_users):
             task.record_measurement(1000 + user_id, round_no=1)
         tasks.append(task)
     users = [
-        MobileUser(user_id=i, location=Point(x, y), speed=2.0,
+        MobileUser(user_id=i, home=Point(x, y), speed=2.0,
                    cost_per_meter=0.002, time_budget=900.0)
         for i, (x, y) in enumerate(raw_users)
     ]
     if not users:
-        users = [MobileUser(user_id=0, location=Point(0.0, 0.0), speed=2.0,
+        users = [MobileUser(user_id=0, home=Point(0.0, 0.0), speed=2.0,
                             cost_per_meter=0.002, time_budget=900.0)]
     return World(region=REGION, tasks=tasks, users=users)
 
@@ -76,7 +76,7 @@ def view_for(world, round_no):
     return RoundView(
         round_no=round_no,
         active_tasks=active,
-        user_locations=[u.location for u in world.users],
+        user_locations=world.positions,
     ), active
 
 
@@ -141,7 +141,8 @@ def scalar_prices(mechanism, round_no, tasks, user_locations):
     """Eq. 2–7 composed from the scalar pieces: per-task grid counts,
     per-task demands, per-demand ladder prices."""
     radius = mechanism.neighbour_radius
-    neighbours = GridIndex(user_locations, cell_size=radius).counts_for(
+    points = [Point(x, y) for x, y in user_locations.tolist()]
+    neighbours = GridIndex(points, cell_size=radius).counts_for(
         [t.location for t in tasks], radius
     )
     demands = mechanism.calculator.demands([
@@ -172,23 +173,23 @@ def test_on_demand_rewards_equal_the_scalar_composition(
         # Inject a counter as the engine does, then move every other
         # user (mirrored across the region) so the counts it answers
         # with come from movement deltas, not only its initial build.
+        positions = world.positions
         counter = IncrementalNeighbourCounter(
-            [u.location for u in world.users], radius=mechanism.neighbour_radius
+            positions, radius=mechanism.neighbour_radius
         )
         mechanism.neighbour_counter = counter
-        rows = list(range(0, len(world.users), 2))
-        old = [world.users[row].location for row in rows]
-        new = [Point(1000.0 - p.x, p.y) for p in old]
-        for row, point in zip(rows, new):
-            world.users[row].location = point
-        counter.apply_moves(rows, old, new)
+        rows = np.arange(0, len(world.users), 2)
+        old = positions[rows]
+        positions[rows, 0] = 1000.0 - old[:, 0]
+        counter.apply_moves(rows, old)
     view, active = view_for(world, round_no)
     expected, demands = scalar_prices(
         mechanism, round_no, active, view.user_locations
     )
     if with_counter:
-        # The counter answers Eq. 5; the engine then sends no locations.
+        # The counter answers Eq. 5; the mechanism then reads no
+        # locations.
         view = RoundView(round_no=round_no, active_tasks=active,
-                         user_locations=())
+                         user_locations=np.zeros((0, 2)))
     assert mechanism.rewards(view) == expected
     assert mechanism.last_demands == demands

@@ -31,7 +31,7 @@ def view_of(world, round_no=1):
     return RoundView(
         round_no=round_no,
         active_tasks=[t for t in world.tasks if t.is_active],
-        user_locations=[u.location for u in world.users],
+        user_locations=world.positions,
     )
 
 
@@ -43,7 +43,7 @@ def init(mechanism, world, seed=0):
 class TestRoundView:
     def test_round_validated(self, world):
         with pytest.raises(ValueError, match="round_no"):
-            RoundView(round_no=0, active_tasks=[], user_locations=[])
+            RoundView(round_no=0, active_tasks=[], user_locations=np.zeros((0, 2)))
 
 
 class TestOnDemand:
@@ -90,7 +90,7 @@ class TestOnDemand:
 
     def test_empty_round_gives_empty_prices(self, world):
         mechanism = init(OnDemandMechanism(budget=100.0), world)
-        empty = RoundView(round_no=1, active_tasks=[], user_locations=[])
+        empty = RoundView(round_no=1, active_tasks=[], user_locations=np.zeros((0, 2)))
         assert mechanism.rewards(empty) == {}
 
     def test_weights_and_matrix_mutually_exclusive(self):

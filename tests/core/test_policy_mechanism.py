@@ -278,7 +278,7 @@ class TestPolicyMechanismRuns:
         view = RoundView(
             round_no=1,
             active_tasks=world.tasks,
-            user_locations=[u.location for u in world.users],
+            user_locations=world.positions,
         )
         first = mechanism.rewards(view)
         second = mechanism.rewards(view)  # same round: repricing only
@@ -287,7 +287,7 @@ class TestPolicyMechanismRuns:
         view2 = RoundView(
             round_no=2,
             active_tasks=world.tasks,
-            user_locations=[u.location for u in world.users],
+            user_locations=world.positions,
         )
         mechanism.rewards(view2)
         assert seen == [1, 2]

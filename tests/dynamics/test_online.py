@@ -242,7 +242,7 @@ class TestIncentMeScoring:
         class _View:
             round_no = 3
             active_tasks = world.tasks
-            user_locations = [u.location for u in world.users]
+            user_locations = world.positions
 
         stable = mechanism_stable.rewards(_View())
         churned = mechanism_churned.rewards(_View())

@@ -51,7 +51,7 @@ def make_block(distances, rewards, max_distance, cost_per_meter, task_ids=None):
         task_ids=np.asarray(task_ids, dtype=np.int64),
         max_distance=np.asarray(max_distance, dtype=np.float64),
         cost_per_meter=np.asarray(cost_per_meter, dtype=np.float64),
-        origins=[Point(float(j), -1.0) for j in range(n)],
+        origins=np.asarray([(float(j), -1.0) for j in range(n)]),
         columns=columns,
         candidates=pool,
     )

@@ -11,6 +11,7 @@ the reference instance solved by a fresh selector.
 import numpy as np
 import pytest
 
+from repro.geometry.point import Point
 from repro.selection import SELECTORS, CandidateTask, TaskSelectionProblem
 from repro.simulation import SimulationConfig, make_engine
 from repro.simulation.round_cache import RoundProblems
@@ -38,8 +39,27 @@ def behavioral_history(result):
     ]
 
 
-def reference_problem(user, tasks, prices):
-    """The user's Eq. 1 instance from the per-user reference builder."""
+def located(world):
+    """``(user, position)`` pairs of the world's users, positions as
+    :class:`Point` s read from ``World.positions``."""
+    return [
+        (user, Point(x, y))
+        for user, (x, y) in zip(world.users, world.positions.tolist())
+    ]
+
+
+def user_columns(users, positions):
+    """The per-row arrays :class:`RoundProblems` reads for ``users``."""
+    return dict(
+        origins=positions,
+        budgets=np.asarray([u.max_travel_distance for u in users]),
+        costs=np.asarray([u.cost_per_meter for u in users]),
+    )
+
+
+def reference_problem(user, origin, tasks, prices):
+    """The user's Eq. 1 instance from ``origin``, by the per-user
+    reference builder."""
     candidates = [
         CandidateTask(task_id=t.task_id, location=t.location,
                       reward=prices[t.task_id])
@@ -47,7 +67,7 @@ def reference_problem(user, tasks, prices):
         if user.user_id not in t.contributors
     ]
     return TaskSelectionProblem.build(
-        origin=user.location,
+        origin=origin,
         candidates=candidates,
         max_distance=user.max_travel_distance,
         cost_per_meter=user.cost_per_meter,
@@ -73,8 +93,10 @@ def assert_rounds_match_reference(config):
     while not engine.finished:
         tasks, prices = engine.published_tasks(), engine.published_rewards()
         expected = {
-            user.user_id: selector.select(reference_problem(user, tasks, prices))
-            for user in engine.world.users
+            user.user_id: selector.select(
+                reference_problem(user, origin, tasks, prices)
+            )
+            for user, origin in located(engine.world)
         }
         record = engine.step()
         present = {
@@ -128,14 +150,14 @@ class TestChunking:
         base = SimulationConfig(n_users=40, rounds=5, seed=3)
         reference = make_engine(base).run()
         tiny_chunks = make_engine(base)
-        tiny_chunks.chunk_elements = 7  # ~1 user per chunk
+        tiny_chunks.chunk_bytes = 7 * 8  # ~1 user per chunk
         assert behavioral_history(tiny_chunks.run()) == behavioral_history(
             reference
         )
 
-    def test_chunk_elements_validated(self):
-        with pytest.raises(ValueError, match="chunk_elements"):
-            RoundProblems([], {}, chunk_elements=0)
+    def test_chunk_bytes_validated(self):
+        with pytest.raises(ValueError, match="chunk_bytes"):
+            RoundProblems([], {}, chunk_bytes=0)
 
 
 class TestProblemParity:
@@ -146,14 +168,19 @@ class TestProblemParity:
         assert any(t.contributors for t in tasks)
         prices = {t.task_id: 1.0 for t in tasks}
         users = list(engine.world.users)
-        expected = [reference_problem(user, tasks, prices) for user in users]
+        expected = [
+            reference_problem(user, origin, tasks, prices)
+            for user, origin in located(engine.world)
+        ]
         # Both layouts: the round's own task matrix, and the engine's
         # all-tasks matrix reached through the task-row mapping.
         for problems in (
             RoundProblems(tasks, prices),
             engine._round_problems(tasks, prices, cached=False),
         ):
-            built = dict(problems.iter_problems(users))
+            built = dict(problems.iter_problems(
+                users, **user_columns(users, engine.world.positions)
+            ))
             assert built, "no user had a candidate"
             for index, want in enumerate(expected):
                 if index not in built:

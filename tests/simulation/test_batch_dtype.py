@@ -18,6 +18,7 @@ from repro.simulation.round_cache import (
     RoundProblems,
     float32_boundary_tol,
 )
+from tests.simulation.test_batch import user_columns
 
 
 def selections_by_round(result):
@@ -57,7 +58,9 @@ class TestFloat32SelectionParity:
             engine.published_tasks(), engine.published_rewards()
         )
         assert problems.dtype == np.float32
-        for _index, problem in problems.iter_problems(engine.world.users[:20]):
+        users = engine.world.users[:20]
+        columns = user_columns(users, engine.world.positions[:20])
+        for _index, problem in problems.iter_problems(users, **columns):
             assert problem.distance_matrix.dtype == np.float32
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -109,14 +112,6 @@ class TestChunkByteBudget:
         assert p64.chunk_elements == DEFAULT_CHUNK_BYTES // 8
         # Same byte footprint, twice the elements in float32.
         assert p32.chunk_elements == 2 * p64.chunk_elements
-
-    def test_explicit_chunk_elements_still_wins(self):
-        problems = RoundProblems([], {}, chunk_elements=7)
-        assert problems.chunk_elements == 7
-
-    def test_zero_chunk_elements_still_rejected(self):
-        with pytest.raises(ValueError, match="chunk_elements"):
-            RoundProblems([], {}, chunk_elements=0)
 
     def test_chunk_bytes_must_hold_an_element(self):
         with pytest.raises(ValueError, match="chunk_bytes"):

@@ -15,7 +15,11 @@ from repro.scenarios import PRESETS
 from repro.selection import GreedySelector
 from repro.simulation import SimulationEngine
 from repro.simulation.round_cache import RoundProblems
-from tests.simulation.test_batch import reference_problem
+from tests.simulation.test_batch import (
+    located,
+    reference_problem,
+    user_columns,
+)
 
 
 def small_city(**overrides):
@@ -42,8 +46,8 @@ class TestCounters:
             # Candidates counted independently, by the reference builder.
             tasks, prices = engine.published_tasks(), engine.published_rewards()
             has_candidate = np.array([
-                reference_problem(u, tasks, prices).size > 0
-                for u in engine.world.users
+                reference_problem(u, origin, tasks, prices).size > 0
+                for u, origin in located(engine.world)
             ])
             record = engine.step()
             participants = masks[-1]
@@ -86,13 +90,15 @@ class TestBlocks:
         tasks, prices = engine.published_tasks(), engine.published_rewards()
         problems = RoundProblems(tasks, prices)
         users = engine.world.users
+        columns = user_columns(users, engine.world.positions)
+        origins = located(engine.world)
         seen = []
-        for indices, block in problems.iter_blocks(users):
+        for indices, block in problems.iter_blocks(users, **columns):
             assert block.distances.shape == (len(block), block.size + 1,
                                              block.size + 1)
             for j, index in enumerate(indices.tolist()):
                 problem = block.problem(j)
-                want = reference_problem(users[index], tasks, prices)
+                want = reference_problem(*origins[index], tasks, prices)
                 assert problem.origin == want.origin
                 assert problem.candidates == want.candidates
                 assert problem.max_distance == want.max_distance
@@ -108,7 +114,7 @@ class TestBlocks:
                 assert block.cost_per_meter[j] == problem.cost_per_meter
                 seen.append(index)
         assert sorted(seen) == [
-            index for index, _ in problems.iter_problems(users)
+            index for index, _ in problems.iter_problems(users, **columns)
         ]
         assert len(set(seen)) == len(seen)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geometry.point import Point
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, make_engine, simulate
 from repro.world.task import TaskStatus
@@ -194,7 +195,9 @@ class TestLayouts:
         result = simulate(config)
         assert result.rounds_played >= 1
         region = result.world.region
-        assert all(region.contains(u.location) for u in result.world.users)
+        assert all(
+            region.contains(Point(x, y)) for x, y in result.world.positions.tolist()
+        )
 
     @pytest.mark.parametrize("mechanism", ["on-demand", "fixed", "steered", "proportional"])
     def test_all_mechanisms_run(self, mechanism):
@@ -214,8 +217,10 @@ class TestLayouts:
 
 
 class TestSparseRound:
-    """Only users who walk, or whose policy moves them while idle, get a
-    mobility call — in arrival order, in either distance precision.
+    """Mobility is one ``move`` call per round over every row in arrival
+    order: walkers start from their last task, everyone else from where
+    they stand, and only the wanderers' policy draws — in either
+    distance precision.
 
     Cases load through a legacy value of the retired ``engine`` key: a
     "scalar" spec ran float64, a "batched" one may run float32.
@@ -237,24 +242,43 @@ class TestSparseRound:
             distance_dtype="float64" if engine_name == "scalar" else "float32",
         )
         engine = make_engine(config)
-        called = []
-        original = engine.mobility.next_position
+        calls, draws = [], []
+        mobility = engine.mobility
+        wander = mobility.policies["wanderers"]
+        move, wander_move = mobility.move, wander.move
 
-        def counting(user, path, region, rng):
-            called.append((user.user_id, bool(path)))
-            return original(user, path, region, rng)
+        def recording(rows, starts, *rest):
+            calls.append((rows.copy(), starts.copy()))
+            return move(rows, starts, *rest)
 
-        engine.mobility.next_position = counting
+        def drawing(rows, *rest):
+            draws.append(rows.copy())
+            return wander_move(rows, *rest)
+
+        def never(*args):
+            raise AssertionError("the engine moves users through move()")
+
+        mobility.move, wander.move = recording, drawing
+        mobility.next_position = never
         while not engine.finished:
-            called.clear()
-            groups = {u.user_id: u.group for u in engine.world.users}
+            calls.clear()
+            draws.clear()
+            users = list(engine.world.users)
+            before = engine.world.positions.copy()
+            tasks = {t.task_id: t.location for t in engine.published_tasks()}
             record = engine.step()
-            walkers = {r.user_id for r in record.user_records if r.participated}
-            wanderers = {
-                user_id for user_id, group in groups.items()
-                if group == "wanderers"
-            }
+            assert len(calls) == 1 and len(draws) == 1
+            rows, starts = calls[0]
+            assert sorted(rows.tolist()) == list(range(len(users)))
+            paths = {r.user_id: r.selected_task_ids for r in record.user_records}
+            walkers = set()
+            for row, (x, y) in zip(rows.tolist(), starts.tolist()):
+                path = paths[users[row].user_id]
+                end = tasks[path[-1]] if path else Point(*before[row])
+                assert (x, y) == (end.x, end.y)
+                walkers.update([row] if path else [])
+            wanderers = [
+                row for row in rows.tolist() if users[row].group == "wanderers"
+            ]
             assert wanderers and walkers
-            assert {user_id for user_id, _ in called} == walkers | wanderers
-            assert len(called) == len(walkers | wanderers)
-            assert all(walked == (user_id in walkers) for user_id, walked in called)
+            assert draws[0].tolist() == wanderers

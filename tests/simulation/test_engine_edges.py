@@ -21,7 +21,7 @@ class ScriptedCoordinator:
     def __init__(self, script):
         self.script = script
 
-    def assign(self, round_no, active_tasks, users, prices):
+    def assign(self, round_no, active_tasks, users, positions, prices):
         plan = self.script.get(round_no, {})
         return {
             user_id: Selection(

@@ -229,11 +229,13 @@ class TestArrayUploadEquivalence:
             walkers, selections, [u.user_id for u in users],
             {t.task_id: t for t in oracle_tasks}, prices, round_no,
         )
-        got_m, got_r, got_c, got_walkers, got_earned = engine._upload(
+        got_m, got_r, got_c, got_walkers, got_earned, got_ends = engine._upload(
             round_no, np.array(arrival), selections, world.tasks, prices
         )
 
         assert got_walkers.tolist() == walkers
+        # Each walker's last task, as a position in the published list.
+        assert got_ends.tolist() == [paths[row][-1] for row in walkers]
 
         assert got_m == tuple(want_m)
         assert got_r == tuple(want_r)

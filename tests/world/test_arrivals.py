@@ -58,7 +58,7 @@ class TestGeneratorReleases:
         a = generator((1, 1)).uniform(np.random.Generator(np.random.PCG64(4)))
         b = generator((1, 1)).uniform(np.random.Generator(np.random.PCG64(4)))
         assert [t.deadline for t in a.tasks] == [t.deadline for t in b.tasks]
-        assert [u.location for u in a.users] == [u.location for u in b.users]
+        assert [u.home for u in a.users] == [u.home for u in b.users]
 
     def test_staggered_releases_drawn_in_range(self, rng):
         world = generator((2, 6)).uniform(rng)

@@ -52,7 +52,7 @@ class TestUniform:
         assert len(world.tasks) == 10
         assert len(world.users) == 20
         assert all(world.region.contains(t.location) for t in world.tasks)
-        assert all(world.region.contains(u.location) for u in world.users)
+        assert all(world.region.contains(u.home) for u in world.users)
 
     def test_ids_are_sequential(self, rng):
         world = generator().uniform(rng)
@@ -88,7 +88,7 @@ class TestUniform:
         a = gen.uniform(np.random.Generator(np.random.PCG64(3)))
         b = gen.uniform(np.random.Generator(np.random.PCG64(3)))
         assert [t.location for t in a.tasks] == [t.location for t in b.tasks]
-        assert [u.location for u in a.users] == [u.location for u in b.users]
+        assert [u.home for u in a.users] == [u.home for u in b.users]
 
 
 class TestClustered:
@@ -111,7 +111,7 @@ class TestClustered:
         # The 3 remote tasks are the first three; their nearest user should
         # be far compared to clustered tasks' nearest users.
         def nearest_user(task):
-            return min(task.location.distance_to(u.location) for u in world.users)
+            return min(task.location.distance_to(u.home) for u in world.users)
 
         remote = [nearest_user(t) for t in world.tasks[:3]]
         near = [nearest_user(t) for t in world.tasks[3:]]
@@ -135,5 +135,5 @@ class TestDefaultGenerator:
     def test_helpers(self, rng):
         world = default_generator(n_users=10).uniform(rng)
         assert len(world.task_locations()) == 20
-        assert len(world.user_locations()) == 10
+        assert world.positions.shape == (10, 2)
         assert isinstance(world.task_locations()[0], Point)

@@ -58,7 +58,7 @@ class TestDraws:
         seed_b = np.random.Generator(np.random.PCG64(5))
         legacy = generator(0.0).uniform(seed_a)
         again = generator(0.0).uniform(seed_b)
-        assert [u.location for u in legacy.users] == [u.location for u in again.users]
+        assert [u.home for u in legacy.users] == [u.home for u in again.users]
 
     def test_clustered_layout_supports_heterogeneity(self, rng):
         world = generator(0.3).clustered(rng)

@@ -37,6 +37,6 @@ class TestBudgetGeometry:
     def test_home_defaults_to_initial_location(self):
         user = make_user(x=7.0, y=9.0)
         assert user.home == Point(7.0, 9.0)
-        user.location = Point(0.0, 0.0)
-        assert user.home == Point(7.0, 9.0)
+        # Live positions are the world's, not the user's.
+        assert not hasattr(user, "location")
 

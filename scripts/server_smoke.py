@@ -19,7 +19,9 @@ control paths CI most needs to guard:
 6. merge the first job's cross-process trace shards into one Chrome
    trace (uploaded as a CI artifact) and render one ``repro jobs top``
    frame;
-7. SIGTERM the server and require a clean exit within a deadline.
+7. SIGTERM the server and require a clean exit within a deadline,
+   with none of its child processes (workers, the standby worker)
+   left alive after it.
 
 Every phase runs under a wall-clock budget — a hang anywhere exits
 non-zero, so the CI job fails instead of idling until the runner
@@ -105,6 +107,22 @@ def start_server(root):
     )
 
 
+def child_pids(pid):
+    """The live child processes of ``pid`` (workers, the standby)."""
+    out = subprocess.run(["pgrep", "-P", str(pid)],
+                         capture_output=True, text=True).stdout
+    return [int(word) for word in out.split()]
+
+
+def alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def wait_healthy(root, phase):
     while True:
         try:
@@ -131,12 +149,17 @@ def main():
     finally:
         if server.poll() is None:
             phase = Phase("shutdown", 30)
+            children = child_pids(server.pid)
             os.kill(server.pid, signal.SIGTERM)
             while server.poll() is None:
                 phase.sleep()
             expect(server.returncode == 0,
                    f"server exited {server.returncode}, wanted 0")
             print(f"server exited cleanly ({server.returncode})")
+            orphans = [pid for pid in children if alive(pid)]
+            expect(not orphans,
+                   f"server children {orphans} outlived it (of {children})")
+            print(f"none of its {len(children)} child processes outlived it")
         else:
             fail(f"server died early (exit {server.returncode})")
     print("OK: server smoke test passed")

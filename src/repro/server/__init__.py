@@ -11,8 +11,9 @@ as they arrive, not as one-shot scripts).  Its pillars:
   backpressure and memory-pressure load shedding;
 - :mod:`~repro.server.validate` — eager validation at the HTTP boundary
   (structured 400s instead of deep worker failures);
-- :mod:`~repro.server.worker` — the per-job subprocess, with
-  append-only deterministic resume of the round-event stream;
+- :mod:`~repro.server.worker` — the per-attempt subprocess, started
+  ahead of its job as a standby, with append-only deterministic resume
+  of the round-event stream;
 - :mod:`~repro.server.supervisor` — worker restarts with capped
   decorrelated-jitter backoff and poison detection;
 - :mod:`~repro.server.app` — the :class:`JobService` HTTP surface

@@ -81,6 +81,15 @@ VALID_TRANSITIONS: Dict[JobState, frozenset] = {
     JobState.TIMED_OUT: frozenset(),
 }
 
+#: Worker exit codes: the process half of the lifecycle.  The worker
+#: exits with one of them and the supervisor maps it back onto a state;
+#: any other code is a crash (retried, then poisoned).
+EXIT_DONE = 0
+EXIT_BAD_JOB = 2  # invalid job dir / unparseable job.json: FAILED, no retry
+EXIT_CANCELLED = 3
+EXIT_TIMED_OUT = 4
+EXIT_INJECTED_CRASH = 13  # fault drills (a crash like any other)
+
 
 def _utc_now() -> float:
     return time.time()

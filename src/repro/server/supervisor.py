@@ -1,17 +1,30 @@
 """Worker supervision: one job driven to a terminal state, whatever dies.
 
-The supervisor owns the *process* half of the lifecycle: it launches
-``python -m repro.server.worker <job_dir>`` for each attempt, maps exit
-codes back onto :class:`~repro.server.jobs.JobState` transitions, and
-decides whether a dead worker means *retry* or *poison*:
+The supervisor owns the *process* half of the lifecycle.  Each attempt
+is one fresh worker process, but worker start-up (interpreter and
+imports) is kept off the job's path: the supervisor always holds one
+**standby** — ``python -m repro.server.worker`` started with no job dir,
+its imports done, blocked reading stdin.  An attempt takes the standby
+(or starts one on the spot when none is alive), writes it one JSON
+handoff line — ``job_dir``, ``attempt``, the unrounded remaining
+``deadline`` and the attempt's logging/trace env — closes the pipe, and
+starts the replacement standby at once.  Before its handoff a standby's
+output goes to the service's stderr (an import failure shows there);
+after it, the worker appends fds 1/2 to ``job_dir/worker.log``.  The
+``repro_attempt_seconds`` histogram therefore runs from handoff to exit.
+
+From the handoff on, the supervisor maps the worker's exit code back
+onto :class:`~repro.server.jobs.JobState` transitions and decides
+whether a dead worker means *retry* or *poison*:
 
 - exit 0 — DONE (``result.json`` is read back onto the job);
 - exit 3 / 4 — cooperative CANCELLED / TIMED_OUT;
 - exit 2 — the job directory itself is bad: FAILED immediately, no
   retry (retrying a malformed input can only fail again);
-- anything else (uncaught exception, SIGKILL, injected crash) — a
-  *crash*: the job goes RUNNING → QUEUED and is relaunched after a
-  capped decorrelated-jitter backoff
+- anything else (uncaught exception, SIGKILL, injected crash, a
+  standby that died before its handoff) — a *crash*: the job goes
+  RUNNING → QUEUED and is relaunched after a capped decorrelated-jitter
+  backoff
   (:func:`repro.resilience.retry.backoff_delays`), until
   ``max_attempts`` is spent — then the job is **poisoned**: FAILED with
   a diagnostic instead of retry-looping forever.
@@ -26,26 +39,34 @@ of a job (a crash-looping job does not get a fresh clock per retry).
 
 The supervisor never touches the journal directly: every transition is
 reported through the ``record`` callback so the owning service applies
-its single-writer journaling discipline.
+its single-writer journaling discipline.  :meth:`WorkerSupervisor.shutdown`
+kills and reaps every live worker, the standby included.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import random
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.obs.log import get_logger, logging_environment
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanTracer, TraceContext, trace_id_for_job
 from repro.resilience.cancel import FileToken
 from repro.resilience.retry import backoff_delays
-from repro.server import worker as worker_mod
-from repro.server.jobs import Job, JobState
+from repro.server.jobs import (
+    EXIT_BAD_JOB,
+    EXIT_CANCELLED,
+    EXIT_DONE,
+    EXIT_TIMED_OUT,
+    Job,
+    JobState,
+)
 
 log = get_logger("server.supervisor")
 
@@ -62,6 +83,13 @@ ATTEMPT_SECONDS_BUCKETS = (
 
 #: The per-job trace shard directory name (under the job dir).
 TRACE_DIR_NAME = "trace"
+
+
+class _Standby(NamedTuple):
+    """A started worker waiting on stdin, and that pipe's write end."""
+
+    proc: asyncio.subprocess.Process
+    handoff_fd: int
 
 
 def worker_environment(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
@@ -124,6 +152,11 @@ class WorkerSupervisor:
         self.metrics = metrics
         #: Live worker processes by job id (for shutdown).
         self.processes: Dict[str, asyncio.subprocess.Process] = {}
+        #: The worker waiting for the next attempt's handoff.
+        self._standby: Optional[_Standby] = None
+        #: Serialises taking and refilling the standby slot, so two
+        #: concurrent attempts never start a standby nobody keeps.
+        self._standby_lock = asyncio.Lock()
 
     # -- public API ------------------------------------------------------
 
@@ -140,7 +173,7 @@ class WorkerSupervisor:
 
         The whole drive — every attempt, every backoff — runs inside
         one ``supervise`` span; the trace context (deterministic trace
-        id, shard directory) rides the worker environment so the worker
+        id, shard directory) rides the handoff line so the worker
         writes its shard into the same trace (``repro trace merge``
         stitches them).
         """
@@ -246,8 +279,13 @@ class WorkerSupervisor:
             await asyncio.sleep(delay)
 
     async def shutdown(self) -> None:
-        """Kill any still-live workers (service shutdown path)."""
+        """Kill any still-live workers, the standby included (service
+        shutdown path)."""
         procs = list(self.processes.values())
+        standby, self._standby = self._standby, None
+        if standby is not None:
+            os.close(standby.handoff_fd)
+            procs.append(standby.proc)
         for proc in procs:
             if proc.returncode is None:
                 proc.kill()
@@ -288,50 +326,103 @@ class WorkerSupervisor:
         remaining: Optional[float],
         trace: Optional[TraceContext] = None,
     ) -> int:
-        """One worker launch; returns its exit code (external timeout
+        """One worker attempt; returns its exit code (external timeout
         included: a watchdog-killed worker reports as timed out).
 
-        The child environment carries the parent's logging mode
+        The handoff carries the parent's logging mode
         (:func:`logging_environment`) and, when supervised under a
-        trace, the job's :class:`TraceContext` — both read back by the
-        worker at startup.
+        trace, the job's :class:`TraceContext` — both applied by the
+        worker before it starts the job.  A standby that died between
+        :meth:`_take_standby` and the write leaves a broken pipe; the
+        attempt then waits on the dead process like any crashed worker.
         """
-        args = [
-            sys.executable,
-            "-m",
-            "repro.server.worker",
-            str(job_dir),
-            "--attempt",
-            str(job.attempts),
-        ]
-        if remaining is not None:
-            args.extend(["--deadline", f"{remaining:.3f}"])
-        env = dict(self.env)
-        env.update(logging_environment())
+        env = logging_environment()
         if trace is not None:
-            env.update(
-                trace.child(f"worker-a{job.attempts}").to_env()
-            )
-        log_path = job_dir / "worker.log"
-        with log_path.open("ab") as log_handle:
-            proc = await asyncio.create_subprocess_exec(
-                *args,
-                stdout=log_handle,
-                stderr=log_handle,
-                env=env,
-            )
-            self.processes[job.job_id] = proc
+            env.update(trace.child(f"worker-a{job.attempts}").to_env())
+        handoff = {
+            "job_dir": str(job_dir),
+            "attempt": job.attempts,
+            "deadline": remaining,
+            "env": env,
+        }
+        proc, handoff_fd = await self._take_standby(job)
+        self.processes[job.job_id] = proc
+        try:
             try:
-                if remaining is None:
-                    return await proc.wait()
-                try:
-                    return await asyncio.wait_for(
-                        proc.wait(), timeout=remaining + WATCHDOG_SLACK_SECONDS
-                    )
-                except asyncio.TimeoutError:
-                    return await self._enforce_timeout(job, job_dir, proc)
+                os.write(handoff_fd, (json.dumps(handoff) + "\n").encode())
+            except BrokenPipeError:
+                log.warning(
+                    "standby worker died before its handoff",
+                    extra={"job": job.job_id, "attempt": job.attempts},
+                )
             finally:
+                os.close(handoff_fd)
+            await self._refill_standby()
+            if remaining is None:
+                return await proc.wait()
+            try:
+                return await asyncio.wait_for(
+                    proc.wait(), timeout=remaining + WATCHDOG_SLACK_SECONDS
+                )
+            except asyncio.TimeoutError:
+                return await self._enforce_timeout(job, job_dir, proc)
+        finally:
+            # A worker still running here was cancelled with the service:
+            # it stays listed so shutdown() kills it.
+            if proc.returncode is not None:
                 self.processes.pop(job.job_id, None)
+
+    async def _take_standby(self, job: Job) -> _Standby:
+        """Empty the standby slot; start a worker now if it held none
+        alive."""
+        async with self._standby_lock:
+            standby, self._standby = self._standby, None
+            if standby is not None and standby.proc.returncode is not None:
+                log.warning(
+                    "standby worker had exited; starting another",
+                    extra={"job": job.job_id,
+                           "exit_code": standby.proc.returncode},
+                )
+                os.close(standby.handoff_fd)
+                standby = None
+            if standby is None:
+                standby = await self._spawn_standby()
+            return standby
+
+    async def _refill_standby(self) -> None:
+        """Start the next standby; on failure the next attempt starts
+        its own, so the running one is not failed over it."""
+        async with self._standby_lock:
+            if self._standby is None:
+                try:
+                    self._standby = await self._spawn_standby()
+                except OSError:
+                    log.warning("could not start a standby worker", exc_info=True)
+
+    async def _spawn_standby(self) -> _Standby:
+        """Start ``python -m repro.server.worker`` waiting on a pipe.
+
+        Its output goes to the service's stderr until the handoff.  The
+        pipe's write end stays in this process only (``os.pipe`` fds
+        are not inherited), so the standby reads EOF once it is closed
+        or this process dies.
+        """
+        read_fd, write_fd = os.pipe()
+        try:
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable,
+                "-m",
+                "repro.server.worker",
+                stdin=read_fd,
+                stdout=2,  # the service's stderr, until the handoff
+                env=self.env,
+            )
+        except BaseException:
+            os.close(write_fd)
+            raise
+        finally:
+            os.close(read_fd)
+        return _Standby(proc, write_fd)
 
     async def _enforce_timeout(
         self, job: Job, job_dir: Path, proc: asyncio.subprocess.Process
@@ -350,23 +441,23 @@ class WorkerSupervisor:
             )
             proc.kill()
             await proc.wait()
-            return worker_mod.EXIT_TIMED_OUT
+            return EXIT_TIMED_OUT
 
     def _apply_exit(self, job: Job, job_dir: Path, returncode: int) -> bool:
         """Map an exit code onto the job; True when the job is terminal."""
-        if returncode == worker_mod.EXIT_DONE:
+        if returncode == EXIT_DONE:
             job.result = self._read_result(job_dir)
             job.transition(JobState.DONE)
             return True
-        if returncode == worker_mod.EXIT_CANCELLED:
+        if returncode == EXIT_CANCELLED:
             job.error = self._cancel_reason(job_dir)
             job.transition(JobState.CANCELLED)
             return True
-        if returncode == worker_mod.EXIT_TIMED_OUT:
+        if returncode == EXIT_TIMED_OUT:
             job.error = f"wall-clock budget of {job.timeout}s exhausted"
             job.transition(JobState.TIMED_OUT)
             return True
-        if returncode == worker_mod.EXIT_BAD_JOB:
+        if returncode == EXIT_BAD_JOB:
             job.error = (
                 "worker rejected the job directory (see worker.log); "
                 "not retrying a malformed input"
@@ -377,8 +468,6 @@ class WorkerSupervisor:
 
     @staticmethod
     def _read_result(job_dir: Path) -> Optional[dict]:
-        import json
-
         result_path = job_dir / "result.json"
         try:
             return json.loads(result_path.read_text())

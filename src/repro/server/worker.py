@@ -1,7 +1,25 @@
 """The worker process: one job, run to a terminal state, resumably.
 
-The supervisor launches ``python -m repro.server.worker <job_dir>`` per
-attempt.  The job directory is the whole contract:
+Every supervisor attempt is one fresh worker process, started *before*
+its job arrives.  ``python -m repro.server.worker`` with no job dir is a
+**standby**: it imports everything :func:`run_job` needs, then blocks
+reading one JSON handoff line from stdin::
+
+    {"job_dir": "...", "attempt": 1, "deadline": 12.5, "env": {...}}
+
+``deadline`` is the remaining wall-clock budget in seconds, unrounded
+(null for none); ``env`` holds the attempt's logging-mode and
+trace-context variables.  Until the line arrives the standby writes to
+the service's stderr, so an import failure shows there.  On handoff it
+points fds 1/2 at ``job_dir/worker.log`` (append), applies ``env``,
+logs "worker starting" and calls :func:`run_job`.  A standby that reads
+EOF instead (the service went away) exits 0 and touches nothing.
+
+``python -m repro.server.worker <job_dir> [--attempt N] [--deadline S]``
+runs one job directly, by hand or in tests, through the same
+:func:`run_job`.
+
+The job directory is the whole contract:
 
 - ``job.json`` (in) — the job id, the validated submission payload, and
   the obs-store path;
@@ -25,12 +43,15 @@ to wall-clock timing telemetry (``selector_wall_time`` and friends,
 which no replay can reproduce; :func:`canonical_round` strips them for
 comparisons).
 
-Exit codes are the worker half of the lifecycle state machine:
+Exit codes (defined in :mod:`repro.server.jobs`) are the worker half of
+the lifecycle state machine:
 
 ====  =========================================================
-0     DONE (result.json written, obs store ingested)
+0     DONE (result.json written, obs store ingested); also a
+      standby that read EOF before any handoff
 3     CANCELLED (cooperative, via the cancel file)
-4     TIMED_OUT (cooperative, via the wall-clock deadline token)
+4     TIMED_OUT (cooperative, via the wall-clock deadline token, or a
+      deadline already spent at start)
 2     invalid job dir / unparseable job.json (poison — do not retry)
 13    injected crash (fault drills; see REPRO_SERVER_FAULT_CRASH_P)
 else  crash (uncaught exception, killed, …) — supervisor retries
@@ -54,23 +75,30 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.io.atomic import atomic_write_text
+from repro.io.events import _meta_payload, _round_payload
+from repro.metrics import MetricsSummary
+from repro.obs.live import ProgressWriter
 from repro.obs.log import configure_logging_from_env, get_logger
+from repro.obs.store import RunStore, registry_values
+from repro.obs.trace import SpanTracer, TraceContext
 from repro.resilience.cancel import (
     CompositeToken,
     DeadlineToken,
     FileToken,
 )
 from repro.resilience.errors import OperationCancelled, ResultCorruption
-from repro.io.events import _meta_payload, _round_payload
+from repro.server.jobs import (
+    EXIT_BAD_JOB,
+    EXIT_CANCELLED,
+    EXIT_DONE,
+    EXIT_INJECTED_CRASH,
+    EXIT_TIMED_OUT,
+)
+from repro.server.validate import InvalidSubmission, parse_submission
+from repro.simulation import make_engine
 
 log = get_logger("server.worker")
-
-#: Exit codes (see module docstring).
-EXIT_DONE = 0
-EXIT_BAD_JOB = 2
-EXIT_CANCELLED = 3
-EXIT_TIMED_OUT = 4
-EXIT_INJECTED_CRASH = 13
 
 CRASH_P_ENV = "REPRO_SERVER_FAULT_CRASH_P"
 CRASH_SEED_ENV = "REPRO_SERVER_FAULT_SEED"
@@ -239,13 +267,11 @@ def _maybe_crash_injector(job_id: str, attempt: int):
 
 
 def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
-    """Execute the job in ``job_dir``; returns the process exit code."""
-    from repro.metrics import MetricsSummary
-    from repro.obs.live import ProgressWriter
-    from repro.obs.trace import SpanTracer, TraceContext
-    from repro.server.validate import InvalidSubmission, parse_submission
-    from repro.simulation import make_engine
+    """Execute the job in ``job_dir``; returns the process exit code.
 
+    ``deadline`` is the remaining wall-clock budget in seconds; one
+    already spent (<= 0) ends the job TIMED_OUT without running it.
+    """
     job_path = job_dir / "job.json"
     try:
         job_doc = json.loads(job_path.read_text())
@@ -261,6 +287,9 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
 
     tokens = [FileToken(job_dir / "cancel")]
     if deadline is not None:
+        if deadline <= 0:
+            log.info("worker started past its deadline", extra={"job": job_id})
+            return EXIT_TIMED_OUT
         tokens.append(DeadlineToken(deadline))
     cancel = CompositeToken(tokens)
 
@@ -318,8 +347,6 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
 
 
 def _write_result(job_dir: Path, job_id: str, parsed, summary, result) -> None:
-    from repro.io.atomic import atomic_write_text
-
     atomic_write_text(
         job_dir / "result.json",
         json.dumps(
@@ -346,8 +373,6 @@ def _ingest_obs(obs_store, job_id: str, parsed, summary, result) -> None:
     """
     if not obs_store:
         return
-    from repro.obs.store import RunStore, registry_values
-
     values = registry_values(result.metrics_totals().as_dict())
     for name, value in summary.as_dict().items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -372,26 +397,60 @@ def _ingest_obs(obs_store, job_id: str, parsed, summary, result) -> None:
     )
 
 
+def _start(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
+    """One attempt: the server's logging mode (format + level) from the
+    environment the supervisor handed down, a start line, then the job."""
+    configure_logging_from_env()
+    log.info(
+        "worker starting",
+        extra={"job_dir": str(job_dir), "attempt": attempt},
+    )
+    return run_job(job_dir, attempt, deadline)
+
+
+def standby() -> int:
+    """Wait for one handoff line (see module docstring), then run it.
+
+    Everything :func:`run_job` imports is loaded with this module; numpy
+    loads ``random`` and ``ma`` on first use, so they are loaded here
+    rather than inside the job's first round.
+    """
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    line = sys.stdin.readline()
+    if not line:
+        return EXIT_DONE  # the service went away before a job came
+    handoff = json.loads(line)
+    job_dir = Path(handoff["job_dir"])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    log_fd = os.open(
+        job_dir / "worker.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+    )
+    os.dup2(log_fd, 1)
+    os.dup2(log_fd, 2)
+    os.close(log_fd)
+    os.environ.update(handoff["env"])
+    return _start(job_dir, handoff["attempt"], handoff["deadline"])
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-server-worker",
-        description="Run one job directory to a terminal state (internal).",
+        description="Run one job directory to a terminal state (internal). "
+        "Without a job dir, wait as a standby for a handoff line on stdin.",
     )
-    parser.add_argument("job_dir", help="the job directory (job.json inside)")
+    parser.add_argument("job_dir", nargs="?", default=None,
+                        help="the job directory (job.json inside)")
     parser.add_argument("--attempt", type=int, default=1,
                         help="1-based attempt number (for fault seeding)")
     parser.add_argument("--deadline", type=float, default=None,
                         help="remaining wall-clock budget in seconds")
     args = parser.parse_args(argv)
-    # Inherit the server's logging mode (format + level) from the
-    # environment the supervisor injected, instead of hardcoding the
-    # default key=value/WARNING config.
-    configure_logging_from_env()
-    log.info(
-        "worker starting",
-        extra={"job_dir": args.job_dir, "attempt": args.attempt},
-    )
-    return run_job(Path(args.job_dir), args.attempt, args.deadline)
+    if args.job_dir is None:
+        return standby()
+    return _start(Path(args.job_dir), args.attempt, args.deadline)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry point

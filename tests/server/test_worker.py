@@ -86,6 +86,12 @@ class TestRunJob:
         job_dir = write_job(tmp_path / "job")
         assert run_job(job_dir, attempt=1, deadline=0.000001) == EXIT_TIMED_OUT
 
+    def test_spent_deadline_times_out_without_running(self, tmp_path):
+        job_dir = write_job(tmp_path / "job")
+        assert run_job(job_dir, attempt=1, deadline=0.0) == EXIT_TIMED_OUT
+        assert run_job(job_dir, attempt=2, deadline=-1.5) == EXIT_TIMED_OUT
+        assert not (job_dir / "events.jsonl").exists()
+
     def test_obs_store_ingest_is_idempotent(self, tmp_path):
         from repro.obs.store import RunStore
 
@@ -225,6 +231,68 @@ class TestSigkillSubprocess:
         assert run_job(job_dir, attempt=2, deadline=None) == EXIT_DONE
         resumed = [canonical_round(r) for r in round_records(job_dir)]
         assert resumed == reference
+
+
+def _worker_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [p for p in (env.get("PYTHONPATH"),) if p] + [str(_repro_src_root())]
+    )
+    return env
+
+
+class TestEntryPoints:
+    """``python -m repro.server.worker``: direct argv runs and standbys."""
+
+    def test_direct_run_imports_the_worker_once(self, tmp_path):
+        job_dir = write_job(tmp_path / "job")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.server.worker", str(job_dir)],
+            env=_worker_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_DONE, proc.stderr
+        assert "found in sys.modules" not in proc.stderr
+
+    def test_deadline_rounded_to_zero_times_out(self, tmp_path):
+        job_dir = write_job(tmp_path / "job")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.server.worker", str(job_dir),
+             "--deadline", "0.000"],
+            env=_worker_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_TIMED_OUT, proc.stderr
+
+    def test_standby_at_eof_exits_clean_and_writes_nothing(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.server.worker"],
+            env=_worker_env(), cwd=tmp_path, stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_DONE, proc.stderr
+        assert proc.stdout == "" and proc.stderr == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_standby_runs_the_handed_off_job_into_its_log(self, tmp_path):
+        job_dir = write_job(tmp_path / "job")
+        (job_dir / "worker.log").write_text("earlier attempt\n")
+        handoff = {
+            "job_dir": str(job_dir),
+            "attempt": 2,
+            "deadline": 60.0,
+            "env": {"REPRO_LOG_LEVEL": "20"},
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.server.worker"],
+            env=_worker_env(), input=json.dumps(handoff) + "\n",
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_DONE, proc.stderr
+        assert proc.stdout == "" and proc.stderr == ""
+        log_text = (job_dir / "worker.log").read_text()
+        assert log_text.startswith("earlier attempt\n")
+        assert "worker starting" in log_text and "attempt=2" in log_text
+        assert json.loads((job_dir / "result.json").read_text())["status"] == "done"
 
 
 def _repro_src_root():

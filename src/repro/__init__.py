@@ -45,7 +45,6 @@ from repro.api import (
     Selection,
     Selector,
     SensingTask,
-    ServerClient,
     SessionObservation,
     SimulationConfig,
     SimulationResult,
@@ -95,6 +94,15 @@ from repro.resilience import (
 )
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str):
+    # ``ServerClient`` resolves through :mod:`repro.api`, which imports
+    # the job-service package on first access only.
+    if name == "ServerClient":
+        return api.ServerClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "api",

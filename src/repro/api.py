@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.ahp import PairwiseComparisonMatrix, example_comparison_matrix
 from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
@@ -78,7 +78,6 @@ from repro.selection import (
     Selector,
     TaskSelectionProblem,
 )
-from repro.server.client import ServerClient
 from repro.simulation import (
     SessionObservation,
     SimulationConfig,
@@ -91,6 +90,9 @@ from repro.simulation import (
 )
 from repro.simulation import simulate as _simulate
 from repro.world import MobileUser, SensingTask, World, WorldGenerator
+
+if TYPE_CHECKING:  # pragma: no cover - the client is imported on first use
+    from repro.server.client import ServerClient
 
 #: The registered mechanism / selector names, in registration order —
 #: valid values for ``SimulationConfig.mechanism`` / ``.selector``.
@@ -218,12 +220,25 @@ def connect(target: Union[str, Path], timeout: float = 10.0) -> ServerClient:
         ServerUnavailable: for a directory target with no readable
             ``server.json``.
     """
+    from repro.server.client import ServerClient
+
     text = str(target)
     address = text[7:] if text.startswith("http://") else text
     host, sep, port = address.rpartition(":")
     if sep and "/" not in port and port.isdigit():
         return ServerClient(host or "127.0.0.1", int(port), timeout=timeout)
     return ServerClient.from_root(target, timeout=timeout)
+
+
+def __getattr__(name: str) -> Any:
+    # The job-service client pulls in the whole ``repro.server`` package
+    # (asyncio, the app, queue and supervisor), which simulating never
+    # needs, so ``ServerClient`` is imported on first access.
+    if name == "ServerClient":
+        from repro.server.client import ServerClient
+
+        return ServerClient
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def summarize(result: SimulationResult) -> MetricsSummary:

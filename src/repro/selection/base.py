@@ -111,7 +111,8 @@ class Selector(abc.ABC):
 
         Must equal ``[self.select(block.problem(j)) for j in ...]`` —
         which is this default.  Solvers with a vectorised form (the
-        greedy) override it; the rest, and wrappers such as the
+        greedy's array steps, the exact DP's one pass over every row's
+        states) override it; the rest, and wrappers such as the
         watchdog, answer row by row.
         """
         return [self.select(block.problem(j)) for j in range(len(block))]

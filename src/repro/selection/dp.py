@@ -8,17 +8,34 @@ state is expanded only if its path length is within the travel budget;
 any super-path of an infeasible path is infeasible (distances are
 non-negative), so the pruning is lossless — and, since this is the
 engine's hottest loop, each cardinality layer is expanded as one batch
-of numpy arrays instead of per-state Python iteration:
+of numpy arrays instead of per-state Python iteration.
 
-- a layer is ``(masks, dist)`` with ``masks`` the sorted int64 bitmasks
-  of that cardinality and ``dist`` the ``(n_masks, m)`` matrix of
-  shortest path lengths per last-task (``inf`` = state unreachable);
-- extension is a batched min-plus product of ``dist`` with the
-  task-to-task distance matrix (one broadcasted ``minimum`` per last
-  index), masked by membership and budget;
+Users choose independently against the same published prices, so the
+kernel solves a whole :class:`~repro.selection.problem.ProblemBlock` of
+equal-size instances in one layer-by-layer pass
+(:meth:`DynamicProgrammingSelector.select_block`):
+
+- a state is ``(row, mask)``, keyed ``row << k | mask``; a layer is the
+  sorted int64 keys of one cardinality plus the ``(states, k)`` matrix
+  ``dist`` of shortest path lengths per last task (``inf`` = state
+  unreachable), whose finite entries — the layer's *paths* — are also
+  kept as flat ``(row, last, length)`` arrays grouped by state;
+- extension is one batched min-plus product: every path adds its
+  length to its row's distances from ``last``, and a grouped ``min``
+  per state gives the next-task lengths (work grows with paths x k,
+  not states x k x k), masked by membership and by that row's budget;
 - mask rewards are propagated incrementally (child mask reward = parent
   mask reward + the extending task's reward), so no popcounts and no
-  per-mask bit loops ever run.
+  per-mask bit loops ever run;
+- each row keeps the first best state of the first layer that beats
+  ``min_profit`` and every earlier layer, exactly as a one-instance
+  scan would.
+
+:meth:`DynamicProgrammingSelector.select` is the kernel's one-row case
+(:meth:`ProblemBlock.of <repro.selection.problem.ProblemBlock.of>`), so a
+block answers bit for bit what solving its rows one at a time answers.
+A pass covers at most ``2^20 / 2^k`` rows (four full instances at the
+default cap), which bounds the layers kept for the walk back.
 
 A pure-Python formulation of the same recurrence is preserved as
 :class:`~repro.selection.reference_dp.ReferenceDPSelector` and the
@@ -29,18 +46,23 @@ Instance-size cap: the exact DP is still exponential in the worst case,
 so instances with more than ``max_exact_tasks`` reachable candidates are
 first restricted to the ``max_exact_tasks`` candidates with the highest
 direct-profit potential (reward minus the cost of walking straight to
-the task).  With the paper's Section VI constants the cap almost never
-binds; tests cover both regimes.
+the task).  Blocks that wide are answered row by row.  With the paper's
+Section VI constants the cap almost never binds; tests cover both
+regimes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.selection.base import Selection, Selector
-from repro.selection.problem import TaskSelectionProblem
+from repro.selection.problem import ProblemBlock, TaskSelectionProblem
+
+#: Masks one DP pass may cover (rows x 2^k): four full instances at the
+#: default ``max_exact_tasks``.
+_PASS_MASKS = 1 << 20
 
 
 class DynamicProgrammingSelector(Selector):
@@ -73,10 +95,71 @@ class DynamicProgrammingSelector(Selector):
         if problem.size == 0:
             return Selection.empty()
         problem = self._capped(problem)
-        order = self._best_order(problem)
-        if order is None:
+        winners, orders, counts = self._best_orders(ProblemBlock.of(problem))
+        if not winners.size:
             return Selection.empty()
-        return problem.evaluate(order)
+        return problem.evaluate(orders[0, : counts[0]].tolist())
+
+    def select_block(self, block: ProblemBlock) -> List[Selection]:
+        """Every row of ``block`` in shared DP passes, bit-identical to :meth:`select`.
+
+        Each selection keeps :meth:`TaskSelectionProblem.evaluate
+        <repro.selection.problem.TaskSelectionProblem.evaluate>`'s
+        arithmetic: legs cast to float64 and summed in visit order, the
+        reward summed in visit order, ``cost = distance *
+        cost_per_meter``.  Blocks wider than ``max_exact_tasks`` go row
+        by row through the capped :meth:`select`.
+        """
+        n, k = len(block), block.size
+        if k == 0:
+            return [Selection.empty()] * n
+        if k > self.max_exact_tasks:
+            return [self.select(block.problem(j)) for j in range(n)]
+        selections = [Selection.empty()] * n
+        # The layers kept for the walk back grow with the rows solved
+        # together, so a pass takes at most _PASS_MASKS >> k rows; that
+        # also keeps ``row << k | mask`` inside int64.
+        step = max(1, _PASS_MASKS >> k)
+        for start in range(0, n, step):
+            winners, orders, counts = self._best_orders(
+                block, slice(start, start + step)
+            )
+            if winners.size:
+                self._fill(selections, block, winners + start, orders, counts)
+        return selections
+
+    @staticmethod
+    def _fill(selections, block, winners, orders, counts) -> None:
+        """Write each winner's :class:`Selection` into ``selections``."""
+        rows = winners[:, None]
+        padding = np.arange(orders.shape[1]) >= counts[:, None]
+        nodes = orders + 1
+        prev = np.zeros_like(nodes)
+        prev[:, 1:] = nodes[:, :-1]
+        legs = block.distances[rows, prev, nodes].astype(np.float64)
+        legs[padding] = 0.0
+        rewards = block.rewards[rows, orders]
+        rewards[padding] = 0.0
+        distance = np.zeros(len(winners))
+        reward = np.zeros(len(winners))
+        for step in range(orders.shape[1]):
+            distance += legs[:, step]
+            reward += rewards[:, step]
+        ids = block.task_ids[rows, orders]
+        for j, count, task_ids, walked, total, spent in zip(
+            winners.tolist(),
+            counts.tolist(),
+            ids.tolist(),
+            distance.tolist(),
+            reward.tolist(),
+            (distance * block.cost_per_meter[winners]).tolist(),
+        ):
+            selections[j] = Selection(
+                task_ids=tuple(task_ids[:count]),
+                distance=walked,
+                reward=total,
+                cost=spent,
+            )
 
     # -- observability -----------------------------------------------------
 
@@ -103,119 +186,177 @@ class DynamicProgrammingSelector(Selector):
 
     # -- the DP itself -----------------------------------------------------------
 
-    def _best_order(self, problem: TaskSelectionProblem) -> Optional[List[int]]:
-        """The profit-optimal feasible visit order, or None to sit out.
+    def _best_orders(
+        self, block: ProblemBlock, part: slice = slice(None)
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The profit-optimal feasible visit order of every row of
+        ``block[part]`` that acts.
 
-        States are ``(mask, last)``; ``dist[row(mask), last]`` is the
-        shortest origin-anchored path visiting exactly ``mask`` and
-        ending at ``last`` (the paper's ``dp[l][j]``).  Because the
-        parent subset of ``(mask, last)`` is uniquely ``mask`` without
-        ``last``'s bit, extending a whole layer never needs a
-        min-reduction across parent masks — one scatter per layer builds
-        the next one.
+        Returns ``(winners, orders, counts)``: the rows of
+        ``block[part]`` that leave home (most tasks first), and row
+        ``winners[w]``'s visit order as the first ``counts[w]`` candidate
+        indices of ``orders[w]``.
+
+        ``dist[state, last]`` is the shortest origin-anchored path of the
+        state's row visiting exactly its mask and ending at ``last``
+        (the paper's ``dp[l][j]``).  Because the parent subset of
+        ``(mask, last)`` is uniquely ``mask`` without ``last``'s bit,
+        every finite entry comes from exactly one parent path: a layer
+        is kept as its finite *paths* — ``(row, last, length)`` grouped
+        by state, each group starting at ``starts`` — and extending it
+        takes one ``k``-wide min-plus row per path, not per state and
+        last task.
         """
-        m = problem.size
-        matrix = np.asarray(problem.distance_matrix, dtype=float)
-        rewards = np.asarray(problem.rewards, dtype=float)
-        budget = problem.max_distance + 1e-9
-        cost_rate = problem.cost_per_meter
+        matrices = np.asarray(block.distances[part], dtype=np.float64)
+        rewards = block.rewards[part]
+        budget = block.max_distance[part] + 1e-9
+        cost = block.cost_per_meter[part]
+        n, k = len(rewards), block.size
+        task = matrices[:, 1:, 1:]  # (n, k, k)
+        bits = np.left_shift(np.int64(1), np.arange(k, dtype=np.int64))
 
-        task_matrix = np.ascontiguousarray(matrix[1:, 1:])  # (m, m)
-        bits = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
+        # Seed layer: single-task paths straight from each origin, keyed
+        # in ascending (row, mask) order.  Each state is scored as it is
+        # created, so no layer is ever re-scanned.
+        direct = matrices[:, 0, 1:]
+        rows, last = np.nonzero(direct <= budget[:, None])
+        keys = (rows << k) | bits[last]
+        lengths = direct[rows, last]
+        starts = np.arange(keys.size)
+        dist = np.full((keys.size, k), np.inf)
+        dist[starts, last] = lengths
+        mask_rewards = rewards[rows, last]
+        self._count_states(int(keys.size))
 
-        # Seed layer: single-task paths straight from the origin.  Each
-        # state is scored as it is created, so no layer is ever re-scanned.
-        direct = matrix[0, 1:]
-        seed = np.nonzero(direct <= budget)[0]
-        if seed.size == 0:
-            return None
-        masks = bits[seed]  # ascending, since bit index grows
-        dist = np.full((seed.size, m), np.inf)
-        dist[np.arange(seed.size), seed] = direct[seed]
-        mask_rewards = rewards[seed].copy()
-        self._count_states(int(seed.size))
+        best = _BestStates(n, self.min_profit)
+        best.offer(0, rows, keys, last, mask_rewards - cost[rows] * lengths)
+        layers = [(keys, dist)]
 
-        layers = [(masks, dist)]
-        best_profit = self.min_profit
-        best = None  # (layer index, mask, last)
+        # Chunk the (paths, k) min-plus temporary to ~16 MB (a state has
+        # at most k paths) so dense layers stay memory-bounded.
+        chunk = max(1, 2_000_000 // (k * k))
 
-        seed_profits = mask_rewards - cost_rate * direct[seed]
-        top = int(np.argmax(seed_profits))
-        if seed_profits[top] > best_profit:
-            best_profit = float(seed_profits[top])
-            best = (0, int(masks[top]), int(seed[top]))
+        for depth in range(1, k):
+            # Batched extension: ext[s, nxt] = min over the paths of
+            # state s of length + d(last, nxt) in the path's own row —
+            # one min-plus product and one grouped min per chunk.
+            size = keys.size
+            ext = np.empty((size, k))
+            for start in range(0, size, chunk):
+                stop = min(start + chunk, size)
+                lo = starts[start]
+                hi = starts[stop] if stop < size else lengths.size
+                summed = task[rows[lo:hi], last[lo:hi]]
+                summed += lengths[lo:hi, None]
+                ext[start:stop] = np.minimum.reduceat(
+                    summed, starts[start:stop] - lo, axis=0
+                )
 
-        # Chunk the (rows, m, m) min-plus temporary to ~16 MB so dense
-        # layers with tens of thousands of masks stay memory-bounded.
-        chunk = max(1, 2_000_000 // (m * m))
-
-        for depth in range(1, m):
-            # Batched extension: ext[s, nxt] = min over last of
-            # dist[s, last] + d(last, nxt) — one broadcasted min-plus
-            # product per chunk of parent states.
-            rows = masks.size
-            ext = np.empty((rows, m))
-            for start in range(0, rows, chunk):
-                block = dist[start : start + chunk]
-                ext[start : start + chunk] = (
-                    block[:, :, None] + task_matrix[None, :, :]
-                ).min(axis=1)
-
-            # Keep extensions within budget that do not revisit a task
-            # (<= budget also rejects inf, i.e. unreachable parents).
-            valid = ext <= budget
-            valid &= (masks[:, None] & bits[None, :]) == 0
+            # Keep extensions within their row's budget that do not
+            # revisit a task (<= budget also rejects inf).  A key's row
+            # bits sit above bit k-1, so ``keys & bits`` tests the mask.
+            state_rows = rows[starts]
+            valid = ext <= budget[state_rows][:, None]
+            valid &= (keys[:, None] & bits) == 0
             src, nxt = np.nonzero(valid)
             if src.size == 0:
                 break
-            ext_vals = ext[src, nxt]
+            lengths = ext[src, nxt]
+            rows = state_rows[src]
             # Incremental reward propagation: child mask reward = parent
             # mask reward + the extending task's reward — no popcounts.
-            state_rewards = mask_rewards[src] + rewards[nxt]
+            path_rewards = mask_rewards[src] + rewards[rows, nxt]
             self._count_states(int(src.size))
 
-            profits = state_rewards - cost_rate * ext_vals
-            top = int(np.argmax(profits))
-            if profits[top] > best_profit:
-                best_profit = float(profits[top])
-                best = (depth, int(masks[src[top]] | bits[nxt[top]]), int(nxt[top]))
+            child = keys[src] | bits[nxt]
+            best.offer(depth, rows, child, nxt, path_rewards - cost[rows] * lengths)
 
-            # The parent of (nmask, nxt) is uniquely (nmask & ~bit(nxt)),
-            # so each (nmask, nxt) pair appears exactly once: scattering
-            # into the next layer's dist needs no duplicate resolution.
-            unique_masks, inverse = np.unique(
-                masks[src] | bits[nxt], return_inverse=True
-            )
-            next_dist = np.full((unique_masks.size, m), np.inf)
-            next_dist[inverse, nxt] = ext_vals
-            next_rewards = np.empty(unique_masks.size)
-            next_rewards[inverse] = state_rewards
+            # Group the new paths by state; the stable sort keeps each
+            # state's paths in (parent, nxt) order.
+            order = child.argsort(kind="stable")
+            child = child[order]
+            heads = np.empty(child.size, dtype=bool)
+            heads[0] = True
+            np.not_equal(child[1:], child[:-1], out=heads[1:])
+            starts = heads.nonzero()[0]
+            keys = child[starts]
+            rows, last, lengths = rows[order], nxt[order], lengths[order]
+            dist = np.full((keys.size, k), np.inf)
+            dist[heads.cumsum() - 1, last] = lengths
+            # A mask's reward is its last path's sum (all of them equal
+            # it, up to the order of the additions).
+            tails = np.empty_like(heads)
+            tails[:-1] = heads[1:]
+            tails[-1] = True
+            mask_rewards = path_rewards[order[tails]]
+            layers.append((keys, dist))
 
-            masks, dist, mask_rewards = unique_masks, next_dist, next_rewards
-            layers.append((masks, dist))
-
-        if best is None:
-            return None
-        return self._reconstruct(best, layers, task_matrix)
+        return self._reconstruct(best, layers, task, bits)
 
     @staticmethod
-    def _reconstruct(best, layers, task_matrix) -> List[int]:
-        """Walk parents from the best state back to the origin.
+    def _reconstruct(best, layers, task, bits):
+        """Walk every winner's parents from its best state back to the origin.
 
         No parent pointers are stored: at layer L the parent of
-        ``(mask, last)`` is ``(mask without last, plast)`` for the
+        ``(key, last)`` is ``(key without last, plast)`` for the
         ``plast`` minimizing ``dist[parent, plast] + d(plast, last)`` —
         the same expression the forward pass minimized, so the argmin
         recovers a shortest path exactly.
         """
-        depth, mask, last = best
-        order = [last]
-        for layer in range(depth, 0, -1):
-            parent_masks, parent_dist = layers[layer - 1]
-            mask = mask & ~(1 << last)
-            row = int(np.searchsorted(parent_masks, mask))
-            plast = int(np.argmin(parent_dist[row] + task_matrix[:, last]))
-            order.append(plast)
-            last = plast
-        order.reverse()
-        return order
+        # Deepest path first, so the winners still walking back at any
+        # layer are a prefix.
+        winners = (best.depth >= 0).nonzero()[0]
+        winners = winners[np.argsort(-best.depth[winners], kind="stable")]
+        depth = best.depth[winners]
+        key, last = best.key[winners], best.last[winners]
+        width = int(depth[0]) + 1 if winners.size else 0
+        walking = np.searchsorted(-depth, -np.arange(width), side="right").tolist()
+        orders = np.zeros((winners.size, width), dtype=np.intp)
+        orders[np.arange(winners.size), depth] = last
+        for layer in range(width - 1, 0, -1):
+            on = walking[layer]
+            parent_keys, parent_dist = layers[layer - 1]
+            key[:on] &= ~bits[last[:on]]
+            candidates = (
+                parent_dist[np.searchsorted(parent_keys, key[:on])]
+                + task[winners[:on], :, last[:on]]
+            )
+            last[:on] = candidates.argmin(axis=1)
+            orders[:on, layer - 1] = last[:on]
+        return winners, orders, depth + 1
+
+
+class _BestStates:
+    """Each row's best state so far: depth, key and last task.
+
+    A layer's first maximum per row (its new paths in ascending parent
+    key order, then ``nxt``) replaces the row's best only if it is
+    strictly greater than the earlier layers' best and ``min_profit``.
+    """
+
+    def __init__(self, n: int, min_profit: float):
+        self.profit = np.full(n, min_profit, dtype=np.float64)
+        self.depth = np.full(n, -1, dtype=np.intp)
+        self.key = np.zeros(n, dtype=np.int64)
+        self.last = np.zeros(n, dtype=np.intp)
+
+    def offer(self, depth, rows, keys, last, profits) -> None:
+        """Score one layer's paths (``rows`` ascending) against the bests."""
+        beats = (profits > self.profit[rows]).nonzero()[0]
+        if not beats.size:
+            return
+        if rows[beats[0]] == rows[beats[-1]]:
+            first = beats[[profits[beats].argmax()]]
+        else:
+            # Each row's states by profit, descending; the sort is
+            # stable, so the head of a row is its first maximum.
+            beaten = rows[beats]
+            heads = np.empty(beaten.size, dtype=bool)
+            heads[0] = True
+            np.not_equal(beaten[1:], beaten[:-1], out=heads[1:])
+            first = beats[np.lexsort((-profits[beats], beaten))[heads]]
+        winners = rows[first]
+        self.profit[winners] = profits[first]
+        self.depth[winners] = depth
+        self.key[winners] = keys[first]
+        self.last[winners] = last[first]

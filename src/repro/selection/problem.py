@@ -201,6 +201,21 @@ class ProblemBlock:
     columns: np.ndarray
     candidates: Sequence[CandidateTask]
 
+    @classmethod
+    def of(cls, problem: TaskSelectionProblem) -> "ProblemBlock":
+        """``problem`` as a one-row block (its matrix is a view)."""
+        candidates = problem.candidates
+        return cls(
+            distances=problem.distance_matrix[None],
+            rewards=problem.rewards[None],
+            task_ids=np.array([[c.task_id for c in candidates]], dtype=np.int64),
+            max_distance=np.array([problem.max_distance]),
+            cost_per_meter=np.array([problem.cost_per_meter]),
+            origins=np.array([[problem.origin.x, problem.origin.y]]),
+            columns=np.arange(len(candidates), dtype=np.int64)[None],
+            candidates=candidates,
+        )
+
     def __len__(self) -> int:
         """Number of instances n."""
         return len(self.rewards)

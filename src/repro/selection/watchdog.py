@@ -16,6 +16,11 @@ abandoned (Python cannot preempt it) and its eventual result discarded.
 That costs one stranded thread per breach — acceptable for the rare
 pathological instance this guards against, and the only portable way to
 bound arbitrary selector code.
+
+Deadlines stay per instance by design — one slow user degrades alone —
+so the watchdog answers a problem block row by row (the default
+:meth:`~repro.selection.base.Selector.select_block`), never through the
+inner selector's block kernel.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ act:
   count, covering only the participants with at least one eligible,
   reachable task; the selector solves each block in one
   ``select_block`` call (the greedy as array steps over all its rows,
+  the exact DP as one layer-by-layer pass over all its rows' states,
   other selectors row by row).  Everyone else keeps the shared
   :meth:`Selection.empty` without a selector call.
 - *pricing* — mechanisms exposing a ``neighbour_counter`` hook get an

@@ -1,8 +1,9 @@
 """Block selection: ``select_block`` answers exactly what ``select`` does.
 
 ``GreedySelector.select_block`` solves a whole block of equal-size
-instances with array steps; it must return, row for row, the very
-selection the per-instance ``select`` loop returns — same task order and
+instances with array steps, and ``DynamicProgrammingSelector.select_block``
+in one layer-by-layer DP pass; each must return, row for row, the very
+selection solving that row alone returns — same task order and
 bit-identical distance, reward and cost.  Every other selector answers a
 block through the default row-by-row ``select_block``.
 """
@@ -18,10 +19,12 @@ from repro.geometry.point import Point
 from repro.selection import (
     SELECTORS,
     CandidateTask,
+    DynamicProgrammingSelector,
     GreedySelector,
     ProblemBlock,
     TimeBoundedSelector,
 )
+from repro.selection.reference_dp import ReferenceDPSelector
 
 #: Budget offsets that put a path's length within 1e-9 of the budget,
 #: on either side of the greedy's ``max_distance + 1e-9`` test.
@@ -73,10 +76,10 @@ def per_row(selector, block):
 
 
 @st.composite
-def blocks(draw):
+def blocks(draw, max_n=50, max_k=12):
     """Random blocks: tie-heavy integer grids and continuous geometry."""
-    n = draw(st.integers(1, 50))
-    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -146,6 +149,109 @@ class TestGreedyBlockEquivalence:
         assert [exact(s) for s in got] == [
             exact(s) for s in per_row(GreedySelector(), block)
         ]
+
+
+def row_block(block, j):
+    """Row ``j`` of ``block`` as a one-row block of its own."""
+    rows = slice(j, j + 1)
+    return ProblemBlock(
+        distances=block.distances[rows],
+        rewards=block.rewards[rows],
+        task_ids=block.task_ids[rows],
+        max_distance=block.max_distance[rows],
+        cost_per_meter=block.cost_per_meter[rows],
+        origins=block.origins[rows],
+        columns=block.columns[rows],
+        candidates=block.candidates,
+    )
+
+
+class TestDPBlockEquivalence:
+    @given(block=blocks(), min_profit=st.sampled_from([0.0, 0.5, 2.5]))
+    @settings(deadline=None)
+    def test_block_equals_each_row_alone(self, block, min_profit):
+        selector = DynamicProgrammingSelector(min_profit=min_profit)
+        got = [exact(s) for s in selector.select_block(block)]
+        assert got == [
+            exact(selector.select_block(row_block(block, j))[0])
+            for j in range(len(block))
+        ]
+        assert got == [exact(s) for s in per_row(selector, block)]
+
+    @given(
+        block=blocks(max_n=12, max_k=10),
+        min_profit=st.sampled_from([0.0, 0.5, 2.5]),
+    )
+    @settings(deadline=None, max_examples=50)
+    def test_profits_match_the_reference_dp(self, block, min_profit):
+        got = DynamicProgrammingSelector(min_profit=min_profit).select_block(block)
+        want = per_row(ReferenceDPSelector(min_profit=min_profit), block)
+        assert [s.profit for s in got] == pytest.approx(
+            [s.profit for s in want], abs=1e-9
+        )
+
+    @given(block=blocks())
+    @settings(deadline=None, max_examples=50)
+    def test_states_expanded_sum_over_rows(self, block):
+        selector = DynamicProgrammingSelector()
+        selector.select_block(block)
+        expanded = selector.consume_states_expanded()
+        for j in range(len(block)):
+            selector.select(block.problem(j))
+        assert expanded == selector.consume_states_expanded()
+        assert selector.total_states_expanded == 2 * expanded
+
+    def test_wide_block_returns_the_capped_answers(self):
+        block = geometric_block(k=6)
+        capped = DynamicProgrammingSelector(max_exact_tasks=3)
+        got = capped.select_block(block)
+        assert [exact(s) for s in got] == [
+            exact(s) for s in per_row(DynamicProgrammingSelector(max_exact_tasks=3), block)
+        ]
+        # Each answer is the exact optimum over the row's three
+        # highest-potential candidates.
+        for j, selection in enumerate(got):
+            problem = block.problem(j)
+            assert selection == DynamicProgrammingSelector().select(
+                capped._capped(problem)
+            )
+
+    @pytest.mark.parametrize("k", [16, 17, 18])
+    def test_blocks_split_into_bounded_passes(self, k):
+        # 2^20 masks per pass: 16, 8 and 4 rows at these widths, so a
+        # 9-row block takes one, two and three passes.  Budgets of a few
+        # short legs keep the instances small.
+        rng = np.random.default_rng(k)
+        n = 9
+        half = rng.integers(1, 4, size=(n, k + 1, k + 1)).astype(np.float64)
+        legs = np.triu(half, 1) + np.triu(half, 1).transpose(0, 2, 1)
+        block = make_block(
+            legs, rng.integers(1, 4, size=(n, k)).astype(np.float64),
+            rng.integers(2, 5, size=n).astype(np.float64), np.full(n, 0.25),
+        )
+        selector = DynamicProgrammingSelector()
+        got = selector.select_block(block)
+        expanded = selector.consume_states_expanded()
+        assert [exact(s) for s in got] == [exact(s) for s in per_row(selector, block)]
+        assert expanded == selector.consume_states_expanded()
+        assert any(not s.is_empty for s in got)
+
+    def test_keys_too_wide_for_int64_go_row_by_row(self):
+        # k = 60 with 16 rows: (row << k | mask) would overflow int64
+        # if the rows shared a pass.  Tiny budgets leave each row two
+        # nearby tasks to chain.
+        n, k = 16, 60
+        distances = np.full((n, k + 1, k + 1), 1000.0)
+        distances[:, 0, :] = distances[:, :, 0] = np.arange(k + 1.0) / 10
+        distances[:, np.arange(k + 1), np.arange(k + 1)] = 0.0
+        distances[:, 1, 2] = distances[:, 2, 1] = 0.1
+        block = make_block(
+            distances, np.full((n, k), 1.0), np.full(n, 0.35), np.full(n, 0.5)
+        )
+        selector = DynamicProgrammingSelector(max_exact_tasks=k)
+        got = selector.select_block(block)
+        assert [s.task_ids for s in got] == [(3, 10)] * n
+        assert [exact(s) for s in got] == [exact(s) for s in per_row(selector, block)]
 
 
 def geometric_block(n=6, k=5, seed=3):

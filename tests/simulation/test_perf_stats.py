@@ -8,6 +8,7 @@ and campaigns.
 
 import pytest
 
+from repro import api
 from repro.simulation import PerfStats, SimulationConfig, simulate
 from repro.io.events import read_events_jsonl, write_events_jsonl
 
@@ -68,6 +69,16 @@ class TestEngineCounters:
 
     def test_dp_states_counted_for_dp_selector(self, result):
         assert result.perf_totals().dp_states_expanded > 0
+
+    @pytest.mark.parametrize(
+        "seed, states", [(0, 14611), (1, 17762), (2, 19807), (3, 16636)]
+    )
+    def test_paper_2018_dp_states_are_pinned(self, seed, states):
+        """The DP's work counter is deterministic, but round fingerprints
+        leave ``perf`` out: pinning it here catches a selector that
+        answers the same while expanding more (or fewer) states."""
+        result = api.simulate(scenario="paper-2018", seed=seed)
+        assert result.perf_totals().dp_states_expanded == states
 
     def test_counters_do_not_change_the_simulation(self, fast_config):
         """Perf instrumentation is observability only: same history."""

@@ -104,8 +104,8 @@ class TestPerRoundMetrics:
 
 
 class TestBatchedSpans:
-    """One ``select-block`` span per problem block, on the greedy's
-    array-step block path (the DP answers a block row by row)."""
+    """One ``select-block`` span per problem block, here on the greedy's
+    array-step block path."""
 
     @pytest.fixture
     def batched_config(self, fast_config):

@@ -131,6 +131,40 @@ class TestMakeEnv:
 
 
 class TestConnect:
+    def test_import_leaves_the_job_service_unloaded(self):
+        """Simulating never needs ``repro.server`` (asyncio, the app,
+        queue and supervisor), so ``import repro`` must not load it; the
+        client is imported on first use."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, repro\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.server'))\n"
+            "assert not loaded, loaded\n"
+            "client = repro.api.ServerClient\n"
+            "assert 'repro.server' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_server_client_resolves_to_the_client_class(self):
+        import repro
+        from repro.server.client import ServerClient
+
+        assert "ServerClient" in api.__all__
+        assert api.ServerClient is ServerClient
+        assert repro.ServerClient is ServerClient
+        assert isinstance(api.connect("somehost:9100"), ServerClient)
+        with pytest.raises(AttributeError):
+            api.NoSuchName  # noqa: B018
+
     def test_host_port(self):
         client = api.connect("somehost:9100")
         assert (client.host, client.port) == ("somehost", 9100)

@@ -44,10 +44,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.live import metric_value, parse_prometheus  # noqa: E402
 from repro.server.client import ServerClient, ServerUnavailable  # noqa: E402
 
-#: Long enough (~10s) that the cancel provably lands mid-run.
+#: Long enough (a few seconds) that the cancel provably lands mid-run.
 SLOW_JOB = {
     "overrides": {
-        "n_users": 2000, "n_tasks": 50, "rounds": 80,
+        "n_users": 2000, "n_tasks": 200, "rounds": 80,
         "budget": 1e7, "arrival": "poisson", "seed": 2,
     }
 }

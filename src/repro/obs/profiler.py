@@ -173,8 +173,11 @@ class ResourceProfiler:
 
     def _sample(self) -> None:
         tracer = self.tracer
+        # One clock read: two would make an unstarted profiler's
+        # ``elapsed`` a random few-ns negative, and durations negative.
+        now = perf_counter()
         self.samples.append(ResourceSample(
-            elapsed=perf_counter() - (self._epoch or perf_counter()),
+            elapsed=now - (self._epoch if self._epoch is not None else now),
             rss_bytes=read_rss_bytes(),
             cpu_seconds=process_time(),
             gc_collections=_gc_collections(),

@@ -27,7 +27,7 @@ Theorem 1), so the package offers:
   permutation search, the test oracle for small instances.
 """
 
-from repro.selection.base import CandidateTask, Selection, Selector
+from repro.selection.base import CandidateTask, Selection, SelectionColumns, Selector
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.selection.dp import DynamicProgrammingSelector
 from repro.selection.reference_dp import ReferenceDPSelector
@@ -41,6 +41,7 @@ from repro.selection.registry import SELECTORS, SELECTOR_NAMES
 __all__ = [
     "CandidateTask",
     "Selection",
+    "SelectionColumns",
     "Selector",
     "TaskSelectionProblem",
     "ProblemBlock",

@@ -31,9 +31,11 @@ equal-size instances in one layer-by-layer pass
   ``min_profit`` and every earlier layer, exactly as a one-instance
   scan would.
 
-:meth:`DynamicProgrammingSelector.select` is the kernel's one-row case
-(:meth:`ProblemBlock.of <repro.selection.problem.ProblemBlock.of>`), so a
-block answers bit for bit what solving its rows one at a time answers.
+The answer is columnar (:class:`~repro.selection.base.SelectionColumns`):
+the winners' visit orders, path lengths and reward sums are written
+straight into a block's columns.  :meth:`DynamicProgrammingSelector.select`
+is the kernel's one-row case, so a block answers bit for bit what
+solving its rows one at a time answers.
 A pass covers at most ``2^20 / 2^k`` rows (four full instances at the
 default cap), which bounds the layers kept for the walk back.
 
@@ -53,11 +55,11 @@ regimes.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.selection.base import Selection, Selector
+from repro.selection.base import Selection, SelectionColumns, Selector
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 
 #: Masks one DP pass may cover (rows x 2^k): four full instances at the
@@ -95,71 +97,78 @@ class DynamicProgrammingSelector(Selector):
         if problem.size == 0:
             return Selection.empty()
         problem = self._capped(problem)
-        winners, orders, counts = self._best_orders(ProblemBlock.of(problem))
+        winners, orders, depth = self._best_orders(
+            problem.distance_matrix[None],
+            problem.rewards[None],
+            np.array([problem.max_distance + 1e-9]),
+            np.array([problem.cost_per_meter]),
+        )
         if not winners.size:
             return Selection.empty()
-        return problem.evaluate(orders[0, : counts[0]].tolist())
+        return problem.evaluate(orders[0, : depth[0] + 1].tolist())
 
-    def select_block(self, block: ProblemBlock) -> List[Selection]:
+    def select_block(self, block: ProblemBlock) -> SelectionColumns:
         """Every row of ``block`` in shared DP passes, bit-identical to :meth:`select`.
 
-        Each selection keeps :meth:`TaskSelectionProblem.evaluate
-        <repro.selection.problem.TaskSelectionProblem.evaluate>`'s
-        arithmetic: legs cast to float64 and summed in visit order, the
-        reward summed in visit order, ``cost = distance *
-        cost_per_meter``.  Blocks wider than ``max_exact_tasks`` go row
-        by row through the capped :meth:`select`.
+        Blocks wider than ``max_exact_tasks`` go row by row through the
+        capped :meth:`select`.
         """
         n, k = len(block), block.size
         if k == 0:
-            return [Selection.empty()] * n
+            return SelectionColumns.empty(n)
         if k > self.max_exact_tasks:
-            return [self.select(block.problem(j)) for j in range(n)]
-        selections = [Selection.empty()] * n
+            return super().select_block(block)
+        columns = (
+            np.zeros(n, dtype=np.int64),  # task count
+            np.zeros((n, k), dtype=np.int64),  # task ids, visit order
+            np.zeros(n),  # distance
+            np.zeros(n),  # reward
+        )
         # The layers kept for the walk back grow with the rows solved
         # together, so a pass takes at most _PASS_MASKS >> k rows; that
         # also keeps ``row << k | mask`` inside int64.
         step = max(1, _PASS_MASKS >> k)
         for start in range(0, n, step):
-            winners, orders, counts = self._best_orders(
-                block, slice(start, start + step)
+            part = slice(start, start + step)
+            winners, orders, depth = self._best_orders(
+                block.distances[part], block.rewards[part],
+                block.max_distance[part] + 1e-9, block.cost_per_meter[part],
             )
             if winners.size:
-                self._fill(selections, block, winners + start, orders, counts)
-        return selections
+                self._fill(columns, block, winners + start, orders, depth)
+        counts, visits, distance, reward = columns
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        cost = np.zeros(n)
+        np.multiply(distance, block.cost_per_meter, out=cost, where=counts > 0)
+        return SelectionColumns(
+            offsets, visits[np.arange(k) < counts[:, None]], distance, reward,
+            cost,
+        )
 
     @staticmethod
-    def _fill(selections, block, winners, orders, counts) -> None:
-        """Write each winner's :class:`Selection` into ``selections``."""
-        rows = winners[:, None]
-        padding = np.arange(orders.shape[1]) >= counts[:, None]
+    def _fill(columns, block, rows, orders, depth) -> None:
+        """Write winning ``rows``' columns: task counts, visit orders,
+        and :meth:`TaskSelectionProblem.evaluate
+        <repro.selection.problem.TaskSelectionProblem.evaluate>`'s
+        arithmetic — legs cast to float64 and summed in visit order,
+        the reward summed in visit order."""
+        counts, visits, distance, reward = columns
+        padding = np.arange(orders.shape[1]) > depth[:, None]
         nodes = orders + 1
         prev = np.zeros_like(nodes)
         prev[:, 1:] = nodes[:, :-1]
-        legs = block.distances[rows, prev, nodes].astype(np.float64)
+        legs = block.distances[rows[:, None], prev, nodes].astype(np.float64)
         legs[padding] = 0.0
-        rewards = block.rewards[rows, orders]
-        rewards[padding] = 0.0
-        distance = np.zeros(len(winners))
-        reward = np.zeros(len(winners))
-        for step in range(orders.shape[1]):
-            distance += legs[:, step]
-            reward += rewards[:, step]
-        ids = block.task_ids[rows, orders]
-        for j, count, task_ids, walked, total, spent in zip(
-            winners.tolist(),
-            counts.tolist(),
-            ids.tolist(),
-            distance.tolist(),
-            reward.tolist(),
-            (distance * block.cost_per_meter[winners]).tolist(),
-        ):
-            selections[j] = Selection(
-                task_ids=tuple(task_ids[:count]),
-                distance=walked,
-                reward=total,
-                cost=spent,
-            )
+        gained = block.rewards[rows[:, None], orders]
+        gained[padding] = 0.0
+        walked, total = np.zeros(len(rows)), np.zeros(len(rows))
+        for column in range(orders.shape[1]):
+            walked += legs[:, column]
+            total += gained[:, column]
+        counts[rows] = depth + 1
+        visits[rows, : orders.shape[1]] = block.task_ids[rows[:, None], orders]
+        distance[rows], reward[rows] = walked, total
 
     # -- observability -----------------------------------------------------
 
@@ -187,15 +196,15 @@ class DynamicProgrammingSelector(Selector):
     # -- the DP itself -----------------------------------------------------------
 
     def _best_orders(
-        self, block: ProblemBlock, part: slice = slice(None)
+        self, distances, rewards, budget, cost
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The profit-optimal feasible visit order of every row of
-        ``block[part]`` that acts.
+        """The profit-optimal feasible visit order of every row that acts.
 
-        Returns ``(winners, orders, counts)``: the rows of
-        ``block[part]`` that leave home (most tasks first), and row
-        ``winners[w]``'s visit order as the first ``counts[w]`` candidate
-        indices of ``orders[w]``.
+        Rows are instances: ``(n, k+1, k+1)`` distances, ``(n, k)``
+        rewards, and ``(n,)`` budgets (slack included) and cost rates.
+        Returns ``(winners, orders, depth)``: the rows that leave home
+        (most tasks first), and row ``winners[w]``'s visit order as the
+        first ``depth[w] + 1`` candidate indices of ``orders[w]``.
 
         ``dist[state, last]`` is the shortest origin-anchored path of the
         state's row visiting exactly its mask and ending at ``last``
@@ -207,11 +216,8 @@ class DynamicProgrammingSelector(Selector):
         takes one ``k``-wide min-plus row per path, not per state and
         last task.
         """
-        matrices = np.asarray(block.distances[part], dtype=np.float64)
-        rewards = block.rewards[part]
-        budget = block.max_distance[part] + 1e-9
-        cost = block.cost_per_meter[part]
-        n, k = len(rewards), block.size
+        matrices = np.asarray(distances, dtype=np.float64)
+        n, k = rewards.shape
         task = matrices[:, 1:, 1:]  # (n, k, k)
         bits = np.left_shift(np.int64(1), np.arange(k, dtype=np.int64))
 
@@ -223,7 +229,8 @@ class DynamicProgrammingSelector(Selector):
         keys = (rows << k) | bits[last]
         lengths = direct[rows, last]
         starts = np.arange(keys.size)
-        dist = np.full((keys.size, k), np.inf)
+        dist = np.empty((keys.size, k))
+        dist.fill(np.inf)
         dist[starts, last] = lengths
         mask_rewards = rewards[rows, last]
         self._count_states(int(keys.size))
@@ -281,7 +288,8 @@ class DynamicProgrammingSelector(Selector):
             starts = heads.nonzero()[0]
             keys = child[starts]
             rows, last, lengths = rows[order], nxt[order], lengths[order]
-            dist = np.full((keys.size, k), np.inf)
+            dist = np.empty((keys.size, k))
+            dist.fill(np.inf)
             dist[heads.cumsum() - 1, last] = lengths
             # A mask's reward is its last path's sum (all of them equal
             # it, up to the order of the additions).
@@ -306,24 +314,25 @@ class DynamicProgrammingSelector(Selector):
         # Deepest path first, so the winners still walking back at any
         # layer are a prefix.
         winners = (best.depth >= 0).nonzero()[0]
-        winners = winners[np.argsort(-best.depth[winners], kind="stable")]
+        if winners.size > 1:
+            winners = winners[np.argsort(-best.depth[winners], kind="stable")]
         depth = best.depth[winners]
         key, last = best.key[winners], best.last[winners]
         width = int(depth[0]) + 1 if winners.size else 0
-        walking = np.searchsorted(-depth, -np.arange(width), side="right").tolist()
+        # walking[layer]: how many winners are at least that deep.
+        walking = np.bincount(depth, minlength=width)[::-1].cumsum()[::-1].tolist()
         orders = np.zeros((winners.size, width), dtype=np.intp)
         orders[np.arange(winners.size), depth] = last
         for layer in range(width - 1, 0, -1):
             on = walking[layer]
             parent_keys, parent_dist = layers[layer - 1]
-            key[:on] &= ~bits[last[:on]]
-            candidates = (
-                parent_dist[np.searchsorted(parent_keys, key[:on])]
-                + task[winners[:on], :, last[:on]]
-            )
-            last[:on] = candidates.argmin(axis=1)
-            orders[:on, layer - 1] = last[:on]
-        return winners, orders, depth + 1
+            parent, tail = key[:on], last[:on]
+            parent ^= bits[tail]  # the state's mask holds ``tail``
+            candidates = parent_dist[parent_keys.searchsorted(parent)]
+            candidates += task[winners[:on], :, tail]
+            candidates.argmin(axis=1, out=tail)
+            orders[:on, layer - 1] = tail
+        return winners, orders, depth
 
 
 class _BestStates:
@@ -335,8 +344,12 @@ class _BestStates:
     """
 
     def __init__(self, n: int, min_profit: float):
-        self.profit = np.full(n, min_profit, dtype=np.float64)
-        self.depth = np.full(n, -1, dtype=np.intp)
+        # empty + fill: np.full's Python wrapper is most of a one-row
+        # select's set-up.
+        self.profit = np.empty(n)
+        self.profit.fill(min_profit)
+        self.depth = np.empty(n, dtype=np.intp)
+        self.depth.fill(-1)
         self.key = np.zeros(n, dtype=np.int64)
         self.last = np.zeros(n, dtype=np.intp)
 

@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from repro.selection.base import Selection, Selector
+from repro.selection.base import Selection, SelectionColumns, Selector
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 
 
@@ -77,7 +77,7 @@ class GreedySelector(Selector):
             return Selection.empty()
         return problem.evaluate(order)
 
-    def select_block(self, block: ProblemBlock) -> List[Selection]:
+    def select_block(self, block: ProblemBlock) -> SelectionColumns:
         """Every row of ``block`` at once, bit-identical to :meth:`select`.
 
         Each step takes one masked ``argmax`` over the rows still moving
@@ -85,11 +85,12 @@ class GreedySelector(Selector):
         are cast to float64, a leg fits unless ``traveled + leg >
         max_distance + 1e-9``, a step must gain more than
         ``min_step_profit``, the first of equal gains wins, and distance
-        and reward are running sums in visit order.
+        and reward are running sums in visit order.  The answer's
+        columns are those running sums and the visit orders themselves.
         """
         n, k = len(block), block.size
         if k == 0:
-            return [Selection.empty()] * n
+            return SelectionColumns.empty(n)
         distances = block.distances
         rewards = block.rewards
         cost = block.cost_per_meter
@@ -121,23 +122,12 @@ class GreedySelector(Selector):
             current[rows] = best + 1
             steps[rows] = step + 1
 
-        selections = [Selection.empty()] * n
-        done = np.flatnonzero(steps)
-        if not len(done):
-            return selections
-        ids = np.take_along_axis(block.task_ids[done], order[done], axis=1)
-        for j, length, task_ids, distance, total, spent in zip(
-            done.tolist(),
-            steps[done].tolist(),
-            ids.tolist(),
-            traveled[done].tolist(),
-            reward[done].tolist(),
-            (traveled[done] * cost[done]).tolist(),
-        ):
-            selections[j] = Selection(
-                task_ids=tuple(task_ids[:length]),
-                distance=distance,
-                reward=total,
-                cost=spent,
-            )
-        return selections
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(steps, out=offsets[1:])
+        ids = np.take_along_axis(block.task_ids, order, axis=1)
+        # A row that never moved costs exactly 0.0, whatever its rate.
+        spent = np.zeros(n)
+        np.multiply(traveled, cost, out=spent, where=steps > 0)
+        return SelectionColumns(
+            offsets, ids[np.arange(k) < steps[:, None]], traveled, reward, spent
+        )

@@ -141,7 +141,11 @@ class TaskSelectionProblem:
         if any(i < 0 or i >= self.size for i in order):
             raise ValueError(f"candidate indices out of range: {order}")
         distance = self.path_distance(order)
-        reward = float(sum(self.candidates[i].reward for i in order))
+        # Left to right from 0.0, as the block kernels add: ``sum()``
+        # compensates float sums from CPython 3.12 on.
+        reward = 0.0
+        for i in order:
+            reward += self.candidates[i].reward
         return Selection(
             task_ids=tuple(self.candidates[i].task_id for i in order),
             distance=distance,
@@ -200,21 +204,6 @@ class ProblemBlock:
     origins: np.ndarray
     columns: np.ndarray
     candidates: Sequence[CandidateTask]
-
-    @classmethod
-    def of(cls, problem: TaskSelectionProblem) -> "ProblemBlock":
-        """``problem`` as a one-row block (its matrix is a view)."""
-        candidates = problem.candidates
-        return cls(
-            distances=problem.distance_matrix[None],
-            rewards=problem.rewards[None],
-            task_ids=np.array([[c.task_id for c in candidates]], dtype=np.int64),
-            max_distance=np.array([problem.max_distance]),
-            cost_per_meter=np.array([problem.cost_per_meter]),
-            origins=np.array([[problem.origin.x, problem.origin.y]]),
-            columns=np.arange(len(candidates), dtype=np.int64)[None],
-            candidates=candidates,
-        )
 
     def __len__(self) -> int:
         """Number of instances n."""

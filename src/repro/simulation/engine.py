@@ -36,17 +36,21 @@ act:
   reachable task; the selector solves each block in one
   ``select_block`` call (the greedy as array steps over all its rows,
   the exact DP as one layer-by-layer pass over all its rows' states,
-  other selectors row by row).  Everyone else keeps the shared
-  :meth:`Selection.empty` without a selector call.
+  other selectors row by row).  Each block answers as one
+  :class:`~repro.selection.base.SelectionColumns` table (CSR task ids
+  plus distance/reward/cost columns), scattered by row into the round's
+  table; everyone else has an empty row there, without a selector call.
+  No per-user ``Selection`` object is built on the round path.
 - *pricing* — mechanisms exposing a ``neighbour_counter`` hook get an
   :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` fed
   from the engine's own move pass, instead of a per-round recount for
   the Eq. 5 neighbour counts.
 - *upload* — one array pass over the walkers' (walker, task) pairs in
-  arrival order: a pair is accepted iff its user had not contributed
-  to the task before and fewer than ``remaining`` earlier first
-  contributions reached the task this round (a grouped prefix count,
-  the same answer as walking the uploads one by one; see
+  arrival order, read from the round table's columns: a pair is
+  accepted iff its user had not contributed to the task before and
+  fewer than ``remaining`` earlier first contributions reached the task
+  this round (a grouped prefix count, the same answer as walking the
+  uploads one by one; see
   :meth:`SimulationEngine._upload`).  Each touched task's state is
   written once.
 - *mobility* — one :meth:`~repro.world.mobility.MobilityPolicy.move`
@@ -59,8 +63,9 @@ act:
   population changes, and the task-to-task distance matrix is computed
   once over *all* world tasks (task locations never change) and read per
   round through a row mapping.
-- *records* — the round's user records, measurements and rejections
-  are columnar (:class:`~repro.simulation.events.UserRoundRecords`,
+- *records* — the round's user records (the round table permuted into
+  ``user_id`` order), measurements and rejections are columnar
+  (:class:`~repro.simulation.events.UserRoundRecords`,
   :class:`~repro.simulation.events.MeasurementRecords`,
   :class:`~repro.simulation.events.RejectionRecords`), materialised per
   record only on access.
@@ -75,8 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 import math
 from functools import partial
-from itertools import chain
-from operator import attrgetter
 from time import perf_counter
 
 import numpy as np
@@ -93,6 +96,7 @@ from repro.resilience.errors import MechanismPriceError
 from repro.selection import (
     SELECTORS,
     Selection,
+    SelectionColumns,
     Selector,
     TaskSelectionProblem,
     TimeBoundedSelector,
@@ -153,7 +157,7 @@ class _RowState:
         )
 
     def records(
-        self, round_no: int, selections: List[Selection], rewards: np.ndarray,
+        self, round_no: int, selections: SelectionColumns, rewards: np.ndarray,
         costs: np.ndarray,
     ) -> UserRoundRecords:
         """The round's user records, in ``user_id`` order."""
@@ -163,7 +167,7 @@ class _RowState:
         return UserRoundRecords(
             round_no,
             self.user_ids[order],
-            [selections[row] for row in order.tolist()],
+            selections.take(order),
             rewards[order],
             costs[order],
         )
@@ -423,7 +427,8 @@ class SimulationEngine:
             problems = self._round_problems(tasks, prices, cached=False)
         users, state, positions = self.world.users, self._rows(), self.world.positions
         built = dict(problems.iter_problems(
-            users, origins=positions, budgets=state.budgets, costs=state.costs,
+            state.user_ids, origins=positions, budgets=state.budgets,
+            costs=state.costs,
         ))
         return [
             (user, built.get(row) or TaskSelectionProblem(
@@ -567,9 +572,9 @@ class SimulationEngine:
                     prices,
                 )
                 empty = Selection.empty()
-                selections = [
+                selections = SelectionColumns.from_selections(
                     assigned.get(user.user_id, empty) for user in users
-                ]
+                )
             else:
                 selections = self._collect_selections(
                     active, prices, participating
@@ -585,10 +590,7 @@ class SimulationEngine:
             rewards = np.zeros(len(selections))
             rewards[walkers] = earned
             costs = np.zeros(len(selections))
-            costs[walkers] = np.fromiter(
-                map(attrgetter("cost"), selections), dtype=float,
-                count=len(selections),
-            )[walkers]
+            costs[walkers] = selections.cost[walkers]
             # Mobility is a single post-upload pass in the same arrival
             # order: nothing in the upload reads another user's
             # position, and the mobility stream is consumed in the same
@@ -714,30 +716,31 @@ class SimulationEngine:
         active: List[SensingTask],
         prices: Dict[int, float],
         participating: np.ndarray,
-    ) -> List[Selection]:
+    ) -> SelectionColumns:
         """Step 2 (WST): every user's Eq. 1 answer for this round.
 
-        One selection per user in world order, pre-filled with the
-        shared :meth:`Selection.empty` for users sitting the round out
-        (``participating`` is the per-row participation mask) or with
-        no candidate.  The rest come block by block: the cancellation
-        token is polled before every block, each ``select_block`` call
-        adds its wall time to ``selector_wall_time`` and one
-        ``selector_seconds`` observation, and ``selector_calls`` counts
-        the block's rows, i.e. the instances solved.  With a real
+        One row per user in world order: the block answers' columns
+        scattered to their users' rows, and empty rows for users sitting
+        the round out (``participating`` is the per-row participation
+        mask) or with no candidate.  The blocks come one by one: the
+        cancellation token is polled before every block, each
+        ``select_block`` call adds its wall time to
+        ``selector_wall_time`` and one ``selector_seconds`` observation,
+        and ``selector_calls`` counts the block's rows, i.e. the
+        instances solved.  With a real
         tracer each call gets one ``select-block`` span (args ``users``,
         ``tasks``).  Selectors without ``select_block`` (duck-typed
         ones) answer row by row through :meth:`Selector.select_block`.
         """
         problems = self._round_problems(active, prices)
-        users, state = self.world.users, self._rows()
-        selections = [Selection.empty()] * len(users)
+        state = self._rows()
+        answers = []
         if participating.all():
-            participants, rows = users, None
+            rows, user_ids = None, state.user_ids
             origins, budgets, costs = self.world.positions, state.budgets, state.costs
         else:
             rows = np.flatnonzero(participating)
-            participants = [users[row] for row in rows.tolist()]
+            user_ids = state.user_ids[rows]
             origins = self.world.positions[rows]
             budgets, costs = state.budgets[rows], state.costs[rows]
         solve = getattr(self.selector, "select_block", None) or partial(
@@ -746,7 +749,7 @@ class SimulationEngine:
         tracer, perf = self.tracer, self._perf
         latency = self._metrics.histogram("selector_seconds")
         for indices, block in problems.iter_blocks(
-            participants, origins=origins, budgets=budgets, costs=costs
+            user_ids, origins=origins, budgets=budgets, costs=costs
         ):
             self.cancel.raise_if_cancelled()
             if tracer.enabled:
@@ -764,10 +767,8 @@ class SimulationEngine:
             perf.selector_wall_time += elapsed
             perf.selector_calls += len(block)
             latency.observe(elapsed)
-            world_rows = indices if rows is None else rows[indices]
-            for row, selection in zip(world_rows.tolist(), solved):
-                selections[row] = selection
-        return selections
+            answers.append((indices if rows is None else rows[indices], solved))
+        return SelectionColumns.scatter(len(state.user_ids), answers)
 
     def _apply_moves(
         self, arrival: np.ndarray, walkers: np.ndarray, ends: np.ndarray
@@ -908,7 +909,7 @@ class SimulationEngine:
         self,
         round_no: int,
         arrival: np.ndarray,
-        selections: List[Selection],
+        selections: SelectionColumns,
         active: Sequence[SensingTask],
         prices: Dict[int, float],
     ) -> Tuple[
@@ -922,9 +923,10 @@ class SimulationEngine:
         ``arrival`` order; each walks its path in visit order, so the
         pairs flattened walker by walker are in upload order.  A pair is
         a duplicate if its user already contributed to the task before
-        the round (``Selection`` forbids repeated task ids, so a pair
-        cannot duplicate another of the same round).  With ``before``
-        the number of earlier non-duplicate pairs of the same task — a
+        the round (:class:`SelectionColumns` forbids repeated task ids
+        within a row, so a pair cannot duplicate another of the same
+        round).  With ``before`` the number of earlier non-duplicate
+        pairs of the same task — a
         running count within each task's group after a stable sort by
         task — a pair is accepted iff it is not a duplicate and
         ``before < remaining``, exactly as a one-by-one walk would
@@ -946,18 +948,13 @@ class SimulationEngine:
                 user and task ids when a selection names a task the
                 round did not publish.
         """
-        # Paths are read in world order (one sequential pass) and the
-        # pairs reordered to arrival order as arrays.
-        paths = list(map(attrgetter("task_ids"), selections))
-        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+        # The world-order paths are reordered to arrival order.
+        lengths = selections.lengths
         walkers = arrival[lengths[arrival] > 0]
-        flat = np.fromiter(
-            chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum())
-        )
         walked = lengths[walkers]
         owner = np.repeat(np.arange(len(walkers)), walked)
         step = np.arange(len(owner)) - np.repeat(np.cumsum(walked) - walked, walked)
-        task_ids = flat[(np.cumsum(lengths) - lengths)[walkers][owner] + step]
+        task_ids = selections.task_ids[selections.offsets[walkers][owner] + step]
         user_ids = self._rows().user_ids[walkers][owner]
         position = _task_positions(task_ids, active)
         unknown = position < 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.dynamics.processes import WorldEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.selection.base import Selection
+from repro.selection.base import SelectionColumns
 from repro.simulation.perf import PerfStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -244,13 +244,13 @@ class UserRoundRecords(Sequence):
 
     A round at city scale has tens of thousands of users, most of whom
     sat out or found nothing worth a trip.  Instead of one frozen
-    :class:`UserRoundRecord` per user, a round holds four aligned
-    columns — user ids, the users' :class:`Selection` objects (shared;
-    the engine's sit-outs all point at :meth:`Selection.empty`), the
-    rewards actually earned and the movement costs incurred — in
-    ``user_id`` order, sit-outs included.
-    Records are materialised only when indexed or iterated; the
-    fingerprint and events-JSONL writers read :meth:`rows`.
+    :class:`UserRoundRecord` per user, a round holds aligned columns in
+    ``user_id`` order, sit-outs included: user ids, the users'
+    selections as one :class:`SelectionColumns` table (CSR task ids in
+    visit order, distances, costs), the rewards actually earned and the
+    movement costs incurred.  Records are materialised only when
+    indexed or iterated; the fingerprint and events-JSONL writers read
+    :meth:`rows`.
 
     Behaves as a read-only sequence of :class:`UserRoundRecord` and
     compares equal to any sequence of equal records.
@@ -262,14 +262,16 @@ class UserRoundRecords(Sequence):
         rewards: ``(n,)`` float64 rewards earned, aligned likewise.
         costs: ``(n,)`` float64 movement costs incurred (each walker's
             selection cost, 0.0 for a sit-out), aligned likewise — what
-            the run ledger folds profits from without touching a
-            :class:`Selection`.
+            the run ledger folds profits from.
     """
 
-    def __init__(self, round_no: int, user_ids, selections, rewards, costs):
+    def __init__(
+        self, round_no: int, user_ids, selections: SelectionColumns, rewards,
+        costs,
+    ):
         self.round_no = round_no
         self.user_ids = np.asarray(user_ids, dtype=np.int64)
-        self.selections = list(selections)
+        self.selections = selections
         self.rewards = np.asarray(rewards, dtype=float)
         self.costs = np.asarray(costs, dtype=float)
 
@@ -278,24 +280,36 @@ class UserRoundRecords(Sequence):
         cls, round_no: int, records: Sequence[UserRoundRecord]
     ) -> "UserRoundRecords":
         """Columns holding ``records`` (a replayed log, a hand-built
-        round).  The rebuilt selections carry the earned reward."""
+        round).  The rebuilt selections carry the earned reward.
+
+        Raises:
+            ValueError: for a record of another round, and as
+                :class:`SelectionColumns` does for its selection.
+        """
         if any(r.round_no != round_no for r in records):
             raise ValueError(f"user records from another round than {round_no}")
-        return cls(
-            round_no,
-            [r.user_id for r in records],
-            [
-                Selection(r.selected_task_ids, r.distance, r.reward, r.cost)
-                for r in records
-            ],
-            [r.reward for r in records],
-            [r.cost for r in records],
+        n = len(records)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            [len(r.selected_task_ids) for r in records], out=offsets[1:]
         )
+        rewards = [r.reward for r in records]
+        costs = [r.cost for r in records]
+        selections = SelectionColumns(
+            offsets,
+            [task_id for r in records for task_id in r.selected_task_ids],
+            [r.distance for r in records], rewards, costs,
+        )
+        return cls(round_no, [r.user_id for r in records], selections, rewards, costs)
 
     def __len__(self) -> int:
-        return len(self.selections)
+        return len(self.user_ids)
 
-    def _record(self, index: int) -> UserRoundRecord:
+    def __getitem__(self, index: int) -> UserRoundRecord:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("user record index out of range")
         selection = self.selections[index]
         return UserRoundRecord(
             round_no=self.round_no,
@@ -306,25 +320,20 @@ class UserRoundRecords(Sequence):
             cost=selection.cost,
         )
 
-    def __getitem__(self, index: int) -> UserRoundRecord:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("user record index out of range")
-        return self._record(index)
-
     def __iter__(self) -> Iterator[UserRoundRecord]:
-        return map(self._record, range(len(self)))
+        return (UserRoundRecord(*row) for row in self.rows())
 
     def rows(self) -> Iterator[UserRow]:
         """One :data:`UserRow` per user, read from the columns without
         building records."""
-        round_no = self.round_no
-        for user_id, selection, reward in zip(
-            self.user_ids.tolist(), self.selections, self.rewards.tolist()
+        round_no, selections = self.round_no, self.selections
+        ids, bounds = selections.task_ids.tolist(), selections.offsets.tolist()
+        for user_id, start, stop, distance, reward, cost in zip(
+            self.user_ids.tolist(), bounds, bounds[1:],
+            selections.distance.tolist(), self.rewards.tolist(),
+            selections.cost.tolist(),
         ):
-            yield (round_no, user_id, selection.task_ids, selection.distance,
-                   reward, selection.cost)
+            yield round_no, user_id, tuple(ids[start:stop]), distance, reward, cost
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, list, UserRoundRecords)):
@@ -422,7 +431,7 @@ class RoundRecord:
 
     @property
     def participating_users(self) -> int:
-        return sum(1 for _, _, task_ids, *_ in self.user_records.rows() if task_ids)
+        return int(np.count_nonzero(self.user_records.selections.lengths))
 
 
 @dataclass

@@ -48,6 +48,7 @@ city-scale round never materialises the full user-by-task matrix.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,7 +58,6 @@ from repro.selection.base import CandidateTask
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.simulation.perf import PerfStats
 from repro.world.task import SensingTask
-from repro.world.user import MobileUser
 
 #: Distances this close to a user's travel budget are re-decided with
 #: ``math.hypot`` (``Point.distance_to``'s arithmetic) so the
@@ -207,34 +207,35 @@ class RoundProblems:
 
     def iter_blocks(
         self,
-        users: Sequence[MobileUser],
+        user_ids: np.ndarray,
         origins: np.ndarray,
         budgets: np.ndarray,
         costs: np.ndarray,
     ) -> Iterator[Tuple[np.ndarray, ProblemBlock]]:
         """Yield ``(indices, block)`` covering each user with a candidate.
 
-        ``indices`` are the block rows' positions in ``users``.  Blocks
-        come chunk by chunk, by ascending candidate count within a chunk;
-        each user is in exactly one block.  Users with no eligible,
-        reachable task are in none — their Eq. 1 answer is the empty
-        selection, which every selector returns for an empty problem
-        (pinned by the solver contract tests), so callers skip them.
+        ``indices`` are the block rows' positions in ``user_ids``.
+        Blocks come chunk by chunk, by ascending candidate count within
+        a chunk; each user is in exactly one block.  Users with no
+        eligible, reachable task are in none — their Eq. 1 answer is the
+        empty selection, which every selector returns for an empty
+        problem (pinned by the solver contract tests), so callers skip
+        them.
 
         Args:
-            users: the users to build problems for (their ids decide
-                contributor exclusion).
-            origins: ``(len(users), 2)`` float64 positions aligned with
-                ``users`` (rows of :attr:`World.positions`).
-            budgets: ``(len(users),)`` float64 travel budgets.
-            costs: ``(len(users),)`` float64 cost rates.
+            user_ids: ``(n,)`` int64 ids of the users to build problems
+                for (they decide contributor exclusion).
+            origins: ``(n, 2)`` float64 positions aligned with
+                ``user_ids`` (rows of :attr:`World.positions`).
+            budgets: ``(n,)`` float64 travel budgets.
+            costs: ``(n,)`` float64 cost rates.
         """
-        for blocks in self._chunk_blocks(users, origins, budgets, costs):
+        for blocks in self._chunk_blocks(user_ids, origins, budgets, costs):
             yield from blocks
 
     def iter_problems(
         self,
-        users: Sequence[MobileUser],
+        user_ids: np.ndarray,
         origins: np.ndarray,
         budgets: np.ndarray,
         costs: np.ndarray,
@@ -242,9 +243,9 @@ class RoundProblems:
         """Yield ``(index, problem)`` for each user with a candidate.
 
         The rows of :meth:`iter_blocks` one by one, with ``index`` the
-        user's position in ``users``; indices ascend.
+        user's position in ``user_ids``; indices ascend.
         """
-        for blocks in self._chunk_blocks(users, origins, budgets, costs):
+        for blocks in self._chunk_blocks(user_ids, origins, budgets, costs):
             problems = [
                 (index, block.problem(j))
                 for indices, block in blocks
@@ -255,7 +256,7 @@ class RoundProblems:
 
     def _chunk_blocks(
         self,
-        users: Sequence[MobileUser],
+        user_ids: np.ndarray,
         origins: np.ndarray,
         budgets: np.ndarray,
         costs: np.ndarray,
@@ -264,7 +265,7 @@ class RoundProblems:
         n_tasks = len(self.tasks)
         if n_tasks == 0:
             return
-        n_users = len(users)
+        n_users = len(user_ids)
         if self.dtype == np.float32:
             origins_w = origins.astype(np.float32)
             budgets_w = budgets.astype(np.float32)
@@ -279,23 +280,7 @@ class RoundProblems:
         else:
             origins_w, budgets_w, tol = origins, budgets, BOUNDARY_TOL
         chunk_size = max(1, self.chunk_elements // n_tasks)
-        contributors = [task.contributors for task in self.tasks]
-        # Contributor exclusion, vectorised: resolve every (contributor,
-        # task) pair to a (user position, column) pair once per round,
-        # then clear those reach bits chunk by chunk — instead of a
-        # set-membership filter per (user, candidate) pair.
-        pair_rows = pair_cols = None
-        if any(contributors):
-            position_of = {u.user_id: i for i, u in enumerate(users)}
-            pairs = [
-                (position, col)
-                for col, contributed in enumerate(contributors)
-                for user_id in contributed
-                if (position := position_of.get(user_id)) is not None
-            ]
-            if pairs:
-                pair_rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
-                pair_cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
+        pair_rows, pair_cols = self._contributions(user_ids)
         locations = self._locations
         tasks = self.tasks
         for start in range(0, n_users, chunk_size):
@@ -326,7 +311,9 @@ class RoundProblems:
             # predicate, one pair at a time (rare at any realistic
             # geometry — the band is micrometers wide in float64 and
             # sub-meter in float32).
-            nrows, ncols = np.nonzero(near)
+            # Flat indices split by divmod: row-major, as np.nonzero
+            # gives them, at a fraction of a 2-D nonzero's cost.
+            nrows, ncols = np.divmod(np.flatnonzero(near), n_tasks)
             if len(nrows):
                 for row, col in zip(nrows.tolist(), ncols.tolist()):
                     ox, oy = origins[start + row].tolist()
@@ -335,13 +322,46 @@ class RoundProblems:
                         math.hypot(ox - task.x, oy - task.y)
                         <= budgets[start + row]
                     )
-            if pair_rows is not None:
+            if len(pair_rows):
                 in_chunk = (pair_rows >= start) & (pair_rows < stop)
                 if in_chunk.any():
                     reach[pair_rows[in_chunk] - start, pair_cols[in_chunk]] = False
-            yield self._gather_blocks(
+            blocks = self._gather_blocks(
                 origins, start, reach, distances, budgets, costs
             )
+            # Drop the chunk's arrays before the caller solves its blocks
+            # and before the next chunk allocates its own, so one chunk's
+            # pipeline is alive at a time.
+            del dx, distances, reach, near
+            yield blocks
+
+    def _contributions(self, user_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every (user position, task column) pair whose user already
+        contributed to the task, for contributor exclusion.
+
+        Each contributor id is looked up in ``user_ids`` by one
+        ``searchsorted`` (through a sorting permutation when the ids are
+        not ascending); ids of users not in ``user_ids`` are dropped.
+        """
+        contributors = [task.contributors for task in self.tasks]
+        ids = np.fromiter(
+            chain.from_iterable(contributors), dtype=np.int64,
+            count=sum(map(len, contributors)),
+        )
+        cols = np.repeat(
+            np.arange(len(contributors)), [len(c) for c in contributors]
+        )
+        if not len(user_ids):
+            return ids[:0], cols[:0]
+        order = (
+            None if (user_ids[1:] > user_ids[:-1]).all()
+            else np.argsort(user_ids, kind="stable")
+        )
+        at = np.searchsorted(user_ids, ids, sorter=order)
+        at[at == len(user_ids)] = 0
+        rows = at if order is None else order[at]
+        found = user_ids[rows] == ids
+        return rows[found], cols[found]
 
     def _gather_blocks(
         self,
@@ -359,9 +379,9 @@ class RoundProblems:
         the task block is sliced from the shared matrix, and candidates
         keep ascending task order.
         """
-        # One nonzero over the whole chunk; rows come out ascending,
+        # One pass over the whole chunk; rows come out ascending,
         # columns ascending within a row.
-        rows, cols = np.nonzero(reach)
+        rows, cols = np.divmod(np.flatnonzero(reach), reach.shape[1])
         counts = np.bincount(rows, minlength=len(reach))
         offsets = np.zeros(len(reach) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])

@@ -5,7 +5,9 @@ instances with array steps, and ``DynamicProgrammingSelector.select_block``
 in one layer-by-layer DP pass; each must return, row for row, the very
 selection solving that row alone returns — same task order and
 bit-identical distance, reward and cost.  Every other selector answers a
-block through the default row-by-row ``select_block``.
+block through the default row-by-row ``select_block``.  Either way the
+answer is one ``SelectionColumns`` table (CSR task ids plus float64
+distance/reward/cost columns), checked once per block.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.selection import (
     DynamicProgrammingSelector,
     GreedySelector,
     ProblemBlock,
+    Selection,
+    SelectionColumns,
     TimeBoundedSelector,
 )
 from repro.selection.reference_dp import ReferenceDPSelector
@@ -309,3 +313,107 @@ class TestDefaultSelectBlock:
         assert [exact(s) for s in got] == [
             exact(s) for s in per_row(GreedySelector(), block)
         ]
+
+
+def selectors(kind):
+    """A fresh selector answering blocks through each kind of path."""
+    return {
+        "greedy": GreedySelector,
+        "dp": DynamicProgrammingSelector,
+        "watchdog": lambda: TimeBoundedSelector(GreedySelector(), timeout=30.0),
+        "two-opt": lambda: SELECTORS.create("greedy-2opt"),
+    }[kind]()
+
+
+class TestColumnarAnswers:
+    """A block's answer is one :class:`SelectionColumns` table whose rows
+    are the per-row ``select`` answers, bit for bit."""
+
+    @given(
+        block=blocks(),
+        kind=st.sampled_from(["greedy", "dp", "watchdog", "two-opt"]),
+    )
+    @settings(deadline=None)
+    def test_row_views_equal_per_row_select(self, block, kind):
+        got = selectors(kind).select_block(block)
+        want = per_row(selectors(kind), block)
+        assert isinstance(got, SelectionColumns)
+        assert len(got) == len(block)
+        assert [exact(s) for s in got] == [exact(s) for s in want]
+        assert [exact(got[j]) for j in range(-len(got), 0)] == [
+            exact(s) for s in want
+        ]
+        # The columns themselves: CSR ids in visit order, float64 sums.
+        assert got.lengths.tolist() == [len(s) for s in want]
+        assert got.task_ids.tolist() == [t for s in want for t in s.task_ids]
+        for column in ("distance", "reward", "cost"):
+            assert getattr(got, column).dtype == np.float64
+            assert [x.hex() for x in getattr(got, column).tolist()] == [
+                getattr(s, column).hex() for s in want
+            ]
+        assert got == want
+
+    def test_empty_block_answers_sit_outs(self):
+        block = make_block(np.zeros((3, 1, 1)), np.zeros((3, 0)), [1.0] * 3,
+                           [0.1] * 3, task_ids=np.zeros((3, 0), dtype=np.int64))
+        for kind in ("greedy", "dp", "watchdog"):
+            got = selectors(kind).select_block(block)
+            assert got.lengths.tolist() == [0, 0, 0]
+            assert list(got) == [Selection.empty()] * 3
+
+
+class TestColumnValidation:
+    """One array check per block: non-negative columns, no repeated id
+    within a row, and errors that name the offending row's values."""
+
+    def test_negative_distance_is_refused(self):
+        with pytest.raises(ValueError, match=r"non-negative, got -1\.5/2\.0/0\.25"):
+            SelectionColumns([0, 1, 2], [3, 4], [1.0, -1.5], [1.0, 2.0], [0.5, 0.25])
+
+    @pytest.mark.parametrize(
+        "columns", [([1.0], [-1.0], [0.0]), ([1.0], [1.0], [-1.0])]
+    )
+    def test_negative_reward_or_cost_is_refused(self, columns):
+        with pytest.raises(ValueError, match="non-negative"):
+            SelectionColumns([0, 1], [7], *columns)
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative, got 1.0/nan/0.0"):
+            SelectionColumns([0, 1], [7], [1.0], [float("nan")], [0.0])
+
+    def test_repeated_id_within_a_row_is_refused(self):
+        with pytest.raises(ValueError, match=r"duplicate task ids in selection: \(9, 4, 9\)"):
+            SelectionColumns([0, 2, 5], [4, 9, 9, 4, 9], [1.0, 2.0],
+                             [1.0, 1.0], [0.0, 0.0])
+
+    def test_repeated_id_with_ids_too_far_apart_for_one_key(self):
+        far = 1 << 62
+        with pytest.raises(ValueError, match="duplicate task ids"):
+            SelectionColumns([0, 1, 4], [0, far, -far, far], [1.0, 1.0],
+                             [1.0, 1.0], [0.0, 0.0])
+        SelectionColumns([0, 2, 4], [far, -far, -far, far], [1.0, 1.0],
+                         [1.0, 1.0], [0.0, 0.0])
+
+    def test_the_same_id_in_two_rows_is_fine(self):
+        got = SelectionColumns([0, 2, 4], [3, 5, 5, 3], [1.0, 2.0], [1.0, 1.0],
+                               [0.5, 0.5])
+        assert [s.task_ids for s in got] == [(3, 5), (5, 3)]
+
+    def test_misaligned_columns_are_refused(self):
+        with pytest.raises(ValueError, match="misaligned"):
+            SelectionColumns([0, 2], [3], [1.0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="misaligned"):
+            SelectionColumns([0, 1], [3], [1.0, 2.0], [1.0], [0.0])
+
+    def test_a_block_answer_is_checked(self):
+        # A negative leg drives the greedy's running distance below 0.
+        distances = np.array([[[0, -2, 9], [-2, 0, 9], [9, 9, 0]]], dtype=float)
+        block = make_block(distances, [[3.0, 0.0]], [5.0], [0.5])
+        with pytest.raises(ValueError, match=r"non-negative, got -2\.0"):
+            GreedySelector().select_block(block)
+
+    def test_columns_from_selections_keep_their_values(self):
+        selections = [Selection((2, 1), 3.0, 4.0, 0.5), Selection.empty()]
+        got = SelectionColumns.from_selections(selections)
+        assert got.offsets.tolist() == [0, 2, 2]
+        assert list(got) == selections

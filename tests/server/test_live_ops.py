@@ -20,8 +20,8 @@ from repro.server.client import ServerClient
 FAST = {"overrides": {"n_users": 25, "n_tasks": 6, "rounds": 4,
                       "budget": 500.0, "seed": 11}}
 
-#: A job long enough to still be running when we scrape (~10s).
-SLOW = {"overrides": {"n_users": 2000, "n_tasks": 50, "rounds": 80,
+#: A job long enough to still be running when we scrape (a few seconds).
+SLOW = {"overrides": {"n_users": 2000, "n_tasks": 200, "rounds": 80,
                       "budget": 1e7, "arrival": "poisson", "seed": 2}}
 
 

@@ -51,6 +51,7 @@ def located(world):
 def user_columns(users, positions):
     """The per-row arrays :class:`RoundProblems` reads for ``users``."""
     return dict(
+        user_ids=np.asarray([u.user_id for u in users], dtype=np.int64),
         origins=positions,
         budgets=np.asarray([u.max_travel_distance for u in users]),
         costs=np.asarray([u.cost_per_meter for u in users]),
@@ -179,7 +180,7 @@ class TestProblemParity:
             engine._round_problems(tasks, prices, cached=False),
         ):
             built = dict(problems.iter_problems(
-                users, **user_columns(users, engine.world.positions)
+                **user_columns(users, engine.world.positions)
             ))
             assert built, "no user had a candidate"
             for index, want in enumerate(expected):

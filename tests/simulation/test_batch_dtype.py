@@ -60,7 +60,7 @@ class TestFloat32SelectionParity:
         assert problems.dtype == np.float32
         users = engine.world.users[:20]
         columns = user_columns(users, engine.world.positions[:20])
-        for _index, problem in problems.iter_problems(users, **columns):
+        for _index, problem in problems.iter_problems(**columns):
             assert problem.distance_matrix.dtype == np.float32
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

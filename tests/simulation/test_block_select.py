@@ -93,7 +93,7 @@ class TestBlocks:
         columns = user_columns(users, engine.world.positions)
         origins = located(engine.world)
         seen = []
-        for indices, block in problems.iter_blocks(users, **columns):
+        for indices, block in problems.iter_blocks(**columns):
             assert block.distances.shape == (len(block), block.size + 1,
                                              block.size + 1)
             for j, index in enumerate(indices.tolist()):
@@ -114,7 +114,7 @@ class TestBlocks:
                 assert block.cost_per_meter[j] == problem.cost_per_meter
                 seen.append(index)
         assert sorted(seen) == [
-            index for index, _ in problems.iter_problems(users, **columns)
+            index for index, _ in problems.iter_problems(**columns)
         ]
         assert len(set(seen)) == len(seen)
 

@@ -5,6 +5,9 @@ import pickle
 
 import pytest
 
+from repro.allocation.greedy_server import GreedyServerCoordinator
+from repro.io.events import read_events_jsonl, write_events_jsonl
+from repro.selection import Selection, SelectionColumns
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, make_engine, simulate
 from repro.simulation.events import (
@@ -239,3 +242,109 @@ class TestUserRoundRecords:
                 round_no=2,
                 user_records=self._as_tuple(record.user_records),
             )
+
+
+class TestColumnarUserRecords:
+    """The engine's user records are columns (a selection table plus
+    earned rewards and costs), and equal the records they stand for."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, result):
+        """The module's run, plus one whose world is not in id order (its
+        records are the round table permuted into id order)."""
+        world = make_engine(result.config).world
+        world.users.reverse()
+        return [result, SimulationEngine(result.config, world=world).run()]
+
+    def test_columns_equal_from_records_of_their_rows(self, runs):
+        for run in runs:
+            for record in run.rounds:
+                records = record.user_records
+                assert isinstance(records.selections, SelectionColumns)
+                rebuilt = UserRoundRecords.from_records(
+                    record.round_no, [UserRoundRecord(*row) for row in records.rows()]
+                )
+                assert rebuilt == records and records == rebuilt
+                assert list(rebuilt.rows()) == list(records.rows())
+                assert [repr(r) for r in rebuilt] == [repr(r) for r in records]
+
+    def test_permuted_rows_keep_each_users_selection(self, result):
+        world = make_engine(result.config).world
+        world.users.reverse()
+        engine = SimulationEngine(result.config, world=world)
+        tables = []
+        collect = engine._collect_selections
+
+        def capture(*args):
+            tables.append(collect(*args))
+            return tables[-1]
+
+        engine._collect_selections = capture
+        while not engine.finished:
+            record = engine.step()
+            by_user = {r.user_id: r for r in record.user_records}
+            assert list(by_user) == sorted(by_user)
+            for user, selection in zip(engine.world.users, tables[-1]):
+                mine = by_user[user.user_id]
+                assert mine.selected_task_ids == selection.task_ids
+                assert mine.distance == selection.distance
+                assert mine.cost == selection.cost
+        assert any(len(s) for table in tables for s in table)
+
+    def test_events_jsonl_round_trip_is_byte_identical(self, runs, tmp_path):
+        for index, run in enumerate(runs):
+            path = write_events_jsonl(run, tmp_path / f"run{index}.jsonl")
+            replay = read_events_jsonl(path)
+            for original, loaded in zip(run.rounds, replay.rounds):
+                assert loaded.user_records == original.user_records
+                assert list(loaded.user_records.rows()) == list(
+                    original.user_records.rows()
+                )
+            again = SimulationResult(
+                config=run.config, world=run.world, rounds=replay.rounds
+            )
+            rewritten = write_events_jsonl(again, tmp_path / f"again{index}.jsonl")
+            assert rewritten.read_bytes() == path.read_bytes()
+
+    def test_participating_users_counts_non_empty_rows(self, result):
+        for record in result.rounds:
+            assert record.participating_users == sum(
+                1 for r in record.user_records if r.selected_task_ids
+            )
+
+    def test_replayed_selection_is_checked(self):
+        with pytest.raises(ValueError, match="duplicate task ids"):
+            UserRoundRecords.from_records(
+                1, [UserRoundRecord(1, 0, (4, 4), 1.0, 0.0, 0.0)]
+            )
+        for distance in (-1.0, None):
+            with pytest.raises(ValueError, match="non-negative"):
+                UserRoundRecords.from_records(
+                    1, [UserRoundRecord(1, 0, (4,), distance, 0.0, 0.0)]
+                )
+
+
+class TestServerAssignedRound:
+    """A SAT round's records are the coordinator's selections, converted
+    to the round table once."""
+
+    def test_records_hold_the_assigned_selections(self):
+        assigned = {}
+
+        class Recording(GreedyServerCoordinator):
+            def assign(self, round_no, *args):
+                assigned[round_no] = super().assign(round_no, *args)
+                return assigned[round_no]
+
+        config = SimulationConfig(n_users=15, n_tasks=6, rounds=4,
+                                  required_measurements=4, budget=200.0,
+                                  area_side=1500.0, seed=3)
+        run = SimulationEngine(config, coordinator=Recording()).run()
+        assert any(assigned.values())
+        for record in run.rounds:
+            plan = assigned[record.round_no]
+            for row in record.user_records:
+                want = plan.get(row.user_id, Selection.empty())
+                assert (row.selected_task_ids, row.distance.hex(), row.cost.hex()) == (
+                    want.task_ids, float(want.distance).hex(), float(want.cost).hex()
+                )

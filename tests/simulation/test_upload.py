@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.region import RectRegion
-from repro.selection import Selection
+from repro.selection import Selection, SelectionColumns
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.events import (
@@ -230,7 +230,8 @@ class TestArrayUploadEquivalence:
             {t.task_id: t for t in oracle_tasks}, prices, round_no,
         )
         got_m, got_r, got_c, got_walkers, got_earned, got_ends = engine._upload(
-            round_no, np.array(arrival), selections, world.tasks, prices
+            round_no, np.array(arrival),
+            SelectionColumns.from_selections(selections), world.tasks, prices,
         )
 
         assert got_walkers.tolist() == walkers

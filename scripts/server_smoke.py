@@ -21,7 +21,12 @@ control paths CI most needs to guard:
    frame;
 7. SIGTERM the server and require a clean exit within a deadline,
    with none of its child processes (workers, the standby worker)
-   left alive after it.
+   left alive after it;
+8. restart after a crash that lost only the job journal's final
+   newline: boot over the same root, submit one more job, and require
+   every earlier job to list with its terminal state — then boot once
+   more and require the same job table, so the journal the restarted
+   server appended to also loads.
 
 Every phase runs under a wall-clock budget — a hang anywhere exits
 non-zero, so the CI job fails instead of idling until the runner
@@ -50,6 +55,12 @@ SLOW_JOB = {
         "n_users": 2000, "n_tasks": 200, "rounds": 80,
         "budget": 1e7, "arrival": "poisson", "seed": 2,
     }
+}
+
+#: The job submitted after the restart (distinct from every earlier
+#: one, so it is not deduplicated onto a finished job).
+RESTART_JOB = {
+    "overrides": {"n_users": 100, "n_tasks": 10, "rounds": 5, "seed": 4}
 }
 
 #: A wrapped incentive policy as a plain JSON job: the ``policy``
@@ -123,8 +134,10 @@ def alive(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def wait_healthy(root, phase):
+def wait_healthy(root, phase, server):
     while True:
+        expect(server.poll() is None,
+               f"server exited {server.returncode} before becoming healthy")
         try:
             client = ServerClient.from_root(root, timeout=30)
             status, _ = client.healthz()
@@ -145,24 +158,74 @@ def main():
     root = Path(workdir) / "root"
     server = start_server(root)
     try:
-        run_smoke(root)
+        states = run_smoke(root, server)
     finally:
-        if server.poll() is None:
-            phase = Phase("shutdown", 30)
-            children = child_pids(server.pid)
-            os.kill(server.pid, signal.SIGTERM)
-            while server.poll() is None:
-                phase.sleep()
-            expect(server.returncode == 0,
-                   f"server exited {server.returncode}, wanted 0")
-            print(f"server exited cleanly ({server.returncode})")
-            orphans = [pid for pid in children if alive(pid)]
-            expect(not orphans,
-                   f"server children {orphans} outlived it (of {children})")
-            print(f"none of its {len(children)} child processes outlived it")
-        else:
-            fail(f"server died early (exit {server.returncode})")
+        shut_down(server)
+    run_restart(root, states)
     print("OK: server smoke test passed")
+
+
+def shut_down(server):
+    """SIGTERM ``server``; require a clean exit and no surviving child."""
+    if server.poll() is not None:
+        fail(f"server died early (exit {server.returncode})")
+    phase = Phase("shutdown", 30)
+    children = child_pids(server.pid)
+    os.kill(server.pid, signal.SIGTERM)
+    while server.poll() is None:
+        phase.sleep()
+    expect(server.returncode == 0,
+           f"server exited {server.returncode}, wanted 0")
+    print(f"server exited cleanly ({server.returncode})")
+    orphans = [pid for pid in children if alive(pid)]
+    expect(not orphans,
+           f"server children {orphans} outlived it (of {children})")
+    print(f"none of its {len(children)} child processes outlived it")
+
+
+def job_states(client):
+    status, doc = client.list_jobs()
+    expect(status == 200, f"job list returned {status}: {doc}")
+    return {view["job_id"]: view["state"] for view in doc["jobs"]}
+
+
+def run_restart(root, states):
+    """Phase 8 (see the module docstring): ``states`` is the job table
+    the first server left, every job in it terminal."""
+    journal = root / "journal.jsonl"
+    raw = journal.read_bytes()
+    expect(raw.endswith(b"\n"), "job journal does not end in a newline")
+    journal.write_bytes(raw[:-1])
+    print(f"dropped the final newline of {journal}")
+
+    server = start_server(root)
+    try:
+        phase = Phase("restart over a torn journal + submit", 120)
+        client = wait_healthy(root, phase, server)
+        status, body, _ = client.submit(RESTART_JOB)
+        expect(status == 201, f"restart submit returned {status}: {body}")
+        new_id = body["job"]["job_id"]
+        expect(new_id not in states, f"restart reused job id {new_id}")
+        while True:
+            now = job_states(client)
+            if all(now.get(job_id) == state for job_id, state in
+                   {**states, new_id: "done"}.items()):
+                break
+            phase.sleep()
+        print(f"after restart: {len(states)} earlier jobs terminal as "
+              f"before, {new_id} done")
+    finally:
+        shut_down(server)
+
+    server = start_server(root)
+    try:
+        phase = Phase("second restart: the appended journal loads", 60)
+        now = job_states(wait_healthy(root, phase, server))
+        expect(now == {**states, new_id: "done"},
+               f"job table after the second restart: {now}")
+        print(f"second restart lists the same {len(now)} jobs")
+    finally:
+        shut_down(server)
 
 
 def scrape(client):
@@ -171,9 +234,9 @@ def scrape(client):
     return text
 
 
-def run_smoke(root):
+def run_smoke(root, server):
     phase = Phase("boot", 30)
-    client = wait_healthy(root, phase)
+    client = wait_healthy(root, phase, server)
     status, doc = client.readyz()
     expect(status == 200, f"readyz {status}: {doc}")
 
@@ -335,6 +398,9 @@ def run_smoke(root):
     print("final job table:")
     for view in doc["jobs"]:
         print(f"  {json.dumps(view, sort_keys=True)}")
+    expect(all(view["terminal"] for view in doc["jobs"]),
+           "a job is still live at the end of the smoke run")
+    return {view["job_id"]: view["state"] for view in doc["jobs"]}
 
 
 def _cli_env():

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.dynamics.processes import WorldEvent
+from repro.io.atomic import read_lines
 from repro.simulation.events import (
     MeasurementRecords,
     RejectionRecords,
@@ -159,30 +160,35 @@ class SimulationReplay(RunAggregates):
         return self.task_deadlines
 
 
-def _payloads(path: Union[str, Path]) -> List[Tuple[int, Dict]]:
-    """The JSON objects of an events file's non-blank lines, each with
-    its 1-based line number; a line that does not parse raises
-    :class:`ResultCorruption` naming the path, the line and whether it
-    is a torn last line or damage mid-file."""
-    numbered = [
-        (number, line)
-        for number, line in enumerate(Path(path).read_text().splitlines(), 1)
-        if line.strip()
-    ]
-    payloads = []
-    for index, (number, line) in enumerate(numbered):
-        try:
-            payloads.append((number, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            damage = (
-                "torn last line (the writer stopped mid-line)"
-                if index == len(numbered) - 1
-                else "damaged mid-file"
-            )
+def check_event_lines(path: Union[str, Path], payloads: List[Tuple[int, Dict]]) -> int:
+    """Check the shape of an events log's lines (each with its 1-based
+    line number): a version-:data:`FORMAT_VERSION` meta line first, then
+    round lines numbered 1..n.  Returns n.
+
+    Raises:
+        ResultCorruption: naming the path and the offending line.
+    """
+    if not payloads:
+        raise ResultCorruption(f"{path}: empty event log")
+    _, meta = payloads[0]
+    if meta.get("kind") != "meta" or meta.get("format_version") != FORMAT_VERSION:
+        raise ResultCorruption(
+            f"{path}: not a version-{FORMAT_VERSION} event log (got "
+            f"{meta.get('kind')!r}, format_version "
+            f"{meta.get('format_version')!r})"
+        )
+    for expected, (number, payload) in enumerate(payloads[1:], 1):
+        if payload.get("kind") != "round":
             raise ResultCorruption(
-                f"{path}: line {number} is not valid JSON, {damage}: {exc}"
-            ) from exc
-    return payloads
+                f"{path}: unexpected line kind {payload.get('kind')!r} at "
+                f"line {number}"
+            )
+        if payload.get("round_no") != expected:
+            raise ResultCorruption(
+                f"{path}: round sequence broken at line {number} (expected "
+                f"round {expected}, got {payload.get('round_no')!r})"
+            )
+    return len(payloads) - 1
 
 
 def _field(payload: Dict, name: str, where: str, build: Callable = lambda v: v):
@@ -256,27 +262,37 @@ def _round_record(payload: Dict, where: str) -> RoundRecord:
 
 def read_events_jsonl(path: Union[str, Path]) -> SimulationReplay:
     """Load a history written by :func:`write_events_jsonl` (blank
-    lines are skipped).
+    lines are skipped; a last line without its newline still counts).
 
     Raises:
-        ResultCorruption: for a line that is not valid JSON, or a round
-            line with a missing or malformed field (named with the path
-            and the 1-based line).
-        ValueError: for a missing meta line or foreign format version.
+        ResultCorruption: for a line that is not valid JSON (named with
+            the path, the 1-based line and whether it is a torn last
+            line or damage mid-file), a log that fails
+            :func:`check_event_lines`, or a round line with a missing or
+            malformed field.
     """
-    payloads = _payloads(path)
-    if not payloads:
-        raise ValueError(f"{path}: empty event log")
+    lines, tail = read_lines(path)
+    payloads = []
+    for number, line in enumerate([*lines, tail], 1):
+        if not line.strip():
+            continue
+        try:
+            payloads.append((number, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            damage = (
+                "torn last line (the writer stopped mid-line)"
+                if number > len(lines)
+                else "damaged mid-file"
+            )
+            raise ResultCorruption(
+                f"{path}: line {number} is not valid JSON, {damage}: {exc}"
+            ) from exc
+    check_event_lines(path, payloads)
     _, meta = payloads[0]
-    if meta.get("kind") != "meta" or meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: not a version-{FORMAT_VERSION} event log (got {meta.get('kind')!r})"
-        )
-    rounds: List[RoundRecord] = []
-    for number, payload in payloads[1:]:
-        if payload.get("kind") != "round":
-            raise ValueError(f"{path}: unexpected line kind {payload.get('kind')!r}")
-        rounds.append(_round_record(payload, f"{path}: line {number}"))
+    rounds = [
+        _round_record(payload, f"{path}: line {number}")
+        for number, payload in payloads[1:]
+    ]
     task_deadlines = {int(k): v for k, v in meta["task_deadlines"].items()}
     task_required = {int(k): v for k, v in meta["task_required"].items()}
     # Open-world logs publish tasks mid-run (and may renew deadlines);

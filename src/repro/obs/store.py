@@ -12,10 +12,10 @@ eyeball.  The store gives that telemetry a durable, queryable home:
   metrics registry snapshot, trace summary);
 - ingestion is **append-only** and serialized by an exclusive file lock
   (``flock`` where available), so concurrent benchmark processes and CI
-  jobs can ingest into one store without corrupting the index — the same
-  discipline as :class:`~repro.resilience.journal.RunJournal`, whose
-  crash-tolerance rules apply here too (a partial trailing index line is
-  skipped on read; the payload it pointed at was never indexed);
+  jobs can ingest into one store without corrupting the index; the
+  index follows the crash rule of :mod:`repro.io.atomic` (a line counts
+  once its newline is on disk): readers skip a torn tail, whose payload
+  was never indexed, and the next ingest removes it before appending;
 - every run gets a **stable run id** ``<kind>-<seq>`` assigned under the
   lock, so ids are monotonic in ingestion order and a metric's history
   is simply its value read across the index in order;
@@ -315,8 +315,18 @@ class RunStore:
         label_map = {str(k): str(v) for k, v in (labels or {}).items()}
         if dedupe_key is not None:
             label_map[DEDUPE_LABEL] = dedupe_key
+        from repro.io.atomic import append_line, reopen_jsonl  # leaf rule
+
         with self._locked():
-            entries = self._read_index()
+            # Reopen as the writer: a torn tail left by a crashed ingest
+            # is removed, so this run's line does not land on it.
+            entries = (
+                self._versioned(
+                    reopen_jsonl(self.index_path, "index", StoreError)
+                )
+                if self.index_path.exists()
+                else []
+            )
             if dedupe_key is not None:
                 for entry in entries:
                     if (
@@ -339,14 +349,15 @@ class RunStore:
             # points at a complete payload (a crash in between leaves an
             # unindexed payload dir that the next ingest overwrites).
             self._write_payload(record)
-            self._append_index_line({
-                "format_version": FORMAT_VERSION,
-                "run_id": run_id,
-                "kind": kind,
-                "created_at": record.created_at,
-                "labels": label_map,
-                "values": cleaned,
-            })
+            with self.index_path.open("a") as handle:
+                append_line(handle, json.dumps({
+                    "format_version": FORMAT_VERSION,
+                    "run_id": run_id,
+                    "kind": kind,
+                    "created_at": record.created_at,
+                    "labels": label_map,
+                    "values": cleaned,
+                }, sort_keys=True))
         return record, True
 
     def _payload_path(self, run_id: str) -> Path:
@@ -360,48 +371,38 @@ class RunStore:
             json.dumps(record.as_dict(), indent=2, sort_keys=True) + "\n",
         )
 
-    def _append_index_line(self, entry: Dict[str, Any]) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self.index_path.open("a") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-
     # -- queries ---------------------------------------------------------
 
-    def _read_index(self) -> List[Dict[str, Any]]:
-        if not self.index_path.exists():
-            return []
-        entries: List[Dict[str, Any]] = []
-        lines = self.index_path.read_text().splitlines()
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines):
-                    # Crash mid-append: the run was never indexed; skip.
-                    continue
-                raise StoreError(
-                    f"{self.index_path}: corrupt index line {number}; the "
-                    f"store is damaged mid-stream"
-                ) from None
+    def _versioned(self, parsed: List[Tuple[int, Any]]) -> List[Dict[str, Any]]:
+        """Numbered index lines as entries; a foreign ``format_version``
+        raises :class:`StoreError` naming the line."""
+        for number, entry in parsed:
             if entry.get("format_version") != FORMAT_VERSION:
                 raise StoreError(
                     f"{self.index_path}: index line {number} has "
                     f"format_version {entry.get('format_version')!r}, "
                     f"expected {FORMAT_VERSION}"
                 )
-            entries.append(entry)
-        return entries
+        return [entry for _, entry in parsed]
+
+    def _index(self) -> List[Dict[str, Any]]:
+        """The indexed runs; a torn tail is an ingest still in flight
+        (or one that crashed) and is skipped."""
+        from repro.io.atomic import parse_jsonl, read_lines  # leaf rule
+
+        if not self.index_path.exists():
+            return []
+        lines, _tail = read_lines(self.index_path)
+        return self._versioned(
+            parse_jsonl(self.index_path, lines, "index", StoreError)
+        )
 
     def entries(
         self, kind: Optional[str] = None, **labels: str
     ) -> List[Dict[str, Any]]:
         """Index entries in ingestion order, filtered by kind and labels."""
         selected = []
-        for entry in self._read_index():
+        for entry in self._index():
             if kind is not None and entry["kind"] != kind:
                 continue
             if any(entry["labels"].get(k) != str(v) for k, v in labels.items()):
@@ -410,12 +411,12 @@ class RunStore:
         return selected
 
     def __len__(self) -> int:
-        return len(self._read_index())
+        return len(self._index())
 
     def kinds(self) -> List[str]:
         """Distinct run kinds, in first-ingestion order."""
         seen: Dict[str, None] = {}
-        for entry in self._read_index():
+        for entry in self._index():
             seen.setdefault(entry["kind"], None)
         return list(seen)
 

@@ -307,23 +307,13 @@ def load_trace(path: Union[str, Path]) -> Dict[str, Any]:
             "counters": counters,
             "metadata": other,
         }
-    # JSONL: one meta line, then span lines.
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty trace file")
-    meta = json.loads(lines[0])
-    if meta.get("kind") != "meta" or meta.get("format") != "repro-trace":
-        raise ValueError(f"{path}: not a repro trace file")
-    spans = []
-    for line in lines[1:]:
-        entry = json.loads(line)
-        if entry.get("kind") != "span":
-            raise ValueError(f"{path}: unexpected trace line kind "
-                             f"{entry.get('kind')!r}")
-        spans.append((entry["name"], float(entry["duration"])))
+    shard = read_trace_shard(path)
+    spans = [
+        (entry["name"], float(entry["duration"])) for entry in shard["spans"]
+    ]
     metadata = {
         k: v
-        for k, v in meta.items()
+        for k, v in shard["meta"].items()
         if k not in ("kind", "format", "epoch_unix")
     }
     return {"spans": spans, "counters": {}, "metadata": metadata}
@@ -428,10 +418,11 @@ def read_trace_shard(path: Union[str, Path]) -> Dict[str, Any]:
     Raises:
         ValueError: for a file that is not a repro JSONL trace.
     """
+    from repro.io.atomic import read_lines  # leaf-package rule
+
     path = Path(path)
-    lines = [
-        line for line in path.read_text().splitlines() if line.strip()
-    ]
+    complete, tail = read_lines(path)
+    lines = [line for line in (*complete, tail) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty trace shard")
     meta = json.loads(lines[0])

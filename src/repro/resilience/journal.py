@@ -8,12 +8,11 @@ repetition:
 ``{"kind": "meta", "format_version": 1, "fingerprint": "..."}``
 ``{"kind": "rep", "rep": 0, "payload": {...}}``
 
-Appends are atomic at the line level (single ``write`` + ``flush`` +
-``fsync``), so a crash can lose at most the repetition in flight — never
-a recorded one, and never the file's integrity.  A partial trailing line
-(the signature of a crash mid-append) is detected on open and truncated
-away; corruption anywhere else raises
-:class:`~repro.resilience.errors.ResultCorruption`.
+The file follows the crash rule of :mod:`repro.io.atomic`: a line
+counts once its newline is on disk, so a crash can lose at most the
+repetition in flight — never a recorded one, and never the file's
+integrity.  A torn tail is removed on open; a damaged complete line
+raises :class:`~repro.resilience.errors.ResultCorruption`.
 
 Because repetition seeds are pure functions of ``(base_seed, rep)``
 (:func:`repro.simulation.rng.child_seed`), replaying only the missing
@@ -30,10 +29,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.io.atomic import append_line, reopen_jsonl
 from repro.obs.log import get_logger
 from repro.resilience.errors import ConfigError, ResultCorruption
 
@@ -69,7 +68,7 @@ class RunJournal:
 
     Raises:
         ResultCorruption: if an existing journal is damaged beyond the
-            recoverable partial-tail case.
+            recoverable torn-tail case.
     """
 
     def __init__(self, path: Union[str, Path], fingerprint: str):
@@ -77,55 +76,29 @@ class RunJournal:
         self.fingerprint = fingerprint
         self._completed: Dict[int, Dict[str, Any]] = {}
         if self.path.exists():
-            self._load()
+            self._resume()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append_line(
-                {
-                    "kind": "meta",
-                    "format_version": FORMAT_VERSION,
-                    "fingerprint": fingerprint,
-                }
-            )
+            with self.path.open("a") as handle:
+                append_line(handle, json.dumps(
+                    {
+                        "kind": "meta",
+                        "format_version": FORMAT_VERSION,
+                        "fingerprint": fingerprint,
+                    },
+                    sort_keys=True,
+                ))
 
     # -- resume ----------------------------------------------------------
 
-    def _load(self) -> None:
-        raw = self.path.read_bytes().decode("utf-8", errors="replace")
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise ResultCorruption(
-                f"{self.path}: journal is empty; delete it and re-run"
-            )
-        parsed = []
-        for index, line in enumerate(lines):
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    # A crash mid-append leaves exactly one partial tail
-                    # line; drop it — the repetition it described never
-                    # completed and will simply be replayed.
-                    log.warning(
-                        "journal has a partial trailing line "
-                        "(crash mid-append); truncating it",
-                        extra={
-                            "journal": str(self.path),
-                            "kept_lines": index,
-                        },
-                    )
-                    self._truncate_to(lines[:index])
-                    break
-                raise ResultCorruption(
-                    f"{self.path}: corrupt journal line {index + 1}; the file "
-                    f"is damaged mid-stream — delete it and re-run the "
-                    f"campaign from scratch"
-                ) from exc
+    def _resume(self) -> None:
+        parsed = [
+            entry
+            for _, entry in reopen_jsonl(self.path, "journal", ResultCorruption)
+        ]
         if not parsed:
             raise ResultCorruption(
-                f"{self.path}: no readable journal lines; delete it and re-run"
+                f"{self.path}: journal is empty; delete it and re-run"
             )
         meta = parsed[0]
         if meta.get("kind") != "meta" or meta.get("format_version") != FORMAT_VERSION:
@@ -155,27 +128,17 @@ class RunJournal:
             },
         )
 
-    def _truncate_to(self, keep_lines) -> None:
-        """Rewrite the journal without a damaged tail (atomic replace)."""
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        text = "".join(line + "\n" for line in keep_lines)
-        tmp.write_text(text)
-        os.replace(tmp, self.path)
-
     # -- checkpointing ---------------------------------------------------
-
-    def _append_line(self, entry: Dict[str, Any]) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self.path.open("a") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
 
     def record(self, rep: int, payload: Dict[str, Any]) -> None:
         """Checkpoint one completed repetition (atomic append + fsync)."""
         if rep < 0:
             raise ValueError(f"rep must be non-negative, got {rep}")
-        self._append_line({"kind": "rep", "rep": rep, "payload": payload})
+        with self.path.open("a") as handle:
+            append_line(handle, json.dumps(
+                {"kind": "rep", "rep": rep, "payload": payload},
+                sort_keys=True,
+            ))
         self._completed[rep] = payload
 
     def get(self, rep: int) -> Optional[Dict[str, Any]]:

@@ -18,23 +18,22 @@ when a worker process dies the supervisor re-queues the job (bounded by
 the poison cap) rather than losing it.
 
 Every submission and every transition is appended to a
-:class:`JobJournal` — the same crash-safe JSONL discipline as
-:class:`repro.resilience.journal.RunJournal` (single atomic append +
-fsync per line, partial trailing line truncated on load) — so a
-SIGKILLed server rebuilds its exact job table on restart and resumes
-in-flight work.
+:class:`JobJournal`, a JSONL log under the crash rule of
+:mod:`repro.io.atomic` (a line counts once its newline is on disk; a
+torn tail is removed on load), so a SIGKILLed server rebuilds its exact
+job table on restart and resumes in-flight work.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.io.atomic import append_line, reopen_jsonl
 from repro.obs.log import get_logger
 from repro.resilience.errors import ReproError, ResultCorruption
 
@@ -201,21 +200,16 @@ class JobJournal:
         self.jobs: Dict[str, Job] = {}
         self._submissions = 0
         if self.path.exists():
-            self._load()
+            self._resume()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append(
-                {"kind": "meta", "format_version": FORMAT_VERSION}
-            )
+            with self.path.open("a") as handle:
+                append_line(handle, json.dumps(
+                    {"kind": "meta", "format_version": FORMAT_VERSION},
+                    sort_keys=True,
+                ))
 
     # -- writing ---------------------------------------------------------
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self.path.open("a") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
 
     def next_job_id(self) -> str:
         """The id the next :meth:`record_submitted` job should carry."""
@@ -223,53 +217,40 @@ class JobJournal:
 
     def record_submitted(self, job: Job) -> None:
         """Journal a brand-new job (its full record)."""
-        self._append({"kind": "submitted", "job": job.as_dict()})
+        with self.path.open("a") as handle:
+            append_line(handle, json.dumps(
+                {"kind": "submitted", "job": job.as_dict()}, sort_keys=True
+            ))
         self.jobs[job.job_id] = job
         self._submissions += 1
 
     def record_state(self, job: Job) -> None:
         """Journal a transition (the job has already moved)."""
-        self._append(
-            {
-                "kind": "state",
-                "job_id": job.job_id,
-                "state": job.state.value,
-                "attempts": job.attempts,
-                "error": job.error,
-                "result": job.result,
-                "started_at": job.started_at,
-                "finished_at": job.finished_at,
-            }
-        )
+        with self.path.open("a") as handle:
+            append_line(handle, json.dumps(
+                {
+                    "kind": "state",
+                    "job_id": job.job_id,
+                    "state": job.state.value,
+                    "attempts": job.attempts,
+                    "error": job.error,
+                    "result": job.result,
+                    "started_at": job.started_at,
+                    "finished_at": job.finished_at,
+                },
+                sort_keys=True,
+            ))
         self.jobs[job.job_id] = job
 
     # -- loading ---------------------------------------------------------
 
-    def _load(self) -> None:
-        raw = self.path.read_bytes().decode("utf-8", errors="replace")
-        lines = raw.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        parsed: List[Dict[str, Any]] = []
-        for index, line in enumerate(lines):
-            try:
-                parsed.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    # Crash mid-append: the event it described never
-                    # took effect; truncate and move on (same contract
-                    # as RunJournal).
-                    log.warning(
-                        "job journal has a partial trailing line; truncating",
-                        extra={"journal": str(self.path), "kept_lines": index},
-                    )
-                    self._truncate_to(lines[:index])
-                    break
-                raise ResultCorruption(
-                    f"{self.path}: corrupt job-journal line {index + 1}; "
-                    f"the file is damaged mid-stream — move it aside and "
-                    f"restart the server with a fresh journal"
-                ) from exc
+    def _resume(self) -> None:
+        parsed = [
+            entry
+            for _, entry in reopen_jsonl(
+                self.path, "job-journal", ResultCorruption
+            )
+        ]
         if not parsed:
             raise ResultCorruption(
                 f"{self.path}: job journal has no readable lines; delete it "
@@ -308,11 +289,6 @@ class JobJournal:
             "job journal loaded",
             extra={"journal": str(self.path), "jobs": len(self.jobs)},
         )
-
-    def _truncate_to(self, keep_lines: List[str]) -> None:
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text("".join(line + "\n" for line in keep_lines))
-        os.replace(tmp, self.path)
 
     # -- queries ---------------------------------------------------------
 

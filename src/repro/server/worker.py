@@ -24,16 +24,16 @@ The job directory is the whole contract:
 - ``job.json`` (in) — the job id, the validated submission payload, and
   the obs-store path;
 - ``events.jsonl`` (out) — the streamed round history, events-JSONL
-  format, appended round by round with the journal's atomic-append +
-  fsync discipline;
+  format, one durable line per round under the crash rule of
+  :mod:`repro.io.atomic`;
 - ``cancel`` (in, optional) — the supervisor's kill switch, polled by
   the engine through a :class:`~repro.resilience.cancel.FileToken`;
 - ``result.json`` (out, on success) — the metrics summary, written
   atomically.
 
 **Crash recovery is append-only replay.**  On start the worker loads
-any existing ``events.jsonl``, truncates a partial trailing line (the
-signature of a SIGKILL mid-append), and counts the completed rounds.
+any existing ``events.jsonl``, removes a torn tail (the bytes after the
+last newline: a SIGKILL mid-append), and counts the completed rounds.
 The engine then re-runs the *same* seeded simulation — bit-identical by
 construction — while the :class:`ResumingRoundWriter` suppresses rounds
 already on disk and appends only the new ones.  The result: a killed
@@ -75,8 +75,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro.io.atomic import atomic_write_text
-from repro.io.events import _meta_payload, _round_payload
+from repro.io.atomic import append_line, atomic_write_text, reopen_jsonl
+from repro.io.events import _meta_payload, _round_payload, check_event_lines
 from repro.metrics import MetricsSummary
 from repro.obs.live import ProgressWriter
 from repro.obs.log import configure_logging_from_env, get_logger
@@ -138,14 +138,16 @@ class ResumingRoundWriter:
 
     Differences from :class:`repro.io.events.RoundStreamWriter`:
 
-    - appends with per-line flush + fsync, so a completed round is
-      durable the moment the observer returns;
-    - on an existing file it truncates a partial trailing line, counts
-      the completed rounds, and *skips* re-writing them when the
-      deterministic engine replays — append-only resume;
-    - a mid-stream corrupt line raises
-      :class:`~repro.resilience.errors.ResultCorruption` (the file is
-      damaged, not merely crashed).
+    - every line is a durable :func:`~repro.io.atomic.append_line`, so a
+      completed round is on disk the moment the observer returns;
+    - on an existing file it removes a torn tail
+      (:func:`~repro.io.atomic.reopen_jsonl`), checks the lines with
+      :func:`~repro.io.events.check_event_lines`, counts the completed
+      rounds, and *skips* re-writing them when the deterministic engine
+      replays — append-only resume;
+    - a damaged complete line, a foreign meta line or a broken round
+      sequence raises :class:`~repro.resilience.errors.ResultCorruption`
+      (the file is damaged, not merely crashed).
 
     Args:
         path: the events file.
@@ -155,72 +157,23 @@ class ResumingRoundWriter:
     def __init__(self, path: Union[str, Path], world) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.completed_rounds = self._recover()
-        if self.completed_rounds == 0 and not self.path.exists():
-            with self.path.open("w") as handle:
-                handle.write(json.dumps(_meta_payload(world, 0)) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+        payloads = (
+            reopen_jsonl(self.path, "events", ResultCorruption)
+            if self.path.exists()
+            else []
+        )
+        self.completed_rounds = (
+            check_event_lines(self.path, payloads) if payloads else 0
+        )
         self.rounds_written = 0
         self._handle = self.path.open("a")
-
-    def _recover(self) -> int:
-        """Truncate a partial tail; return the completed round count."""
-        if not self.path.exists():
-            return 0
-        raw = self.path.read_bytes().decode("utf-8", errors="replace")
-        lines = raw.split("\n")
-        trailing = lines.pop() if lines else ""
-        if trailing:
-            # No final newline: the last append was cut mid-line.
-            log.warning(
-                "events file has a partial trailing line; truncating",
-                extra={"events": str(self.path)},
-            )
-            self._rewrite(lines)
-        completed = 0
-        for index, line in enumerate(lines):
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ResultCorruption(
-                    f"{self.path}: corrupt events line {index + 1}; the "
-                    f"file is damaged mid-stream — delete it and resubmit "
-                    f"the job"
-                ) from exc
-            if index == 0:
-                if payload.get("kind") != "meta":
-                    raise ResultCorruption(
-                        f"{self.path}: first line is not an events meta line"
-                    )
-                continue
-            if payload.get("kind") != "round":
-                raise ResultCorruption(
-                    f"{self.path}: unexpected line kind "
-                    f"{payload.get('kind')!r} at line {index + 1}"
-                )
-            expected = completed + 1
-            if payload.get("round_no") != expected:
-                raise ResultCorruption(
-                    f"{self.path}: round sequence broken at line "
-                    f"{index + 1} (expected round {expected}, got "
-                    f"{payload.get('round_no')!r})"
-                )
-            completed += 1
-        return completed
-
-    def _rewrite(self, keep_lines: List[str]) -> None:
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text("".join(line + "\n" for line in keep_lines))
-        os.replace(tmp, self.path)
+        if not payloads:
+            append_line(self._handle, json.dumps(_meta_payload(world, 0)))
 
     def __call__(self, record) -> None:
         if record.round_no <= self.completed_rounds:
             return  # replayed round, already durable — append-only resume
-        line = json.dumps(_round_payload(record)) + "\n"
-        self._handle.write(line)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        append_line(self._handle, json.dumps(_round_payload(record)))
         self.rounds_written += 1
 
     def close(self) -> None:

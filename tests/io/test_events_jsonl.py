@@ -137,6 +137,58 @@ class TestValidation:
         assert replay.rounds_played == result.rounds_played
 
 
+@pytest.fixture(scope="module")
+def four_rounds():
+    """A 4-round run at the paper's default parameters."""
+    result = simulate(SimulationConfig(rounds=4, seed=2))
+    assert result.rounds_played == 4
+    return result
+
+
+class TestRoundNumbering:
+    """Round lines must be numbered 1..n: a replay of a log with a
+    repeated or missing round would report rounds and spend the run
+    never had."""
+
+    @staticmethod
+    def _rewrite(result, tmp_path, edit):
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    def test_repeated_round_is_refused(self, four_rounds, tmp_path):
+        path = self._rewrite(
+            four_rounds, tmp_path, lambda lines: [*lines[:3], lines[2], *lines[3:]]
+        )
+        with pytest.raises(
+            ResultCorruption,
+            match=r"round sequence broken at line 4 \(expected round 3, got 2\)",
+        ):
+            read_events_jsonl(path)
+
+    def test_missing_round_is_refused(self, four_rounds, tmp_path):
+        path = self._rewrite(
+            four_rounds, tmp_path, lambda lines: [*lines[:3], *lines[4:]]
+        )
+        with pytest.raises(
+            ResultCorruption, match=r"line 4 \(expected round 3, got 4\)"
+        ):
+            read_events_jsonl(path)
+
+    def test_meta_must_come_first(self, four_rounds, tmp_path):
+        path = self._rewrite(
+            four_rounds, tmp_path, lambda lines: [lines[1], lines[0], *lines[2:]]
+        )
+        with pytest.raises(ResultCorruption, match="not a version-1 event log"):
+            read_events_jsonl(path)
+
+    def test_intact_log_replays_the_live_totals(self, four_rounds, tmp_path):
+        replay = read_events_jsonl(self._rewrite(four_rounds, tmp_path, list))
+        assert replay.rounds_played == 4
+        assert replay.total_paid == four_rounds.total_paid
+
+
 class TestTornFiles:
     """A damaged events file names itself, the line and the damage."""
 
@@ -159,6 +211,11 @@ class TestTornFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ResultCorruption, match="line 2 .*damaged mid-file"):
             read_events_jsonl(path)
+
+    def test_last_line_without_its_newline_still_reads(self, result, tmp_path):
+        path = write_events_jsonl(result, tmp_path / "run.jsonl")
+        path.write_text(path.read_text()[:-1])
+        assert read_events_jsonl(path).rounds_played == result.rounds_played
 
     def test_corruption_is_a_value_error(self, tmp_path):
         path = tmp_path / "torn.jsonl"

@@ -128,9 +128,15 @@ class TestDurability:
         with store.index_path.open("a") as handle:
             handle.write('{"format_version": 1, "run_id": "bench-0000')
         assert len(store) == 1
-        # The next ingest appends cleanly after the torn line.
+        # The next ingest removes the torn line and appends cleanly.
         record, _ = store.ingest("bench", {"x": 2.0})
         assert record.run_id == "bench-000002"
+        assert [e["run_id"] for e in store.entries()] == [
+            "bench-000001", "bench-000002"
+        ]
+        record, _ = store.ingest("bench", {"x": 3.0})
+        assert record.run_id == "bench-000003"
+        assert [e["values"]["x"] for e in store.entries()] == [1.0, 2.0, 3.0]
 
     def test_mid_stream_corruption_is_loud(self, tmp_path):
         store = RunStore(tmp_path / "store")

@@ -118,8 +118,8 @@ def cases() -> List[Dict]:
                 "overrides": {"mechanism": "incentme", "seed": 0,
                               "stream_rounds": False},
                 "snapshot": "user-profits"})
-    # The one engine-run mechanism that prices from the round view's
-    # user positions (it has no incremental neighbour counter).
+    # Proportional's Eq. 5 counts under churn, where every population
+    # change rebuilds the engine's neighbour counter.
     out.append({"scenario": "poisson-churn",
                 "overrides": dict(WANDERING_CHURN, seed=0,
                                   mechanism="proportional")})

@@ -7,8 +7,10 @@ unfinished, so a large fraction of B is never spent (our runs leave
 ~50 % of the budget on the table; see `quickstart.py`).
 
 :class:`AdaptiveBudgetMechanism` recycles that slack.  Before each round
-it recomputes the schedule from the *remaining* budget and the *remaining*
-required measurements:
+it recomputes the schedule from the *remaining* budget — B less the
+platform's payouts so far, read from the round view's ``total_paid`` —
+and the *remaining* required measurements of every active world task,
+released or not:
 
 .. math::  r_0^k = B_{remaining} / \\sum_i (\\varphi_i - \\pi_i)
            - \\lambda (N - 1)
@@ -18,7 +20,10 @@ cannot be taken back, and prices that shrink over time would reintroduce
 the steered mechanism's disengagement problem).  The worst-case payout
 guarantee is preserved round by round: even if every remaining
 measurement were bought at the new top level, the remaining budget
-covers it.
+covers it.  The guarantee covers every task the world holds, including
+those a burst or staggered release publishes later; tasks an open
+world's timeline streams in mid-run are not in the sum when the price
+is set, so Eq. 8 is not guaranteed there.
 
 This directly addresses the paper's own motivation — "if the rewards are
 set too small, there may not be enough participants" — by spending the
@@ -44,10 +49,8 @@ class AdaptiveBudgetMechanism(OnDemandMechanism):
     """On-demand pricing with per-round budget recycling.
 
     Same constructor knobs as :class:`OnDemandMechanism`; the schedule
-    is re-derived every round from remaining budget and remaining work.
-    The engine reports payouts implicitly through task state, so the
-    mechanism tracks its own committed spend from the prices it quoted
-    and the measurements that actually landed (read off task progress).
+    is re-derived every round from remaining budget (B less the view's
+    ``total_paid``) and remaining work (read off the world's tasks).
     """
 
     name = "adaptive"
@@ -68,26 +71,23 @@ class AdaptiveBudgetMechanism(OnDemandMechanism):
             comparison_matrix=comparison_matrix,
         )
         self._static_base: float = 0.0
-        self._spent_estimate: float = 0.0
-        self._last_received: Dict[int, int] = {}
-        self._last_prices: Dict[int, float] = {}
         self._world: Optional[World] = None
 
     def initialize(self, world: World, rng: np.random.Generator) -> None:
         super().initialize(world, rng)
         self._world = world
         self._static_base = self.schedule.base_reward
-        self._last_received = {t.task_id: t.received for t in world.tasks}
-        self._last_prices = {}
-        self._spent_estimate = 0.0
 
     def rewards(self, view: RoundView) -> Dict[int, float]:
-        self._settle_previous_round(view)
+        if self._world is None:
+            raise RuntimeError("initialize() must be called before rewards()")
+        # Unreleased tasks count too: their measurements will be paid
+        # from the same remaining budget once they are published.
         remaining_work = sum(
-            task.required_measurements - task.received for task in view.active_tasks
+            task.remaining for task in self._world.tasks if task.is_active
         )
         if remaining_work > 0:
-            remaining_budget = max(0.0, self.budget - self._spent_estimate)
+            remaining_budget = max(0.0, self.budget - view.total_paid)
             base = remaining_budget / remaining_work - self.step * (
                 self.levels.count - 1
             )
@@ -97,34 +97,4 @@ class AdaptiveBudgetMechanism(OnDemandMechanism):
             self.schedule = RewardSchedule(
                 base_reward=base, step=self.step, levels=self.levels
             )
-        prices = super().rewards(view)
-        self._last_prices = dict(prices)
-        return prices
-
-    def _settle_previous_round(self, view: RoundView) -> None:
-        """Charge last round's accepted measurements at last round's prices.
-
-        Settlement scans the *whole world*, not just the still-active
-        tasks: a task that completed or expired last round must still have
-        its final payouts counted, or the remaining-budget estimate would
-        overshoot and the re-derived prices could break the Eq. 8
-        guarantee.  Task progress is the ground truth for what was
-        accepted; each new measurement on task t was paid the price
-        quoted for t last round.
-        """
-        if self._world is None:
-            return
-        for task in self._world.tasks:
-            before = self._last_received.get(task.task_id, 0)
-            delta = task.received - before
-            if delta > 0 and task.task_id in self._last_prices:
-                self._spent_estimate += delta * self._last_prices[task.task_id]
-            self._last_received[task.task_id] = task.received
-
-    @property
-    def committed_spend(self) -> float:
-        """Payouts settled so far — trails the platform's true total only
-        by the not-yet-settled current round (exact after the next
-        pricing call, and checked against ``SimulationResult.total_paid``
-        in the tests)."""
-        return self._spent_estimate
+        return super().rewards(view)

@@ -3,19 +3,22 @@
 The platform side of Fig. 1 is deliberately thin: before each round it
 asks the mechanism for one number per active task — the per-measurement
 reward — and publishes those.  Mechanisms never see individual users'
-decisions, only the aggregate round state (task progress and current user
-positions), which is exactly the information the paper's platform has
-after "(4) Data Upload / (5) Demand Calculate".
+decisions, only the aggregate round state (task progress, current user
+positions, and the platform's own ledger: what it has paid so far and
+how many users stand near each task), which is exactly the information
+the paper's platform has after "(4) Data Upload / (5) Demand Calculate".
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.geometry.distances import as_coordinates
+from repro.geometry.grid_index import IncrementalNeighbourCounter, bulk_counts
 from repro.world.generator import World
 from repro.world.task import SensingTask
 
@@ -24,21 +27,53 @@ from repro.world.task import SensingTask
 class RoundView:
     """What the platform knows when pricing round ``round_no``.
 
+    The engine is the single source of the platform's ledger: a
+    mechanism reads its spend from :attr:`total_paid` and its Eq. 5
+    counts from :meth:`neighbour_counts`, and keeps no copy of either.
+
     Args:
         round_no: the 1-based round about to start.
         active_tasks: tasks still published (not completed, not expired).
         user_locations: every user's position at the start of the round,
             as a float64 ``(n, 2)`` array (the engine passes
             :attr:`World.positions`; read it, never write it).
+        total_paid: rewards the platform paid in the rounds before this
+            one (the engine's ``RunTotals.total_paid``; Eq. 8 bounds it
+            by B).
+        neighbour_counter: the engine's Eq. 5 counter over
+            ``user_locations``, kept current by its move pass (``None``
+            when the engine built none, or outside an engine).
     """
 
     round_no: int
     active_tasks: Sequence[SensingTask]
     user_locations: np.ndarray
+    total_paid: float = 0.0
+    neighbour_counter: Optional[IncrementalNeighbourCounter] = None
 
     def __post_init__(self) -> None:
         if self.round_no < 1:
             raise ValueError(f"round_no must be >= 1, got {self.round_no}")
+
+    def neighbour_counts(
+        self, tasks: Sequence[SensingTask], radius: float
+    ) -> np.ndarray:
+        """Eq. 5: users within ``radius`` of each task, as an int array.
+
+        Answered by the engine's counter when it counts at ``radius``,
+        else by :func:`~repro.geometry.grid_index.bulk_counts` over
+        :attr:`user_locations`, else (no users) zeros — the same exact
+        counts every way.
+        """
+        counter = self.neighbour_counter
+        if counter is not None and counter.radius == radius:
+            return counter.counts_array([t.location for t in tasks])
+        if len(self.user_locations):
+            return bulk_counts(
+                self.user_locations, as_coordinates(t.location for t in tasks),
+                radius,
+            )
+        return np.zeros(len(tasks), dtype=int)
 
 
 class IncentiveMechanism(abc.ABC):

@@ -10,10 +10,10 @@ Per round (Section IV):
    budget-derived :math:`r_0` (Eq. 9).
 
 Neighbour counts are exact counts over the users' *current* positions —
-the demands are "real-time" in the paper's sense.  They come from an
-:class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` when the
-engine injects one, else from :func:`~repro.geometry.grid_index.
-bulk_counts` over the round view's user positions.  Steps 1–4 run as
+the demands are "real-time" in the paper's sense.  They come from
+:meth:`RoundView.neighbour_counts <repro.core.mechanisms.base.RoundView.
+neighbour_counts>` (the engine's counter, or a recount outside an
+engine).  Steps 1–4 run as
 numpy arithmetic, each step bit-identical per element to its scalar
 counterpart (:meth:`GridIndex.counts_for`, :meth:`DemandCalculator.
 demands`, :meth:`RewardSchedule.reward_for_demand`).
@@ -30,8 +30,6 @@ from repro.core.demand import DemandCalculator, DemandWeights
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
-from repro.geometry.distances import as_coordinates
-from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 
 
@@ -100,11 +98,6 @@ class OnDemandMechanism(IncentiveMechanism):
         #: normalised demands of the last priced round, keyed by task id —
         #: exposed for observability (experiments and tests read it).
         self.last_demands: Dict[int, float] = {}
-        #: optional :class:`~repro.geometry.grid_index.
-        #: IncrementalNeighbourCounter` answering Eq. 5 queries without a
-        #: per-round grid rebuild (injected by the engine, which keeps it
-        #: current from its own move loop; exact counts).
-        self.neighbour_counter = None
 
     def initialize(self, world: World, rng: np.random.Generator) -> None:
         if self.schedule is None:
@@ -118,8 +111,8 @@ class OnDemandMechanism(IncentiveMechanism):
     def rewards(self, view: RoundView) -> Dict[int, float]:
         """Eq. 2–7 for every published task, as numpy arithmetic.
 
-        Neighbour counts come from the injected counter or from
-        :func:`bulk_counts` (exact counts, boundary-rechecked), demands
+        Neighbour counts come from :meth:`RoundView.neighbour_counts`
+        (exact counts, boundary-rechecked), demands
         from :meth:`DemandCalculator.demands_array` (distinct-value
         scalar logs), prices from :meth:`RewardSchedule.rewards_array`.
         """
@@ -129,23 +122,12 @@ class OnDemandMechanism(IncentiveMechanism):
         if not tasks:
             self.last_demands = {}
             return {}
-        if self.neighbour_counter is not None:
-            neighbours = self.neighbour_counter.counts_array(
-                [t.location for t in tasks]
-            )
-        elif len(view.user_locations):
-            neighbours = bulk_counts(
-                view.user_locations, as_coordinates(t.location for t in tasks),
-                self.neighbour_radius,
-            )
-        else:
-            neighbours = np.zeros(len(tasks), dtype=int)
         demands = self.calculator.demands_array(
             round_no=view.round_no,
             deadlines=np.asarray([t.deadline for t in tasks]),
             received=np.asarray([t.received for t in tasks]),
             required=np.asarray([t.required_measurements for t in tasks]),
-            neighbours=neighbours,
+            neighbours=view.neighbour_counts(tasks, self.neighbour_radius),
         )
         self.last_demands = {
             t.task_id: float(d) for t, d in zip(tasks, demands)

@@ -341,10 +341,10 @@ class PolicyMechanism(IncentiveMechanism):
     clamped, see :func:`apply_incentive_action`).  With the default
     ``static`` policy the prices are bit-identical to ``on-demand``.
 
-    All engine integration hooks (the incremental ``neighbour_counter``,
-    ``last_demands`` / ``levels`` observability) delegate to the wrapped
-    mechanism, so the engine treats a policy-steered run exactly like an
-    on-demand one.
+    All engine integration hooks (``neighbour_radius``, which gets the
+    run an Eq. 5 counter, and ``last_demands`` / ``levels``
+    observability) delegate to the wrapped mechanism, so the engine
+    treats a policy-steered run exactly like an on-demand one.
 
     Args:
         policy: a registered policy name, a JSON-style ``{"name": ...}``
@@ -391,14 +391,6 @@ class PolicyMechanism(IncentiveMechanism):
         """Where :func:`apply_incentive_action` lands (the wrapped
         mechanism owns the calculator and the schedule)."""
         return self.inner
-
-    @property
-    def neighbour_counter(self):
-        return self.inner.neighbour_counter
-
-    @neighbour_counter.setter
-    def neighbour_counter(self, counter) -> None:
-        self.inner.neighbour_counter = counter
 
     @property
     def neighbour_radius(self) -> float:

@@ -21,8 +21,6 @@ from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
-from repro.geometry.distances import as_coordinates
-from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 
 
@@ -70,13 +68,7 @@ class ProportionalDemandMechanism(IncentiveMechanism):
         tasks = list(view.active_tasks)
         if not tasks:
             return {}
-        if len(view.user_locations):
-            neighbours = bulk_counts(
-                view.user_locations, as_coordinates(t.location for t in tasks),
-                self.neighbour_radius,
-            ).tolist()
-        else:
-            neighbours = [0] * len(tasks)
+        neighbours = view.neighbour_counts(tasks, self.neighbour_radius).tolist()
         inputs = [
             TaskDemandInputs(
                 round_no=view.round_no,

@@ -8,8 +8,9 @@ pricing against:
   budget-feasible mechanisms (arXiv 1306.5677).  The horizon is split
   into geometric stages with geometrically growing budget allocations
   (the short first stage is the sampling stage); each round publishes
-  one uniform threshold price, set so the stage's allocation can cover
-  every outstanding measurement — budget-feasible per stage by
+  one uniform threshold price, set so the stage's allocation, less what
+  the platform has already paid (the round view's ``total_paid``), can
+  cover every outstanding measurement — budget-feasible per stage by
   construction (up to the strictly-positive price floor the engine's
   price validation requires).
 - :class:`IncentMeMechanism` ("incentme") — mobility-uncertainty-
@@ -24,9 +25,9 @@ pricing against:
   :class:`~repro.core.rewards.RewardSchedule`, so total payout respects
   the budget exactly as the on-demand mechanism's does.
 
-Both price with per-task python float arithmetic from exact neighbour
-counts, whether those come from the engine's incremental counter or a
-per-round grid index.
+IncentMe prices with per-task python float arithmetic from the exact
+neighbour counts of :meth:`RoundView.neighbour_counts
+<repro.core.mechanisms.base.RoundView.neighbour_counts>`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ import numpy as np
 from repro.core.levels import DemandLevels
 from repro.core.mechanisms.base import IncentiveMechanism, RoundView
 from repro.core.rewards import RewardSchedule
-from repro.geometry.distances import as_coordinates
-from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 
 
@@ -100,24 +99,12 @@ class OMGOnlineMechanism(IncentiveMechanism):
         self.horizon = int(horizon)
         self.price_floor = float(price_floor)
         self.plan = stage_plan(self.horizon, self.budget)
-        #: exact spend ledger: task id -> (last seen received, price
-        #: published at that observation).
-        self._outstanding: Dict[int, Tuple[int, float]] = {}
-        self._spent = 0.0
-        self._world: Optional[World] = None
         #: observability hooks the engine probes (no demand levels here).
         self.last_demands: Dict[int, float] = {}
         self.levels = None
 
     def initialize(self, world: World, rng: np.random.Generator) -> None:
-        # The live world lets the spend ledger settle tasks exactly even
-        # after they leave the round view (completed or expired).
-        self._world = world
-
-    @property
-    def spent(self) -> float:
-        """Rewards committed so far (exact, settled against the world)."""
-        return self._spent
+        """Nothing to bind: spend comes from each round's view."""
 
     def cumulative_budget(self, round_no: int) -> float:
         """The budget unlocked by the stage containing ``round_no``."""
@@ -126,34 +113,14 @@ class OMGOnlineMechanism(IncentiveMechanism):
                 return cumulative
         return self.plan[-1][1]
 
-    def _settle(self, view_tasks: List) -> None:
-        """Fold measurement deltas since the last round into the ledger."""
-        if self._world is None:
-            return
-        in_view = {t.task_id for t in view_tasks}
-        by_id = {t.task_id: t for t in self._world.tasks}
-        for tid in list(self._outstanding):
-            last_received, price = self._outstanding[tid]
-            task = by_id.get(tid)
-            received = task.received if task is not None else last_received
-            delta = received - last_received
-            if delta > 0:
-                self._spent += delta * price
-            if tid not in in_view:
-                # Completed or expired: nothing more to pay for it.
-                del self._outstanding[tid]
-            else:
-                self._outstanding[tid] = (received, price)
-
     def rewards(self, view: RoundView) -> Dict[int, float]:
-        if self._world is None:
-            raise RuntimeError("initialize() must be called before rewards()")
         tasks = list(view.active_tasks)
-        self._settle(tasks)
         if not tasks:
             self.last_demands = {}
             return {}
-        available = max(0.0, self.cumulative_budget(view.round_no) - self._spent)
+        available = max(
+            0.0, self.cumulative_budget(view.round_no) - view.total_paid
+        )
         outstanding = sum(t.remaining for t in tasks)
         raw = available / max(1, outstanding)
         # Quantise the threshold *down* to the step grid so the stage
@@ -163,8 +130,6 @@ class OMGOnlineMechanism(IncentiveMechanism):
         threshold = math.floor(raw / self.step) * self.step
         price = threshold if threshold >= self.step else self.price_floor
         prices = {t.task_id: price for t in tasks}
-        for task in tasks:
-            self._outstanding[task.task_id] = (task.received, price)
         self.last_demands = {}
         return self._require_all_tasks(prices, tasks)
 
@@ -231,9 +196,8 @@ class IncentMeMechanism(IncentiveMechanism):
         #: per-task neighbour-count EMA and volatility (EMA of |delta|).
         self._ema: Dict[int, float] = {}
         self._volatility: Dict[int, float] = {}
-        #: hooks the engine probes/injects.
+        #: observability hook the engine probes.
         self.last_demands: Dict[int, float] = {}
-        self.neighbour_counter = None
         #: injected by the engine when the run has an open world.
         self.timeline = None
 
@@ -248,17 +212,6 @@ class IncentMeMechanism(IncentiveMechanism):
             levels=self.levels,
         )
 
-    def _neighbour_counts(self, view: RoundView, tasks: List) -> List[int]:
-        locations = [t.location for t in tasks]
-        if self.neighbour_counter is not None:
-            return [int(c) for c in self.neighbour_counter.counts_array(locations)]
-        if len(view.user_locations):
-            return bulk_counts(
-                view.user_locations, as_coordinates(locations),
-                self.neighbour_radius,
-            ).tolist()
-        return [0] * len(tasks)
-
     def rewards(self, view: RoundView) -> Dict[int, float]:
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
@@ -266,7 +219,7 @@ class IncentMeMechanism(IncentiveMechanism):
         if not tasks:
             self.last_demands = {}
             return {}
-        counts = self._neighbour_counts(view, tasks)
+        counts = view.neighbour_counts(tasks, self.neighbour_radius).tolist()
         crowd_instability = 0.0
         if self.timeline is not None:
             crowd_instability = 1.0 - self.timeline.mean_presence(view.round_no)

@@ -4,7 +4,8 @@ The write-then-rename idiom guarantees a reader never observes a
 half-written file: either the old content (or absence) or the complete
 new content, nothing in between.  The temp file lives in the *target's*
 directory so the final ``os.replace`` stays within one filesystem (rename
-is only atomic there).
+is only atomic there), and it takes the replaced file's mode, or for a
+new file the mode ``open()`` would give it (0666 less the umask).
 
 Append-only JSONL logs (run journals, the job journal, a worker's
 events file, the run store's index) follow one rule: **a line counts
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import IO, Any, List, Tuple, Type, Union
 
@@ -46,11 +47,13 @@ def atomic_write_text(
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
+    tmp_name = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    # Mode 0666 lets the umask apply, as it does to any new file.
+    descriptor = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(descriptor, "w") as handle:
+            if path.exists():
+                os.chmod(tmp_name, path.stat().st_mode & 0o7777)
             handle.write(text)
             handle.flush()
             if durable:

@@ -416,21 +416,24 @@ def read_trace_shard(path: Union[str, Path]) -> Dict[str, Any]:
     """One JSONL shard as ``{"meta": {...}, "spans": [span-dicts]}``.
 
     Raises:
-        ValueError: for a file that is not a repro JSONL trace.
+        ValueError: for a file that is not a repro JSONL trace, or a
+            damaged or torn line (naming the path and the line).
     """
-    from repro.io.atomic import read_lines  # leaf-package rule
+    from repro.io.atomic import parse_jsonl, read_lines  # leaf-package rule
 
     path = Path(path)
     complete, tail = read_lines(path)
-    lines = [line for line in (*complete, tail) if line.strip()]
-    if not lines:
+    entries = [
+        entry for _, entry in
+        parse_jsonl(path, [*complete, tail], "trace-shard", ValueError)
+    ]
+    if not entries:
         raise ValueError(f"{path}: empty trace shard")
-    meta = json.loads(lines[0])
+    meta = entries[0]
     if meta.get("kind") != "meta" or meta.get("format") != "repro-trace":
         raise ValueError(f"{path}: not a repro trace file")
     spans = []
-    for line in lines[1:]:
-        entry = json.loads(line)
+    for entry in entries[1:]:
         if entry.get("kind") != "span":
             raise ValueError(
                 f"{path}: unexpected trace line kind {entry.get('kind')!r}"

@@ -38,7 +38,7 @@ from repro.simulation.session import (
 from repro.simulation.perf import PerfStats
 from repro.simulation.rng import spawn_streams, child_seed
 from repro.simulation.round_cache import RoundProblems
-from repro.simulation.observers import ProgressPrinter, BudgetLedger, CoverageTracker
+from repro.simulation.observers import ProgressPrinter, CoverageTracker
 
 __all__ = [
     "PerfStats",
@@ -61,6 +61,5 @@ __all__ = [
     "spawn_streams",
     "child_seed",
     "ProgressPrinter",
-    "BudgetLedger",
     "CoverageTracker",
 ]

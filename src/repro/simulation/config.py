@@ -233,7 +233,16 @@ class SimulationConfig:
         if self.dynamics:
             # Eager, named validation of the open-world knobs (raises
             # ConfigError for unknown keys / out-of-range rates).
-            DynamicsSpec.from_mapping(self.dynamics)
+            dynamics = DynamicsSpec.from_mapping(self.dynamics)
+            if self.mechanism == "fixed" and dynamics.task_arrival_rate > 0:
+                raise ConfigError(
+                    f"mechanism 'fixed' cannot run with "
+                    f"dynamics.task_arrival_rate="
+                    f"{dynamics.task_arrival_rate}: it draws every task's "
+                    f"price once, before round 1, so tasks streamed in "
+                    f"mid-run would have no price (use task_arrival_rate "
+                    f"0 or another mechanism)"
+                )
         if self.completeness_basis not in ("all", "exclude-expired"):
             raise ConfigError(
                 f"completeness_basis must be 'all' or 'exclude-expired', "

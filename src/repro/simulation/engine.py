@@ -41,7 +41,10 @@ act:
   plus distance/reward/cost columns), scattered by row into the round's
   table; everyone else has an empty row there, without a selector call.
   No per-user ``Selection`` object is built on the round path.
-- *pricing* — mechanisms exposing a ``neighbour_counter`` hook get an
+- *pricing* — the mechanism reads the platform's ledger off the
+  :class:`~repro.core.mechanisms.base.RoundView`: ``total_paid`` is the
+  run ledger's spend before the round, and for a mechanism with a
+  ``neighbour_radius`` the view carries an
   :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` fed
   from the engine's own move pass, instead of a per-round recount for
   the Eq. 5 neighbour counts.
@@ -318,18 +321,18 @@ class SimulationEngine:
     def _build_neighbour_counter(self) -> Optional[IncrementalNeighbourCounter]:
         """An Eq. 5 counter primed with every task the world will publish.
 
-        Only mechanisms exposing a ``neighbour_counter`` hook get one;
-        priming everything up front means later task releases (Poisson /
-        burst arrivals) never trigger a full population rescan.
+        Only mechanisms with a ``neighbour_radius`` get one (each round's
+        :class:`RoundView` carries it); priming everything up front means
+        later task releases (Poisson / burst arrivals) never trigger a
+        full population rescan.
         """
         radius = getattr(self.mechanism, "neighbour_radius", None)
-        if not radius or not hasattr(self.mechanism, "neighbour_counter"):
+        if not radius:
             return None
         counter = IncrementalNeighbourCounter(
             self.world.positions, radius=float(radius)
         )
         counter.prime([t.location for t in self.world.tasks])
-        self.mechanism.neighbour_counter = counter
         return counter
 
     # -- round state -----------------------------------------------------------
@@ -386,6 +389,8 @@ class SimulationEngine:
             round_no=self._next_round,
             active_tasks=self.published_tasks(),
             user_locations=self.world.positions,
+            total_paid=self.result.total_paid,
+            neighbour_counter=self._neighbour_counter,
         )
         prices = self.mechanism.rewards(view)
         self._price_cache = (self._next_round, dict(prices))

@@ -6,11 +6,13 @@ examples and the CLI use:
 
 - :class:`ProgressPrinter` — one status line per round, for watching a
   long run.
-- :class:`BudgetLedger` — a running platform ledger (paid this round,
-  cumulative, remaining budget) that raises the moment a budget breach
-  would occur, turning the Eq. 8 guarantee into a live assertion.
 - :class:`CoverageTracker` — running coverage per round, the live
   version of :func:`repro.metrics.coverage_by_round`.
+
+The platform's spend is not an observer: the engine's run ledger
+(``SimulationResult.total_paid``) is the one record of it, and each
+round's :class:`~repro.core.mechanisms.base.RoundView` hands it to the
+mechanism.
 """
 
 from __future__ import annotations
@@ -43,39 +45,6 @@ class ProgressPrinter:
             f"{len(record.expired_task_ids)} expired, "
             f"${record.total_paid:.2f} paid\n"
         )
-
-
-class BudgetLedger:
-    """A running platform ledger with a hard budget assertion.
-
-    Args:
-        budget: the platform budget B; a round that would push the
-            cumulative payout past it raises immediately (the engine's
-            Eq. 8 accounting makes this unreachable — the ledger is the
-            tripwire proving it stays that way).
-    """
-
-    def __init__(self, budget: float):
-        if budget <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
-        self.budget = budget
-        self.paid_by_round: List[float] = []
-
-    @property
-    def total_paid(self) -> float:
-        return sum(self.paid_by_round)
-
-    @property
-    def remaining(self) -> float:
-        return self.budget - self.total_paid
-
-    def __call__(self, record: RoundRecord) -> None:
-        self.paid_by_round.append(record.total_paid)
-        if self.total_paid > self.budget + 1e-9:
-            raise RuntimeError(
-                f"budget breach at round {record.round_no}: paid "
-                f"{self.total_paid:.2f} of {self.budget:.2f}"
-            )
 
 
 class CoverageTracker:

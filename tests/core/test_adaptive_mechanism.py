@@ -28,11 +28,12 @@ def init(mechanism, world, seed=0):
     return mechanism
 
 
-def view_of(world, round_no):
+def view_of(world, round_no, total_paid=0.0):
     return RoundView(
         round_no=round_no,
-        active_tasks=[t for t in world.tasks if t.is_active],
+        active_tasks=[t for t in world.tasks if t.is_published(round_no)],
         user_locations=world.positions,
+        total_paid=total_paid,
     )
 
 
@@ -65,14 +66,29 @@ class TestPricing:
         assert after >= before
 
     def test_settlement_counts_completed_tasks(self, world):
-        """Measurements on a task that completes must still be charged."""
-        adaptive = init(AdaptiveBudgetMechanism(budget=20.0), world)
+        """Measurements on a task that completes must still be charged:
+        the remaining budget is B less the view's ``total_paid``, which
+        includes them after the task leaves the view."""
+        adaptive = init(AdaptiveBudgetMechanism(budget=40.0), world)
         prices = adaptive.rewards(view_of(world, 1))
         for user_id in range(4):
             world.tasks[0].record_measurement(user_id, round_no=1)
         assert not world.tasks[0].is_active  # completed -> leaves the view
-        adaptive.rewards(view_of(world, 2))
-        assert adaptive.committed_spend == pytest.approx(4 * prices[0])
+        paid = 4 * prices[0]
+        adaptive.rewards(view_of(world, 2, total_paid=paid))
+        top = adaptive.schedule.reward_for_level(adaptive.levels.count)
+        assert top == pytest.approx((40.0 - paid) / world.tasks[1].remaining)
+
+    def test_unreleased_work_is_budgeted_from_round_one(self, world):
+        """A task published later is still owed its worst case: round-1
+        prices must leave room for it (the burst scenario's Eq. 8)."""
+        world.tasks[1].release_round = 5
+        adaptive = init(AdaptiveBudgetMechanism(budget=20.0), world)
+        static = init(OnDemandMechanism(budget=20.0), world)
+        view = view_of(world, 1)
+        assert [t.task_id for t in view.active_tasks] == [0]
+        assert adaptive.rewards(view) == static.rewards(view)
+        assert adaptive.schedule.base_reward == static.schedule.base_reward
 
 
 class TestEndToEnd:

@@ -3,9 +3,10 @@
 Random task states and user clouds; for every mechanism the returned
 price map must cover exactly the active tasks, stay positive/finite, and
 (for ladder-based mechanisms) land on the Eq. 7 ladder within range.
-The on-demand mechanism's vectorised pricing must also equal the scalar
-Eq. 2–7 composition exactly, with or without an injected incremental
-neighbour counter.
+The on-demand, proportional and IncentMe prices must also equal their
+scalar compositions exactly, with the Eq. 5 counts read through
+``RoundView.neighbour_counts`` from an incremental neighbour counter or
+from the view's user positions.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core.mechanisms import (
     RoundView,
     SteeredMechanism,
 )
+from repro.dynamics.online import IncentMeMechanism
 from repro.geometry.grid_index import GridIndex, IncrementalNeighbourCounter
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
@@ -137,21 +139,30 @@ def test_proportional_prices_within_ladder_range(raw_tasks, raw_users, round_no)
         assert schedule.base_reward - 1e-9 <= price <= schedule.max_reward + 1e-9
 
 
-def scalar_prices(mechanism, round_no, tasks, user_locations):
-    """Eq. 2–7 composed from the scalar pieces: per-task grid counts,
-    per-task demands, per-demand ladder prices."""
-    radius = mechanism.neighbour_radius
+RADIUS = 500.0
+
+
+def scalar_neighbours(tasks, user_locations):
+    """Eq. 5 from the scalar grid index: per-task counts over points."""
     points = [Point(x, y) for x, y in user_locations.tolist()]
-    neighbours = GridIndex(points, cell_size=radius).counts_for(
-        [t.location for t in tasks], radius
+    return GridIndex(points, cell_size=RADIUS).counts_for(
+        [t.location for t in tasks], RADIUS
     )
-    demands = mechanism.calculator.demands([
+
+
+def scalar_demands(mechanism, round_no, tasks, neighbours):
+    return mechanism.calculator.demands([
         TaskDemandInputs(
             round_no=round_no, deadline=t.deadline, received=t.received,
             required=t.required_measurements, neighbours=n,
         )
         for t, n in zip(tasks, neighbours)
     ])
+
+
+def scalar_on_demand(mechanism, round_no, tasks, neighbours):
+    """Eq. 2–7: per-task demands, per-demand ladder prices."""
+    demands = scalar_demands(mechanism, round_no, tasks, neighbours)
     prices = {
         t.task_id: mechanism.schedule.reward_for_demand(d)
         for t, d in zip(tasks, demands)
@@ -159,37 +170,76 @@ def scalar_prices(mechanism, round_no, tasks, user_locations):
     return prices, {t.task_id: d for t, d in zip(tasks, demands)}
 
 
-@settings(max_examples=60, deadline=None)
+def scalar_proportional(mechanism, round_no, tasks, neighbours):
+    """r0 + demand x lambda (N - 1), no level bucketing."""
+    demands = scalar_demands(mechanism, round_no, tasks, neighbours)
+    schedule = mechanism.schedule
+    span = schedule.step * (mechanism.levels.count - 1)
+    prices = {
+        t.task_id: schedule.base_reward + d * span
+        for t, d in zip(tasks, demands)
+    }
+    return prices, None
+
+
+def scalar_incentme(mechanism, round_no, tasks, neighbours):
+    """A first pricing in a closed world: no volatility, no crowd
+    instability, so the score is the scarcity/urgency half alone."""
+    w = mechanism.uncertainty_weight
+    scores = {}
+    for t, n in zip(tasks, neighbours):
+        scarcity = 1.0 / (1.0 + float(n))
+        urgency = t.remaining / t.required_measurements
+        score = (1.0 - w) * 0.5 * (scarcity + urgency)
+        scores[t.task_id] = min(1.0, max(0.0, score))
+    prices = {
+        tid: mechanism.schedule.reward_for_demand(score)
+        for tid, score in scores.items()
+    }
+    return prices, scores
+
+
+# The example count is left to the profile, so CI's deep run
+# (--hypothesis-profile=ci-deep) can raise it.
+@settings(deadline=None)
 @given(task_states, user_clouds, rounds, st.booleans())
 def test_on_demand_rewards_equal_the_scalar_composition(
     raw_tasks, raw_users, round_no, with_counter
 ):
+    """On-demand, proportional and IncentMe, each priced through a
+    RoundView that holds a counter (and no positions) or positions
+    alone, equal their scalar compositions bit for bit."""
     world = build_world(raw_tasks, raw_users)
-    mechanism = OnDemandMechanism(
-        budget=10.0 * sum(t.required_measurements for t in world.tasks)
-    )
-    mechanism.initialize(world, np.random.Generator(np.random.PCG64(3)))
+    budget = 10.0 * sum(t.required_measurements for t in world.tasks)
+    counter = None
     if with_counter:
-        # Inject a counter as the engine does, then move every other
+        # Build a counter as the engine does, then move every other
         # user (mirrored across the region) so the counts it answers
         # with come from movement deltas, not only its initial build.
         positions = world.positions
-        counter = IncrementalNeighbourCounter(
-            positions, radius=mechanism.neighbour_radius
-        )
-        mechanism.neighbour_counter = counter
+        counter = IncrementalNeighbourCounter(positions, radius=RADIUS)
         rows = np.arange(0, len(world.users), 2)
         old = positions[rows]
         positions[rows, 0] = 1000.0 - old[:, 0]
         counter.apply_moves(rows, old)
     view, active = view_for(world, round_no)
-    expected, demands = scalar_prices(
-        mechanism, round_no, active, view.user_locations
-    )
+    neighbours = scalar_neighbours(active, view.user_locations)
     if with_counter:
-        # The counter answers Eq. 5; the mechanism then reads no
+        # The counter answers Eq. 5; the mechanisms then read no
         # locations.
         view = RoundView(round_no=round_no, active_tasks=active,
-                         user_locations=np.zeros((0, 2)))
-    assert mechanism.rewards(view) == expected
-    assert mechanism.last_demands == demands
+                         user_locations=np.zeros((0, 2)),
+                         neighbour_counter=counter)
+    for mechanism, scalar in (
+        (OnDemandMechanism(budget=budget, neighbour_radius=RADIUS),
+         scalar_on_demand),
+        (ProportionalDemandMechanism(budget=budget, neighbour_radius=RADIUS),
+         scalar_proportional),
+        (IncentMeMechanism(budget=budget, neighbour_radius=RADIUS),
+         scalar_incentme),
+    ):
+        mechanism.initialize(world, np.random.Generator(np.random.PCG64(3)))
+        expected, demands = scalar(mechanism, round_no, active, neighbours)
+        assert mechanism.rewards(view) == expected, mechanism.name
+        if demands is not None:
+            assert mechanism.last_demands == demands, mechanism.name

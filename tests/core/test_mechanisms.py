@@ -12,6 +12,7 @@ from repro.core.mechanisms import (
     SteeredMechanism,
 )
 from repro.core.mechanisms.registry import MECHANISM_NAMES, MECHANISMS
+from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.world.generator import World
 from tests.conftest import make_task, make_user
 
@@ -44,6 +45,23 @@ class TestRoundView:
     def test_round_validated(self, world):
         with pytest.raises(ValueError, match="round_no"):
             RoundView(round_no=0, active_tasks=[], user_locations=np.zeros((0, 2)))
+
+    def test_neighbour_counts_from_positions(self, world):
+        # Users stand at (120..150, 120): all within 600 m of tasks 0 and
+        # 2, three within 50 m of task 0.
+        view = view_of(world)
+        assert view.neighbour_counts(world.tasks, 600.0).tolist() == [4, 0, 4]
+        assert view.neighbour_counts(world.tasks, 50.0).tolist() == [3, 0, 0]
+
+    def test_neighbour_counts_prefer_a_counter_of_that_radius(self, world):
+        counter = IncrementalNeighbourCounter(world.positions, radius=600.0)
+        view = RoundView(
+            round_no=1, active_tasks=world.tasks,
+            user_locations=np.zeros((0, 2)), neighbour_counter=counter,
+        )
+        assert view.neighbour_counts(world.tasks, 600.0).tolist() == [4, 0, 4]
+        # A counter of another radius is not asked; no positions -> zeros.
+        assert view.neighbour_counts(world.tasks, 50.0).tolist() == [0, 0, 0]
 
 
 class TestOnDemand:

@@ -1,9 +1,12 @@
 """The online baselines: stage structure, budget feasibility, scoring."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.levels import DemandLevels
-from repro.core.mechanisms import MECHANISM_NAMES, MECHANISMS
+from repro.core.mechanisms import MECHANISM_NAMES, MECHANISMS, RoundView
 from repro.dynamics.online import (
     IncentMeMechanism,
     OMGOnlineMechanism,
@@ -143,13 +146,26 @@ class TestBudgetFeasibility:
         assert total_paid(result) <= config.budget + 1e-6
 
     def test_omg_spend_ledger_tracks_payments(self):
+        """OMG's spend is the engine's run ledger: each round's threshold
+        is the stage allocation less everything paid before the round,
+        spread over the outstanding measurements."""
         config = online_config(mechanism="omg-online")
         engine = make_engine(config)
-        result = engine.run()
-        # The ledger settles lazily on the next rewards() call; fold the
-        # final round's deltas in before comparing.
-        engine.mechanism._settle([])
-        assert engine.mechanism.spent == pytest.approx(total_paid(result))
+        mechanism = engine.mechanism
+        while not engine.finished:
+            paid_before = engine.result.total_paid
+            round_no = engine.current_round
+            outstanding = sum(t.remaining for t in engine.published_tasks())
+            record = engine.step()
+            prices = set(record.published_rewards.values())
+            if not prices:
+                continue
+            available = mechanism.cumulative_budget(round_no) - paid_before
+            raw = max(0.0, available) / max(1, outstanding)
+            threshold = math.floor(raw / mechanism.step) * mechanism.step
+            expected = threshold if threshold >= mechanism.step else 1e-6
+            assert prices == {expected}
+        assert engine.result.total_paid == total_paid(engine.result)
 
 
 class TestOMGPricing:
@@ -168,19 +184,18 @@ class TestOMGPricing:
         mechanism = OMGOnlineMechanism(
             budget=10.0, step=0.5, horizon=8, price_floor=1e-6
         )
-        mechanism._spent = 100.0  # past every stage allocation
 
         class _Task:
             task_id = 0
             received = 0
             remaining = 5
 
-        class _View:
-            round_no = 5
-            active_tasks = [_Task()]
-
-        mechanism._world = type("W", (), {"tasks": []})()
-        prices = mechanism.rewards(_View())
+        view = RoundView(
+            round_no=5, active_tasks=[_Task()],
+            user_locations=np.zeros((0, 2)),
+            total_paid=100.0,  # past every stage allocation
+        )
+        prices = mechanism.rewards(view)
         assert prices == {0: 1e-6}
 
 
@@ -229,8 +244,6 @@ class TestIncentMeScoring:
             def streamed_required_total(self):
                 return 0
 
-        import numpy as np
-
         from repro.simulation import SimulationEngine
 
         engine = SimulationEngine(online_config())
@@ -239,13 +252,12 @@ class TestIncentMeScoring:
         mechanism_churned.timeline = _Ledger(presence=0.5)
         mechanism_churned.initialize(world, np.random.default_rng(0))
 
-        class _View:
-            round_no = 3
-            active_tasks = world.tasks
-            user_locations = world.positions
-
-        stable = mechanism_stable.rewards(_View())
-        churned = mechanism_churned.rewards(_View())
+        view = RoundView(
+            round_no=3, active_tasks=world.tasks,
+            user_locations=world.positions,
+        )
+        stable = mechanism_stable.rewards(view)
+        churned = mechanism_churned.rewards(view)
         assert sum(churned.values()) >= sum(stable.values())
         assert any(
             churned[tid] > stable[tid] for tid in churned

@@ -147,6 +147,35 @@ class TestReadTraceShard:
         with pytest.raises(ValueError, match="empty"):
             read_trace_shard(path)
 
+    def _shard(self, tmp_path):
+        tracer = SpanTracer(metadata={"selector": "dp"})
+        with tracer.span("run", cat="run"):
+            with tracer.span("round", cat="round", round=1):
+                pass
+        return tracer.write_jsonl(tmp_path / "x.trace.jsonl")
+
+    def test_torn_span_line_names_the_path_and_line(self, tmp_path):
+        path = self._shard(tmp_path)
+        with path.open("a") as handle:
+            handle.write('{"kind": "span", "na')
+        lines = len(path.read_text().splitlines())
+        with pytest.raises(ValueError) as caught:
+            read_trace_shard(path)
+        assert not isinstance(caught.value, json.JSONDecodeError)
+        assert str(caught.value).startswith(
+            f"{path}: corrupt trace-shard line {lines};"
+        )
+
+    def test_damaged_span_line_names_the_path_and_line(self, tmp_path):
+        path = self._shard(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-5]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as caught:
+            read_trace_shard(path)
+        assert not isinstance(caught.value, json.JSONDecodeError)
+        assert str(caught.value).startswith(f"{path}: corrupt trace-shard line 2;")
+
 
 class TestMergeTraces:
     def _write_shard(self, tmp_path, process, epoch_unix, spans,

@@ -100,6 +100,16 @@ async def test_invalid_submission_is_structured_400(service, client, call):
     assert body["reason"]
 
 
+@service_test(queue_limit=4, concurrency=1)
+async def test_fixed_mechanism_on_a_task_stream_is_a_400(service, client, call):
+    status, body, _ = await call(client.submit, {
+        "scenario": "poisson-stream", "overrides": {"mechanism": "fixed"},
+    })
+    assert status == 400
+    assert body["field"] == "mechanism"
+    assert "task_arrival_rate" in body["reason"]
+
+
 @service_test(queue_limit=2, concurrency=1)
 async def test_backpressure_429_with_retry_after(service, client, call):
     # One slow job occupies the worker; two fill the queue; the next

@@ -61,6 +61,13 @@ class TestConfigBlame:
         err = reject({"overrides": {"n_users": -5}})
         assert err.field == "n_users"
 
+    def test_fixed_mechanism_on_a_task_stream_blames_the_mechanism(self):
+        err = reject({
+            "scenario": "poisson-stream", "overrides": {"mechanism": "fixed"},
+        })
+        assert err.field == "mechanism"
+        assert "task_arrival_rate" in err.reason
+
     def test_as_dict_is_the_http_body(self):
         err = reject({"overrides": {"n_users": -5}})
         body = err.as_dict()

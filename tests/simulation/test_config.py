@@ -50,6 +50,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=pattern):
             SimulationConfig(**{field: value})
 
+    def test_fixed_prices_cannot_meet_streamed_tasks(self):
+        """Fixed draws its prices before round 1, so a task streamed in
+        later has none (it used to die with a bare KeyError mid-run)."""
+        with pytest.raises(ConfigError) as excinfo:
+            SimulationConfig(
+                mechanism="fixed", dynamics={"task_arrival_rate": 1.5}
+            )
+        message = str(excinfo.value)
+        assert message.startswith("mechanism 'fixed'")
+        assert "dynamics.task_arrival_rate=1.5" in message
+        with pytest.raises(ConfigError):
+            ScenarioSpec.from_mapping({
+                "name": "s", "config": {"dynamics": {"task_arrival_rate": 1.0}},
+            }).to_config(mechanism="fixed")
+        # User churn alone publishes no new task.
+        SimulationConfig(mechanism="fixed", dynamics={"user_arrival_rate": 1.0})
+
 
 class TestOverrides:
     def test_with_overrides_replaces(self):

@@ -5,9 +5,8 @@ import io
 import pytest
 
 from repro.metrics import coverage_by_round
-from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.observers import BudgetLedger, CoverageTracker, ProgressPrinter
+from repro.simulation.observers import CoverageTracker, ProgressPrinter
 
 
 @pytest.fixture
@@ -41,42 +40,6 @@ class TestProgressPrinter:
         record = result.rounds[0]
         assert f"{record.measurement_count:>4} measurements" in first_line
         assert f"${record.total_paid:.2f} paid" in first_line
-
-
-class TestBudgetLedger:
-    def test_tracks_platform_payout(self, config):
-        ledger = BudgetLedger(budget=config.budget)
-        result = SimulationEngine(config, observers=[ledger]).run()
-        assert ledger.total_paid == pytest.approx(result.total_paid)
-        assert ledger.remaining == pytest.approx(config.budget - result.total_paid)
-        assert len(ledger.paid_by_round) == result.rounds_played
-
-    def test_never_breaches_on_real_runs(self):
-        """Eq. 8 as a live assertion across seeds."""
-        for seed in range(5):
-            config = SimulationConfig(
-                n_users=20, n_tasks=6, rounds=8, required_measurements=4,
-                area_side=1500.0, budget=200.0, seed=seed,
-            )
-            ledger = BudgetLedger(budget=config.budget)
-            SimulationEngine(config, observers=[ledger]).run()
-            assert ledger.remaining >= -1e-9
-
-    def test_breach_detection(self):
-        from repro.simulation.events import MeasurementEvent, RoundRecord
-
-        ledger = BudgetLedger(budget=1.0)
-        record = RoundRecord(
-            round_no=1, published_rewards={0: 2.0}, user_records=(),
-            measurements=(MeasurementEvent(1, 0, 0, 2.0),),
-            rejections=(), completed_task_ids=(), expired_task_ids=(),
-        )
-        with pytest.raises(RuntimeError, match="paid 2.00 of 1.00"):
-            ledger(record)
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError, match="budget"):
-            BudgetLedger(budget=0.0)
 
 
 class TestCoverageTracker:

@@ -53,13 +53,6 @@ def test_reference_dp_selector_speed(benchmark):
     assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
 
 
-def test_branch_and_bound_selector_speed(benchmark):
-    problems = _problems()
-    bnb = create_selector("branch-and-bound")
-    selections = benchmark(lambda: [bnb.select(p) for p in problems])
-    assert all(s.distance <= 1800.0 + 1e-6 for s in selections)
-
-
 def test_greedy_selector_speed(benchmark):
     problems = _problems()
     greedy = create_selector("greedy")

@@ -1,14 +1,13 @@
 """Substrate micro-benchmarks: world generation and neighbour counting.
 
 Not paper panels — these watch the hot paths under the experiment
-harness: every repetition generates a world, and every round rebuilds a
-grid index to count each task's neighbouring users (the X3 factor).
+harness: every repetition generates a world, and every round counts each
+task's neighbouring users on a uniform grid (the X3 factor).
 """
 
 import numpy as np
 
-from repro.geometry.grid_index import GridIndex
-from repro.geometry.point import Point
+from repro.geometry.grid_index import bulk_counts
 from repro.simulation.config import SimulationConfig
 from repro.world.generator import default_generator
 
@@ -27,17 +26,13 @@ def test_clustered_world_generation(benchmark):
     assert len(world.tasks) == 20
 
 
-def test_grid_index_round(benchmark):
-    """One round's X3 computation: build index + query all 20 tasks."""
+def test_grid_counts_round(benchmark):
+    """One round's X3 computation: every task's count over 140 users."""
     rng = np.random.default_rng(0)
-    users = [Point(float(x), float(y)) for x, y in rng.uniform(0, 3000, (140, 2))]
-    tasks = [Point(float(x), float(y)) for x, y in rng.uniform(0, 3000, (20, 2))]
+    users = rng.uniform(0, 3000, (140, 2))
+    tasks = rng.uniform(0, 3000, (20, 2))
 
-    def round_counts():
-        index = GridIndex(users, cell_size=500.0)
-        return index.counts_for(tasks, 500.0)
-
-    counts = benchmark(round_counts)
+    counts = benchmark(lambda: bulk_counts(users, tasks, 500.0))
     assert len(counts) == 20
 
 

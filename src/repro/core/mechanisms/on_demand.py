@@ -15,8 +15,9 @@ the demands are "real-time" in the paper's sense.  They come from
 neighbour_counts>` (the engine's counter, or a recount outside an
 engine).  Steps 1–4 run as
 numpy arithmetic, each step bit-identical per element to its scalar
-counterpart (:meth:`GridIndex.counts_for`, :meth:`DemandCalculator.
-demands`, :meth:`RewardSchedule.reward_for_demand`).
+counterpart (the test suite's scalar grid oracle,
+:meth:`DemandCalculator.demands`,
+:meth:`RewardSchedule.reward_for_demand`).
 """
 
 from __future__ import annotations

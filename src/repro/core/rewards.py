@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.levels import DemandLevels
+from repro.resilience.errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class RewardSchedule:
 
     def __post_init__(self) -> None:
         if self.base_reward <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"base reward r0 must be positive, got {self.base_reward}; "
                 "with Eq. 9 this means the budget is too small for the "
                 "chosen step and level count"
@@ -64,8 +65,10 @@ class RewardSchedule:
             levels: demand levels (default: the paper's N = 5).
 
         Raises:
-            ValueError: if the implied :math:`r_0` is non-positive, i.e.
-                the budget cannot cover worst-case top-level payouts.
+            ConfigError: if the implied :math:`r_0` is non-positive, i.e.
+                the budget cannot cover worst-case top-level payouts; the
+                message names B, :math:`\\sum_i \\varphi_i`, λ, N and the
+                budget Eq. 9 needs.
         """
         if levels is None:
             levels = DemandLevels(5)
@@ -76,7 +79,16 @@ class RewardSchedule:
                 "total_required_measurements must be >= 1, "
                 f"got {total_required_measurements}"
             )
-        base = budget / total_required_measurements - step * (levels.count - 1)
+        top_up = step * (levels.count - 1)
+        base = budget / total_required_measurements - top_up
+        if base <= 0:
+            raise ConfigError(
+                f"base reward r0 must be positive, got {base}: Eq. 9 with "
+                f"budget B={budget:g}, {total_required_measurements} required "
+                f"measurements (sum of phi), step lambda={step:g} and "
+                f"N={levels.count} demand levels needs "
+                f"B > {total_required_measurements * top_up:g}"
+            )
         return cls(base_reward=base, step=step, levels=levels)
 
     # -- Eq. 7 ------------------------------------------------------------

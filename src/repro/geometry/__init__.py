@@ -9,9 +9,9 @@ rest of the library is built on:
   built on numpy, used by the task-selection solvers.
 - :class:`~repro.geometry.region.RectRegion` — the rectangular deployment
   area, with uniform random sampling.
-- :class:`~repro.geometry.grid_index.GridIndex` — a uniform-grid spatial
-  index used to count the neighbouring mobile users of each task
-  (the X3 demand factor, Eq. 5 of the paper).
+- :mod:`~repro.geometry.grid_index` — uniform-grid neighbour counts
+  (``bulk_counts``, ``IncrementalNeighbourCounter``): the neighbouring
+  mobile users of each task, the X3 demand factor of Eq. 5.
 """
 
 from repro.geometry.point import Point, euclidean, manhattan
@@ -22,7 +22,6 @@ from repro.geometry.distances import (
     distances_from,
 )
 from repro.geometry.region import RectRegion
-from repro.geometry.grid_index import GridIndex
 
 __all__ = [
     "Point",
@@ -33,5 +32,4 @@ __all__ = [
     "path_length",
     "distances_from",
     "RectRegion",
-    "GridIndex",
 ]

@@ -1,99 +1,25 @@
-"""A uniform-grid spatial index for fixed-radius neighbour queries.
+"""Fixed-radius neighbour counts on a uniform grid (Eq. 5's X3 factor).
 
 The demand factor X3 (Eq. 5) needs, for every task, the number of mobile
 users within R meters ("neighbouring users").  A naive all-pairs scan is
-O(tasks x users) per round; the grid index makes each query inspect only
-the 3x3 block of cells around the task, which matters once the engine is
-swept over 40-140 users for hundreds of repetitions.
+O(tasks x users) per round; hashing users into square cells of side R
+makes each task inspect only the 3x3 block of cells around it, since any
+point within ``radius`` of a query location falls in one of those 9 cells.
 
-The cell size equals the query radius, so any point within ``radius`` of a
-query location is guaranteed to fall in one of the 9 neighbouring cells.
+- :func:`bulk_counts` — one whole-array count per round;
+- :class:`IncrementalNeighbourCounter` — the same counts kept up to date
+  from the users who moved, which is what the engine uses.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
 
-
-class GridIndex:
-    """Index a fixed set of points for repeated fixed-radius counting.
-
-    Args:
-        points: the points to index (e.g. current user positions).
-        cell_size: side of each square cell in meters; queries with
-            ``radius <= cell_size`` touch at most 9 cells.
-
-    The index is immutable once built.  It is the scalar reference for
-    :func:`bulk_counts`, which the engine and the mechanisms use (tests
-    pin the two to the same counts).
-    """
-
-    def __init__(self, points: Sequence[Point], cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        self._cell_size = float(cell_size)
-        self._points: List[Point] = list(points)
-        self._cells: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for idx, point in enumerate(self._points):
-            self._cells[self._cell_of(point)].append(idx)
-
-    @property
-    def cell_size(self) -> float:
-        return self._cell_size
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def _cell_of(self, point: Point) -> Tuple[int, int]:
-        return (
-            int(math.floor(point.x / self._cell_size)),
-            int(math.floor(point.y / self._cell_size)),
-        )
-
-    def _candidate_cells(
-        self, center: Point, radius: float
-    ) -> Iterable[Tuple[int, int]]:
-        reach = int(math.ceil(radius / self._cell_size))
-        cx, cy = self._cell_of(center)
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                yield (cx + dx, cy + dy)
-
-    def query(self, center: Point, radius: float) -> List[int]:
-        """Indices of all indexed points within ``radius`` of ``center``.
-
-        The boundary is inclusive, matching the paper's "distance is less
-        than R meters" loosely; tests pin the inclusive behaviour.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
-        hits: List[int] = []
-        for cell in self._candidate_cells(center, radius):
-            for idx in self._cells.get(cell, ()):
-                if self._points[idx].distance_to(center) <= radius:
-                    hits.append(idx)
-        return hits
-
-    def count_within(self, center: Point, radius: float) -> int:
-        """Number of indexed points within ``radius`` of ``center``."""
-        return len(self.query(center, radius))
-
-    def counts_for(self, centers: Sequence[Point], radius: float) -> List[int]:
-        """Vector of :meth:`count_within` results, one per center.
-
-        This is the shape the demand calculator consumes: one neighbour
-        count per task, from one index built per round.
-        """
-        return [self.count_within(center, radius) for center in centers]
-
-
-# -- bulk counting and incremental maintenance ---------------------------
 
 #: Distances this close to the radius are re-decided with the scalar
 #: predicate; np.hypot and math.hypot can disagree only in the last ulp,
@@ -128,13 +54,13 @@ def bulk_counts(
     """Fixed-radius neighbour counts, fully vectorised across centers.
 
     ``points`` and ``centers`` are ``(n, 2)`` and ``(m, 2)`` float64
-    coordinate arrays.  Returns exactly what ``GridIndex(points,
-    cell_size=radius).counts_for(centers, radius)`` returns for the same
-    coordinates as :class:`Point` s (pinned by tests), without the
-    per-center Python loop: cell membership, the 3x3 block gather, and
-    the distance predicate all run as whole-array expressions, with the
-    same :data:`_BOUNDARY_TOL` band re-decided by
-    ``math.hypot`` (``Point.distance_to``'s predicate).
+    coordinate arrays.  Counts are inclusive of the boundary and equal a
+    scalar per-center walk of the 3x3 cell block deciding each point by
+    ``Point.distance_to`` (the test suite's grid oracle pins this).
+    Cell membership, the block gather and the distance predicate all run
+    as whole-array expressions; distances within :data:`_BOUNDARY_TOL`
+    of the radius are re-decided by ``math.hypot``, the scalar
+    predicate.
 
     Raises:
         ValueError: for a non-positive radius (a zero radius has no
@@ -189,7 +115,7 @@ class IncrementalNeighbourCounter:
     count per *primed* center and updates it from the movers alone: a
     user moving from p to p' subtracts its old-position indicator and
     adds its new-position indicator for every center.  Indicators are
-    computed by :func:`bulk_counts` with the exact :class:`GridIndex`
+    computed by :func:`bulk_counts` with its exact scalar boundary
     predicate, and counts are integers, so any sequence of updates
     leaves every count bitwise equal to a from-scratch rebuild (pinned
     by tests).

@@ -89,24 +89,31 @@ def parse_jsonl(
     lines: List[str],
     what: str,
     error: Type[Exception],
+    tail: str = "",
 ) -> List[Tuple[int, Any]]:
     """Each non-blank line's JSON value with its 1-based line number.
 
+    A reader passes the log's ``tail`` (see :func:`read_lines`), which
+    is parsed as one more line: a log may end without its newline.
+
     Raises:
         error: for a line that does not parse, naming ``path``, the
-            ``what`` log and the line.
+            ``what`` log, the line and the damage: a torn last line (the
+            tail) or damage mid-stream (a complete line).
     """
     parsed = []
-    for number, line in enumerate(lines, 1):
+    for number, line in enumerate([*lines, tail], 1):
         if not line.strip():
             continue
         try:
             parsed.append((number, json.loads(line)))
         except json.JSONDecodeError as exc:
-            raise error(
-                f"{path}: corrupt {what} line {number}; the file is "
-                f"damaged mid-stream"
-            ) from exc
+            damage = (
+                "torn last line (the writer stopped mid-line)"
+                if number > len(lines)
+                else "the file is damaged mid-stream"
+            )
+            raise error(f"{path}: corrupt {what} line {number}; {damage}") from exc
     return parsed
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.dynamics.processes import WorldEvent
-from repro.io.atomic import read_lines
+from repro.io.atomic import parse_jsonl, read_lines
 from repro.simulation.events import (
     MeasurementRecords,
     RejectionRecords,
@@ -267,26 +267,12 @@ def read_events_jsonl(path: Union[str, Path]) -> SimulationReplay:
     Raises:
         ResultCorruption: for a line that is not valid JSON (named with
             the path, the 1-based line and whether it is a torn last
-            line or damage mid-file), a log that fails
+            line or damage mid-stream), a log that fails
             :func:`check_event_lines`, or a round line with a missing or
             malformed field.
     """
     lines, tail = read_lines(path)
-    payloads = []
-    for number, line in enumerate([*lines, tail], 1):
-        if not line.strip():
-            continue
-        try:
-            payloads.append((number, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            damage = (
-                "torn last line (the writer stopped mid-line)"
-                if number > len(lines)
-                else "damaged mid-file"
-            )
-            raise ResultCorruption(
-                f"{path}: line {number} is not valid JSON, {damage}: {exc}"
-            ) from exc
+    payloads = parse_jsonl(path, lines, "events", ResultCorruption, tail=tail)
     check_event_lines(path, payloads)
     _, meta = payloads[0]
     rounds = [

@@ -425,7 +425,7 @@ def read_trace_shard(path: Union[str, Path]) -> Dict[str, Any]:
     complete, tail = read_lines(path)
     entries = [
         entry for _, entry in
-        parse_jsonl(path, [*complete, tail], "trace-shard", ValueError)
+        parse_jsonl(path, complete, "trace-shard", ValueError, tail=tail)
     ]
     if not entries:
         raise ValueError(f"{path}: empty trace shard")

@@ -9,8 +9,6 @@ Four pillars (see docs/architecture.md, "Fault tolerance & resumability"):
   backoff for transient IO faults, nothing else;
 - **run journal** (:mod:`repro.resilience.journal`) — crash-safe
   per-repetition checkpoints making campaigns resumable bit-identically;
-- **fault injection** (:mod:`repro.resilience.faults`) — seeded
-  injectors that prove every recovery path under test;
 - **cooperative cancellation** (:mod:`repro.resilience.cancel`) —
   tokens (flag / deadline / file / composite) that long operations poll
   at safe boundaries, raising :class:`OperationCancelled` so timeouts
@@ -20,10 +18,8 @@ The selector watchdog lives with the solvers it guards
 (:class:`repro.selection.watchdog.TimeBoundedSelector`) but is part of
 the same subsystem.
 
-:mod:`~repro.resilience.faults` is intentionally *not* imported here:
-it depends on the selection/mechanism layers, which themselves import
-this package for the error types — import it explicitly as
-``repro.resilience.faults`` (tests and drills do).
+The seeded fault injectors that prove each recovery path live with the
+tests that drive them (``tests/resilience/faults.py``).
 """
 
 from repro.resilience.cancel import (

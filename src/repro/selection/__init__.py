@@ -33,7 +33,6 @@ from repro.selection.dp import DynamicProgrammingSelector
 from repro.selection.reference_dp import ReferenceDPSelector
 from repro.selection.greedy import GreedySelector
 from repro.selection.brute_force import BruteForceSelector
-from repro.selection.branch_and_bound import BranchAndBoundSelector
 from repro.selection.two_opt import GreedyTwoOptSelector, improve_order
 from repro.selection.watchdog import TimeBoundedSelector
 from repro.selection.registry import SELECTORS, SELECTOR_NAMES
@@ -49,7 +48,6 @@ __all__ = [
     "ReferenceDPSelector",
     "GreedySelector",
     "BruteForceSelector",
-    "BranchAndBoundSelector",
     "GreedyTwoOptSelector",
     "TimeBoundedSelector",
     "improve_order",

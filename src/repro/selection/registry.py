@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.registry import Registry
 from repro.selection.base import Selector
-from repro.selection.branch_and_bound import BranchAndBoundSelector
 from repro.selection.brute_force import BruteForceSelector
 from repro.selection.dp import DynamicProgrammingSelector
 from repro.selection.greedy import GreedySelector
@@ -23,7 +22,6 @@ SELECTORS: Registry[Selector] = Registry("selector")
 for _cls in (
     DynamicProgrammingSelector,
     ReferenceDPSelector,
-    BranchAndBoundSelector,
     GreedySelector,
     GreedyTwoOptSelector,
     BruteForceSelector,

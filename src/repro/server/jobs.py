@@ -84,7 +84,7 @@ VALID_TRANSITIONS: Dict[JobState, frozenset] = {
 #: exits with one of them and the supervisor maps it back onto a state;
 #: any other code is a crash (retried, then poisoned).
 EXIT_DONE = 0
-EXIT_BAD_JOB = 2  # invalid job dir / unparseable job.json: FAILED, no retry
+EXIT_BAD_JOB = 2  # bad job dir / job.json or infeasible config: FAILED, no retry
 EXIT_CANCELLED = 3
 EXIT_TIMED_OUT = 4
 EXIT_INJECTED_CRASH = 13  # fault drills (a crash like any other)

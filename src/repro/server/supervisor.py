@@ -459,8 +459,8 @@ class WorkerSupervisor:
             return True
         if returncode == EXIT_BAD_JOB:
             job.error = (
-                "worker rejected the job directory (see worker.log); "
-                "not retrying a malformed input"
+                "worker rejected the job (see worker.log); "
+                "not retrying a malformed or infeasible input"
             )
             job.transition(JobState.FAILED)
             return True

@@ -39,9 +39,8 @@ construction — while the :class:`ResumingRoundWriter` suppresses rounds
 already on disk and appends only the new ones.  The result: a killed
 and restarted job produces an events file with exactly one record per
 round — no duplicates, no losses — identical to an uninterrupted run up
-to wall-clock timing telemetry (``selector_wall_time`` and friends,
-which no replay can reproduce; :func:`canonical_round` strips them for
-comparisons).
+to wall-clock timing telemetry (``selector_wall_time`` and the
+``selector_seconds`` histogram, which no replay can reproduce).
 
 Exit codes (defined in :mod:`repro.server.jobs`) are the worker half of
 the lifecycle state machine:
@@ -52,7 +51,8 @@ the lifecycle state machine:
 3     CANCELLED (cooperative, via the cancel file)
 4     TIMED_OUT (cooperative, via the wall-clock deadline token, or a
       deadline already spent at start)
-2     invalid job dir / unparseable job.json (poison — do not retry)
+2     invalid job dir / unparseable job.json, or a config the run
+      finds infeasible (a ``ConfigError``; poison — do not retry)
 13    injected crash (fault drills; see REPRO_SERVER_FAULT_CRASH_P)
 else  crash (uncaught exception, killed, …) — supervisor retries
 ====  =========================================================
@@ -87,7 +87,11 @@ from repro.resilience.cancel import (
     DeadlineToken,
     FileToken,
 )
-from repro.resilience.errors import OperationCancelled, ResultCorruption
+from repro.resilience.errors import (
+    ConfigError,
+    OperationCancelled,
+    ResultCorruption,
+)
 from repro.server.jobs import (
     EXIT_BAD_JOB,
     EXIT_CANCELLED,
@@ -102,35 +106,6 @@ log = get_logger("server.worker")
 
 CRASH_P_ENV = "REPRO_SERVER_FAULT_CRASH_P"
 CRASH_SEED_ENV = "REPRO_SERVER_FAULT_SEED"
-
-#: Round-payload keys that carry wall-clock timings — the only fields a
-#: deterministic replay cannot reproduce.
-_TIMING_PERF_KEYS = frozenset(("selector_wall_time",))
-_TIMING_METRIC_PREFIXES = ("selector_seconds",)
-
-
-def canonical_round(payload: dict) -> dict:
-    """A round record with its wall-clock timing telemetry removed.
-
-    The simulation content of a round (selections, rewards, coverage,
-    budget) is bit-reproducible across replays; the timings are not.
-    Recovery tests compare canonical rounds, so "no duplicate or lost
-    round events" is checked on exactly the fields that must match.
-    """
-    clean = dict(payload)
-    if isinstance(clean.get("perf"), dict):
-        clean["perf"] = {
-            k: v
-            for k, v in clean["perf"].items()
-            if k not in _TIMING_PERF_KEYS
-        }
-    if isinstance(clean.get("metrics"), dict):
-        clean["metrics"] = {
-            k: v
-            for k, v in clean["metrics"].items()
-            if not k.startswith(_TIMING_METRIC_PREFIXES)
-        }
-    return clean
 
 
 class ResumingRoundWriter:
@@ -284,6 +259,11 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
             extra={"job": job_id, "reason": exc.reason},
         )
         return EXIT_TIMED_OUT if exc.reason == "timeout" else EXIT_CANCELLED
+    except ConfigError as exc:
+        # An infeasible config (e.g. an Eq. 9 budget too small for the
+        # run's tasks) fails the same way on every attempt: poison.
+        sys.stderr.write(f"worker: infeasible job {job_id}: {exc}\n")
+        return EXIT_BAD_JOB
     finally:
         writer.close()
         if tracer is not None and trace_ctx is not None:

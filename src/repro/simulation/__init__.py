@@ -38,7 +38,6 @@ from repro.simulation.session import (
 from repro.simulation.perf import PerfStats
 from repro.simulation.rng import spawn_streams, child_seed
 from repro.simulation.round_cache import RoundProblems
-from repro.simulation.observers import ProgressPrinter, CoverageTracker
 
 __all__ = [
     "PerfStats",
@@ -60,6 +59,4 @@ __all__ = [
     "open_session",
     "spawn_streams",
     "child_seed",
-    "ProgressPrinter",
-    "CoverageTracker",
 ]

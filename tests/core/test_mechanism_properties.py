@@ -22,12 +22,13 @@ from repro.core.mechanisms import (
     SteeredMechanism,
 )
 from repro.dynamics.online import IncentMeMechanism
-from repro.geometry.grid_index import GridIndex, IncrementalNeighbourCounter
+from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.world.generator import World
 from repro.world.task import SensingTask
 from repro.world.user import MobileUser
+from tests.geometry.grid_oracle import GridIndex
 
 REGION = RectRegion.square(1000.0)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.levels import DemandLevels
 from repro.core.rewards import RewardSchedule
+from repro.resilience.errors import ConfigError
 
 
 class TestPaperConstants:
@@ -44,10 +45,14 @@ class TestPaperConstants:
 class TestValidation:
     def test_budget_too_small_raises(self):
         # r0 = 100/400 - 2 < 0: the budget cannot pay top-level rewards.
-        with pytest.raises(ValueError, match="r0 must be positive"):
+        with pytest.raises(ValueError, match="r0 must be positive") as info:
             RewardSchedule.from_budget(
                 budget=100.0, total_required_measurements=400, step=0.5
             )
+        assert isinstance(info.value, ConfigError)
+        for fragment in ("B=100", "400 required measurements", "lambda=0.5",
+                         "N=5", "needs B > 800"):
+            assert fragment in str(info.value)
 
     def test_non_positive_budget(self):
         with pytest.raises(ValueError, match="budget"):

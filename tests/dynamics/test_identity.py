@@ -15,8 +15,9 @@ import pytest
 
 from repro.io.events import _round_payload
 from repro.scenarios import get_preset
-from repro.server.worker import ResumingRoundWriter, canonical_round
+from repro.server.worker import ResumingRoundWriter
 from repro.simulation import SimulationConfig, make_engine
+from tests.server.canonical import canonical_round
 
 ZERO_DYNAMICS = {
     "user_arrival_rate": 0.0,

@@ -12,6 +12,8 @@ from repro.dynamics.online import (
     OMGOnlineMechanism,
     stage_plan,
 )
+from repro.resilience.errors import ConfigError
+from repro.scenarios import get_preset
 from repro.simulation import SimulationConfig, make_engine
 
 
@@ -144,6 +146,20 @@ class TestBudgetFeasibility:
         )
         result = make_engine(config).run()
         assert total_paid(result) <= config.budget + 1e-6
+
+    def test_incentme_infeasible_budget_is_a_named_config_error(self):
+        # poisson-stream streams most of its tasks; Eq. 9 over all of
+        # them leaves B=1000 no positive r0.
+        engine = make_engine(
+            get_preset("poisson-stream").to_config(mechanism="incentme", seed=0)
+        )
+        phi = (engine.world.total_required_measurements
+               + engine.timeline.streamed_required_total())
+        with pytest.raises(ConfigError, match="r0 must be positive") as info:
+            engine.step()
+        message = str(info.value)
+        assert f"{phi} required measurements" in message
+        assert f"needs B > {phi * 0.5 * 4:g}" in message
 
     def test_omg_spend_ledger_tracks_payments(self):
         """OMG's spend is the engine's run ledger: each round's threshold

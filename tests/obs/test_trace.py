@@ -165,6 +165,7 @@ class TestReadTraceShard:
         assert str(caught.value).startswith(
             f"{path}: corrupt trace-shard line {lines};"
         )
+        assert "torn last line" in str(caught.value)
 
     def test_damaged_span_line_names_the_path_and_line(self, tmp_path):
         path = self._shard(tmp_path)
@@ -175,6 +176,7 @@ class TestReadTraceShard:
             read_trace_shard(path)
         assert not isinstance(caught.value, json.JSONDecodeError)
         assert str(caught.value).startswith(f"{path}: corrupt trace-shard line 2;")
+        assert "damaged mid-stream" in str(caught.value)
 
 
 class TestMergeTraces:

@@ -16,8 +16,8 @@ recovers from:
 - :class:`CrashingMetric` — a metric that kills the process-equivalent
   mid-campaign (exercises journal resume).
 
-These live in the library, not the test tree, so downstream users can
-drill their own deployments the same way.
+No library module runs these; they live beside the tests that drive
+them.
 """
 
 from __future__ import annotations

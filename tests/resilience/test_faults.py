@@ -8,7 +8,9 @@ import pytest
 from repro.core.mechanisms import MECHANISMS
 from repro.io.results import load_result, save_result
 from repro.resilience.errors import MechanismPriceError, TransientIOError
-from repro.resilience.faults import (
+from repro.selection import GreedySelector
+from repro.simulation.engine import SimulationEngine
+from tests.resilience.faults import (
     CrashingMetric,
     FaultPlan,
     FaultyMechanism,
@@ -17,8 +19,6 @@ from repro.resilience.faults import (
     InjectedFault,
     scripted_failures,
 )
-from repro.selection import GreedySelector
-from repro.simulation.engine import SimulationEngine
 
 
 class TestFaultPlan:

@@ -14,11 +14,11 @@ Two end-to-end scenarios the resilience layer exists for:
 import pytest
 
 from repro.experiments.runner import repeat_metrics
-from repro.resilience.faults import CrashingMetric, FaultPlan, FaultySelector, InjectedFault
 from repro.resilience.journal import RunJournal
 from repro.selection import GreedySelector, TimeBoundedSelector
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, simulate
+from tests.resilience.faults import CrashingMetric, FaultPlan, FaultySelector, InjectedFault
 
 
 @pytest.fixture

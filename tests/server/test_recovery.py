@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.server.client import ServerClient
-from repro.server.worker import canonical_round
+from tests.server.canonical import canonical_round
 
 #: Long enough (~10s) that the kill lands mid-run.
 SLOW = {"overrides": {"n_users": 2000, "n_tasks": 50, "rounds": 80,

@@ -25,9 +25,9 @@ from repro.server.worker import (
     CRASH_P_ENV,
     CRASH_SEED_ENV,
     ResumingRoundWriter,
-    canonical_round,
     run_job,
 )
+from tests.server.canonical import canonical_round
 
 FAST_PAYLOAD = {"overrides": {"n_users": 25, "n_tasks": 6, "rounds": 4,
                               "budget": 500.0, "seed": 11}}
@@ -253,6 +253,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_DONE, proc.stderr
         assert "found in sys.modules" not in proc.stderr
+
+    def test_infeasible_budget_is_poison_not_a_crash(self, tmp_path):
+        # poisson-stream's streamed tasks leave IncentMe's Eq. 9 ladder
+        # no positive r0: exit 2 (FAILED, no retry), not a crash.
+        job_dir = write_job(tmp_path / "job", payload={
+            "scenario": "poisson-stream",
+            "overrides": {"mechanism": "incentme", "seed": 0},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.server.worker", str(job_dir)],
+            env=_worker_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_BAD_JOB, proc.stderr
+        assert "r0 must be positive" in proc.stderr
+        assert not (job_dir / "result.json").exists()
 
     def test_deadline_rounded_to_zero_times_out(self, tmp_path):
         job_dir = write_job(tmp_path / "job")

@@ -5,6 +5,9 @@ surface so an accidental rename shows up as a failing test, not a user's
 broken script.
 """
 
+import ast
+from pathlib import Path
+
 import repro
 
 
@@ -72,3 +75,26 @@ def test_quickstart_snippet_from_readme():
     ))
     summary = MetricsSummary.from_result(result)
     assert 0.0 <= summary.coverage <= 1.0
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module or ""
+
+
+def test_library_never_imports_the_test_tree():
+    """Test helpers (fault injectors, oracles) live under tests/; the
+    library must run without them."""
+    root = Path(repro.__file__).parent
+    sources = sorted(root.rglob("*.py"))
+    assert len(sources) > 50
+    offenders = [
+        f"{path.relative_to(root)}: {module}"
+        for path in sources
+        for module in _imported_modules(ast.parse(path.read_text(), str(path)))
+        if module == "tests" or module.startswith("tests.")
+    ]
+    assert not offenders, offenders

@@ -17,7 +17,7 @@ from repro.selection.base import Selector
 class TestRegistrySurface:
     def test_selector_names_available(self):
         names = SELECTORS.available()
-        for name in ("dp", "branch-and-bound", "greedy", "brute-force"):
+        for name in ("dp", "greedy", "brute-force"):
             assert name in names
 
     def test_mechanism_names_available(self):

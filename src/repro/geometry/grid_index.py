@@ -8,7 +8,10 @@ point within ``radius`` of a query location falls in one of those 9 cells.
 
 - :func:`bulk_counts` — one whole-array count per round;
 - :class:`IncrementalNeighbourCounter` — the same counts kept up to date
-  from the users who moved, which is what the engine uses.
+  from the users who moved, which is what the engine uses;
+- :func:`expand_ranges` — the ``searchsorted`` ranges of a sorted-array
+  query expanded into one flat position vector (also the candidate
+  expansion of :mod:`repro.simulation.round_cache`'s sparse rounds).
 """
 
 from __future__ import annotations
@@ -48,6 +51,24 @@ def _encode_cells(cells: np.ndarray) -> np.ndarray:
     )
 
 
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every position of the half-open ranges ``[lo, hi)``, range by range.
+
+    ``lo`` and ``hi`` are equal-shape int arrays (any shape, read in C
+    order) with ``hi >= lo``.  Returns ``(owner, positions)``: the flat
+    index of the range each position came from, and the positions
+    themselves, ascending within each range.
+    """
+    lo, hi = lo.ravel(), hi.ravel()
+    lengths = hi - lo
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    # Position i of the expansion lies in range owner[i], at offset
+    # i - start(owner[i]) from that range's lo.
+    starts = np.cumsum(lengths) - lengths
+    positions = np.arange(len(owner)) + np.repeat(lo - starts, lengths)
+    return owner, positions
+
+
 def bulk_counts(
     points: np.ndarray, centers: np.ndarray, radius: float
 ) -> np.ndarray:
@@ -83,15 +104,9 @@ def bulk_counts(
     )
     lo = np.searchsorted(sorted_keys, nkeys, side="left")
     hi = np.searchsorted(sorted_keys, nkeys, side="right")
-    lengths = hi - lo
-    total = int(lengths.sum())
-    if total == 0:
+    reps, flat = expand_ranges(lo, hi)
+    if not len(flat):
         return counts
-    # Expand the 9m [lo, hi) ranges into one flat candidate vector:
-    # positions within each range are 0..len-1, offset by the range's lo.
-    reps = np.repeat(np.arange(lengths.size), lengths)
-    starts = np.cumsum(lengths) - lengths
-    flat = np.arange(total) - np.repeat(starts, lengths) + np.repeat(lo, lengths)
     cand = order[flat]
     center_of = reps // 9
     dx = coords[cand, 0] - carr[center_of, 0]

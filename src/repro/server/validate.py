@@ -185,6 +185,18 @@ def parse_submission(body: Any) -> ParsedSubmission:
         # non-string keys and similar shape mistakes.
         raise InvalidSubmission("overrides", str(exc)) from exc
 
+    try:
+        # Closed worlds fail Eq. 9 exactly when this does; an open
+        # world's streamed tasks can still make incentme's r0
+        # infeasible, which only the pre-drawn stream shows.
+        config.base_reward()
+    except ReproError as exc:
+        raise InvalidSubmission("budget", str(exc)) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        # mechanism_kwargs override the budget, step or levels with
+        # values the mechanism could not use either.
+        raise InvalidSubmission("mechanism_kwargs", str(exc)) from exc
+
     payload = {
         "scenario": scenario,
         "spec": dict(spec_mapping) if spec_mapping is not None else None,

@@ -19,6 +19,12 @@ from repro.world.generator import WorldGenerator
 #: (see :meth:`SimulationConfig.with_overrides`).
 RETIRED_ENGINE_VALUES = ("scalar", "batched")
 
+#: The mechanisms whose ``initialize`` derives the base reward r0 from
+#: the budget by Eq. 9 (:meth:`SimulationConfig.base_reward`).
+EQ9_MECHANISMS = (
+    "on-demand", "fixed", "proportional", "adaptive", "incentme", "policy",
+)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -264,6 +270,31 @@ class SimulationConfig:
     def total_required_measurements(self) -> int:
         """:math:`\\sum_i \\varphi_i` for the Eq. 9 base-reward derivation."""
         return self.n_tasks * self.required_measurements
+
+    def base_reward(self) -> Optional[float]:
+        """Eq. 9's base reward r0, or None when the mechanism does not
+        derive one from the budget.
+
+        Computed from the config alone, with the seed tasks' Σφ
+        (:attr:`total_required_measurements`), so no world is built.
+        Tasks an open world streams in only add to Σφ and lower r0, so
+        a budget this rejects fails in every world.
+
+        Raises:
+            ConfigError: when r0 would not be positive, naming B, Σφ,
+                λ, N and the budget Eq. 9 needs.
+        """
+        if self.mechanism not in EQ9_MECHANISMS:
+            return None
+        from repro.core.rewards import RewardSchedule
+
+        arguments = self.mechanism_arguments()
+        return RewardSchedule.from_budget(
+            budget=arguments["budget"],
+            total_required_measurements=self.total_required_measurements,
+            step=arguments["step"],
+            levels=arguments["levels"],
+        ).base_reward
 
     def world_generator(self) -> WorldGenerator:
         """The :class:`WorldGenerator` implied by this config."""

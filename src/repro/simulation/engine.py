@@ -109,6 +109,7 @@ from repro.simulation.perf import PerfStats
 from repro.simulation.round_cache import (
     DEFAULT_CHUNK_BYTES,
     RoundProblems,
+    contributor_pairs,
     task_distance_matrix,
     task_locations,
 )
@@ -979,13 +980,12 @@ class SimulationEngine:
         tasks = [active[i] for i in touched.tolist()]
         remaining = np.array([t.remaining for t in tasks], dtype=np.int64)[group]
         price = np.array([prices[t.task_id] for t in tasks], dtype=float)[group]
-        contributors = [t.contributors for t in tasks]
-        fresh = np.fromiter(
-            (
-                user not in contributors[g]
-                for g, user in zip(group.tolist(), user_ids.tolist())
-            ),
-            dtype=bool, count=len(group),
+        # One lookup of every pair's (task group, user) key among the
+        # touched tasks' pre-round contributions.
+        contributed_group, contributed = contributor_pairs(tasks)
+        span = int(max(user_ids.max(initial=0), contributed.max(initial=0))) + 1
+        fresh = ~np.isin(
+            group * span + user_ids, contributed_group * span + contributed
         )
         # `before`: the running count of fresh pairs within each task's
         # group, in pair order (the sort is stable).

@@ -67,9 +67,10 @@ class TestEveryPresetBuildsAValidWorld:
             assert task.required_measurements >= 1
 
     def test_reward_levels_feasible(self, name):
-        # Eq. 9: the per-measurement base reward r0 must be positive.
-        config = downsized(PRESETS[name])
-        config.mechanism_arguments()  # raises if the budget is infeasible
+        # Eq. 9: the per-measurement base reward r0 must be positive for
+        # the full-size preset's sum of phi (no world is built).
+        base = PRESETS[name].to_config().base_reward()
+        assert base is None or base > 0
 
 
 class TestPaper2018:

@@ -68,6 +68,20 @@ class TestConfigBlame:
         assert err.field == "mechanism"
         assert "task_arrival_rate" in err.reason
 
+    def test_infeasible_eq9_budget_blames_the_budget(self):
+        # 30 tasks x 20 measurements need B > 1200 for r0 > 0 (Eq. 9).
+        err = reject({"overrides": {"n_users": 40, "n_tasks": 30}})
+        assert err.field == "budget"
+        assert "base reward r0 must be positive" in err.reason
+        assert err.as_dict()["field"] == "budget"
+
+    @pytest.mark.parametrize("kwargs", [
+        {"levels": 5}, {"budget": -3}, {"step": None},
+    ])
+    def test_unusable_eq9_mechanism_kwargs_are_blamed(self, kwargs):
+        err = reject({"overrides": {"mechanism_kwargs": kwargs}})
+        assert err.field == "mechanism_kwargs"
+
     def test_as_dict_is_the_http_body(self):
         err = reject({"overrides": {"n_users": -5}})
         body = err.as_dict()

@@ -6,9 +6,10 @@ import pytest
 
 from repro import api
 from repro.core.levels import DemandLevels
+from repro.core.mechanisms import MECHANISM_NAMES
 from repro.resilience.errors import ConfigError
 from repro.scenarios import ScenarioSpec
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import EQ9_MECHANISMS, SimulationConfig
 
 
 class TestDefaults:
@@ -160,3 +161,32 @@ class TestMechanismArguments:
         assert generator.n_users == 33
         assert generator.n_tasks == 20
         assert generator.user_time_budget == 900.0
+
+
+class TestBaseReward:
+    """``SimulationConfig.base_reward`` derives Eq. 9's r0 without a world."""
+
+    #: Σφ = 30 x 20 = 600 measurements: B / Σφ = 1.67 < λ (N - 1) = 2.
+    INFEASIBLE = dict(n_users=40, n_tasks=30, rounds=2)
+
+    def test_known_infeasible_config_fails(self):
+        with pytest.raises(ConfigError, match="base reward r0 must be positive"):
+            SimulationConfig(**self.INFEASIBLE).base_reward()
+
+    def test_matches_the_engine_schedule(self):
+        engine = api.make_engine(SimulationConfig(n_users=20, seed=3))
+        engine.step()
+        assert engine.config.base_reward() == engine.mechanism.schedule.base_reward
+
+    @pytest.mark.parametrize("mechanism", MECHANISM_NAMES)
+    def test_refuses_exactly_what_the_engine_refuses(self, mechanism):
+        config = SimulationConfig(mechanism=mechanism, **self.INFEASIBLE)
+        engine = api.make_engine(config)
+        if mechanism in EQ9_MECHANISMS:
+            with pytest.raises(ConfigError):
+                config.base_reward()
+            with pytest.raises(ConfigError):
+                engine.step()
+        else:
+            assert config.base_reward() is None
+            engine.step()

@@ -118,8 +118,8 @@ def cases() -> List[Dict]:
                 "overrides": {"mechanism": "incentme", "seed": 0,
                               "stream_rounds": False},
                 "snapshot": "user-profits"})
-    # Proportional's Eq. 5 counts under churn, where every population
-    # change rebuilds the engine's neighbour counter.
+    # Proportional's Eq. 5 counts under churn, recounted each round over
+    # the population the arrivals and departures left.
     out.append({"scenario": "poisson-churn",
                 "overrides": dict(WANDERING_CHURN, seed=0,
                                   mechanism="proportional")})

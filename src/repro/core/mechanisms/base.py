@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.geometry.distances import as_coordinates
-from repro.geometry.grid_index import IncrementalNeighbourCounter, bulk_counts
+from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
 from repro.world.task import SensingTask
 
@@ -40,16 +40,12 @@ class RoundView:
         total_paid: rewards the platform paid in the rounds before this
             one (the engine's ``RunTotals.total_paid``; Eq. 8 bounds it
             by B).
-        neighbour_counter: the engine's Eq. 5 counter over
-            ``user_locations``, kept current by its move pass (``None``
-            when the engine built none, or outside an engine).
     """
 
     round_no: int
     active_tasks: Sequence[SensingTask]
     user_locations: np.ndarray
     total_paid: float = 0.0
-    neighbour_counter: Optional[IncrementalNeighbourCounter] = None
 
     def __post_init__(self) -> None:
         if self.round_no < 1:
@@ -60,20 +56,15 @@ class RoundView:
     ) -> np.ndarray:
         """Eq. 5: users within ``radius`` of each task, as an int array.
 
-        Answered by the engine's counter when it counts at ``radius``,
-        else by :func:`~repro.geometry.grid_index.bulk_counts` over
-        :attr:`user_locations`, else (no users) zeros — the same exact
-        counts every way.
+        One exact recount of :attr:`user_locations` around the given
+        tasks (:func:`~repro.geometry.grid_index.bulk_counts`); the
+        engine's price cache makes this one call per round, over the
+        published tasks only.
         """
-        counter = self.neighbour_counter
-        if counter is not None and counter.radius == radius:
-            return counter.counts_array([t.location for t in tasks])
-        if len(self.user_locations):
-            return bulk_counts(
-                self.user_locations, as_coordinates(t.location for t in tasks),
-                radius,
-            )
-        return np.zeros(len(tasks), dtype=int)
+        return bulk_counts(
+            self.user_locations, as_coordinates(t.location for t in tasks),
+            radius,
+        )
 
 
 class IncentiveMechanism(abc.ABC):
@@ -125,8 +116,3 @@ class IncentiveMechanism(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def active_task_list(world: World) -> List[SensingTask]:
-    """The currently published tasks of a world (engine convenience)."""
-    return [t for t in world.tasks if t.is_active]

@@ -12,10 +12,9 @@ Per round (Section IV):
 Neighbour counts are exact counts over the users' *current* positions —
 the demands are "real-time" in the paper's sense.  They come from
 :meth:`RoundView.neighbour_counts <repro.core.mechanisms.base.RoundView.
-neighbour_counts>` (the engine's counter, or a recount outside an
-engine).  Steps 1–4 run as
-numpy arithmetic, each step bit-identical per element to its scalar
-counterpart (the test suite's scalar grid oracle,
+neighbour_counts>` (one recount of the view's user positions).  Steps
+1–4 run as numpy arithmetic, each step bit-identical per element to its
+scalar counterpart (the test suite's scalar grid oracle,
 :meth:`DemandCalculator.demands`,
 :meth:`RewardSchedule.reward_for_demand`).
 """

@@ -4,9 +4,9 @@
 :class:`~repro.dynamics.processes.EventStream` and replays it against a
 live engine: before round ``r`` plays, the round's departures, arrivals,
 and task publications are folded into the engine's world through its
-``_apply_dynamics`` hook (which mutates the user/task lists, rebuilds
-the engine's persistent arrays and, on a population change, its
-:class:`~repro.geometry.grid_index.IncrementalNeighbourCounter`).
+``_apply_dynamics`` hook (which mutates the user/task lists and, on a
+population change, rebuilds the engine's per-row arrays; the round's
+Eq. 5 recount then reads the new positions).
 
 The timeline consumes **no randomness at runtime** — every draw already
 happened in :func:`~repro.dynamics.processes.generate_stream` — so the

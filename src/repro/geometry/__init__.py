@@ -10,8 +10,8 @@ rest of the library is built on:
 - :class:`~repro.geometry.region.RectRegion` — the rectangular deployment
   area, with uniform random sampling.
 - :mod:`~repro.geometry.grid_index` — uniform-grid neighbour counts
-  (``bulk_counts``, ``IncrementalNeighbourCounter``): the neighbouring
-  mobile users of each task, the X3 demand factor of Eq. 5.
+  (``bulk_counts``): the neighbouring mobile users of each task, the X3
+  demand factor of Eq. 5.
 """
 
 from repro.geometry.point import Point, euclidean, manhattan

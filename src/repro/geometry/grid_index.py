@@ -2,26 +2,25 @@
 
 The demand factor X3 (Eq. 5) needs, for every task, the number of mobile
 users within R meters ("neighbouring users").  A naive all-pairs scan is
-O(tasks x users) per round; hashing users into square cells of side R
-makes each task inspect only the 3x3 block of cells around it, since any
-point within ``radius`` of a query location falls in one of those 9 cells.
+O(tasks x users) per round.  :func:`bulk_counts` instead lays a grid of
+cells at least R wide over the tasks' bounding box, so any user within R
+of a task falls in the 3x3 block of cells around it, and each user is
+compared only with the tasks whose block holds its cell.  A round's
+pricing calls it once, over the published tasks only
+(:meth:`RoundView.neighbour_counts
+<repro.core.mechanisms.base.RoundView.neighbour_counts>`).
 
-- :func:`bulk_counts` — one whole-array count per round;
-- :class:`IncrementalNeighbourCounter` — the same counts kept up to date
-  from the users who moved, which is what the engine uses;
-- :func:`expand_ranges` — the ``searchsorted`` ranges of a sorted-array
-  query expanded into one flat position vector (also the candidate
-  expansion of :mod:`repro.simulation.round_cache`'s sparse rounds).
+:func:`expand_ranges` expands the ranges of a sorted-array query into one
+flat position vector (also the candidate expansion of
+:mod:`repro.simulation.round_cache`'s sparse rounds).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.geometry.point import Point
 
 
 #: Distances this close to the radius are re-decided with the scalar
@@ -29,26 +28,15 @@ from repro.geometry.point import Point
 #: far inside this window for any realistic geometry.
 _BOUNDARY_TOL = 1e-6
 
-#: The 3x3 block of cell offsets a radius-sized cell query inspects.
+#: The 3x3 block of cell offsets around a center's cell.
 _NINE_CELLS = np.asarray(
     [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)], dtype=np.int64
 )
-#: Cell coordinates are packed into one int64 key for sorted lookup;
-#: coordinates must stay within +-_CELL_OFFSET cells of the origin.
-_CELL_OFFSET = np.int64(1) << 20
-_CELL_STRIDE = np.int64(1) << 21
-
-
-def _encode_cells(cells: np.ndarray) -> np.ndarray:
-    """Pack ``(k, 2)`` integer cell coordinates into ``(k,)`` int64 keys."""
-    if cells.size and np.abs(cells).max() >= _CELL_OFFSET:
-        raise ValueError(
-            "points lie too many cells from the origin for the packed "
-            "cell encoding (|cell index| must stay below 2^20)"
-        )
-    return (cells[:, 0] + _CELL_OFFSET) * _CELL_STRIDE + (
-        cells[:, 1] + _CELL_OFFSET
-    )
+#: Relative widening of the cells past R.  Cell coordinates carry a
+#: rounding error of a few ulps per cell of the table's span, so a point
+#: exactly R from a center could otherwise land two cells away from it;
+#: 1e-6 covers tables of up to ~10^9 cells a side.
+_CELL_MARGIN = 1e-6
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -69,6 +57,45 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return owner, positions
 
 
+def _center_table(
+    centers: np.ndarray, radius: float, n_points: int
+) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A dense CSR table from grid cell to the centers whose 3x3 block
+    holds it.
+
+    Cells are at least ``radius`` wide (times ``1 + _CELL_MARGIN``), and
+    wider when the centers' bounding box would otherwise need more than
+    about ``n_points + 9 * len(centers)`` cells: a tiny radius coarsens
+    the cells (more candidate pairs, never a missed one) instead of
+    growing the table.  The grid starts three cells below and left of
+    the box (so rounding cannot pull a block onto its edge), and the
+    table's outermost ring of cells lies in no block, so points clipped
+    onto it find no center.
+
+    Returns ``(origin, width, shape, starts, sizes, members)``: point
+    ``p`` lies in cell ``floor((p - origin) / width)`` (per axis,
+    row-major in ``shape``), and the centers whose block holds cell
+    ``c`` are ``members[starts[c]:starts[c] + sizes[c]]``.
+    """
+    low = centers.min(axis=0)
+    extent = centers.max(axis=0) - low
+    target = n_points + 9 * len(centers)
+    width = max(
+        radius,
+        math.sqrt(float(extent[0] * extent[1]) / target),
+        float(extent[0] + extent[1]) / target,
+    ) * (1.0 + _CELL_MARGIN)
+    origin = low - 3 * width
+    cells = np.floor((centers - origin) / width).astype(np.int64)
+    shape = cells.max(axis=0) + 3
+    block = (cells[:, None, :] + _NINE_CELLS[None, :, :]).reshape(-1, 2)
+    keys = block[:, 0] * shape[1] + block[:, 1]
+    members = np.argsort(keys) // 9
+    sizes = np.bincount(keys, minlength=int(shape[0] * shape[1]))
+    starts = np.cumsum(sizes) - sizes
+    return origin, width, shape, starts, sizes, members
+
+
 def bulk_counts(
     points: np.ndarray, centers: np.ndarray, radius: float
 ) -> np.ndarray:
@@ -76,16 +103,16 @@ def bulk_counts(
 
     ``points`` and ``centers`` are ``(n, 2)`` and ``(m, 2)`` float64
     coordinate arrays.  Counts are inclusive of the boundary and equal a
-    scalar per-center walk of the 3x3 cell block deciding each point by
+    scalar per-center walk of the cells around it deciding each point by
     ``Point.distance_to`` (the test suite's grid oracle pins this).
-    Cell membership, the block gather and the distance predicate all run
-    as whole-array expressions; distances within :data:`_BOUNDARY_TOL`
-    of the radius are re-decided by ``math.hypot``, the scalar
-    predicate.
+    Each point is hashed to its cell of :func:`_center_table` with one
+    ``floor``; points in cells no center's block holds are dropped, and
+    the rest are paired with the centers listed for their cell.
+    Distances within :data:`_BOUNDARY_TOL` of the radius are re-decided
+    by ``math.hypot``, the scalar predicate.
 
     Raises:
-        ValueError: for a non-positive radius (a zero radius has no
-            grid cell to hash into).
+        ValueError: for a non-positive radius.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -95,20 +122,25 @@ def bulk_counts(
         return counts
     coords = np.asarray(points, dtype=float)
     carr = np.asarray(centers, dtype=float)
-    keys = _encode_cells(np.floor(coords / radius).astype(np.int64))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    ccells = np.floor(carr / radius).astype(np.int64)
-    nkeys = _encode_cells(
-        (ccells[:, None, :] + _NINE_CELLS[None, :, :]).reshape(-1, 2)
+    origin, width, shape, starts, sizes, members = _center_table(
+        carr, radius, len(coords)
     )
-    lo = np.searchsorted(sorted_keys, nkeys, side="left")
-    hi = np.searchsorted(sorted_keys, nkeys, side="right")
-    reps, flat = expand_ranges(lo, hi)
+    cells = coords - origin
+    cells /= width
+    np.floor(cells, out=cells)
+    # Points off the table land on its empty outer ring.
+    for axis in (0, 1):
+        np.clip(cells[:, axis], 0, shape[axis] - 1, out=cells[:, axis])
+    index = cells.astype(np.int64)
+    keys = index[:, 0] * shape[1] + index[:, 1]
+    lengths = sizes[keys]
+    rows = np.flatnonzero(lengths > 0)
+    lo = starts[keys[rows]]
+    owner, flat = expand_ranges(lo, lo + lengths[rows])
     if not len(flat):
         return counts
-    cand = order[flat]
-    center_of = reps // 9
+    cand = rows[owner]
+    center_of = members[flat]
     dx = coords[cand, 0] - carr[center_of, 0]
     dy = coords[cand, 1] - carr[center_of, 1]
     distances = np.hypot(dx, dy)
@@ -119,98 +151,3 @@ def bulk_counts(
             (px, py), (cx, cy) = coords[cand[j]].tolist(), carr[center_of[j]].tolist()
             inside[j] = math.hypot(px - cx, py - cy) <= radius
     return np.bincount(center_of[inside], minlength=m).astype(int)
-
-
-class IncrementalNeighbourCounter:
-    """Eq. 5 neighbour counts maintained by movement deltas, not rebuilds.
-
-    A per-round recount touches every user every round; at city scale
-    most users do not move between rounds (stationary commuters, users
-    with no reachable tasks), so the counter instead keeps one running
-    count per *primed* center and updates it from the movers alone: a
-    user moving from p to p' subtracts its old-position indicator and
-    adds its new-position indicator for every center.  Indicators are
-    computed by :func:`bulk_counts` with its exact scalar boundary
-    predicate, and counts are integers, so any sequence of updates
-    leaves every count bitwise equal to a from-scratch rebuild (pinned
-    by tests).
-
-    When a round moves at least :data:`FULL_REBUILD_FRACTION` of the
-    population, two delta passes would cost more than one rebuild, so
-    the counter recomputes everything instead — same counts, fewer
-    flops.
-
-    Args:
-        positions: the tracked population's ``(n, 2)`` float64 position
-            array.  The counter keeps a reference, not a copy: its owner
-            moves rows in place and then reports them through
-            :meth:`apply_moves`.
-        radius: the neighbourhood radius R (also the grid cell size).
-    """
-
-    FULL_REBUILD_FRACTION = 0.5
-
-    def __init__(self, positions: np.ndarray, radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        self._radius = float(radius)
-        self._positions = positions
-        self._centers = np.zeros((0, 2))
-        self._slots: Dict[Tuple[float, float], int] = {}
-        self._counts = np.zeros(0, dtype=int)
-
-    @property
-    def radius(self) -> float:
-        return self._radius
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def prime(self, centers: Sequence[Point]) -> None:
-        """Start tracking counts for ``centers`` (idempotent per location).
-
-        Priming costs one full count over the current population, so
-        callers should prime every center they will ever query up front
-        (the engine primes all task locations before round 1) — queries
-        and moves after that never rescan the full population.
-        """
-        fresh = list(dict.fromkeys(
-            (c.x, c.y) for c in centers if (c.x, c.y) not in self._slots
-        ))
-        if not fresh:
-            return
-        fresh_xy = np.asarray(fresh, dtype=float)
-        for key in fresh:
-            self._slots[key] = len(self._slots)
-        self._centers = np.concatenate([self._centers, fresh_xy])
-        self._counts = np.concatenate([
-            self._counts, bulk_counts(self._positions, fresh_xy, self._radius)
-        ])
-
-    def counts_array(self, centers: Sequence[Point]) -> np.ndarray:
-        """Current neighbour count per center (priming any new ones)."""
-        self.prime(centers)
-        slots = self._slots
-        return self._counts[[slots[(c.x, c.y)] for c in centers]]
-
-    def apply_moves(self, rows: np.ndarray, old: np.ndarray) -> None:
-        """Fold one round of movement into every tracked count.
-
-        Args:
-            rows: the rows of the tracked array that moved; the array
-                already holds their new positions.
-            old: ``(len(rows), 2)`` positions they moved from — must be
-                the positions previously counted, or counts would drift.
-        """
-        if not len(self._centers) or not len(rows):
-            return
-        if len(rows) >= self.FULL_REBUILD_FRACTION * len(self._positions):
-            self._counts = bulk_counts(
-                self._positions, self._centers, self._radius
-            )
-            return
-        self._counts = (
-            self._counts
-            - bulk_counts(old, self._centers, self._radius)
-            + bulk_counts(self._positions[rows], self._centers, self._radius)
-        )

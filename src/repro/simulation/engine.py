@@ -43,11 +43,11 @@ act:
   No per-user ``Selection`` object is built on the round path.
 - *pricing* — the mechanism reads the platform's ledger off the
   :class:`~repro.core.mechanisms.base.RoundView`: ``total_paid`` is the
-  run ledger's spend before the round, and for a mechanism with a
-  ``neighbour_radius`` the view carries an
-  :class:`~repro.geometry.grid_index.IncrementalNeighbourCounter` fed
-  from the engine's own move pass, instead of a per-round recount for
-  the Eq. 5 neighbour counts.
+  run ledger's spend before the round, and the Eq. 5 neighbour counts
+  are one exact recount per round of the users around the published
+  tasks only (:func:`~repro.geometry.grid_index.bulk_counts`); the
+  round's published list is scanned once and shared by pricing,
+  assembly and upload.
 - *upload* — one array pass over the walkers' (walker, task) pairs in
   arrival order, read from the round table's columns: a pair is
   accepted iff its user had not contributed to the task before and
@@ -58,8 +58,7 @@ act:
   written once.
 - *mobility* — one :meth:`~repro.world.mobility.MobilityPolicy.move`
   call over every row in arrival order, starting walkers from their last
-  task and everyone else from where they stand; only the rows whose
-  position changed reach the neighbour counter.
+  task and everyone else from where they stand, written back in place.
 - *state* — :attr:`World.positions <repro.world.generator.World.positions>`
   is the one record of where users stand, moved in place; homes, travel
   budgets and cost rates live in per-row arrays rebuilt only when the
@@ -89,7 +88,6 @@ import numpy as np
 
 from repro.core.mechanisms import MECHANISMS, IncentiveMechanism, RoundView
 from repro.dynamics.processes import WorldEvent
-from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.geometry.point import Point
 from repro.obs.log import bind
 from repro.obs.metrics import MetricsRegistry
@@ -269,7 +267,6 @@ class SimulationEngine:
         self._task_row_of: Dict[int, int] = {
             t.task_id: i for i, t in enumerate(self.world.tasks)
         }
-        self._neighbour_counter = self._build_neighbour_counter()
 
     # -- setup -----------------------------------------------------------
 
@@ -319,23 +316,6 @@ class SimulationEngine:
             self.mechanism.initialize(self.world, self._streams["mechanism"])
             self._mechanism_ready = True
 
-    def _build_neighbour_counter(self) -> Optional[IncrementalNeighbourCounter]:
-        """An Eq. 5 counter primed with every task the world will publish.
-
-        Only mechanisms with a ``neighbour_radius`` get one (each round's
-        :class:`RoundView` carries it); priming everything up front means
-        later task releases (Poisson / burst arrivals) never trigger a
-        full population rescan.
-        """
-        radius = getattr(self.mechanism, "neighbour_radius", None)
-        if not radius:
-            return None
-        counter = IncrementalNeighbourCounter(
-            self.world.positions, radius=float(radius)
-        )
-        counter.prime([t.location for t in self.world.tasks])
-        return counter
-
     # -- round state -----------------------------------------------------------
 
     @property
@@ -378,9 +358,17 @@ class SimulationEngine:
 
         Safe to call repeatedly: mechanisms are pure functions of the
         round view, so the engine computes each round's price map (and
-        the grid-index neighbour counting behind it) once and answers
-        repeated calls from a per-round cache.  Callers get a copy.
+        the neighbour recount behind it) once and answers repeated calls
+        from a per-round cache.  Callers get a copy.
         """
+        return self._rewards_for(None)
+
+    def _rewards_for(
+        self, published: Optional[List[SensingTask]]
+    ) -> Dict[int, float]:
+        """:meth:`published_rewards`, pricing ``published`` (the round's
+        :meth:`published_tasks`, already scanned by the caller) on a
+        cache miss; ``None`` scans for it."""
         cached = self._price_cache
         if cached is not None and cached[0] == self._next_round:
             self._perf.price_cache_hits += 1
@@ -388,10 +376,11 @@ class SimulationEngine:
         self._ensure_mechanism()
         view = RoundView(
             round_no=self._next_round,
-            active_tasks=self.published_tasks(),
+            active_tasks=(
+                self.published_tasks() if published is None else published
+            ),
             user_locations=self.world.positions,
             total_paid=self.result.total_paid,
-            neighbour_counter=self._neighbour_counter,
         )
         prices = self.mechanism.rewards(view)
         self._price_cache = (self._next_round, dict(prices))
@@ -419,7 +408,7 @@ class SimulationEngine:
         """
         tasks = self.published_tasks()
         if prices is None:
-            problems = self._round_problems(tasks, self.published_rewards())
+            problems = self._round_problems(tasks, self._rewards_for(tasks))
         else:
             missing, bad = _price_faults(prices, tasks)
             if missing or bad:
@@ -561,7 +550,7 @@ class SimulationEngine:
     def _play_round(self, round_no: int, active: List[SensingTask]) -> RoundRecord:
         tracer = self.tracer
         with tracer.span("price-publish", cat="phase", round=round_no):
-            prices = self.published_rewards()
+            prices = self._rewards_for(active)
             self._validate_prices(prices, active, round_no)
         participating = self._participation_mask()
 
@@ -681,11 +670,8 @@ class SimulationEngine:
         before the round plays.  ``World.positions`` is filtered and
         extended in the same step as ``World.users``, so its rows stay
         aligned (arrivals stand at their homes).  Population changes
-        invalidate the per-row state (rows shift when users leave) and
-        give the incremental neighbour counter a full rebuild over the
-        new population (which also primes every task, including any
-        published this round).  A task-only change keeps the counter
-        and just primes the new centers.
+        invalidate the per-row state (rows shift when users leave); the
+        round's Eq. 5 recount then reads the new positions.
         """
         world = self.world
         if changes.departures:
@@ -713,9 +699,6 @@ class SimulationEngine:
             # Rows shift or change owner even when the head count stays
             # the same, so the per-row state is rebuilt from scratch.
             self._row_state = None
-            self._neighbour_counter = self._build_neighbour_counter()
-        elif changes.tasks and self._neighbour_counter is not None:
-            self._neighbour_counter.prime([t.location for t in changes.tasks])
 
     def _collect_selections(
         self,
@@ -784,21 +767,15 @@ class SimulationEngine:
 
         ``walkers`` are the rows that walked a path and ``ends`` the
         ``(len(walkers), 2)`` coordinates of each one's last task; every
-        other user starts from where it stands.  The rows whose position
-        changed are reported to the neighbour counter.
+        other user starts from where it stands.
         """
         positions, state = self.world.positions, self._rows()
-        old = positions[arrival]
         # Walkers stand at their last task when the policy moves them.
         positions[walkers] = ends
-        new = self.mobility.move(
+        positions[arrival] = self.mobility.move(
             arrival, positions[arrival], state.homes, state.budgets,
             self.world.region, self._streams["mobility"],
         )
-        positions[arrival] = new
-        if self._neighbour_counter is not None:
-            moved = (new != old).any(axis=1)
-            self._neighbour_counter.apply_moves(arrival[moved], old[moved])
 
     def _validate_prices(
         self,

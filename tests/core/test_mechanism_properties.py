@@ -5,8 +5,7 @@ price map must cover exactly the active tasks, stay positive/finite, and
 (for ladder-based mechanisms) land on the Eq. 7 ladder within range.
 The on-demand, proportional and IncentMe prices must also equal their
 scalar compositions exactly, with the Eq. 5 counts read through
-``RoundView.neighbour_counts`` from an incremental neighbour counter or
-from the view's user positions.
+``RoundView.neighbour_counts``, a recount of the view's user positions.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.core.mechanisms import (
     SteeredMechanism,
 )
 from repro.dynamics.online import IncentMeMechanism
-from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.world.generator import World
@@ -203,34 +201,22 @@ def scalar_incentme(mechanism, round_no, tasks, neighbours):
 # The example count is left to the profile, so CI's deep run
 # (--hypothesis-profile=ci-deep) can raise it.
 @settings(deadline=None)
-@given(task_states, user_clouds, rounds, st.booleans())
+@given(task_states, user_clouds, rounds)
 def test_on_demand_rewards_equal_the_scalar_composition(
-    raw_tasks, raw_users, round_no, with_counter
+    raw_tasks, raw_users, round_no
 ):
     """On-demand, proportional and IncentMe, each priced through a
-    RoundView that holds a counter (and no positions) or positions
-    alone, equal their scalar compositions bit for bit."""
+    RoundView after its users moved, equal their scalar compositions bit
+    for bit."""
     world = build_world(raw_tasks, raw_users)
     budget = 10.0 * sum(t.required_measurements for t in world.tasks)
-    counter = None
-    if with_counter:
-        # Build a counter as the engine does, then move every other
-        # user (mirrored across the region) so the counts it answers
-        # with come from movement deltas, not only its initial build.
-        positions = world.positions
-        counter = IncrementalNeighbourCounter(positions, radius=RADIUS)
-        rows = np.arange(0, len(world.users), 2)
-        old = positions[rows]
-        positions[rows, 0] = 1000.0 - old[:, 0]
-        counter.apply_moves(rows, old)
     view, active = view_for(world, round_no)
-    neighbours = scalar_neighbours(active, view.user_locations)
-    if with_counter:
-        # The counter answers Eq. 5; the mechanisms then read no
-        # locations.
-        view = RoundView(round_no=round_no, active_tasks=active,
-                         user_locations=np.zeros((0, 2)),
-                         neighbour_counter=counter)
+    # Move every other user (mirrored across the region) in place after
+    # the view is built, as the engine's move pass does: the counts
+    # must come from where the users stand now.
+    positions = world.positions
+    positions[::2, 0] = 1000.0 - positions[::2, 0]
+    neighbours = scalar_neighbours(active, positions)
     for mechanism, scalar in (
         (OnDemandMechanism(budget=budget, neighbour_radius=RADIUS),
          scalar_on_demand),

@@ -12,7 +12,6 @@ from repro.core.mechanisms import (
     SteeredMechanism,
 )
 from repro.core.mechanisms.registry import MECHANISM_NAMES, MECHANISMS
-from repro.geometry.grid_index import IncrementalNeighbourCounter
 from repro.world.generator import World
 from tests.conftest import make_task, make_user
 
@@ -53,15 +52,19 @@ class TestRoundView:
         assert view.neighbour_counts(world.tasks, 600.0).tolist() == [4, 0, 4]
         assert view.neighbour_counts(world.tasks, 50.0).tolist() == [3, 0, 0]
 
-    def test_neighbour_counts_prefer_a_counter_of_that_radius(self, world):
-        counter = IncrementalNeighbourCounter(world.positions, radius=600.0)
+    def test_neighbour_counts_follow_moved_users(self, world):
+        # The view reads the engine's live position array: users moved
+        # in place after it was built are counted where they stand.
+        view = view_of(world)
+        world.positions[:2] = [[900.0, 880.0], [100.0, 100.0]]
+        assert view.neighbour_counts(world.tasks, 50.0).tolist() == [2, 1, 0]
+        assert view.neighbour_counts(world.tasks, 600.0).tolist() == [3, 1, 4]
+
+    def test_neighbour_counts_without_users_are_zeros(self, world):
         view = RoundView(
-            round_no=1, active_tasks=world.tasks,
-            user_locations=np.zeros((0, 2)), neighbour_counter=counter,
+            round_no=1, active_tasks=world.tasks, user_locations=np.zeros((0, 2)),
         )
-        assert view.neighbour_counts(world.tasks, 600.0).tolist() == [4, 0, 4]
-        # A counter of another radius is not asked; no positions -> zeros.
-        assert view.neighbour_counts(world.tasks, 50.0).tolist() == [0, 0, 0]
+        assert view.neighbour_counts(world.tasks, 600.0).tolist() == [0, 0, 0]
 
 
 class TestOnDemand:

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core.mechanisms import RoundView
 from repro.dynamics.processes import DynamicsSpec, EventStream, WorldEvent
 from repro.dynamics.stream import WorldTimeline
+from repro.geometry.point import Point
 from repro.simulation import SimulationConfig, make_engine
 from repro.world.task import TaskStatus
 
 from tests.conftest import make_task
+from tests.geometry.grid_oracle import GridIndex
 
 CHURN = dict(
     user_arrival_rate=2.0,
@@ -86,6 +89,35 @@ class TestEngineIntegration:
         assert {t.task_id for t in engine.world.tasks} == (
             before_tasks | published
         )
+
+    def test_eq5_counts_after_churn_equal_a_fresh_count(self, monkeypatch):
+        """Each round's neighbour counts, taken after that round's
+        arrivals and departures, equal a fresh scalar count over the
+        users then in the world."""
+        priced = []
+        recount = RoundView.neighbour_counts
+
+        def spy(view, tasks, radius):
+            counts = recount(view, tasks, radius)
+            assert view.user_locations is engine.world.positions
+            assert len(view.user_locations) == len(engine.world.users)
+            priced.append((
+                [Point(x, y) for x, y in view.user_locations.tolist()],
+                [t.location for t in tasks], radius, counts.tolist(),
+            ))
+            return counts
+
+        monkeypatch.setattr(RoundView, "neighbour_counts", spy)
+        engine = make_engine(churn_config(n_users=40, area_side=1000.0))
+        result = engine.run()
+        kinds = {e.kind for r in result.rounds for e in r.dynamics}
+        assert {"user_arrived", "user_departed"} <= kinds
+        # One recount per round that published a price.
+        assert len(priced) == sum(1 for r in result.rounds if r.published_rewards)
+        for users, centers, radius, counts in priced:
+            oracle = GridIndex(users, cell_size=radius)
+            assert counts == oracle.counts_for(centers, radius)
+        assert any(any(counts) for *_, counts in priced)
 
     def test_streamed_tasks_join_the_economy(self):
         """Streamed tasks get rewards published and can be measured."""

@@ -1,9 +1,11 @@
 """The scalar uniform-grid index: the test oracle for ``bulk_counts``.
 
-The cell size equals the query radius, so any point within ``radius`` of a
-query location is guaranteed to fall in one of the 9 neighbouring cells.
-Each query walks those cells in Python and decides membership with
-``Point.distance_to``; :func:`repro.geometry.grid_index.bulk_counts` must
+With the cell size equal to the query radius, any point within ``radius``
+of a query location falls in one of the 9 neighbouring cells in exact
+arithmetic; float division can push it one cell further (a center at
+``-1e-300`` and a point at ``radius`` land in cells -1 and 1), so each
+query walks one more ring of cells in Python and decides membership with
+``Point.distance_to``.  :func:`repro.geometry.grid_index.bulk_counts` must
 return the same counts.
 """
 
@@ -54,7 +56,9 @@ class GridIndex:
     def _candidate_cells(
         self, center: Point, radius: float
     ) -> Iterable[Tuple[int, int]]:
-        reach = int(math.ceil(radius / self._cell_size))
+        # One extra ring: floor(x / cell) can round a point exactly
+        # ``radius`` away into the second cell over.
+        reach = int(math.ceil(radius / self._cell_size)) + 1
         cx, cy = self._cell_of(center)
         for dx in range(-reach, reach + 1):
             for dy in range(-reach, reach + 1):

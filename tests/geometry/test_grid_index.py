@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.geometry.grid_index import IncrementalNeighbourCounter, bulk_counts
+from repro.geometry.grid_index import bulk_counts
 from repro.geometry.point import Point
 from tests.geometry.grid_oracle import GridIndex
 
@@ -119,64 +121,77 @@ class TestBulkCounts:
         with pytest.raises(ValueError, match="positive"):
             bulk_counts(np.zeros((1, 2)), np.zeros((1, 2)), 0.0)
 
-
-class TestIncrementalNeighbourCounter:
-    def rebuild(self, positions, centers, radius):
-        """The from-scratch answer the counter must stay bitwise equal to."""
-        return GridIndex(
-            [Point(x, y) for x, y in positions.tolist()], cell_size=radius
-        ).counts_for(centers, radius)
-
-    def test_counts_match_rebuild_across_partial_moves(self, rng):
-        positions = rng.uniform(0, 1000, size=(200, 2))
-        centers = [
-            Point(float(x), float(y))
-            for x, y in rng.uniform(0, 1000, size=(30, 2))
-        ]
-        counter = IncrementalNeighbourCounter(positions, radius=100.0)
-        counter.prime(centers)
-        for _ in range(5):
-            # Move ~10 % of the population: exercises the delta path.
-            rows = np.sort(rng.choice(len(positions), size=20, replace=False))
-            old = positions[rows]
-            positions[rows] = rng.uniform(0, 1000, size=(len(rows), 2))
-            counter.apply_moves(rows, old)
-            assert counter.counts_array(centers).tolist() == self.rebuild(
-                positions, centers, 100.0
+    def test_far_from_the_origin(self):
+        # UTM-scale coordinates with a 1 m radius lie about 5e6 cells
+        # from the origin.
+        base = np.array([512_345.25, 5_412_345.75])
+        centers = base + np.array([[0.0, 0.0], [3.0, 0.0]])
+        points = base + np.array([
+            [1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [1.5, 0.0], [4.0, 0.0],
+            [-2.0, 0.0],
+        ])
+        expected = [
+            GridIndex([Point(*p) for p in points.tolist()], 1.0).count_within(
+                Point(*c), 1.0
             )
+            for c in centers.tolist()
+        ]
+        assert bulk_counts(points, centers, 1.0).tolist() == expected == [3, 1]
 
-    def test_full_rebuild_path_matches(self, rng):
-        positions = rng.uniform(0, 500, size=(60, 2))
-        centers = [Point(100.0, 100.0), Point(400.0, 400.0)]
-        counter = IncrementalNeighbourCounter(positions, radius=80.0)
-        counter.prime(centers)
-        # Move everyone: at >= FULL_REBUILD_FRACTION the counter rebuilds.
-        rows = np.arange(len(positions))
-        old = positions.copy()
-        positions[:] = rng.uniform(0, 500, size=(len(positions), 2))
-        counter.apply_moves(rows, old)
-        assert counter.counts_array(centers).tolist() == self.rebuild(
-            positions, centers, 80.0
-        )
+    def test_point_at_radius_across_the_origin(self):
+        # floor(-1e-300 / 1) = -1 but floor(1 / 1) = 1: a 3x3 block of
+        # R-wide cells from the origin misses this point, which lies
+        # exactly R away.
+        center = np.array([[-1e-300, 0.0]])
+        assert bulk_counts(np.array([[1.0, 0.0]]), center, 1.0).tolist() == [1]
+        assert GridIndex([Point(1.0, 0.0)], 1.0).count_within(
+            Point(-1e-300, 0.0), 1.0
+        ) == 1
 
-    def test_prime_is_idempotent(self):
-        counter = IncrementalNeighbourCounter(
-            np.array([[0.0, 0.0], [5.0, 0.0]]), radius=10.0
-        )
-        center = Point(1.0, 0.0)
-        counter.prime([center])
-        counter.prime([center, center])
-        assert counter.counts_array([center]).tolist() == [2]
+    def test_points_outside_the_centers_box_are_dropped(self):
+        # Points far past the table, and at infinity, count nowhere.
+        points = np.array([[0.0, 0.0], [1e300, -1e300], [np.inf, 0.0], [5.0, 5.0]])
+        centers = np.array([[5.0, 5.0], [6.0, 5.0]])
+        assert bulk_counts(points, centers, 1.0).tolist() == [1, 1]
 
-    def test_unseen_center_primed_on_query(self):
-        counter = IncrementalNeighbourCounter(np.zeros((1, 2)), radius=10.0)
-        assert counter.counts_array([Point(3.0, 4.0)]).tolist() == [1]
 
-    def test_counts_array_shape(self):
-        counter = IncrementalNeighbourCounter(np.zeros((1, 2)), radius=10.0)
-        counts = counter.counts_array([Point(0, 0), Point(100, 100)])
-        assert counts.tolist() == [1, 0]
+#: Coordinates on both sides of the origin; the scale strategy spreads
+#: clouds from millimetres to hundreds of kilometres.
+signed_units = st.floats(min_value=-1.0, max_value=1.0)
+#: The four axis directions, for points placed exactly R from a center.
+AXES = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
-    def test_non_positive_radius_raises(self):
-        with pytest.raises(ValueError, match="positive"):
-            IncrementalNeighbourCounter(np.zeros((1, 2)), radius=0.0)
+
+# The example count is left to the profile, so CI's deep run
+# (--hypothesis-profile=ci-deep) can raise it.
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(signed_units, signed_units), max_size=40),
+    st.lists(st.tuples(signed_units, signed_units), min_size=1, max_size=8),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=7),
+                  st.sampled_from(AXES)),
+        max_size=8,
+    ),
+    st.sampled_from([1e-2, 1.0, 1e2, 1e4, 3e5]),
+    st.floats(min_value=1e-3, max_value=1e5),
+)
+def test_bulk_counts_match_the_grid_oracle(cloud, raw_centers, at_radius,
+                                           scale, radius):
+    """bulk_counts equals the scalar grid oracle: radii far below the
+    cloud's spacing (coarsened cells) and far above it, points placed
+    exactly R from a center along each axis, negative coordinates."""
+    centers = [(x * scale, y * scale) for x, y in raw_centers]
+    points = [(x * scale, y * scale) for x, y in cloud]
+    points += [
+        (centers[i % len(centers)][0] + dx * radius,
+         centers[i % len(centers)][1] + dy * radius)
+        for i, (dx, dy) in at_radius
+    ]
+    index = GridIndex([Point(x, y) for x, y in points], cell_size=radius)
+    expected = index.counts_for([Point(x, y) for x, y in centers], radius)
+    got = bulk_counts(
+        np.asarray(points, dtype=float).reshape(-1, 2),
+        np.asarray(centers, dtype=float), radius,
+    )
+    assert got.tolist() == expected

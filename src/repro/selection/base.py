@@ -16,7 +16,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence, Tuple, TYPE_CHECKING
+from typing import Iterable, List, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -297,6 +297,19 @@ class Selector(abc.ABC):
         return SelectionColumns.from_selections(
             self.select(block.problem(j)) for j in range(len(block))
         )
+
+    def select_blocks(
+        self, blocks: Sequence["ProblemBlock"]
+    ) -> List[SelectionColumns]:
+        """Every block's :meth:`select_block` answer, in order.
+
+        This default answers block by block.  A solver that gains from
+        solving several blocks together (the exact DP pads an assembly
+        chunk's rows into shared passes) overrides it, and the engine
+        then hands it a whole chunk per call; any other solver gets one
+        block per call.
+        """
+        return [self.select_block(block) for block in blocks]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

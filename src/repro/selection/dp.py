@@ -11,19 +11,22 @@ engine's hottest loop, each cardinality layer is expanded as one batch
 of numpy arrays instead of per-state Python iteration.
 
 Users choose independently against the same published prices, so the
-kernel solves a whole :class:`~repro.selection.problem.ProblemBlock` of
-equal-size instances in one layer-by-layer pass
-(:meth:`DynamicProgrammingSelector.select_block`):
+kernel solves many instances in one layer-by-layer pass.
+:meth:`DynamicProgrammingSelector.select_blocks` takes every
+:class:`~repro.selection.problem.ProblemBlock` of an assembly chunk at
+once: the rows, most candidates first, are cut into passes, and each
+row is padded to its pass's width w with unreachable candidates
+(infinite distance, no reward), for which no state is ever created.
 
-- a state is ``(row, mask)``, keyed ``row << k | mask``; a layer is the
-  sorted int64 keys of one cardinality plus the ``(states, k)`` matrix
+- a state is ``(row, mask)``, keyed ``row << w | mask``; a layer is the
+  sorted int64 keys of one cardinality plus the ``(states, w)`` matrix
   ``dist`` of shortest path lengths per last task (``inf`` = state
   unreachable), whose finite entries — the layer's *paths* — are also
   kept as flat ``(row, last, length)`` arrays grouped by state;
 - extension is one batched min-plus product: every path adds its
   length to its row's distances from ``last``, and a grouped ``min``
-  per state gives the next-task lengths (work grows with paths x k,
-  not states x k x k), masked by membership and by that row's budget;
+  per state gives the next-task lengths (work grows with paths x w,
+  not states x w x w), masked by membership and by that row's budget;
 - mask rewards are propagated incrementally (child mask reward = parent
   mask reward + the extending task's reward), so no popcounts and no
   per-mask bit loops ever run;
@@ -33,11 +36,12 @@ equal-size instances in one layer-by-layer pass
 
 The answer is columnar (:class:`~repro.selection.base.SelectionColumns`):
 the winners' visit orders, path lengths and reward sums are written
-straight into a block's columns.  :meth:`DynamicProgrammingSelector.select`
-is the kernel's one-row case, so a block answers bit for bit what
-solving its rows one at a time answers.
-A pass covers at most ``2^20 / 2^k`` rows (four full instances at the
-default cap), which bounds the layers kept for the walk back.
+straight into each block's columns.  :meth:`~DynamicProgrammingSelector.select_block`
+is the one-block case and :meth:`~DynamicProgrammingSelector.select` the
+one-row case, so a chunk answers bit for bit what solving its rows one
+at a time answers.  A pass of width w covers at most ``2^20 >> w`` rows
+(four full instances at the default cap), which bounds the layers kept
+for the walk back and keeps ``row << w | mask`` inside int64.
 
 A pure-Python formulation of the same recurrence is preserved as
 :class:`~repro.selection.reference_dp.ReferenceDPSelector` and the
@@ -48,21 +52,22 @@ Instance-size cap: the exact DP is still exponential in the worst case,
 so instances with more than ``max_exact_tasks`` reachable candidates are
 first restricted to the ``max_exact_tasks`` candidates with the highest
 direct-profit potential (reward minus the cost of walking straight to
-the task).  Blocks that wide are answered row by row.  With the paper's
-Section VI constants the cap almost never binds; tests cover both
-regimes.
+the task), kept in pool order — one array step over a wide block's
+rows, which then share the width-``max_exact_tasks`` passes.  With the
+paper's Section VI constants the cap almost never binds; tests cover
+both regimes.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.selection.base import Selection, SelectionColumns, Selector
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 
-#: Masks one DP pass may cover (rows x 2^k): four full instances at the
+#: Masks one DP pass may cover (rows x 2^w): four full instances at the
 #: default ``max_exact_tasks``.
 _PASS_MASKS = 1 << 20
 
@@ -96,78 +101,138 @@ class DynamicProgrammingSelector(Selector):
     def select(self, problem: TaskSelectionProblem) -> Selection:
         if problem.size == 0:
             return Selection.empty()
-        problem = self._capped(problem)
+        matrix, rewards = problem.distance_matrix[None], problem.rewards[None]
+        cost = np.array([problem.cost_per_meter])
+        keep = None
+        if problem.size > self.max_exact_tasks:
+            keep, matrix, rewards = self._capped(matrix, rewards, cost)
         winners, orders, depth = self._best_orders(
-            problem.distance_matrix[None],
-            problem.rewards[None],
-            np.array([problem.max_distance + 1e-9]),
-            np.array([problem.cost_per_meter]),
+            matrix, rewards, np.array([problem.max_distance + 1e-9]), cost
         )
         if not winners.size:
             return Selection.empty()
-        return problem.evaluate(orders[0, : depth[0] + 1].tolist())
+        order = orders[0, : depth[0] + 1]
+        if keep is not None:
+            order = keep[0, order]
+        return problem.evaluate(order.tolist())
 
     def select_block(self, block: ProblemBlock) -> SelectionColumns:
-        """Every row of ``block`` in shared DP passes, bit-identical to :meth:`select`.
+        """Every row of ``block`` in shared DP passes, bit-identical to :meth:`select`."""
+        return self.select_blocks([block])[0]
 
-        Blocks wider than ``max_exact_tasks`` go row by row through the
-        capped :meth:`select`.
+    def select_blocks(
+        self, blocks: Sequence[ProblemBlock]
+    ) -> List[SelectionColumns]:
+        """Every row of every block in as few padded passes as the
+        ``2^20 >> w`` bound allows, bit-identical to :meth:`select`.
+
+        Rows wider than ``max_exact_tasks`` are capped first; then the
+        rows, most candidates first (blocks in a stable order), are cut
+        into passes whose width w is their first row's candidate count.
+        The padded arrays are built per pass, so memory stays bounded
+        by one pass at any w.
         """
-        n, k = len(block), block.size
-        if k == 0:
-            return SelectionColumns.empty(n)
-        if k > self.max_exact_tasks:
-            return super().select_block(block)
+        answers: List[SelectionColumns] = [None] * len(blocks)
+        groups = []  # (k, block, distances, rewards, task ids), k > 0
+        for b, block in enumerate(blocks):
+            if block.size == 0:
+                answers[b] = SelectionColumns.empty(len(block))
+                continue
+            distances, rewards, ids = block.distances, block.rewards, block.task_ids
+            if block.size > self.max_exact_tasks:
+                keep, distances, rewards = self._capped(
+                    distances, rewards, block.cost_per_meter
+                )
+                ids = np.take_along_axis(ids, keep, axis=1)
+            groups.append((rewards.shape[1], b, distances, rewards, ids))
+        if not groups:
+            return answers
+        groups.sort(key=lambda group: -group[0])
+        bounds = np.zeros(len(groups) + 1, dtype=np.int64)
+        np.cumsum([len(group[3]) for group in groups], out=bounds[1:])
+        total, widest = int(bounds[-1]), groups[0][0]
         columns = (
-            np.zeros(n, dtype=np.int64),  # task count
-            np.zeros((n, k), dtype=np.int64),  # task ids, visit order
-            np.zeros(n),  # distance
-            np.zeros(n),  # reward
+            np.zeros(total, dtype=np.int64),  # task count
+            np.zeros((total, widest), dtype=np.int64),  # task ids, visit order
+            np.zeros(total),  # distance
+            np.zeros(total),  # reward
         )
-        # The layers kept for the walk back grow with the rows solved
-        # together, so a pass takes at most _PASS_MASKS >> k rows; that
-        # also keeps ``row << k | mask`` inside int64.
-        step = max(1, _PASS_MASKS >> k)
-        for start in range(0, n, step):
-            part = slice(start, start + step)
-            winners, orders, depth = self._best_orders(
-                block.distances[part], block.rewards[part],
-                block.max_distance[part] + 1e-9, block.cost_per_meter[part],
-            )
-            if winners.size:
-                self._fill(columns, block, winners + start, orders, depth)
+        start = 0
+        while start < total:
+            width = groups[int(bounds.searchsorted(start, side="right")) - 1][0]
+            stop = min(total, start + max(1, _PASS_MASKS >> width))
+            self._solve_pass(columns, blocks, groups, bounds, start, stop, width)
+            start = stop
         counts, visits, distance, reward = columns
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        cost = np.zeros(n)
-        np.multiply(distance, block.cost_per_meter, out=cost, where=counts > 0)
-        return SelectionColumns(
-            offsets, visits[np.arange(k) < counts[:, None]], distance, reward,
-            cost,
-        )
+        held = np.arange(widest) < counts[:, None]
+        for (_, b, *_), lo, hi in zip(groups, bounds[:-1].tolist(), bounds[1:].tolist()):
+            block, rows = blocks[b], slice(lo, hi)
+            offsets = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(counts[rows], out=offsets[1:])
+            cost = np.zeros(hi - lo)
+            np.multiply(distance[rows], block.cost_per_meter, out=cost,
+                        where=counts[rows] > 0)
+            answers[b] = SelectionColumns(
+                offsets, visits[rows][held[rows]], distance[rows],
+                reward[rows], cost,
+            )
+        return answers
+
+    def _solve_pass(self, columns, blocks, groups, bounds, start, stop, width):
+        """Solve flat rows ``[start, stop)`` in one pass of ``width``.
+
+        Each row is copied into float64 arrays padded to ``width`` with
+        unreachable candidates: infinite distances (no seed is within a
+        budget, and no extension to one is either) and zero rewards.  An
+        infinite budget is clamped to the largest float, which keeps
+        every finite path and still refuses the padding.
+        """
+        n = stop - start
+        distances = np.empty((n, width + 1, width + 1))
+        distances.fill(np.inf)
+        rewards = np.zeros((n, width))
+        ids = np.zeros((n, width), dtype=np.int64)
+        budget, cost = np.empty(n), np.empty(n)
+        for (k, b, block_distances, block_rewards, block_ids), first, last in zip(
+            groups, bounds[:-1].tolist(), bounds[1:].tolist()
+        ):
+            lo, hi = max(first, start), min(last, stop)
+            if lo >= hi:
+                continue
+            src, into = slice(lo - first, hi - first), slice(lo - start, hi - start)
+            distances[into, : k + 1, : k + 1] = block_distances[src]
+            rewards[into, :k] = block_rewards[src]
+            ids[into, :k] = block_ids[src]
+            budget[into] = blocks[b].max_distance[src] + 1e-9
+            cost[into] = blocks[b].cost_per_meter[src]
+        np.minimum(budget, np.finfo(np.float64).max, out=budget)
+        winners, orders, depth = self._best_orders(distances, rewards, budget, cost)
+        if winners.size:
+            self._fill(columns, start, distances, rewards, ids, winners, orders, depth)
 
     @staticmethod
-    def _fill(columns, block, rows, orders, depth) -> None:
-        """Write winning ``rows``' columns: task counts, visit orders,
-        and :meth:`TaskSelectionProblem.evaluate
+    def _fill(columns, start, distances, rewards, ids, winners, orders, depth) -> None:
+        """Write the pass's winning rows' columns: task counts, visit
+        orders, and :meth:`TaskSelectionProblem.evaluate
         <repro.selection.problem.TaskSelectionProblem.evaluate>`'s
-        arithmetic — legs cast to float64 and summed in visit order,
-        the reward summed in visit order."""
+        arithmetic — float64 legs summed in visit order, the reward
+        summed in visit order."""
         counts, visits, distance, reward = columns
         padding = np.arange(orders.shape[1]) > depth[:, None]
         nodes = orders + 1
         prev = np.zeros_like(nodes)
         prev[:, 1:] = nodes[:, :-1]
-        legs = block.distances[rows[:, None], prev, nodes].astype(np.float64)
+        legs = distances[winners[:, None], prev, nodes]
         legs[padding] = 0.0
-        gained = block.rewards[rows[:, None], orders]
+        gained = rewards[winners[:, None], orders]
         gained[padding] = 0.0
-        walked, total = np.zeros(len(rows)), np.zeros(len(rows))
+        walked, total = np.zeros(len(winners)), np.zeros(len(winners))
         for column in range(orders.shape[1]):
             walked += legs[:, column]
             total += gained[:, column]
+        rows = winners + start
         counts[rows] = depth + 1
-        visits[rows, : orders.shape[1]] = block.task_ids[rows[:, None], orders]
+        visits[rows, : orders.shape[1]] = ids[winners[:, None], orders]
         distance[rows], reward[rows] = walked, total
 
     # -- observability -----------------------------------------------------
@@ -185,13 +250,30 @@ class DynamicProgrammingSelector(Selector):
 
     # -- candidate capping -------------------------------------------------
 
-    def _capped(self, problem: TaskSelectionProblem) -> TaskSelectionProblem:
-        if problem.size <= self.max_exact_tasks:
-            return problem
-        direct = problem.distance_matrix[0, 1:]
-        potential = problem.rewards - problem.cost_per_meter * direct
-        keep = np.argsort(-potential)[: self.max_exact_tasks]
-        return problem.restricted_to([int(i) for i in keep])
+    def _capped(
+        self, distances, rewards, cost
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row restricted to its ``max_exact_tasks`` highest-potential
+        candidates, in pool order: ``(keep, distances, rewards)`` with
+        ``keep`` the kept candidate indices per row.
+
+        The potential is a one-instance problem's ``rewards - cost *
+        direct``, with the cost rate in the distances' dtype (as a
+        Python float meets a float32 row), and the rows are ranked by
+        the same default-kind ``argsort`` a single row gets.
+        """
+        direct = distances[:, 0, 1:]
+        potential = rewards - cost.astype(direct.dtype)[:, None] * direct
+        keep = np.argsort(-potential, axis=1)[:, : self.max_exact_tasks]
+        keep.sort(axis=1)
+        nodes = np.zeros((len(keep), keep.shape[1] + 1), dtype=np.intp)
+        nodes[:, 1:] = keep + 1
+        rows = np.arange(len(keep))[:, None, None]
+        return (
+            keep,
+            distances[rows, nodes[:, :, None], nodes[:, None, :]],
+            np.take_along_axis(rewards, keep, axis=1),
+        )
 
     # -- the DP itself -----------------------------------------------------------
 

@@ -11,7 +11,8 @@ geometry.
 :class:`ProblemBlock` stacks n instances of equal candidate count k —
 one ``(n, k+1, k+1)`` distance array plus per-row rewards, ids, budgets
 and cost rates — so a selector can solve them all in one call
-(:meth:`~repro.selection.base.Selector.select_block`).
+(:meth:`~repro.selection.base.Selector.select_block`, or several blocks
+at once through :meth:`~repro.selection.base.Selector.select_blocks`).
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ class TaskSelectionProblem:
     def restricted_to(self, indices: Sequence[int]) -> "TaskSelectionProblem":
         """A sub-problem over a subset of candidate *indices* (0-based).
 
-        Used by the DP selector to cap instance size: it keeps the
-        highest-potential candidates and solves exactly on those.
+        Used by the reference DP selector to cap instance size: it
+        keeps the highest-potential candidates and solves exactly on
+        those.
         """
         index_list = sorted(set(indices))
         if any(i < 0 or i >= self.size for i in index_list):

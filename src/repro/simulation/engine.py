@@ -33,10 +33,11 @@ act:
 - *problem* — :class:`~repro.simulation.round_cache.RoundProblems`
   assembles, chunk by chunk, one equal-size problem block per candidate
   count, covering only the participants with at least one eligible,
-  reachable task; the selector solves each block in one
-  ``select_block`` call (the greedy as array steps over all its rows,
-  the exact DP as one layer-by-layer pass over all its rows' states,
-  other selectors row by row).  Each block answers as one
+  reachable task.  The exact DP takes a whole chunk's blocks in one
+  ``select_blocks`` call, padding their rows into as few shared
+  layer-by-layer passes as its pass bound allows; every other selector
+  gets one ``select_block`` call per block (the greedy as array steps
+  over all its rows, the rest row by row).  Each block answers as one
   :class:`~repro.selection.base.SelectionColumns` table (CSR task ids
   plus distance/reward/cost columns), scattered by row into the round's
   table; everyone else has an empty row there, without a selector call.
@@ -711,15 +712,19 @@ class SimulationEngine:
         One row per user in world order: the block answers' columns
         scattered to their users' rows, and empty rows for users sitting
         the round out (``participating`` is the per-row participation
-        mask) or with no candidate.  The blocks come one by one: the
-        cancellation token is polled before every block, each
-        ``select_block`` call adds its wall time to
+        mask) or with no candidate.  Assembly yields the problem blocks
+        chunk by chunk; a selector that solves blocks together (one that
+        overrides :meth:`Selector.select_blocks`, as the exact DP does)
+        gets a whole chunk in one ``select_blocks`` call, any other one
+        block per ``select_block`` call.  The cancellation token is
+        polled before every call, each call adds its wall time to
         ``selector_wall_time`` and one ``selector_seconds`` observation,
-        and ``selector_calls`` counts the block's rows, i.e. the
-        instances solved.  With a real
-        tracer each call gets one ``select-block`` span (args ``users``,
-        ``tasks``).  Selectors without ``select_block`` (duck-typed
-        ones) answer row by row through :meth:`Selector.select_block`.
+        and ``selector_calls`` counts the call's rows, i.e. the
+        instances solved.  With a real tracer each call gets one
+        ``select-block`` span (args ``users``, ``blocks`` and the widest
+        block's ``tasks``).  Selectors without ``select_block``
+        (duck-typed ones) answer row by row through
+        :meth:`Selector.select_block`.
         """
         problems = self._round_problems(active, prices)
         state = self._rows()
@@ -732,31 +737,52 @@ class SimulationEngine:
             user_ids = state.user_ids[rows]
             origins = self.world.positions[rows]
             budgets, costs = state.budgets[rows], state.costs[rows]
-        solve = getattr(self.selector, "select_block", None) or partial(
-            Selector.select_block, self.selector
+        # Only a selector with its own select_blocks gains from a whole
+        # chunk; the rest keep one call per block, so a cancel still
+        # lands between their blocks.
+        joint = getattr(type(self.selector), "select_blocks", None) not in (
+            None, Selector.select_blocks,
         )
+        if joint:
+            solve = self.selector.select_blocks
+        else:
+            select_block = getattr(self.selector, "select_block", None) or partial(
+                Selector.select_block, self.selector
+            )
+
+            def solve(blocks):
+                return [select_block(block) for block in blocks]
+
         tracer, perf = self.tracer, self._perf
         latency = self._metrics.histogram("selector_seconds")
-        for indices, block in problems.iter_blocks(
+        for chunk in problems.iter_chunks(
             user_ids, origins=origins, budgets=budgets, costs=costs
         ):
-            self.cancel.raise_if_cancelled()
-            if tracer.enabled:
-                with tracer.span(
-                    "select-block", cat="selector",
-                    users=len(block), tasks=block.size,
-                ):
+            if not chunk:
+                continue
+            for call in (chunk,) if joint else ([part] for part in chunk):
+                self.cancel.raise_if_cancelled()
+                blocks = [block for _, block in call]
+                users = sum(map(len, blocks))
+                if tracer.enabled:
+                    with tracer.span(
+                        "select-block", cat="selector", users=users,
+                        blocks=len(blocks), tasks=max(b.size for b in blocks),
+                    ):
+                        started = perf_counter()
+                        solved = solve(blocks)
+                        elapsed = perf_counter() - started
+                else:
                     started = perf_counter()
-                    solved = solve(block)
+                    solved = solve(blocks)
                     elapsed = perf_counter() - started
-            else:
-                started = perf_counter()
-                solved = solve(block)
-                elapsed = perf_counter() - started
-            perf.selector_wall_time += elapsed
-            perf.selector_calls += len(block)
-            latency.observe(elapsed)
-            answers.append((indices if rows is None else rows[indices], solved))
+                perf.selector_wall_time += elapsed
+                perf.selector_calls += users
+                latency.observe(elapsed)
+                answers.extend(
+                    (indices if rows is None else rows[indices], part)
+                    for (indices, _), part in zip(call, solved)
+                )
         return SelectionColumns.scatter(len(state.user_ids), answers)
 
     def _apply_moves(

@@ -152,8 +152,9 @@ class RoundProblems:
     """One round's shared selection-problem state, assembled per chunk.
 
     :meth:`iter_blocks` stacks the users' instances into equal-size
-    :class:`ProblemBlock` s; :meth:`iter_problems` hands the same
-    instances out one by one.
+    :class:`ProblemBlock` s (:meth:`iter_chunks` groups them by
+    assembly chunk); :meth:`iter_problems` hands the same instances out
+    one by one.
 
     Args:
         tasks: the round's published tasks, in engine order.
@@ -262,7 +263,7 @@ class RoundProblems:
             budgets: ``(n,)`` float64 travel budgets.
             costs: ``(n,)`` float64 cost rates.
         """
-        for blocks in self._chunk_blocks(user_ids, origins, budgets, costs):
+        for blocks in self.iter_chunks(user_ids, origins, budgets, costs):
             yield from blocks
 
     def iter_problems(
@@ -277,7 +278,7 @@ class RoundProblems:
         The rows of :meth:`iter_blocks` one by one, with ``index`` the
         user's position in ``user_ids``; indices ascend.
         """
-        for blocks in self._chunk_blocks(user_ids, origins, budgets, costs):
+        for blocks in self.iter_chunks(user_ids, origins, budgets, costs):
             problems = [
                 (index, block.problem(j))
                 for indices, block in blocks
@@ -286,14 +287,15 @@ class RoundProblems:
             problems.sort(key=itemgetter(0))
             yield from problems
 
-    def _chunk_blocks(
+    def iter_chunks(
         self,
         user_ids: np.ndarray,
         origins: np.ndarray,
         budgets: np.ndarray,
         costs: np.ndarray,
     ) -> Iterator[List[Tuple[np.ndarray, ProblemBlock]]]:
-        """One list of ``(indices, block)`` per user chunk."""
+        """One list of :meth:`iter_blocks`' ``(indices, block)`` pairs per
+        user chunk, so a selector can solve a chunk's blocks together."""
         n_tasks, n_users = len(self.tasks), len(user_ids)
         if n_tasks == 0 or n_users == 0:
             return

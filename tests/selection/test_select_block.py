@@ -28,6 +28,7 @@ from repro.selection import (
     SelectionColumns,
     TimeBoundedSelector,
 )
+from repro.selection import dp as dp_module
 from repro.selection.reference_dp import ReferenceDPSelector
 
 #: Budget offsets that put a path's length within 1e-9 of the budget,
@@ -213,11 +214,12 @@ class TestDPBlockEquivalence:
             exact(s) for s in per_row(DynamicProgrammingSelector(max_exact_tasks=3), block)
         ]
         # Each answer is the exact optimum over the row's three
-        # highest-potential candidates.
+        # highest-potential candidates, as the reference DP caps them.
+        reference = ReferenceDPSelector(max_exact_tasks=3)
         for j, selection in enumerate(got):
             problem = block.problem(j)
             assert selection == DynamicProgrammingSelector().select(
-                capped._capped(problem)
+                reference._capped(problem)
             )
 
     @pytest.mark.parametrize("k", [16, 17, 18])
@@ -256,6 +258,146 @@ class TestDPBlockEquivalence:
         got = selector.select_block(block)
         assert [s.task_ids for s in got] == [(3, 10)] * n
         assert [exact(s) for s in got] == [exact(s) for s in per_row(selector, block)]
+
+
+def empty_block(n=2):
+    """``n`` rows without a candidate."""
+    return make_block(np.zeros((n, 1, 1)), np.zeros((n, 0)), [1.0] * n,
+                      [0.1] * n, task_ids=np.zeros((n, 0), dtype=np.int64))
+
+
+class TestDPMultiBlockEquivalence:
+    """One ``select_blocks`` call pads an assembly chunk's rows, of mixed
+    candidate counts, into shared passes; each row must still answer
+    what solving it alone answers."""
+
+    @given(
+        chunk=st.lists(blocks(max_n=8, max_k=22), min_size=1, max_size=5),
+        max_exact_tasks=st.sampled_from([3, 5, 8]),
+        min_profit=st.sampled_from([0.0, 0.5]),
+        pass_masks=st.sampled_from([dp_module._PASS_MASKS, 1 << 5]),
+    )
+    @settings(deadline=None)
+    def test_every_row_equals_its_select(
+        self, chunk, max_exact_tasks, min_profit, pass_masks
+    ):
+        # 2^5 masks per pass leaves one to four rows a pass: many passes,
+        # each cut at a width boundary or inside a block.
+        selector = DynamicProgrammingSelector(
+            max_exact_tasks=max_exact_tasks, min_profit=min_profit
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dp_module, "_PASS_MASKS", pass_masks)
+            got = selector.select_blocks(chunk)
+            expanded = selector.consume_states_expanded()
+            per_block = [selector.select_block(block) for block in chunk]
+            assert expanded == selector.consume_states_expanded()
+        assert len(got) == len(chunk)
+        for answer, alone, block in zip(got, per_block, chunk):
+            assert isinstance(answer, SelectionColumns)
+            want = [exact(s) for s in per_row(selector, block)]
+            assert [exact(s) for s in answer] == want
+            assert [exact(s) for s in alone] == want
+
+    def test_empty_blocks_keep_their_places(self):
+        block = geometric_block()
+        selector = DynamicProgrammingSelector()
+        got = selector.select_blocks([empty_block(3), block, empty_block(1)])
+        assert [len(answer) for answer in got] == [3, len(block), 1]
+        assert list(got[0]) == [Selection.empty()] * 3
+        assert list(got[2]) == [Selection.empty()]
+        assert [exact(s) for s in got[1]] == [
+            exact(s) for s in per_row(selector, block)
+        ]
+        assert selector.select_blocks([]) == []
+
+    def test_infinite_budget_creates_no_padded_state(self):
+        # The k = 2 row shares a width-4 pass with the k = 4 row; an
+        # infinite budget must not reach its padding.
+        wide, narrow = geometric_block(n=1, k=4), geometric_block(n=1, k=2)
+        narrow = make_block(narrow.distances, narrow.rewards, [np.inf],
+                            narrow.cost_per_meter)
+        selector = DynamicProgrammingSelector()
+        got = selector.select_blocks([narrow, wide])
+        expanded = selector.consume_states_expanded()
+        assert [exact(s) for s in got[0]] == [
+            exact(s) for s in per_row(selector, narrow)
+        ]
+        selector.select_block(wide)
+        assert expanded == selector.consume_states_expanded()
+
+
+@st.composite
+def mirrored_blocks(draw):
+    """Wide blocks whose candidates come in mirrored pairs around the
+    origin with equal rewards, so potentials tie exactly and often."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(9, 24))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = (k + 1) // 2
+    points = rng.integers(1, 30, size=(n, half, 2)).astype(np.float64) * 10.0
+    points = np.concatenate([points, points * [-1.0, 1.0]], axis=1)
+    rewards = rng.integers(1, 4, size=(n, half)).astype(np.float64)
+    rewards = np.concatenate([rewards, rewards], axis=1)
+    order = np.argsort(rng.random(size=(n, 2 * half)), axis=1)[:, :k]
+    points = np.take_along_axis(points, order[:, :, None], axis=1)
+    rewards = np.take_along_axis(rewards, order, axis=1)
+    nodes = np.concatenate([np.zeros((n, 1, 2)), points], axis=1)
+    diff = nodes[:, :, None, :] - nodes[:, None, :, :]
+    distances = np.sqrt((diff**2).sum(axis=-1)).astype(dtype)
+    return make_block(
+        distances, rewards, rng.uniform(50.0, 250.0, size=n),
+        rng.choice([0.0, 0.01, 0.02], size=n),
+    )
+
+
+class TestDPCapping:
+    """Wide rows are capped in one array step, to the very candidates the
+    reference DP's per-problem cap keeps (``np.argsort(-potential)``)."""
+
+    @given(block=mirrored_blocks(), max_exact_tasks=st.sampled_from([3, 5, 8]))
+    @settings(deadline=None, max_examples=60)
+    def test_the_array_cap_keeps_the_reference_candidates(
+        self, block, max_exact_tasks
+    ):
+        selector = DynamicProgrammingSelector(max_exact_tasks=max_exact_tasks)
+        reference = ReferenceDPSelector(max_exact_tasks=max_exact_tasks)
+        keep, _, rewards = selector._capped(
+            block.distances, block.rewards, block.cost_per_meter
+        )
+        got = selector.select_block(block)
+        for j in range(len(block)):
+            capped = reference._capped(block.problem(j))
+            assert block.task_ids[j, keep[j]].tolist() == [
+                c.task_id for c in capped.candidates
+            ]
+            assert rewards[j].tolist() == capped.rewards.tolist()
+            assert exact(got[j]) == exact(
+                DynamicProgrammingSelector().select(capped)
+            )
+            assert exact(got[j]) == exact(selector.select(block.problem(j)))
+
+    def test_a_float32_row_is_ranked_as_its_problem_ranks_it(self):
+        # Candidate 1 is 999.9 m away with reward 10, candidate 2 at the
+        # origin with 10 less a cost between the two roundings of
+        # 0.01 * 999.9: the float32 product (9.99899959...) ranks
+        # candidate 1 first, the float64 one (9.99900024...) candidate 2.
+        far = np.float32(999.9)
+        distances = np.array(
+            [[[0.0, far, 0.0], [far, 0.0, far], [0.0, far, 0.0]]],
+            dtype=np.float32,
+        )
+        between = 10.0 - (float(np.float32(0.01) * far) + 0.01 * float(far)) / 2
+        block = make_block(distances, [[10.0, between]], [2000.0], [0.01])
+        selector = DynamicProgrammingSelector(max_exact_tasks=1)
+        keep, _, _ = selector._capped(
+            block.distances, block.rewards, block.cost_per_meter
+        )
+        capped = ReferenceDPSelector(max_exact_tasks=1)._capped(block.problem(0))
+        assert block.task_ids[0, keep[0]].tolist() == [
+            c.task_id for c in capped.candidates
+        ] == [block.task_ids[0, 0]]
 
 
 def geometric_block(n=6, k=5, seed=3):

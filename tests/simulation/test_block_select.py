@@ -1,14 +1,17 @@
 """The engine's block select phase: counters, cancellation, blocks.
 
 The engine hands each equal-k problem block to the selector in one
-``select_block`` call.  Its counters keep their per-instance
-meaning (one selector call per user with a candidate, one problem-cache
-hit per participant), and cancellation is polled before every block.
+``select_block`` call, or a whole assembly chunk's blocks to a selector
+that solves them together (the exact DP) in one ``select_blocks`` call.
+Its counters keep their per-instance meaning (one selector call per
+user with a candidate, one problem-cache hit per participant), and
+cancellation is polled before every call.
 """
 
 import numpy as np
 import pytest
 
+from repro.obs.trace import SpanTracer
 from repro.resilience.cancel import FlagToken
 from repro.resilience.errors import OperationCancelled
 from repro.scenarios import PRESETS
@@ -59,6 +62,20 @@ class TestCounters:
             # The latency histogram holds one value per block.
             blocks = record.metrics.histogram("selector_seconds").count
             assert 0 < blocks < record.perf.selector_calls
+
+    def test_the_dp_gets_one_call_per_chunk(self):
+        tracer = SpanTracer()
+        config = small_city(selector="dp", rounds=2)
+        result = SimulationEngine(config, tracer=tracer).run()
+        calls = [r for r in tracer.spans if r.name == "select-block"]
+        # city-2k's few hundred users fit one assembly chunk.
+        assert len(calls) == result.rounds_played
+        assert all(call.args["blocks"] > 1 for call in calls)
+        assert sum(call.args["users"] for call in calls) == (
+            result.perf_totals().selector_calls
+        )
+        assert [r.metrics.histogram("selector_seconds").count
+                for r in result.rounds] == [1] * result.rounds_played
 
 
 class TestCancellation:

@@ -13,6 +13,11 @@ from repro.simulation import PerfStats, SimulationConfig, simulate
 from repro.io.events import read_events_jsonl, write_events_jsonl
 
 
+#: ``selector_calls`` of the pinned paper-2018 runs below: instances
+#: solved, however the engine groups them into selector calls.
+PAPER_2018_SELECTOR_CALLS = {0: 655, 1: 407, 2: 813, 3: 1199}
+
+
 @pytest.fixture
 def result(fast_config):
     return simulate(fast_config)
@@ -76,9 +81,13 @@ class TestEngineCounters:
     def test_paper_2018_dp_states_are_pinned(self, seed, states):
         """The DP's work counter is deterministic, but round fingerprints
         leave ``perf`` out: pinning it here catches a selector that
-        answers the same while expanding more (or fewer) states."""
+        answers the same while expanding more (or fewer) states, and an
+        engine that counts calls instead of the instances solved."""
         result = api.simulate(scenario="paper-2018", seed=seed)
         assert result.perf_totals().dp_states_expanded == states
+        assert result.perf_totals().selector_calls == (
+            PAPER_2018_SELECTOR_CALLS[seed]
+        )
 
     def test_counters_do_not_change_the_simulation(self, fast_config):
         """Perf instrumentation is observability only: same history."""

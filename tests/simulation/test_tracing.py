@@ -78,7 +78,8 @@ class TestPerRoundMetrics:
         assert totals.value("selector_seconds_total") == pytest.approx(
             perf.selector_wall_time
         )
-        # One latency value per select_block call, i.e. per problem block.
+        # One latency value per selector call: a problem block, or a
+        # whole assembly chunk for the exact DP.
         histogram = totals.series().get("selector_seconds")
         assert histogram is not None
         assert 0 < histogram.count <= perf.selector_calls

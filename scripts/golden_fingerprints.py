@@ -133,6 +133,14 @@ def cases() -> List[Dict]:
     out.append({"scenario": "poisson-churn",
                 "overrides": dict(WANDERING_CHURN, seed=0),
                 "snapshot": "final-positions"})
+    # The generator's heterogeneous-user and clustered-layout branches,
+    # which no preset takes, and heterogeneous arrivals under churn.
+    out.append({"scenario": "paper-2018",
+                "overrides": {"heterogeneity": 0.3, "seed": 0}})
+    out.append({"scenario": "paper-2018",
+                "overrides": {"layout": "clustered", "seed": 0}})
+    out.append({"scenario": "poisson-churn",
+                "overrides": {"heterogeneity": 0.3, "seed": 0}})
     for case in out:
         case["id"] = case_id(case["scenario"], case["overrides"])
         for kind in CASE_KINDS:

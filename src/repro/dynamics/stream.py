@@ -4,8 +4,8 @@
 :class:`~repro.dynamics.processes.EventStream` and replays it against a
 live engine: before round ``r`` plays, the round's departures, arrivals,
 and task publications are folded into the engine's world through its
-``_apply_dynamics`` hook (which mutates the user/task lists and, on a
-population change, rebuilds the engine's per-row arrays; the round's
+``_apply_dynamics`` hook (which filters and extends the user table and
+its positions under one mask and extends the task list; the round's
 Eq. 5 recount then reads the new positions).
 
 The timeline consumes **no randomness at runtime** — every draw already
@@ -32,7 +32,7 @@ from repro.dynamics.processes import (
 )
 from repro.geometry.point import Point
 from repro.world.task import SensingTask
-from repro.world.user import MobileUser
+from repro.world.user import UserTable
 
 
 @dataclass
@@ -41,12 +41,8 @@ class RoundChanges:
 
     round_no: int
     departures: List[int] = field(default_factory=list)
-    arrivals: List[MobileUser] = field(default_factory=list)
+    arrivals: UserTable = field(default_factory=UserTable.empty)
     tasks: List[SensingTask] = field(default_factory=list)
-
-    @property
-    def population_changed(self) -> bool:
-        return bool(self.departures or self.arrivals)
 
 
 class WorldTimeline:
@@ -86,16 +82,23 @@ class WorldTimeline:
         """Build the timeline a config's ``dynamics`` mapping describes.
 
         Consumes the engine's dedicated ``dynamics`` stream exactly once
-        (at construction); an all-zero spec draws nothing.
+        (at construction); an all-zero spec draws nothing.  ``world``
+        None stands for the world the config generates (user and task
+        ids ``0..n-1``), so the stream is drawn without building one.
         """
         spec = DynamicsSpec.from_mapping(config.dynamics)
-        seed_user_ids = [u.user_id for u in world.users]
+        if world is None:
+            seed_user_ids = list(range(config.n_users))
+            seed_task_ids = list(range(config.n_tasks))
+        else:
+            seed_user_ids = world.users.ids.tolist()
+            seed_task_ids = [t.task_id for t in world.tasks]
         stream = generate_stream(
             spec,
             region=config.region,
             rounds=config.rounds,
             seed_user_ids=seed_user_ids,
-            seed_task_ids=[t.task_id for t in world.tasks],
+            seed_task_ids=seed_task_ids,
             required_measurements=config.required_measurements,
             deadline_range=config.deadline_range,
             user_speed=config.user_speed,
@@ -111,19 +114,17 @@ class WorldTimeline:
     def changes_for(self, round_no: int) -> RoundChanges:
         """The world mutations due before ``round_no`` plays."""
         changes = RoundChanges(round_no=round_no)
-        for event in self._events_by_round.get(round_no, ()):
+        events = self._events_by_round.get(round_no, ())
+        arrived = [
+            (e.subject_id, (e.get("x"), e.get("y")), e.get("speed"),
+             e.get("cost_per_meter"), e.get("time_budget"))
+            for e in events if e.kind == "user_arrived"
+        ]
+        if arrived:
+            changes.arrivals = UserTable(*zip(*arrived))
+        for event in events:
             if event.kind == "user_departed":
                 changes.departures.append(event.subject_id)
-            elif event.kind == "user_arrived":
-                changes.arrivals.append(
-                    MobileUser(
-                        user_id=event.subject_id,
-                        home=Point(event.get("x"), event.get("y")),
-                        speed=event.get("speed"),
-                        cost_per_meter=event.get("cost_per_meter"),
-                        time_budget=event.get("time_budget"),
-                    )
-                )
             elif event.kind == "task_published":
                 changes.tasks.append(
                     SensingTask(
@@ -149,9 +150,9 @@ class WorldTimeline:
             engine._apply_dynamics(changes)
         for uid in changes.departures:
             self._alive.pop(uid, None)
-        for user in changes.arrivals:
-            self.joined_round[user.user_id] = round_no
-            self._alive[user.user_id] = round_no
+        for uid in changes.arrivals.ids.tolist():
+            self.joined_round[uid] = round_no
+            self._alive[uid] = round_no
         return events
 
     # -- deadline renewal ------------------------------------------------

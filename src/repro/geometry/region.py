@@ -9,7 +9,7 @@ placement flows through one seeded :class:`numpy.random.Generator`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -74,29 +74,42 @@ class RectRegion:
             min(max(point.y, self.y_min), self.y_max),
         )
 
+    def clamp_points(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`clamp` for each row of an ``(n, 2)`` array, bit for
+        bit: Python's ``min(max(v, lo), hi)`` keeps ``v`` itself unless
+        a bound is strictly past it."""
+        lows = np.array([self.x_min, self.y_min])
+        highs = np.array([self.x_max, self.y_max])
+        floored = np.where(lows > points, lows, points)
+        return np.where(highs < floored, highs, floored)
+
     def sample(self, rng: np.random.Generator, count: int) -> List[Point]:
         """Draw ``count`` points uniformly at random from the region."""
+        return [Point(x, y) for x, y in self.sample_array(rng, count).tolist()]
+
+    def sample_array(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """:meth:`sample` as a float64 ``(count, 2)`` array (the same
+        two ``uniform`` draws: every x, then every y)."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         xs = rng.uniform(self.x_min, self.x_max, size=count)
         ys = rng.uniform(self.y_min, self.y_max, size=count)
-        return [Point(float(x), float(y)) for x, y in zip(xs, ys)]
+        return np.column_stack([xs, ys])
 
-    def sample_cluster(
+    def sample_clusters(
         self,
         rng: np.random.Generator,
-        center: Point,
+        centers: Sequence[Point],
         spread: float,
         count: int,
-    ) -> List[Point]:
-        """Draw ``count`` points from a Gaussian cluster, clamped to the region.
-
-        Used by the clustered world generator to model a dense downtown
-        with remote districts — the setting where the paper's "inherent
-        inequality among location-dependent sensing tasks" is sharpest.
+    ) -> np.ndarray:
+        """``count`` points as a ``(count, 2)`` array, point ``i`` drawn
+        from a Gaussian around ``centers[i % len(centers)]`` (its x, then
+        its y) and clamped to the region: the clustered world's dense
+        downtowns, where the paper's task inequality is sharpest.
         """
         if spread < 0:
             raise ValueError(f"spread must be non-negative, got {spread}")
-        xs = rng.normal(center.x, spread, size=count)
-        ys = rng.normal(center.y, spread, size=count)
-        return [self.clamp(Point(float(x), float(y))) for x, y in zip(xs, ys)]
+        centers_xy = np.array([(c.x, c.y) for c in centers], dtype=float)
+        means = centers_xy[np.arange(count) % len(centers)]
+        return self.clamp_points(rng.normal(means, spread, size=(count, 2)))

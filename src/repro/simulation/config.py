@@ -25,6 +25,10 @@ EQ9_MECHANISMS = (
     "on-demand", "fixed", "proportional", "adaptive", "incentme", "policy",
 )
 
+#: The Eq. 9 mechanisms whose Σφ also counts every task an open world's
+#: timeline streams in (IncentMe's known-stream budgeting).
+STREAM_PRICED_MECHANISMS = ("incentme",)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -277,8 +281,12 @@ class SimulationConfig:
 
         Computed from the config alone, with the seed tasks' Σφ
         (:attr:`total_required_measurements`), so no world is built.
-        Tasks an open world streams in only add to Σφ and lower r0, so
-        a budget this rejects fails in every world.
+        For the mechanisms that price the stream
+        (:data:`STREAM_PRICED_MECHANISMS`), Σφ also counts the tasks an
+        open world streams in, drawn from the config's own ``dynamics``
+        stream exactly as the engine draws it; for the others those
+        tasks only add to Σφ later, so a budget this rejects fails in
+        every world.
 
         Raises:
             ConfigError: when r0 would not be positive, naming B, Σφ,
@@ -288,10 +296,18 @@ class SimulationConfig:
             return None
         from repro.core.rewards import RewardSchedule
 
+        total = self.total_required_measurements
+        if self.dynamics and self.mechanism in STREAM_PRICED_MECHANISMS:
+            from repro.dynamics.stream import WorldTimeline
+            from repro.simulation.rng import spawn_streams
+
+            total += WorldTimeline.from_config(
+                self, None, spawn_streams(self.seed)["dynamics"]
+            ).streamed_required_total()
         arguments = self.mechanism_arguments()
         return RewardSchedule.from_budget(
             budget=arguments["budget"],
-            total_required_measurements=self.total_required_measurements,
+            total_required_measurements=total,
             step=arguments["step"],
             levels=arguments["levels"],
         ).base_reward

@@ -58,14 +58,17 @@ act:
   :meth:`SimulationEngine._upload`).  Each touched task's state is
   written once.
 - *mobility* — one :meth:`~repro.world.mobility.MobilityPolicy.move`
-  call over every row in arrival order, starting walkers from their last
-  task and everyone else from where they stand, written back in place.
-- *state* — :attr:`World.positions <repro.world.generator.World.positions>`
-  is the one record of where users stand, moved in place; homes, travel
-  budgets and cost rates live in per-row arrays rebuilt only when the
-  population changes, and the task-to-task distance matrix is computed
-  once over *all* world tasks (task locations never change) and read per
-  round through a row mapping.
+  call over every row in arrival order: walkers are first placed at
+  their last task, everyone else starts where they stand, and the
+  policy writes the rows it moves in place (follow-path rows are not
+  touched).
+- *state* — the engine reads the users straight from the world's
+  column table (:class:`~repro.world.user.UserTable`), which the open
+  world filters and extends together with :attr:`World.positions
+  <repro.world.generator.World.positions>`, the one record of where
+  users stand, moved in place; the task-to-task distance matrix is
+  computed once over *all* world tasks (task locations never change)
+  and read per round through a row mapping.
 - *records* — the round's user records (the round table permuted into
   ``user_id`` order), measurements and rejections are columnar
   (:class:`~repro.simulation.events.UserRoundRecords`,
@@ -121,59 +124,13 @@ from repro.simulation.events import (
     UserRoundRecords,
 )
 from repro.simulation.rng import spawn_streams
-from repro.world.generator import World, home_positions
+from repro.world.generator import World
 from repro.world.mobility import MixedMobility, MobilityPolicy, make_mobility
 from repro.world.task import SensingTask, TaskStatus
-from repro.world.user import MobileUser
+from repro.world.user import MobileUser, UserTable
 
 #: Observer callback invoked with each finished RoundRecord.
 RoundObserver = Callable[[RoundRecord], None]
-
-
-class _RowState:
-    """Per-row user state the sparse round reads.
-
-    Built from the world's user list (rows = positions in it) and kept
-    until the population changes: the user ids, homes, travel budgets
-    and cost rates, and the permutation that puts rows in ``user_id``
-    order for the round's records (``None`` when world order already
-    is).  Building it binds the mobility policy to the rows.  Where
-    users stand is not here: that is :attr:`World.positions`.
-    """
-
-    def __init__(self, users: Sequence[MobileUser], mobility: MobilityPolicy):
-        n = len(users)
-        self.user_ids = np.fromiter(
-            (user.user_id for user in users), dtype=np.int64, count=n
-        )
-        self.user_ids.flags.writeable = False
-        self.homes = home_positions(users)
-        self.budgets = np.asarray(
-            [u.max_travel_distance for u in users], dtype=float
-        )
-        self.costs = np.asarray([u.cost_per_meter for u in users], dtype=float)
-        mobility.bind(users)
-        ids = self.user_ids
-        self.order = (
-            None if (ids[1:] > ids[:-1]).all()
-            else np.argsort(ids, kind="stable")
-        )
-
-    def records(
-        self, round_no: int, selections: SelectionColumns, rewards: np.ndarray,
-        costs: np.ndarray,
-    ) -> UserRoundRecords:
-        """The round's user records, in ``user_id`` order."""
-        order = self.order
-        if order is None:
-            return UserRoundRecords(round_no, self.user_ids, selections, rewards, costs)
-        return UserRoundRecords(
-            round_no,
-            self.user_ids[order],
-            selections.take(order),
-            rewards[order],
-            costs[order],
-        )
 
 
 class SimulationEngine:
@@ -262,7 +219,8 @@ class SimulationEngine:
         self._problems_cache: Optional[Tuple[int, RoundProblems]] = None
         self._perf = PerfStats()
         self._metrics = MetricsRegistry()
-        self._row_state: Optional[_RowState] = None
+        #: The user table the mobility policy was last bound to.
+        self._bound_users: Optional[UserTable] = None
         self._dtype = np.dtype(self.config.distance_dtype)
         self._full_task_matrix: Optional[np.ndarray] = None
         self._task_row_of: Dict[int, int] = {
@@ -421,10 +379,10 @@ class SimulationEngine:
             # Caller-supplied prices (e.g. an ablation probing a what-if
             # price map) must not poison the per-round cache.
             problems = self._round_problems(tasks, prices, cached=False)
-        users, state, positions = self.world.users, self._rows(), self.world.positions
+        users, positions = self.world.users, self.world.positions
         built = dict(problems.iter_problems(
-            state.user_ids, origins=positions, budgets=state.budgets,
-            costs=state.costs,
+            users.ids, origins=positions, budgets=users.budgets,
+            costs=users.cost_per_meter,
         ))
         return [
             (user, built.get(row) or TaskSelectionProblem(
@@ -559,17 +517,16 @@ class SimulationEngine:
         # SAT (the coordinator assigns selections centrally).  Users who
         # sit this round out (participation_rate < 1) select nothing.
         with tracer.span("select", cat="phase", round=round_no):
-            users = self.world.users
             if self.coordinator is not None:
                 rows = np.flatnonzero(participating)
-                present = [users[row] for row in rows.tolist()]
                 assigned = self.coordinator.assign(
-                    round_no, active, present, self.world.positions[rows],
-                    prices,
+                    round_no, active, self.world.users.take(rows),
+                    self.world.positions[rows], prices,
                 )
                 empty = Selection.empty()
                 selections = SelectionColumns.from_selections(
-                    assigned.get(user.user_id, empty) for user in users
+                    assigned.get(user_id, empty)
+                    for user_id in self.world.users.ids.tolist()
                 )
             else:
                 selections = self._collect_selections(
@@ -592,9 +549,12 @@ class SimulationEngine:
             # position, and the mobility stream is consumed in the same
             # sequence, so this is bit-identical to interleaved moves.
             self._apply_moves(arrival, walkers, task_locations(active)[ends])
-            user_records = self._rows().records(
-                round_no, selections, rewards, costs
-            )
+            # The records are in user_id order.
+            ids, order = self.world.users.ids, self.world.users.id_order
+            if order is not None:
+                ids, selections = ids[order], selections.take(order)
+                rewards, costs = rewards[order], costs[order]
+            user_records = UserRoundRecords(round_no, ids, selections, rewards, costs)
 
         # Step 4 prep: expire tasks whose deadline has passed.  The open
         # world first offers each overdue task its pre-drawn renewal
@@ -668,25 +628,21 @@ class SimulationEngine:
         """Fold one round's open-world changes into the live world.
 
         Called by the :class:`~repro.dynamics.stream.WorldTimeline`
-        before the round plays.  ``World.positions`` is filtered and
-        extended in the same step as ``World.users``, so its rows stay
-        aligned (arrivals stand at their homes).  Population changes
-        invalidate the per-row state (rows shift when users leave); the
-        round's Eq. 5 recount then reads the new positions.
+        before the round plays.  ``World.users`` and ``World.positions``
+        are filtered with one mask and extended with the arrivals table,
+        so their rows stay aligned (arrivals stand at their homes); the
+        mobility policy rebinds to the new table on its next move, and
+        the round's Eq. 5 recount reads the new positions.
         """
         world = self.world
         if changes.departures:
-            departed = set(changes.departures)
-            stay = np.fromiter(
-                (u.user_id not in departed for u in world.users),
-                dtype=bool, count=len(world.users),
-            )
-            world.users[:] = [u for u, kept in zip(world.users, stay) if kept]
+            stay = ~np.isin(world.users.ids, changes.departures)
+            world.users = world.users.take(stay)
             world.positions = world.positions[stay]
         if changes.arrivals:
-            world.users.extend(changes.arrivals)
+            world.users = UserTable.concatenate([world.users, changes.arrivals])
             world.positions = np.concatenate(
-                [world.positions, home_positions(changes.arrivals)]
+                [world.positions, changes.arrivals.homes]
             )
         if changes.tasks:
             self.world.tasks.extend(changes.tasks)
@@ -696,10 +652,6 @@ class SimulationEngine:
             self._full_task_matrix = None
         self._price_cache = None
         self._problems_cache = None
-        if changes.population_changed:
-            # Rows shift or change owner even when the head count stays
-            # the same, so the per-row state is rebuilt from scratch.
-            self._row_state = None
 
     def _collect_selections(
         self,
@@ -727,16 +679,17 @@ class SimulationEngine:
         :meth:`Selector.select_block`.
         """
         problems = self._round_problems(active, prices)
-        state = self._rows()
+        users = self.world.users
         answers = []
         if participating.all():
-            rows, user_ids = None, state.user_ids
-            origins, budgets, costs = self.world.positions, state.budgets, state.costs
+            rows, user_ids = None, users.ids
+            origins, budgets = self.world.positions, users.budgets
+            costs = users.cost_per_meter
         else:
             rows = np.flatnonzero(participating)
-            user_ids = state.user_ids[rows]
+            user_ids = users.ids[rows]
             origins = self.world.positions[rows]
-            budgets, costs = state.budgets[rows], state.costs[rows]
+            budgets, costs = users.budgets[rows], users.cost_per_meter[rows]
         # Only a selector with its own select_blocks gains from a whole
         # chunk; the rest keep one call per block, so a cancel still
         # lands between their blocks.
@@ -783,23 +736,27 @@ class SimulationEngine:
                     (indices if rows is None else rows[indices], part)
                     for (indices, _), part in zip(call, solved)
                 )
-        return SelectionColumns.scatter(len(state.user_ids), answers)
+        return SelectionColumns.scatter(len(self.world.users), answers)
 
     def _apply_moves(
         self, arrival: np.ndarray, walkers: np.ndarray, ends: np.ndarray
     ) -> None:
         """Move every user (world rows, ``arrival`` order) to its
-        next-round position in one mobility call.
+        next-round position in one mobility call, in place.
 
         ``walkers`` are the rows that walked a path and ``ends`` the
         ``(len(walkers), 2)`` coordinates of each one's last task; every
-        other user starts from where it stands.
+        other user starts from where it stands.  The policy is bound to
+        the user table first whenever the table changed.
         """
-        positions, state = self.world.positions, self._rows()
+        positions, users = self.world.positions, self.world.users
+        if users is not self._bound_users:
+            self.mobility.bind(users)
+            self._bound_users = users
         # Walkers stand at their last task when the policy moves them.
         positions[walkers] = ends
-        positions[arrival] = self.mobility.move(
-            arrival, positions[arrival], state.homes, state.budgets,
+        self.mobility.move(
+            positions, arrival, users.homes, users.budgets,
             self.world.region, self._streams["mobility"],
         )
 
@@ -908,12 +865,6 @@ class SimulationEngine:
         draws = self._streams["participation"].random(n)
         return draws < self.config.participation_rate
 
-    def _rows(self) -> _RowState:
-        """The per-row user state, rebuilt after any population change."""
-        if self._row_state is None:
-            self._row_state = _RowState(self.world.users, self.mobility)
-        return self._row_state
-
     def _upload(
         self,
         round_no: int,
@@ -964,7 +915,7 @@ class SimulationEngine:
         owner = np.repeat(np.arange(len(walkers)), walked)
         step = np.arange(len(owner)) - np.repeat(np.cumsum(walked) - walked, walked)
         task_ids = selections.task_ids[selections.offsets[walkers][owner] + step]
-        user_ids = self._rows().user_ids[walkers][owner]
+        user_ids = self.world.users.ids[walkers][owner]
         position = _task_positions(task_ids, active)
         unknown = position < 0
         if unknown.any():

@@ -602,8 +602,8 @@ class SimulationResult(RunAggregates):
             ]
         profits = self.totals.user_profits
         return [
-            float(profits[user.user_id]) if user.user_id < len(profits) else 0.0
-            for user in self.world.users
+            float(profits[user_id]) if user_id < len(profits) else 0.0
+            for user_id in self.world.users.ids.tolist()
         ]
 
 

@@ -6,11 +6,12 @@ Section III of the paper:
 - :class:`~repro.world.task.SensingTask` — a location-dependent task
   :math:`t_i` with location :math:`L_{t_i}`, deadline :math:`\\tau_i`
   (in rounds), and a required number of measurements :math:`\\varphi_i`.
-- :class:`~repro.world.user.MobileUser` — a user :math:`u_i` with a
-  home, walking speed, movement cost, and per-round time budget
-  :math:`B^k_{u_i}`.
-- :class:`~repro.world.generator.World` — the region, tasks and users,
-  plus ``World.positions``, the one record of where users stand.
+- :class:`~repro.world.user.UserTable` — the users as columns: each
+  user :math:`u_i`'s home, walking speed, movement cost, per-round
+  time budget :math:`B^k_{u_i}` and group, one row per user;
+  :class:`~repro.world.user.MobileUser` is one row as a value.
+- :class:`~repro.world.generator.World` — the region, tasks and user
+  table, plus ``World.positions``, the one record of where users stand.
 - :class:`~repro.world.generator.WorldGenerator` — seeded generators for
   the uniform layout the paper evaluates and a clustered layout that
   exaggerates the "remote task" inequality the paper motivates.
@@ -20,7 +21,7 @@ Section III of the paper:
 """
 
 from repro.world.task import SensingTask, TaskStatus
-from repro.world.user import MobileUser
+from repro.world.user import MobileUser, UserTable
 from repro.world.generator import WorldGenerator, World
 from repro.world.arrivals import (
     ARRIVALS,
@@ -44,6 +45,7 @@ __all__ = [
     "SensingTask",
     "TaskStatus",
     "MobileUser",
+    "UserTable",
     "WorldGenerator",
     "World",
     "ARRIVALS",

@@ -11,7 +11,6 @@ to stress the popularity-inequality problem the paper motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,22 +20,25 @@ from repro.geometry.region import RectRegion
 from repro.world.arrivals import ARRIVALS
 from repro.world.population import apply_population, parse_population
 from repro.world.task import SensingTask
-from repro.world.user import MobileUser
+from repro.world.user import UserTable
 
 
 @dataclass
 class World:
     """A region, its tasks, its users, and where those users stand.
 
+    ``users`` is the population as one :class:`UserTable` (a list of
+    :class:`MobileUser` is turned into one on construction).
     ``positions`` is the one mutable record of where users are: a
-    float64 ``(n, 2)`` array aligned with ``users``, built from each
-    user's home.  The engine's mobility pass moves it in place and its
-    open-world dynamics filter and extend it together with ``users``.
+    float64 ``(n, 2)`` array aligned with ``users``' rows, built from
+    their homes.  The engine's mobility pass moves it in place and its
+    open-world dynamics filter and extend it together with ``users``,
+    under one mask.
     """
 
     region: RectRegion
     tasks: List[SensingTask]
-    users: List[MobileUser]
+    users: UserTable
     positions: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -45,12 +47,16 @@ class World:
                 raise ValueError(
                     f"task {task.task_id} at {task.location} lies outside {self.region}"
                 )
-        for user in self.users:
-            if not self.region.contains(user.home):
-                raise ValueError(
-                    f"user {user.user_id} at {user.home} lies outside {self.region}"
-                )
-        self.positions = home_positions(self.users)
+        if not isinstance(self.users, UserTable):
+            self.users = UserTable.from_users(self.users)
+        homes = self.users.homes
+        outside = (self.region.clamp_points(homes) != homes).any(axis=1)
+        if outside.any():
+            user = self.users[int(np.argmax(outside))]
+            raise ValueError(
+                f"user {user.user_id} at {user.home} lies outside {self.region}"
+            )
+        self.positions = homes.copy()
 
     @property
     def total_required_measurements(self) -> int:
@@ -59,15 +65,6 @@ class World:
 
     def task_locations(self) -> List[Point]:
         return [t.location for t in self.tasks]
-
-
-def home_positions(users: Sequence[MobileUser]) -> np.ndarray:
-    """The users' homes as a float64 ``(n, 2)`` array (filled straight
-    from the users, with no per-user tuple list in between)."""
-    return np.fromiter(
-        chain.from_iterable((u.home.x, u.home.y) for u in users),
-        dtype=float, count=2 * len(users),
-    ).reshape(len(users), 2)
 
 
 @dataclass(frozen=True)
@@ -177,42 +174,31 @@ class WorldGenerator:
             )
         ]
 
-    def _make_users(
-        self, locations: Sequence[Point], rng: np.random.Generator
-    ) -> List[MobileUser]:
-        count = len(locations)
+    def _make_users(self, homes: np.ndarray, rng: np.random.Generator) -> UserTable:
+        count = len(homes)
+        params = {
+            "speed": np.full(count, self.user_speed, dtype=float),
+            "cost_per_meter": np.full(count, self.user_cost_per_meter, dtype=float),
+            "time_budget": np.full(count, self.user_time_budget, dtype=float),
+        }
         if self.heterogeneity > 0.0:
-            low = 1.0 - self.heterogeneity
-            high = 1.0 + self.heterogeneity
-            speed_factor = rng.uniform(low, high, size=count)
-            cost_factor = rng.uniform(low, high, size=count)
-            budget_factor = rng.uniform(low, high, size=count)
-        else:
             # No draws at h == 0 so existing seeds reproduce bit-exactly.
-            speed_factor = cost_factor = budget_factor = np.ones(count)
-        users = [
-            MobileUser(
-                user_id=i,
-                home=loc,
-                speed=self.user_speed * float(speed_factor[i]),
-                cost_per_meter=self.user_cost_per_meter * float(cost_factor[i]),
-                time_budget=self.user_time_budget * float(budget_factor[i]),
-            )
-            for i, loc in enumerate(locations)
-        ]
-        apply_population(users, parse_population(self.population), rng)
-        return users
+            spread = (1.0 - self.heterogeneity, 1.0 + self.heterogeneity)
+            for column in params.values():
+                column *= rng.uniform(*spread, size=count)
+        group = apply_population(params, parse_population(self.population), rng)
+        return UserTable(np.arange(count), homes, group=group, **params)
 
     # -- public generators -------------------------------------------------
 
     def uniform(self, rng: np.random.Generator) -> World:
         """The paper's layout: tasks and users uniform over the region."""
         task_locations = self.region.sample(rng, self.n_tasks)
-        user_locations = self.region.sample(rng, self.n_users)
+        homes = self.region.sample_array(rng, self.n_users)
         tasks = self._make_tasks(
             task_locations, self._draw_deadlines(rng), self._draw_releases(rng)
         )
-        return World(self.region, tasks, self._make_users(user_locations, rng))
+        return World(self.region, tasks, self._make_users(homes, rng))
 
     def clustered(
         self,
@@ -242,27 +228,22 @@ class WorldGenerator:
         centers = self.region.sample(rng, n_clusters)
 
         # Users: round-robin over clusters.
-        user_locations: List[Point] = []
-        for i in range(self.n_users):
-            center = centers[i % n_clusters]
-            user_locations.extend(
-                self.region.sample_cluster(rng, center, cluster_spread, 1)
-            )
+        homes = self.region.sample_clusters(
+            rng, centers, cluster_spread, self.n_users
+        )
 
         # Tasks: remote ones go to grid points far from all clusters.
         n_remote = int(round(self.n_tasks * remote_task_fraction))
-        grid = self._far_grid_points(centers, n_remote)
-        near_tasks = self.n_tasks - n_remote
-        task_locations = list(grid)
-        for i in range(near_tasks):
-            center = centers[i % n_clusters]
-            task_locations.extend(
-                self.region.sample_cluster(rng, center, cluster_spread * 1.5, 1)
-            )
+        near = self.region.sample_clusters(
+            rng, centers, cluster_spread * 1.5, self.n_tasks - n_remote
+        )
+        task_locations = self._far_grid_points(centers, n_remote) + [
+            Point(x, y) for x, y in near.tolist()
+        ]
         tasks = self._make_tasks(
             task_locations, self._draw_deadlines(rng), self._draw_releases(rng)
         )
-        return World(self.region, tasks, self._make_users(user_locations, rng))
+        return World(self.region, tasks, self._make_users(homes, rng))
 
     def _far_grid_points(
         self, centers: Sequence[Point], count: int, grid_side: int = 12

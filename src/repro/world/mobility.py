@@ -15,10 +15,12 @@ delegates to a pluggable policy:
   mobility model for crowdsensing simulations.
 
 A policy moves the whole population in one array call,
-:meth:`MobilityPolicy.move`, over every row in arrival order.  Each
-built-in policy also keeps a per-user :meth:`~MobilityPolicy.next_position`
-as the reference ``move`` must equal row by row, bit for bit and draw
-for draw (pinned by a property test); the engine never calls it.
+:meth:`MobilityPolicy.move`, which writes the rows it moves in place
+in :attr:`World.positions <repro.world.generator.World.positions>` and
+draws for them in arrival order.  Each built-in policy also keeps a
+per-user :meth:`~MobilityPolicy.next_position` as the reference
+``move`` must equal row by row, bit for bit and draw for draw (pinned
+by a property test); the engine never calls it.
 
 The ablation bench (``benchmarks/bench_ablations.py``) shows the headline
 comparisons are insensitive to this choice.
@@ -35,7 +37,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.registry import Registry
-from repro.world.user import MobileUser
+from repro.world.user import MobileUser, UserTable
 
 
 class MobilityPolicy(abc.ABC):
@@ -46,23 +48,25 @@ class MobilityPolicy(abc.ABC):
     @abc.abstractmethod
     def move(
         self,
+        positions: np.ndarray,
         rows: np.ndarray,
-        starts: np.ndarray,
         homes: np.ndarray,
         budgets: np.ndarray,
         region: RectRegion,
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        """The ``(k, 2)`` positions ``k`` users start the next round at.
+    ) -> None:
+        """Move ``rows`` to where they start the next round, in place.
 
         Args:
-            rows: ``(k,)`` population rows of the users, in arrival order.
-            starts: ``(k, 2)`` where each user's round ended: its last
-                task if it walked a path, else where it stood.
+            positions: ``(n, 2)`` every population row's position, where
+                its round ended (its last task if it walked a path, else
+                where it stood); the policy overwrites its rows.
+            rows: ``(k,)`` population rows of the users to move, in
+                arrival order.
             homes: ``(n, 2)`` every population row's home.
             budgets: ``(n,)`` every row's ``speed * time_budget``.
             region: the deployment area (positions must stay inside).
-            rng: the mobility random stream, drawn in row order.
+            rng: the mobility random stream, drawn in ``rows`` order.
         """
 
     def next_position(
@@ -78,9 +82,9 @@ class MobilityPolicy(abc.ABC):
         per-user reference the built-in policies keep for the tests."""
         raise NotImplementedError(f"{type(self).__name__} has no per-user reference")
 
-    def bind(self, users: Sequence[MobileUser]) -> None:
+    def bind(self, users: UserTable) -> None:
         """Resolve any per-row routing for a new population, whose rows
-        are positions in ``users``.  The engine calls it whenever its
+        are the rows of ``users``.  The engine calls it whenever its
         rows change; the default needs nothing."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -92,8 +96,8 @@ class StationaryMobility(MobilityPolicy):
 
     name = "stationary"
 
-    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
-        return homes[rows]
+    def move(self, positions, rows, homes, budgets, region, rng) -> None:
+        positions[rows] = homes[rows]
 
     def next_position(self, user, location, path, region, rng) -> Point:
         return user.home
@@ -104,8 +108,8 @@ class FollowPathMobility(MobilityPolicy):
 
     name = "follow-path"
 
-    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
-        return starts
+    def move(self, positions, rows, homes, budgets, region, rng) -> None:
+        """Nothing to do: every row already stands where it ended."""
 
     def next_position(self, user, location, path, region, rng) -> Point:
         return path[-1] if path else location
@@ -128,14 +132,16 @@ class RandomWaypointMobility(MobilityPolicy):
             )
         self.wander_fraction = wander_fraction
 
-    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
+    def move(self, positions, rows, homes, budgets, region, rng) -> None:
         # One (k, 2) draw is the per-user x-then-y waypoint stream.
         waypoints = rng.uniform(
             (region.x_min, region.y_min), (region.x_max, region.y_max),
             size=(len(rows), 2),
         )
         strides = budgets[rows] * self.wander_fraction
-        return _clamp(_towards(starts, waypoints, strides), region)
+        positions[rows] = region.clamp_points(
+            _towards(positions[rows], waypoints, strides)
+        )
 
     def next_position(self, user, location, path, region, rng) -> Point:
         start = path[-1] if path else location
@@ -157,29 +163,21 @@ def _towards(
     return np.where(arrive[:, None], targets, moved)
 
 
-def _clamp(points: np.ndarray, region: RectRegion) -> np.ndarray:
-    """:meth:`RectRegion.clamp` row by row: Python's ``min(max(v, lo),
-    hi)``, which keeps ``v`` itself unless a bound is strictly past it."""
-    lows = np.array([region.x_min, region.y_min])
-    highs = np.array([region.x_max, region.y_max])
-    floored = np.where(lows > points, lows, points)
-    return np.where(highs < floored, highs, floored)
-
-
 class MixedMobility(MobilityPolicy):
     """Routes each user to the policy of its population group.
 
     Built by the engine when a scenario declares a heterogeneous
     population: ``policies`` maps a group label to the policy its members
-    follow, resolved through :attr:`MobileUser.group` (users with no
-    group, or a group not in the map, fall back to ``default``).
+    follow, resolved through each user's ``group`` (users with no group,
+    or a group not in the map, fall back to ``default``).
 
-    :meth:`bind` resolves every row's policy once per population, and
-    :meth:`move` makes one call per distinct policy over its rows.  Each
-    policy draws for its rows in arrival order, so the draws equal the
-    per-user order only while at most one policy instance draws: give
-    every group of the same drawing policy the same instance (the
-    engine shares one instance per mobility name).
+    :meth:`bind` resolves every row's policy once per population from
+    the table's ``group`` column, and :meth:`move` makes one call per
+    distinct policy over its rows.  Each policy draws for its rows in
+    arrival order, so the draws equal the per-user order only while at
+    most one policy instance draws: give every group of the same drawing
+    policy the same instance (the engine shares one instance per
+    mobility name).
     """
 
     name = "mixed"
@@ -204,23 +202,20 @@ class MixedMobility(MobilityPolicy):
             return self.policies[group]
         return self.default
 
-    def bind(self, users: Sequence[MobileUser]) -> None:
+    def bind(self, users: UserTable) -> None:
         index = {id(member): i for i, member in enumerate(self._members)}
-        self._route = np.fromiter(
-            (index[id(self.policy_for(user))] for user in users),
-            dtype=np.intp, count=len(users),
-        )
+        # The default is member 0: every row without a routed group.
+        route = np.zeros(len(users), dtype=np.intp)
+        for group, policy in self.policies.items():
+            route[users.group == group] = index[id(policy)]
+        self._route = route
 
-    def move(self, rows, starts, homes, budgets, region, rng) -> np.ndarray:
+    def move(self, positions, rows, homes, budgets, region, rng) -> None:
         route = self._route[rows]
-        moved = np.empty((len(rows), 2))
         for i, member in enumerate(self._members):
             mine = route == i
             if mine.any():
-                moved[mine] = member.move(
-                    rows[mine], starts[mine], homes, budgets, region, rng
-                )
-        return moved
+                member.move(positions, rows[mine], homes, budgets, region, rng)
 
     def next_position(self, user, location, path, region, rng) -> Point:
         return self.policy_for(user).next_position(

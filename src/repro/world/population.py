@@ -37,8 +37,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.world.user import MobileUser
-
 #: A group parameter: inherit (None), shared scalar, or uniform [low, high].
 ParamSpec = Union[None, float, Tuple[float, float]]
 
@@ -166,36 +164,31 @@ def group_counts(n_users: int, groups: Sequence[PopulationGroup]) -> List[int]:
 
 
 def apply_population(
-    users: Sequence[MobileUser],
+    params: Dict[str, np.ndarray],
     groups: Sequence[PopulationGroup],
     rng: np.random.Generator,
-) -> None:
-    """Stamp group membership and draw per-group parameters in place.
+) -> np.ndarray:
+    """Draw per-group parameters into ``params`` in place; return the
+    group column.
 
-    Users are taken in id order: the first ``count_0`` belong to the
-    first group, and so on; the tail keeps base parameters and no group.
-    Ranged parameters draw one uniform array per (group, parameter) in
-    declaration order, so a fixed seed yields a fixed population.
+    ``params`` maps ``speed``, ``time_budget`` and ``cost_per_meter`` to
+    float64 columns in id order: the first ``count_0`` rows belong to
+    the first group, and so on; the tail keeps base parameters and no
+    group (None).  Ranged parameters draw one uniform array per (group,
+    parameter) in declaration order, so a fixed seed yields a fixed
+    population.
     """
-    if not groups:
-        return
-    counts = group_counts(len(users), groups)
+    n = len(params["speed"])
+    group = np.full(n, None, dtype=object)
     start = 0
-    for group, count in zip(groups, counts):
-        members = users[start : start + count]
+    for spec, count in zip(groups, group_counts(n, groups)):
+        members = slice(start, start + count)
         start += count
-        draws: Dict[str, Optional[np.ndarray]] = {}
+        group[members] = spec.name
         for key in _PARAM_FIELDS:
-            spec = getattr(group, key)
-            if isinstance(spec, tuple):
-                draws[key] = rng.uniform(spec[0], spec[1], size=count)
-            else:
-                draws[key] = None
-        for i, user in enumerate(members):
-            user.group = group.name
-            for key in _PARAM_FIELDS:
-                spec = getattr(group, key)
-                if spec is None:
-                    continue
-                value = float(draws[key][i]) if draws[key] is not None else float(spec)
-                setattr(user, key, value)
+            value = getattr(spec, key)
+            if isinstance(value, tuple):
+                params[key][members] = rng.uniform(value[0], value[1], size=count)
+            elif value is not None:
+                params[key][members] = value
+    return group

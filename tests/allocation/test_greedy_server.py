@@ -3,13 +3,14 @@
 import pytest
 
 from repro.allocation.greedy_server import GreedyServerCoordinator
-from repro.world.generator import home_positions
+from repro.world.user import UserTable
 from tests.conftest import make_task, make_user
 
 
 def assign(tasks, users, prices, round_no=1, **kwargs):
     coordinator = GreedyServerCoordinator(**kwargs)
-    return coordinator.assign(round_no, tasks, users, home_positions(users), prices)
+    homes = UserTable.from_users(users).homes
+    return coordinator.assign(round_no, tasks, users, homes, prices)
 
 
 class TestAssignment:

@@ -85,26 +85,34 @@ class TestSampling:
         assert abs(left - 2000) < 200
 
 
+def clustered(region, rng, centers, spread, count):
+    """``region.sample_clusters`` as :class:`Point` s."""
+    return [
+        Point(x, y)
+        for x, y in region.sample_clusters(rng, centers, spread, count).tolist()
+    ]
+
+
 class TestClusterSampling:
     def test_cluster_containment(self, rng):
         region = RectRegion.square(100.0)
-        points = region.sample_cluster(rng, Point(95.0, 95.0), 30.0, 100)
+        points = clustered(region, rng, [Point(95.0, 95.0)], 30.0, 100)
         assert len(points) == 100
         assert all(region.contains(p) for p in points)
 
     def test_cluster_concentrates(self, rng):
         region = RectRegion.square(1000.0)
         center = Point(500.0, 500.0)
-        points = region.sample_cluster(rng, center, 50.0, 200)
+        points = clustered(region, rng, [center], 50.0, 200)
         mean_distance = np.mean([p.distance_to(center) for p in points])
         # Rayleigh mean = spread * sqrt(pi/2) ~ 62.7; allow generous slack.
         assert mean_distance < 150.0
 
     def test_negative_spread_raises(self, rng):
         with pytest.raises(ValueError, match="non-negative"):
-            RectRegion.square(10.0).sample_cluster(rng, Point(5, 5), -1.0, 3)
+            RectRegion.square(10.0).sample_clusters(rng, [Point(5, 5)], -1.0, 3)
 
     def test_zero_spread_pins_to_center(self, rng):
         region = RectRegion.square(10.0)
-        points = region.sample_cluster(rng, Point(5.0, 5.0), 0.0, 5)
+        points = clustered(region, rng, [Point(5.0, 5.0)], 0.0, 5)
         assert all(p == Point(5.0, 5.0) for p in points)

@@ -75,6 +75,21 @@ class TestConfigBlame:
         assert "base reward r0 must be positive" in err.reason
         assert err.as_dict()["field"] == "budget"
 
+    def test_open_world_incentme_counts_the_streamed_tasks(self):
+        # poisson-stream streams 680 required measurements in all; with
+        # them B = 1000 leaves IncentMe's Eq. 9 ladder no positive r0.
+        err = reject({
+            "scenario": "poisson-stream", "overrides": {"mechanism": "incentme"},
+        })
+        assert err.field == "budget"
+        assert "680 required measurements" in err.reason
+        assert "needs B > 1360" in err.reason
+        # Its stream fits task-stream-2k's budget: still admitted.
+        parsed = parse_submission({
+            "scenario": "task-stream-2k", "overrides": {"mechanism": "incentme"},
+        })
+        assert parsed.config.base_reward() > 0
+
     @pytest.mark.parametrize("kwargs", [
         {"levels": 5}, {"budget": -3}, {"step": None},
     ])

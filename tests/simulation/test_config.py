@@ -178,6 +178,16 @@ class TestBaseReward:
         engine.step()
         assert engine.config.base_reward() == engine.mechanism.schedule.base_reward
 
+    def test_counts_the_stream_incentme_prices(self):
+        """IncentMe's Σφ counts the streamed tasks; the config draws the
+        stream from its own dynamics seed, as the engine does."""
+        config = api.build_config("task-stream-2k", mechanism="incentme", seed=2)
+        engine = api.make_engine(config)
+        engine.step()
+        assert engine.mechanism.schedule.base_reward == config.base_reward()
+        closed = config.with_overrides(mechanism="on-demand").base_reward()
+        assert config.base_reward() < closed
+
     @pytest.mark.parametrize("mechanism", MECHANISM_NAMES)
     def test_refuses_exactly_what_the_engine_refuses(self, mechanism):
         config = SimulationConfig(mechanism=mechanism, **self.INFEASIBLE)

@@ -247,13 +247,13 @@ class TestSparseRound:
         wander = mobility.policies["wanderers"]
         move, wander_move = mobility.move, wander.move
 
-        def recording(rows, starts, *rest):
-            calls.append((rows.copy(), starts.copy()))
-            return move(rows, starts, *rest)
+        def recording(positions, rows, *rest):
+            calls.append((rows.copy(), positions[rows]))
+            return move(positions, rows, *rest)
 
-        def drawing(rows, *rest):
+        def drawing(positions, rows, *rest):
             draws.append(rows.copy())
-            return wander_move(rows, *rest)
+            return wander_move(positions, rows, *rest)
 
         def never(*args):
             raise AssertionError("the engine moves users through move()")

@@ -19,6 +19,7 @@ from repro.simulation.events import (
     UserRoundRecords,
     round_fingerprint,
 )
+from repro.world.generator import World
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,13 @@ def result():
     return simulate(SimulationConfig(n_users=15, n_tasks=6, rounds=8,
                                      required_measurements=4, budget=200.0,
                                      area_side=1500.0, seed=3))
+
+
+def reversed_world(config):
+    """The world ``config`` generates, with its users' rows (and so
+    their positions) in reverse id order."""
+    world = make_engine(config).world
+    return World(world.region, world.tasks, world.users[::-1])
 
 
 class TestUserRoundRecord:
@@ -163,8 +171,7 @@ class TestRunTotals:
         """The engine reorders its rows into id order; a world whose
         users are not in id order still folds each user's profit under
         its own id, and the cost column matches the selections."""
-        world = make_engine(result.config).world
-        world.users.reverse()
+        world = reversed_world(result.config)
         run = SimulationEngine(result.config, world=world).run()
         expected = {}
         for record in run.rounds:
@@ -252,8 +259,7 @@ class TestColumnarUserRecords:
     def runs(self, result):
         """The module's run, plus one whose world is not in id order (its
         records are the round table permuted into id order)."""
-        world = make_engine(result.config).world
-        world.users.reverse()
+        world = reversed_world(result.config)
         return [result, SimulationEngine(result.config, world=world).run()]
 
     def test_columns_equal_from_records_of_their_rows(self, runs):
@@ -269,8 +275,7 @@ class TestColumnarUserRecords:
                 assert [repr(r) for r in rebuilt] == [repr(r) for r in records]
 
     def test_permuted_rows_keep_each_users_selection(self, result):
-        world = make_engine(result.config).world
-        world.users.reverse()
+        world = reversed_world(result.config)
         engine = SimulationEngine(result.config, world=world)
         tables = []
         collect = engine._collect_selections

@@ -145,14 +145,14 @@ class TestPathSelection:
         problems = engine._round_problems(
             engine.published_tasks(), engine.published_rewards()
         )
-        state = engine._rows()
+        users = engine.world.users
         with mock.patch.object(
             RoundProblems, "_dense_candidates", autospec=True,
             side_effect=RoundProblems._dense_candidates,
         ) as dense:
             blocks = list(problems.iter_blocks(
-                state.user_ids, origins=engine.world.positions,
-                budgets=state.budgets, costs=state.costs,
+                users.ids, origins=engine.world.positions,
+                budgets=users.budgets, costs=users.cost_per_meter,
             ))
         assert blocks, "nobody had a candidate: the round proved nothing"
         return "dense" if dense.called else "sparse"

@@ -1,5 +1,7 @@
 """Tests for heterogeneous user populations (WorldGenerator.heterogeneity)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,13 @@ class TestDraws:
         legacy = generator(0.0).uniform(seed_a)
         again = generator(0.0).uniform(seed_b)
         assert [u.home for u in legacy.users] == [u.home for u in again.users]
+
+    def test_integer_parameters_are_scaled_as_floats(self, rng):
+        spec = dataclasses.replace(generator(0.25), user_speed=2,
+                                   user_time_budget=600)
+        world = spec.uniform(rng)
+        assert world.users.speed.dtype == world.users.time_budget.dtype == float
+        assert all(1.5 <= u.speed <= 2.5 for u in world.users)
 
     def test_clustered_layout_supports_heterogeneity(self, rng):
         world = generator(0.3).clustered(rng)

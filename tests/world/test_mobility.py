@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
-from repro.world.generator import home_positions
 from repro.world.mobility import (
     MOBILITY,
     FollowPathMobility,
@@ -16,7 +15,7 @@ from repro.world.mobility import (
     StationaryMobility,
     make_mobility,
 )
-from repro.world.user import MobileUser
+from repro.world.user import MobileUser, UserTable
 from tests.conftest import make_user
 
 
@@ -229,29 +228,29 @@ class TestArrayMobilityEquivalence:
         ]
 
         rng = np.random.default_rng(seed)
-        policy.bind(users)
+        table = UserTable.from_users(users)
+        policy.bind(table)
         rows = np.asarray(order, dtype=np.intp)
         ends = [(path[-1] if path else at) for path, at in zip(paths, locations)]
-        starts = np.asarray(
+        positions = np.asarray(
             [(p.x, p.y) for p in ends], dtype=float
         ).reshape(len(users), 2)
-        budgets = np.asarray([u.max_travel_distance for u in users], dtype=float)
-        moved = policy.move(
-            rows, starts[rows], home_positions(users), budgets, region, rng
-        )
+        policy.move(positions, rows, table.homes, table.budgets, region, rng)
 
-        assert moved.shape == (len(users), 2)
-        assert _bits(moved.tolist()) == _bits((p.x, p.y) for p in expected)
+        assert _bits(positions[rows].tolist()) == _bits(
+            (p.x, p.y) for p in expected
+        )
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_mixed_routes_rows_to_group_policies():
     users, locations, paths, region = _EXAMPLES["idle-and-home-path"]
-    _MIXED.bind(users)
+    table = UserTable.from_users(users)
+    _MIXED.bind(table)
     rows = np.arange(len(users))
-    starts = np.asarray([(p.x, p.y) for p in locations])
-    moved = _MIXED.move(
-        rows, starts, home_positions(users), np.zeros(len(users)), region,
+    moved = np.asarray([(p.x, p.y) for p in locations])
+    _MIXED.move(
+        moved, rows, table.homes, np.zeros(len(users)), region,
         np.random.default_rng(0),
     )
     # Stationary rows go home; follow-path rows (no group, unknown

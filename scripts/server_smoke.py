@@ -20,8 +20,8 @@ control paths CI most needs to guard:
    trace (uploaded as a CI artifact) and render one ``repro jobs top``
    frame;
 7. SIGTERM the server and require a clean exit within a deadline,
-   with none of its child processes (workers, the standby worker)
-   left alive after it;
+   with none of its descendant processes (the forkserver, the
+   resource tracker, forked workers) left alive after it;
 8. restart after a crash that lost only the job journal's final
    newline: boot over the same root, submit one more job, and require
    every earlier job to list with its terminal state — then boot once
@@ -118,11 +118,22 @@ def start_server(root):
     )
 
 
-def child_pids(pid):
-    """The live child processes of ``pid`` (workers, the standby)."""
-    out = subprocess.run(["pgrep", "-P", str(pid)],
+def session_pids(sid):
+    """The live processes in session ``sid``.  The server starts its own
+    session, so these are the server and every descendant, including
+    workers (the forkserver's children) and any process re-parented
+    after the server exited."""
+    out = subprocess.run(["pgrep", "-s", str(sid)],
                          capture_output=True, text=True).stdout
-    return [int(word) for word in out.split()]
+    return [pid for pid in map(int, out.split()) if alive(pid)]
+
+
+def cmdline(pid):
+    try:
+        raw = Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return "?"
+    return raw.replace(b"\0", b" ").decode(errors="replace").strip()
 
 
 def alive(pid):
@@ -166,21 +177,27 @@ def main():
 
 
 def shut_down(server):
-    """SIGTERM ``server``; require a clean exit and no surviving child."""
+    """SIGTERM ``server``; require a clean exit and, within the same
+    deadline, no surviving descendant."""
     if server.poll() is not None:
         fail(f"server died early (exit {server.returncode})")
     phase = Phase("shutdown", 30)
-    children = child_pids(server.pid)
+    descendants = [pid for pid in session_pids(server.pid) if pid != server.pid]
     os.kill(server.pid, signal.SIGTERM)
     while server.poll() is None:
         phase.sleep()
     expect(server.returncode == 0,
            f"server exited {server.returncode}, wanted 0")
     print(f"server exited cleanly ({server.returncode})")
-    orphans = [pid for pid in children if alive(pid)]
-    expect(not orphans,
-           f"server children {orphans} outlived it (of {children})")
-    print(f"none of its {len(children)} child processes outlived it")
+    while True:
+        left = session_pids(server.pid)
+        if not left:
+            break
+        expect(time.monotonic() < phase.deadline,
+               "server descendants outlived it: "
+               + "; ".join(f"{pid} {cmdline(pid)}" for pid in left))
+        time.sleep(0.1)
+    print(f"none of its {len(descendants)} descendant processes outlived it")
 
 
 def job_states(client):

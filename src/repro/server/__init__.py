@@ -11,11 +11,11 @@ as they arrive, not as one-shot scripts).  Its pillars:
   backpressure and memory-pressure load shedding;
 - :mod:`~repro.server.validate` — eager validation at the HTTP boundary
   (structured 400s instead of deep worker failures);
-- :mod:`~repro.server.worker` — the per-attempt subprocess, started
-  ahead of its job as a standby, with append-only deterministic resume
-  of the round-event stream;
-- :mod:`~repro.server.supervisor` — worker restarts with capped
-  decorrelated-jitter backoff and poison detection;
+- :mod:`~repro.server.worker` — the per-attempt process, forked from a
+  forkserver that has already imported it, with append-only
+  deterministic resume of the round-event stream;
+- :mod:`~repro.server.supervisor` — the forkserver, worker restarts
+  with capped decorrelated-jitter backoff and poison detection;
 - :mod:`~repro.server.app` — the :class:`JobService` HTTP surface
   (submit / status / cancel / NDJSON tail / healthz / readyz);
 - :mod:`~repro.server.client` — a stdlib client for the CLI and tests.
@@ -32,7 +32,7 @@ from repro.server.jobs import (
     VALID_TRANSITIONS,
 )
 from repro.server.queue import Admission, BoundedJobQueue, MemoryWatermark
-from repro.server.supervisor import WorkerSupervisor, worker_environment
+from repro.server.supervisor import WorkerSupervisor
 from repro.server.validate import (
     InvalidSubmission,
     ParsedSubmission,
@@ -56,5 +56,4 @@ __all__ = [
     "VALID_TRANSITIONS",
     "WorkerSupervisor",
     "parse_submission",
-    "worker_environment",
 ]

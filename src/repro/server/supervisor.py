@@ -2,18 +2,18 @@
 
 The supervisor owns the *process* half of the lifecycle.  Each attempt
 is one fresh worker process, but worker start-up (interpreter and
-imports) is kept off the job's path: the supervisor always holds one
-**standby** — ``python -m repro.server.worker`` started with no job dir,
-its imports done, blocked reading stdin.  An attempt takes the standby
-(or starts one on the spot when none is alive), writes it one JSON
-handoff line — ``job_dir``, ``attempt``, the unrounded remaining
-``deadline`` and the attempt's logging/trace env — closes the pipe, and
-starts the replacement standby at once.  Before its handoff a standby's
-output goes to the service's stderr (an import failure shows there);
-after it, the worker appends fds 1/2 to ``job_dir/worker.log``.  The
-``repro_attempt_seconds`` histogram therefore runs from handoff to exit.
+imports) is kept off the job's path: attempts are forked from one
+long-lived :mod:`multiprocessing` **forkserver** that has already
+imported :mod:`repro.server.worker`.  The forkserver starts with the
+first attempt and then serves every later one; one that died is
+replaced on the next fork request.  Each attempt is one
+``Process(target=worker.attempt, args=(job_dir, attempt, deadline,
+env))``: ``deadline`` is the unrounded remaining budget and ``env`` the
+supervisor's extra knobs plus the attempt's logging mode and trace
+context.  The child appends its output to ``job_dir/worker.log``.  The
+``repro_attempt_seconds`` histogram runs from the fork request to exit.
 
-From the handoff on, the supervisor maps the worker's exit code back
+From the fork on, the supervisor maps the worker's exit code back
 onto :class:`~repro.server.jobs.JobState` transitions and decides
 whether a dead worker means *retry* or *poison*:
 
@@ -21,8 +21,8 @@ whether a dead worker means *retry* or *poison*:
 - exit 3 / 4 — cooperative CANCELLED / TIMED_OUT;
 - exit 2 — the job directory itself is bad: FAILED immediately, no
   retry (retrying a malformed input can only fail again);
-- anything else (uncaught exception, SIGKILL, injected crash, a
-  standby that died before its handoff) — a *crash*: the job goes
+- anything else (uncaught exception, SIGKILL, injected crash, a fork
+  request the forkserver could not serve) — a *crash*: the job goes
   RUNNING → QUEUED and is relaunched after a capped decorrelated-jitter
   backoff
   (:func:`repro.resilience.retry.backoff_delays`), until
@@ -40,16 +40,18 @@ of a job (a crash-looping job does not get a fresh clock per retry).
 The supervisor never touches the journal directly: every transition is
 reported through the ``record`` callback so the owning service applies
 its single-writer journaling discipline.  :meth:`WorkerSupervisor.shutdown`
-kills and reaps every live worker, the standby included.
+kills every live worker and waits for it.  The forkserver exits by itself once
+the service and every worker have (it waits on a pipe they all hold).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import random
-import sys
+import signal
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -85,30 +87,49 @@ ATTEMPT_SECONDS_BUCKETS = (
 TRACE_DIR_NAME = "trace"
 
 
-class _Standby(NamedTuple):
-    """A started worker waiting on stdin, and that pipe's write end."""
+#: Forks attempts from one process that has imported the worker; numpy
+#: loads ``ma`` and ``random`` on first use, so they are loaded there too
+#: rather than inside each job's first round.
+_FORKS = multiprocessing.get_context("forkserver")
+_FORKS.set_forkserver_preload(["repro.server.worker", "numpy.ma", "numpy.random"])
 
-    proc: asyncio.subprocess.Process
-    handoff_fd: int
+#: The exit code of an attempt whose fork request failed, the code
+#: :mod:`multiprocessing` also reports for a child whose forkserver died.
+EXIT_FORK_FAILED = 255
 
 
-def worker_environment(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
-    """The subprocess environment for a worker.
+class _Attempt(NamedTuple):
+    """A forked worker and the future its exit code resolves."""
 
-    Ensures the worker can ``import repro`` even when the service was
-    started from an installed checkout with no PYTHONPATH: the package
-    root is derived from ``repro.__file__`` and prepended.
+    proc: multiprocessing.process.BaseProcess
+    exited: "asyncio.Future[int]"
+
+
+def _exit_future(proc: multiprocessing.process.BaseProcess) -> "asyncio.Future[int]":
+    """A future resolved with ``proc``'s exit code (negative: killed by
+    that signal) once its sentinel reports the exit.
+
+    The forkserver reports a child's exit code on the sentinel pipe, or
+    closes it when the forkserver itself dies: the child may then still
+    run, orphaned, so it is killed before its crash is reported, and a
+    retry never runs next to it.
     """
-    import repro
+    loop = asyncio.get_running_loop()
+    exited: "asyncio.Future[int]" = loop.create_future()
 
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    parts = [src_root] + ([existing] if existing else [])
-    env["PYTHONPATH"] = os.pathsep.join(parts)
-    if extra:
-        env.update(extra)
-    return env
+    def on_exit() -> None:
+        loop.remove_reader(proc.sentinel)
+        code = proc.exitcode
+        if code == EXIT_FORK_FAILED:
+            try:
+                os.kill(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.close()
+        exited.set_result(code)
+
+    loop.add_reader(proc.sentinel, on_exit)
+    return exited
 
 
 class WorkerSupervisor:
@@ -120,8 +141,8 @@ class WorkerSupervisor:
         backoff_cap: upper bound on any retry delay.
         grace_seconds: how long a timed-out worker gets to exit
             cooperatively before SIGKILL.
-        env: extra environment for workers (fault-injection knobs in
-            drills); merged over :func:`worker_environment`.
+        env: extra environment for every attempt (fault-injection knobs
+            in drills).
         rng: injectable randomness for the jitter schedule (tests pin
             it; production uses a fresh :class:`random.Random`).
         clock: injectable monotonic clock.
@@ -146,17 +167,13 @@ class WorkerSupervisor:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.grace_seconds = grace_seconds
-        self.env = worker_environment(env)
+        self.env = dict(env or {})
         self.rng = rng if rng is not None else random.Random()
         self.clock = clock
         self.metrics = metrics
-        #: Live worker processes by job id (for shutdown).
-        self.processes: Dict[str, asyncio.subprocess.Process] = {}
-        #: The worker waiting for the next attempt's handoff.
-        self._standby: Optional[_Standby] = None
-        #: Serialises taking and refilling the standby slot, so two
-        #: concurrent attempts never start a standby nobody keeps.
-        self._standby_lock = asyncio.Lock()
+        #: Live worker processes by job id, each with the future its
+        #: exit resolves (for shutdown).
+        self.processes: Dict[str, _Attempt] = {}
 
     # -- public API ------------------------------------------------------
 
@@ -173,7 +190,7 @@ class WorkerSupervisor:
 
         The whole drive — every attempt, every backoff — runs inside
         one ``supervise`` span; the trace context (deterministic trace
-        id, shard directory) rides the handoff line so the worker
+        id, shard directory) rides the attempt's env so the worker
         writes its shard into the same trace (``repro trace merge``
         stitches them).
         """
@@ -279,21 +296,14 @@ class WorkerSupervisor:
             await asyncio.sleep(delay)
 
     async def shutdown(self) -> None:
-        """Kill any still-live workers, the standby included (service
+        """Kill any still-live workers and wait for their exits (service
         shutdown path)."""
-        procs = list(self.processes.values())
-        standby, self._standby = self._standby, None
-        if standby is not None:
-            os.close(standby.handoff_fd)
-            procs.append(standby.proc)
-        for proc in procs:
-            if proc.returncode is None:
+        running = list(self.processes.values())
+        for proc, exited in running:
+            if not exited.done():
                 proc.kill()
-        for proc in procs:
-            try:
-                await proc.wait()
-            except ProcessLookupError:  # pragma: no cover - already gone
-                pass
+        if running:
+            await asyncio.wait([exited for _, exited in running])
         self.processes.clear()
 
     # -- internals -------------------------------------------------------
@@ -329,103 +339,58 @@ class WorkerSupervisor:
         """One worker attempt; returns its exit code (external timeout
         included: a watchdog-killed worker reports as timed out).
 
-        The handoff carries the parent's logging mode
-        (:func:`logging_environment`) and, when supervised under a
-        trace, the job's :class:`TraceContext` — both applied by the
-        worker before it starts the job.  A standby that died between
-        :meth:`_take_standby` and the write leaves a broken pipe; the
-        attempt then waits on the dead process like any crashed worker.
+        The attempt's env carries the supervisor's extra knobs, the
+        parent's logging mode (:func:`logging_environment`) and, when
+        supervised under a trace, the job's :class:`TraceContext`.  A
+        fork request the forkserver cannot serve (it was killed, say)
+        is a crash like any other, so the job is retried.  The request
+        runs on the event loop: a few ms, except that the first one
+        waits for a new forkserver's imports (~0.5 s, once).
         """
-        env = logging_environment()
+        # Imported here, not with this module: ``python -m
+        # repro.server.worker`` loads this package before it runs.
+        from repro.server import worker
+
+        env = {**self.env, **logging_environment()}
         if trace is not None:
             env.update(trace.child(f"worker-a{job.attempts}").to_env())
-        handoff = {
-            "job_dir": str(job_dir),
-            "attempt": job.attempts,
-            "deadline": remaining,
-            "env": env,
-        }
-        proc, handoff_fd = await self._take_standby(job)
-        self.processes[job.job_id] = proc
+        proc = _FORKS.Process(
+            target=worker.attempt,
+            args=(job_dir, job.attempts, remaining, env),
+            daemon=True,
+        )
         try:
-            try:
-                os.write(handoff_fd, (json.dumps(handoff) + "\n").encode())
-            except BrokenPipeError:
-                log.warning(
-                    "standby worker died before its handoff",
-                    extra={"job": job.job_id, "attempt": job.attempts},
-                )
-            finally:
-                os.close(handoff_fd)
-            await self._refill_standby()
-            if remaining is None:
-                return await proc.wait()
-            try:
-                return await asyncio.wait_for(
-                    proc.wait(), timeout=remaining + WATCHDOG_SLACK_SECONDS
-                )
-            except asyncio.TimeoutError:
-                return await self._enforce_timeout(job, job_dir, proc)
+            proc.start()
+        except (OSError, EOFError):
+            log.warning(
+                "could not fork a worker",
+                extra={"job": job.job_id, "attempt": job.attempts},
+                exc_info=True,
+            )
+            return EXIT_FORK_FAILED
+        exited = _exit_future(proc)
+        self.processes[job.job_id] = _Attempt(proc, exited)
+        try:
+            done, _ = await asyncio.wait(
+                [exited],
+                timeout=None if remaining is None
+                else remaining + WATCHDOG_SLACK_SECONDS,
+            )
+            if done:
+                return exited.result()
+            return await self._enforce_timeout(job, job_dir, proc, exited)
         finally:
             # A worker still running here was cancelled with the service:
             # it stays listed so shutdown() kills it.
-            if proc.returncode is not None:
+            if exited.done():
                 self.processes.pop(job.job_id, None)
 
-    async def _take_standby(self, job: Job) -> _Standby:
-        """Empty the standby slot; start a worker now if it held none
-        alive."""
-        async with self._standby_lock:
-            standby, self._standby = self._standby, None
-            if standby is not None and standby.proc.returncode is not None:
-                log.warning(
-                    "standby worker had exited; starting another",
-                    extra={"job": job.job_id,
-                           "exit_code": standby.proc.returncode},
-                )
-                os.close(standby.handoff_fd)
-                standby = None
-            if standby is None:
-                standby = await self._spawn_standby()
-            return standby
-
-    async def _refill_standby(self) -> None:
-        """Start the next standby; on failure the next attempt starts
-        its own, so the running one is not failed over it."""
-        async with self._standby_lock:
-            if self._standby is None:
-                try:
-                    self._standby = await self._spawn_standby()
-                except OSError:
-                    log.warning("could not start a standby worker", exc_info=True)
-
-    async def _spawn_standby(self) -> _Standby:
-        """Start ``python -m repro.server.worker`` waiting on a pipe.
-
-        Its output goes to the service's stderr until the handoff.  The
-        pipe's write end stays in this process only (``os.pipe`` fds
-        are not inherited), so the standby reads EOF once it is closed
-        or this process dies.
-        """
-        read_fd, write_fd = os.pipe()
-        try:
-            proc = await asyncio.create_subprocess_exec(
-                sys.executable,
-                "-m",
-                "repro.server.worker",
-                stdin=read_fd,
-                stdout=2,  # the service's stderr, until the handoff
-                env=self.env,
-            )
-        except BaseException:
-            os.close(write_fd)
-            raise
-        finally:
-            os.close(read_fd)
-        return _Standby(proc, write_fd)
-
     async def _enforce_timeout(
-        self, job: Job, job_dir: Path, proc: asyncio.subprocess.Process
+        self,
+        job: Job,
+        job_dir: Path,
+        proc: multiprocessing.process.BaseProcess,
+        exited: "asyncio.Future[int]",
     ) -> int:
         """The watchdog path: cancel file → grace → SIGKILL."""
         log.warning(
@@ -433,15 +398,13 @@ class WorkerSupervisor:
             extra={"job": job.job_id},
         )
         FileToken(job_dir / "cancel").trip("timeout")
-        try:
-            return await asyncio.wait_for(proc.wait(), timeout=self.grace_seconds)
-        except asyncio.TimeoutError:
-            log.warning(
-                "worker ignored cancel; killing", extra={"job": job.job_id}
-            )
-            proc.kill()
-            await proc.wait()
-            return EXIT_TIMED_OUT
+        done, _ = await asyncio.wait([exited], timeout=self.grace_seconds)
+        if done:
+            return exited.result()
+        log.warning("worker ignored cancel; killing", extra={"job": job.job_id})
+        proc.kill()
+        await asyncio.wait([exited])
+        return EXIT_TIMED_OUT
 
     def _apply_exit(self, job: Job, job_dir: Path, returncode: int) -> bool:
         """Map an exit code onto the job; True when the job is terminal."""
@@ -477,3 +440,4 @@ class WorkerSupervisor:
                 extra={"job_dir": str(job_dir)},
             )
             return None
+

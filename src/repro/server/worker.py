@@ -1,19 +1,14 @@
 """The worker process: one job, run to a terminal state, resumably.
 
-Every supervisor attempt is one fresh worker process, started *before*
-its job arrives.  ``python -m repro.server.worker`` with no job dir is a
-**standby**: it imports everything :func:`run_job` needs, then blocks
-reading one JSON handoff line from stdin::
-
-    {"job_dir": "...", "attempt": 1, "deadline": 12.5, "env": {...}}
-
-``deadline`` is the remaining wall-clock budget in seconds, unrounded
-(null for none); ``env`` holds the attempt's logging-mode and
-trace-context variables.  Until the line arrives the standby writes to
-the service's stderr, so an import failure shows there.  On handoff it
-points fds 1/2 at ``job_dir/worker.log`` (append), applies ``env``,
-logs "worker starting" and calls :func:`run_job`.  A standby that reads
-EOF instead (the service went away) exits 0 and touches nothing.
+Every supervisor attempt is one fresh worker process, forked from the
+supervisor's forkserver, which has already imported this module (and
+with it everything :func:`run_job` needs).  The forked child runs
+:func:`attempt`: it points fds 1/2 at ``job_dir/worker.log`` (append),
+applies the attempt's environment (logging mode, trace context and the
+supervisor's extra knobs), logs "worker starting" and calls
+:func:`run_job`.  Anything the child writes before that (an unpickling
+error, say) goes to the service's stderr.  The child ends through
+``os._exit``, so no attempt pays an interpreter start or teardown.
 
 ``python -m repro.server.worker <job_dir> [--attempt N] [--deadline S]``
 runs one job directly, by hand or in tests, through the same
@@ -46,8 +41,7 @@ Exit codes (defined in :mod:`repro.server.jobs`) are the worker half of
 the lifecycle state machine:
 
 ====  =========================================================
-0     DONE (result.json written, obs store ingested); also a
-      standby that read EOF before any handoff
+0     DONE (result.json written, obs store ingested)
 3     CANCELLED (cooperative, via the cancel file)
 4     TIMED_OUT (cooperative, via the wall-clock deadline token, or a
       deadline already spent at start)
@@ -73,7 +67,7 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.io.atomic import append_line, atomic_write_text, reopen_jsonl
 from repro.io.events import _meta_payload, _round_payload, check_event_lines
@@ -234,25 +228,24 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
         )
         engine_kwargs["tracer"] = tracer
 
-    engine = make_engine(config, **engine_kwargs)
-    writer = ResumingRoundWriter(job_dir / "events.jsonl", engine.world)
-    engine.observers.append(writer)
-    # Progress after the events append: a snapshot never gets ahead of
-    # the durable round history.
-    engine.observers.append(ProgressWriter(
-        job_dir,
-        job_id,
-        rounds_total=config.rounds,
-        budget=config.budget,
-        n_tasks=len(engine.world.tasks),
-        attempt=attempt,
-    ))
-    injector = _maybe_crash_injector(job_id, attempt)
-    if injector is not None:
-        engine.observers.append(injector)
-
     try:
-        result = engine.run()
+        engine = make_engine(config, **engine_kwargs)
+        with ResumingRoundWriter(job_dir / "events.jsonl", engine.world) as writer:
+            engine.observers.append(writer)
+            # Progress after the events append: a snapshot never gets
+            # ahead of the durable round history.
+            engine.observers.append(ProgressWriter(
+                job_dir,
+                job_id,
+                rounds_total=config.rounds,
+                budget=config.budget,
+                n_tasks=len(engine.world.tasks),
+                attempt=attempt,
+            ))
+            injector = _maybe_crash_injector(job_id, attempt)
+            if injector is not None:
+                engine.observers.append(injector)
+            result = engine.run()
     except OperationCancelled as exc:
         log.info(
             "worker cancelled cooperatively",
@@ -261,11 +254,11 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
         return EXIT_TIMED_OUT if exc.reason == "timeout" else EXIT_CANCELLED
     except ConfigError as exc:
         # An infeasible config (e.g. an Eq. 9 budget too small for the
-        # run's tasks) fails the same way on every attempt: poison.
+        # run's tasks), found building or running the engine, fails the
+        # same way on every attempt: poison.
         sys.stderr.write(f"worker: infeasible job {job_id}: {exc}\n")
         return EXIT_BAD_JOB
     finally:
-        writer.close()
         if tracer is not None and trace_ctx is not None:
             try:
                 tracer.write_jsonl(trace_ctx.shard_path())
@@ -341,21 +334,11 @@ def _start(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
     return run_job(job_dir, attempt, deadline)
 
 
-def standby() -> int:
-    """Wait for one handoff line (see module docstring), then run it.
-
-    Everything :func:`run_job` imports is loaded with this module; numpy
-    loads ``random`` and ``ma`` on first use, so they are loaded here
-    rather than inside the job's first round.
-    """
-    import numpy.ma  # noqa: F401
-    import numpy.random  # noqa: F401
-
-    line = sys.stdin.readline()
-    if not line:
-        return EXIT_DONE  # the service went away before a job came
-    handoff = json.loads(line)
-    job_dir = Path(handoff["job_dir"])
+def attempt(job_dir: Path, attempt: int, deadline: Optional[float],
+            env: Dict[str, str]) -> None:
+    """A supervisor attempt, in the child forked for it: output to
+    ``job_dir/worker.log`` (append), ``env`` applied, then the job;
+    exits with the job's code."""
     sys.stdout.flush()
     sys.stderr.flush()
     log_fd = os.open(
@@ -364,25 +347,21 @@ def standby() -> int:
     os.dup2(log_fd, 1)
     os.dup2(log_fd, 2)
     os.close(log_fd)
-    os.environ.update(handoff["env"])
-    return _start(job_dir, handoff["attempt"], handoff["deadline"])
+    os.environ.update(env)
+    sys.exit(_start(job_dir, attempt, deadline))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-server-worker",
-        description="Run one job directory to a terminal state (internal). "
-        "Without a job dir, wait as a standby for a handoff line on stdin.",
+        description="Run one job directory to a terminal state (internal).",
     )
-    parser.add_argument("job_dir", nargs="?", default=None,
-                        help="the job directory (job.json inside)")
+    parser.add_argument("job_dir", help="the job directory (job.json inside)")
     parser.add_argument("--attempt", type=int, default=1,
                         help="1-based attempt number (for fault seeding)")
     parser.add_argument("--deadline", type=float, default=None,
                         help="remaining wall-clock budget in seconds")
     args = parser.parse_args(argv)
-    if args.job_dir is None:
-        return standby()
     return _start(Path(args.job_dir), args.attempt, args.deadline)
 
 

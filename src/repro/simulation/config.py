@@ -14,6 +14,7 @@ from repro.dynamics.processes import DynamicsSpec
 from repro.geometry.region import RectRegion
 from repro.resilience.errors import ConfigError
 from repro.world.generator import WorldGenerator
+from repro.world.population import parse_population
 
 #: The values the retired ``engine`` key may still carry in saved specs
 #: (see :meth:`SimulationConfig.with_overrides`).
@@ -227,6 +228,10 @@ class SimulationConfig:
                     f"each population group must be a mapping with a 'name', "
                     f"got {group!r}"
                 )
+        try:
+            parse_population(self.population)
+        except ValueError as exc:
+            raise ConfigError(f"population spec is invalid: {exc}") from exc
         low, high = self.deadline_range
         if low < 1 or high < low:
             raise ConfigError(

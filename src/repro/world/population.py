@@ -41,6 +41,13 @@ import numpy as np
 ParamSpec = Union[None, float, Tuple[float, float]]
 
 _PARAM_FIELDS = ("speed", "time_budget", "cost_per_meter")
+#: Each parameter's rule, as :func:`repro.world.user.check_users` applies
+#: it to every user: (rule text, test).  NaN fails every test.
+_PARAM_RULES = {
+    "speed": ("must be positive", lambda v: v > 0),
+    "time_budget": ("must be non-negative", lambda v: v >= 0),
+    "cost_per_meter": ("must be non-negative", lambda v: v >= 0),
+}
 _KNOWN_KEYS = ("name", "fraction", "mobility") + _PARAM_FIELDS
 
 
@@ -82,6 +89,14 @@ class PopulationGroup:
                 f"population group {self.name!r} fraction must be in (0, 1], "
                 f"got {self.fraction}"
             )
+        for key, (rule, ok) in _PARAM_RULES.items():
+            value = getattr(self, key)
+            ends = value if isinstance(value, tuple) else (value,)
+            if value is not None and not all(ok(end) for end in ends):
+                raise ValueError(
+                    f"population group {self.name!r} {key} {rule}, got "
+                    f"{list(value) if isinstance(value, tuple) else value}"
+                )
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any]) -> "PopulationGroup":

@@ -90,6 +90,19 @@ class TestConfigBlame:
         })
         assert parsed.config.base_reward() > 0
 
+    @pytest.mark.parametrize("group", [
+        {"name": "x", "fraction": 0.5, "speed": -1.0},
+        {"name": "x", "fraction": 0.5, "time_budget": [-10.0, 60.0]},
+        {"name": "x", "fraction": 0.5, "cost_per_meter": float("nan")},
+        {"name": "x", "fraction": 1.5},
+    ])
+    def test_bad_population_group_blames_the_population(self, group):
+        err = reject({
+            "scenario": "paper-2018", "overrides": {"population": [group]},
+        })
+        assert err.field == "population"
+        assert "population group 'x'" in err.reason
+
     @pytest.mark.parametrize("kwargs", [
         {"levels": 5}, {"budget": -3}, {"step": None},
     ])

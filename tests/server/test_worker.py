@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.resilience.errors import ResultCorruption
+from repro.resilience.errors import ConfigError, ResultCorruption
+from repro.server import worker
 from repro.server.worker import (
     EXIT_BAD_JOB,
     EXIT_CANCELLED,
@@ -71,6 +72,18 @@ class TestRunJob:
             tmp_path / "job", payload={"overrides": {"bogus": 1}}
         )
         assert run_job(job_dir, attempt=1, deadline=None) == EXIT_BAD_JOB
+
+    def test_infeasible_engine_build_is_poison(self, tmp_path, monkeypatch, capsys):
+        """A ConfigError the submission check did not catch, raised
+        building the engine, fails the job without a retry."""
+        def infeasible(config, **kwargs):
+            raise ConfigError("base reward r0 must be positive")
+
+        monkeypatch.setattr(worker, "make_engine", infeasible)
+        job_dir = write_job(tmp_path / "job")
+        assert run_job(job_dir, attempt=1, deadline=None) == EXIT_BAD_JOB
+        assert "r0 must be positive" in capsys.readouterr().err
+        assert not (job_dir / "result.json").exists()
 
     def test_pre_tripped_cancel_file(self, tmp_path):
         job_dir = write_job(tmp_path / "job")
@@ -242,7 +255,7 @@ def _worker_env():
 
 
 class TestEntryPoints:
-    """``python -m repro.server.worker``: direct argv runs and standbys."""
+    """``python -m repro.server.worker <job_dir>``: direct runs."""
 
     def test_direct_run_imports_the_worker_once(self, tmp_path):
         job_dir = write_job(tmp_path / "job")
@@ -277,37 +290,6 @@ class TestEntryPoints:
             env=_worker_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_TIMED_OUT, proc.stderr
-
-    def test_standby_at_eof_exits_clean_and_writes_nothing(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.server.worker"],
-            env=_worker_env(), cwd=tmp_path, stdin=subprocess.DEVNULL,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == EXIT_DONE, proc.stderr
-        assert proc.stdout == "" and proc.stderr == ""
-        assert list(tmp_path.iterdir()) == []
-
-    def test_standby_runs_the_handed_off_job_into_its_log(self, tmp_path):
-        job_dir = write_job(tmp_path / "job")
-        (job_dir / "worker.log").write_text("earlier attempt\n")
-        handoff = {
-            "job_dir": str(job_dir),
-            "attempt": 2,
-            "deadline": 60.0,
-            "env": {"REPRO_LOG_LEVEL": "20"},
-        }
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.server.worker"],
-            env=_worker_env(), input=json.dumps(handoff) + "\n",
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == EXIT_DONE, proc.stderr
-        assert proc.stdout == "" and proc.stderr == ""
-        log_text = (job_dir / "worker.log").read_text()
-        assert log_text.startswith("earlier attempt\n")
-        assert "worker starting" in log_text and "attempt=2" in log_text
-        assert json.loads((job_dir / "result.json").read_text())["status"] == "done"
 
 
 def _repro_src_root():

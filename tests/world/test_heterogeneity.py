@@ -1,4 +1,5 @@
-"""Tests for heterogeneous user populations (WorldGenerator.heterogeneity)."""
+"""Tests for heterogeneous user populations (WorldGenerator.heterogeneity
+and named population groups)."""
 
 import dataclasses
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.geometry.region import RectRegion
 from repro.world.generator import WorldGenerator
+from repro.world.population import PopulationGroup
 
 
 def generator(heterogeneity):
@@ -32,6 +34,37 @@ class TestValidation:
 
     def test_zero_is_valid(self):
         assert generator(0.0).heterogeneity == 0.0
+
+
+class TestPopulationGroupRules:
+    """A group's parameters obey the rules every user row obeys."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("speed", 0.0),
+        ("speed", -1.0),
+        ("speed", (-1.0, 2.0)),
+        ("speed", (1.0, float("nan"))),
+        ("time_budget", -1.0),
+        ("time_budget", (-5.0, 10.0)),
+        ("cost_per_meter", -0.001),
+        ("cost_per_meter", float("nan")),
+    ])
+    def test_bad_parameter_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"'g' {key} must be"):
+            PopulationGroup(name="g", fraction=0.5, **{key: value})
+
+    def test_bad_parameter_refused_from_mapping(self):
+        with pytest.raises(ValueError, match="speed must be positive, got -1.0"):
+            PopulationGroup.from_mapping(
+                {"name": "g", "fraction": 0.5, "speed": -1.0}
+            )
+
+    def test_boundary_values_accepted(self):
+        group = PopulationGroup(
+            name="g", fraction=0.5, speed=(0.5, 2.0),
+            time_budget=0.0, cost_per_meter=(0.0, 0.0),
+        )
+        assert group.time_budget == 0.0
 
 
 class TestDraws:

@@ -16,7 +16,12 @@ Two kinds of case pin paths a plain run does not take:
   ``user_profits()`` entry (departed users are not in the roster);
 - ``"snapshot": "final-positions"`` runs the case and records one
   ``positions`` digest of ``repr()`` of every final-roster user's
-  ``(user_id, x, y)``, which pins where mobility left each user.
+  ``(user_id, x, y)``, which pins where mobility left each user;
+- ``"snapshot": "task-outcomes"`` runs the case and records one
+  ``tasks`` digest of ``repr()`` of every task's final ``(task_id,
+  deadline, status, received, completed round, sorted contributors,
+  sorted measurements by round)`` plus ``completeness_by_round`` over
+  the horizon, which pins renewals, expiry and completion rounds.
 ``tests/integration/test_golden_history.py`` replays every case and
 compares, which pins the engine's history to itself rather than to a
 second implementation that could share a bug.
@@ -41,6 +46,7 @@ from typing import Dict, List
 
 from repro import api
 from repro.allocation.greedy_server import GreedyServerCoordinator
+from repro.metrics.completeness import completeness_by_round
 from repro.selection import SELECTORS
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "fingerprints.json"
@@ -141,6 +147,11 @@ def cases() -> List[Dict]:
                 "overrides": {"layout": "clustered", "seed": 0}})
     out.append({"scenario": "poisson-churn",
                 "overrides": {"heterogeneity": 0.3, "seed": 0}})
+    for scenario in ("paper-2018", "poisson-churn", "task-stream-2k"):
+        out.append({"scenario": scenario, "overrides": {"seed": 0},
+                    "snapshot": "task-outcomes"})
+    out.append({"scenario": "paper-2018", "overrides": {"seed": 0},
+                "coordinator": "greedy-server", "snapshot": "task-outcomes"})
     for case in out:
         case["id"] = case_id(case["scenario"], case["overrides"])
         for kind in CASE_KINDS:
@@ -184,6 +195,8 @@ def fingerprints(case: Dict) -> Dict[str, str]:
         GreedyServerCoordinator()
         if case.get("coordinator") == "greedy-server" else None
     )
+    if case.get("snapshot") == "task-outcomes":
+        return {"tasks": task_outcomes_digest(config, coordinator)}
     rounds: List[str] = []
     engine = api.make_engine(
         config,
@@ -230,6 +243,22 @@ def final_positions_digest(config) -> str:
         for user, (x, y) in zip(world.users, world.positions.tolist())
     ]
     return hashlib.sha256(json.dumps(positions).encode("ascii")).hexdigest()
+
+
+def task_outcomes_digest(config, coordinator=None) -> str:
+    """Digest of ``repr()`` of every task's final state after a whole
+    run, plus the run's completeness after each round of the horizon."""
+    result = api.make_engine(config, coordinator=coordinator).run()
+    outcomes = [
+        repr((
+            task.task_id, task.deadline, task.status.value, task.received,
+            task.completed_round, sorted(task.contributors),
+            sorted(task.measurements_by_round.items()),
+        ))
+        for task in result.world.tasks
+    ]
+    outcomes.append(repr(completeness_by_round(result, config.rounds)))
+    return hashlib.sha256(json.dumps(outcomes).encode("ascii")).hexdigest()
 
 
 def recorded(case: Dict) -> Dict[str, str]:

@@ -5,8 +5,9 @@ every preset up to city-2k (three seeds), the open-world mechanisms, a
 churning world with random-waypoint wanderers, the SAT coordinator mode,
 the Fig. 5 round-2 snapshot, whole-run per-user profits of retained
 runs, proportional pricing from the round view's positions, every
-mobility policy (two random-waypoint groups included) and the final
-position of every user.  It pins the engine's history to itself
+mobility policy (two random-waypoint groups included), the final
+position of every user and every task's final state and completeness
+by round.  It pins the engine's history to itself
 rather than to a second implementation that could share a bug.  Regenerate with ``scripts/golden_fingerprints.py`` only when a
 history change is intended.
 """

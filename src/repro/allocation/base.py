@@ -23,7 +23,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.selection.base import Selection
-from repro.world.task import SensingTask
+from repro.world.task import TaskTable
 from repro.world.user import MobileUser
 
 
@@ -37,7 +37,7 @@ class Coordinator(abc.ABC):
     def assign(
         self,
         round_no: int,
-        active_tasks: Sequence[SensingTask],
+        active_tasks: TaskTable,
         users: Sequence[MobileUser],
         positions: np.ndarray,
         prices: Dict[int, float],
@@ -46,7 +46,8 @@ class Coordinator(abc.ABC):
 
         Args:
             round_no: the 1-based round being planned.
-            active_tasks: tasks still published, with live progress state.
+            active_tasks: the published tasks, a slice of the world's
+                task table with their sensing state.
             users: the users taking part this round.
             positions: ``(len(users), 2)`` float64 round-start positions,
                 aligned with ``users``.

@@ -23,14 +23,14 @@ it against the incentive-driven WST modes separates what central
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.allocation.base import Coordinator
 from repro.geometry.point import Point
 from repro.selection.base import Selection
-from repro.world.task import SensingTask
+from repro.world.task import TaskTable
 from repro.world.user import MobileUser
 
 
@@ -93,7 +93,7 @@ class GreedyServerCoordinator(Coordinator):
     def assign(
         self,
         round_no: int,
-        active_tasks: Sequence[SensingTask],
+        active_tasks: TaskTable,
         users: Sequence[MobileUser],
         positions: np.ndarray,
         prices: Dict[int, float],
@@ -102,17 +102,22 @@ class GreedyServerCoordinator(Coordinator):
             user.user_id: _UserPlan(user, Point(x, y))
             for user, (x, y) in zip(users, positions.tolist())
         }
-        by_urgency = sorted(
-            active_tasks,
-            key=lambda t: (t.deadline - round_no, -t.remaining),
-        )
-        for task in by_urgency:
-            price = prices[task.task_id]
-            for _slot in range(task.remaining):
-                plan = self._cheapest_eligible(task, plans, price)
+        tasks = active_tasks
+        contributed = set(zip(
+            tasks.ids[tasks.log[:, 0]].tolist(), tasks.log[:, 1].tolist()
+        ))
+        # By urgency: fewest rounds to deadline, then largest unmet need.
+        for row in np.lexsort((-tasks.remaining, tasks.deadline)).tolist():
+            task_id = int(tasks.ids[row])
+            location = Point(*tasks.locations[row].tolist())
+            price = prices[task_id]
+            for _slot in range(int(tasks.remaining[row])):
+                plan = self._cheapest_eligible(
+                    task_id, location, contributed, plans, price
+                )
                 if plan is None:
                     break  # nobody can serve this task any more this round
-                plan.take(task.task_id, task.location, price)
+                plan.take(task_id, location, price)
         return {
             user_id: plan.selection()
             for user_id, plan in plans.items()
@@ -121,7 +126,9 @@ class GreedyServerCoordinator(Coordinator):
 
     def _cheapest_eligible(
         self,
-        task: SensingTask,
+        task_id: int,
+        location: Point,
+        contributed: Set[Tuple[int, int]],
         plans: Dict[int, _UserPlan],
         price: float,
     ) -> _UserPlan:
@@ -130,13 +137,13 @@ class GreedyServerCoordinator(Coordinator):
         for plan in plans.values():
             if len(plan.task_ids) >= self.max_tasks_per_user:
                 continue
-            if plan.user.user_id in task.contributors:
+            if (task_id, plan.user.user_id) in contributed:
                 continue
-            if task.task_id in plan.task_ids:
+            if task_id in plan.task_ids:
                 continue
-            if not plan.can_take(task.location, price):
+            if not plan.can_take(location, price):
                 continue
-            leg = plan.marginal_distance(task.location)
+            leg = plan.marginal_distance(location)
             if leg < best_leg:
                 best_leg = leg
                 best = plan

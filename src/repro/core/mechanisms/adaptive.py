@@ -83,9 +83,8 @@ class AdaptiveBudgetMechanism(OnDemandMechanism):
             raise RuntimeError("initialize() must be called before rewards()")
         # Unreleased tasks count too: their measurements will be paid
         # from the same remaining budget once they are published.
-        remaining_work = sum(
-            task.remaining for task in self._world.tasks if task.is_active
-        )
+        tasks = self._world.tasks
+        remaining_work = int(tasks.remaining[tasks.active].sum())
         if remaining_work > 0:
             remaining_budget = max(0.0, self.budget - view.total_paid)
             base = remaining_budget / remaining_work - self.step * (

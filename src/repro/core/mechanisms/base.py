@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
-from repro.geometry.distances import as_coordinates
 from repro.geometry.grid_index import bulk_counts
 from repro.world.generator import World
-from repro.world.task import SensingTask
+from repro.world.task import TaskTable
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,9 @@ class RoundView:
 
     Args:
         round_no: the 1-based round about to start.
-        active_tasks: tasks still published (not completed, not expired).
+        active_tasks: the published tasks (released, not completed, not
+            expired), as a slice of the world's task table; iterating it
+            gives :class:`~repro.world.task.SensingTask` rows.
         user_locations: every user's position at the start of the round,
             as a float64 ``(n, 2)`` array (the engine passes
             :attr:`World.positions`; read it, never write it).
@@ -43,7 +44,7 @@ class RoundView:
     """
 
     round_no: int
-    active_tasks: Sequence[SensingTask]
+    active_tasks: TaskTable
     user_locations: np.ndarray
     total_paid: float = 0.0
 
@@ -51,9 +52,7 @@ class RoundView:
         if self.round_no < 1:
             raise ValueError(f"round_no must be >= 1, got {self.round_no}")
 
-    def neighbour_counts(
-        self, tasks: Sequence[SensingTask], radius: float
-    ) -> np.ndarray:
+    def neighbour_counts(self, tasks: TaskTable, radius: float) -> np.ndarray:
         """Eq. 5: users within ``radius`` of each task, as an int array.
 
         One exact recount of :attr:`user_locations` around the given
@@ -61,10 +60,7 @@ class RoundView:
         engine's price cache makes this one call per round, over the
         published tasks only.
         """
-        return bulk_counts(
-            self.user_locations, as_coordinates(t.location for t in tasks),
-            radius,
-        )
+        return bulk_counts(self.user_locations, tasks.locations, radius)
 
 
 class IncentiveMechanism(abc.ABC):
@@ -74,7 +70,7 @@ class IncentiveMechanism(abc.ABC):
     freshly generated world, then :meth:`rewards` at the start of every
     round.  Mechanisms may keep state between rounds (the fixed baseline
     freezes its round-1 prices; the steered baseline tracks nothing — it
-    reads progress off the tasks).
+    reads progress off the task table).
     """
 
     #: registry name, also used in experiment output rows
@@ -97,10 +93,10 @@ class IncentiveMechanism(abc.ABC):
 
     @staticmethod
     def _require_all_tasks(
-        prices: Dict[int, float], tasks: Sequence[SensingTask]
+        prices: Dict[int, float], tasks: TaskTable
     ) -> Dict[int, float]:
         """Validate that ``prices`` covers exactly ``tasks`` with finite, positive values."""
-        expected = {t.task_id for t in tasks}
+        expected = set(tasks.ids.tolist())
         got = set(prices)
         if expected != got:
             raise ValueError(

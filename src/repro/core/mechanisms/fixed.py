@@ -51,12 +51,15 @@ class FixedMechanism(IncentiveMechanism):
             )
         drawn_levels = rng.integers(1, self.levels.count + 1, size=len(world.tasks))
         self._prices = {
-            task.task_id: self.schedule.reward_for_level(int(level))
-            for task, level in zip(world.tasks, drawn_levels)
+            task_id: self.schedule.reward_for_level(level)
+            for task_id, level in zip(world.tasks.ids.tolist(), drawn_levels.tolist())
         }
 
     def rewards(self, view: RoundView) -> Dict[int, float]:
-        if not self._prices and view.active_tasks:
+        if not self._prices and len(view.active_tasks):
             raise RuntimeError("initialize() must be called before rewards()")
-        prices = {t.task_id: self._prices[t.task_id] for t in view.active_tasks}
+        prices = {
+            task_id: self._prices[task_id]
+            for task_id in view.active_tasks.ids.tolist()
+        }
         return self._require_all_tasks(prices, view.active_tasks)

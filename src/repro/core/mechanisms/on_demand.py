@@ -118,22 +118,18 @@ class OnDemandMechanism(IncentiveMechanism):
         """
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
-        tasks = list(view.active_tasks)
-        if not tasks:
+        tasks = view.active_tasks
+        if not len(tasks):
             self.last_demands = {}
             return {}
         demands = self.calculator.demands_array(
             round_no=view.round_no,
-            deadlines=np.asarray([t.deadline for t in tasks]),
-            received=np.asarray([t.received for t in tasks]),
-            required=np.asarray([t.required_measurements for t in tasks]),
+            deadlines=tasks.deadline,
+            received=tasks.received,
+            required=tasks.required,
             neighbours=view.neighbour_counts(tasks, self.neighbour_radius),
         )
-        self.last_demands = {
-            t.task_id: float(d) for t, d in zip(tasks, demands)
-        }
-        rewards = self.schedule.rewards_array(demands)
-        prices = {
-            task.task_id: float(reward) for task, reward in zip(tasks, rewards)
-        }
+        ids = tasks.ids.tolist()
+        self.last_demands = dict(zip(ids, demands.tolist()))
+        prices = dict(zip(ids, self.schedule.rewards_array(demands).tolist()))
         return self._require_all_tasks(prices, tasks)

@@ -65,24 +65,24 @@ class ProportionalDemandMechanism(IncentiveMechanism):
     def rewards(self, view: RoundView) -> Dict[int, float]:
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
-        tasks = list(view.active_tasks)
-        if not tasks:
+        tasks = view.active_tasks
+        if not len(tasks):
             return {}
-        neighbours = view.neighbour_counts(tasks, self.neighbour_radius).tolist()
         inputs = [
             TaskDemandInputs(
-                round_no=view.round_no,
-                deadline=t.deadline,
-                received=t.received,
-                required=t.required_measurements,
-                neighbours=neighbours[i],
+                round_no=view.round_no, deadline=deadline, received=received,
+                required=required, neighbours=neighbours,
             )
-            for i, t in enumerate(tasks)
+            for deadline, received, required, neighbours in zip(
+                tasks.deadline.tolist(), tasks.received.tolist(),
+                tasks.required.tolist(),
+                view.neighbour_counts(tasks, self.neighbour_radius).tolist(),
+            )
         ]
         demands = self.calculator.demands(inputs)
         span = self.schedule.step * (self.levels.count - 1)
         prices = {
-            task.task_id: self.schedule.base_reward + demand * span
-            for task, demand in zip(tasks, demands)
+            task_id: self.schedule.base_reward + demand * span
+            for task_id, demand in zip(tasks.ids.tolist(), demands)
         }
         return self._require_all_tasks(prices, tasks)

@@ -94,8 +94,9 @@ class SteeredMechanism(IncentiveMechanism):
         return None
 
     def rewards(self, view: RoundView) -> Dict[int, float]:
+        tasks = view.active_tasks
         prices = {
-            task.task_id: self.reward_for(task.received)
-            for task in view.active_tasks
+            task_id: self.reward_for(received)
+            for task_id, received in zip(tasks.ids.tolist(), tasks.received.tolist())
         }
         return self._require_all_tasks(prices, view.active_tasks)

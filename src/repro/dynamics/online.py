@@ -114,14 +114,14 @@ class OMGOnlineMechanism(IncentiveMechanism):
         return self.plan[-1][1]
 
     def rewards(self, view: RoundView) -> Dict[int, float]:
-        tasks = list(view.active_tasks)
-        if not tasks:
+        tasks = view.active_tasks
+        if not len(tasks):
             self.last_demands = {}
             return {}
         available = max(
             0.0, self.cumulative_budget(view.round_no) - view.total_paid
         )
-        outstanding = sum(t.remaining for t in tasks)
+        outstanding = int(tasks.remaining.sum())
         raw = available / max(1, outstanding)
         # Quantise the threshold *down* to the step grid so the stage
         # allocation always covers every outstanding measurement; the
@@ -129,7 +129,7 @@ class OMGOnlineMechanism(IncentiveMechanism):
         # (epsilon payments bounded by floor x outstanding).
         threshold = math.floor(raw / self.step) * self.step
         price = threshold if threshold >= self.step else self.price_floor
-        prices = {t.task_id: price for t in tasks}
+        prices = dict.fromkeys(tasks.ids.tolist(), price)
         self.last_demands = {}
         return self._require_all_tasks(prices, tasks)
 
@@ -215,8 +215,8 @@ class IncentMeMechanism(IncentiveMechanism):
     def rewards(self, view: RoundView) -> Dict[int, float]:
         if self.schedule is None:
             raise RuntimeError("initialize() must be called before rewards()")
-        tasks = list(view.active_tasks)
-        if not tasks:
+        tasks = view.active_tasks
+        if not len(tasks):
             self.last_demands = {}
             return {}
         counts = view.neighbour_counts(tasks, self.neighbour_radius).tolist()
@@ -227,8 +227,10 @@ class IncentMeMechanism(IncentiveMechanism):
         w = self.uncertainty_weight
         prices: Dict[int, float] = {}
         demands: Dict[int, float] = {}
-        for task, count in zip(tasks, counts):
-            tid = task.task_id
+        for tid, count, remaining, required in zip(
+            tasks.ids.tolist(), counts, tasks.remaining.tolist(),
+            tasks.required.tolist(),
+        ):
             previous = self._ema.get(tid)
             if previous is None:
                 ema = float(count)
@@ -242,7 +244,7 @@ class IncentMeMechanism(IncentiveMechanism):
             self._ema[tid] = ema
             self._volatility[tid] = volatility
             scarcity = 1.0 / (1.0 + ema)
-            urgency = task.remaining / task.required_measurements
+            urgency = remaining / required
             relative_volatility = min(1.0, volatility / (1.0 + ema))
             uncertainty = min(
                 1.0, 0.5 * relative_volatility + 0.5 * crowd_instability

@@ -5,8 +5,8 @@
 live engine: before round ``r`` plays, the round's departures, arrivals,
 and task publications are folded into the engine's world through its
 ``_apply_dynamics`` hook (which filters and extends the user table and
-its positions under one mask and extends the task list; the round's
-Eq. 5 recount then reads the new positions).
+its positions under one mask and appends to the task table; the
+round's Eq. 5 recount then reads the new positions).
 
 The timeline consumes **no randomness at runtime** — every draw already
 happened in :func:`~repro.dynamics.processes.generate_stream` — so the
@@ -30,8 +30,7 @@ from repro.dynamics.processes import (
     WorldEvent,
     generate_stream,
 )
-from repro.geometry.point import Point
-from repro.world.task import SensingTask
+from repro.world.task import TaskTable
 from repro.world.user import UserTable
 
 
@@ -42,7 +41,7 @@ class RoundChanges:
     round_no: int
     departures: List[int] = field(default_factory=list)
     arrivals: UserTable = field(default_factory=UserTable.empty)
-    tasks: List[SensingTask] = field(default_factory=list)
+    tasks: TaskTable = field(default_factory=TaskTable.empty)
 
 
 class WorldTimeline:
@@ -92,7 +91,7 @@ class WorldTimeline:
             seed_task_ids = list(range(config.n_tasks))
         else:
             seed_user_ids = world.users.ids.tolist()
-            seed_task_ids = [t.task_id for t in world.tasks]
+            seed_task_ids = world.tasks.ids.tolist()
         stream = generate_stream(
             spec,
             region=config.region,
@@ -122,19 +121,16 @@ class WorldTimeline:
         ]
         if arrived:
             changes.arrivals = UserTable(*zip(*arrived))
-        for event in events:
-            if event.kind == "user_departed":
-                changes.departures.append(event.subject_id)
-            elif event.kind == "task_published":
-                changes.tasks.append(
-                    SensingTask(
-                        task_id=event.subject_id,
-                        location=Point(event.get("x"), event.get("y")),
-                        deadline=event.get("deadline"),
-                        required_measurements=event.get("required"),
-                        release_round=round_no,
-                    )
-                )
+        published = [
+            (e.subject_id, (e.get("x"), e.get("y")), e.get("deadline"),
+             e.get("required"), round_no)
+            for e in events if e.kind == "task_published"
+        ]
+        if published:
+            changes.tasks = TaskTable(*zip(*published))
+        changes.departures = [
+            e.subject_id for e in events if e.kind == "user_departed"
+        ]
         return changes
 
     def advance(self, round_no: int, engine) -> List[WorldEvent]:
@@ -157,19 +153,20 @@ class WorldTimeline:
 
     # -- deadline renewal ------------------------------------------------
 
-    def try_renew(self, task: SensingTask, round_no: int) -> Optional[int]:
-        """The task's next renewal lottery; its new deadline if it wins.
+    def try_renew(self, task_id: int, deadline: int) -> Optional[int]:
+        """Task ``task_id``'s next renewal lottery: its new deadline
+        (``deadline`` plus the pre-drawn duration) if it wins.
 
         Consumes at most one pre-drawn (uniform, duration) pair per call
         — never the live RNG — so whether other tasks completed cannot
         shift this task's renewal outcome.
         """
-        pending = self._renewals.get(task.task_id)
+        pending = self._renewals.get(task_id)
         if not pending:
             return None
         draw, duration = pending.pop(0)
         if draw < self.spec.deadline_renewal_prob:
-            return task.deadline + duration
+            return deadline + duration
         return None
 
     # -- run-shape queries ----------------------------------------------

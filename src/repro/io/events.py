@@ -77,16 +77,15 @@ def _round_payload(record: RoundRecord) -> Dict:
 
 
 def _meta_payload(world, rounds_played: int) -> Dict:
+    ids = [str(task_id) for task_id in world.tasks.ids.tolist()]
     return {
         "kind": "meta",
         "format_version": FORMAT_VERSION,
         "rounds_played": rounds_played,
         "n_tasks": len(world.tasks),
         "n_users": len(world.users),
-        "task_deadlines": {str(t.task_id): t.deadline for t in world.tasks},
-        "task_required": {
-            str(t.task_id): t.required_measurements for t in world.tasks
-        },
+        "task_deadlines": dict(zip(ids, world.tasks.deadline.tolist())),
+        "task_required": dict(zip(ids, world.tasks.required.tolist())),
     }
 
 

@@ -11,10 +11,11 @@ markers, and the needier marker wins between tasks.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List
 
 from repro.world.generator import World
-from repro.world.task import SensingTask, TaskStatus
+from repro.world.task import TaskStatus
 
 #: Marker per task state, by precedence (highest first).
 EXPIRED = "X"
@@ -25,13 +26,11 @@ EMPTY = " "
 
 _PRECEDENCE = {EXPIRED: 3, ACTIVE: 2, COMPLETED: 1, USER: 0}
 
-
-def _task_marker(task: SensingTask) -> str:
-    if task.status is TaskStatus.EXPIRED:
-        return EXPIRED
-    if task.status is TaskStatus.COMPLETED:
-        return COMPLETED
-    return ACTIVE
+_MARKERS = {
+    TaskStatus.EXPIRED: EXPIRED,
+    TaskStatus.COMPLETED: COMPLETED,
+    TaskStatus.ACTIVE: ACTIVE,
+}
 
 
 def render_world(world: World, width: int = 60, height: int = 24) -> str:
@@ -59,12 +58,14 @@ def render_world(world: World, width: int = 60, height: int = 24) -> str:
 
     for x, y in world.positions.tolist():
         place(x, y, USER)
-    for task in world.tasks:
-        place(task.location.x, task.location.y, _task_marker(task))
+    statuses = world.tasks.statuses()
+    for (x, y), status in zip(world.tasks.locations.tolist(), statuses):
+        place(x, y, _MARKERS[status])
 
-    active = sum(1 for t in world.tasks if t.status is TaskStatus.ACTIVE)
-    completed = sum(1 for t in world.tasks if t.status is TaskStatus.COMPLETED)
-    expired = sum(1 for t in world.tasks if t.status is TaskStatus.EXPIRED)
+    counts = Counter(statuses)
+    active = counts[TaskStatus.ACTIVE]
+    completed = counts[TaskStatus.COMPLETED]
+    expired = counts[TaskStatus.EXPIRED]
     lines = ["+" + "-" * width + "+"]
     lines.extend("|" + "".join(row) + "|" for row in grid)
     lines.append("+" + "-" * width + "+")

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.simulation.events import SimulationResult
-from repro.world.task import TaskStatus
 
 
-def _basis_tasks(result: SimulationResult) -> List:
-    """The tasks the run's configured completeness basis scores.
+def _basis_tasks(result: SimulationResult):
+    """The task table the run's configured completeness basis scores.
 
     ``"all"`` (the default, and the paper's definition) scores every
     task; ``"exclude-expired"`` drops tasks that expired without
@@ -36,8 +37,13 @@ def _basis_tasks(result: SimulationResult) -> List:
     basis = getattr(result.config, "completeness_basis", "all")
     tasks = result.world.tasks
     if basis == "exclude-expired":
-        return [t for t in tasks if t.status is not TaskStatus.EXPIRED]
-    return list(tasks)
+        return tasks.take(~tasks.expired)
+    return tasks
+
+
+def _fractions(tasks, cutoffs: np.ndarray) -> List[float]:
+    """Per task: received by ``cutoffs`` / required, capped at 1."""
+    return np.minimum(1.0, tasks.received_by(cutoffs) / tasks.required).tolist()
 
 
 def per_task_completeness(result: SimulationResult) -> Dict[int, float]:
@@ -46,10 +52,8 @@ def per_task_completeness(result: SimulationResult) -> Dict[int, float]:
     Covers the tasks the config's ``completeness_basis`` selects (all
     of them unless the scenario opted expired-unmet tasks out).
     """
-    return {
-        task.task_id: min(1.0, task.received_by_deadline() / task.required_measurements)
-        for task in _basis_tasks(result)
-    }
+    tasks = _basis_tasks(result)
+    return dict(zip(tasks.ids.tolist(), _fractions(tasks, tasks.deadline)))
 
 
 def overall_completeness(result: SimulationResult) -> float:
@@ -65,7 +69,8 @@ def completeness_at_round(result: SimulationResult, round_no: int) -> float:
 
     A task's contribution is the fraction of its required measurements
     received by ``min(deadline, round_no)`` — i.e. the metric the paper
-    would have reported had the experiment stopped at that round.
+    would have reported had the experiment stopped at that round.  The
+    fractions add left to right, in task order.
 
     Raises:
         ValueError: for a non-positive round number.
@@ -73,18 +78,9 @@ def completeness_at_round(result: SimulationResult, round_no: int) -> float:
     if round_no < 1:
         raise ValueError(f"round_no must be >= 1, got {round_no}")
     tasks = _basis_tasks(result)
-    if not tasks:
+    if not len(tasks):
         return 1.0
-    total = 0.0
-    for task in tasks:
-        cutoff = min(task.deadline, round_no)
-        received = sum(
-            count
-            for completed_round, count in task.measurements_by_round.items()
-            if completed_round <= cutoff
-        )
-        total += min(1.0, received / task.required_measurements)
-    return total / len(tasks)
+    return sum(_fractions(tasks, np.minimum(tasks.deadline, round_no))) / len(tasks)
 
 
 def completeness_by_round(result: SimulationResult, horizon: int) -> List[float]:

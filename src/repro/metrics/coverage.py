@@ -24,16 +24,13 @@ def covered_task_ids(
     Args:
         up_to_round: 1-based cutoff; None means the whole run.
     """
-    # The tasks' own measurement ledgers (round -> count) hold the same
-    # information as the round records, and survive streamed runs.
-    return {
-        task.task_id
-        for task in result.world.tasks
-        if any(
-            count > 0 and (up_to_round is None or round_no <= up_to_round)
-            for round_no, count in task.measurements_by_round.items()
-        )
-    }
+    # The task table's contribution log holds the same information as
+    # the round records, and survives streamed runs.
+    tasks = result.world.tasks
+    rows, _, rounds = tasks.log.T
+    if up_to_round is not None:
+        rows = rows[rounds <= up_to_round]
+    return set(tasks.ids[rows].tolist())
 
 
 def coverage(result: SimulationResult, up_to_round: Optional[int] = None) -> float:
@@ -56,15 +53,4 @@ def coverage_by_round(result: SimulationResult, horizon: int) -> List[float]:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    total = len(result.world.tasks)
-    if total == 0:
-        return [1.0] * horizon
-    covered: Set[int] = set()
-    series: List[float] = []
-    for round_no in range(1, horizon + 1):
-        if round_no <= result.rounds_played:
-            covered.update(
-                result.rounds[round_no - 1].measurements.task_ids.tolist()
-            )
-        series.append(len(covered) / total)
-    return series
+    return [coverage(result, round_no) for round_no in range(1, horizon + 1)]

@@ -23,7 +23,8 @@ from repro.simulation.events import SimulationResult
 
 def on_time_measurements(result: SimulationResult) -> int:
     """Measurements received by their task's deadline, over the whole run."""
-    return sum(task.received_by_deadline() for task in result.world.tasks)
+    tasks = result.world.tasks
+    return int(tasks.received_by(tasks.deadline).sum())
 
 
 def platform_welfare(

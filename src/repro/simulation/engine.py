@@ -47,28 +47,30 @@ act:
   run ledger's spend before the round, and the Eq. 5 neighbour counts
   are one exact recount per round of the users around the published
   tasks only (:func:`~repro.geometry.grid_index.bulk_counts`); the
-  round's published list is scanned once and shared by pricing,
-  assembly and upload.
+  round's published set is one mask over the task table, and its
+  slice is shared by pricing and assembly.
 - *upload* — one array pass over the walkers' (walker, task) pairs in
   arrival order, read from the round table's columns: a pair is
   accepted iff its user had not contributed to the task before and
   fewer than ``remaining`` earlier first contributions reached the task
   this round (a grouped prefix count, the same answer as walking the
   uploads one by one; see
-  :meth:`SimulationEngine._upload`).  Each touched task's state is
-  written once.
+  :meth:`SimulationEngine._upload`).  The accepted pairs are appended
+  to the task table's contribution log in one write.
 - *mobility* — one :meth:`~repro.world.mobility.MobilityPolicy.move`
   call over every row in arrival order: walkers are first placed at
   their last task, everyone else starts where they stand, and the
   policy writes the rows it moves in place (follow-path rows are not
   touched).
-- *state* — the engine reads the users straight from the world's
-  column table (:class:`~repro.world.user.UserTable`), which the open
-  world filters and extends together with :attr:`World.positions
+- *state* — the engine reads the users and tasks straight from the
+  world's column tables (:class:`~repro.world.user.UserTable`,
+  :class:`~repro.world.task.TaskTable`).  The open world filters and
+  extends the users together with :attr:`World.positions
   <repro.world.generator.World.positions>`, the one record of where
-  users stand, moved in place; the task-to-task distance matrix is
-  computed once over *all* world tasks (task locations never change)
-  and read per round through a row mapping.
+  users stand, moved in place, and appends published tasks to the task
+  table.  A task's sensing state is the table's contribution log and
+  expired flag; a round's published tasks are the mask of active,
+  released rows, and its expiry is one mask of the overdue ones.
 - *records* — the round's user records (the round table permuted into
   ``user_id`` order), measurements and rejections are columnar
   (:class:`~repro.simulation.events.UserRoundRecords`,
@@ -108,13 +110,7 @@ from repro.selection import (
 )
 from repro.simulation.config import SimulationConfig
 from repro.simulation.perf import PerfStats
-from repro.simulation.round_cache import (
-    DEFAULT_CHUNK_BYTES,
-    RoundProblems,
-    contributor_pairs,
-    task_distance_matrix,
-    task_locations,
-)
+from repro.simulation.round_cache import DEFAULT_CHUNK_BYTES, RoundProblems
 from repro.simulation.events import (
     REJECTION_REASONS,
     MeasurementRecords,
@@ -126,7 +122,7 @@ from repro.simulation.events import (
 from repro.simulation.rng import spawn_streams
 from repro.world.generator import World
 from repro.world.mobility import MixedMobility, MobilityPolicy, make_mobility
-from repro.world.task import SensingTask, TaskStatus
+from repro.world.task import TaskTable, running_counts
 from repro.world.user import MobileUser, UserTable
 
 #: Observer callback invoked with each finished RoundRecord.
@@ -222,10 +218,6 @@ class SimulationEngine:
         #: The user table the mobility policy was last bound to.
         self._bound_users: Optional[UserTable] = None
         self._dtype = np.dtype(self.config.distance_dtype)
-        self._full_task_matrix: Optional[np.ndarray] = None
-        self._task_row_of: Dict[int, int] = {
-            t.task_id: i for i, t in enumerate(self.world.tasks)
-        }
 
     # -- setup -----------------------------------------------------------
 
@@ -291,26 +283,22 @@ class SimulationEngine:
         """
         if self._next_round > self.config.rounds:
             return True
-        if any(t.is_active for t in self.world.tasks):
+        if self.world.tasks.active.any():
             return False
         return not (
             self.timeline is not None
             and self.timeline.has_pending_tasks(self._next_round)
         )
 
-    def active_tasks(self) -> List[SensingTask]:
-        """Tasks neither completed nor expired (published or not)."""
-        return [t for t in self.world.tasks if t.is_active]
-
-    def published_tasks(self) -> List[SensingTask]:
-        """Tasks the platform offers in the upcoming round.
+    def published_tasks(self) -> TaskTable:
+        """The tasks the platform offers in the upcoming round, as a
+        slice of the task table.
 
         A task is published once its release round arrives (the paper
         releases everything at round 1) and until it completes/expires.
         """
-        return [
-            t for t in self.world.tasks if t.is_published(self._next_round)
-        ]
+        tasks = self.world.tasks
+        return tasks.take(tasks.published(self._next_round))
 
     def published_rewards(self) -> Dict[int, float]:
         """The prices the mechanism would publish for the upcoming round.
@@ -322,9 +310,7 @@ class SimulationEngine:
         """
         return self._rewards_for(None)
 
-    def _rewards_for(
-        self, published: Optional[List[SensingTask]]
-    ) -> Dict[int, float]:
+    def _rewards_for(self, published: Optional[TaskTable]) -> Dict[int, float]:
         """:meth:`published_rewards`, pricing ``published`` (the round's
         :meth:`published_tasks`, already scanned by the caller) on a
         cache miss; ``None`` scans for it."""
@@ -397,7 +383,7 @@ class SimulationEngine:
 
     def _round_problems(
         self,
-        active: List[SensingTask],
+        active: TaskTable,
         prices: Dict[int, float],
         cached: bool = True,
     ) -> RoundProblems:
@@ -407,25 +393,17 @@ class SimulationEngine:
         positions only change when :meth:`step` completes (which also
         advances the round number), so within a round every caller —
         :meth:`build_problems` and the round loop itself — reads the
-        same reward vector and task-to-task distance rows.  The rows
-        come from the all-tasks matrix, built once per run (and again
-        only when the open world publishes new tasks).
+        same reward vector and task-to-task distances.
         """
         hit = self._problems_cache
         if cached and hit is not None and hit[0] == self._next_round:
             return hit[1]
-        if self._full_task_matrix is None:
-            self._full_task_matrix = task_distance_matrix(
-                task_locations(self.world.tasks), self._dtype
-            )
         problems = RoundProblems(
             active,
             prices,
             stats=self._perf,
             dtype=self._dtype,
             chunk_bytes=self.chunk_bytes,
-            task_matrix=self._full_task_matrix,
-            task_rows=[self._task_row_of[t.task_id] for t in active],
         )
         if cached:
             self._problems_cache = (self._next_round, problems)
@@ -506,7 +484,7 @@ class SimulationEngine:
 
     # -- one round ----------------------------------------------------------------
 
-    def _play_round(self, round_no: int, active: List[SensingTask]) -> RoundRecord:
+    def _play_round(self, round_no: int, active: TaskTable) -> RoundRecord:
         tracer = self.tracer
         with tracer.span("price-publish", cat="phase", round=round_no):
             prices = self._rewards_for(active)
@@ -539,7 +517,7 @@ class SimulationEngine:
             arrival = self._streams["arrival"].permutation(len(selections))
             (
                 measurements, rejections, completed, walkers, earned, ends,
-            ) = self._upload(round_no, arrival, selections, active, prices)
+            ) = self._upload(round_no, arrival, selections, prices)
             rewards = np.zeros(len(selections))
             rewards[walkers] = earned
             costs = np.zeros(len(selections))
@@ -548,7 +526,7 @@ class SimulationEngine:
             # order: nothing in the upload reads another user's
             # position, and the mobility stream is consumed in the same
             # sequence, so this is bit-identical to interleaved moves.
-            self._apply_moves(arrival, walkers, task_locations(active)[ends])
+            self._apply_moves(arrival, walkers, self.world.tasks.locations[ends])
             # The records are in user_id order.
             ids, order = self.world.users.ids, self.world.users.id_order
             if order is not None:
@@ -561,15 +539,8 @@ class SimulationEngine:
         # lottery (deadline extension) before letting it expire.
         dynamics = tuple(self._pending_dynamics)
         self._pending_dynamics = []
-        if self.timeline is None:
-            expired = [
-                t.task_id
-                for t in active
-                if t.expire_if_due(next_round=round_no + 1)
-            ]
-        else:
-            expired, lifecycle = self._expire_or_renew(active, round_no)
-            dynamics += tuple(lifecycle)
+        expired, lifecycle = self._expire_overdue(round_no)
+        dynamics += tuple(lifecycle)
         metrics, self._metrics = self._metrics, MetricsRegistry()
         record = RoundRecord(
             round_no=round_no,
@@ -587,42 +558,30 @@ class SimulationEngine:
         self._record_round_metrics(record)
         return record
 
-    def _expire_or_renew(
-        self, active: List[SensingTask], round_no: int
-    ) -> Tuple[List[int], List[WorldEvent]]:
-        """Open-world step 4 prep: renew or expire each overdue task.
-
-        Mirrors :meth:`~repro.world.task.SensingTask.expire_if_due`'s
-        condition exactly; a task that wins its pre-drawn renewal
-        lottery gets a later deadline instead of expiring.
+    def _expire_overdue(self, round_no: int) -> Tuple[List[int], List[WorldEvent]]:
+        """Step 4 prep: expire the active tasks whose deadline has passed
+        (one mask, world order); return their ids and the open world's
+        lifecycle events.  With a timeline, each overdue task first
+        draws its pre-drawn renewal lottery; a winner gets a later
+        deadline instead of expiring.
         """
-        expired: List[int] = []
+        tasks = self.world.tasks
+        overdue = np.flatnonzero(tasks.active & (tasks.deadline <= round_no))
         lifecycle: List[WorldEvent] = []
-        for task in active:
-            if not (task.is_active and round_no + 1 > task.deadline):
-                continue
-            renewed = self.timeline.try_renew(task, round_no)
-            if renewed is not None:
-                task.deadline = renewed
-                lifecycle.append(
-                    WorldEvent(
-                        kind="deadline_renewed",
-                        round_no=round_no,
-                        subject_id=task.task_id,
-                        payload=(("deadline", renewed),),
-                    )
-                )
+        for row in overdue.tolist() if self.timeline is not None else ():
+            task_id = int(tasks.ids[row])
+            renewed = self.timeline.try_renew(task_id, int(tasks.deadline[row]))
+            if renewed is None:
+                lifecycle.append(WorldEvent("task_expired", round_no, task_id))
             else:
-                task.status = TaskStatus.EXPIRED
-                expired.append(task.task_id)
-                lifecycle.append(
-                    WorldEvent(
-                        kind="task_expired",
-                        round_no=round_no,
-                        subject_id=task.task_id,
-                    )
-                )
-        return expired, lifecycle
+                tasks.deadline[row] = renewed
+                lifecycle.append(WorldEvent(
+                    "deadline_renewed", round_no, task_id, (("deadline", renewed),)
+                ))
+        # A renewal adds at least one round, so renewed tasks are not due.
+        expired = overdue[tasks.deadline[overdue] <= round_no]
+        tasks.expired[expired] = True
+        return tasks.ids[expired].tolist(), lifecycle
 
     def _apply_dynamics(self, changes) -> None:
         """Fold one round's open-world changes into the live world.
@@ -632,7 +591,8 @@ class SimulationEngine:
         are filtered with one mask and extended with the arrivals table,
         so their rows stay aligned (arrivals stand at their homes); the
         mobility policy rebinds to the new table on its next move, and
-        the round's Eq. 5 recount reads the new positions.
+        the round's Eq. 5 recount reads the new positions.  Published
+        tasks are appended to the task table after its existing rows.
         """
         world = self.world
         if changes.departures:
@@ -645,17 +605,13 @@ class SimulationEngine:
                 [world.positions, changes.arrivals.homes]
             )
         if changes.tasks:
-            self.world.tasks.extend(changes.tasks)
-            self._task_row_of = {
-                t.task_id: i for i, t in enumerate(self.world.tasks)
-            }
-            self._full_task_matrix = None
+            world.tasks = TaskTable.concatenate([world.tasks, changes.tasks])
         self._price_cache = None
         self._problems_cache = None
 
     def _collect_selections(
         self,
-        active: List[SensingTask],
+        active: TaskTable,
         prices: Dict[int, float],
         participating: np.ndarray,
     ) -> SelectionColumns:
@@ -763,7 +719,7 @@ class SimulationEngine:
     def _validate_prices(
         self,
         prices: Dict[int, float],
-        active: Sequence[SensingTask],
+        active: TaskTable,
         round_no: int,
     ) -> None:
         """Boundary check on the mechanism's price map.
@@ -870,7 +826,6 @@ class SimulationEngine:
         round_no: int,
         arrival: np.ndarray,
         selections: SelectionColumns,
-        active: Sequence[SensingTask],
         prices: Dict[int, float],
     ) -> Tuple[
         MeasurementRecords, RejectionRecords, Tuple[int, ...], np.ndarray,
@@ -886,22 +841,20 @@ class SimulationEngine:
         the round (:class:`SelectionColumns` forbids repeated task ids
         within a row, so a pair cannot duplicate another of the same
         round).  With ``before`` the number of earlier non-duplicate
-        pairs of the same task — a
-        running count within each task's group after a stable sort by
-        task — a pair is accepted iff it is not a duplicate and
+        pairs of the same task (:func:`~repro.world.task.running_counts`),
+        a pair is accepted iff it is not a duplicate and
         ``before < remaining``, exactly as a one-by-one walk would
         decide: arrival order alone decides who comes first at a task,
         and only non-duplicates take a slot.  A rejection is ``"full"``
         iff ``before >= remaining`` (a full task reports "full" even to
-        a duplicate) and ``"duplicate"`` otherwise.  Accepted pairs are
-        folded into each touched task once, through
-        :meth:`SensingTask.record_measurements`.
+        a duplicate) and ``"duplicate"`` otherwise.  The accepted pairs
+        are appended to the task table's log in one
+        :meth:`~repro.world.task.TaskTable.record` call.
 
         Returns the round's measurements and rejections, the ids of the
         tasks completed (in upload order), the walkers' rows in arrival
         order, each walker's earned reward, added left to right along
-        its path, and the position in ``active`` of each walker's last
-        task.
+        its path, and the task-table row of each walker's last task.
 
         Raises:
             ValueError: naming the coordinator (or selector), round,
@@ -916,8 +869,9 @@ class SimulationEngine:
         step = np.arange(len(owner)) - np.repeat(np.cumsum(walked) - walked, walked)
         task_ids = selections.task_ids[selections.offsets[walkers][owner] + step]
         user_ids = self.world.users.ids[walkers][owner]
-        position = _task_positions(task_ids, active)
-        unknown = position < 0
+        tasks = self.world.tasks
+        rows = tasks.rows_of(task_ids)
+        unknown = ~tasks.published(round_no)[rows] | (rows < 0)
         if unknown.any():
             first = int(np.argmax(unknown))
             role, source = (
@@ -930,39 +884,16 @@ class SimulationEngine:
                 f"{task_ids[unknown & (owner == owner[first])].tolist()} in "
                 f"round {round_no}, which the round did not publish"
             )
-        touched, group = np.unique(position, return_inverse=True)
-        tasks = [active[i] for i in touched.tolist()]
-        remaining = np.array([t.remaining for t in tasks], dtype=np.int64)[group]
-        price = np.array([prices[t.task_id] for t in tasks], dtype=float)[group]
-        # One lookup of every pair's (task group, user) key among the
-        # touched tasks' pre-round contributions.
-        contributed_group, contributed = contributor_pairs(tasks)
-        span = int(max(user_ids.max(initial=0), contributed.max(initial=0))) + 1
-        fresh = ~np.isin(
-            group * span + user_ids, contributed_group * span + contributed
-        )
-        # `before`: the running count of fresh pairs within each task's
-        # group, in pair order (the sort is stable).
-        order = np.argsort(group, kind="stable")
-        taken = fresh[order].astype(np.int64)
-        running = np.cumsum(taken) - taken
-        sizes = np.bincount(group, minlength=len(tasks))
-        starts = np.cumsum(sizes) - sizes
-        before = np.empty_like(running)
-        before[order] = running - running[starts][group[order]]
+        touched, group = np.unique(rows, return_inverse=True)
+        remaining = tasks.remaining[rows]
+        price = np.array(
+            [prices[task_id] for task_id in tasks.ids[touched].tolist()], dtype=float
+        )[group]
+        fresh = ~tasks.contributed(rows, user_ids)
+        before = running_counts(rows, fresh)
         accepted = fresh & (before < remaining)
         rejected = ~accepted
-
-        # Fold the accepted pairs into each touched task, in pair order.
-        in_task = order[accepted[order]]
-        accepted_users = user_ids[in_task].tolist()
-        end = 0
-        for task, count in zip(tasks, np.bincount(
-            group[in_task], minlength=len(tasks)
-        ).tolist()):
-            if count:
-                task.record_measurements(accepted_users[end:end + count], round_no)
-                end += count
+        tasks.record(rows[accepted], user_ids[accepted], round_no)
 
         completed = task_ids[accepted & (before == remaining - 1)]
         # bincount adds each bin's weights in order, from 0.0: the same
@@ -979,32 +910,19 @@ class SimulationEngine:
             round_no, task_ids[rejected], user_ids[rejected],
             np.where(before[rejected] >= remaining[rejected], 0, 1),
         )
-        ends = position[np.cumsum(walked) - 1]
+        ends = rows[np.cumsum(walked) - 1]
         return (
             measurements, rejections, tuple(completed.tolist()), walkers,
             earned, ends,
         )
 
 
-def _task_positions(
-    task_ids: np.ndarray, active: Sequence[SensingTask]
-) -> np.ndarray:
-    """Each task id's position in ``active`` (-1 where unpublished)."""
-    published = np.fromiter(
-        (t.task_id for t in active), dtype=np.int64, count=len(active)
-    )
-    lookup = np.full(int(published.max(initial=0)) + 1, -1, dtype=np.int64)
-    lookup[published] = np.arange(len(published))
-    inside = (task_ids >= 0) & (task_ids < len(lookup))
-    return np.where(inside, lookup[np.where(inside, task_ids, 0)], -1)
-
-
 def _price_faults(
-    prices: Dict[int, float], tasks: Sequence[SensingTask]
+    prices: Dict[int, float], tasks: TaskTable
 ) -> Tuple[List[int], Dict[int, float]]:
     """A price map's faults against ``tasks``: the task ids it omits,
     and its non-finite or negative prices."""
-    missing = [t.task_id for t in tasks if t.task_id not in prices]
+    missing = [task_id for task_id in tasks.ids.tolist() if task_id not in prices]
     bad = {
         task_id: price
         for task_id, price in prices.items()

@@ -560,7 +560,7 @@ class SimulationResult(RunAggregates):
             self.rounds.append(record)
 
     def _task_ids(self) -> Iterable[int]:
-        return (task.task_id for task in self.world.tasks)
+        return self.world.tasks.ids.tolist()
 
     @property
     def streamed(self) -> bool:

@@ -2,11 +2,9 @@
 
 Every user's instance in a round shares the same round-invariant parts:
 
-- the active-task reward vector and :class:`CandidateTask` records,
-- the ``(n_tasks, n_tasks)`` task-to-task distance matrix (the engine
-  computes it once over *all* world tasks — task locations never change
-  — and each round reads its rows through a row mapping),
-- the task locations as one ``(n_tasks, 2)`` array.
+- the published-task reward vector and :class:`CandidateTask` records,
+- the ``(n_tasks, n_tasks)`` task-to-task distance matrix,
+- the task locations, the table's ``(n_tasks, 2)`` column.
 
 :class:`RoundProblems` holds them and assembles the per-user parts over
 user chunks with numpy, in two stages:
@@ -61,17 +59,17 @@ round never materialises the full user-by-task matrix.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.grid_index import expand_ranges
+from repro.geometry.point import Point
 from repro.selection.base import CandidateTask
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.simulation.perf import PerfStats
-from repro.world.task import SensingTask
+from repro.world.task import TaskTable
 
 #: Distances this close to a user's travel budget are re-decided with
 #: ``math.hypot`` (``Point.distance_to``'s arithmetic) so the
@@ -121,13 +119,6 @@ def float32_boundary_tol(coordinate_scale: float, budget_scale: float) -> float:
     )
 
 
-def task_locations(tasks: Sequence[SensingTask]) -> np.ndarray:
-    """The tasks' ``(n, 2)`` float64 coordinates."""
-    return np.asarray(
-        [(t.location.x, t.location.y) for t in tasks], dtype=float
-    ).reshape(len(tasks), 2)
-
-
 def task_distance_matrix(locations: np.ndarray, dtype=np.float64) -> np.ndarray:
     """The ``(n, n)`` task-to-task distance matrix in ``dtype``.
 
@@ -135,9 +126,7 @@ def task_distance_matrix(locations: np.ndarray, dtype=np.float64) -> np.ndarray:
     square, one add, sqrt — written per coordinate and in place so no
     ``(n, n, 2)`` temporary is materialised.  The sum over the 2-wide
     axis is a single correctly-rounded add either way, so the float64
-    entries are bit-identical to the stacked pipeline.  Each entry
-    depends only on its two endpoints, so a row/column slice of an
-    all-tasks matrix equals a fresh build over the slice.
+    entries are bit-identical to the stacked pipeline.
     """
     locations = locations.astype(dtype, copy=False)
     dx = locations[:, 0, None] - locations[None, :, 0]
@@ -157,7 +146,8 @@ class RoundProblems:
     one by one.
 
     Args:
-        tasks: the round's published tasks, in engine order.
+        tasks: the round's published tasks, a :class:`TaskTable` slice
+            in world order.
         prices: the mechanism's price per task id (every task priced —
             the engine validates before constructing this state).
         stats: optional :class:`PerfStats` receiving one cache miss for
@@ -168,23 +158,15 @@ class RoundProblems:
         chunk_bytes: per-chunk byte budget of the distance pipeline
             (default ~16 MB regardless of dtype); the per-chunk element
             count, :attr:`chunk_elements`, derives from it and the dtype.
-        task_matrix: optional precomputed distance matrix in ``dtype``.
-            May cover a superset of ``tasks`` (e.g. the engine's
-            all-tasks matrix), in which case ``task_rows`` maps each
-            task's position in ``tasks`` to its row in the matrix.
-        task_rows: the row mapping for ``task_matrix`` (identity when
-            omitted).
     """
 
     def __init__(
         self,
-        tasks: Sequence[SensingTask],
+        tasks: TaskTable,
         prices: Dict[int, float],
         stats: Optional[PerfStats] = None,
         dtype=np.float64,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        task_matrix: Optional[np.ndarray] = None,
-        task_rows: Optional[np.ndarray] = None,
     ):
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -198,42 +180,19 @@ class RoundProblems:
                 f"got {chunk_bytes}"
             )
         self.chunk_elements = int(chunk_bytes // dtype.itemsize)
-        self.tasks: List[SensingTask] = list(tasks)
-        n = len(self.tasks)
-        self._task_rows = (
-            None if task_rows is None else np.asarray(task_rows, dtype=np.int64)
-        )
-        if self._task_rows is not None and len(self._task_rows) != n:
-            raise ValueError(
-                f"task_rows must map every task: got {len(self._task_rows)} "
-                f"rows for {n} tasks"
-            )
+        self.tasks = tasks
         self._stats = stats
-        locations = task_locations(self.tasks)
-        self._task_xy = locations
         # Task locations in the working dtype (float32 mode casts once).
-        self._locations = locations.astype(dtype, copy=False)
+        self._locations = tasks.locations.astype(dtype, copy=False)
         self.rewards = np.asarray(
-            [prices[t.task_id] for t in self.tasks], dtype=float
+            [prices[task_id] for task_id in tasks.ids.tolist()], dtype=float
         )
-        if task_matrix is not None:
-            if task_matrix.ndim != 2 or task_matrix.shape[0] != task_matrix.shape[1]:
-                raise ValueError(
-                    f"task_matrix must be square, got shape {task_matrix.shape}"
-                )
-            self.task_matrix = task_matrix
-        else:
-            self.task_matrix = task_distance_matrix(locations, dtype)
-        self._task_ids = np.asarray(
-            [t.task_id for t in self.tasks], dtype=np.int64
-        )
+        self.task_matrix = task_distance_matrix(tasks.locations, dtype)
         self.candidates = tuple(
-            CandidateTask(
-                task_id=task.task_id,
-                location=task.location,
-                reward=float(self.rewards[i]),
+            CandidateTask(task_id=task_id, location=Point(x, y), reward=reward)
+            for task_id, (x, y), reward in zip(
+                tasks.ids.tolist(), tasks.locations.tolist(), self.rewards.tolist()
             )
-            for i, task in enumerate(self.tasks)
         )
         if stats is not None:
             stats.problem_cache_misses += 1
@@ -316,9 +275,9 @@ class RoundProblems:
         # outside the boundary band iff also d <= budget - tol.
         upper, lower = budgets_w + tol, budgets_w - tol
         excluded = self._excluded_keys(user_ids)
-        windows = _ColumnWindows.if_sparse(self._task_xy, origins, budgets + tol)
+        task_xy = self.tasks.locations
+        windows = _ColumnWindows.if_sparse(task_xy, origins, budgets + tol)
         chunk_size = max(1, self.chunk_elements // n_tasks)
-        tasks = self.tasks
         for start in range(0, n_users, chunk_size):
             stop = min(start + chunk_size, n_users)
             if windows is None:
@@ -340,11 +299,8 @@ class RoundProblems:
                 band.tolist(), rows[band].tolist(), cols[band].tolist()
             ):
                 ox, oy = origins[start + row].tolist()
-                task = tasks[col].location
-                reach[j] = (
-                    math.hypot(ox - task.x, oy - task.y)
-                    <= budgets[start + row]
-                )
+                tx, ty = task_xy[col].tolist()
+                reach[j] = math.hypot(ox - tx, oy - ty) <= budgets[start + row]
             if len(excluded):
                 keys = (rows + start) * n_tasks + cols
                 at = np.searchsorted(excluded, keys)
@@ -402,7 +358,7 @@ class RoundProblems:
         ``searchsorted`` (through a sorting permutation when the ids are
         not ascending); ids of users not in ``user_ids`` are dropped.
         """
-        cols, ids = contributor_pairs(self.tasks)
+        cols, ids = self.tasks.log[:, 0], self.tasks.log[:, 1]
         order = (
             None if (user_ids[1:] > user_ids[:-1]).all()
             else np.argsort(user_ids, kind="stable")
@@ -433,7 +389,6 @@ class RoundProblems:
         sliced from the shared matrix.
         """
         counts = np.diff(offsets)
-        task_rows = self._task_rows
         if self._stats is not None:
             # One hit per user served, with or without a candidate.
             self._stats.problem_cache_hits += len(counts)
@@ -442,20 +397,19 @@ class RoundProblems:
             group = np.flatnonzero(counts == k)
             at = offsets[group][:, None] + np.arange(k)
             picked = cols[at]
-            matrix_rows = picked if task_rows is None else task_rows[picked]
             origin_rows = distances[at]
             block = np.empty((len(group), k + 1, k + 1), dtype=self.dtype)
             block[:, 0, 0] = 0.0
             block[:, 0, 1:] = origin_rows
             block[:, 1:, 0] = origin_rows
             block[:, 1:, 1:] = self.task_matrix[
-                matrix_rows[:, :, None], matrix_rows[:, None, :]
+                picked[:, :, None], picked[:, None, :]
             ]
             indices = group + start
             blocks.append((indices, ProblemBlock(
                 distances=block,
                 rewards=self.rewards[picked],
-                task_ids=self._task_ids[picked],
+                task_ids=self.tasks.ids[picked],
                 max_distance=budgets[indices],
                 cost_per_meter=costs[indices],
                 origins=origins[indices],
@@ -569,14 +523,3 @@ class _ColumnWindows:
         by_key = np.argsort(keys)
         rows, cols = np.divmod(keys[by_key], n_tasks)
         return rows, cols, distances[inside[by_key]]
-
-
-def contributor_pairs(tasks: Sequence[SensingTask]) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (task position, contributor id) pair of ``tasks``, as two
-    int64 arrays: task by task, each task's ids in set order."""
-    contributors = [task.contributors for task in tasks]
-    sizes = [len(c) for c in contributors]
-    ids = np.fromiter(
-        chain.from_iterable(contributors), dtype=np.int64, count=sum(sizes)
-    )
-    return np.repeat(np.arange(len(tasks)), sizes), ids

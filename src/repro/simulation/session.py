@@ -167,30 +167,26 @@ class SimulationSession:
             raw = getattr(engine.mechanism, "last_demands", None)
             demands = dict(raw) if raw else {}
         tasks = world.tasks
-        completeness = (
-            sum(t.progress for t in tasks) / len(tasks) if tasks else 1.0
-        )
+        snapshots = tuple(map(
+            TaskSnapshot, tasks.ids.tolist(), tasks.deadline.tolist(),
+            tasks.received.tolist(), tasks.required.tolist(),
+        ))
         return SessionObservation(
             round_no=engine.current_round,
             rounds_total=engine.config.rounds,
             finished=engine.finished,
             n_users=len(world.users),
-            n_active_tasks=len(engine.active_tasks()),
-            n_published_tasks=len(engine.published_tasks()),
+            n_active_tasks=int(tasks.active.sum()),
+            n_published_tasks=int(tasks.published(engine.current_round).sum()),
             budget=engine.config.budget,
             total_paid=engine.result.total_paid,
-            completeness=completeness,
+            completeness=(
+                sum(t.progress for t in snapshots) / len(snapshots)
+                if snapshots else 1.0
+            ),
             published_rewards=prices,
             demands=demands,
-            tasks=tuple(
-                TaskSnapshot(
-                    task_id=t.task_id,
-                    deadline=t.deadline,
-                    received=t.received,
-                    required=t.required_measurements,
-                )
-                for t in tasks
-            ),
+            tasks=snapshots,
         )
 
     def step(self, action: IncentiveAction = None) -> RoundRecord:

@@ -3,15 +3,18 @@
 This package models the physical side of the crowdsensing system from
 Section III of the paper:
 
-- :class:`~repro.world.task.SensingTask` — a location-dependent task
-  :math:`t_i` with location :math:`L_{t_i}`, deadline :math:`\\tau_i`
-  (in rounds), and a required number of measurements :math:`\\varphi_i`.
+- :class:`~repro.world.task.TaskTable` — the tasks as columns: each
+  location-dependent task :math:`t_i`'s location :math:`L_{t_i}`,
+  deadline :math:`\\tau_i` (in rounds), required number of
+  measurements :math:`\\varphi_i` and release round, one row per task,
+  plus the run's sensing state as one contribution log;
+  :class:`~repro.world.task.SensingTask` is one row as a value.
 - :class:`~repro.world.user.UserTable` — the users as columns: each
   user :math:`u_i`'s home, walking speed, movement cost, per-round
   time budget :math:`B^k_{u_i}` and group, one row per user;
   :class:`~repro.world.user.MobileUser` is one row as a value.
-- :class:`~repro.world.generator.World` — the region, tasks and user
-  table, plus ``World.positions``, the one record of where users stand.
+- :class:`~repro.world.generator.World` — the region, task and user
+  tables, plus ``World.positions``, the one record of where users stand.
 - :class:`~repro.world.generator.WorldGenerator` — seeded generators for
   the uniform layout the paper evaluates and a clustered layout that
   exaggerates the "remote task" inequality the paper motivates.
@@ -20,7 +23,7 @@ Section III of the paper:
   see DESIGN.md §3).
 """
 
-from repro.world.task import SensingTask, TaskStatus
+from repro.world.task import SensingTask, TaskStatus, TaskTable
 from repro.world.user import MobileUser, UserTable
 from repro.world.generator import WorldGenerator, World
 from repro.world.arrivals import (
@@ -44,6 +47,7 @@ from repro.world.mobility import (
 __all__ = [
     "SensingTask",
     "TaskStatus",
+    "TaskTable",
     "MobileUser",
     "UserTable",
     "WorldGenerator",

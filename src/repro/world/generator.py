@@ -11,7 +11,7 @@ to stress the popularity-inequality problem the paper motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.geometry.point import Point
 from repro.geometry.region import RectRegion
 from repro.world.arrivals import ARRIVALS
 from repro.world.population import apply_population, parse_population
-from repro.world.task import SensingTask
+from repro.world.task import TaskTable
 from repro.world.user import UserTable
 
 
@@ -27,44 +27,43 @@ from repro.world.user import UserTable
 class World:
     """A region, its tasks, its users, and where those users stand.
 
-    ``users`` is the population as one :class:`UserTable` (a list of
-    :class:`MobileUser` is turned into one on construction).
-    ``positions`` is the one mutable record of where users are: a
-    float64 ``(n, 2)`` array aligned with ``users``' rows, built from
-    their homes.  The engine's mobility pass moves it in place and its
-    open-world dynamics filter and extend it together with ``users``,
-    under one mask.
+    ``tasks`` and ``users`` are column tables (:class:`TaskTable`,
+    :class:`UserTable`; a list of :class:`SensingTask` or
+    :class:`MobileUser` is turned into one on construction).  The task
+    table carries the run's sensing state.  ``positions`` is the one
+    mutable record of where users are: a float64 ``(n, 2)`` array
+    aligned with ``users``' rows, built from their homes.  The engine's
+    mobility pass moves it in place and its open-world dynamics filter
+    and extend it together with ``users``, under one mask.
     """
 
     region: RectRegion
-    tasks: List[SensingTask]
+    tasks: TaskTable
     users: UserTable
     positions: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        for task in self.tasks:
-            if not self.region.contains(task.location):
-                raise ValueError(
-                    f"task {task.task_id} at {task.location} lies outside {self.region}"
-                )
+        if not isinstance(self.tasks, TaskTable):
+            self.tasks = TaskTable.from_tasks(self.tasks)
         if not isinstance(self.users, UserTable):
             self.users = UserTable.from_users(self.users)
-        homes = self.users.homes
-        outside = (self.region.clamp_points(homes) != homes).any(axis=1)
-        if outside.any():
-            user = self.users[int(np.argmax(outside))]
-            raise ValueError(
-                f"user {user.user_id} at {user.home} lies outside {self.region}"
-            )
-        self.positions = homes.copy()
+        for kind, ids, points in (
+            ("task", self.tasks.ids, self.tasks.locations),
+            ("user", self.users.ids, self.users.homes),
+        ):
+            outside = (self.region.clamp_points(points) != points).any(axis=1)
+            if outside.any():
+                row = int(np.argmax(outside))
+                raise ValueError(
+                    f"{kind} {ids[row]} at {Point(*points[row].tolist())} "
+                    f"lies outside {self.region}"
+                )
+        self.positions = self.users.homes.copy()
 
     @property
     def total_required_measurements(self) -> int:
         """:math:`\\sum_i \\varphi_i` — the denominator of Eq. 9."""
-        return sum(t.required_measurements for t in self.tasks)
-
-    def task_locations(self) -> List[Point]:
-        return [t.location for t in self.tasks]
+        return int(self.tasks.required.sum())
 
 
 @dataclass(frozen=True)
@@ -156,23 +155,12 @@ class WorldGenerator:
         return stream.releases(self.n_tasks, self.horizon, self.release_range, rng)
 
     def _make_tasks(
-        self,
-        locations: Sequence[Point],
-        durations: Sequence[int],
-        releases: Sequence[int],
-    ) -> List[SensingTask]:
-        return [
-            SensingTask(
-                task_id=i,
-                location=loc,
-                deadline=int(release) - 1 + int(duration),
-                required_measurements=self.required_measurements,
-                release_round=int(release),
-            )
-            for i, (loc, duration, release) in enumerate(
-                zip(locations, durations, releases)
-            )
-        ]
+        self, locations: np.ndarray, durations: np.ndarray, releases: np.ndarray
+    ) -> TaskTable:
+        return TaskTable(
+            np.arange(self.n_tasks), locations, releases - 1 + durations,
+            np.full(self.n_tasks, self.required_measurements), releases,
+        )
 
     def _make_users(self, homes: np.ndarray, rng: np.random.Generator) -> UserTable:
         count = len(homes)
@@ -193,7 +181,7 @@ class WorldGenerator:
 
     def uniform(self, rng: np.random.Generator) -> World:
         """The paper's layout: tasks and users uniform over the region."""
-        task_locations = self.region.sample(rng, self.n_tasks)
+        task_locations = self.region.sample_array(rng, self.n_tasks)
         homes = self.region.sample_array(rng, self.n_users)
         tasks = self._make_tasks(
             task_locations, self._draw_deadlines(rng), self._draw_releases(rng)
@@ -237,9 +225,9 @@ class WorldGenerator:
         near = self.region.sample_clusters(
             rng, centers, cluster_spread * 1.5, self.n_tasks - n_remote
         )
-        task_locations = self._far_grid_points(centers, n_remote) + [
-            Point(x, y) for x, y in near.tolist()
-        ]
+        task_locations = np.concatenate(
+            [self._far_grid_points(centers, n_remote), near]
+        )
         tasks = self._make_tasks(
             task_locations, self._draw_deadlines(rng), self._draw_releases(rng)
         )
@@ -247,10 +235,9 @@ class WorldGenerator:
 
     def _far_grid_points(
         self, centers: Sequence[Point], count: int, grid_side: int = 12
-    ) -> List[Point]:
-        """The ``count`` grid points with maximal distance to any center."""
-        if count == 0:
-            return []
+    ) -> np.ndarray:
+        """The ``count`` grid points with maximal distance to any center,
+        as a ``(count, 2)`` array."""
         xs = np.linspace(self.region.x_min, self.region.x_max, grid_side)
         ys = np.linspace(self.region.y_min, self.region.y_max, grid_side)
         candidates = [Point(float(x), float(y)) for x in xs for y in ys]
@@ -259,7 +246,7 @@ class WorldGenerator:
             key=lambda p: min(p.distance_to(c) for c in centers),
             reverse=True,
         )
-        return scored[:count]
+        return np.array([(p.x, p.y) for p in scored[:count]]).reshape(count, 2)
 
 
 def default_generator(

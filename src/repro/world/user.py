@@ -19,25 +19,48 @@ from repro.geometry.point import Point
 
 
 def check_users(ids, speed, cost_per_meter, time_budget) -> None:
-    """Validate user columns, one array pass per rule (NaN breaks all).
-
-    Raises:
-        ValueError: for the first row breaking a rule (in column order
-            within the row), naming the column and value, and for more
-            than one row also the row and its user id.
-    """
-    rules = (
+    """Validate user columns (:func:`check_rows`; NaN breaks all)."""
+    check_rows("user", ids, (
         ("user_id", "must be non-negative", ids, ids >= 0),
         ("speed", "must be positive", speed, speed > 0),
         ("cost_per_meter", "must be non-negative", cost_per_meter, cost_per_meter >= 0),
         ("time_budget", "must be non-negative", time_budget, time_budget >= 0),
-    )
+    ))
+
+
+def check_rows(kind: str, ids: np.ndarray, rules) -> None:
+    """Apply ``(column name, rule, column, ok mask)`` rules to a table.
+
+    Raises:
+        ValueError: for the first row breaking a rule (in rule order
+            within the row), naming the column and value, and for more
+            than one row also the row and its ``kind`` id.
+    """
     bad = ~np.logical_and.reduce([ok for *_, ok in rules])
     if bad.any():
         row = int(np.argmax(bad))
         name, rule, column, _ = next(r for r in rules if not r[3][row])
-        where = f" (row {row}, user {ids[row]})" if len(bad) > 1 else ""
+        where = f" (row {row}, {kind} {ids[row]})" if len(bad) > 1 else ""
         raise ValueError(f"{name} {rule}, got {column[row].item()}{where}")
+
+
+def id_order(kind: str, ids: np.ndarray) -> Optional[np.ndarray]:
+    """The permutation putting ``ids`` in ascending order (None if they
+    already are).
+
+    Raises:
+        ValueError: for a repeated id, naming it and its first two rows.
+    """
+    if (ids[1:] > ids[:-1]).all():
+        return None
+    order = np.argsort(ids, kind="stable")
+    repeated = np.flatnonzero(ids[order][1:] == ids[order][:-1])
+    if len(repeated):
+        first, second = order[repeated[0]:repeated[0] + 2].tolist()
+        raise ValueError(
+            f"{kind}_id {ids[first]} is repeated: rows {first} and {second}"
+        )
+    return order
 
 
 @dataclass(frozen=True)
@@ -107,8 +130,8 @@ class UserTable:
     permutation putting rows in ``user_id`` order (None if they are).
     ``table[i]`` and iteration give :class:`MobileUser` rows with Python
     ``int``/``float`` fields; a slice, a mask or :meth:`take` a table.
-    Construction raises ``ValueError`` as :func:`check_users` does, or
-    for columns of different lengths.
+    Construction raises ``ValueError`` as :func:`check_users` does, for
+    a repeated user id, or for columns of different lengths.
     """
 
     __slots__ = _COLUMNS + ("budgets", "id_order")
@@ -130,8 +153,7 @@ class UserTable:
         check_users(self.ids, self.speed, self.cost_per_meter, self.time_budget)
         self.budgets = self.speed * self.time_budget
         self.budgets.flags.writeable = False
-        sorted_ids = (self.ids[1:] > self.ids[:-1]).all()
-        self.id_order = None if sorted_ids else np.argsort(self.ids, kind="stable")
+        self.id_order = id_order("user", self.ids)
 
     @classmethod
     def empty(cls) -> "UserTable":

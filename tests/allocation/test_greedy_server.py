@@ -3,6 +3,7 @@
 import pytest
 
 from repro.allocation.greedy_server import GreedyServerCoordinator
+from repro.world.task import TaskTable
 from repro.world.user import UserTable
 from tests.conftest import make_task, make_user
 
@@ -10,6 +11,8 @@ from tests.conftest import make_task, make_user
 def assign(tasks, users, prices, round_no=1, **kwargs):
     coordinator = GreedyServerCoordinator(**kwargs)
     homes = UserTable.from_users(users).homes
+    if not isinstance(tasks, TaskTable):
+        tasks = TaskTable.from_tasks(tasks)
     return coordinator.assign(round_no, tasks, users, homes, prices)
 
 
@@ -32,10 +35,10 @@ class TestAssignment:
         assert assigned == 2
 
     def test_respects_prior_contributors(self):
-        task = make_task(0, 100.0, 0.0, required=3)
-        task.record_measurement(user_id=0, round_no=1)
+        tasks = TaskTable.from_tasks([make_task(0, 100.0, 0.0, required=3)])
+        tasks.record([0], [0], round_no=1)
         users = [make_user(0, 90.0, 0.0), make_user(1, 200.0, 0.0)]
-        selections = assign([task], users, {0: 1.0}, round_no=2)
+        selections = assign(tasks, users, {0: 1.0}, round_no=2)
         assert 0 not in selections  # user 0 already contributed
         assert selections[1].task_ids == (0,)
 

@@ -8,7 +8,7 @@ from repro.geometry.region import RectRegion
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import simulate
 from repro.world.generator import World
-from repro.world.task import TaskStatus
+from repro.world.task import TaskTable
 from tests.conftest import make_task, make_user
 
 
@@ -31,7 +31,7 @@ def init(mechanism, world, seed=0):
 def view_of(world, round_no, total_paid=0.0):
     return RoundView(
         round_no=round_no,
-        active_tasks=[t for t in world.tasks if t.is_published(round_no)],
+        active_tasks=world.tasks.take(world.tasks.published(round_no)),
         user_locations=world.positions,
         total_paid=total_paid,
     )
@@ -49,7 +49,7 @@ class TestPricing:
         static_base = adaptive.schedule.base_reward
         adaptive.rewards(view_of(world, 1))
         # Burn some task progress, then reprice repeatedly.
-        world.tasks[0].record_measurement(0, round_no=1)
+        world.tasks.record([0], [0], round_no=1)
         for round_no in range(2, 6):
             prices = adaptive.rewards(view_of(world, round_no))
             assert all(p >= static_base - 1e-9 for p in prices.values())
@@ -58,7 +58,7 @@ class TestPricing:
         """Expiring a task frees its worst-case reserve for the survivor."""
         adaptive = init(AdaptiveBudgetMechanism(budget=20.0), world)
         before = adaptive.rewards(view_of(world, 1))[1]
-        world.tasks[0].status = TaskStatus.EXPIRED
+        world.tasks.expired[0] = True
         adaptive.rewards(view_of(world, 2))
         # Base reward rose: half the work vanished, no money spent.
         assert adaptive.schedule.base_reward > 20.0 / 8.0 - 2.0  # sanity
@@ -72,8 +72,8 @@ class TestPricing:
         adaptive = init(AdaptiveBudgetMechanism(budget=40.0), world)
         prices = adaptive.rewards(view_of(world, 1))
         for user_id in range(4):
-            world.tasks[0].record_measurement(user_id, round_no=1)
-        assert not world.tasks[0].is_active  # completed -> leaves the view
+            world.tasks.record([0], [user_id], round_no=1)
+        assert not world.tasks.active[0]  # completed -> leaves the view
         paid = 4 * prices[0]
         adaptive.rewards(view_of(world, 2, total_paid=paid))
         top = adaptive.schedule.reward_for_level(adaptive.levels.count)
@@ -82,7 +82,10 @@ class TestPricing:
     def test_unreleased_work_is_budgeted_from_round_one(self, world):
         """A task published later is still owed its worst case: round-1
         prices must leave room for it (the burst scenario's Eq. 8)."""
-        world.tasks[1].release_round = 5
+        tasks = world.tasks
+        world.tasks = TaskTable(
+            tasks.ids, tasks.locations, tasks.deadline, tasks.required, [1, 5]
+        )
         adaptive = init(AdaptiveBudgetMechanism(budget=20.0), world)
         static = init(OnDemandMechanism(budget=20.0), world)
         view = view_of(world, 1)

@@ -51,16 +51,13 @@ rounds = st.integers(min_value=1, max_value=12)
 
 
 def build_world(raw_tasks, raw_users):
-    tasks = []
-    for i, (x, y, deadline, required, received) in enumerate(raw_tasks):
-        task = SensingTask(
+    tasks = [
+        SensingTask(
             task_id=i, location=Point(x, y), deadline=deadline,
             required_measurements=required,
         )
-        # Mark partial progress without completing the task.
-        for user_id in range(min(received, required - 1)):
-            task.record_measurement(1000 + user_id, round_no=1)
-        tasks.append(task)
+        for i, (x, y, deadline, required, _) in enumerate(raw_tasks)
+    ]
     users = [
         MobileUser(user_id=i, home=Point(x, y), speed=2.0,
                    cost_per_meter=0.002, time_budget=900.0)
@@ -69,11 +66,17 @@ def build_world(raw_tasks, raw_users):
     if not users:
         users = [MobileUser(user_id=0, home=Point(0.0, 0.0), speed=2.0,
                             cost_per_meter=0.002, time_budget=900.0)]
-    return World(region=REGION, tasks=tasks, users=users)
+    world = World(region=REGION, tasks=tasks, users=users)
+    # Mark partial progress without completing the tasks.
+    for row, (*_, required, received) in enumerate(raw_tasks):
+        count = min(received, required - 1)
+        world.tasks.record([row] * count, range(1000, 1000 + count), round_no=1)
+    return world
 
 
 def view_for(world, round_no):
-    active = [t for t in world.tasks if t.is_active and round_no <= t.deadline]
+    tasks = world.tasks
+    active = tasks.take(tasks.active & (round_no <= tasks.deadline))
     return RoundView(
         round_no=round_no,
         active_tasks=active,

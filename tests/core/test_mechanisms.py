@@ -13,6 +13,7 @@ from repro.core.mechanisms import (
 )
 from repro.core.mechanisms.registry import MECHANISM_NAMES, MECHANISMS
 from repro.world.generator import World
+from repro.world.task import TaskTable
 from tests.conftest import make_task, make_user
 
 
@@ -30,7 +31,7 @@ def world(region):
 def view_of(world, round_no=1):
     return RoundView(
         round_no=round_no,
-        active_tasks=[t for t in world.tasks if t.is_active],
+        active_tasks=world.tasks.take(world.tasks.active),
         user_locations=world.positions,
     )
 
@@ -99,7 +100,7 @@ class TestOnDemand:
         before = mechanism.rewards(view_of(world))
         demand_before = mechanism.last_demands[2]
         for user_id in range(4):
-            world.tasks[2].record_measurement(user_id, round_no=1)
+            world.tasks.record([2], [user_id], round_no=1)
         mechanism.rewards(view_of(world, round_no=2))
         demand_after = mechanism.last_demands[2]
         assert demand_after < demand_before
@@ -111,7 +112,8 @@ class TestOnDemand:
 
     def test_empty_round_gives_empty_prices(self, world):
         mechanism = init(OnDemandMechanism(budget=100.0), world)
-        empty = RoundView(round_no=1, active_tasks=[], user_locations=np.zeros((0, 2)))
+        empty = RoundView(round_no=1, active_tasks=TaskTable.empty(),
+                          user_locations=np.zeros((0, 2)))
         assert mechanism.rewards(empty) == {}
 
     def test_weights_and_matrix_mutually_exclusive(self):
@@ -137,7 +139,7 @@ class TestFixed:
     def test_prices_frozen_across_rounds(self, world):
         mechanism = init(FixedMechanism(budget=100.0), world)
         first = mechanism.rewards(view_of(world, round_no=1))
-        world.tasks[0].record_measurement(0, round_no=1)
+        world.tasks.record([0], [0], round_no=1)
         second = mechanism.rewards(view_of(world, round_no=5))
         assert first == second
 
@@ -194,8 +196,8 @@ class TestSteered:
     def test_prices_follow_task_progress(self, world):
         mechanism = init(SteeredMechanism(), world)
         before = mechanism.rewards(view_of(world))
-        world.tasks[0].record_measurement(0, round_no=1)
-        world.tasks[0].record_measurement(1, round_no=1)
+        world.tasks.record([0], [0], round_no=1)
+        world.tasks.record([0], [1], round_no=1)
         after = mechanism.rewards(view_of(world, round_no=2))
         assert after[0] < before[0]
         assert after[1] == pytest.approx(before[1])

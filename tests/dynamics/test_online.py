@@ -15,6 +15,7 @@ from repro.dynamics.online import (
 from repro.resilience.errors import ConfigError
 from repro.scenarios import get_preset
 from repro.simulation import SimulationConfig, make_engine
+from repro.world.task import TaskTable
 
 
 def total_paid(result):
@@ -201,13 +202,9 @@ class TestOMGPricing:
             budget=10.0, step=0.5, horizon=8, price_floor=1e-6
         )
 
-        class _Task:
-            task_id = 0
-            received = 0
-            remaining = 5
-
         view = RoundView(
-            round_no=5, active_tasks=[_Task()],
+            round_no=5,
+            active_tasks=TaskTable([0], [(0.0, 0.0)], [8], [5]),
             user_locations=np.zeros((0, 2)),
             total_paid=100.0,  # past every stage allocation
         )

@@ -9,7 +9,6 @@ from repro.geometry.point import Point
 from repro.simulation import SimulationConfig, make_engine
 from repro.world.task import TaskStatus
 
-from tests.conftest import make_task
 from tests.geometry.grid_oracle import GridIndex
 
 CHURN = dict(
@@ -161,21 +160,20 @@ class TestRenewal:
             renewals={0: ((0.1, 4),)},
             spec=DynamicsSpec(deadline_renewal_prob=0.5),
         )
-        task = make_task(0, deadline=3)
-        assert timeline.try_renew(task, round_no=3) == 7
+        assert timeline.try_renew(0, deadline=3) == 7
         # The single pre-drawn lottery is spent.
-        assert timeline.try_renew(task, round_no=7) is None
+        assert timeline.try_renew(0, deadline=7) is None
 
     def test_losing_draw_returns_none(self):
         timeline = hand_timeline(
             renewals={0: ((0.9, 4),)},
             spec=DynamicsSpec(deadline_renewal_prob=0.5),
         )
-        assert timeline.try_renew(make_task(0, deadline=3), round_no=3) is None
+        assert timeline.try_renew(0, deadline=3) is None
 
     def test_unknown_task_has_no_lottery(self):
         timeline = hand_timeline()
-        assert timeline.try_renew(make_task(99, deadline=3), round_no=3) is None
+        assert timeline.try_renew(99, deadline=3) is None
 
     def test_engine_emits_renewal_and_expiry_events(self):
         config = churn_config(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.io.worldmap import render_world
 from repro.world.generator import World
-from repro.world.task import TaskStatus
 from tests.conftest import make_task, make_user
 
 
@@ -31,8 +30,8 @@ class TestRenderWorld:
         assert "area 1000x1000 m" in text
 
     def test_completed_and_expired_markers(self, world):
-        world.tasks[0].record_measurement(0, round_no=1)
-        world.tasks[1].status = TaskStatus.EXPIRED
+        world.tasks.record([0], [0], round_no=1)
+        world.tasks.expired[1] = True
         text = render_world(world)
         assert "C=completed(1)" in text
         assert "X=expired(1)" in text

@@ -29,9 +29,11 @@ class TestPerTask:
     def test_counts_only_measurements_before_deadline(self, result):
         fractions = per_task_completeness(result)
         for task in result.world.tasks:
-            expected = min(
-                1.0, task.received_by_deadline() / task.required_measurements
+            on_time = sum(
+                count for round_no, count in task.measurements_by_round.items()
+                if round_no <= task.deadline
             )
+            expected = min(1.0, on_time / task.required_measurements)
             assert fractions[task.task_id] == pytest.approx(expected)
 
 

@@ -17,7 +17,7 @@ def result():
 
 class TestCoverage:
     def test_matches_task_contributor_state(self, result):
-        expected = sum(1 for t in result.world.tasks if t.was_selected) / len(
+        expected = sum(1 for t in result.world.tasks if t.contributors) / len(
             result.world.tasks
         )
         assert coverage(result) == pytest.approx(expected)
@@ -56,6 +56,23 @@ class TestCoverageByRound:
         series = coverage_by_round(result, horizon=result.rounds_played)
         for round_no, value in enumerate(series, start=1):
             assert value == pytest.approx(coverage(result, up_to_round=round_no))
+
+    def test_matches_the_round_records(self, result):
+        covered, expected = set(), []
+        for record in result.rounds:
+            covered.update(record.measurements.task_ids.tolist())
+            expected.append(len(covered) / len(result.world.tasks))
+        assert coverage_by_round(result, result.rounds_played) == expected
+
+    def test_streamed_run_reads_the_task_log(self):
+        config = SimulationConfig(
+            n_users=20, n_tasks=8, rounds=8, required_measurements=4,
+            area_side=2000.0, budget=300.0, seed=13,
+        )
+        kept = simulate(config)
+        streamed = simulate(config.with_overrides(stream_rounds=True))
+        assert streamed.rounds == []
+        assert coverage_by_round(streamed, 10) == coverage_by_round(kept, 10)
 
     def test_bad_horizon(self, result):
         with pytest.raises(ValueError, match="horizon"):

@@ -17,7 +17,12 @@ def result():
 
 class TestOnTime:
     def test_counts_by_deadline(self, result):
-        expected = sum(t.received_by_deadline() for t in result.world.tasks)
+        expected = sum(
+            count
+            for t in result.world.tasks
+            for round_no, count in t.measurements_by_round.items()
+            if round_no <= t.deadline
+        )
         assert on_time_measurements(result) == expected
 
     def test_at_most_total_measurements(self, result):

@@ -15,6 +15,7 @@ from repro.geometry.point import Point
 from repro.selection import SELECTORS, CandidateTask, TaskSelectionProblem
 from repro.simulation import SimulationConfig, make_engine
 from repro.simulation.round_cache import RoundProblems
+from repro.world.task import TaskTable
 
 
 def behavioral_history(result):
@@ -158,14 +159,14 @@ class TestChunking:
 
     def test_chunk_bytes_validated(self):
         with pytest.raises(ValueError, match="chunk_bytes"):
-            RoundProblems([], {}, chunk_bytes=0)
+            RoundProblems(TaskTable.empty(), {}, chunk_bytes=0)
 
 
 class TestProblemParity:
     def test_iter_problems_matches_build(self):
         engine = make_engine(SimulationConfig(n_users=25, seed=5))
         engine.step()  # advance one round so some tasks have contributors
-        tasks = engine.active_tasks()
+        tasks = engine.world.tasks.take(engine.world.tasks.active)
         assert any(t.contributors for t in tasks)
         prices = {t.task_id: 1.0 for t in tasks}
         users = list(engine.world.users)
@@ -173,8 +174,7 @@ class TestProblemParity:
             reference_problem(user, origin, tasks, prices)
             for user, origin in located(engine.world)
         ]
-        # Both layouts: the round's own task matrix, and the engine's
-        # all-tasks matrix reached through the task-row mapping.
+        # Both builds: a standalone one, and the engine's round build.
         for problems in (
             RoundProblems(tasks, prices),
             engine._round_problems(tasks, prices, cached=False),

@@ -18,6 +18,7 @@ from repro.simulation.round_cache import (
     RoundProblems,
     float32_boundary_tol,
 )
+from repro.world.task import TaskTable
 from tests.simulation.test_batch import user_columns
 
 
@@ -102,17 +103,17 @@ class TestDtypeKnob:
 
     def test_problems_reject_unknown_dtype(self):
         with pytest.raises(ValueError, match="float32 or float64"):
-            RoundProblems([], {}, dtype=np.int32)
+            RoundProblems(TaskTable.empty(), {}, dtype=np.int32)
 
 
 class TestChunkByteBudget:
     def test_chunk_elements_derived_from_byte_budget(self):
-        p64 = RoundProblems([], {}, dtype=np.float64)
-        p32 = RoundProblems([], {}, dtype=np.float32)
+        p64 = RoundProblems(TaskTable.empty(), {}, dtype=np.float64)
+        p32 = RoundProblems(TaskTable.empty(), {}, dtype=np.float32)
         assert p64.chunk_elements == DEFAULT_CHUNK_BYTES // 8
         # Same byte footprint, twice the elements in float32.
         assert p32.chunk_elements == 2 * p64.chunk_elements
 
     def test_chunk_bytes_must_hold_an_element(self):
         with pytest.raises(ValueError, match="chunk_bytes"):
-            RoundProblems([], {}, chunk_bytes=4, dtype=np.float64)
+            RoundProblems(TaskTable.empty(), {}, chunk_bytes=4, dtype=np.float64)

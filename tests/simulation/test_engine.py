@@ -54,7 +54,7 @@ class TestLifecycle:
         )
         result = simulate(config)
         assert result.rounds_played < 15
-        assert all(not t.is_active for t in result.world.tasks)
+        assert not result.world.tasks.active.any()
 
 
 class TestInvariants:

@@ -31,7 +31,7 @@ from repro.simulation.round_cache import (
     RoundProblems,
     float32_boundary_tol,
 )
-from repro.world.task import SensingTask
+from repro.world.task import SensingTask, TaskTable
 
 #: The selection rule's share, forcing each front end.
 FORCE = {"dense": dict(SPARSE_SHARE=0.0), "sparse": dict(SPARSE_SHARE=math.inf)}
@@ -82,13 +82,19 @@ def sparse_rounds(draw):
         sign = draw(st.sampled_from([-1.0, 1.0]))
         origins[row] = task_xy[task]
         origins[row, axis] += sign * (budgets[row] + offset * tol)
-    tasks = [
-        SensingTask(3 * i + 1, Point(*task_xy[i].tolist()), 5, 4)
-        for i in range(n_tasks)
+    contributors = [
+        sorted(draw(st.sets(st.integers(0, 3 * population))))
+        for _ in range(n_tasks)
     ]
-    for task in tasks:
-        task.contributors |= draw(st.sets(st.integers(0, 3 * population)))
-    prices = {t.task_id: draw(st.floats(0.5, 9.0)) for t in tasks}
+    tasks = TaskTable(
+        [3 * i + 1 for i in range(n_tasks)], task_xy, [5] * n_tasks,
+        [max(4, len(c)) for c in contributors],
+    )
+    tasks.record(
+        np.repeat(np.arange(n_tasks), [len(c) for c in contributors]),
+        [user for c in contributors for user in c], round_no=1,
+    )
+    prices = {task_id: draw(st.floats(0.5, 9.0)) for task_id in tasks.ids.tolist()}
     chunk_bytes = draw(st.sampled_from(
         [round_cache.DEFAULT_CHUNK_BYTES, 8 * n_tasks, 8 * n_tasks * 7]
     ))
@@ -126,7 +132,7 @@ class TestFrontEndEquivalence:
     def test_boundary_pairs_are_rechecked_the_same_way(self):
         # One user exactly a budget east of a task, one a hair beyond:
         # the first is reachable, the second not, on both paths.
-        tasks = [SensingTask(0, Point(1000.0, 1000.0), 5, 4)]
+        tasks = TaskTable.from_tasks([SensingTask(0, Point(1000.0, 1000.0), 5, 4)])
         budgets = np.array([250.0, 250.0])
         columns = dict(
             user_ids=np.array([0, 1]),

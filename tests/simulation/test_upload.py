@@ -13,7 +13,6 @@ the records they leave.
   did not publish.
 """
 
-import copy
 
 import numpy as np
 import pytest
@@ -31,9 +30,9 @@ from repro.simulation.events import (
     RejectionRecords,
 )
 from repro.world.generator import World
-from repro.world.task import SensingTask
 
 from tests.conftest import make_task, make_user
+from tests.world.task_oracle import ReferenceTask, task_state
 from tests.simulation.test_engine_edges import ScriptedCoordinator
 
 
@@ -141,7 +140,7 @@ def sequential_upload(walkers, selections, user_ids, tasks_by_id, prices, round_
         for task_id in selections[row].task_ids:
             task = tasks_by_id[task_id]
             if task.can_accept(user_id):
-                task.record_measurement(user_id, round_no)
+                task.record_measurements([user_id], round_no)
                 price = prices[task_id]
                 earned += price
                 measurements.append(
@@ -174,14 +173,7 @@ def upload_rounds(draw):
             st.sampled_from(pool), min_size=received, max_size=received,
             unique=True,
         ))
-        tasks.append(SensingTask(
-            task_id=task_id,
-            location=make_task().location,
-            deadline=10,
-            required_measurements=required,
-            contributors=set(prior),
-            measurements_by_round={1: received} if received else {},
-        ))
+        tasks.append((task_id, required, prior))
     paths = [
         draw(st.lists(
             st.integers(0, n_tasks - 1), max_size=min(8, n_tasks), unique=True,
@@ -190,18 +182,10 @@ def upload_rounds(draw):
     ]
     arrival = draw(st.permutations(range(n_users)))
     prices = {
-        task.task_id: draw(st.floats(0.0, 50.0, allow_nan=False))
-        for task in tasks
+        task_id: draw(st.floats(0.0, 50.0, allow_nan=False))
+        for task_id, *_ in tasks
     }
     return tasks, paths, arrival, prices
-
-
-def _task_state(tasks):
-    return [
-        (t.task_id, sorted(t.contributors), dict(t.measurements_by_round),
-         t.status, t.completed_round, t.received)
-        for t in tasks
-    ]
 
 
 class TestArrayUploadEquivalence:
@@ -213,8 +197,15 @@ class TestArrayUploadEquivalence:
         users = [make_user(u, 500.0, 500.0) for u in range(len(paths))]
         world = World(
             region=RectRegion.square(1000.0),
-            tasks=copy.deepcopy(tasks), users=users,
+            tasks=[make_task(task_id, required=required, deadline=10)
+                   for task_id, required, _ in tasks],
+            users=users,
         )
+        oracle_tasks = []
+        for task_id, required, prior in tasks:
+            world.tasks.record([task_id] * len(prior), prior, round_no=1)
+            oracle_tasks.append(ReferenceTask(task_id, 10, required))
+            oracle_tasks[-1].record_measurements(prior, round_no=1)
         engine = SimulationEngine(
             SimulationConfig(n_users=len(users), n_tasks=len(tasks)),
             world=world,
@@ -224,18 +215,17 @@ class TestArrayUploadEquivalence:
         ]
         walkers = [row for row in arrival if paths[row]]
 
-        oracle_tasks = copy.deepcopy(tasks)
         want_m, want_r, want_c, want_earned = sequential_upload(
             walkers, selections, [u.user_id for u in users],
             {t.task_id: t for t in oracle_tasks}, prices, round_no,
         )
         got_m, got_r, got_c, got_walkers, got_earned, got_ends = engine._upload(
             round_no, np.array(arrival),
-            SelectionColumns.from_selections(selections), world.tasks, prices,
+            SelectionColumns.from_selections(selections), prices,
         )
 
         assert got_walkers.tolist() == walkers
-        # Each walker's last task, as a position in the published list.
+        # Each walker's last task, as a task-table row (here its id).
         assert got_ends.tolist() == [paths[row][-1] for row in walkers]
 
         assert got_m == tuple(want_m)
@@ -244,7 +234,7 @@ class TestArrayUploadEquivalence:
         assert [repr(x) for x in got_earned.tolist()] == [
             repr(x) for x in want_earned
         ]
-        assert _task_state(world.tasks) == _task_state(oracle_tasks)
+        assert task_state(world.tasks) == task_state(oracle_tasks)
 
 
 class TestColumnarRecords:

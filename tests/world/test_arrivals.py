@@ -7,6 +7,7 @@ from repro.geometry.region import RectRegion
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, simulate
 from repro.world.generator import WorldGenerator
+from repro.world.task import TaskTable
 from tests.conftest import make_task
 
 
@@ -36,16 +37,15 @@ class TestTaskReleaseField:
             )
 
     def test_is_published_gates_on_release(self):
-        task = make_task(deadline=10)
-        task.release_round = 3
-        assert not task.is_published(2)
-        assert task.is_published(3)
-        assert task.is_published(10)
+        tasks = TaskTable([0], [(0.0, 0.0)], [10], [3], [3])
+        assert not tasks.published(2)[0]
+        assert tasks.published(3)[0]
+        assert tasks.published(10)[0]
 
     def test_completed_task_not_published(self):
-        task = make_task(required=1)
-        task.record_measurement(0, round_no=1)
-        assert not task.is_published(2)
+        tasks = TaskTable.from_tasks([make_task(required=1)])
+        tasks.record([0], [0], round_no=1)
+        assert not tasks.published(2)[0]
 
 
 class TestGeneratorReleases:

@@ -134,6 +134,6 @@ class TestDefaultGenerator:
 
     def test_helpers(self, rng):
         world = default_generator(n_users=10).uniform(rng)
-        assert len(world.task_locations()) == 20
+        assert world.tasks.locations.shape == (20, 2)
         assert world.positions.shape == (10, 2)
-        assert isinstance(world.task_locations()[0], Point)
+        assert isinstance(world.tasks[0].location, Point)

@@ -59,7 +59,7 @@ class TestValidation:
     @given(
         rows=st.lists(
             st.tuples(st.integers(-2, 50), _any_float, _any_float, _any_float),
-            min_size=1, max_size=8,
+            min_size=1, max_size=8, unique_by=lambda row: row[0],
         )
     )
     @settings(deadline=None)
@@ -160,7 +160,8 @@ class TestAlignment:
         mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                           dtype=bool)
         rows = np.asarray(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
-                                             max_size=n if n else 0)), dtype=np.intp)
+                                             max_size=n if n else 0, unique=True)),
+                          dtype=np.intp)
         for part, index in ((table.take(mask), mask), (table[mask], mask),
                             (table.take(rows), rows), (table[::-1], slice(None, None, -1))):
             assert part.ids.tolist() == table.ids[index].tolist()

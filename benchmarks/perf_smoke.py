@@ -287,8 +287,9 @@ def run_obs(scale="tiny", seed=0):
 
     Runs one engine-bench world twice — once bare, once with the whole
     live-operations stack attached (a :class:`SpanTracer` collecting
-    round/phase spans plus a :class:`ProgressWriter` streaming an atomic
-    ``progress.json`` to disk after every round) — and reports the
+    round/phase spans plus a :class:`ProgressWriter` reading the
+    engine's ledger and replacing ``progress.json`` after every round,
+    atomically but without fsync, as a job worker does) — and reports the
     per-round wall ratio as ``obs_overhead``.  Gating on the ratio
     rather than either throughput keeps the live layer regress-gated
     without conflating it with general engine drift.  The two runs must
@@ -330,12 +331,9 @@ def run_obs(scale="tiny", seed=0):
                     kwargs["tracer"] = SpanTracer(metadata={"bench": "obs"})
                 engine = make_engine(config, **kwargs)
                 if label == "live":
-                    engine.observers.append(ProgressWriter(
-                        tmp, "bench-obs",
-                        rounds_total=config.rounds,
-                        budget=config.budget,
-                        n_tasks=len(engine.world.tasks),
-                    ))
+                    engine.observers.append(
+                        ProgressWriter(tmp, "bench-obs", engine)
+                    )
                 started = time.perf_counter()
                 results[label] = engine.run()
                 timings[label] = time.perf_counter() - started

@@ -6,8 +6,10 @@ control paths CI most needs to guard:
 
 1. scrape ``/metrics`` on the idle server (twice — the scrapes must be
    byte-identical) and require the queue/job series to exist;
-2. submit the ``city-2k`` scenario and tail its NDJSON events to the
-   terminal ``job_state`` line;
+2. submit the ``city-2k`` scenario, tail its NDJSON events to the
+   terminal ``job_state`` line, and require its final
+   ``GET /jobs/{id}/progress`` spend to equal the ``total_paid`` in its
+   ``result.json``;
 3. submit a second, deliberately long job, require its live progress
    gauges to appear on ``/metrics`` and then cancel it mid-run;
 4. re-scrape ``/metrics`` and hard-fail unless the job-state gauges and
@@ -292,6 +294,17 @@ def run_smoke(root, server):
            f"city-2k finished {terminal['state']}: {terminal['error']}")
     expect(rounds >= 1, "no round events streamed")
     print(f"tailed {rounds} rounds to state={terminal['state']}")
+    # Progress reads the engine's ledger, so a finished job's last
+    # snapshot is its result's spend, to the last bit.
+    status, doc = client.progress(job_id)
+    expect(status == 200 and doc["progress"] is not None,
+           f"progress of done job {job_id}: {status} {doc}")
+    result = json.loads((root / "jobs" / job_id / "result.json").read_text())
+    expect(doc["progress"]["spend"] == result["summary"]["total_paid"],
+           f"final progress spend {doc['progress']['spend']} != result "
+           f"total_paid {result['summary']['total_paid']}")
+    print(f"final progress spend == result total_paid "
+          f"({result['summary']['total_paid']})")
 
     phase = Phase("live progress gauges + cancel second job mid-run", 120)
     status, body, _ = client.submit(SLOW_JOB)

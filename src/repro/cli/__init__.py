@@ -1242,7 +1242,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "jobs":
         return _command_jobs(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -6,6 +6,13 @@ one ``meta`` line, one line per round — so external tooling (pandas,
 jq, spreadsheets) can consume runs without importing the library, and so
 runs can be archived next to the experiment results they produced.
 
+:func:`write_events_jsonl` writes a finished result in one go.
+:class:`RoundStreamWriter` is the one writer of a running history (the
+CLI's ``--events``, a job worker's ``events.jsonl``): each round is one
+durable line under the crash rule of :mod:`repro.io.atomic`, and with
+``resume=True`` a crashed job's file is picked up after its last
+complete line.
+
 The loader rebuilds a *replay*: the structured history, the task
 outcomes and the same :class:`~repro.simulation.events.RunTotals`
 ledger a live run keeps, sufficient for every metric in
@@ -23,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Tuple, Union
 
 from repro.dynamics.processes import WorldEvent
-from repro.io.atomic import parse_jsonl, read_lines
+from repro.io.atomic import append_line, parse_jsonl, read_lines, reopen_jsonl
 from repro.simulation.events import (
     MeasurementRecords,
     RejectionRecords,
@@ -111,6 +118,19 @@ class RoundStreamWriter:
     ``rounds_played`` is unknown at open time (written as 0; the reader
     counts round lines, it never trusts the meta figure).
 
+    Every line is a durable :func:`~repro.io.atomic.append_line`, so a
+    round is on disk the moment the observer returns and a run stopped
+    at any point leaves a readable prefix.
+
+    With ``resume=True`` (the job worker's mode) an existing file is
+    resumed, not truncated: its torn tail is removed
+    (:func:`~repro.io.atomic.reopen_jsonl`), its lines are checked
+    (:func:`check_event_lines`, which raises
+    :class:`~repro.resilience.errors.ResultCorruption` for a damaged
+    line, a foreign meta line or a broken round sequence), and the
+    rounds already on disk (:attr:`completed_rounds`) are skipped when
+    the deterministic engine replays them.
+
     Usable as a context manager; :meth:`close` is idempotent.
 
     >>> with RoundStreamWriter("events.jsonl", engine.world) as stream:
@@ -118,17 +138,30 @@ class RoundStreamWriter:
     ...     engine.run()                                   # doctest: +SKIP
     """
 
-    def __init__(self, path: Union[str, Path], world) -> None:
+    def __init__(
+        self, path: Union[str, Path], world, resume: bool = False
+    ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        payloads = (
+            reopen_jsonl(self.path, "events", ResultCorruption)
+            if resume and self.path.exists()
+            else []
+        )
+        self.completed_rounds = (
+            check_event_lines(self.path, payloads) if payloads else 0
+        )
         self.rounds_written = 0
-        self._handle = self.path.open("w")
-        self._handle.write(json.dumps(_meta_payload(world, 0)) + "\n")
+        self._handle = self.path.open("a" if payloads else "w")
+        if not payloads:
+            append_line(self._handle, json.dumps(_meta_payload(world, 0)))
 
     def __call__(self, record: RoundRecord) -> None:
         if self._handle is None:
             raise ValueError(f"{self.path}: stream writer already closed")
-        self._handle.write(json.dumps(_round_payload(record)) + "\n")
+        if record.round_no <= self.completed_rounds:
+            return  # a replayed round, already on disk
+        append_line(self._handle, json.dumps(_round_payload(record)))
         self.rounds_written += 1
 
     def close(self) -> None:

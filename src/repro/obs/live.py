@@ -14,9 +14,10 @@ The observatory (PRs 3–4) answers *what happened*; this module answers
   file contract.  The worker's round observer atomically rewrites
   ``<job_dir>/progress.json`` after every round (current round, spend
   against budget, completeness, EWMA round time and the ETA derived
-  from it); the server reads it tolerantly at scrape time and turns it
-  into per-job gauges.  A torn or missing file reads as ``None`` —
-  progress is advisory, never load-bearing.
+  from it), reading spend and completeness from the engine's ledger;
+  the server reads it tolerantly at scrape time and turns it into
+  per-job gauges.  The rewrite is not fsync'd and a torn or missing
+  file reads as ``None`` — progress is advisory, never load-bearing.
 - :func:`sparkline` / :func:`render_top_frame` — the terminal dashboard
   behind ``repro jobs top``: one line per job over the parsed
   ``/metrics`` gauges, with a sparkline of each job's completeness
@@ -24,7 +25,7 @@ The observatory (PRs 3–4) answers *what happened*; this module answers
 
 Nothing here touches the simulation: a run with progress reporting
 enabled is bit-identical to one without (the observer only *reads* the
-round records).
+round records and the engine's ledger).
 """
 
 from __future__ import annotations
@@ -217,12 +218,18 @@ class JobProgress:
         return asdict(self)
 
     def write(self, job_dir: Union[str, Path]) -> Path:
-        """Atomically (re)write ``<job_dir>/progress.json``."""
+        """Atomically (re)write ``<job_dir>/progress.json``.
+
+        The rename is atomic but not fsync'd: the snapshot is advisory
+        (:meth:`read` takes a missing or torn file as None), and the
+        round's durable record is its events line.
+        """
         from repro.io.atomic import atomic_write_text
 
         path = Path(job_dir) / PROGRESS_FILENAME
         atomic_write_text(
-            path, json.dumps(self.as_dict(), sort_keys=True) + "\n"
+            path, json.dumps(self.as_dict(), sort_keys=True) + "\n",
+            durable=False,
         )
         return path
 
@@ -256,40 +263,36 @@ class JobProgress:
 class ProgressWriter:
     """A round observer that keeps ``progress.json`` current.
 
+    It keeps no ledger of its own: spend, completeness, the round count
+    and the budget are read from the engine after each round (duck
+    typed, so this package imports nothing from the simulation).  Spend
+    is the run ledger's ``result.total_paid``; completeness is the
+    completed share of ``world.tasks``, which holds every task the run
+    knows, streamed arrivals included.  A resumed worker replays the
+    earlier rounds deterministically, so both are cumulative across
+    attempts.
+
     Args:
         job_dir: the job directory (the file lands next to events.jsonl).
         job_id: the job's id (embedded in every snapshot).
-        rounds_total: the configured round count.
-        budget: the configured budget.
-        n_tasks: the world's initial task count (open-world arrivals
-            discovered in the round records are added as they appear).
+        engine: the running engine (``config``, ``result``, ``world``).
         attempt: the 1-based attempt number.
         clock: injectable wall clock (tests pin it).
-
-    Spend and completeness are *cumulative across attempts*: a resumed
-    worker replays earlier rounds deterministically, and the observer
-    sees every replayed record, so the accumulators rebuild themselves.
     """
 
     def __init__(
         self,
         job_dir: Union[str, Path],
         job_id: str,
-        rounds_total: int,
-        budget: float,
-        n_tasks: int,
+        engine,
         attempt: int = 1,
         clock=time.time,
     ):
         self.job_dir = Path(job_dir)
         self.job_id = job_id
-        self.rounds_total = int(rounds_total)
-        self.budget = float(budget)
+        self.engine = engine
         self.attempt = int(attempt)
         self.clock = clock
-        self._spend = 0.0
-        self._completed: set = set()
-        self._known_tasks = max(1, int(n_tasks))
         self._ewma: Optional[float] = None
         self._last_mark = perf_counter()
         self.last: Optional[JobProgress] = None
@@ -304,20 +307,17 @@ class ProgressWriter:
             self._ewma = (
                 EWMA_KEEP * self._ewma + (1.0 - EWMA_KEEP) * round_seconds
             )
-        self._spend += record.total_paid
-        self._completed.update(record.completed_task_ids)
-        for event in record.dynamics:
-            if getattr(event, "kind", "") == "task_published":
-                self._known_tasks += 1
-        remaining = max(0, self.rounds_total - record.round_no)
+        engine = self.engine
+        rounds_total = int(engine.config.rounds)
+        tasks = engine.world.tasks
         self.last = JobProgress(
             job_id=self.job_id,
             round_no=record.round_no,
-            rounds_total=self.rounds_total,
-            spend=self._spend,
-            budget=self.budget,
-            completeness=len(self._completed) / self._known_tasks,
-            eta_seconds=self._ewma * remaining,
+            rounds_total=rounds_total,
+            spend=engine.result.total_paid,
+            budget=float(engine.config.budget),
+            completeness=int(tasks.completed.sum()) / max(1, len(tasks)),
+            eta_seconds=self._ewma * max(0, rounds_total - record.round_no),
             round_seconds_ewma=self._ewma,
             attempt=self.attempt,
             updated_at=self.clock(),

@@ -178,8 +178,8 @@ class ProblemBlock:
 
     Row ``j`` is the instance :meth:`problem` returns: node 0 of
     ``distances[j]`` is that user's origin, node ``i + 1`` its candidate
-    ``columns[j, i]`` of the shared ``candidates`` pool.  Candidates keep
-    ascending pool order within a row.
+    ``columns[j, i]``, a row of the round's shared ``locations``.
+    Candidates keep ascending column order within a row.
 
     Args:
         distances: ``(n, k+1, k+1)`` travel distances, in the building
@@ -189,9 +189,9 @@ class ProblemBlock:
         max_distance: ``(n,)`` float64 travel budgets.
         cost_per_meter: ``(n,)`` float64 movement cost rates.
         origins: ``(n, 2)`` float64 origin coordinates.
-        columns: ``(n, k)`` positions of each row's candidates in
-            ``candidates``.
-        candidates: the round's candidate pool.
+        columns: ``(n, k)`` rows of each row's candidates in
+            ``locations``.
+        locations: the round's ``(m, 2)`` float64 task locations.
 
     Like :class:`TaskSelectionProblem`, the constructor trusts its
     inputs: blocks are built by the engine's assembly
@@ -205,7 +205,7 @@ class ProblemBlock:
     cost_per_meter: np.ndarray
     origins: np.ndarray
     columns: np.ndarray
-    candidates: Sequence[CandidateTask]
+    locations: np.ndarray
 
     def __len__(self) -> int:
         """Number of instances n."""
@@ -218,10 +218,16 @@ class ProblemBlock:
 
     def problem(self, j: int) -> TaskSelectionProblem:
         """Row ``j`` as a standalone instance (its matrix is a view)."""
-        candidates = self.candidates
         return TaskSelectionProblem(
             origin=Point(*self.origins[j].tolist()),
-            candidates=tuple([candidates[i] for i in self.columns[j].tolist()]),
+            candidates=tuple([
+                CandidateTask(task_id=task_id, location=Point(x, y), reward=reward)
+                for task_id, (x, y), reward in zip(
+                    self.task_ids[j].tolist(),
+                    self.locations[self.columns[j]].tolist(),
+                    self.rewards[j].tolist(),
+                )
+            ]),
             max_distance=float(self.max_distance[j]),
             cost_per_meter=float(self.cost_per_meter[j]),
             distance_matrix=self.distances[j],

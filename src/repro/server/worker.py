@@ -20,7 +20,10 @@ The job directory is the whole contract:
   the obs-store path;
 - ``events.jsonl`` (out) — the streamed round history, events-JSONL
   format, one durable line per round under the crash rule of
-  :mod:`repro.io.atomic`;
+  :mod:`repro.io.atomic`: the only fsync a round costs;
+- ``progress.json`` (out) — the :class:`~repro.obs.live.ProgressWriter`
+  snapshot, read from the engine's ledger after each round's events
+  line and replaced atomically but without fsync (advisory telemetry);
 - ``cancel`` (in, optional) — the supervisor's kill switch, polled by
   the engine through a :class:`~repro.resilience.cancel.FileToken`;
 - ``result.json`` (out, on success) — the metrics summary, written
@@ -30,11 +33,12 @@ The job directory is the whole contract:
 any existing ``events.jsonl``, removes a torn tail (the bytes after the
 last newline: a SIGKILL mid-append), and counts the completed rounds.
 The engine then re-runs the *same* seeded simulation — bit-identical by
-construction — while the :class:`ResumingRoundWriter` suppresses rounds
-already on disk and appends only the new ones.  The result: a killed
-and restarted job produces an events file with exactly one record per
-round — no duplicates, no losses — identical to an uninterrupted run up
-to wall-clock timing telemetry (``selector_wall_time`` and the
+construction — while the :class:`~repro.io.events.RoundStreamWriter`,
+opened with ``resume=True``, suppresses rounds already on disk and
+appends only the new ones.  The result: a killed and restarted job
+produces an events file with exactly one record per round — no
+duplicates, no losses — identical to an uninterrupted run up to
+wall-clock timing telemetry (``selector_wall_time`` and the
 ``selector_seconds`` histogram, which no replay can reproduce).
 
 Exit codes (defined in :mod:`repro.server.jobs`) are the worker half of
@@ -67,10 +71,10 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.io.atomic import append_line, atomic_write_text, reopen_jsonl
-from repro.io.events import _meta_payload, _round_payload, check_event_lines
+from repro.io.atomic import atomic_write_text
+from repro.io.events import RoundStreamWriter
 from repro.metrics import MetricsSummary
 from repro.obs.live import ProgressWriter
 from repro.obs.log import configure_logging_from_env, get_logger
@@ -81,11 +85,7 @@ from repro.resilience.cancel import (
     DeadlineToken,
     FileToken,
 )
-from repro.resilience.errors import (
-    ConfigError,
-    OperationCancelled,
-    ResultCorruption,
-)
+from repro.resilience.errors import ConfigError, OperationCancelled
 from repro.server.jobs import (
     EXIT_BAD_JOB,
     EXIT_CANCELLED,
@@ -100,61 +100,6 @@ log = get_logger("server.worker")
 
 CRASH_P_ENV = "REPRO_SERVER_FAULT_CRASH_P"
 CRASH_SEED_ENV = "REPRO_SERVER_FAULT_SEED"
-
-
-class ResumingRoundWriter:
-    """An events-JSONL writer that survives (and resumes after) SIGKILL.
-
-    Differences from :class:`repro.io.events.RoundStreamWriter`:
-
-    - every line is a durable :func:`~repro.io.atomic.append_line`, so a
-      completed round is on disk the moment the observer returns;
-    - on an existing file it removes a torn tail
-      (:func:`~repro.io.atomic.reopen_jsonl`), checks the lines with
-      :func:`~repro.io.events.check_event_lines`, counts the completed
-      rounds, and *skips* re-writing them when the deterministic engine
-      replays — append-only resume;
-    - a damaged complete line, a foreign meta line or a broken round
-      sequence raises :class:`~repro.resilience.errors.ResultCorruption`
-      (the file is damaged, not merely crashed).
-
-    Args:
-        path: the events file.
-        world: the (regenerated, identical) world for the meta line.
-    """
-
-    def __init__(self, path: Union[str, Path], world) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payloads = (
-            reopen_jsonl(self.path, "events", ResultCorruption)
-            if self.path.exists()
-            else []
-        )
-        self.completed_rounds = (
-            check_event_lines(self.path, payloads) if payloads else 0
-        )
-        self.rounds_written = 0
-        self._handle = self.path.open("a")
-        if not payloads:
-            append_line(self._handle, json.dumps(_meta_payload(world, 0)))
-
-    def __call__(self, record) -> None:
-        if record.round_no <= self.completed_rounds:
-            return  # replayed round, already durable — append-only resume
-        append_line(self._handle, json.dumps(_round_payload(record)))
-        self.rounds_written += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ResumingRoundWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class _CrashInjector:
@@ -230,18 +175,15 @@ def run_job(job_dir: Path, attempt: int, deadline: Optional[float]) -> int:
 
     try:
         engine = make_engine(config, **engine_kwargs)
-        with ResumingRoundWriter(job_dir / "events.jsonl", engine.world) as writer:
+        with RoundStreamWriter(
+            job_dir / "events.jsonl", engine.world, resume=True
+        ) as writer:
             engine.observers.append(writer)
             # Progress after the events append: a snapshot never gets
             # ahead of the durable round history.
-            engine.observers.append(ProgressWriter(
-                job_dir,
-                job_id,
-                rounds_total=config.rounds,
-                budget=config.budget,
-                n_tasks=len(engine.world.tasks),
-                attempt=attempt,
-            ))
+            engine.observers.append(
+                ProgressWriter(job_dir, job_id, engine, attempt=attempt)
+            )
             injector = _maybe_crash_injector(job_id, attempt)
             if injector is not None:
                 engine.observers.append(injector)

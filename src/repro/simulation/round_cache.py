@@ -2,7 +2,7 @@
 
 Every user's instance in a round shares the same round-invariant parts:
 
-- the published-task reward vector and :class:`CandidateTask` records,
+- the published-task reward vector,
 - the ``(n_tasks, n_tasks)`` task-to-task distance matrix,
 - the task locations, the table's ``(n_tasks, 2)`` column.
 
@@ -65,8 +65,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.geometry.grid_index import expand_ranges
-from repro.geometry.point import Point
-from repro.selection.base import CandidateTask
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.simulation.perf import PerfStats
 from repro.world.task import TaskTable
@@ -188,12 +186,6 @@ class RoundProblems:
             [prices[task_id] for task_id in tasks.ids.tolist()], dtype=float
         )
         self.task_matrix = task_distance_matrix(tasks.locations, dtype)
-        self.candidates = tuple(
-            CandidateTask(task_id=task_id, location=Point(x, y), reward=reward)
-            for task_id, (x, y), reward in zip(
-                tasks.ids.tolist(), tasks.locations.tolist(), self.rewards.tolist()
-            )
-        )
         if stats is not None:
             stats.problem_cache_misses += 1
 
@@ -414,7 +406,7 @@ class RoundProblems:
                 cost_per_meter=costs[indices],
                 origins=origins[indices],
                 columns=picked,
-                candidates=self.candidates,
+                locations=self.tasks.locations,
             )))
         return blocks
 

@@ -13,9 +13,8 @@ Two invariants from docs/architecture.md are pinned here:
 
 import pytest
 
-from repro.io.events import _round_payload
+from repro.io.events import RoundStreamWriter, _round_payload
 from repro.scenarios import get_preset
-from repro.server.worker import ResumingRoundWriter
 from repro.simulation import SimulationConfig, make_engine
 from tests.server.canonical import canonical_round
 
@@ -107,7 +106,7 @@ class TestResumeIdentity:
     def run_with_writer(self, config, path, stop_after=None):
         """Run (or partially run) ``config``, streaming rounds to ``path``."""
         engine = make_engine(config)
-        writer = ResumingRoundWriter(path, engine.world)
+        writer = RoundStreamWriter(path, engine.world, resume=True)
         engine.observers.append(writer)
         try:
             if stop_after is None:

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.io.events import read_events_jsonl, write_events_jsonl
-from repro.resilience.errors import ResultCorruption
+from repro.io.events import RoundStreamWriter, read_events_jsonl, write_events_jsonl
+from repro.resilience.cancel import FlagToken
+from repro.resilience.errors import OperationCancelled, ResultCorruption
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import simulate
+from repro.simulation.engine import make_engine, simulate
 from repro.simulation.events import SimulationResult, UserRoundRecords
 
 
@@ -268,3 +269,37 @@ class TestDamagedRoundLines:
             lambda p: p["rejections"].append([2, 0, 0, "bogus"]),
         )
         assert "bogus" in self._assert_names(path, "rejections")
+
+
+class TestStreamWriter:
+    def test_cancelled_run_leaves_a_readable_prefix(self, tmp_path):
+        """The CLI's ``--events`` writer: every round is on disk when its
+        observer returns, so a run stopped mid-way (here before its
+        writer is even closed, as a killed process leaves it) reads back
+        as the rounds it finished."""
+        token = FlagToken()
+        engine = make_engine(SimulationConfig(
+            n_users=25, n_tasks=6, rounds=6, budget=500.0, seed=11,
+            stream_rounds=True,
+        ), cancel=token)
+        path = tmp_path / "events.jsonl"
+        writer = RoundStreamWriter(path, engine.world)
+        engine.observers += [
+            writer,
+            lambda record: token.cancel() if record.round_no == 3 else None,
+        ]
+        with pytest.raises(OperationCancelled):
+            engine.run()
+        replay = read_events_jsonl(path)
+        assert [r.round_no for r in replay.rounds] == [1, 2, 3]
+        assert path.read_text().endswith("\n")
+        writer.close()
+
+    def test_an_existing_file_is_truncated_unless_resumed(self, tmp_path, result):
+        path = write_events_jsonl(result, tmp_path / "events.jsonl")
+        with RoundStreamWriter(path, result.world, resume=True) as writer:
+            assert writer.completed_rounds == len(result.rounds)
+        assert len(read_events_jsonl(path).rounds) == len(result.rounds)
+        with RoundStreamWriter(path, result.world) as writer:
+            assert writer.completed_rounds == 0
+        assert read_events_jsonl(path).rounds == []

@@ -15,12 +15,11 @@ import json
 import pytest
 
 from repro.io.atomic import append_line, parse_jsonl, read_lines, reopen_jsonl
-from repro.io.events import read_events_jsonl
+from repro.io.events import RoundStreamWriter, read_events_jsonl
 from repro.obs.store import RunStore, StoreError
 from repro.resilience.errors import ResultCorruption
 from repro.resilience.journal import RunJournal
 from repro.server.jobs import Job, JobJournal
-from repro.server.worker import ResumingRoundWriter
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import make_engine
 
@@ -201,7 +200,7 @@ class EventsLog:
         self.world, self.records = engine_rounds
 
     def open(self):
-        writer = ResumingRoundWriter(self.path, self.world)
+        writer = RoundStreamWriter(self.path, self.world, resume=True)
         for record in self.records[: writer.completed_rounds]:
             writer(record)  # the deterministic replay appends nothing
         assert writer.rounds_written == 0
@@ -294,9 +293,9 @@ class TestEventsWriterReopen:
     def test_torn_meta_line_is_rewritten(self, tmp_path, engine_rounds):
         world, records = engine_rounds
         path = tmp_path / "events.jsonl"
-        ResumingRoundWriter(path, world).close()
+        RoundStreamWriter(path, world, resume=True).close()
         tear_mid_line(path)
-        with ResumingRoundWriter(path, world) as writer:
+        with RoundStreamWriter(path, world, resume=True) as writer:
             assert writer.completed_rounds == 0
             for record in records:
                 writer(record)
@@ -305,23 +304,23 @@ class TestEventsWriterReopen:
     def test_foreign_format_version_is_refused(self, tmp_path, engine_rounds):
         world, records = engine_rounds
         path = tmp_path / "events.jsonl"
-        with ResumingRoundWriter(path, world) as writer:
+        with RoundStreamWriter(path, world, resume=True) as writer:
             writer(records[0])
         lines = path.read_text().splitlines()
         meta = json.loads(lines[0])
         meta["format_version"] = 99
         path.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
         with pytest.raises(ResultCorruption, match="not a version-1 event log"):
-            ResumingRoundWriter(path, world)
+            RoundStreamWriter(path, world, resume=True)
 
     def test_damaged_round_line_names_the_line(self, tmp_path, engine_rounds):
         world, records = engine_rounds
         path = tmp_path / "events.jsonl"
-        with ResumingRoundWriter(path, world) as writer:
+        with RoundStreamWriter(path, world, resume=True) as writer:
             for record in records[:3]:
                 writer(record)
         lines = path.read_text().splitlines()
         lines[2] = lines[2][:30]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ResultCorruption, match="corrupt events line 3"):
-            ResumingRoundWriter(path, world)
+            RoundStreamWriter(path, world, resume=True)

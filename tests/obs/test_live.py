@@ -1,11 +1,11 @@
 """Tests for the live operations layer: exposition, progress, dashboard."""
 
 import json
-from dataclasses import dataclass, field
-from typing import Tuple
 
+import numpy as np
 import pytest
 
+from repro.obs import live
 from repro.obs.live import (
     EWMA_KEEP,
     JobProgress,
@@ -20,6 +20,8 @@ from repro.obs.live import (
     sparkline,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.scenarios import get_preset
+from repro.simulation import SimulationConfig, make_engine
 
 
 class TestFormatNumber:
@@ -119,22 +121,6 @@ class TestParsePrometheus:
         assert metric_value(parsed, "absent") is None
 
 
-@dataclass
-class FakeRound:
-    """Just the RoundRecord surface ProgressWriter reads."""
-
-    round_no: int
-    total_paid: float = 0.0
-    completed_task_ids: Tuple[int, ...] = ()
-    dynamics: Tuple = ()
-
-
-@dataclass
-class FakeEvent:
-    kind: str = "task_published"
-    payload: dict = field(default_factory=dict)
-
-
 class TestJobProgress:
     def _progress(self, **overrides):
         base = dict(
@@ -169,57 +155,68 @@ class TestJobProgress:
         assert keys == sorted(keys)
 
 
+def small_engine(**overrides):
+    """A unit-scale closed-world engine."""
+    config = dict(n_users=25, n_tasks=6, rounds=4, budget=500.0, seed=11)
+    config.update(overrides)
+    return make_engine(SimulationConfig(**config))
+
+
 class TestProgressWriter:
-    def test_accumulates_spend_and_completeness(self, tmp_path):
-        writer = ProgressWriter(
-            tmp_path, "job-7", rounds_total=4, budget=100.0, n_tasks=4,
-            clock=lambda: 42.0,
-        )
-        writer(FakeRound(1, total_paid=10.0, completed_task_ids=(0,)))
-        writer(FakeRound(2, total_paid=5.0, completed_task_ids=(0, 2)))
+    def test_reads_spend_and_completeness_from_the_ledger(self, tmp_path):
+        engine = small_engine()
+        writer = ProgressWriter(tmp_path, "job-7", engine, clock=lambda: 42.0)
+        engine.observers.append(writer)
+        result = engine.run()
         progress = JobProgress.read(tmp_path)
-        assert progress.spend == 15.0
-        assert progress.completeness == pytest.approx(2 / 4)
-        assert progress.round_no == 2
+        tasks = engine.world.tasks
+        assert progress == writer.last
+        assert progress.spend == result.total_paid > 0
+        assert progress.completeness == tasks.completed.sum() / len(tasks)
+        assert progress.round_no == progress.rounds_total == 4
+        assert progress.budget == 500.0
         assert progress.updated_at == 42.0
         assert progress.job_id == "job-7"
 
     def test_open_world_arrivals_grow_the_denominator(self, tmp_path):
-        writer = ProgressWriter(
-            tmp_path, "j", rounds_total=3, budget=10.0, n_tasks=2,
+        config = get_preset("poisson-churn").to_config(
+            n_users=40, rounds=6, budget=600.0, seed=11,
+            dynamics={"task_arrival_rate": 2.0, "task_deadline_range": [2, 4]},
         )
-        writer(FakeRound(
-            1, completed_task_ids=(0, 1), dynamics=(FakeEvent(), FakeEvent()),
-        ))
-        assert JobProgress.read(tmp_path).completeness == pytest.approx(2 / 4)
+        engine = make_engine(config)
+        initial = len(engine.world.tasks)
+        writer = ProgressWriter(tmp_path, "j", engine)
+        seen = []
+        engine.observers += [writer, lambda record: seen.append((
+            writer.last.completeness,
+            engine.world.tasks.completed.sum() / len(engine.world.tasks),
+        ))]
+        engine.run()
+        assert len(engine.world.tasks) > initial
+        assert [got for got, _ in seen] == [want for _, want in seen]
 
-    def test_ewma_smooths_round_times(self, tmp_path):
-        writer = ProgressWriter(
-            tmp_path, "j", rounds_total=10, budget=1.0, n_tasks=1,
-        )
+    def test_ewma_smooths_round_times(self, tmp_path, monkeypatch):
+        engine = small_engine(rounds=10)
+        writer = ProgressWriter(tmp_path, "j", engine)
+        engine.observers.append(writer)
         # Drive the perf_counter marks by hand for determinism.
         writer._last_mark = 0.0
-        real_counter = [2.0]
-        import repro.obs.live as live
-
-        original = live.perf_counter
-        live.perf_counter = lambda: real_counter[0]
-        try:
-            writer(FakeRound(1))
-            assert writer._ewma == pytest.approx(2.0)
-            real_counter[0] = 6.0  # a 4 s round
-            writer(FakeRound(2))
-        finally:
-            live.perf_counter = original
+        counter = [2.0]
+        monkeypatch.setattr(live, "perf_counter", lambda: counter[0])
+        engine.step()
+        assert writer._ewma == pytest.approx(2.0)
+        counter[0] = 6.0  # a 4 s round
+        engine.step()
         expected = EWMA_KEEP * 2.0 + (1.0 - EWMA_KEEP) * 4.0
         assert writer._ewma == pytest.approx(expected)
         assert writer.last.eta_seconds == pytest.approx(expected * 8)
 
     def test_zero_task_world_never_divides_by_zero(self, tmp_path):
-        writer = ProgressWriter(
-            tmp_path, "j", rounds_total=1, budget=1.0, n_tasks=0,
-        )
-        writer(FakeRound(1))
+        engine = small_engine()
+        record = engine.step()
+        tasks = engine.world.tasks
+        engine.world.tasks = tasks[np.zeros(len(tasks), dtype=bool)]
+        ProgressWriter(tmp_path, "j", engine)(record)
         assert JobProgress.read(tmp_path).completeness == 0.0
 
 

@@ -17,10 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.point import Point
 from repro.selection import (
     SELECTORS,
-    CandidateTask,
     DynamicProgrammingSelector,
     GreedySelector,
     ProblemBlock,
@@ -37,22 +35,17 @@ BOUNDARY_OFFSETS = (-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9)
 
 
 def make_block(distances, rewards, max_distance, cost_per_meter, task_ids=None):
-    """A block whose rows each own their candidates in the pool."""
+    """A block whose rows each own their candidate locations."""
     distances = np.asarray(distances)
     rewards = np.asarray(rewards, dtype=np.float64)
     n, k = rewards.shape
     if task_ids is None:
         task_ids = np.tile(np.arange(k, dtype=np.int64) * 7 + 3, (n, 1))
     columns = np.arange(n * k, dtype=np.int64).reshape(n, k)
-    pool = [
-        CandidateTask(
-            task_id=int(task_ids[j, i]),
-            location=Point(float(j), float(i)),
-            reward=float(rewards[j, i]),
-        )
-        for j in range(n)
-        for i in range(k)
-    ]
+    locations = np.asarray(
+        [(float(j), float(i)) for j in range(n) for i in range(k)],
+        dtype=np.float64,
+    ).reshape(n * k, 2)
     return ProblemBlock(
         distances=distances,
         rewards=rewards,
@@ -61,7 +54,7 @@ def make_block(distances, rewards, max_distance, cost_per_meter, task_ids=None):
         cost_per_meter=np.asarray(cost_per_meter, dtype=np.float64),
         origins=np.asarray([(float(j), -1.0) for j in range(n)]),
         columns=columns,
-        candidates=pool,
+        locations=locations,
     )
 
 
@@ -167,7 +160,7 @@ def row_block(block, j):
         cost_per_meter=block.cost_per_meter[rows],
         origins=block.origins[rows],
         columns=block.columns[rows],
-        candidates=block.candidates,
+        locations=block.locations,
     )
 
 

@@ -274,3 +274,63 @@ async def test_each_attempt_logs_and_traces_in_its_own_job_dir(
     assert _starting_attempts(service.job_dir(poison_id) / "worker.log") == [1, 2]
     shards = sorted(p.name for p in (done_dir / TRACE_DIR_NAME).iterdir())
     assert "worker-a1.trace.jsonl" in shards, shards
+
+
+#: A ``sitecustomize`` that records, in every forkserver child, what
+#: ``__mp_main__`` is once multiprocessing's spawn preparation is done:
+#: the name and file of the parent's main module run again, or
+#: ``__main__ None``, multiprocessing's alias of the forkserver's own
+#: ``-c`` main.
+MAIN_PROBE = """\
+import os
+import sys
+from multiprocessing import spawn
+
+if "MAIN_PROBE_OUT" in os.environ:
+    _prepare = spawn.prepare
+
+    def prepare(data):
+        _prepare(data)
+        with open(os.environ["MAIN_PROBE_OUT"], "a") as out:
+            main = sys.modules["__mp_main__"]
+            out.write(f"{main.__name__} {getattr(main, '__file__', None)}\\n")
+
+    spawn.prepare = prepare
+"""
+
+
+def test_cli_service_workers_do_not_rerun_the_cli(tmp_path):
+    """``python -m repro.cli serve`` runs ``repro.cli.__main__``, which
+    multiprocessing does not re-execute in a forked attempt, so no
+    worker pays to import the command line a second time."""
+    probe_dir = tmp_path / "probe"
+    probe_dir.mkdir()
+    (probe_dir / "sitecustomize.py").write_text(MAIN_PROBE)
+    out = tmp_path / "main-probe.txt"
+    env = _worker_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(probe_dir), env["PYTHONPATH"]])
+    env["MAIN_PROBE_OUT"] = str(out)
+    root = tmp_path / "root"
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--root", str(root),
+         "--port", "0", "--concurrency", "1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                client = ServerClient.from_root(root, timeout=30)
+                if client.healthz()[0] == 200:
+                    break
+            except Exception:
+                pass
+            assert server.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        status, body, _ = client.submit(FAST)
+        assert status == 201
+        assert client.wait(body["job"]["job_id"], timeout=120)["state"] == "done"
+    finally:
+        server.send_signal(signal.SIGTERM)
+        server.wait(timeout=30)
+    assert out.read_text().splitlines() == ["__main__ None"]

@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro.io.events import RoundStreamWriter
+from repro.obs.live import JobProgress
 from repro.resilience.errors import ConfigError, ResultCorruption
 from repro.server import worker
 from repro.server.worker import (
@@ -25,7 +27,6 @@ from repro.server.worker import (
     EXIT_TIMED_OUT,
     CRASH_P_ENV,
     CRASH_SEED_ENV,
-    ResumingRoundWriter,
     run_job,
 )
 from tests.server.canonical import canonical_round
@@ -164,7 +165,106 @@ class TestResume:
         events.write_text("\n".join(lines) + "\n")
         world = object()
         with pytest.raises(ResultCorruption, match="sequence broken"):
-            ResumingRoundWriter(events, world)
+            RoundStreamWriter(events, world, resume=True)
+
+
+class LedgerCheck(worker.ProgressWriter):
+    """The worker's progress observer, checking each snapshot it writes.
+
+    After every round it reads ``progress.json`` back and records it with
+    the engine's ledger, an independent running sum of the round records
+    (spend, completed ids, streamed arrivals) and the number of round
+    lines already in ``events.jsonl``.
+    """
+
+    snapshots: list = []
+
+    def __init__(self, job_dir, job_id, engine, attempt=1):
+        super().__init__(job_dir, job_id, engine, attempt=attempt)
+        self.spend = 0.0
+        self.completed = set()
+        self.known = len(engine.world.tasks)
+
+    def __call__(self, record):
+        super().__call__(record)
+        self.spend += record.total_paid
+        self.completed.update(record.completed_task_ids)
+        self.known += sum(e.kind == "task_published" for e in record.dynamics)
+        tasks = self.engine.world.tasks
+        lines = (self.job_dir / "events.jsonl").read_bytes().splitlines()
+        self.snapshots.append({
+            "progress": JobProgress.read(self.job_dir),
+            "ledger": (
+                self.engine.result.total_paid,
+                tasks.completed.sum() / max(1, len(tasks)),
+            ),
+            "summed": (self.spend, len(self.completed) / max(1, self.known)),
+            "event_rounds": len(lines) - 1,
+        })
+
+
+def checked_attempt(monkeypatch, job_dir, attempt):
+    """One run_job attempt under :class:`LedgerCheck`; its snapshots."""
+    monkeypatch.setattr(worker, "ProgressWriter", LedgerCheck)
+    monkeypatch.setattr(LedgerCheck, "snapshots", [])
+    assert run_job(job_dir, attempt=attempt, deadline=None) == EXIT_DONE
+    snapshots = LedgerCheck.snapshots
+    for snapshot in snapshots:
+        progress = snapshot["progress"]
+        # Exact: the snapshot is the ledger, and the ledger is what the
+        # round records add up to.
+        assert (progress.spend, progress.completeness) == snapshot["ledger"]
+        assert snapshot["ledger"] == snapshot["summed"]
+        # A snapshot never gets ahead of the durable round history.
+        assert progress.round_no <= snapshot["event_rounds"]
+    assert [s["progress"].round_no for s in snapshots] == list(
+        range(1, len(snapshots) + 1)
+    )
+    return [
+        (s["progress"].round_no, s["progress"].spend, s["progress"].completeness)
+        for s in snapshots
+    ]
+
+
+@pytest.mark.parametrize("scenario", ["paper-2018", "task-stream-2k"])
+class TestProgressReadsTheLedger:
+    def payload(self, scenario):
+        return {"scenario": scenario, "overrides": {"seed": 0}}
+
+    def test_every_round_matches_the_ledger(self, tmp_path, monkeypatch, scenario):
+        job_dir = write_job(tmp_path / "job", self.payload(scenario))
+        trajectory = checked_attempt(monkeypatch, job_dir, attempt=1)
+        result = json.loads((job_dir / "result.json").read_text())
+        assert len(trajectory) == result["rounds_played"]
+        assert trajectory[-1][1] > 0
+        assert JobProgress.read(job_dir).spend == trajectory[-1][1]
+
+    def test_a_resumed_attempt_rebuilds_the_same_progress(
+        self, tmp_path, monkeypatch, scenario
+    ):
+        job_dir = write_job(tmp_path / "job", self.payload(scenario))
+        first = checked_attempt(monkeypatch, job_dir, attempt=1)
+        reference = [canonical_round(r) for r in round_records(job_dir)]
+        # A crash after round 3: rounds 1..3 durable, round 4 torn.
+        events = job_dir / "events.jsonl"
+        lines = events.read_text().splitlines(keepends=True)
+        events.write_text("".join(lines[:4]) + lines[4][:25])
+        (job_dir / "progress.json").unlink()
+        assert checked_attempt(monkeypatch, job_dir, attempt=2) == first
+        assert [canonical_round(r) for r in round_records(job_dir)] == reference
+
+
+def test_the_events_line_is_the_only_per_round_fsync(tmp_path, monkeypatch):
+    """A job attempt fsyncs the meta line, each round's events line and
+    result.json; progress snapshots are replaced without one."""
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
+    job_dir = write_job(tmp_path / "job")
+    assert run_job(job_dir, attempt=1, deadline=None) == EXIT_DONE
+    rounds = json.loads((job_dir / "result.json").read_text())["rounds_played"]
+    assert (job_dir / "progress.json").exists()
+    assert len(calls) == 1 + rounds + 1
 
 
 class TestCrashInjection:

@@ -14,7 +14,7 @@ rest of the library is built on:
   demand factor of Eq. 5.
 """
 
-from repro.geometry.point import Point, euclidean, manhattan
+from repro.geometry.point import BOUNDARY_TOL, Point, euclidean, manhattan
 from repro.geometry.distances import (
     pairwise_distances,
     cross_distances,
@@ -24,6 +24,7 @@ from repro.geometry.distances import (
 from repro.geometry.region import RectRegion
 
 __all__ = [
+    "BOUNDARY_TOL",
     "Point",
     "euclidean",
     "manhattan",

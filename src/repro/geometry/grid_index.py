@@ -22,11 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-
-#: Distances this close to the radius are re-decided with the scalar
-#: predicate; np.hypot and math.hypot can disagree only in the last ulp,
-#: far inside this window for any realistic geometry.
-_BOUNDARY_TOL = 1e-6
+from repro.geometry.point import BOUNDARY_TOL, redecide
 
 #: The 3x3 block of cell offsets around a center's cell.
 _NINE_CELLS = np.asarray(
@@ -48,18 +44,21 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     themselves, ascending within each range.
     """
     lo, hi = lo.ravel(), hi.ravel()
-    lengths = hi - lo
-    owner = np.repeat(np.arange(lengths.size), lengths)
+    # Empty ranges are dropped first: np.repeat's cost grows with the
+    # ranges it walks, not only with the positions it writes.
+    owner = np.flatnonzero(hi > lo)
+    lengths = hi[owner] - lo[owner]
     # Position i of the expansion lies in range owner[i], at offset
     # i - start(owner[i]) from that range's lo.
     starts = np.cumsum(lengths) - lengths
-    positions = np.arange(len(owner)) + np.repeat(lo - starts, lengths)
-    return owner, positions
+    positions = np.repeat(lo[owner] - starts, lengths)
+    positions += np.arange(len(positions))
+    return np.repeat(owner, lengths), positions
 
 
 def _center_table(
     centers: np.ndarray, radius: float, n_points: int
-) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
     """A dense CSR table from grid cell to the centers whose 3x3 block
     holds it.
 
@@ -72,10 +71,10 @@ def _center_table(
     table's outermost ring of cells lies in no block, so points clipped
     onto it find no center.
 
-    Returns ``(origin, width, shape, starts, sizes, members)``: point
-    ``p`` lies in cell ``floor((p - origin) / width)`` (per axis,
-    row-major in ``shape``), and the centers whose block holds cell
-    ``c`` are ``members[starts[c]:starts[c] + sizes[c]]``.
+    Returns ``(origin, width, shape, starts, members)``: point ``p``
+    lies in cell ``floor((p - origin) / width)`` (per axis, row-major in
+    ``shape``), and the centers whose block holds cell ``c`` are
+    ``members[starts[c]:starts[c + 1]]``.
     """
     low = centers.min(axis=0)
     extent = centers.max(axis=0) - low
@@ -90,10 +89,9 @@ def _center_table(
     shape = cells.max(axis=0) + 3
     block = (cells[:, None, :] + _NINE_CELLS[None, :, :]).reshape(-1, 2)
     keys = block[:, 0] * shape[1] + block[:, 1]
-    members = np.argsort(keys) // 9
-    sizes = np.bincount(keys, minlength=int(shape[0] * shape[1]))
-    starts = np.cumsum(sizes) - sizes
-    return origin, width, shape, starts, sizes, members
+    starts = np.zeros(int(shape[0] * shape[1]) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
+    return origin, width, shape, starts, np.argsort(keys) // 9
 
 
 def bulk_counts(
@@ -108,8 +106,8 @@ def bulk_counts(
     Each point is hashed to its cell of :func:`_center_table` with one
     ``floor``; points in cells no center's block holds are dropped, and
     the rest are paired with the centers listed for their cell.
-    Distances within :data:`_BOUNDARY_TOL` of the radius are re-decided
-    by ``math.hypot``, the scalar predicate.
+    Distances within :data:`BOUNDARY_TOL` of the radius are re-decided
+    by :func:`~repro.geometry.point.redecide`, the scalar predicate.
 
     Raises:
         ValueError: for a non-positive radius.
@@ -122,32 +120,20 @@ def bulk_counts(
         return counts
     coords = np.asarray(points, dtype=float)
     carr = np.asarray(centers, dtype=float)
-    origin, width, shape, starts, sizes, members = _center_table(
+    origin, width, shape, starts, members = _center_table(
         carr, radius, len(coords)
     )
-    cells = coords - origin
-    cells /= width
-    np.floor(cells, out=cells)
     # Points off the table land on its empty outer ring.
-    for axis in (0, 1):
-        np.clip(cells[:, axis], 0, shape[axis] - 1, out=cells[:, axis])
-    index = cells.astype(np.int64)
-    keys = index[:, 0] * shape[1] + index[:, 1]
-    lengths = sizes[keys]
-    rows = np.flatnonzero(lengths > 0)
-    lo = starts[keys[rows]]
-    owner, flat = expand_ranges(lo, lo + lengths[rows])
+    cells = np.clip(np.floor((coords - origin) / width), 0, shape - 1).astype(np.int64)
+    keys = cells[:, 0] * shape[1] + cells[:, 1]
+    cand, flat = expand_ranges(starts[keys], starts[keys + 1])
     if not len(flat):
         return counts
-    cand = rows[owner]
     center_of = members[flat]
     dx = coords[cand, 0] - carr[center_of, 0]
     dy = coords[cand, 1] - carr[center_of, 1]
     distances = np.hypot(dx, dy)
     inside = distances <= radius
-    near = np.abs(distances - radius) <= _BOUNDARY_TOL
-    if np.any(near):
-        for j in np.nonzero(near)[0].tolist():
-            (px, py), (cx, cy) = coords[cand[j]].tolist(), carr[center_of[j]].tolist()
-            inside[j] = math.hypot(px - cx, py - cy) <= radius
+    near = np.flatnonzero(np.abs(distances - radius) <= BOUNDARY_TOL)
+    redecide(inside, near, coords[cand[near]], carr[center_of[near]], np.full(len(near), radius))
     return np.bincount(center_of[inside], minlength=m).astype(int)

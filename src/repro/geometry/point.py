@@ -12,6 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
+#: Distances this close to a threshold (a travel budget, Eq. 5's radius)
+#: are re-decided by :func:`redecide`: a vectorised distance can differ
+#: from :meth:`Point.distance_to` only in the last ulp, far inside this band.
+BOUNDARY_TOL = 1e-6
+
 
 @dataclass(frozen=True, order=True)
 class Point:
@@ -73,6 +78,16 @@ def euclidean(a: Point, b: Point) -> float:
 def manhattan(a: Point, b: Point) -> float:
     """Manhattan distance between two points (function form)."""
     return a.manhattan_to(b)
+
+
+def redecide(decided, band, a, b, limits) -> None:
+    """Re-decide ``decided[band[i]]`` by the scalar predicate,
+    :meth:`Point.distance_to`: are rows i of the ``(len(band), 2)``
+    arrays ``a`` and ``b`` within ``limits[i]`` of each other?"""
+    for j, (ax, ay), (bx, by), limit in zip(
+        band.tolist(), a.tolist(), b.tolist(), limits.tolist()
+    ):
+        decided[j] = math.hypot(ax - bx, ay - by) <= limit
 
 
 def centroid(points: Iterable[Point]) -> Point:

@@ -10,25 +10,21 @@ Every user's instance in a round shares the same round-invariant parts:
 user chunks with numpy, in two stages:
 
 - *A front end* finds the chunk's candidate (user, task) pairs: every
-  pair whose origin-to-task distance (diff, square, one add, sqrt —
-  add/multiply/sqrt are correctly rounded, so float64 values are
-  bit-identical to
-  :meth:`~repro.selection.problem.TaskSelectionProblem.build`'s
-  :func:`~repro.geometry.distances.pairwise_distances` rows) is within
-  the user's budget plus the boundary tolerance.  The *dense* front end
+  pair whose origin-to-task distance (:func:`_norm`, bit-identical in
+  float64 to ``TaskSelectionProblem.build``'s rows) is within the
+  user's budget plus the boundary tolerance.  The *dense* front end
   computes a ``(chunk, tasks)`` distance matrix and keeps the pairs
   under the threshold.  The *sparse* one (:class:`_ColumnWindows`)
   computes the same expressions only on the pairs inside each user's
-  column windows: tasks sorted by (x-column, y), one ``searchsorted``
-  y-range per column the user's budget overlaps.  Each round picks
-  whichever costs less, from its size and its window pair count
+  windows of one cell table: tasks ordered by (x-column, y-cell), a
+  window's ends two integer gathers from its CSR ``starts``.  Each round
+  picks whichever costs less, from its size and its window pair count
   (:data:`SPARSE_SHARE`); both give the same pairs in the same
   ``row * n_tasks + col`` order.
 - *One back end* decides reach on those pairs: ``distance <= budget``,
-  with any distance within the boundary tolerance re-decided by
-  ``math.hypot`` on the float64 coordinates, exactly as ``build``'s
-  pruning rule (``Point.distance_to``) does — the sqrt pipeline and
-  hypot can disagree only in the last ulp, far inside the band — and
+  with any distance within the boundary tolerance re-decided on the
+  float64 coordinates by :func:`~repro.geometry.point.redecide`, as
+  ``build``'s pruning rule (``Point.distance_to``) decides it, and
   drops pairs whose user already contributed to the task.  The
   reachable pairs, as CSR rows, become problems only for users with a
   candidate, in blocks of equal candidate count k: one fancy-index
@@ -58,22 +54,16 @@ round never materialises the full user-by-task matrix.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.grid_index import expand_ranges
+from repro.geometry.point import BOUNDARY_TOL, redecide
 from repro.selection.problem import ProblemBlock, TaskSelectionProblem
 from repro.simulation.perf import PerfStats
 from repro.world.task import TaskTable
-
-#: Distances this close to a user's travel budget are re-decided with
-#: ``math.hypot`` (``Point.distance_to``'s arithmetic) so the
-#: sqrt-pipeline/``math.hypot`` last-ulp disagreement can never flip a
-#: reachability decision.
-BOUNDARY_TOL = 1e-6
 
 #: Per-chunk byte budget of the distance pipeline.  The chunk *element*
 #: count is derived from this per dtype, so float32 chunks hold twice
@@ -85,17 +75,21 @@ DEFAULT_CHUNK_BYTES = 16 << 20
 #:     window pairs + SPARSE_FIXED_PAIRS < SPARSE_SHARE * users * tasks,
 #:
 #: and builds no windows when the right side cannot exceed the fixed
-#: part.  Both constants are fitted to the measured crossovers of the
-#: two front ends on uniform synthetic float32 rounds (medians of 15,
-#: 2 vCPUs): the window share below which sparse was faster was never
-#: (40k users x tasks), none worth having (80k), 0.04 (200k), 0.07
-#: (500k) and 0.15 (4M).  So a window pair costs about ten dense pairs,
-#: plus a fixed cost worth ~12k pairs.  At 4M pairs the rule stays dense
-#: from a ~0.1 share, where sparse still won by 2% at 0.14.  A city-50k
-#: round (6.6M pairs, a 0.016 share) goes sparse; paper-2018, city-2k
-#: and task-stream-2k rounds (at most 120k pairs) stay dense.
+#: part.  Fitted to the crossovers of the earlier binary-search windows
+#: (a window pair cost about ten dense pairs, plus ~12k pairs of fixed
+#: cost).  On the cell table, two sweeps over uniform float32 rounds
+#: (2 vCPUs) found sparse never faster at 40k users x tasks and faster
+#: below window shares of 0.01-0.16 (80k), 0.1-0.2 (200k), ~0.2 (500k)
+#: and 0.16-0.28 (4M), so the rule still never picks sparse where dense
+#: wins.  A city-50k round (6.6M pairs, a 0.017 share) goes sparse;
+#: paper-2018, city-2k and task-stream-2k rounds (at most 120k pairs)
+#: stay dense.
 SPARSE_SHARE = 0.1
 SPARSE_FIXED_PAIRS = 12_000
+
+#: y-cells per column width in the sparse cell table: on a city-50k
+#: round, 111k window pairs against 104k for exact y-ranges.
+_Y_CELLS = 16
 
 #: Safety factor (in float32 ulps of the dominant magnitude) bounding
 #: how far a float32 distance can sit from its float64 value: coordinate
@@ -117,22 +111,29 @@ def float32_boundary_tol(coordinate_scale: float, budget_scale: float) -> float:
     )
 
 
-def task_distance_matrix(locations: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """The ``(n, n)`` task-to-task distance matrix in ``dtype``.
+def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)``, computed in place in ``dx``.
 
-    Same arithmetic as ``geometry.distances.pairwise_distances`` — diff,
-    square, one add, sqrt — written per coordinate and in place so no
-    ``(n, n, 2)`` temporary is materialised.  The sum over the 2-wide
-    axis is a single correctly-rounded add either way, so the float64
-    entries are bit-identical to the stacked pipeline.
+    diff, square, one add, sqrt: ``pairwise_distances``' arithmetic, its
+    sum over the 2-wide axis being a single correctly-rounded add, so
+    float64 results are bit-identical to it.  ``(a - b)^2`` is exact
+    under negation, so either difference order gives the same bits.
     """
-    locations = locations.astype(dtype, copy=False)
-    dx = locations[:, 0, None] - locations[None, :, 0]
-    dy = locations[:, 1, None] - locations[None, :, 1]
     np.multiply(dx, dx, out=dx)
     np.multiply(dy, dy, out=dy)
     np.add(dx, dy, out=dx)
     return np.sqrt(dx, out=dx)
+
+
+def task_distance_matrix(locations: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The ``(n, n)`` task-to-task distance matrix in ``dtype``, per
+    coordinate (:func:`_norm`), so no ``(n, n, 2)`` temporary is
+    materialised."""
+    locations = locations.astype(dtype, copy=False)
+    return _norm(
+        locations[:, 0, None] - locations[None, :, 0],
+        locations[:, 1, None] - locations[None, :, 1],
+    )
 
 
 class RoundProblems:
@@ -200,11 +201,8 @@ class RoundProblems:
 
         ``indices`` are the block rows' positions in ``user_ids``.
         Blocks come chunk by chunk, by ascending candidate count within
-        a chunk; each user is in exactly one block.  Users with no
-        eligible, reachable task are in none — their Eq. 1 answer is the
-        empty selection, which every selector returns for an empty
-        problem (pinned by the solver contract tests), so callers skip
-        them.
+        a chunk; each user is in exactly one block, except users with no
+        eligible, reachable task (their answer is the empty selection).
 
         Args:
             user_ids: ``(n,)`` int64 ids of the users to build problems
@@ -268,7 +266,12 @@ class RoundProblems:
         upper, lower = budgets_w + tol, budgets_w - tol
         excluded = self._excluded_keys(user_ids)
         task_xy = self.tasks.locations
-        windows = _ColumnWindows.if_sparse(task_xy, origins, budgets + tol)
+        # The sparse front end when its windows are affordable (see
+        # SPARSE_SHARE); none are built when they cannot be.
+        affordable = SPARSE_SHARE * n_users * n_tasks - SPARSE_FIXED_PAIRS
+        windows = _ColumnWindows(task_xy, origins, budgets + tol) if affordable > 0 else None
+        if windows is not None and (windows.hi - windows.lo).sum() >= affordable:
+            windows = None
         chunk_size = max(1, self.chunk_elements // n_tasks)
         for start in range(0, n_users, chunk_size):
             stop = min(start + chunk_size, n_users)
@@ -283,16 +286,11 @@ class RoundProblems:
                 )
             reach = distances <= budgets_w[start:stop][rows]
             # Boundary-band decisions re-run the reference float64
-            # predicate, one pair at a time (rare at any realistic
-            # geometry — the band is micrometers wide in float64 and
-            # sub-meter in float32).
+            # predicate (rare at any realistic geometry: the band is
+            # micrometers wide in float64 and sub-meter in float32).
             band = np.flatnonzero(~(distances <= lower[start:stop][rows]))
-            for j, row, col in zip(
-                band.tolist(), rows[band].tolist(), cols[band].tolist()
-            ):
-                ox, oy = origins[start + row].tolist()
-                tx, ty = task_xy[col].tolist()
-                reach[j] = math.hypot(ox - tx, oy - ty) <= budgets[start + row]
+            users = start + rows[band]
+            redecide(reach, band, origins[users], task_xy[cols[band]], budgets[users])
             if len(excluded):
                 keys = (rows + start) * n_tasks + cols
                 at = np.searchsorted(excluded, keys)
@@ -318,23 +316,13 @@ class RoundProblems:
         self, origins_w: np.ndarray, upper: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The dense front end: every (row, column, distance) pair of the
-        chunk with ``distance <= upper[row]``, in row-major order.
-
-        diff, square, one add, sqrt — written per coordinate so no
-        ``(chunk, tasks, 2)`` temporary is materialised.  dx*dx+dy*dy is
-        pairwise_distances' sum over the 2-wide axis (a single
-        correctly-rounded add either way), and (a-b)^2 is exact under
-        negation, so float64 origin-minus-task equals the reference
-        task-minus-origin rows bitwise.
-        """
+        chunk with ``distance <= upper[row]``, in row-major order, from
+        a ``(chunk, tasks)`` matrix of :func:`_norm` distances."""
         locations = self._locations
-        dx = origins_w[:, 0, None] - locations[None, :, 0]
-        dy = origins_w[:, 1, None] - locations[None, :, 1]
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        del dy
-        distances = np.sqrt(dx, out=dx)
+        distances = _norm(
+            origins_w[:, 0, None] - locations[None, :, 0],
+            origins_w[:, 1, None] - locations[None, :, 1],
+        )
         # Flat indices split by divmod: row-major, as np.nonzero gives
         # them, at a fraction of a 2-D nonzero's cost.
         flat = np.flatnonzero(distances <= upper[:, None])
@@ -412,73 +400,57 @@ class RoundProblems:
 
 
 class _ColumnWindows:
-    """The sparse front end: each user's candidate tasks found through
-    per-column ``searchsorted`` windows instead of a dense pass.
+    """The sparse front end: each user's candidate tasks read from one
+    cell table over the round's published tasks instead of a dense pass.
 
-    The published tasks are cut into vertical columns of width ``w``,
-    the largest reach (budget plus the boundary band), and sorted by
-    one float64 key, ``column * stride + (y - y0)``, with ``stride`` more
-    than the tasks' y-span, so each column's tasks are contiguous and
-    y-ordered.  A user at (x, y) with reach b gets one key range
-    ``[y - b, y + b]`` per column that overlaps ``[x - b, x + b]`` (at
-    most three, since ``2b <= 2w``): two ``searchsorted`` calls for all
-    users.  Every task within b of the user lies in one of those
-    ranges: each operation that decides a range (subtraction,
-    division, floor, clipping, the rounded key, ``searchsorted``) is
-    monotone in the coordinates, so rounding can widen a window but
-    never drop a task from it.
+    Columns are as wide as the largest reach w (budget plus the boundary
+    band) and cut into cells :data:`_Y_CELLS` times shorter; the tasks
+    are ordered by ``(column, cell)`` with a CSR ``starts`` array.  A
+    user at (x, y) with reach b gets one window per column that overlaps
+    ``[x - b, x + b]`` (at most three, since ``2b <= 2w``): the cells
+    that ``[y - b, y + b]`` overlaps, whose ends are two gathers from
+    ``starts``.  Each step that decides a window (subtraction, division,
+    floor, clipping) is monotone in the coordinates, so rounding can
+    widen a window but never drop a task within b.  A reach tiny next
+    to the tasks' extent coarsens the cells, as ``grid_index``'s center
+    table does, so the table holds at most about four cells per user
+    and task; an empty column pads each side for users off the table.
 
     Args:
         task_xy: the round's ``(n_tasks, 2)`` float64 task locations.
         origins: ``(n_users, 2)`` float64 user positions.
-        reach: ``(n_users,)`` float64 window half-widths (budget plus
-            the boundary band).
+        reach: ``(n_users,)`` float64 window half-widths.
     """
 
     def __init__(self, task_xy: np.ndarray, origins: np.ndarray, reach: np.ndarray):
-        x0, y0 = task_xy.min(axis=0)
-        y_span = float(task_xy[:, 1].max() - y0)
-        width = float(reach.max())
-        stride = 2.0 * y_span + 1.0
-        keys = (
-            np.floor((task_xy[:, 0] - x0) / width) * stride
-            + (task_xy[:, 1] - y0)
-        )
-        self.order = np.argsort(keys)
-        keys = keys[self.order]
-        x, y = origins[:, 0], origins[:, 1]
-        first = np.floor((x - reach - x0) / width)
-        last = np.floor((x + reach - x0) / width)
-        self.slots = int((last - first).max()) + 1
-        low = np.maximum(y - reach - y0, 0.0)
-        high = np.minimum(y + reach - y0, y_span)
-        # Binary searches run several times faster on ascending needles,
-        # so the users are searched in the order of their first window.
-        by_window = np.argsort(first * stride + low)
-        columns = first[by_window] + np.arange(self.slots)[:, None]
-        lo = np.searchsorted(keys, columns * stride + low[by_window])
-        hi = np.searchsorted(keys, columns * stride + high[by_window], side="right")
-        hi = np.where(columns > last[by_window], lo, np.maximum(hi, lo))
-        # Back to user order: (slots, users), row j holding every
-        # user's slot j.
-        rank = np.empty_like(by_window)
-        rank[by_window] = np.arange(len(by_window))
-        self.lo = lo.take(rank, axis=1)
-        self.hi = hi.take(rank, axis=1)
+        def clipped(value, low, high):
+            return np.clip(np.floor(value), low, high).astype(np.int64)
 
-    @classmethod
-    def if_sparse(
-        cls, task_xy: np.ndarray, origins: np.ndarray, reach: np.ndarray
-    ) -> Optional["_ColumnWindows"]:
-        """The windows, or None when the dense pass is the cheaper one
-        (see :data:`SPARSE_SHARE`)."""
-        affordable = SPARSE_SHARE * len(origins) * len(task_xy) - SPARSE_FIXED_PAIRS
-        if affordable <= 0:
-            return None
-        windows = cls(task_xy, origins, reach)
-        if (windows.hi - windows.lo).sum() >= affordable:
-            return None
-        return windows
+        (x0, y0), (x_span, y_span) = task_xy.min(axis=0), np.ptp(task_xy, axis=0)
+        target = len(task_xy) + len(origins)
+        width = max(float(reach.max()), float(x_span) / target)
+        column = np.floor((task_xy[:, 0] - x0) / width).astype(np.int64)
+        n_cols = int(column.max()) + 1
+        height = max(width / _Y_CELLS, float(y_span) * n_cols / target)
+        cell = np.floor((task_xy[:, 1] - y0) / height).astype(np.int64)
+        ny = int(cell.max()) + 1
+        # Columns 0 and n_cols + 1 are empty padding.
+        keys = (column + 1) * ny + cell
+        self.order = np.argsort(keys, kind="stable")
+        self.starts = np.zeros((n_cols + 2) * ny + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=len(self.starts) - 1), out=self.starts[1:])
+        x, y = origins[:, 0], origins[:, 1]
+        first = clipped((x - reach - x0) / width, -1, n_cols) + 1
+        last = clipped((x + reach - x0) / width, -1, n_cols) + 1
+        bottom = clipped((y - reach - y0) / height, 0, ny)
+        top = clipped((y + reach - y0) / height + 1, 0, ny)
+        # (users, slots): slot j is each user's window in column
+        # first + j, or an empty one in padding column 0 past its last.
+        self.slots = int((last - first).max()) + 1
+        columns = first[:, None] + np.arange(self.slots)
+        base = np.where(columns > last[:, None], 0, columns * ny)
+        self.lo = self.starts[base + bottom[:, None]]
+        self.hi = self.starts[base + top[:, None]]
 
     def candidates(
         self,
@@ -496,22 +468,22 @@ class _ColumnWindows:
         ``origins_w``, ``locations_w`` and ``upper`` are in the working
         dtype, ``origins_w`` and ``upper`` sliced to the chunk.
         """
+        # User-major expansion: rows come out ascending.
         owner, positions = expand_ranges(
-            self.lo[:, start:stop], self.hi[:, start:stop]
+            self.lo[start:stop], self.hi[start:stop]
         )
-        rows = owner % (stop - start)
-        cols = self.order[positions]
-        # The dense path's expressions, pair by pair (add, multiply and
-        # sqrt are correctly rounded, so the values are bit-identical).
-        dx = origins_w[rows, 0] - locations_w[cols, 0]
-        dy = origins_w[rows, 1] - locations_w[cols, 1]
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        distances = np.sqrt(dx, out=dx)
-        inside = np.flatnonzero(distances <= upper[rows])
-        n_tasks = len(locations_w)
-        keys = rows[inside] * n_tasks + cols[inside]
-        by_key = np.argsort(keys)
-        rows, cols = np.divmod(keys[by_key], n_tasks)
-        return rows, cols, distances[inside[by_key]]
+        rows = owner // self.slots
+        cols = self.order.take(positions)
+        # The dense path's expressions, pair by pair, gathered by take,
+        # several times faster than 2-D fancy indexing.
+        distances = _norm(
+            origins_w[:, 0].take(rows) - locations_w[:, 0].take(cols),
+            origins_w[:, 1].take(rows) - locations_w[:, 1].take(cols),
+        )
+        inside = np.flatnonzero(distances <= upper.take(rows))
+        rows, cols = rows.take(inside), cols.take(inside)
+        # Rows ascend; only each row's few columns are out of order,
+        # which a stable sort (timsort) fixes far faster than argsort.
+        by_key = np.argsort(rows * len(locations_w) + cols, kind="stable")
+        inside = inside.take(by_key)
+        return rows.take(by_key), cols.take(by_key), distances.take(inside)

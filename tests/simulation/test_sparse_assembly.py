@@ -9,13 +9,17 @@ so every :class:`ProblemBlock` must come out bit for bit the same.
 - :class:`TestFrontEndEquivalence` forces each path on random rounds
   (both dtypes, partial participation, prior contributors, several
   chunk sizes, users placed within the boundary band of a task along x
-  and y) and compares the blocks.
+  and y) and compares the blocks.  It also holds the sparse front end's
+  cell table to brute force (every task within a user's reach, decided
+  in exact rational arithmetic, lies in that user's windows) and to its
+  size bound, on random rounds and on degenerate ones.
 - :class:`TestPathSelection` pins the selection rule on a city-50k
   round (sparse) and a paper-2018 round (dense), so the plain test run
   exercises both paths.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -26,11 +30,8 @@ from hypothesis import strategies as st
 from repro.api import build_config, make_engine
 from repro.geometry.point import Point
 from repro.simulation import round_cache
-from repro.simulation.round_cache import (
-    BOUNDARY_TOL,
-    RoundProblems,
-    float32_boundary_tol,
-)
+from repro.geometry import BOUNDARY_TOL
+from repro.simulation.round_cache import RoundProblems, float32_boundary_tol
 from repro.world.task import SensingTask, TaskTable
 
 #: The selection rule's share, forcing each front end.
@@ -40,6 +41,58 @@ FORCE = {"dense": dict(SPARSE_SHARE=0.0), "sparse": dict(SPARSE_SHARE=math.inf)}
 def assembled(problems, columns, path):
     with mock.patch.multiple(round_cache, **FORCE[path]):
         return list(problems.iter_blocks(**columns))
+
+
+def assert_same_blocks(problems, columns):
+    """Both front ends give the same blocks, bit for bit."""
+    dense = assembled(problems, columns, "dense")
+    sparse = assembled(problems, columns, "sparse")
+    assert len(sparse) == len(dense)
+    for (got_rows, got), (want_rows, want) in zip(sparse, dense):
+        np.testing.assert_array_equal(got_rows, want_rows)
+        # The pairs, then their origin distances, then everything
+        # else the selector reads.
+        np.testing.assert_array_equal(got.columns, want.columns)
+        assert got.distances.dtype == want.distances.dtype == problems.dtype
+        assert got.distances.tobytes() == want.distances.tobytes()
+        for field in (
+            "rewards", "task_ids", "max_distance", "cost_per_meter",
+            "origins",
+        ):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def assert_windows_cover(task_xy, origins, reach):
+    """The cell table holds at most about four cells per user and task,
+    and each user's windows hold every task whose exact distance from
+    the user is within its reach."""
+    windows = round_cache._ColumnWindows(task_xy, origins, reach)
+    assert len(windows.starts) - 1 <= 4 * (len(task_xy) + len(origins)) + 8
+    assert (windows.hi >= windows.lo).all()
+    for row, ((x, y), r) in enumerate(zip(origins.tolist(), reach.tolist())):
+        held = {
+            int(windows.order[at])
+            for lo, hi in zip(windows.lo[row].tolist(), windows.hi[row].tolist())
+            for at in range(lo, hi)
+        }
+        for col, (tx, ty) in enumerate(task_xy.tolist()):
+            dx, dy = Fraction(tx) - Fraction(x), Fraction(ty) - Fraction(y)
+            if dx * dx + dy * dy <= Fraction(r) ** 2:
+                assert col in held, (row, col)
+    return windows
+
+
+def plain_round(task_xy, origins, budgets):
+    """A round with no prior contributors, and its participant columns."""
+    n_tasks, n_users = len(task_xy), len(origins)
+    tasks = TaskTable(
+        list(range(n_tasks)), task_xy, [5] * n_tasks, [4] * n_tasks
+    )
+    columns = dict(
+        user_ids=np.arange(n_users), origins=origins, budgets=budgets,
+        costs=np.full(n_users, 0.01),
+    )
+    return RoundProblems(tasks, dict.fromkeys(range(n_tasks), 1.0)), columns
 
 
 @st.composite
@@ -113,21 +166,44 @@ class TestFrontEndEquivalence:
         problems = RoundProblems(
             tasks, prices, dtype=dtype, chunk_bytes=chunk_bytes
         )
-        dense = assembled(problems, columns, "dense")
-        sparse = assembled(problems, columns, "sparse")
-        assert len(sparse) == len(dense)
-        for (got_rows, got), (want_rows, want) in zip(sparse, dense):
-            np.testing.assert_array_equal(got_rows, want_rows)
-            # The pairs, then their origin distances, then everything
-            # else the selector reads.
-            np.testing.assert_array_equal(got.columns, want.columns)
-            assert got.distances.dtype == want.distances.dtype == dtype
-            assert got.distances.tobytes() == want.distances.tobytes()
-            for field in (
-                "rewards", "task_ids", "max_distance", "cost_per_meter",
-                "origins",
-            ):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert_same_blocks(problems, columns)
+
+    @given(round_=sparse_rounds())
+    @settings(deadline=None)
+    def test_windows_hold_every_task_within_reach(self, round_):
+        tasks, _, columns, _, _ = round_
+        assert_windows_cover(
+            tasks.locations, columns["origins"],
+            columns["budgets"] + BOUNDARY_TOL,
+        )
+
+    @pytest.mark.parametrize("case", [
+        "tiny-reach", "users-far-outside", "one-task", "one-x", "duplicates",
+    ])
+    def test_degenerate_tables(self, case):
+        rng = np.random.default_rng(7)
+        task_xy = rng.uniform(0.0, 60_000.0, (40, 2))
+        origins = rng.uniform(0.0, 60_000.0, (30, 2))
+        budgets = rng.uniform(0.0, 5_000.0, 30)
+        if case == "tiny-reach":
+            # Columns and cells as narrow as the reach would need ~10^21
+            # cells; assert_windows_cover holds the table to its bound.
+            budgets[:] = 0.0
+            origins[:10] = task_xy[:10]
+        elif case == "users-far-outside":
+            origins[::2] = [[-1e7, 3e4], [3e4, 1e9], [-5e5, -5e5]] * 5
+        elif case == "one-task":
+            task_xy = task_xy[:1]
+            origins[:10] = task_xy[0] + rng.uniform(-3e3, 3e3, (10, 2))
+        elif case == "one-x":
+            task_xy[:, 0] = 12_345.0
+        else:
+            task_xy[10:30] = task_xy[:20]
+            task_xy[30:] = task_xy[0]
+        windows = assert_windows_cover(task_xy, origins, budgets + BOUNDARY_TOL)
+        if case == "users-far-outside":
+            assert (windows.hi[::2] == windows.lo[::2]).all()
+        assert_same_blocks(*plain_round(task_xy, origins, budgets))
 
     def test_boundary_pairs_are_rechecked_the_same_way(self):
         # One user exactly a budget east of a task, one a hair beyond:

@@ -330,10 +330,10 @@ class RunStore:
             if not self._dedupe_dir.is_dir():
                 # Markers for a store indexed before they existed: one
                 # scan, written aside and renamed into place whole.
-                scratch = self.root / f"dedupe.{os.getpid()}.tmp"
-                scratch.mkdir(exist_ok=True)
-                self._mark(self._index(), scratch)
-                os.replace(scratch, self._dedupe_dir)
+                staging = self.root / f"dedupe.{os.getpid()}.tmp"
+                staging.mkdir(exist_ok=True)
+                self._mark(self._index(), staging)
+                os.replace(staging, self._dedupe_dir)
             self._mark(latest)  # a crash may have cut its marker short
             if dedupe_key is not None:
                 marker = self._marker(kind, dedupe_key)

@@ -105,6 +105,16 @@ class BoxplotSummary:
     def iqr(self) -> float:
         return self.q3 - self.q1
 
+    @property
+    def whisker_low(self) -> float:
+        """Smallest observation above the lower Tukey fence."""
+        return self.minimum
+
+    @property
+    def whisker_high(self) -> float:
+        """Largest observation below the upper Tukey fence."""
+        return self.maximum
+
 
 def summarize_box(values: Sequence[float]) -> BoxplotSummary:
     """Five-number summary with Tukey outliers, for Fig. 5(b)-style boxplots.

@@ -24,7 +24,7 @@ Typical use::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.ahp import PairwiseComparisonMatrix, example_comparison_matrix
 from repro.core.demand import DemandCalculator, DemandWeights, TaskDemandInputs
@@ -125,20 +125,6 @@ def build_config(
     return SimulationConfig().with_overrides(**overrides)
 
 
-def _resolve_config(
-    config: Optional[SimulationConfig],
-    scenario: Optional[ScenarioLike],
-    overrides: Dict[str, Any],
-) -> SimulationConfig:
-    """One of ``config`` / ``scenario`` (neither means the defaults) with
-    field ``overrides`` on top: the facade's configuration surface."""
-    if config is not None and scenario is not None:
-        raise ValueError("pass either config or scenario, not both")
-    if config is None:
-        return build_config(scenario, **overrides)
-    return config.with_overrides(**overrides) if overrides else config
-
-
 def simulate(
     config: Optional[SimulationConfig] = None,
     *,
@@ -154,7 +140,13 @@ def simulate(
     >>> simulate(scenario="paper-2018", n_users=30, rounds=3).rounds_played
     3
     """
-    return _simulate(_resolve_config(config, scenario, overrides))
+    if config is not None and scenario is not None:
+        raise ValueError("pass either config or scenario, not both")
+    if config is None:
+        config = build_config(scenario, **overrides)
+    elif overrides:
+        config = config.with_overrides(**overrides)
+    return _simulate(config)
 
 
 def open_session(
@@ -182,7 +174,12 @@ def open_session(
     >>> [r.round_no for r in records]
     [1, 2, 3]
     """
-    config = _resolve_config(config, scenario, overrides)
+    if config is not None and scenario is not None:
+        raise ValueError("pass either config or scenario, not both")
+    if config is None:
+        config = build_config(scenario, **overrides)
+    elif overrides:
+        config = config.with_overrides(**overrides)
     return SimulationSession(config, observers=observers)
 
 
@@ -201,7 +198,12 @@ def make_env(
     :func:`simulate`; ``obs`` / ``actions`` / ``reward`` select the
     pluggable pieces by registry name (see :mod:`repro.envs`).
     """
-    config = _resolve_config(config, scenario, overrides)
+    if config is not None and scenario is not None:
+        raise ValueError("pass either config or scenario, not both")
+    if config is None:
+        config = build_config(scenario, **overrides)
+    elif overrides:
+        config = config.with_overrides(**overrides)
     return IncentiveEnv(config, obs=obs, actions=actions, reward=reward)
 
 

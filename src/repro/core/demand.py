@@ -67,6 +67,9 @@ class DemandWeights:
         w = matrix.weights(method)
         return cls(deadline=float(w[0]), progress=float(w[1]), scarcity=float(w[2]))
 
+    def as_array(self) -> np.ndarray:
+        return np.asarray([self.deadline, self.progress, self.scarcity], dtype=float)
+
 
 def deadline_factor(round_no: int, deadline: int, scale: float = 1.0) -> float:
     """Demand affected by the deadline (Eq. 3).

@@ -238,6 +238,9 @@ class EventStream:
     renewals: Dict[int, Tuple[Tuple[float, int], ...]]
     last_task_round: int
 
+    def events_for(self, round_no: int) -> Tuple[WorldEvent, ...]:
+        return tuple(e for e in self.events if e.round_no == round_no)
+
 
 def generate_stream(
     spec: DynamicsSpec,

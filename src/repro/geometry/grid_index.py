@@ -58,7 +58,7 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 def _center_table(
     centers: np.ndarray, radius: float, n_points: int
-) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A dense CSR table from grid cell to the centers whose 3x3 block
     holds it.
 
@@ -71,10 +71,10 @@ def _center_table(
     table's outermost ring of cells lies in no block, so points clipped
     onto it find no center.
 
-    Returns ``(origin, width, shape, starts, members)``: point ``p``
-    lies in cell ``floor((p - origin) / width)`` (per axis, row-major in
-    ``shape``), and the centers whose block holds cell ``c`` are
-    ``members[starts[c]:starts[c + 1]]``.
+    Returns ``(origin, width, shape, starts, sizes, members)``: point
+    ``p`` lies in cell ``floor((p - origin) / width)`` (per axis,
+    row-major in ``shape``), and the centers whose block holds cell
+    ``c`` are ``members[starts[c]:starts[c] + sizes[c]]``.
     """
     low = centers.min(axis=0)
     extent = centers.max(axis=0) - low
@@ -89,9 +89,10 @@ def _center_table(
     shape = cells.max(axis=0) + 3
     block = (cells[:, None, :] + _NINE_CELLS[None, :, :]).reshape(-1, 2)
     keys = block[:, 0] * shape[1] + block[:, 1]
-    starts = np.zeros(int(shape[0] * shape[1]) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
-    return origin, width, shape, starts, np.argsort(keys) // 9
+    members = np.argsort(keys) // 9
+    sizes = np.bincount(keys, minlength=int(shape[0] * shape[1]))
+    starts = np.cumsum(sizes) - sizes
+    return origin, width, shape, starts, sizes, members
 
 
 def bulk_counts(
@@ -106,8 +107,9 @@ def bulk_counts(
     Each point is hashed to its cell of :func:`_center_table` with one
     ``floor``; points in cells no center's block holds are dropped, and
     the rest are paired with the centers listed for their cell.
-    Distances within :data:`BOUNDARY_TOL` of the radius are re-decided
-    by :func:`~repro.geometry.point.redecide`, the scalar predicate.
+    Distances within :data:`~repro.geometry.point.BOUNDARY_TOL` of the
+    radius are re-decided by :func:`~repro.geometry.point.redecide`, the
+    scalar predicate.
 
     Raises:
         ValueError: for a non-positive radius.
@@ -120,20 +122,32 @@ def bulk_counts(
         return counts
     coords = np.asarray(points, dtype=float)
     carr = np.asarray(centers, dtype=float)
-    origin, width, shape, starts, members = _center_table(
+    origin, width, shape, starts, sizes, members = _center_table(
         carr, radius, len(coords)
     )
+    cells = coords - origin
+    cells /= width
+    np.floor(cells, out=cells)
     # Points off the table land on its empty outer ring.
-    cells = np.clip(np.floor((coords - origin) / width), 0, shape - 1).astype(np.int64)
-    keys = cells[:, 0] * shape[1] + cells[:, 1]
-    cand, flat = expand_ranges(starts[keys], starts[keys + 1])
+    for axis in (0, 1):
+        np.clip(cells[:, axis], 0, shape[axis] - 1, out=cells[:, axis])
+    index = cells.astype(np.int64)
+    keys = index[:, 0] * shape[1] + index[:, 1]
+    lengths = sizes[keys]
+    rows = np.flatnonzero(lengths > 0)
+    lo = starts[keys[rows]]
+    owner, flat = expand_ranges(lo, lo + lengths[rows])
     if not len(flat):
         return counts
+    cand = rows[owner]
     center_of = members[flat]
     dx = coords[cand, 0] - carr[center_of, 0]
     dy = coords[cand, 1] - carr[center_of, 1]
     distances = np.hypot(dx, dy)
     inside = distances <= radius
     near = np.flatnonzero(np.abs(distances - radius) <= BOUNDARY_TOL)
-    redecide(inside, near, coords[cand[near]], carr[center_of[near]], np.full(len(near), radius))
+    redecide(
+        inside, near, coords[cand[near]], carr[center_of[near]],
+        np.full(len(near), radius),
+    )
     return np.bincount(center_of[inside], minlength=m).astype(int)

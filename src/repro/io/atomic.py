@@ -12,10 +12,9 @@ events file, the run store's index) follow one rule: **a line counts
 once its newline is on disk.**  :func:`append_line` writes, flushes and
 fsyncs one line; every byte after a log's last newline is a *torn tail*
 left by a crash mid-append.  A writer reopening a log
-(:func:`reopen_jsonl`; :func:`reopen_last` parses the last line alone)
-removes that tail before appending, so the next line never lands on a
-torn one; a complete line that does not parse is damage, not a crash,
-and raises.  Readers (:func:`read_lines`) get the
+(:func:`reopen_jsonl`) removes that tail before appending, so the next
+line never lands on a torn one; a complete line that does not parse is
+damage, not a crash, and raises.  Readers (:func:`read_lines`) get the
 complete lines and the tail apart and choose their own policy for it.
 """
 
@@ -138,27 +137,3 @@ def reopen_jsonl(
         )
         atomic_write_text(path, "".join(line + "\n" for line in lines))
     return parsed
-
-
-def reopen_last(path: Union[str, Path], what: str, error: Type[Exception]) -> Any:
-    """:func:`reopen_jsonl`'s last parsed value (None for a log without
-    one), reading only the log's last 64 KiB: the cost follows that line,
-    not the log.  A torn tail, or a last line the window does not hold,
-    takes the full :func:`reopen_jsonl`.
-
-    Raises:
-        error: for a damaged last line.
-    """
-    with open(path, "rb") as handle:
-        start = max(0, handle.seek(0, os.SEEK_END) - (1 << 16))
-        handle.seek(start)
-        # A window that does not start the file may start mid-line.
-        *lines, tail = handle.read().split(b"\n")[bool(start):] or [b""]
-    lines = [line for line in lines if line.strip()]
-    if tail or (start and not lines):
-        parsed = reopen_jsonl(path, what, error)
-        return parsed[-1][1] if parsed else None
-    try:
-        return json.loads(lines[-1]) if lines else None
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: corrupt {what} last line; the file is damaged") from exc

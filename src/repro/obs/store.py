@@ -18,9 +18,7 @@ eyeball.  The store gives that telemetry a durable, queryable home:
   was never indexed, and the next ingest removes it before appending;
 - every run gets a **stable run id** ``<kind>-<seq>`` assigned under the
   lock, so ids are monotonic in ingestion order and a metric's history
-  is simply its value read across the index in order; an ingest reads
-  only the index's last line and, for a dedupe key, one marker file in
-  ``dedupe/``, so its cost does not grow with the store;
+  is simply its value read across the index in order;
 - index lines and payloads both carry ``format_version`` — a store
   written by a future schema loads loudly (:class:`StoreError`), never
   silently misread.
@@ -183,7 +181,6 @@ class RunStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.index_path = self.root / "index.jsonl"
         self._lock_path = self.root / ".lock"
-        self._dedupe_dir = self.root / "dedupe"
 
     # -- locking ---------------------------------------------------------
 
@@ -318,29 +315,26 @@ class RunStore:
         label_map = {str(k): str(v) for k, v in (labels or {}).items()}
         if dedupe_key is not None:
             label_map[DEDUPE_LABEL] = dedupe_key
-        from repro.io.atomic import append_line, reopen_last  # leaf rule
+        from repro.io.atomic import append_line, reopen_jsonl  # leaf rule
 
         with self._locked():
-            # Reopen as the writer, reading only the last line (it holds
-            # the latest run id): a torn tail left by a crashed ingest
+            # Reopen as the writer: a torn tail left by a crashed ingest
             # is removed, so this run's line does not land on it.
-            index = self.index_path
-            last = reopen_last(index, "index", StoreError) if index.exists() else None
-            latest = self._versioned([] if last is None else [("last", last)])
-            if not self._dedupe_dir.is_dir():
-                # Markers for a store indexed before they existed: one
-                # scan, written aside and renamed into place whole.
-                staging = self.root / f"dedupe.{os.getpid()}.tmp"
-                staging.mkdir(exist_ok=True)
-                self._mark(self._index(), staging)
-                os.replace(staging, self._dedupe_dir)
-            self._mark(latest)  # a crash may have cut its marker short
+            entries = (
+                self._versioned(
+                    reopen_jsonl(self.index_path, "index", StoreError)
+                )
+                if self.index_path.exists()
+                else []
+            )
             if dedupe_key is not None:
-                marker = self._marker(kind, dedupe_key)
-                if marker.exists():
-                    return self.load(marker.read_text()), False
-            seq = int(latest[0]["run_id"].rsplit("-", 1)[1]) if latest else 0
-            run_id = f"{kind}-{seq + 1:06d}"
+                for entry in entries:
+                    if (
+                        entry["kind"] == kind
+                        and entry["labels"].get(DEDUPE_LABEL) == dedupe_key
+                    ):
+                        return self.load(entry["run_id"]), False
+            run_id = f"{kind}-{len(entries) + 1:06d}"
             record = RunRecord(
                 run_id=run_id,
                 kind=kind,
@@ -351,22 +345,19 @@ class RunStore:
                 metrics=dict(metrics) if metrics is not None else None,
                 trace_summary=trace_summary,
             )
-            # Payload first, index line second, dedupe marker last: an
-            # index line always points at a complete payload (a crash in
-            # between leaves an unindexed payload dir that the next
-            # ingest overwrites), and a marker at an indexed run.
+            # Payload first, index line second: an index line always
+            # points at a complete payload (a crash in between leaves an
+            # unindexed payload dir that the next ingest overwrites).
             self._write_payload(record)
-            entry = {
-                "format_version": FORMAT_VERSION,
-                "run_id": run_id,
-                "kind": kind,
-                "created_at": record.created_at,
-                "labels": label_map,
-                "values": cleaned,
-            }
             with self.index_path.open("a") as handle:
-                append_line(handle, json.dumps(entry, sort_keys=True))
-            self._mark([entry])
+                append_line(handle, json.dumps({
+                    "format_version": FORMAT_VERSION,
+                    "run_id": run_id,
+                    "kind": kind,
+                    "created_at": record.created_at,
+                    "labels": label_map,
+                    "values": cleaned,
+                }, sort_keys=True))
         return record, True
 
     def _payload_path(self, run_id: str) -> Path:
@@ -380,26 +371,9 @@ class RunStore:
             json.dumps(record.as_dict(), indent=2, sort_keys=True) + "\n",
         )
 
-    # -- dedupe markers ----------------------------------------------------
-
-    def _marker(self, kind: str, dedupe_key: str, root: Optional[Path] = None) -> Path:
-        """The file holding the run id ingested as ``(kind, dedupe_key)``."""
-        digest = hashlib.sha256(f"{kind}\n{dedupe_key}".encode()).hexdigest()
-        return (root or self._dedupe_dir) / digest[:32]
-
-    def _mark(self, entries: List[Mapping[str, Any]], root: Optional[Path] = None) -> None:
-        """Write each keyed index entry's missing dedupe marker."""
-        from repro.io.atomic import atomic_write_text  # leaf-package rule
-
-        for entry in entries:
-            key = entry["labels"].get(DEDUPE_LABEL)
-            marker = key is not None and self._marker(entry["kind"], key, root)
-            if marker and not marker.exists():
-                atomic_write_text(marker, entry["run_id"])
-
     # -- queries ---------------------------------------------------------
 
-    def _versioned(self, parsed: List[Tuple[Any, Any]]) -> List[Dict[str, Any]]:
+    def _versioned(self, parsed: List[Tuple[int, Any]]) -> List[Dict[str, Any]]:
         """Numbered index lines as entries; a foreign ``format_version``
         raises :class:`StoreError` naming the line."""
         for number, entry in parsed:

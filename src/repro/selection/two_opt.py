@@ -128,3 +128,10 @@ class GreedyTwoOptSelector(Selector):
             chosen.add(best_idx)
             traveled += float(matrix[current, best_idx + 1])
             current = best_idx + 1
+
+
+def order_distance_gap(problem: TaskSelectionProblem, order: Sequence[int]) -> float:
+    """Distance saved by 2-opt on ``order`` (diagnostic used in benches)."""
+    original = problem.path_distance(order)
+    improved = problem.path_distance(improve_order(problem, order))
+    return original - improved

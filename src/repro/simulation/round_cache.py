@@ -201,8 +201,11 @@ class RoundProblems:
 
         ``indices`` are the block rows' positions in ``user_ids``.
         Blocks come chunk by chunk, by ascending candidate count within
-        a chunk; each user is in exactly one block, except users with no
-        eligible, reachable task (their answer is the empty selection).
+        a chunk; each user is in exactly one block.  Users with no
+        eligible, reachable task are in none — their Eq. 1 answer is the
+        empty selection, which every selector returns for an empty
+        problem (pinned by the solver contract tests), so callers skip
+        them.
 
         Args:
             user_ids: ``(n,)`` int64 ids of the users to build problems

@@ -14,13 +14,7 @@ import json
 
 import pytest
 
-from repro.io.atomic import (
-    append_line,
-    parse_jsonl,
-    read_lines,
-    reopen_jsonl,
-    reopen_last,
-)
+from repro.io.atomic import append_line, parse_jsonl, read_lines, reopen_jsonl
 from repro.io.events import RoundStreamWriter, read_events_jsonl
 from repro.obs.store import RunStore, StoreError
 from repro.resilience.errors import ResultCorruption
@@ -100,39 +94,6 @@ class TestPrimitives:
             reopen_jsonl(path, "index", StoreError)
         assert str(caught.value).startswith(f"{path}: corrupt index line 2;")
         assert path.read_text() == text
-
-    @pytest.mark.parametrize("crash", CRASHES)
-    def test_reopen_last_removes_the_tail_and_reads_the_last_line(
-        self, tmp_path, crash
-    ):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"a": 1}\n\n{"b": "a line longer than the tear"}\n')
-        crash(path)
-        assert reopen_last(path, "log", ResultCorruption) == {"a": 1}
-        assert path.read_text() == '{"a": 1}\n\n'
-
-    def test_reopen_last_reads_past_its_window(self, tmp_path):
-        # A last line, or blank lines after it, longer than the window
-        # read from the end: the full reopen answers.
-        path = tmp_path / "log.jsonl"
-        for long_line, blanks in ((json.dumps({"pad": "x" * 70_000}), 1),
-                                  ('{"b": 2}', 70_000)):
-            path.write_text('{"a": 1}\n' + long_line + "\n" * blanks)
-            assert reopen_last(path, "log", ResultCorruption) == json.loads(long_line)
-        path.write_text("\n" * 70_000 + '{"a": 1}')
-        assert reopen_last(path, "log", ResultCorruption) is None
-        assert path.read_text() == "\n" * 70_000
-        path.write_text("")
-        assert reopen_last(path, "log", ResultCorruption) is None
-
-    def test_reopen_last_raises_on_a_damaged_last_line_only(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"b": \n{"c": 3}\n')
-        assert reopen_last(path, "index", StoreError) == {"c": 3}
-        path.write_text('{"c": 3}\n{"b": \n')
-        with pytest.raises(StoreError, match="corrupt index last line"):
-            reopen_last(path, "index", StoreError)
-        assert path.read_text() == '{"c": 3}\n{"b": \n'
 
 
 # -- the four logs, driven the same way ----------------------------------

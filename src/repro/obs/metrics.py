@@ -319,11 +319,11 @@ class MetricsRegistry:
         latency *distribution* comes from the engine observing
         ``selector_seconds`` directly — PerfStats only carries the sum.
 
-        ``selector_seconds`` holds one value per selector call — a
-        ``select_block`` call on one block of equal-size instances, or
-        the exact DP's ``select_blocks`` call on a whole assembly
-        chunk — while ``selector_calls`` counts the instances solved,
-        so it is not the histogram's count.
+        ``selector_seconds`` holds one value per selector call — the
+        greedy's or the exact DP's ``select_chunk`` call on a whole
+        assembly chunk, or a ``select_block`` call on one block of
+        equal-size instances — while ``selector_calls`` counts the
+        instances solved, so it is not the histogram's count.
         """
         self.counter("problem_cache_hits").inc(perf.problem_cache_hits)
         self.counter("problem_cache_misses").inc(perf.problem_cache_misses)

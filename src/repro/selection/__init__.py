@@ -28,7 +28,7 @@ Theorem 1), so the package offers:
 """
 
 from repro.selection.base import CandidateTask, Selection, SelectionColumns, Selector
-from repro.selection.problem import ProblemBlock, TaskSelectionProblem
+from repro.selection.problem import ProblemBlock, ProblemChunk, TaskSelectionProblem
 from repro.selection.dp import DynamicProgrammingSelector
 from repro.selection.reference_dp import ReferenceDPSelector
 from repro.selection.greedy import GreedySelector
@@ -44,6 +44,7 @@ __all__ = [
     "Selector",
     "TaskSelectionProblem",
     "ProblemBlock",
+    "ProblemChunk",
     "DynamicProgrammingSelector",
     "ReferenceDPSelector",
     "GreedySelector",

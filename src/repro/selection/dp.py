@@ -12,11 +12,12 @@ of numpy arrays instead of per-state Python iteration.
 
 Users choose independently against the same published prices, so the
 kernel solves many instances in one layer-by-layer pass.
-:meth:`DynamicProgrammingSelector.select_blocks` takes every
-:class:`~repro.selection.problem.ProblemBlock` of an assembly chunk at
-once: the rows, most candidates first, are cut into passes, and each
-row is padded to its pass's width w with unreachable candidates
-(infinite distance, no reward), for which no state is ever created.
+:meth:`DynamicProgrammingSelector.select_chunk` takes every
+:class:`~repro.selection.problem.ProblemBlock` of an assembly chunk
+(:meth:`~repro.selection.problem.ProblemChunk.blocks`) at once: the
+rows, most candidates first, are cut into passes, and each row is
+padded to its pass's width w with unreachable candidates (infinite
+distance, no reward), for which no state is ever created.
 
 - a state is ``(row, mask)``, keyed ``row << w | mask``; a layer is the
   sorted int64 keys of one cardinality plus the ``(states, w)`` matrix
@@ -36,12 +37,13 @@ row is padded to its pass's width w with unreachable candidates
 
 The answer is columnar (:class:`~repro.selection.base.SelectionColumns`):
 the winners' visit orders, path lengths and reward sums are written
-straight into each block's columns.  :meth:`~DynamicProgrammingSelector.select_block`
-is the one-block case and :meth:`~DynamicProgrammingSelector.select` the
-one-row case, so a chunk answers bit for bit what solving its rows one
-at a time answers.  A pass of width w covers at most ``2^20 >> w`` rows
-(four full instances at the default cap), which bounds the layers kept
-for the walk back and keeps ``row << w | mask`` inside int64.
+straight into one table in chunk order, checked once.
+:meth:`~DynamicProgrammingSelector.select_block` is the one-block case
+and :meth:`~DynamicProgrammingSelector.select` the one-row case, so a
+chunk answers bit for bit what solving its rows one at a time answers.
+A pass of width w covers at most ``2^20 >> w`` rows (four full
+instances at the default cap), which bounds the layers kept for the
+walk back and keeps ``row << w | mask`` inside int64.
 
 A pure-Python formulation of the same recurrence is preserved as
 :class:`~repro.selection.reference_dp.ReferenceDPSelector` and the
@@ -60,12 +62,12 @@ both regimes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.selection.base import Selection, SelectionColumns, Selector
-from repro.selection.problem import ProblemBlock, TaskSelectionProblem
+from repro.selection.problem import ProblemBlock, ProblemChunk, TaskSelectionProblem
 
 #: Masks one DP pass may cover (rows x 2^w): four full instances at the
 #: default ``max_exact_tasks``.
@@ -118,25 +120,29 @@ class DynamicProgrammingSelector(Selector):
 
     def select_block(self, block: ProblemBlock) -> SelectionColumns:
         """Every row of ``block`` in shared DP passes, bit-identical to :meth:`select`."""
-        return self.select_blocks([block])[0]
+        return self._solve([(np.arange(len(block)), block)], block.cost_per_meter)
 
-    def select_blocks(
-        self, blocks: Sequence[ProblemBlock]
-    ) -> List[SelectionColumns]:
-        """Every row of every block in as few padded passes as the
-        ``2^20 >> w`` bound allows, bit-identical to :meth:`select`.
+    def select_chunk(self, chunk: ProblemChunk) -> SelectionColumns:
+        """Every row of ``chunk`` (its :meth:`~ProblemChunk.blocks`) in as
+        few padded passes as the ``2^20 >> w`` bound allows,
+        bit-identical to :meth:`select`, as one table in chunk order."""
+        return self._solve(chunk.blocks(), chunk.cost_per_meter)
+
+    def _solve(self, parts, cost_per_meter) -> SelectionColumns:
+        """One table of ``len(cost_per_meter)`` rows: each ``(rows,
+        block)`` part's answers at its ``rows``, sit-outs elsewhere.
 
         Rows wider than ``max_exact_tasks`` are capped first; then the
-        rows, most candidates first (blocks in a stable order), are cut
+        rows, most candidates first (parts in a stable order), are cut
         into passes whose width w is their first row's candidate count.
         The padded arrays are built per pass, so memory stays bounded
-        by one pass at any w.
+        by one pass at any w.  Each pass writes its winners straight
+        into the table's columns, which are checked once.
         """
-        answers: List[SelectionColumns] = [None] * len(blocks)
-        groups = []  # (k, block, distances, rewards, task ids), k > 0
-        for b, block in enumerate(blocks):
+        n = len(cost_per_meter)
+        groups = []  # (k, rows, block, distances, rewards, task ids), k > 0
+        for rows, block in parts:
             if block.size == 0:
-                answers[b] = SelectionColumns.empty(len(block))
                 continue
             distances, rewards, ids = block.distances, block.rewards, block.task_ids
             if block.size > self.max_exact_tasks:
@@ -144,41 +150,37 @@ class DynamicProgrammingSelector(Selector):
                     distances, rewards, block.cost_per_meter
                 )
                 ids = np.take_along_axis(ids, keep, axis=1)
-            groups.append((rewards.shape[1], b, distances, rewards, ids))
-        if not groups:
-            return answers
+            groups.append((rewards.shape[1], rows, block, distances, rewards, ids))
         groups.sort(key=lambda group: -group[0])
-        bounds = np.zeros(len(groups) + 1, dtype=np.int64)
-        np.cumsum([len(group[3]) for group in groups], out=bounds[1:])
-        total, widest = int(bounds[-1]), groups[0][0]
+        widest = groups[0][0] if groups else 0
         columns = (
-            np.zeros(total, dtype=np.int64),  # task count
-            np.zeros((total, widest), dtype=np.int64),  # task ids, visit order
-            np.zeros(total),  # distance
-            np.zeros(total),  # reward
+            np.zeros(n, dtype=np.int64),  # task count
+            np.zeros((n, widest), dtype=np.int64),  # task ids, visit order
+            np.zeros(n),  # distance
+            np.zeros(n),  # reward
         )
-        start = 0
-        while start < total:
-            width = groups[int(bounds.searchsorted(start, side="right")) - 1][0]
-            stop = min(total, start + max(1, _PASS_MASKS >> width))
-            self._solve_pass(columns, blocks, groups, bounds, start, stop, width)
-            start = stop
+        if groups:
+            # Flat row i (most candidates first) is table row rows[i].
+            rows = np.concatenate([group[1] for group in groups])
+            bounds = np.zeros(len(groups) + 1, dtype=np.int64)
+            np.cumsum([len(group[1]) for group in groups], out=bounds[1:])
+            start = 0
+            while start < len(rows):
+                width = groups[int(bounds.searchsorted(start, side="right")) - 1][0]
+                stop = min(len(rows), start + max(1, _PASS_MASKS >> width))
+                self._solve_pass(columns, rows, groups, bounds, start, stop, width)
+                start = stop
         counts, visits, distance, reward = columns
-        held = np.arange(widest) < counts[:, None]
-        for (_, b, *_), lo, hi in zip(groups, bounds[:-1].tolist(), bounds[1:].tolist()):
-            block, rows = blocks[b], slice(lo, hi)
-            offsets = np.zeros(hi - lo + 1, dtype=np.int64)
-            np.cumsum(counts[rows], out=offsets[1:])
-            cost = np.zeros(hi - lo)
-            np.multiply(distance[rows], block.cost_per_meter, out=cost,
-                        where=counts[rows] > 0)
-            answers[b] = SelectionColumns(
-                offsets, visits[rows][held[rows]], distance[rows],
-                reward[rows], cost,
-            )
-        return answers
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        cost = np.zeros(n)
+        np.multiply(distance, cost_per_meter, out=cost, where=counts > 0)
+        return SelectionColumns(
+            offsets, visits[np.arange(widest) < counts[:, None]], distance,
+            reward, cost,
+        )
 
-    def _solve_pass(self, columns, blocks, groups, bounds, start, stop, width):
+    def _solve_pass(self, columns, rows, groups, bounds, start, stop, width):
         """Solve flat rows ``[start, stop)`` in one pass of ``width``.
 
         Each row is copied into float64 arrays padded to ``width`` with
@@ -193,7 +195,7 @@ class DynamicProgrammingSelector(Selector):
         rewards = np.zeros((n, width))
         ids = np.zeros((n, width), dtype=np.int64)
         budget, cost = np.empty(n), np.empty(n)
-        for (k, b, block_distances, block_rewards, block_ids), first, last in zip(
+        for (k, _, block, block_distances, block_rewards, block_ids), first, last in zip(
             groups, bounds[:-1].tolist(), bounds[1:].tolist()
         ):
             lo, hi = max(first, start), min(last, stop)
@@ -203,17 +205,20 @@ class DynamicProgrammingSelector(Selector):
             distances[into, : k + 1, : k + 1] = block_distances[src]
             rewards[into, :k] = block_rewards[src]
             ids[into, :k] = block_ids[src]
-            budget[into] = blocks[b].max_distance[src] + 1e-9
-            cost[into] = blocks[b].cost_per_meter[src]
+            budget[into] = block.max_distance[src] + 1e-9
+            cost[into] = block.cost_per_meter[src]
         np.minimum(budget, np.finfo(np.float64).max, out=budget)
         winners, orders, depth = self._best_orders(distances, rewards, budget, cost)
         if winners.size:
-            self._fill(columns, start, distances, rewards, ids, winners, orders, depth)
+            self._fill(
+                columns, rows[start:stop][winners], distances, rewards, ids,
+                winners, orders, depth,
+            )
 
     @staticmethod
-    def _fill(columns, start, distances, rewards, ids, winners, orders, depth) -> None:
-        """Write the pass's winning rows' columns: task counts, visit
-        orders, and :meth:`TaskSelectionProblem.evaluate
+    def _fill(columns, rows, distances, rewards, ids, winners, orders, depth) -> None:
+        """Write the pass's winners' columns at table ``rows``: task
+        counts, visit orders, and :meth:`TaskSelectionProblem.evaluate
         <repro.selection.problem.TaskSelectionProblem.evaluate>`'s
         arithmetic — float64 legs summed in visit order, the reward
         summed in visit order."""
@@ -230,7 +235,6 @@ class DynamicProgrammingSelector(Selector):
         for column in range(orders.shape[1]):
             walked += legs[:, column]
             total += gained[:, column]
-        rows = winners + start
         counts[rows] = depth + 1
         visits[rows, : orders.shape[1]] = ids[winners[:, None], orders]
         distance[rows], reward[rows] = walked, total

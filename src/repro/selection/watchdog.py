@@ -19,8 +19,9 @@ bound arbitrary selector code.
 
 Deadlines stay per instance by design — one slow user degrades alone —
 so the watchdog answers a problem block row by row (the default
-:meth:`~repro.selection.base.Selector.select_block`), never through the
-inner selector's block kernel.
+:meth:`~repro.selection.base.Selector.select_block`; it has no
+``select_chunk`` of its own, so the engine hands it one block per call),
+never through the inner selector's block or chunk kernel.
 """
 
 from __future__ import annotations

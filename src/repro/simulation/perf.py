@@ -31,11 +31,11 @@ class PerfStats:
         dp_states_expanded: ``(mask, last)`` DP states scored by the
             exact selector this round (0 for non-DP selectors).
         selector_calls: Eq. 1 instances solved this round — one per
-            user with a candidate (the rows of the blocks solved, not
-            the ``select_block`` / ``select_blocks`` calls).
+            user with a candidate (the rows of the chunks and blocks
+            solved, not the ``select_chunk`` / ``select_block`` calls).
         selector_wall_time: wall-clock seconds spent inside the
             selector (``select`` / ``select_block`` /
-            ``select_blocks``) this round.
+            ``select_chunk``) this round.
     """
 
     problem_cache_hits: int = 0

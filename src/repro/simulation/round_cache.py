@@ -26,12 +26,12 @@ user chunks with numpy, in two stages:
   float64 coordinates by :func:`~repro.geometry.point.redecide`, as
   ``build``'s pruning rule (``Point.distance_to``) decides it, and
   drops pairs whose user already contributed to the task.  The
-  reachable pairs, as CSR rows, become problems only for users with a
-  candidate, in blocks of equal candidate count k: one fancy-index
-  gather fills each :class:`~repro.selection.problem.ProblemBlock`'s
-  ``(n_k, k+1, k+1)`` distances.
+  reachable pairs, as CSR rows over the users with a candidate, are the
+  chunk's :class:`~repro.selection.problem.ProblemChunk`; no per-user
+  matrix is built unless a selector asks for dense blocks
+  (:meth:`~repro.selection.problem.ProblemChunk.blocks`).
 
-Users with no eligible, reachable task are in no block: their Eq. 1
+Users with no eligible, reachable task are in no chunk row: their Eq. 1
 answer is the empty selection, which every selector returns for an empty
 problem (pinned by the solver contract tests).
 
@@ -48,20 +48,20 @@ by tests), only the low-order bits of the matrix entries differ.
 distance matrix per chunk in either dtype — the row count adapts to
 the dtype's width), on either front end: the sparse one holds only the
 chunk's window pairs, at most the dense matrix's element count.  A
-chunk's arrays are dropped once its blocks are built, so a city-scale
+chunk's arrays are dropped once its pairs are kept, so a city-scale
 round never materialises the full user-by-task matrix.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.grid_index import expand_ranges
 from repro.geometry.point import BOUNDARY_TOL, redecide
-from repro.selection.problem import ProblemBlock, TaskSelectionProblem
+from repro.selection.problem import ProblemBlock, ProblemChunk, TaskSelectionProblem
 from repro.simulation.perf import PerfStats
 from repro.world.task import TaskTable
 
@@ -139,10 +139,10 @@ def task_distance_matrix(locations: np.ndarray, dtype=np.float64) -> np.ndarray:
 class RoundProblems:
     """One round's shared selection-problem state, assembled per chunk.
 
-    :meth:`iter_blocks` stacks the users' instances into equal-size
-    :class:`ProblemBlock` s (:meth:`iter_chunks` groups them by
-    assembly chunk); :meth:`iter_problems` hands the same instances out
-    one by one.
+    :meth:`iter_chunks` yields the users' instances one
+    :class:`ProblemChunk` per assembly chunk; :meth:`iter_blocks` stacks
+    them into equal-size :class:`ProblemBlock` s and
+    :meth:`iter_problems` hands them out one by one.
 
     Args:
         tasks: the round's published tasks, a :class:`TaskTable` slice
@@ -200,23 +200,14 @@ class RoundProblems:
         """Yield ``(indices, block)`` covering each user with a candidate.
 
         ``indices`` are the block rows' positions in ``user_ids``.
-        Blocks come chunk by chunk, by ascending candidate count within
-        a chunk; each user is in exactly one block.  Users with no
-        eligible, reachable task are in none — their Eq. 1 answer is the
-        empty selection, which every selector returns for an empty
-        problem (pinned by the solver contract tests), so callers skip
-        them.
-
-        Args:
-            user_ids: ``(n,)`` int64 ids of the users to build problems
-                for (they decide contributor exclusion).
-            origins: ``(n, 2)`` float64 positions aligned with
-                ``user_ids`` (rows of :attr:`World.positions`).
-            budgets: ``(n,)`` float64 travel budgets.
-            costs: ``(n,)`` float64 cost rates.
+        Blocks come chunk by chunk (:meth:`ProblemChunk.blocks`), by
+        ascending candidate count within a chunk; each user with a
+        candidate is in exactly one block.  Arguments as for
+        :meth:`iter_chunks`.
         """
-        for blocks in self.iter_chunks(user_ids, origins, budgets, costs):
-            yield from blocks
+        for chunk in self.iter_chunks(user_ids, origins, budgets, costs):
+            for rows, block in chunk.blocks():
+                yield chunk.indices[rows], block
 
     def iter_problems(
         self,
@@ -230,11 +221,11 @@ class RoundProblems:
         The rows of :meth:`iter_blocks` one by one, with ``index`` the
         user's position in ``user_ids``; indices ascend.
         """
-        for blocks in self.iter_chunks(user_ids, origins, budgets, costs):
+        for chunk in self.iter_chunks(user_ids, origins, budgets, costs):
             problems = [
                 (index, block.problem(j))
-                for indices, block in blocks
-                for j, index in enumerate(indices.tolist())
+                for rows, block in chunk.blocks()
+                for j, index in enumerate(chunk.indices[rows].tolist())
             ]
             problems.sort(key=itemgetter(0))
             yield from problems
@@ -245,9 +236,25 @@ class RoundProblems:
         origins: np.ndarray,
         budgets: np.ndarray,
         costs: np.ndarray,
-    ) -> Iterator[List[Tuple[np.ndarray, ProblemBlock]]]:
-        """One list of :meth:`iter_blocks`' ``(indices, block)`` pairs per
-        user chunk, so a selector can solve a chunk's blocks together."""
+    ) -> Iterator[ProblemChunk]:
+        """Yield one :class:`ProblemChunk` per user chunk that has a user
+        with a candidate.
+
+        A chunk's rows are its users with an eligible, reachable task,
+        ``indices`` their positions in ``user_ids`` (ascending across
+        chunks).  Users with none are in no row — their Eq. 1 answer is
+        the empty selection, which every selector returns for an empty
+        problem (pinned by the solver contract tests), so callers skip
+        them.
+
+        Args:
+            user_ids: ``(n,)`` int64 ids of the users to build problems
+                for (they decide contributor exclusion).
+            origins: ``(n, 2)`` float64 positions aligned with
+                ``user_ids`` (rows of :attr:`World.positions`).
+            budgets: ``(n,)`` float64 travel budgets.
+            costs: ``(n,)`` float64 cost rates.
+        """
         n_tasks, n_users = len(self.tasks), len(user_ids)
         if n_tasks == 0 or n_users == 0:
             return
@@ -299,21 +306,37 @@ class RoundProblems:
                 at = np.searchsorted(excluded, keys)
                 at[at == len(excluded)] = 0
                 reach &= excluded[at] != keys
+            if self._stats is not None:
+                # One hit per user served, with or without a candidate.
+                self._stats.problem_cache_hits += stop - start
             keep = np.flatnonzero(reach)
-            offsets = np.zeros(stop - start + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(rows[keep], minlength=stop - start),
-                out=offsets[1:],
+            if not len(keep):
+                continue
+            # CSR rows over the users with a candidate only: kept pairs
+            # ascend by row, so each row's end is its last pair's + 1.
+            kept = rows[keep]
+            ends = np.flatnonzero(np.diff(kept, append=stop - start)) + 1
+            offsets = np.zeros(len(ends) + 1, dtype=np.int64)
+            offsets[1:] = ends
+            indices = start + kept[ends - 1]
+            chunk = ProblemChunk(
+                indices=indices,
+                offsets=offsets,
+                columns=cols[keep],
+                distances=distances[keep],
+                max_distance=budgets[indices],
+                cost_per_meter=costs[indices],
+                origins=origins[indices],
+                task_matrix=self.task_matrix,
+                rewards=self.rewards,
+                task_ids=self.tasks.ids,
+                locations=task_xy,
             )
-            blocks = self._gather_blocks(
-                origins, start, offsets, cols[keep], distances[keep],
-                budgets, costs,
-            )
-            # Drop the chunk's arrays before the caller solves its blocks
-            # and before the next chunk allocates its own, so one chunk's
+            # Drop the chunk's arrays before the caller solves it and
+            # before the next chunk allocates its own, so one chunk's
             # pipeline is alive at a time.
-            del rows, cols, distances, reach, keep
-            yield blocks
+            del rows, cols, distances, reach, keep, kept
+            yield chunk
 
     def _dense_candidates(
         self, origins_w: np.ndarray, upper: np.ndarray
@@ -351,55 +374,6 @@ class RoundProblems:
         rows = at if order is None else order[at]
         found = user_ids[rows] == ids
         return np.sort(rows[found] * len(self.tasks) + cols[found])
-
-    def _gather_blocks(
-        self,
-        origins: np.ndarray,
-        start: int,
-        offsets: np.ndarray,
-        cols: np.ndarray,
-        distances: np.ndarray,
-        budgets: np.ndarray,
-        costs: np.ndarray,
-    ) -> List[Tuple[np.ndarray, ProblemBlock]]:
-        """One chunk's problem blocks, one per candidate count k.
-
-        The chunk's reachable pairs arrive as CSR: row r's candidates
-        are ``cols[offsets[r]:offsets[r+1]]`` (ascending task columns)
-        with their origin distances alongside.  Each block's
-        ``(n_k, k+1, k+1)`` distance array is filled by one fancy-index
-        gather: the origin row from the pair distances, the task block
-        sliced from the shared matrix.
-        """
-        counts = np.diff(offsets)
-        if self._stats is not None:
-            # One hit per user served, with or without a candidate.
-            self._stats.problem_cache_hits += len(counts)
-        blocks: List[Tuple[np.ndarray, ProblemBlock]] = []
-        for k in np.unique(counts[counts > 0]).tolist():
-            group = np.flatnonzero(counts == k)
-            at = offsets[group][:, None] + np.arange(k)
-            picked = cols[at]
-            origin_rows = distances[at]
-            block = np.empty((len(group), k + 1, k + 1), dtype=self.dtype)
-            block[:, 0, 0] = 0.0
-            block[:, 0, 1:] = origin_rows
-            block[:, 1:, 0] = origin_rows
-            block[:, 1:, 1:] = self.task_matrix[
-                picked[:, :, None], picked[:, None, :]
-            ]
-            indices = group + start
-            blocks.append((indices, ProblemBlock(
-                distances=block,
-                rewards=self.rewards[picked],
-                task_ids=self.tasks.ids[picked],
-                max_distance=budgets[indices],
-                cost_per_meter=costs[indices],
-                origins=origins[indices],
-                columns=picked,
-                locations=self.tasks.locations,
-            )))
-        return blocks
 
 
 class _ColumnWindows:

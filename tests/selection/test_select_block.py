@@ -1,13 +1,14 @@
-"""Block selection: ``select_block`` answers exactly what ``select`` does.
+"""Block and chunk selection answer exactly what ``select`` does.
 
-``GreedySelector.select_block`` solves a whole block of equal-size
-instances with array steps, and ``DynamicProgrammingSelector.select_block``
-in one layer-by-layer DP pass; each must return, row for row, the very
-selection solving that row alone returns — same task order and
-bit-identical distance, reward and cost.  Every other selector answers a
-block through the default row-by-row ``select_block``.  Either way the
-answer is one ``SelectionColumns`` table (CSR task ids plus float64
-distance/reward/cost columns), checked once per block.
+``GreedySelector.select_chunk`` solves a whole assembly chunk in one
+ragged pass over its candidate pairs, and the exact DP solves a block
+(``select_block``) or a chunk's blocks (``select_chunk``) in shared
+layer-by-layer passes; each must return, row for row, the very selection
+solving that row alone returns — same task order and bit-identical
+distance, reward and cost.  Every other selector answers a block through
+the default row-by-row ``select_block`` and a chunk block by block.
+Either way the answer is one ``SelectionColumns`` table (CSR task ids
+plus float64 distance/reward/cost columns), checked once per call.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.point import Point
 from repro.selection import (
     SELECTORS,
+    CandidateTask,
     DynamicProgrammingSelector,
     GreedySelector,
     ProblemBlock,
+    ProblemChunk,
     Selection,
     SelectionColumns,
+    TaskSelectionProblem,
     TimeBoundedSelector,
 )
 from repro.selection import dp as dp_module
@@ -73,6 +78,73 @@ def per_row(selector, block):
     return [selector.select(block.problem(j)) for j in range(len(block))]
 
 
+def chunk_of(blocks, dtype=None):
+    """One chunk holding every row of ``blocks`` in order, in ``dtype``
+    (default: the first block's), each row over task columns of its own:
+    the task matrix is block-diagonal, and no row reads another's tasks.
+    """
+    dtype = dtype or (blocks[0].distances.dtype if blocks else np.float64)
+    sizes = [block.size for block in blocks for _ in range(len(block))]
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    m = int(offsets[-1])
+    task_matrix = np.zeros((m, m), dtype=dtype)
+    distances = np.empty(m, dtype=dtype)
+    bounds = iter(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    for block in blocks:
+        for j, (lo, hi) in zip(range(len(block)), bounds):
+            distances[lo:hi] = block.distances[j, 0, 1:]
+            task_matrix[lo:hi, lo:hi] = block.distances[j, 1:, 1:]
+
+    def joined(name, shape):
+        parts = [getattr(block, name).reshape(shape) for block in blocks]
+        return np.concatenate(parts) if parts else np.zeros((0,) + shape[1:])
+
+    return ProblemChunk(
+        indices=np.arange(len(sizes)),
+        offsets=offsets,
+        columns=np.arange(m),
+        distances=distances,
+        max_distance=joined("max_distance", (-1,)),
+        cost_per_meter=joined("cost_per_meter", (-1,)),
+        origins=joined("origins", (-1, 2)),
+        task_matrix=task_matrix,
+        rewards=joined("rewards", (-1,)),
+        task_ids=joined("task_ids", (-1,)).astype(np.int64),
+        locations=np.concatenate(
+            [block.locations[block.columns].reshape(-1, 2) for block in blocks]
+        ) if blocks else np.zeros((0, 2)),
+    )
+
+
+def row_problem(chunk, j):
+    """Row ``j`` of ``chunk`` as a standalone instance, read from the
+    chunk's pairs and shared arrays (not through ``chunk.blocks()``)."""
+    lo, hi = chunk.offsets[j:j + 2].tolist()
+    cols = chunk.columns[lo:hi]
+    matrix = np.zeros((len(cols) + 1,) * 2, dtype=chunk.task_matrix.dtype)
+    matrix[0, 1:] = matrix[1:, 0] = chunk.distances[lo:hi]
+    matrix[1:, 1:] = chunk.task_matrix[np.ix_(cols, cols)]
+    return TaskSelectionProblem(
+        origin=Point(*chunk.origins[j].tolist()),
+        candidates=tuple(
+            CandidateTask(task_id, Point(x, y), reward)
+            for task_id, (x, y), reward in zip(
+                chunk.task_ids[cols].tolist(),
+                chunk.locations[cols].tolist(),
+                chunk.rewards[cols].tolist(),
+            )
+        ),
+        max_distance=float(chunk.max_distance[j]),
+        cost_per_meter=float(chunk.cost_per_meter[j]),
+        distance_matrix=matrix,
+    )
+
+
+def per_chunk_row(selector, chunk):
+    return [selector.select(row_problem(chunk, j)) for j in range(len(chunk))]
+
+
 @st.composite
 def blocks(draw, max_n=50, max_k=12):
     """Random blocks: tie-heavy integer grids and continuous geometry."""
@@ -114,22 +186,104 @@ def blocks(draw, max_n=50, max_k=12):
     return make_block(legs.astype(dtype), rewards, max_distance, cost, task_ids)
 
 
-class TestGreedyBlockEquivalence:
-    @given(block=blocks(), min_step_profit=st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+@st.composite
+def shared_chunks(draw, max_n=40, max_m=24):
+    """Random chunks over one shared task set: rows of mixed candidate
+    counts over overlapping columns, tie-heavy integer grids or
+    continuous geometry, and budgets at the 1e-9 boundary of a random
+    path, zero, infinite, or short of every candidate."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(1, min(m, 14) + 1, size=n)
+    columns = np.concatenate(
+        [np.sort(rng.choice(m, size=k, replace=False)) for k in sizes]
+    )
+    rows = np.repeat(np.arange(n), sizes)
+    locations = rng.uniform(0.0, 800.0, size=(m, 2))
+    origins = rng.uniform(0.0, 800.0, size=(n, 2))
+    if draw(st.booleans()):
+        # Small integers: equal gains are common and path lengths exact.
+        half = rng.integers(0, 6, size=(m, m)).astype(np.float64)
+        task_matrix = np.triu(half, 1) + np.triu(half, 1).T
+        distances = rng.integers(0, 6, size=len(columns)).astype(np.float64)
+        rewards = rng.integers(0, 4, size=m).astype(np.float64)
+        cost = rng.choice([0.0, 0.5, 1.0], size=n)
+    else:
+        diff = locations[:, None, :] - locations[None, :, :]
+        task_matrix = np.sqrt((diff**2).sum(axis=-1))
+        distances = np.sqrt(((origins[rows] - locations[columns]) ** 2).sum(axis=-1))
+        rewards = rng.uniform(0.0, 6.0, size=m)
+        cost = rng.uniform(0.0, 0.02, size=n)
+    if draw(st.booleans()):
+        rewards[rng.random(size=m) < 0.5] = 0.0
+    task_matrix, distances = task_matrix.astype(dtype), distances.astype(dtype)
+    # A random path's running length, in the float64 the greedy sums
+    # the (cast) legs in, then nudged across the 1e-9 boundary.
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    max_distance = np.empty(n)
+    for j in range(n):
+        lo, hi = offsets[j:j + 2].tolist()
+        path = rng.permutation(hi - lo)[: rng.integers(1, hi - lo + 1)]
+        walked = float(distances[lo + path[0]])
+        for a, b in zip(path[:-1], path[1:]):
+            walked += float(task_matrix[columns[lo + a], columns[lo + b]])
+        max_distance[j] = walked
+    max_distance = np.maximum(
+        max_distance + rng.choice(BOUNDARY_OFFSETS, size=n), 0.0
+    )
+    kind = rng.choice(4, size=n, p=[0.6, 0.1, 0.15, 0.15])
+    max_distance[kind == 1] = 0.0
+    max_distance[kind == 2] = np.inf
+    # Short of every candidate: nothing fits at step 0.
+    nearest = np.minimum.reduceat(distances.astype(np.float64), offsets[:-1])
+    max_distance[kind == 3] = nearest[kind == 3] / 2
+    return ProblemChunk(
+        indices=np.arange(n) * 3 + 1,
+        offsets=offsets,
+        columns=columns,
+        distances=distances,
+        max_distance=max_distance,
+        cost_per_meter=cost,
+        origins=origins,
+        task_matrix=task_matrix,
+        rewards=rewards,
+        task_ids=rng.permutation(m).astype(np.int64) + 1000,
+        locations=locations,
+    )
+
+
+class TestGreedyChunkEquivalence:
+    """The greedy's one ragged pass over a chunk's candidate pairs
+    answers each row as ``select`` on that row's problem, bit for bit."""
+
+    @given(
+        chunk=st.one_of(
+            shared_chunks(),
+            st.lists(blocks(max_n=10), min_size=1, max_size=4).map(chunk_of),
+        ),
+        min_step_profit=st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0, 2.5]),
+    )
     @settings(deadline=None)
-    def test_block_equals_per_row_select(self, block, min_step_profit):
+    def test_every_row_equals_its_select(self, chunk, min_step_profit):
         selector = GreedySelector(min_step_profit=min_step_profit)
-        got = selector.select_block(block)
-        want = per_row(selector, block)
+        got = selector.select_chunk(chunk)
+        want = per_chunk_row(selector, chunk)
+        assert isinstance(got, SelectionColumns)
         assert [exact(s) for s in got] == [exact(s) for s in want]
+        assert got.task_ids.tolist() == [t for s in want for t in s.task_ids]
 
     def test_first_of_equal_gains_wins(self):
         # Candidates 1 and 2 tie on gain; the scalar loop keeps the first.
         distances = np.array([[[0, 2, 2], [2, 0, 9], [2, 9, 0]]], dtype=float)
-        block = make_block(distances, [[3.0, 3.0]], [5.0], [0.5])
-        (selection,) = GreedySelector().select_block(block)
+        chunk = chunk_of([make_block(distances, [[3.0, 3.0]], [5.0], [0.5])])
+        (selection,) = GreedySelector().select_chunk(chunk)
         assert selection.task_ids == (3,)
-        assert [exact(selection)] == [exact(s) for s in per_row(GreedySelector(), block)]
+        assert [exact(selection)] == [
+            exact(s) for s in per_chunk_row(GreedySelector(), chunk)
+        ]
 
     def test_rows_stop_independently(self):
         # Row 0 walks both tasks, row 1 one of them, row 2 none.
@@ -137,16 +291,35 @@ class TestGreedyBlockEquivalence:
             np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.float32),
             (3, 1, 1),
         )
-        block = make_block(
+        chunk = chunk_of([make_block(
             distances, [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]],
             [5.0, 1.0, 5.0], [0.1, 0.1, 0.1],
-        )
-        got = GreedySelector().select_block(block)
+        )])
+        got = GreedySelector().select_chunk(chunk)
         assert [len(s) for s in got] == [2, 1, 0]
         assert got[2].is_empty
         assert [exact(s) for s in got] == [
-            exact(s) for s in per_row(GreedySelector(), block)
+            exact(s) for s in per_chunk_row(GreedySelector(), chunk)
         ]
+
+    @given(chunk=shared_chunks(max_n=12, max_m=10))
+    @settings(deadline=None, max_examples=50)
+    def test_blocks_hold_each_rows_problem(self, chunk):
+        seen = []
+        for rows, block in chunk.blocks():
+            assert (block.size == chunk.sizes[rows]).all()
+            for j, row in enumerate(rows.tolist()):
+                got, want = block.problem(j), row_problem(chunk, row)
+                assert got.candidates == want.candidates
+                assert (got.origin, got.max_distance, got.cost_per_meter) == (
+                    want.origin, want.max_distance, want.cost_per_meter
+                )
+                np.testing.assert_array_equal(
+                    got.distance_matrix, want.distance_matrix
+                )
+                assert got.distance_matrix.dtype == want.distance_matrix.dtype
+                seen.append(row)
+        assert sorted(seen) == list(range(len(chunk)))
 
 
 def row_block(block, j):
@@ -260,49 +433,54 @@ def empty_block(n=2):
 
 
 class TestDPMultiBlockEquivalence:
-    """One ``select_blocks`` call pads an assembly chunk's rows, of mixed
-    candidate counts, into shared passes; each row must still answer
-    what solving it alone answers."""
+    """One ``select_chunk`` call pads an assembly chunk's rows, of mixed
+    candidate counts, into shared passes and answers them in one table;
+    each row must still answer what solving it alone answers."""
 
     @given(
-        chunk=st.lists(blocks(max_n=8, max_k=22), min_size=1, max_size=5),
+        parts=st.lists(blocks(max_n=8, max_k=22), min_size=1, max_size=5),
         max_exact_tasks=st.sampled_from([3, 5, 8]),
         min_profit=st.sampled_from([0.0, 0.5]),
         pass_masks=st.sampled_from([dp_module._PASS_MASKS, 1 << 5]),
     )
     @settings(deadline=None)
     def test_every_row_equals_its_select(
-        self, chunk, max_exact_tasks, min_profit, pass_masks
+        self, parts, max_exact_tasks, min_profit, pass_masks
     ):
         # 2^5 masks per pass leaves one to four rows a pass: many passes,
         # each cut at a width boundary or inside a block.
+        chunk = chunk_of(parts)
         selector = DynamicProgrammingSelector(
             max_exact_tasks=max_exact_tasks, min_profit=min_profit
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dp_module, "_PASS_MASKS", pass_masks)
-            got = selector.select_blocks(chunk)
+            got = selector.select_chunk(chunk)
             expanded = selector.consume_states_expanded()
-            per_block = [selector.select_block(block) for block in chunk]
+            per_block = [
+                (rows, selector.select_block(block))
+                for rows, block in chunk.blocks()
+            ]
             assert expanded == selector.consume_states_expanded()
-        assert len(got) == len(chunk)
-        for answer, alone, block in zip(got, per_block, chunk):
-            assert isinstance(answer, SelectionColumns)
-            want = [exact(s) for s in per_row(selector, block)]
-            assert [exact(s) for s in answer] == want
-            assert [exact(s) for s in alone] == want
+        assert isinstance(got, SelectionColumns)
+        want = [exact(s) for s in per_chunk_row(selector, chunk)]
+        assert [exact(s) for s in got] == want
+        for rows, alone in per_block:
+            assert [exact(s) for s in alone] == [want[j] for j in rows.tolist()]
 
     def test_empty_blocks_keep_their_places(self):
         block = geometric_block()
         selector = DynamicProgrammingSelector()
-        got = selector.select_blocks([empty_block(3), block, empty_block(1)])
-        assert [len(answer) for answer in got] == [3, len(block), 1]
-        assert list(got[0]) == [Selection.empty()] * 3
-        assert list(got[2]) == [Selection.empty()]
-        assert [exact(s) for s in got[1]] == [
+        got = selector.select_chunk(
+            chunk_of([empty_block(3), block, empty_block(1)], np.float64)
+        )
+        assert got.lengths[:3].tolist() == [0, 0, 0]
+        assert list(got)[:3] == [Selection.empty()] * 3
+        assert list(got)[-1] == Selection.empty()
+        assert [exact(s) for s in got][3:-1] == [
             exact(s) for s in per_row(selector, block)
         ]
-        assert selector.select_blocks([]) == []
+        assert list(selector.select_chunk(chunk_of([]))) == []
 
     def test_infinite_budget_creates_no_padded_state(self):
         # The k = 2 row shares a width-4 pass with the k = 4 row; an
@@ -311,11 +489,9 @@ class TestDPMultiBlockEquivalence:
         narrow = make_block(narrow.distances, narrow.rewards, [np.inf],
                             narrow.cost_per_meter)
         selector = DynamicProgrammingSelector()
-        got = selector.select_blocks([narrow, wide])
+        got = selector.select_chunk(chunk_of([narrow, wide]))
         expanded = selector.consume_states_expanded()
-        assert [exact(s) for s in got[0]] == [
-            exact(s) for s in per_row(selector, narrow)
-        ]
+        assert [exact(got[0])] == [exact(s) for s in per_row(selector, narrow)]
         selector.select_block(wide)
         assert expanded == selector.consume_states_expanded()
 
@@ -488,6 +664,21 @@ class TestColumnarAnswers:
             ]
         assert got == want
 
+    @given(
+        chunk=shared_chunks(max_n=20, max_m=12),
+        kind=st.sampled_from(["greedy", "dp", "watchdog", "two-opt"]),
+    )
+    @settings(deadline=None)
+    def test_chunk_rows_equal_per_row_select(self, chunk, kind):
+        # The greedy's and the DP's own chunk passes, and the default
+        # block-by-block answer behind the watchdog and two-opt.
+        got = selectors(kind).select_chunk(chunk)
+        want = per_chunk_row(selectors(kind), chunk)
+        assert isinstance(got, SelectionColumns)
+        assert got.lengths.tolist() == [len(s) for s in want]
+        assert got.task_ids.tolist() == [t for s in want for t in s.task_ids]
+        assert [exact(s) for s in got] == [exact(s) for s in want]
+
     def test_empty_block_answers_sit_outs(self):
         block = make_block(np.zeros((3, 1, 1)), np.zeros((3, 0)), [1.0] * 3,
                            [0.1] * 3, task_ids=np.zeros((3, 0), dtype=np.int64))
@@ -498,7 +689,7 @@ class TestColumnarAnswers:
 
 
 class TestColumnValidation:
-    """One array check per block: non-negative columns, no repeated id
+    """One array check per answer: non-negative columns, no repeated id
     within a row, and errors that name the offending row's values."""
 
     def test_negative_distance_is_refused(self):
@@ -546,6 +737,8 @@ class TestColumnValidation:
         block = make_block(distances, [[3.0, 0.0]], [5.0], [0.5])
         with pytest.raises(ValueError, match=r"non-negative, got -2\.0"):
             GreedySelector().select_block(block)
+        with pytest.raises(ValueError, match=r"non-negative, got -2\.0"):
+            GreedySelector().select_chunk(chunk_of([block]))
 
     def test_columns_from_selections_keep_their_values(self):
         selections = [Selection((2, 1), 3.0, 4.0, 0.5), Selection.empty()]

@@ -1,11 +1,11 @@
-"""The engine's block select phase: counters, cancellation, blocks.
+"""The engine's select phase: counters, cancellation, chunks and blocks.
 
-The engine hands each equal-k problem block to the selector in one
-``select_block`` call, or a whole assembly chunk's blocks to a selector
-that solves them together (the exact DP) in one ``select_blocks`` call.
-Its counters keep their per-instance meaning (one selector call per
-user with a candidate, one problem-cache hit per participant), and
-cancellation is polled before every call.
+The engine hands a whole assembly chunk to a selector that solves it
+together (the greedy and the exact DP) in one ``select_chunk`` call, and
+each equal-k problem block of the chunk to any other selector in one
+``select_block`` call.  Its counters keep their per-instance meaning
+(one selector call per user with a candidate, one problem-cache hit per
+participant), and cancellation is polled before every call.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.obs.trace import SpanTracer
 from repro.resilience.cancel import FlagToken
 from repro.resilience.errors import OperationCancelled
 from repro.scenarios import PRESETS
-from repro.selection import GreedySelector
+from repro.selection import GreedySelector, Selector
 from repro.simulation import SimulationEngine
 from repro.simulation.round_cache import RoundProblems
 from tests.simulation.test_batch import (
@@ -32,6 +32,21 @@ def small_city(**overrides):
     )
     config.update(overrides)
     return PRESETS["city-2k"].to_config(**config)
+
+
+def assert_one_call_per_chunk(selector):
+    tracer = SpanTracer()
+    config = small_city(selector=selector, rounds=2)
+    result = SimulationEngine(config, tracer=tracer).run()
+    calls = [r for r in tracer.spans if r.name == "select-block"]
+    # city-2k's few hundred users fit one assembly chunk.
+    assert len(calls) == result.rounds_played
+    assert all(call.args["blocks"] > 1 for call in calls)
+    assert sum(call.args["users"] for call in calls) == (
+        result.perf_totals().selector_calls
+    )
+    assert [r.metrics.histogram("selector_seconds").count
+            for r in result.rounds] == [1] * result.rounds_played
 
 
 class TestCounters:
@@ -59,23 +74,35 @@ class TestCounters:
             assert record.perf.selector_calls == (
                 has_candidate & participants
             ).sum()
-            # The latency histogram holds one value per block.
-            blocks = record.metrics.histogram("selector_seconds").count
-            assert 0 < blocks < record.perf.selector_calls
+            # The latency histogram holds one value per selector call:
+            # here one chunk, answered by the greedy's chunk pass.
+            calls = record.metrics.histogram("selector_seconds").count
+            assert 0 < calls < record.perf.selector_calls
 
     def test_the_dp_gets_one_call_per_chunk(self):
+        assert_one_call_per_chunk("dp")
+
+    def test_the_greedy_gets_one_call_per_chunk(self):
+        assert_one_call_per_chunk("greedy")
+
+    def test_small_chunks_get_one_greedy_call_each(self):
+        chunks = []
+
+        class CountsChunks(GreedySelector):
+            def select_chunk(self, chunk):
+                chunks.append(len(chunk))
+                return super().select_chunk(chunk)
+
         tracer = SpanTracer()
-        config = small_city(selector="dp", rounds=2)
-        result = SimulationEngine(config, tracer=tracer).run()
-        calls = [r for r in tracer.spans if r.name == "select-block"]
-        # city-2k's few hundred users fit one assembly chunk.
-        assert len(calls) == result.rounds_played
-        assert all(call.args["blocks"] > 1 for call in calls)
-        assert sum(call.args["users"] for call in calls) == (
-            result.perf_totals().selector_calls
+        engine = SimulationEngine(
+            small_city(rounds=2), selector=CountsChunks(), tracer=tracer
         )
-        assert [r.metrics.histogram("selector_seconds").count
-                for r in result.rounds] == [1] * result.rounds_played
+        engine.chunk_bytes = 40 * 60 * 4  # ~40 users of 60 tasks a chunk
+        result = engine.run()
+        calls = [r for r in tracer.spans if r.name == "select-block"]
+        assert len(calls) == len(chunks) > 2 * result.rounds_played
+        assert [call.args["users"] for call in calls] == chunks
+        assert sum(chunks) == result.perf_totals().selector_calls
 
 
 class TestCancellation:
@@ -83,7 +110,14 @@ class TestCancellation:
         token = FlagToken()
         blocks = []
 
-        class CancelsOnFirstBlock(GreedySelector):
+        class CancelsOnFirstBlock(Selector):
+            """Answers block by block: no chunk pass of its own."""
+
+            name = "cancels-on-first-block"
+
+            def select(self, problem):
+                return GreedySelector().select(problem)
+
             def select_block(self, block):
                 blocks.append(len(block))
                 token.cancel("stop mid-round")
@@ -98,6 +132,38 @@ class TestCancellation:
         assert excinfo.value.reason == "stop mid-round"
         assert len(blocks) == 1
         assert not engine.result.rounds
+
+    def test_cancel_from_the_greedy_stops_before_the_next_chunk(self):
+        token = FlagToken()
+        chunks = []
+
+        class Greedy(GreedySelector):
+            cancels = False
+
+            def select_chunk(self, chunk):
+                chunks.append(len(chunk))
+                if self.cancels:
+                    token.cancel("stop mid-round")
+                return super().select_chunk(chunk)
+
+        def engine(selector):
+            config = PRESETS["city-2k"].to_config(seed=4, rounds=2)
+            engine = SimulationEngine(config, selector=selector, cancel=token)
+            engine.chunk_bytes = 64 << 10
+            return engine
+
+        # The same first round, uncancelled, takes several chunk calls.
+        engine(Greedy()).step()
+        assert len(chunks) >= 2
+        chunks.clear()
+        cancelling = Greedy()
+        cancelling.cancels = True
+        stopped = engine(cancelling)
+        with pytest.raises(OperationCancelled) as excinfo:
+            stopped.step()
+        assert excinfo.value.reason == "stop mid-round"
+        assert len(chunks) == 1
+        assert not stopped.result.rounds
 
 
 class TestBlocks:

@@ -78,8 +78,8 @@ class TestPerRoundMetrics:
         assert totals.value("selector_seconds_total") == pytest.approx(
             perf.selector_wall_time
         )
-        # One latency value per selector call: a problem block, or a
-        # whole assembly chunk for the exact DP.
+        # One latency value per selector call: a whole assembly chunk
+        # for the greedy and the exact DP, a problem block otherwise.
         histogram = totals.series().get("selector_seconds")
         assert histogram is not None
         assert 0 < histogram.count <= perf.selector_calls
@@ -105,8 +105,8 @@ class TestPerRoundMetrics:
 
 
 class TestBatchedSpans:
-    """One ``select-block`` span per problem block, here on the greedy's
-    array-step block path."""
+    """One ``select-block`` span per selector call, here on the greedy's
+    one ragged pass per assembly chunk."""
 
     @pytest.fixture
     def batched_config(self, fast_config):
@@ -134,6 +134,6 @@ class TestBatchedSpans:
                 <= select.start + select.duration
                 for select in selects
             )
-        # Every instance solved is a row of exactly one traced block.
+        # Every instance solved is a row of exactly one traced call.
         solved = sum(block.args["users"] for block in blocks)
         assert solved == result.perf_totals().selector_calls

@@ -9,7 +9,7 @@ raise_if_cancelled` turns the answer into a structured
 :class:`~repro.resilience.errors.OperationCancelled` at the caller's own
 check point.  Cancellation is *cooperative* by design: the operation
 stops at a clean boundary (the engine checks between rounds and before
-every problem block), so completed work — journal lines, streamed
+every selector call), so completed work — journal lines, streamed
 round events — is never torn.
 
 Flavours:

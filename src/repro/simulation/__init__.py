@@ -10,7 +10,7 @@ travel & data upload → demand recalculation*.
 - :class:`~repro.simulation.engine.SimulationEngine` — the loop itself,
   one array-backed engine from the paper's 100 users to a 1M-user city.
 - :class:`~repro.simulation.round_cache.RoundProblems` — the round's
-  Eq. 1 instances, assembled per user chunk as equal-size problem blocks.
+  Eq. 1 instances, assembled per user chunk as CSR candidate pairs.
 - :mod:`~repro.simulation.events` — the structured per-round history the
   metrics suite consumes.
 - :mod:`~repro.simulation.rng` — named, independently seeded random
